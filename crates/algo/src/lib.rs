@@ -26,15 +26,19 @@
 //! For read-heavy workloads, [`frozen`] compiles any view into a
 //! point-in-time CSR snapshot ([`FrozenGraph`]) that answers the same
 //! queries identically but at array speed, and [`parallel`] fans the
-//! expensive ones (diameter, components, triangles, clustering,
-//! pattern matching) out across scoped threads; [`par_vectorized`]
-//! drives the vectorized pattern pipeline morsel-by-morsel across the
-//! same scoped threads with byte-identical output.
+//! expensive analyses (diameter, components, triangles, clustering)
+//! out across scoped threads.
+//!
+//! Pattern matching has two public matchers: the reference oracle
+//! [`match_pattern`] and the planned entry point
+//! [`match_pattern_seeded`], which picks its executor from the input
+//! view — the [`vectorized`] batch pipeline, morsel-parallel across
+//! [`executor_workers`] threads, for snapshots; a row-at-a-time search
+//! for live views.
 
 pub mod adjacency;
 pub mod analysis;
 pub mod frozen;
-pub mod par_vectorized;
 pub mod parallel;
 pub mod paths;
 pub mod pattern;
@@ -47,14 +51,9 @@ pub mod vectorized;
 
 pub use adjacency::{edges_adjacent, k_neighborhood, nodes_adjacent};
 pub use frozen::{frozen_regular_path_exists, FrozenGraph};
-pub use par_vectorized::{
-    executor_workers, match_pattern_par_vectorized, match_pattern_par_vectorized_domains,
-    match_pattern_par_vectorized_domains_governed, match_pattern_par_vectorized_governed,
-    set_executor_workers,
-};
 pub use parallel::{
     default_threads, par_average_clustering, par_connected_components, par_degree_stats,
-    par_diameter, par_eccentricities, par_match_pattern, par_triangle_count,
+    par_diameter, par_eccentricities, par_triangle_count,
 };
 pub use paths::{
     bidirectional_shortest_path, dijkstra, distance, fixed_length_path_exists, fixed_length_paths,
@@ -62,9 +61,8 @@ pub use paths::{
 };
 pub use pattern::{match_pattern, match_pattern_governed, Pattern, PatternEdge, PatternNode};
 pub use planned::{
-    auto_domains, domain_estimates, domains_consistent, match_pattern_auto,
-    match_pattern_auto_governed, match_pattern_planned, match_pattern_planned_governed,
-    planned_order, Domains, MatchTable,
+    auto_domains, domain_estimates, domains_consistent, match_pattern_seeded, planned_order,
+    Domains, MatchTable,
 };
 pub use refreeze::{incremental_refreeze, incremental_refreeze_structural};
 pub use regular::{
@@ -74,7 +72,4 @@ pub use summary::{
     aggregate, degree_stats, diameter, diameter_governed, graph_order, graph_size, Aggregate,
 };
 pub use traverse::{bfs_order, dfs_order, Traversal};
-pub use vectorized::{
-    match_pattern_vectorized, match_pattern_vectorized_auto,
-    match_pattern_vectorized_auto_governed, match_pattern_vectorized_governed,
-};
+pub use vectorized::{executor_workers, set_executor_workers};

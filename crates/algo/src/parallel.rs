@@ -16,10 +16,9 @@
 //!   [`par_degree_stats`] — per-node loops over cached adjacency;
 //!   float sums are reduced in node order so even the average comes
 //!   out identical to the sequential fold.
-//! * [`par_match_pattern`] — a forwarding shim over the morsel-driven
-//!   vectorized executor in [`crate::par_vectorized`], which replaced
-//!   the old chunk-per-thread pattern partitioning here (see the shim's
-//!   doc for the deprecation note).
+//!
+//! Pattern matching fans out differently — morsel-driven, inside
+//! [`crate::vectorized`] — but shares this module's panic shield.
 //!
 //! **Panic isolation.** Every worker body runs inside `catch_unwind`;
 //! a panicking worker never unwinds into [`std::thread::scope`] (which
@@ -31,17 +30,21 @@
 //! ladder (see DESIGN.md §11).
 
 use crate::frozen::FrozenGraph;
-use crate::pattern::Pattern;
-use crate::planned::MatchTable;
 use gdm_core::{Direction, FxHashMap, GraphView, NodeId};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::OnceLock;
 
 /// Number of worker threads to use by default: the machine's available
-/// parallelism, or 1 when that cannot be determined.
+/// parallelism, or 1 when that cannot be determined. Resolved once per
+/// process — std re-reads the affinity mask and cgroup quota files on
+/// every `available_parallelism` call, and this sits on the per-query
+/// path via [`crate::executor_workers`].
 pub fn default_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS
+        .get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
 }
 
 /// Fault-injection hook for the degradation tests: when armed, the
@@ -511,36 +514,29 @@ pub fn par_degree_stats(fz: &FrozenGraph, threads: usize) -> Option<(usize, usiz
     Some((min, max, sum as f64 / n as f64))
 }
 
-// ---------------------------------------------------------------------
-// Pattern matching
-// ---------------------------------------------------------------------
-
-/// Parallel subgraph matching.
-///
-/// **Deprecated in favor of the morsel-driven executor** — this symbol
-/// is now a thin forwarding shim over
-/// [`crate::match_pattern_par_vectorized`], kept so existing callers
-/// and tests compile unchanged. The old chunk-per-thread partitioning
-/// (one vectorized pipeline per contiguous root chunk, plan recompiled
-/// per chunk) is gone; the morsel driver shares one compiled
-/// [`crate::vectorized::BatchPlan`] across all workers, steals
-/// fixed-size root morsels from an atomic cursor, and merges
-/// thread-local results deterministically — byte-identical to the
-/// sequential vectorized executor, not merely set-equal. New code
-/// should call [`crate::match_pattern_par_vectorized`] (or its
-/// governed twin) directly.
-pub fn par_match_pattern(fz: &FrozenGraph, pattern: &Pattern, threads: usize) -> MatchTable {
-    crate::par_vectorized::match_pattern_par_vectorized(fz, pattern, threads)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::analysis::{average_clustering, connected_components, triangle_count};
-    use crate::pattern::{canonical, match_pattern, PatternNode};
+    use crate::pattern::{canonical, match_pattern, Pattern, PatternNode};
+    use crate::planned::{auto_domains, MatchTable};
     use crate::summary::{degree_stats, diameter, eccentricity};
     use gdm_core::props;
     use gdm_graphs::{PropertyGraph, SimpleGraph};
+
+    /// The morsel-driven pattern executor at an explicit worker count.
+    fn morsel_match(fz: &FrozenGraph, pattern: &Pattern, threads: usize) -> MatchTable {
+        let guard = gdm_govern::ExecutionGuard::unlimited();
+        crate::vectorized::run_morsels(
+            fz,
+            pattern,
+            &auto_domains(fz, pattern),
+            threads,
+            false,
+            &guard,
+        )
+        .expect("an unlimited guard never interrupts")
+    }
 
     /// Deterministic scale-free-ish graph: node i links to i/2 and to
     /// a pseudo-random earlier node, plus a few self-loops.
@@ -645,7 +641,7 @@ mod tests {
 
         let seq = match_pattern(&fz, &p);
         for threads in [1, 2, 4, 7] {
-            let par = par_match_pattern(&fz, &p, threads);
+            let par = morsel_match(&fz, &p, threads);
             assert_eq!(canonical(&par.to_bindings()), canonical(&seq));
             assert_eq!(par.len(), seq.len());
         }
@@ -653,7 +649,7 @@ mod tests {
 
     #[test]
     fn parallel_pattern_spawn_path_matches_sequential() {
-        // 80 unlabeled roots clears PAR_PATTERN_MIN_ROOTS, so this
+        // 80 unlabeled roots clears the inline threshold, so this
         // exercises the actual scoped-thread fan-out.
         let g = fixture(true, 80);
         let fz = FrozenGraph::freeze(&g);
@@ -664,7 +660,7 @@ mod tests {
         let seq = match_pattern(&fz, &p);
         assert!(!seq.is_empty());
         for threads in [2, 4] {
-            let par = par_match_pattern(&fz, &p, threads);
+            let par = morsel_match(&fz, &p, threads);
             assert_eq!(par.len(), seq.len());
             assert_eq!(canonical(&par.to_bindings()), canonical(&seq));
         }
@@ -676,7 +672,7 @@ mod tests {
         let fz = FrozenGraph::freeze(&g);
         let mut p = Pattern::new();
         p.node(PatternNode::var("x").with_label("nope"));
-        assert!(par_match_pattern(&fz, &p, 4).is_empty());
+        assert!(morsel_match(&fz, &p, 4).is_empty());
         assert!(match_pattern(&fz, &p).is_empty());
     }
 
@@ -730,7 +726,7 @@ mod tests {
         let seq = match_pattern(&fz, &p);
         assert!(!seq.is_empty());
         inject_worker_panic_once();
-        let par = par_match_pattern(&fz, &p, 4);
+        let par = morsel_match(&fz, &p, 4);
         assert_eq!(canonical(&par.to_bindings()), canonical(&seq));
         assert_eq!(par.len(), seq.len());
     }

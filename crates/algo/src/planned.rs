@@ -3,13 +3,15 @@
 //! [`crate::match_pattern`] seeds its search from *all* nodes and
 //! re-resolves label text per edge visited; on index-bearing graphs
 //! both costs are avoidable. This module is the planned counterpart:
-//! [`match_pattern_planned`] accepts a per-variable candidate
+//! [`match_pattern_seeded`] accepts a per-variable candidate
 //! **domain** (typically an index lookup produced by
 //! [`gdm_core::AttributedView::candidates`]), orders variables by
 //! estimated selectivity — smallest domain first, connectivity to
-//! already-placed variables as the tiebreak — and matches with
-//! per-pattern symbol caches so label comparisons are one `u32` hash
-//! instead of a text resolution per edge.
+//! already-placed variables as the tiebreak — and picks the executor
+//! from the input view: the batch pipeline of [`crate::vectorized`]
+//! for CSR snapshots, the row-at-a-time search below (per-pattern
+//! symbol caches, so a label comparison is one `u32` hash instead of a
+//! text resolution per edge) for everything else.
 //!
 //! Results land in a flat [`MatchTable`] (one row per match, one
 //! column per pattern variable) rather than one hash map per match;
@@ -18,9 +20,10 @@
 //! binding *set* (verified by the `planned_equiv` property suite); the
 //! row order may differ because the variable order does.
 
-use crate::pattern::{Binding, Pattern};
-use gdm_core::{AttributedView, Direction, FxHashMap, FxHashSet, NodeId, Result, Symbol};
-use gdm_govern::{ExecutionGuard, GuardExt};
+use crate::frozen::FrozenGraph;
+use crate::pattern::{label_ok, Binding, Pattern};
+use gdm_core::{AttributedView, Direction, FxHashMap, FxHashSet, NodeId, Result};
+use gdm_govern::{ExecutionGuard, CHECK_INTERVAL};
 
 /// Per-variable candidate domains, indexed like `Pattern::nodes`.
 /// `None` leaves the variable unrestricted (full scan or neighbor
@@ -79,7 +82,7 @@ impl MatchTable {
     /// columns in `pattern`'s variable order — the conversion used
     /// when the planned matcher degrades to the reference path.
     pub fn from_bindings(pattern: &Pattern, bindings: &[Binding]) -> Self {
-        let vars: Vec<String> = pattern.nodes.iter().map(|pn| pn.var.clone()).collect();
+        let vars = var_names(pattern);
         let mut data = Vec::with_capacity(vars.len() * bindings.len());
         for b in bindings {
             for v in &vars {
@@ -95,6 +98,11 @@ impl MatchTable {
         debug_assert!(vars.is_empty() || data.len().is_multiple_of(vars.len()));
         MatchTable { vars, data }
     }
+}
+
+/// Column names of a result table: the pattern's variables, in order.
+pub(crate) fn var_names(pattern: &Pattern) -> Vec<String> {
+    pattern.nodes.iter().map(|pn| pn.var.clone()).collect()
 }
 
 /// Variable elimination order by estimated selectivity: the first
@@ -176,73 +184,66 @@ pub fn domains_consistent<G: AttributedView + ?Sized>(
         .all(|&n| g.contains_node(n))
 }
 
-/// Planned matching with the view's own indexes seeding the domains.
+/// The planned pattern-matching entry point: finds all subgraph
+/// matches of `pattern` in `g`, seeding each variable from its domain
+/// (where given) and binding variables in [`planned_order`]. Matches
+/// are injective on nodes and equal to [`crate::match_pattern`]'s as a
+/// set; row order is deterministic but follows the planned order.
 ///
-/// Degradation ladder: the index-built domains are probed with
-/// [`domains_consistent`] first; if the probe reports an inconsistency
-/// the planned path is abandoned and the query is answered by the
-/// unplanned reference matcher ([`crate::match_pattern`]), which scans
-/// rather than trusts indexes — slower, never wrong.
-pub fn match_pattern_auto<G: AttributedView + ?Sized>(g: &G, pattern: &Pattern) -> MatchTable {
-    match_pattern_auto_guarded(g, pattern, None).expect("ungoverned search cannot be interrupted")
-}
-
-/// [`match_pattern_auto`] under an [`ExecutionGuard`] (same
-/// index-inconsistency fallback; both paths are governed).
-pub fn match_pattern_auto_governed<G: AttributedView + ?Sized>(
+/// The executor is chosen from the input, never by the caller:
+///
+/// 1. Domains that fail the [`domains_consistent`] probe are discarded
+///    and the reference matcher ([`crate::match_pattern_governed`])
+///    answers — it scans rather than trusts indexes: slower, never
+///    wrong.
+/// 2. A view backed by a CSR snapshot ([`FrozenGraph`]) runs the batch
+///    pipeline of [`crate::vectorized`] across
+///    [`crate::executor_workers`] morsel workers (one worker, or a
+///    small root domain, is the same pipeline run inline).
+/// 3. Any other view is searched row-at-a-time through the
+///    [`AttributedView`] trait.
+///
+/// Every path charges `guard` — one node visit per candidate binding
+/// attempt, one row per match, drawn in bulk ([`CHECK_INTERVAL`] units
+/// by the row-at-a-time search, a batch at a time by the pipeline) so
+/// an unlimited guard costs nothing per candidate — and returns the
+/// structured `Interrupted` error on a trip. Ungoverned callers pass
+/// [`ExecutionGuard::unlimited`]; callers without planner-supplied
+/// domains pass [`auto_domains`].
+pub fn match_pattern_seeded<G: AttributedView + ?Sized>(
     g: &G,
     pattern: &Pattern,
+    domains: &[Option<Vec<NodeId>>],
     guard: &ExecutionGuard,
 ) -> Result<MatchTable> {
-    match_pattern_auto_guarded(g, pattern, Some(guard))
-}
-
-pub(crate) fn match_pattern_auto_guarded<G: AttributedView + ?Sized>(
-    g: &G,
-    pattern: &Pattern,
-    guard: Option<&ExecutionGuard>,
-) -> Result<MatchTable> {
-    let domains = auto_domains(g, pattern);
-    if !domains_consistent(g, &domains) {
-        let bindings = crate::pattern::match_pattern_guarded(g, pattern, guard)?;
+    if !domains_consistent(g, domains) {
+        let bindings = crate::pattern::match_pattern_governed(g, pattern, guard)?;
         return Ok(MatchTable::from_bindings(pattern, &bindings));
     }
-    match_pattern_planned_guarded(g, pattern, &domains, guard)
+    let snapshot = g
+        .batch_backend()
+        .and_then(|backend| backend.downcast_ref::<FrozenGraph>());
+    match snapshot {
+        Some(fz) => crate::vectorized::run_morsels(
+            fz,
+            pattern,
+            domains,
+            crate::vectorized::executor_workers(),
+            false,
+            guard,
+        ),
+        None => search_rows(g, pattern, domains, guard),
+    }
 }
 
-/// Finds all subgraph matches of `pattern` in `g`, seeding each
-/// variable from its domain (where given) and ordering variables by
-/// estimated selectivity. Matches are injective on nodes and equal to
-/// [`crate::match_pattern`]'s as a set; row order is deterministic but
-/// follows the planned variable order.
-pub fn match_pattern_planned<G: AttributedView + ?Sized>(
-    g: &G,
-    pattern: &Pattern,
-    domains: &[Option<Vec<NodeId>>],
-) -> MatchTable {
-    match_pattern_planned_guarded(g, pattern, domains, None)
-        .expect("ungoverned search cannot be interrupted")
-}
-
-/// [`match_pattern_planned`] under an [`ExecutionGuard`]: one node
-/// charge per candidate binding attempt, one row charge per match.
-/// With an unlimited guard the result equals [`match_pattern_planned`].
-pub fn match_pattern_planned_governed<G: AttributedView + ?Sized>(
+/// The row-at-a-time search for live views.
+fn search_rows<G: AttributedView + ?Sized>(
     g: &G,
     pattern: &Pattern,
     domains: &[Option<Vec<NodeId>>],
     guard: &ExecutionGuard,
 ) -> Result<MatchTable> {
-    match_pattern_planned_guarded(g, pattern, domains, Some(guard))
-}
-
-pub(crate) fn match_pattern_planned_guarded<G: AttributedView + ?Sized>(
-    g: &G,
-    pattern: &Pattern,
-    domains: &[Option<Vec<NodeId>>],
-    guard: Option<&ExecutionGuard>,
-) -> Result<MatchTable> {
-    let vars: Vec<String> = pattern.nodes.iter().map(|pn| pn.var.clone()).collect();
+    let vars = var_names(pattern);
     if pattern.nodes.is_empty() {
         return Ok(MatchTable {
             vars,
@@ -271,8 +272,11 @@ pub(crate) fn match_pattern_planned_guarded<G: AttributedView + ?Sized>(
         all_nodes: None,
         data: Vec::new(),
         guard,
+        uncharged_nodes: 0,
+        uncharged_rows: 0,
     };
     search.extend(0)?;
+    search.charge()?;
     Ok(MatchTable {
         vars,
         data: search.data,
@@ -294,13 +298,26 @@ struct Search<'a, G: ?Sized> {
     /// Full node list, materialized at most once per search.
     all_nodes: Option<Vec<NodeId>>,
     data: Vec<NodeId>,
-    guard: Option<&'a ExecutionGuard>,
+    guard: &'a ExecutionGuard,
+    /// Candidate visits and emitted rows not yet drawn from `guard`:
+    /// drawing [`CHECK_INTERVAL`] units at a time keeps the guard's
+    /// atomics and clock off the per-candidate path.
+    uncharged_nodes: u64,
+    uncharged_rows: u64,
 }
 
 impl<G: AttributedView + ?Sized> Search<'_, G> {
+    /// Draws the pending counts from the guard (each bulk draw also
+    /// runs its deadline/cancel check). Rows first, so a trip's
+    /// `partial` count includes every row emitted so far.
+    fn charge(&mut self) -> Result<()> {
+        self.guard.rows(std::mem::take(&mut self.uncharged_rows))?;
+        self.guard.nodes(std::mem::take(&mut self.uncharged_nodes))
+    }
+
     fn extend(&mut self, depth: usize) -> Result<()> {
         if depth == self.order.len() {
-            self.guard.row()?;
+            self.uncharged_rows += 1;
             for slot in &self.assignment {
                 self.data.push(slot.expect("complete assignment"));
             }
@@ -388,7 +405,10 @@ impl<G: AttributedView + ?Sized> Search<'_, G> {
         n: NodeId,
         generator: Option<usize>,
     ) -> Result<()> {
-        self.guard.node()?;
+        self.uncharged_nodes += 1;
+        if self.uncharged_nodes + self.uncharged_rows >= CHECK_INTERVAL {
+            self.charge()?;
+        }
         if self.assignment.iter().flatten().any(|&m| m == n) {
             return Ok(()); // injectivity
         }
@@ -411,15 +431,9 @@ impl<G: AttributedView + ?Sized> Search<'_, G> {
             return false;
         }
         let pn = &self.pattern.nodes[pv];
-        if let Some(want) = &pn.label {
+        if pn.label.is_some() {
             let cache = &mut self.node_label_cache[pv];
-            let ok = match g.node_label(n) {
-                None => false,
-                Some(sym) => *cache
-                    .entry(sym.raw())
-                    .or_insert_with(|| g.label_text(sym).is_some_and(|t| t == want)),
-            };
-            if !ok {
+            if !label_ok(g, cache, pn.label.as_deref(), g.node_label(n)) {
                 return false;
             }
         }
@@ -477,29 +491,21 @@ impl<G: AttributedView + ?Sized> Search<'_, G> {
     }
 }
 
-/// Does `sym` satisfy the edge/node label constraint `want`, resolving
-/// each distinct symbol's text at most once via `cache`?
-fn label_ok<G: AttributedView + ?Sized>(
-    g: &G,
-    cache: &mut FxHashMap<u32, bool>,
-    want: Option<&str>,
-    sym: Option<Symbol>,
-) -> bool {
-    let Some(want) = want else { return true };
-    match sym {
-        None => false,
-        Some(sym) => *cache
-            .entry(sym.raw())
-            .or_insert_with(|| g.label_text(sym).is_some_and(|t| t == want)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pattern::{canonical, match_pattern, PatternNode};
-    use gdm_core::props;
+    use gdm_core::{props, Symbol};
     use gdm_graphs::PropertyGraph;
+
+    fn seeded<G: AttributedView + ?Sized>(g: &G, p: &Pattern, domains: &Domains) -> MatchTable {
+        match_pattern_seeded(g, p, domains, &ExecutionGuard::unlimited())
+            .expect("an unlimited guard never interrupts")
+    }
+
+    fn auto<G: AttributedView + ?Sized>(g: &G, p: &Pattern) -> MatchTable {
+        seeded(g, p, &auto_domains(g, p))
+    }
 
     fn community() -> PropertyGraph {
         let mut g = PropertyGraph::new();
@@ -532,7 +538,7 @@ mod tests {
     fn planned_equals_unplanned_on_chain() {
         let g = community();
         let p = chain_pattern();
-        let planned = match_pattern_auto(&g, &p);
+        let planned = auto(&g, &p);
         let unplanned = match_pattern(&g, &p);
         assert_eq!(canonical(&planned.to_bindings()), canonical(&unplanned));
         assert_eq!(planned.len(), unplanned.len());
@@ -543,10 +549,10 @@ mod tests {
         let g = community();
         let mut p = Pattern::new();
         p.node(PatternNode::var("x"));
-        let all = match_pattern_planned(&g, &p, &[None]);
+        let all = seeded(&g, &p, &vec![None]);
         assert_eq!(all.len(), 20);
         let dom: Domains = vec![Some(vec![NodeId(1), NodeId(2)])];
-        let some = match_pattern_planned(&g, &p, &dom);
+        let some = seeded(&g, &p, &dom);
         assert_eq!(some.len(), 2);
         let rows: Vec<&[NodeId]> = some.rows().collect();
         assert_eq!(rows[0], &[NodeId(1)]);
@@ -562,7 +568,7 @@ mod tests {
         // result.
         let z_only = NodeId(3);
         let dom: Domains = vec![None, None, Some(vec![z_only])];
-        let restricted = match_pattern_planned(&g, &p, &dom);
+        let restricted = seeded(&g, &p, &dom);
         let full = canonical(&match_pattern(&g, &p));
         for row in restricted.rows() {
             assert_eq!(row[2], z_only);
@@ -604,7 +610,7 @@ mod tests {
     #[test]
     fn empty_pattern_and_empty_table() {
         let g = community();
-        let table = match_pattern_planned(&g, &Pattern::new(), &Vec::new());
+        let table = seeded(&g, &Pattern::new(), &Vec::new());
         assert_eq!(table.len(), 0);
         assert!(table.is_empty());
         assert!(table.to_bindings().is_empty());
@@ -617,7 +623,7 @@ mod tests {
         let x = p.node(PatternNode::var("x").with_label("company"));
         let y = p.node(PatternNode::var("y"));
         p.edge(x, y, Some("knows")).unwrap();
-        let table = match_pattern_auto(&g, &p);
+        let table = auto(&g, &p);
         assert_eq!(table.vars(), &["x".to_owned(), "y".to_owned()]);
         let bindings = table.to_bindings();
         assert_eq!(bindings.len(), table.len());
@@ -693,34 +699,27 @@ mod tests {
         assert!(!domains_consistent(&g, &domains));
         // Trusting the lying index would return zero matches; the
         // fallback answers from the reference scan instead.
-        let via_auto = match_pattern_auto(&g, &p);
+        let via_auto = auto(&g, &p);
         let reference = match_pattern(&g.0, &p);
         assert!(!reference.is_empty());
         assert_eq!(canonical(&via_auto.to_bindings()), canonical(&reference));
+        // The probe comes before executor selection: a snapshot handed
+        // the same dangling domain degrades the same way.
+        let fz = FrozenGraph::freeze_attributed(&g.0);
+        let via_snapshot = seeded(&fz, &p, &domains);
+        assert_eq!(
+            canonical(&via_snapshot.to_bindings()),
+            canonical(&reference)
+        );
     }
 
     #[test]
     fn governed_planned_interrupts_on_tiny_budget() {
         let g = community();
         let p = chain_pattern();
-        let guard = gdm_govern::ExecutionGuard::new(gdm_govern::Limits::none().with_node_visits(1));
-        let err =
-            match_pattern_planned_governed(&g, &p, &auto_domains(&g, &p), &guard).unwrap_err();
+        let guard = ExecutionGuard::new(gdm_govern::Limits::none().with_node_visits(1));
+        let err = match_pattern_seeded(&g, &p, &auto_domains(&g, &p), &guard).unwrap_err();
         assert!(err.is_interrupted());
-    }
-
-    #[test]
-    fn governed_unlimited_equals_ungoverned() {
-        let g = community();
-        let p = chain_pattern();
-        let guard = gdm_govern::ExecutionGuard::unlimited();
-        let governed =
-            match_pattern_planned_governed(&g, &p, &auto_domains(&g, &p), &guard).unwrap();
-        let plain = match_pattern_auto(&g, &p);
-        assert_eq!(
-            canonical(&governed.to_bindings()),
-            canonical(&plain.to_bindings())
-        );
     }
 
     #[test]
@@ -731,7 +730,7 @@ mod tests {
         g.add_node("n", props! { "v" => 4 });
         let mut p = Pattern::new();
         p.node(PatternNode::var("x").with_prop("v", 3.0));
-        let planned = match_pattern_auto(&g, &p);
+        let planned = auto(&g, &p);
         let unplanned = match_pattern(&g, &p);
         assert_eq!(canonical(&planned.to_bindings()), canonical(&unplanned));
         assert_eq!(planned.len(), 2);

@@ -1,14 +1,15 @@
 //! Vectorized batch-at-a-time pattern matching over the CSR snapshot.
 //!
-//! The planned matcher ([`crate::planned`]) walks [`FrozenGraph`] one
-//! binding at a time through the generic [`gdm_core::AttributedView`]
-//! trait: every candidate costs a virtual call, a dense-index hash
-//! lookup, and a `NodeId`-keyed hash-set probe. This module is the
-//! columnar counterpart in the MonetDB/GraphBLAS style: operators
-//! consume and produce **batches of dense `u32` ids** ([`BATCH`] rows
-//! at a time) directly against the snapshot's CSR arrays, so the inner
-//! loops are array indexing over integer columns with no dynamic
-//! dispatch at all (DESIGN.md §13).
+//! The row-at-a-time search in [`crate::planned`] reaches a graph
+//! through the generic [`gdm_core::AttributedView`] trait: every
+//! candidate costs a virtual call and a `NodeId`-keyed hash-set probe.
+//! This module is the columnar counterpart in the MonetDB/GraphBLAS
+//! style, and what [`crate::match_pattern_seeded`] runs whenever its
+//! input is a [`FrozenGraph`]: operators consume and produce **batches
+//! of dense `u32` ids** ([`BATCH`] rows at a time) directly against
+//! the snapshot's CSR arrays, so the inner loops are array indexing
+//! over integer columns with no dynamic dispatch at all (DESIGN.md
+//! §13).
 //!
 //! The operator set mirrors a classic batch pipeline:
 //!
@@ -27,30 +28,70 @@
 //!   exits as a [`MatchTable`], the planned API's result type.
 //!
 //! Search order is depth-first at *batch* granularity: a child batch
-//! is flushed into the next operator as soon as it fills, so memory
-//! stays bounded by `depth × BATCH` regardless of result size.
+//! is flushed into the next operator once it holds [`BATCH`] rows (at
+//! the next source-row boundary, so it can overshoot by one row's
+//! fan-out), which keeps memory bounded by `depth × (BATCH + max
+//! degree)` regardless of result size.
+//!
+//! **Morsels.** [`run_morsels`] is the pipeline's only driver. It
+//! compiles one [`BatchPlan`], splits the plan's root seed list into
+//! fixed-size **morsels** (contiguous sub-ranges of the root domain,
+//! in the morsel-driven style of HyPer), and lets scoped worker
+//! threads claim morsels from a shared atomic cursor (self-balancing —
+//! a worker stuck on a dense morsel simply claims fewer). Each worker
+//! runs the *full* operator chain morsel by morsel into a thread-local
+//! buffer. With one worker, or fewer than [`PAR_PATTERN_MIN_ROOTS`]
+//! seeds, the same plan runs once over the whole root domain on the
+//! calling thread: sequential execution is the one-worker case, not a
+//! separate path.
+//!
+//! **Determinism.** Every worker executes the *same* compiled plan, so
+//! the elimination order, domain bitsets, and resolved label symbols
+//! cannot diverge, and the pipeline's emission order is a function of
+//! root seed order alone — batch boundaries split but never reorder
+//! the candidate stream, and the depth-first recursion drains a prefix
+//! of seeds completely before touching its suffix. Workers tag each
+//! result buffer with its morsel index and the reducer concatenates in
+//! morsel order: the output is **byte identical** for every worker
+//! count, not merely set-equal (the `planned_equiv` suite asserts
+//! exactly this).
 //!
 //! **Equivalence.** The pipeline binds variables in exactly
-//! [`planned_order`] and applies exactly the planned matcher's
-//! constraint checks, so its result equals
-//! [`crate::match_pattern_planned`]'s as a set (the `planned_equiv`
-//! property suite proves vectorized ≡ planned ≡ unplanned). Row order
-//! may differ: batching reorders siblings, never membership.
+//! [`planned_order`] and applies exactly the row-at-a-time search's
+//! constraint checks, so its result equals the oracle
+//! [`crate::match_pattern`]'s as a set (the `planned_equiv` property
+//! suite proves snapshot ≡ live ≡ oracle). Row order may differ from
+//! the live search: batching reorders siblings, never membership.
 //!
 //! **Governance.** The guard is ticked once per batch, not once per
-//! visit: [`gdm_govern::ExecutionGuard::nodes`] charges a whole
-//! candidate batch in one atomic add and runs the deadline/cancel
-//! check unconditionally — at ≤ [`BATCH`] visits per draw that is both
-//! cheaper and *more responsive* than the per-visit amortized pulse.
-//! A trip surfaces as the same structured
-//! [`gdm_core::GdmError::Interrupted`] (reason + rows emitted so far)
-//! the row-at-a-time matchers return.
+//! visit: [`ExecutionGuard::nodes`] charges a whole candidate batch in
+//! one atomic add and runs the deadline/cancel check unconditionally —
+//! at ≤ [`BATCH`] visits per draw that is both cheaper and *more
+//! responsive* than the per-visit amortized pulse. One shared guard
+//! would serialize N workers on its budget atomics, so each morsel
+//! worker charges a [`WorkerGuard`] — a thread-local view that
+//! accumulates counts in plain cells, drains them in bulk at morsel
+//! boundaries (and at a pending-units threshold), and still runs the
+//! shared guard's *read-only* deadline/cancel check on every charge.
+//! Budget trips are observed at drain points, overrunning by at most a
+//! few batches per worker. A trip aborts the morsel queue, every
+//! worker settles its counts, and the caller receives the same
+//! structured [`GdmError::Interrupted`] the row-at-a-time search
+//! returns, with `partial` covering rows from *all* workers.
+//!
+//! **Panic isolation.** Each worker body runs inside the same
+//! `catch_unwind` shield as [`crate::parallel`]'s analysis loops; a
+//! poisoned morsel discards the parallel attempt and the query is
+//! recomputed inline on the calling thread — the first rung of the
+//! governor's degradation ladder (DESIGN.md §11).
 
 use crate::frozen::FrozenGraph;
+use crate::parallel::{clamp_threads, default_threads, isolate};
 use crate::pattern::{value_in_range, Pattern};
-use crate::planned::{domain_estimates, planned_order, MatchTable};
-use gdm_core::{Direction, GraphView, NodeId, Result, Symbol, Value};
-use gdm_govern::{ExecutionGuard, GuardExt};
+use crate::planned::{domain_estimates, planned_order, var_names, MatchTable};
+use gdm_core::{Direction, GdmError, GraphView, NodeId, Result, Symbol, Value};
+use gdm_govern::{ExecutionGuard, GuardExt, WorkerGuard};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// Rows per batch. Large enough to amortize per-batch costs (guard
 /// draw, recursion) to noise; small enough that a working set of
@@ -105,93 +146,85 @@ impl Frame {
     }
 }
 
-/// Finds all subgraph matches of `pattern` in the snapshot, seeding
-/// each variable from its domain (where given). Equal to
-/// [`crate::match_pattern_planned`] as a binding set; row order may
-/// differ (batch siblings are emitted in seed order).
-pub fn match_pattern_vectorized(
-    fz: &FrozenGraph,
-    pattern: &Pattern,
-    domains: &[Option<Vec<NodeId>>],
-) -> MatchTable {
-    match_pattern_vectorized_guarded(fz, pattern, domains, None)
-        .expect("ungoverned search cannot be interrupted")
+/// Minimum number of root seeds before fanning a pattern search out
+/// across threads. Below this, spawn + join costs more than the rooted
+/// searches themselves, so the driver runs the pipeline inline.
+const PAR_PATTERN_MIN_ROOTS: usize = 64;
+
+/// Upper bound on seeds per morsel: small enough that a skewed root
+/// (one hub owning most of the matches) cannot leave N-1 workers idle,
+/// large enough that cursor traffic stays negligible.
+const MAX_MORSEL: usize = 256;
+
+/// Process-wide worker-pool override: 0 means "auto" (use
+/// [`default_threads`]). Set once at startup by `--workers N` flags
+/// and the server config; read at every snapshot pattern execution.
+static EXECUTOR_WORKERS: AtomicUsize = AtomicUsize::new(0);
+
+/// Overrides the executor worker-pool size for this process. `0`
+/// restores auto-detection. This is how single-core CI forces the
+/// parallel path (`--workers 2`) and how benchmarks pin a reproducible
+/// pool size.
+pub fn set_executor_workers(n: usize) {
+    EXECUTOR_WORKERS.store(n, Ordering::Relaxed);
 }
 
-/// [`match_pattern_vectorized`] under an [`ExecutionGuard`]: candidate
-/// batches charge [`ExecutionGuard::nodes`], emitted row batches
-/// charge [`ExecutionGuard::rows`], and a trip returns the structured
-/// `Interrupted` error with the partial row count.
-pub fn match_pattern_vectorized_governed(
-    fz: &FrozenGraph,
-    pattern: &Pattern,
-    domains: &[Option<Vec<NodeId>>],
-    guard: &ExecutionGuard,
-) -> Result<MatchTable> {
-    match_pattern_vectorized_guarded(fz, pattern, domains, Some(guard))
-}
-
-/// Vectorized matching with the snapshot's own indexes seeding the
-/// domains — the batch counterpart of [`crate::match_pattern_auto`],
-/// including its degradation ladder (inconsistent domains fall back to
-/// the unplanned reference matcher).
-pub fn match_pattern_vectorized_auto(fz: &FrozenGraph, pattern: &Pattern) -> MatchTable {
-    match_pattern_vectorized_auto_guarded(fz, pattern, None)
-        .expect("ungoverned search cannot be interrupted")
-}
-
-/// [`match_pattern_vectorized_auto`] under an [`ExecutionGuard`].
-pub fn match_pattern_vectorized_auto_governed(
-    fz: &FrozenGraph,
-    pattern: &Pattern,
-    guard: &ExecutionGuard,
-) -> Result<MatchTable> {
-    match_pattern_vectorized_auto_guarded(fz, pattern, Some(guard))
-}
-
-fn match_pattern_vectorized_auto_guarded(
-    fz: &FrozenGraph,
-    pattern: &Pattern,
-    guard: Option<&ExecutionGuard>,
-) -> Result<MatchTable> {
-    let domains = crate::planned::auto_domains(fz, pattern);
-    if !crate::planned::domains_consistent(fz, &domains) {
-        let bindings = crate::pattern::match_pattern_guarded(fz, pattern, guard)?;
-        return Ok(MatchTable::from_bindings(pattern, &bindings));
+/// The executor worker-pool size in effect: the
+/// [`set_executor_workers`] override when one is set, else the
+/// machine's available parallelism.
+pub fn executor_workers() -> usize {
+    match EXECUTOR_WORKERS.load(Ordering::Relaxed) {
+        0 => default_threads(),
+        n => n,
     }
-    match_pattern_vectorized_guarded(fz, pattern, &domains, guard)
 }
 
-pub(crate) fn match_pattern_vectorized_guarded(
+/// Test hook: [`run_morsels`] with an explicit worker count and the
+/// [`PAR_PATTERN_MIN_ROOTS`] inline threshold skipped, so tiny
+/// property-test graphs still exercise the real morsel machinery
+/// (cursor, worker guards, merge) — and `workers = 1` pins the inline
+/// run the morsel output must equal. Not part of the public API
+/// surface; everything else calls [`crate::match_pattern_seeded`].
+#[doc(hidden)]
+pub fn match_pattern_forced_morsels(
     fz: &FrozenGraph,
     pattern: &Pattern,
     domains: &[Option<Vec<NodeId>>],
-    guard: Option<&ExecutionGuard>,
+    workers: usize,
+    guard: &ExecutionGuard,
+) -> Result<MatchTable> {
+    run_morsels(fz, pattern, domains, workers, true, guard)
+}
+
+/// The morsel driver (module docs). `force` bypasses the inline
+/// threshold (tests).
+pub(crate) fn run_morsels(
+    fz: &FrozenGraph,
+    pattern: &Pattern,
+    domains: &[Option<Vec<NodeId>>],
+    workers: usize,
+    force: bool,
+    guard: &ExecutionGuard,
 ) -> Result<MatchTable> {
     let vars = var_names(pattern);
     if pattern.nodes.is_empty() {
         return Ok(MatchTable::from_parts(vars, Vec::new()));
     }
+    // Compiled once, shared read-only by every worker: all morsels see
+    // the same elimination order, domain bitsets, and label symbols.
     let plan = BatchPlan::compile(fz, pattern, domains);
-    let mut scratch = BatchScratch::new(fz);
-    let data = plan.run(None, &mut scratch, guard)?;
+    let data = plan.run_morsels(workers, force, guard)?;
     Ok(MatchTable::from_parts(vars, data))
-}
-
-/// Column names of the result table, in pattern variable order.
-pub(crate) fn var_names(pattern: &Pattern) -> Vec<String> {
-    pattern.nodes.iter().map(|pn| pn.var.clone()).collect()
 }
 
 /// Everything about a vectorized match that depends only on the
 /// (snapshot, pattern, domains) triple: the elimination order, the
 /// per-depth generator/residual schedule, pre-resolved label symbols,
 /// and the domain selection vectors/bitsets. Compiled once and then
-/// shared read-only — by the sequential [`BatchPlan::run`] over the
-/// whole root domain, or by every worker of the morsel-driven parallel
-/// executor ([`crate::par_vectorized`]) over root sub-ranges, which is
-/// what guarantees all morsels see the *same* plan.
-pub(crate) struct BatchPlan<'a> {
+/// shared read-only — by one inline [`BatchPlan::run`] over the whole
+/// root domain, or by every morsel worker over root sub-ranges, which
+/// is what guarantees all morsels see the *same* plan.
+struct BatchPlan<'a> {
     fz: &'a FrozenGraph,
     pattern: &'a Pattern,
     order: Vec<usize>,
@@ -206,13 +239,13 @@ pub(crate) struct BatchPlan<'a> {
 /// Reusable per-thread search scratch: the dense-indexed dedup stamp
 /// array. Kept outside [`BatchPlan`] so one allocation serves every
 /// morsel a worker runs, instead of `O(|V|)` zeroing per morsel.
-pub(crate) struct BatchScratch {
+struct BatchScratch {
     stamp: Vec<u32>,
     stamp_gen: u32,
 }
 
 impl BatchScratch {
-    pub(crate) fn new(fz: &FrozenGraph) -> BatchScratch {
+    fn new(fz: &FrozenGraph) -> BatchScratch {
         BatchScratch {
             stamp: vec![0u32; fz.len()],
             stamp_gen: 0,
@@ -223,7 +256,7 @@ impl BatchScratch {
 impl<'a> BatchPlan<'a> {
     /// Compiles the static plan. Callers must have rejected empty
     /// patterns already ([`planned_order`] needs at least one node).
-    pub(crate) fn compile(
+    fn compile(
         fz: &'a FrozenGraph,
         pattern: &'a Pattern,
         domains: &[Option<Vec<NodeId>>],
@@ -322,7 +355,7 @@ impl<'a> BatchPlan<'a> {
     /// candidate stream, and recursion drains a prefix before its
     /// suffix), concatenating per-range results in range order
     /// reproduces the sequential output byte for byte.
-    pub(crate) fn root_seed_list(&self) -> Vec<u32> {
+    fn root_seed_list(&self) -> Vec<u32> {
         let pv = self.order[0];
         if self.node_want[pv] == Want::Impossible {
             return Vec::new();
@@ -350,7 +383,7 @@ impl<'a> BatchPlan<'a> {
     /// scans the whole root domain. The guard is generic so the same
     /// pipeline serves the sequential path (`Option<&ExecutionGuard>`)
     /// and parallel workers (`&WorkerGuard`) without dynamic dispatch.
-    pub(crate) fn run<G: GuardExt>(
+    fn run<G: GuardExt>(
         &self,
         root_seeds: Option<&[u32]>,
         scratch: &mut BatchScratch,
@@ -365,6 +398,123 @@ impl<'a> BatchPlan<'a> {
         };
         search.step(0, &Frame::root(self.pattern.nodes.len()))?;
         Ok(search.data)
+    }
+
+    /// Runs the plan over its whole root domain on the calling thread.
+    fn run_inline(&self, guard: &ExecutionGuard) -> Result<Vec<NodeId>> {
+        self.run(None, &mut BatchScratch::new(self.fz), Some(guard))
+    }
+
+    /// Executes the plan across `workers` morsel workers and returns
+    /// the flat result data, byte-identical to [`Self::run_inline`].
+    fn run_morsels(
+        &self,
+        workers: usize,
+        force: bool,
+        guard: &ExecutionGuard,
+    ) -> Result<Vec<NodeId>> {
+        if workers <= 1 {
+            return self.run_inline(guard);
+        }
+        let seeds = self.root_seed_list();
+        let workers = clamp_threads(workers, seeds.len());
+        if workers == 1 || (!force && seeds.len() < PAR_PATTERN_MIN_ROOTS) {
+            return self.run_inline(guard);
+        }
+
+        // ~4 morsels per worker smooths skew without flooding the cursor;
+        // MAX_MORSEL caps the tail latency of an unlucky claim.
+        let morsel = seeds.len().div_ceil(workers * 4).clamp(1, MAX_MORSEL);
+        let morsels: Vec<&[u32]> = seeds.chunks(morsel).collect();
+        let cursor = AtomicUsize::new(0);
+        let abort = AtomicBool::new(false);
+        let (morsels, cursor, abort) = (&morsels, &cursor, &abort);
+
+        // Per-worker harvest: (morsel index, flat rows) pairs plus the
+        // first trip the worker observed; `false` marks a poisoned worker.
+        type Harvest = (Vec<(usize, Vec<NodeId>)>, Option<GdmError>, bool);
+        let run_worker = move || -> Harvest {
+            let mut out: Vec<(usize, Vec<NodeId>)> = Vec::new();
+            let mut first_err: Option<GdmError> = None;
+            let ok = isolate(|| {
+                let mut scratch = BatchScratch::new(self.fz);
+                let worker_guard: WorkerGuard<'_> = guard.worker();
+                loop {
+                    if abort.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    let m = cursor.fetch_add(1, Ordering::Relaxed);
+                    if m >= morsels.len() {
+                        break;
+                    }
+                    // Drain the worker's pending counts at every morsel
+                    // boundary so budget trips surface promptly even when
+                    // morsels are smaller than the flush threshold.
+                    let res = self
+                        .run(Some(morsels[m]), &mut scratch, &worker_guard)
+                        .and_then(|data| worker_guard.flush().map(|()| data));
+                    match res {
+                        Ok(data) => out.push((m, data)),
+                        Err(e) => {
+                            abort.store(true, Ordering::Relaxed);
+                            first_err = Some(e);
+                            break;
+                        }
+                    }
+                }
+                // `worker_guard` drops here, settling any remaining counts
+                // into the shared guard so partials merge across workers.
+            });
+            (out, first_err, ok)
+        };
+
+        let mut merged: Vec<(usize, Vec<NodeId>)> = Vec::new();
+        let mut trip: Option<GdmError> = None;
+        let mut poisoned = false;
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers).map(|_| s.spawn(run_worker)).collect();
+            for h in handles {
+                // A panic inside `isolate` cannot unwind out of the worker;
+                // an outer join error still just marks the worker lost.
+                let (out, err, ok) = h.join().unwrap_or((Vec::new(), None, false));
+                if !ok {
+                    poisoned = true;
+                }
+                if trip.is_none() {
+                    trip = err;
+                }
+                merged.extend(out);
+            }
+        });
+
+        if let Some(e) = trip {
+            // Re-wrap after every worker settled: the partial row count
+            // then covers rows emitted by all workers, not just the one
+            // that tripped first.
+            return Err(match e.interrupt_reason() {
+                Some(reason) => GdmError::interrupted(reason, guard.budget().rows_emitted()),
+                None => e,
+            });
+        }
+        if poisoned {
+            // A lost worker means lost morsels; discard the parallel
+            // attempt and recompute inline on the calling thread. The
+            // rerun re-charges work the lost attempt already drew —
+            // degradation trades budget precision for a correct answer,
+            // never the reverse.
+            return self.run_inline(guard);
+        }
+
+        // Deterministic reduce: morsel order is seed order, and per-morsel
+        // output equals the inline run's output for that seed range, so
+        // this concatenation is byte-identical to an inline run over the
+        // full seed list.
+        merged.sort_unstable_by_key(|&(m, _)| m);
+        let mut data = Vec::with_capacity(merged.iter().map(|(_, d)| d.len()).sum());
+        for (_, part) in merged {
+            data.extend(part);
+        }
+        Ok(data)
     }
 }
 
@@ -404,7 +554,15 @@ impl<G: GuardExt> VecSearch<'_, G> {
                     return Ok(());
                 }
                 for row in 0..frame.len {
-                    self.expand_row(depth, pv, ei, frame, row, &mut sel, &mut vals)?;
+                    self.expand_row(pv, ei, frame, row, &mut sel, &mut vals);
+                    // Flush between source rows only: the child batch's
+                    // own expansions reuse the dedup stamps, so running
+                    // them mid-row would corrupt this row's marks. A
+                    // batch may therefore overshoot BATCH by one row's
+                    // fan-out.
+                    if vals.len() >= BATCH {
+                        self.flush(depth, pv, frame, &mut sel, &mut vals)?;
+                    }
                 }
             }
             None => {
@@ -445,19 +603,16 @@ impl<G: GuardExt> VecSearch<'_, G> {
 
     /// Batched expand: walks the CSR run of `row`'s bound endpoint of
     /// generating edge `ei`, pushing label/range-qualified,
-    /// deduplicated, in-domain targets into the pending batch and
-    /// flushing whenever it fills.
-    #[allow(clippy::too_many_arguments)]
+    /// deduplicated, in-domain targets into the pending batch.
     fn expand_row(
         &mut self,
-        depth: usize,
         pv: usize,
         ei: usize,
         frame: &Frame,
         row: usize,
         sel: &mut Vec<u32>,
         vals: &mut Vec<u32>,
-    ) -> Result<()> {
+    ) {
         let e = &self.plan.pattern.edges[ei];
         let (bound_var, dir) = if e.to == pv {
             (e.from, e.direction)
@@ -483,28 +638,25 @@ impl<G: GuardExt> VecSearch<'_, G> {
             Direction::Both => (true, self.plan.fz.is_directed()),
         };
         if fwd_first {
-            self.expand_run(depth, pv, ei, frame, row, bound, false, sel, vals)?;
+            self.expand_run(pv, ei, row, bound, false, sel, vals);
         }
         if rev_too {
-            self.expand_run(depth, pv, ei, frame, row, bound, true, sel, vals)?;
+            self.expand_run(pv, ei, row, bound, true, sel, vals);
         }
-        Ok(())
     }
 
     /// One CSR run (forward or reverse) of the batched expand.
     #[allow(clippy::too_many_arguments)]
     fn expand_run(
         &mut self,
-        depth: usize,
         pv: usize,
         ei: usize,
-        frame: &Frame,
         row: usize,
         bound: u32,
         reverse: bool,
         sel: &mut Vec<u32>,
         vals: &mut Vec<u32>,
-    ) -> Result<()> {
+    ) {
         let e = &self.plan.pattern.edges[ei];
         let want = self.plan.edge_want[ei];
         let csr = if reverse {
@@ -533,11 +685,7 @@ impl<G: GuardExt> VecSearch<'_, G> {
             }
             sel.push(row as u32);
             vals.push(target);
-            if vals.len() == BATCH {
-                self.flush(depth, pv, frame, sel, vals)?;
-            }
         }
-        Ok(())
     }
 
     /// Residual filter + recurse: charges the guard for the candidate
@@ -688,11 +836,40 @@ impl<G: GuardExt> VecSearch<'_, G> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::inject_worker_panic_once;
     use crate::pattern::{canonical, match_pattern, PatternNode};
-    use crate::planned::{auto_domains, match_pattern_auto};
-    use gdm_core::props;
-    use gdm_govern::{CancelToken, ExecutionGuard, Limits};
+    use crate::planned::{auto_domains, match_pattern_seeded};
+    use gdm_core::{props, InterruptReason};
+    use gdm_govern::{CancelToken, Limits};
     use gdm_graphs::PropertyGraph;
+    use std::time::Duration;
+
+    /// Serializes tests that touch process-global state (the panic
+    /// injection hook and the worker-pool override).
+    static GLOBAL_HOOK_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    /// The driver as [`match_pattern_seeded`] calls it, with auto
+    /// domains and an explicit worker count.
+    fn governed(
+        fz: &FrozenGraph,
+        p: &Pattern,
+        workers: usize,
+        guard: &ExecutionGuard,
+    ) -> Result<MatchTable> {
+        run_morsels(fz, p, &auto_domains(fz, p), workers, false, guard)
+    }
+
+    fn with_workers(fz: &FrozenGraph, p: &Pattern, workers: usize) -> MatchTable {
+        governed(fz, p, workers, &ExecutionGuard::unlimited())
+            .expect("an unlimited guard never interrupts")
+    }
+
+    /// The live row-at-a-time search over the graph `fz` was frozen
+    /// from.
+    fn live(g: &PropertyGraph, p: &Pattern) -> MatchTable {
+        match_pattern_seeded(g, p, &auto_domains(g, p), &ExecutionGuard::unlimited())
+            .expect("an unlimited guard never interrupts")
+    }
 
     fn community() -> PropertyGraph {
         let mut g = PropertyGraph::new();
@@ -721,20 +898,58 @@ mod tests {
         p
     }
 
+    fn social(n: u64) -> PropertyGraph {
+        let mut g = PropertyGraph::new();
+        let nodes: Vec<NodeId> = (0..n)
+            .map(|i| {
+                g.add_node(
+                    if i % 5 == 0 { "company" } else { "person" },
+                    props! { "i" => i as i64 },
+                )
+            })
+            .collect();
+        for i in 0..n as usize {
+            let a = nodes[i];
+            g.add_edge(a, nodes[(i * 7 + 1) % n as usize], "knows", props! {})
+                .unwrap();
+            g.add_edge(a, nodes[(i * 13 + 3) % n as usize], "knows", props! {})
+                .unwrap();
+        }
+        g
+    }
+
+    fn two_hop() -> Pattern {
+        let mut p = Pattern::new();
+        let x = p.node(PatternNode::var("x").with_label("person"));
+        let y = p.node(PatternNode::var("y").with_label("person"));
+        let z = p.node(PatternNode::var("z"));
+        p.edge(x, y, Some("knows")).unwrap();
+        p.edge(y, z, Some("knows")).unwrap();
+        p
+    }
+
     #[test]
     fn vectorized_equals_planned_and_unplanned() {
         let g = community();
         let fz = FrozenGraph::freeze_attributed(&g);
         let p = chain_pattern();
-        let vec = match_pattern_vectorized_auto(&fz, &p);
-        let planned = match_pattern_auto(&fz, &p);
+        let vec = with_workers(&fz, &p, 1);
         let unplanned = match_pattern(&fz, &p);
         assert_eq!(
             canonical(&vec.to_bindings()),
-            canonical(&planned.to_bindings())
+            canonical(&live(&g, &p).to_bindings())
         );
         assert_eq!(canonical(&vec.to_bindings()), canonical(&unplanned));
         assert!(!vec.is_empty());
+        // The one entry point routes a snapshot to this pipeline.
+        let seeded = match_pattern_seeded(
+            &fz,
+            &p,
+            &auto_domains(&fz, &p),
+            &ExecutionGuard::unlimited(),
+        )
+        .unwrap();
+        assert_eq!(seeded, vec);
     }
 
     #[test]
@@ -743,8 +958,9 @@ mod tests {
         let fz = FrozenGraph::freeze_attributed(&g);
         let p = chain_pattern();
         let dom = auto_domains(&fz, &p);
-        let via_domains = match_pattern_vectorized(&fz, &p, &dom);
-        let planned = crate::planned::match_pattern_planned(&fz, &p, &dom);
+        let unlimited = ExecutionGuard::unlimited();
+        let via_domains = run_morsels(&fz, &p, &dom, 1, false, &unlimited).unwrap();
+        let planned = match_pattern_seeded(&g, &p, &dom, &unlimited).unwrap();
         assert_eq!(
             canonical(&via_domains.to_bindings()),
             canonical(&planned.to_bindings())
@@ -763,7 +979,7 @@ mod tests {
         let mut p = Pattern::new();
         let x = p.node(PatternNode::var("x"));
         p.edge(x, x, Some("self")).unwrap();
-        let vec = match_pattern_vectorized_auto(&fz, &p);
+        let vec = with_workers(&fz, &p, 1);
         assert_eq!(
             canonical(&vec.to_bindings()),
             canonical(&match_pattern(&fz, &p))
@@ -773,7 +989,7 @@ mod tests {
         let u = q.node(PatternNode::var("u"));
         let v = q.node(PatternNode::var("v"));
         q.edge_undirected(u, v, Some("link")).unwrap();
-        let vec = match_pattern_vectorized_auto(&fz, &q);
+        let vec = with_workers(&fz, &q, 1);
         assert_eq!(
             canonical(&vec.to_bindings()),
             canonical(&match_pattern(&fz, &q))
@@ -791,7 +1007,7 @@ mod tests {
         p.edge(x, y, Some("knows")).unwrap();
         p.edge_range("w", Some(Value::from(5)), Some(Value::from(9)))
             .unwrap();
-        let vec = match_pattern_vectorized_auto(&fz, &p);
+        let vec = with_workers(&fz, &p, 1);
         let unplanned = match_pattern(&fz, &p);
         assert_eq!(canonical(&vec.to_bindings()), canonical(&unplanned));
         assert_eq!(vec.len(), 5, "w ∈ [5, 9] keeps five edges");
@@ -803,16 +1019,8 @@ mod tests {
         let fz = FrozenGraph::freeze_attributed(&g);
         let p = chain_pattern();
         let guard = ExecutionGuard::new(Limits::none().with_node_visits(4));
-        let err = match_pattern_vectorized_auto_governed(&fz, &p, &guard).unwrap_err();
+        let err = governed(&fz, &p, 1, &guard).unwrap_err();
         assert!(err.is_interrupted());
-        // Unlimited guard reproduces the ungoverned result.
-        let guard = ExecutionGuard::unlimited();
-        let governed = match_pattern_vectorized_auto_governed(&fz, &p, &guard).unwrap();
-        let plain = match_pattern_vectorized_auto(&fz, &p);
-        assert_eq!(
-            canonical(&governed.to_bindings()),
-            canonical(&plain.to_bindings())
-        );
     }
 
     #[test]
@@ -823,29 +1031,25 @@ mod tests {
         let cancel = CancelToken::new();
         cancel.cancel();
         let guard = ExecutionGuard::with_cancel(Limits::none(), cancel);
-        let err = match_pattern_vectorized_auto_governed(&fz, &p, &guard).unwrap_err();
+        let err = governed(&fz, &p, 1, &guard).unwrap_err();
         assert!(err.is_interrupted());
     }
 
     #[test]
-    fn impossible_label_matches_nothing() {
-        let g = community();
+    fn empty_and_impossible_patterns() {
+        let g = social(80);
         let fz = FrozenGraph::freeze_attributed(&g);
         let mut p = Pattern::new();
-        p.node(PatternNode::var("x").with_label("zzz"));
-        assert!(match_pattern_vectorized_auto(&fz, &p).is_empty());
+        p.node(PatternNode::var("x").with_label("unicorn"));
         let mut q = Pattern::new();
         let a = q.node(PatternNode::var("a"));
         let b = q.node(PatternNode::var("b"));
         q.edge(a, b, Some("zzz")).unwrap();
-        assert!(match_pattern_vectorized_auto(&fz, &q).is_empty());
-    }
-
-    #[test]
-    fn empty_pattern_is_empty() {
-        let g = community();
-        let fz = FrozenGraph::freeze_attributed(&g);
-        assert!(match_pattern_vectorized_auto(&fz, &Pattern::new()).is_empty());
+        for workers in [1, 4] {
+            assert!(with_workers(&fz, &Pattern::new(), workers).is_empty());
+            assert!(with_workers(&fz, &p, workers).is_empty());
+            assert!(with_workers(&fz, &q, workers).is_empty());
+        }
     }
 
     #[test]
@@ -862,12 +1066,137 @@ mod tests {
         let x = p.node(PatternNode::var("x").with_label("leaf"));
         let h = p.node(PatternNode::var("h").with_label("hub"));
         p.edge(x, h, Some("to")).unwrap();
-        let vec = match_pattern_vectorized_auto(&fz, &p);
+        let vec = with_workers(&fz, &p, 1);
         assert_eq!(vec.len(), BATCH + 300);
-        let planned = match_pattern_auto(&fz, &p);
         assert_eq!(
             canonical(&vec.to_bindings()),
-            canonical(&planned.to_bindings())
+            canonical(&live(&g, &p).to_bindings())
         );
+    }
+
+    #[test]
+    fn expansions_larger_than_one_batch_keep_their_dedup_marks() {
+        // One source row whose expansion overflows a batch: a hub with
+        // BATCH + 300 out-neighbors, each chained to the next. The
+        // child batch's own expansions (leaf i → leaf i+1) reuse the
+        // dedup stamps, so they must not run while the hub's row is
+        // still being expanded — or leaf 1024, stamped by leaf 1023's
+        // expansion, is dropped from the hub's row as a "duplicate".
+        let mut g = PropertyGraph::new();
+        let hub = g.add_node("hub", props! {});
+        let leaves: Vec<NodeId> = (0..BATCH + 300)
+            .map(|_| g.add_node("leaf", props! {}))
+            .collect();
+        for (i, &leaf) in leaves.iter().enumerate() {
+            g.add_edge(hub, leaf, "to", props! {}).unwrap();
+            g.add_edge(leaf, leaves[(i + 1) % leaves.len()], "to", props! {})
+                .unwrap();
+        }
+        let fz = FrozenGraph::freeze_attributed(&g);
+        let mut p = Pattern::new();
+        let x = p.node(PatternNode::var("x").with_label("hub"));
+        let y = p.node(PatternNode::var("y"));
+        let z = p.node(PatternNode::var("z"));
+        p.edge(x, y, Some("to")).unwrap();
+        p.edge(y, z, Some("to")).unwrap();
+        let vec = with_workers(&fz, &p, 1);
+        assert_eq!(vec.len(), BATCH + 300);
+        assert_eq!(
+            canonical(&vec.to_bindings()),
+            canonical(&match_pattern(&fz, &p))
+        );
+    }
+
+    #[test]
+    fn morsel_output_is_byte_identical_to_one_worker() {
+        let g = social(200);
+        let fz = FrozenGraph::freeze_attributed(&g);
+        let p = two_hop();
+        let seq = with_workers(&fz, &p, 1);
+        assert!(!seq.is_empty());
+        for workers in [2, 3, 4, 7] {
+            let par = with_workers(&fz, &p, workers);
+            assert_eq!(par, seq, "workers={workers}: rows must match byte for byte");
+        }
+    }
+
+    #[test]
+    fn forced_morsels_on_tiny_graphs_stay_identical() {
+        let g = social(20);
+        let fz = FrozenGraph::freeze_attributed(&g);
+        let p = two_hop();
+        let dom = auto_domains(&fz, &p);
+        let unlimited = ExecutionGuard::unlimited();
+        let par = match_pattern_forced_morsels(&fz, &p, &dom, 3, &unlimited).unwrap();
+        assert_eq!(par, with_workers(&fz, &p, 1));
+    }
+
+    #[test]
+    fn morsel_output_matches_reference_set() {
+        let g = social(150);
+        let fz = FrozenGraph::freeze_attributed(&g);
+        let p = two_hop();
+        let par = with_workers(&fz, &p, 4);
+        assert_eq!(
+            canonical(&par.to_bindings()),
+            canonical(&match_pattern(&fz, &p))
+        );
+    }
+
+    #[test]
+    fn morsel_workers_settle_charges_into_the_shared_guard() {
+        let g = social(150);
+        let fz = FrozenGraph::freeze_attributed(&g);
+        let p = two_hop();
+        let guard = ExecutionGuard::unlimited();
+        let par = governed(&fz, &p, 4, &guard).unwrap();
+        assert_eq!(par, with_workers(&fz, &p, 1));
+        assert!(guard.budget().node_visits() > 0, "workers settled charges");
+    }
+
+    #[test]
+    fn governed_budget_trips_with_merged_partial() {
+        let g = social(400);
+        let fz = FrozenGraph::freeze_attributed(&g);
+        let p = two_hop();
+        let guard = ExecutionGuard::new(Limits::none().with_node_visits(50));
+        let err = governed(&fz, &p, 4, &guard).unwrap_err();
+        assert_eq!(err.interrupt_reason(), Some(InterruptReason::Budget));
+    }
+
+    #[test]
+    fn governed_deadline_and_cancel_trip() {
+        let g = social(200);
+        let fz = FrozenGraph::freeze_attributed(&g);
+        let p = two_hop();
+        let guard = ExecutionGuard::new(Limits::none().with_deadline(Duration::ZERO));
+        let err = governed(&fz, &p, 4, &guard).unwrap_err();
+        assert_eq!(err.interrupt_reason(), Some(InterruptReason::Deadline));
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        let guard = ExecutionGuard::with_cancel(Limits::none(), cancel);
+        let err = governed(&fz, &p, 4, &guard).unwrap_err();
+        assert_eq!(err.interrupt_reason(), Some(InterruptReason::Cancelled));
+    }
+
+    #[test]
+    fn poisoned_morsel_falls_back_to_sequential() {
+        let _lock = GLOBAL_HOOK_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let g = social(200);
+        let fz = FrozenGraph::freeze_attributed(&g);
+        let p = two_hop();
+        let seq = with_workers(&fz, &p, 1);
+        inject_worker_panic_once();
+        let par = with_workers(&fz, &p, 4);
+        assert_eq!(par, seq, "panicking worker must not change the answer");
+    }
+
+    #[test]
+    fn workers_override_round_trips() {
+        let _lock = GLOBAL_HOOK_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        set_executor_workers(3);
+        assert_eq!(executor_workers(), 3);
+        set_executor_workers(0);
+        assert_eq!(executor_workers(), default_threads());
     }
 }

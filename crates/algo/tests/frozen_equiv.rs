@@ -13,12 +13,13 @@
 use gdm_algo::analysis::{average_clustering, connected_components, triangle_count};
 use gdm_algo::pattern::{canonical, match_pattern, Pattern, PatternNode};
 use gdm_algo::summary::eccentricity;
+use gdm_algo::vectorized::match_pattern_forced_morsels;
 use gdm_algo::{
     bfs_order, bidirectional_shortest_path, degree_stats, diameter, distance,
     fixed_length_path_exists, frozen_regular_path_exists, graph_order, graph_size, is_reachable,
     k_neighborhood, nodes_adjacent, par_average_clustering, par_connected_components,
-    par_degree_stats, par_diameter, par_eccentricities, par_match_pattern, par_triangle_count,
-    regular_path_exists, shortest_path, FrozenGraph, LabelRegex,
+    par_degree_stats, par_diameter, par_eccentricities, par_triangle_count, regular_path_exists,
+    shortest_path, FrozenGraph, LabelRegex,
 };
 use gdm_core::{Direction, GraphView, NodeId, PropertyMap, Value};
 use gdm_graphs::{PropertyGraph, SimpleGraph};
@@ -250,7 +251,14 @@ proptest! {
             // Set equality: the parallel matcher batches seeds per
             // partition, so row order may differ from the sequential
             // matcher but the binding set must be identical.
-            let par = par_match_pattern(&fz, &pat, threads);
+            let par = match_pattern_forced_morsels(
+                &fz,
+                &pat,
+                &gdm_algo::auto_domains(&fz, &pat),
+                threads,
+                &gdm_govern::ExecutionGuard::unlimited(),
+            )
+            .expect("an unlimited guard never interrupts");
             prop_assert_eq!(canonical(&par.to_bindings()), canonical(&frozen_seq));
         }
     }

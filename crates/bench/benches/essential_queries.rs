@@ -189,9 +189,22 @@ fn bench_frozen(c: &mut Criterion) {
         group.bench_function("frozen_seq", |b| {
             b.iter(|| black_box(gdm_algo::pattern::match_pattern(&pfz, &pattern).len()))
         });
+        gdm_algo::set_executor_workers(threads);
         group.bench_function("frozen_par", |b| {
-            b.iter(|| black_box(gdm_algo::par_match_pattern(&pfz, &pattern, threads).len()))
+            b.iter(|| {
+                black_box(
+                    gdm_algo::match_pattern_seeded(
+                        &pfz,
+                        &pattern,
+                        &gdm_algo::auto_domains(&pfz, &pattern),
+                        &gdm_govern::ExecutionGuard::unlimited(),
+                    )
+                    .expect("an unlimited guard never interrupts")
+                    .len(),
+                )
+            })
         });
+        gdm_algo::set_executor_workers(0);
     }
     group.finish();
 }

@@ -289,12 +289,13 @@ pub trait AttributedView: GraphView {
     // ---- batch execution (vectorized backend) ---------------------
 
     /// Downcast hook for batch-at-a-time execution. A view backed by a
-    /// dense columnar snapshot returns `Some(self)` here so the query
-    /// layer can recover the concrete type (via `Any::downcast_ref`)
-    /// and run its vectorized operator pipeline directly against the
-    /// snapshot's arrays, bypassing per-node dynamic dispatch. Views
-    /// without a columnar backing return `None` (the default) and
-    /// execute through the generic row-at-a-time matcher.
+    /// dense columnar snapshot returns `Some(self)` here so the planned
+    /// pattern matcher can recover the concrete type (via
+    /// `Any::downcast_ref`) and run its vectorized operator pipeline
+    /// directly against the snapshot's arrays, bypassing per-node
+    /// dynamic dispatch. Views without a columnar backing return `None`
+    /// (the default) and execute through the generic row-at-a-time
+    /// search.
     fn batch_backend(&self) -> Option<&dyn std::any::Any> {
         None
     }

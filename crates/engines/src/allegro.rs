@@ -14,7 +14,7 @@
 use crate::facade::{AnalysisFunc, EngineDescriptor, GraphEngine, SummaryFunc};
 use gdm_algo::adjacency::nodes_adjacent;
 use gdm_algo::analysis;
-use gdm_algo::planned::match_pattern_auto;
+use gdm_algo::planned::{auto_domains, match_pattern_seeded};
 use gdm_algo::summary;
 use gdm_core::{
     DeltaTracker, EdgeId, GdmError, GraphView, NodeId, PropertyMap, Result, Support, Value,
@@ -396,7 +396,9 @@ impl GraphEngine for AllegroEngine {
         // SPARQL *is* graph pattern matching; the structural probe
         // runs the planned matcher over the triple view, seeding
         // constrained variables from whatever indexes it exposes.
-        Ok(match_pattern_auto(&self.rdf, pattern).len())
+        let domains = auto_domains(&self.rdf, pattern);
+        let guard = gdm_govern::ExecutionGuard::unlimited();
+        Ok(match_pattern_seeded(&self.rdf, pattern, &domains, &guard)?.len())
     }
 
     fn snapshot(&self) -> Result<gdm_algo::FrozenGraph> {

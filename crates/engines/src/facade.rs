@@ -329,16 +329,10 @@ pub trait GraphEngine {
         let fz = self.snapshot()?;
         match op {
             GovernedOp::PatternMatch(pattern) => {
-                // The snapshot is a concrete CSR graph, so governed
-                // pattern matching runs the vectorized batch executor
-                // (guard ticked per batch, same `Interrupted`
-                // semantics, same rows as the planned matcher) —
-                // morsel-parallel across the executor worker pool when
-                // more than one core is available.
-                let table = gdm_algo::match_pattern_par_vectorized_governed(
+                let table = gdm_algo::match_pattern_seeded(
                     &fz,
                     pattern,
-                    gdm_algo::executor_workers(),
+                    &gdm_algo::auto_domains(&fz, pattern),
                     guard,
                 )?;
                 Ok(GovernedAnswer::Matches(table.len()))

@@ -16,11 +16,11 @@
 //!
 //! Staleness: a cached plan embeds materialized candidate domains.
 //! Executing one against a graph that has since gained nodes can miss
-//! them, so the cache is only sound for **immutable snapshots** (the
-//! serving layer's [`FrozenGraph`](gdm_algo::FrozenGraph)); callers
-//! that mutate must [`PlanCache::clear`] on write. Deleted nodes are
-//! caught anyway: execution re-probes domains and falls back to the
-//! reference matcher on the first dangling id.
+//! them, so the cache is only sound for **immutable snapshots** (what
+//! the serving layer executes against); callers that mutate must
+//! [`PlanCache::clear`] on write. Deleted nodes are caught anyway:
+//! execution re-probes domains and falls back to the reference matcher
+//! on the first dangling id.
 //!
 //! Concurrency: lookups and inserts take a [`Mutex`] for the map;
 //! hit/miss counters are lock-free atomics so `STATS` never contends

@@ -25,11 +25,10 @@
 
 use crate::ast::{BinOp, Expr, SelectQuery};
 use crate::eval::{finish_select, ResultSet};
-use gdm_algo::planned::{
-    domain_estimates, domains_consistent, match_pattern_planned, planned_order, Domains, MatchTable,
-};
+use gdm_algo::planned::{domain_estimates, match_pattern_seeded, planned_order, Domains};
 use gdm_algo::Pattern;
 use gdm_core::{AttributedView, GdmError, Result, Value};
+use gdm_govern::ExecutionGuard;
 
 /// How a pattern variable's candidate set is produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,16 +80,6 @@ pub struct ExplainPlan {
     pub pushed: usize,
     /// WHERE conjuncts left in the residual filter.
     pub residual: usize,
-    /// True when the planner selected the vectorized batch executor
-    /// (the view exposes a CSR batch backend — a frozen serving
-    /// snapshot). Row-at-a-time views leave this false.
-    pub vectorized: bool,
-    /// Worker threads the morsel-driven parallel executor will use for
-    /// this plan. `1` means sequential execution (row-at-a-time views,
-    /// single-core hosts, or an explicit single-worker override);
-    /// recorded at plan time so a cached plan executes the same way on
-    /// every reuse.
-    pub parallel_workers: usize,
     /// Variables in the order the matcher binds them.
     pub steps: Vec<PlanStep>,
 }
@@ -101,22 +90,9 @@ impl ExplainPlan {
     /// the text form.
     pub fn render(&self) -> String {
         let mut out = format!(
-            "plan nodes={} pushed={} residual={}",
+            "plan nodes={} pushed={} residual={}\n",
             self.nodes, self.pushed, self.residual
         );
-        // Only emitted when the batch executor was selected, so plans
-        // for row-at-a-time views render byte-identically to the
-        // pre-vectorized text form (older parsers keep working).
-        if self.vectorized {
-            out.push_str(" vectorized=true");
-        }
-        // Only emitted when the parallel executor was selected, so
-        // sequential plans render byte-identically to the pre-parallel
-        // text form (older parsers keep working).
-        if self.parallel_workers > 1 {
-            out.push_str(&format!(" parallel_workers={}", self.parallel_workers));
-        }
-        out.push('\n');
         for s in &self.steps {
             out.push_str(&format!(
                 "step var={} access={} estimate={} props={}",
@@ -152,27 +128,13 @@ impl ExplainPlan {
             )));
         }
         let (mut nodes, mut pushed, mut residual) = (None, None, None);
-        let mut vectorized = false;
-        let mut parallel_workers = 1usize;
         for tok in toks {
             let (k, v) = split_kv(tok)?;
-            if k == "vectorized" {
-                vectorized = match v {
-                    "true" => true,
-                    "false" => false,
-                    other => {
-                        return Err(invalid(format!("vectorized must be a bool, got {other:?}")))
-                    }
-                };
-                continue;
-            }
             let v = parse_count(k, v)?;
             match k {
                 "nodes" => nodes = Some(v),
                 "pushed" => pushed = Some(v),
                 "residual" => residual = Some(v),
-                // Absent in pre-parallel plan text: defaults to 1.
-                "parallel_workers" => parallel_workers = v.max(1),
                 other => return Err(invalid(format!("unknown plan field {other:?}"))),
             }
         }
@@ -216,8 +178,6 @@ impl ExplainPlan {
             nodes: nodes.ok_or_else(|| invalid("plan missing nodes".to_owned()))?,
             pushed: pushed.ok_or_else(|| invalid("plan missing pushed".to_owned()))?,
             residual: residual.ok_or_else(|| invalid("plan missing residual".to_owned()))?,
-            vectorized,
-            parallel_workers,
             steps,
         })
     }
@@ -318,21 +278,10 @@ pub fn plan_select<G: AttributedView + ?Sized>(
             }
         })
         .collect();
-    let vectorized = batch_snapshot(g).is_some();
     let explain = ExplainPlan {
         nodes: query.pattern.nodes.len(),
         pushed,
         residual: residual_count,
-        vectorized,
-        // Parallel execution needs the batch pipeline (only frozen
-        // inputs are morsel-splittable) and more than one worker in
-        // the pool. Recorded at plan time: plan-cache hits execute
-        // with the workers the plan was made for.
-        parallel_workers: if vectorized {
-            gdm_algo::executor_workers().max(1)
-        } else {
-            1
-        },
         steps,
     };
     Ok(PlannedSelect {
@@ -342,42 +291,15 @@ pub fn plan_select<G: AttributedView + ?Sized>(
     })
 }
 
-/// Plans and executes `query`, returning the rows (identical to
-/// [`crate::eval::evaluate_select_unplanned`]'s) plus the plan.
+/// Plans and executes `query` ungoverned, returning the rows
+/// (identical to [`crate::eval::evaluate_select_unplanned`]'s) plus the
+/// plan.
 pub fn evaluate_select_planned<G: AttributedView + ?Sized>(
     g: &G,
     query: &SelectQuery,
 ) -> Result<(ResultSet, ExplainPlan)> {
     let planned = plan_select(g, query)?;
-    // Degradation ladder: a secondary index that has drifted from the
-    // graph (dangling candidate ids) must not silently drop or invent
-    // rows — discard the index seeding and run the reference matcher.
-    let table = if domains_consistent(g, &planned.domains) {
-        // Frozen serving snapshots execute through the vectorized
-        // batch pipeline (same rows as the planned matcher, CSR-array
-        // speed) — morsel-parallel when the plan recorded more than
-        // one worker; row-at-a-time views take the planned matcher.
-        match batch_snapshot(g) {
-            Some(fz) if planned.explain.parallel_workers > 1 => {
-                gdm_algo::match_pattern_par_vectorized_domains(
-                    fz,
-                    &planned.query.pattern,
-                    &planned.domains,
-                    planned.explain.parallel_workers,
-                )
-            }
-            Some(fz) => {
-                gdm_algo::match_pattern_vectorized(fz, &planned.query.pattern, &planned.domains)
-            }
-            None => match_pattern_planned(g, &planned.query.pattern, &planned.domains),
-        }
-    } else {
-        MatchTable::from_bindings(
-            &planned.query.pattern,
-            &gdm_algo::match_pattern(g, &planned.query.pattern),
-        )
-    };
-    let rs = finish_select(g, &planned.query, table.to_bindings())?;
+    let rs = execute_planned_governed(g, &planned, &ExecutionGuard::unlimited())?;
     Ok((rs, planned.explain))
 }
 
@@ -385,52 +307,18 @@ pub fn evaluate_select_planned<G: AttributedView + ?Sized>(
 /// entry point for plan-cache consumers (a query server) that plan
 /// once and execute many times against an immutable snapshot.
 ///
-/// The same degradation ladder as [`evaluate_select_planned`] applies:
-/// the cached domains are re-probed against `g` and, if any candidate
-/// id dangles (the plan was made against a different or since-mutated
-/// graph), discarded in favour of the governed reference matcher —
-/// slower, never wrong. Rows are identical to
-/// [`evaluate_select_planned`]'s when the guard does not interrupt.
+/// The plan is logical: how the pattern runs is
+/// [`match_pattern_seeded`]'s decision, taken from `g` at execution
+/// time. That includes its degradation ladder — the cached domains are
+/// re-probed against `g` and, if any candidate id dangles (the plan
+/// was made against a different or since-mutated graph), discarded in
+/// favour of the governed reference matcher: slower, never wrong.
 pub fn execute_planned_governed<G: AttributedView + ?Sized>(
     g: &G,
     planned: &PlannedSelect,
-    guard: &gdm_govern::ExecutionGuard,
+    guard: &ExecutionGuard,
 ) -> Result<ResultSet> {
-    let table = if domains_consistent(g, &planned.domains) {
-        match batch_snapshot(g) {
-            // The vectorized pipeline ticks the guard once per batch
-            // (`ExecutionGuard::nodes`/`rows`), preserving the same
-            // structured `Interrupted` semantics at lower overhead;
-            // multi-worker plans run it morsel-parallel with per-worker
-            // guard batching (same semantics, merged partials).
-            Some(fz) if planned.explain.parallel_workers > 1 => {
-                gdm_algo::match_pattern_par_vectorized_domains_governed(
-                    fz,
-                    &planned.query.pattern,
-                    &planned.domains,
-                    planned.explain.parallel_workers,
-                    guard,
-                )?
-            }
-            Some(fz) => gdm_algo::match_pattern_vectorized_governed(
-                fz,
-                &planned.query.pattern,
-                &planned.domains,
-                guard,
-            )?,
-            None => gdm_algo::planned::match_pattern_planned_governed(
-                g,
-                &planned.query.pattern,
-                &planned.domains,
-                guard,
-            )?,
-        }
-    } else {
-        MatchTable::from_bindings(
-            &planned.query.pattern,
-            &gdm_algo::match_pattern_governed(g, &planned.query.pattern, guard)?,
-        )
-    };
+    let table = match_pattern_seeded(g, &planned.query.pattern, &planned.domains, guard)?;
     finish_select(g, &planned.query, table.to_bindings())
 }
 
@@ -439,12 +327,6 @@ pub fn execute_planned_governed<G: AttributedView + ?Sized>(
 /// everything else stays unrestricted.
 fn index_domains<G: AttributedView + ?Sized>(g: &G, pattern: &Pattern) -> Domains {
     gdm_algo::planned::auto_domains(g, pattern)
-}
-
-/// The CSR snapshot behind `g`, when `g` exposes one — the hook the
-/// planner uses to select the vectorized batch executor.
-fn batch_snapshot<G: AttributedView + ?Sized>(g: &G) -> Option<&gdm_algo::FrozenGraph> {
-    g.batch_backend()?.downcast_ref::<gdm_algo::FrozenGraph>()
 }
 
 /// Narrows both endpoint variables of a range-constrained pattern edge
@@ -778,7 +660,7 @@ mod tests {
     }
 
     #[test]
-    fn frozen_snapshot_plans_select_the_vectorized_backend() {
+    fn frozen_snapshot_plans_render_like_the_live_graph() {
         let g = social();
         let fz = gdm_algo::FrozenGraph::freeze_attributed(&g);
         let q = name_query(Some(Expr::bin(
@@ -786,52 +668,21 @@ mod tests {
             Expr::Prop("p".into(), "name".into()),
             Expr::Lit(Value::from("bob")),
         )));
-        // Live graph: row-at-a-time; no flag, byte-identical old text.
+        // The plan is logical: which executor runs is decided from the
+        // view at execution time, so freezing changes no byte of it.
         let live = plan_select(&g, &q).unwrap();
-        assert!(!live.explain.vectorized);
-        assert!(!live.explain.render().contains("vectorized"));
-        // Snapshot: the batch backend is selected and recorded.
         let frozen = plan_select(&fz, &q).unwrap();
-        assert!(frozen.explain.vectorized);
-        assert!(frozen
-            .explain
-            .render()
-            .starts_with("plan nodes=1 pushed=1 residual=0 vectorized=true"));
-        let back = ExplainPlan::parse(&frozen.explain.render()).unwrap();
-        assert_eq!(back, frozen.explain);
-        // Both backends return identical rows.
+        assert_eq!(frozen.explain.render(), live.explain.render());
+        assert_eq!(
+            live.explain.render(),
+            "plan nodes=1 pushed=1 residual=0\n\
+             step var=p access=index estimate=1 props=1 label=person\n"
+        );
+        // Both executors return identical rows.
         let (rows_live, _) = evaluate_select_planned(&g, &q).unwrap();
         let (rows_frozen, _) = evaluate_select_planned(&fz, &q).unwrap();
         assert_eq!(rows_live, rows_frozen);
         assert_eq!(rows_frozen.len(), 1);
-    }
-
-    #[test]
-    fn parallel_workers_render_parse_and_routing() {
-        let g = social();
-        let q = name_query(None);
-        // Row-at-a-time views always plan sequential, and sequential
-        // plans render byte-identically to the pre-parallel text form.
-        let live = plan_select(&g, &q).unwrap();
-        assert_eq!(live.explain.parallel_workers, 1);
-        assert!(!live.explain.render().contains("parallel_workers"));
-        // A multi-worker plan round-trips through the text form.
-        let mut explain = live.explain.clone();
-        explain.parallel_workers = 4;
-        let text = explain.render();
-        assert!(text.contains("parallel_workers=4"));
-        assert_eq!(ExplainPlan::parse(&text).unwrap(), explain);
-        // A frozen plan forced to multiple workers routes execution
-        // through the morsel-driven executor — identical rows, both
-        // ungoverned and governed.
-        let fz = gdm_algo::FrozenGraph::freeze_attributed(&g);
-        let mut planned = plan_select(&fz, &q).unwrap();
-        let guard = gdm_govern::ExecutionGuard::unlimited();
-        let seq = execute_planned_governed(&fz, &planned, &guard).unwrap();
-        planned.explain.parallel_workers = 2;
-        let guard = gdm_govern::ExecutionGuard::unlimited();
-        let par = execute_planned_governed(&fz, &planned, &guard).unwrap();
-        assert_eq!(par, seq);
     }
 
     #[test]
@@ -874,10 +725,9 @@ mod tests {
         let (rs, _) = evaluate_select_planned(&g, &q).unwrap();
         assert_eq!(rs.len(), 3);
         // The frozen snapshot answers identically through its own
-        // freeze-time edge-range index plus the vectorized executor.
+        // freeze-time edge-range index plus the batch executor.
         let fz = gdm_algo::FrozenGraph::freeze_attributed(&g);
-        let (rs_fz, explain_fz) = evaluate_select_planned(&fz, &q).unwrap();
-        assert!(explain_fz.vectorized);
+        let (rs_fz, _) = evaluate_select_planned(&fz, &q).unwrap();
         assert_eq!(rs_fz.len(), 3);
     }
 

@@ -18,7 +18,7 @@
 //! time, never corrupt, and the connection survives.
 //!
 //! Used by `tests/server_chaos.rs` and `server_load --chaos-smoke`;
-//! the design notes live in DESIGN.md §16.
+//! the design notes live in DESIGN.md §15.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -231,7 +231,13 @@ fn property_predicate_served_through_every_snapshot() {
         let snap = l.engine.serving_snapshot().unwrap();
         let mut p = Pattern::new();
         p.node(PatternNode::var("x").with_prop("community", 0i64));
-        let served = graph_db_models::algo::match_pattern_vectorized_auto(&snap.frozen, &p);
+        let served = graph_db_models::algo::match_pattern_seeded(
+            &snap.frozen,
+            &p,
+            &graph_db_models::algo::auto_domains(&snap.frozen, &p),
+            &graph_db_models::govern::ExecutionGuard::unlimited(),
+        )
+        .expect("an unlimited guard never interrupts");
         let want = if attributed { expected } else { 0 };
         assert_eq!(
             served.len(),

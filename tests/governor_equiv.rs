@@ -13,7 +13,6 @@
 //!    of the nine emulated engines.
 
 use graph_db_models::algo::pattern::{match_pattern, match_pattern_governed, PatternNode};
-use graph_db_models::algo::planned::{match_pattern_auto, match_pattern_auto_governed};
 use graph_db_models::algo::regular::{
     regular_path_exists, regular_path_exists_governed, LabelRegex,
 };
@@ -57,9 +56,9 @@ fn wedge_pattern() -> Pattern {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// governed(∞) ≡ ungoverned for pattern matching (both the
-    /// reference backtracker and the planned matcher), shortest paths,
-    /// regular paths, and diameter.
+    /// governed(∞) ≡ ungoverned for pattern matching (the reference
+    /// backtracker; the planned entry point has no ungoverned twin),
+    /// shortest paths, regular paths, and diameter.
     #[test]
     fn unlimited_guard_changes_nothing((g, n) in graph_strategy()) {
         let guard = ExecutionGuard::unlimited();
@@ -68,10 +67,6 @@ proptest! {
         let plain = match_pattern(&g, &pattern);
         let governed = match_pattern_governed(&g, &pattern, &guard).unwrap();
         prop_assert_eq!(&plain, &governed);
-
-        let auto = match_pattern_auto(&g, &pattern);
-        let auto_governed = match_pattern_auto_governed(&g, &pattern, &guard).unwrap();
-        prop_assert_eq!(auto.to_bindings(), auto_governed.to_bindings());
 
         let regex = LabelRegex::compile("(a|b)*c?").unwrap();
         for i in 0..n {
@@ -195,16 +190,17 @@ fn tiny_budget_interrupts_diameter_on_every_engine() {
 }
 
 /// Governed-vectorized gauntlet: the batch executor charges the guard
-/// once per candidate batch, so it must (a) equal its ungoverned twin
-/// under an unlimited guard, (b) return the structured `Interrupted`
-/// (with the partial row count) under deadline, budget, and row
-/// limits, and (c) leave partial progress observable, exactly like the
-/// row-at-a-time matchers it replaces.
+/// once per candidate batch, so it must (a) equal the reference
+/// matcher under an unlimited guard, (b) return the structured
+/// `Interrupted` (with the partial row count) under deadline, budget,
+/// and row limits, and (c) leave partial progress observable, exactly
+/// like the row-at-a-time matchers it replaces.
 #[test]
 fn governed_vectorized_budget_and_deadline_gauntlet() {
-    use graph_db_models::algo::{
-        match_pattern_vectorized_auto, match_pattern_vectorized_auto_governed, FrozenGraph,
-    };
+    use graph_db_models::algo::pattern::canonical;
+    use graph_db_models::algo::planned::auto_domains;
+    use graph_db_models::algo::vectorized::match_pattern_forced_morsels;
+    use graph_db_models::algo::FrozenGraph;
     use graph_db_models::core::{GdmError, InterruptReason};
 
     let people = social_graph(SocialParams {
@@ -222,12 +218,17 @@ fn governed_vectorized_budget_and_deadline_gauntlet() {
     pattern.edge(a, b, Some("knows")).unwrap();
     pattern.edge(b, c, Some("knows")).unwrap();
 
-    // (a) Unlimited guard: same binding set as the ungoverned run.
-    let plain = match_pattern_vectorized_auto(&fz, &pattern);
-    let governed =
-        match_pattern_vectorized_auto_governed(&fz, &pattern, &ExecutionGuard::unlimited())
-            .unwrap();
-    assert_eq!(plain.to_bindings(), governed.to_bindings());
+    let domains = auto_domains(&fz, &pattern);
+    // One worker: the batch pipeline inline on the calling thread.
+    let run =
+        |guard: &ExecutionGuard| match_pattern_forced_morsels(&fz, &pattern, &domains, 1, guard);
+
+    // (a) Unlimited guard: same binding set as the reference matcher.
+    let plain = run(&ExecutionGuard::unlimited()).unwrap();
+    assert_eq!(
+        canonical(&plain.to_bindings()),
+        canonical(&match_pattern(&fz, &pattern))
+    );
     assert!(!plain.is_empty(), "workload has 2-hop chains");
 
     // (b) Each limit family interrupts with its own structured reason.
@@ -241,7 +242,7 @@ fn governed_vectorized_budget_and_deadline_gauntlet() {
     ];
     for (limits, want) in cases {
         let guard = ExecutionGuard::new(limits);
-        let err = match_pattern_vectorized_auto_governed(&fz, &pattern, &guard).unwrap_err();
+        let err = run(&guard).unwrap_err();
         match err {
             GdmError::Interrupted { reason, partial } => {
                 assert_eq!(reason, want);
@@ -257,7 +258,7 @@ fn governed_vectorized_budget_and_deadline_gauntlet() {
     // (c) A row limit trips *after* emitting rows up to the cap: the
     // partial count in the error equals the limit.
     let guard = ExecutionGuard::new(Limits::none().with_rows(3));
-    match match_pattern_vectorized_auto_governed(&fz, &pattern, &guard).unwrap_err() {
+    match run(&guard).unwrap_err() {
         GdmError::Interrupted { partial, .. } => {
             assert!(
                 partial >= 3,
@@ -278,10 +279,10 @@ fn governed_vectorized_budget_and_deadline_gauntlet() {
 /// degrades to the sequential rerun without changing the answer.
 #[test]
 fn governed_par_vectorized_gauntlet_under_forced_workers() {
-    use graph_db_models::algo::par_vectorized::match_pattern_par_vectorized_forced;
     use graph_db_models::algo::parallel::inject_worker_panic_once;
     use graph_db_models::algo::planned::auto_domains;
-    use graph_db_models::algo::{match_pattern_vectorized_auto, FrozenGraph};
+    use graph_db_models::algo::vectorized::match_pattern_forced_morsels;
+    use graph_db_models::algo::FrozenGraph;
     use graph_db_models::core::{GdmError, InterruptReason};
 
     let people = social_graph(SocialParams {
@@ -300,12 +301,16 @@ fn governed_par_vectorized_gauntlet_under_forced_workers() {
     pattern.edge(b, c, Some("knows")).unwrap();
     let domains = auto_domains(&fz, &pattern);
 
-    // (a) Unlimited guard, 4 forced workers: byte-identical table.
-    let plain = match_pattern_vectorized_auto(&fz, &pattern);
+    let run =
+        |guard: &ExecutionGuard| match_pattern_forced_morsels(&fz, &pattern, &domains, 4, guard);
+
+    // (a) Unlimited guard, 4 forced workers: byte-identical to the
+    // one-worker table.
+    let plain =
+        match_pattern_forced_morsels(&fz, &pattern, &domains, 1, &ExecutionGuard::unlimited())
+            .unwrap();
     assert!(!plain.is_empty(), "workload has 2-hop chains");
-    let unlimited = ExecutionGuard::unlimited();
-    let par =
-        match_pattern_par_vectorized_forced(&fz, &pattern, &domains, 4, Some(&unlimited)).unwrap();
+    let par = run(&ExecutionGuard::unlimited()).unwrap();
     assert_eq!(par, plain, "parallel result must match byte-for-byte");
 
     // (b) Each limit family interrupts with its structured reason even
@@ -321,8 +326,7 @@ fn governed_par_vectorized_gauntlet_under_forced_workers() {
     ];
     for (limits, want) in cases {
         let guard = ExecutionGuard::new(limits);
-        let err = match_pattern_par_vectorized_forced(&fz, &pattern, &domains, 4, Some(&guard))
-            .unwrap_err();
+        let err = run(&guard).unwrap_err();
         match err {
             GdmError::Interrupted { reason, partial } => {
                 assert_eq!(reason, want);
@@ -339,15 +343,14 @@ fn governed_par_vectorized_gauntlet_under_forced_workers() {
     // workers see the flag at their next guard check.
     let guard = ExecutionGuard::unlimited();
     guard.cancel_token().cancel();
-    let err =
-        match_pattern_par_vectorized_forced(&fz, &pattern, &domains, 4, Some(&guard)).unwrap_err();
+    let err = run(&guard).unwrap_err();
     assert!(err.is_interrupted(), "cancel must interrupt, got {err}");
 
     // (c) A panic injected into one worker poisons its morsel; the
     // executor discards the parallel attempt and reruns sequentially,
     // so the caller still gets the full, correct table.
     inject_worker_panic_once();
-    let recovered = match_pattern_par_vectorized_forced(&fz, &pattern, &domains, 4, None).unwrap();
+    let recovered = run(&ExecutionGuard::unlimited()).unwrap();
     assert_eq!(
         recovered, plain,
         "a poisoned morsel must degrade to the sequential answer, not change it"

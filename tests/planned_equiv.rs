@@ -14,12 +14,11 @@
 //!    over the surviving nodes — and both must agree with a raw scan.
 
 use graph_db_models::algo::pattern::{canonical, match_pattern, Pattern, PatternNode};
-use graph_db_models::algo::planned::{auto_domains, match_pattern_auto, match_pattern_planned};
-use graph_db_models::algo::{
-    match_pattern_vectorized, match_pattern_vectorized_auto,
-    match_pattern_vectorized_auto_governed, FrozenGraph,
-};
+use graph_db_models::algo::planned::{auto_domains, match_pattern_seeded};
+use graph_db_models::algo::vectorized::match_pattern_forced_morsels;
+use graph_db_models::algo::FrozenGraph;
 use graph_db_models::core::{props, AttributedView, GraphView, NodeId, Value};
+use graph_db_models::govern::ExecutionGuard;
 use graph_db_models::graphs::PropertyGraph;
 use graph_db_models::query::eval::{evaluate_select, evaluate_select_unplanned};
 use graph_db_models::query::plan::{evaluate_select_planned, ExplainPlan};
@@ -151,11 +150,11 @@ fn pattern_strategy() -> impl Strategy<Value = (Vec<VarSpec>, Vec<PatternEdgeSpe
 }
 
 proptest! {
-    /// Invariant 1 at the matcher level: the auto-planned matcher (on
-    /// the live graph and on its CSR snapshot), an explicit-domain
-    /// run, and the vectorized batch executor (auto, explicit-domain,
-    /// and governed-with-no-limits) all reproduce the unplanned
-    /// binding set.
+    /// Invariant 1 at the matcher level: the planned entry point on
+    /// the live graph (row-at-a-time search) and on its CSR snapshot
+    /// (batch pipeline), with domains seeded on either, reproduces the
+    /// unplanned binding set — and on the snapshot, forced morsel
+    /// execution is byte-identical to the one-worker run.
     #[test]
     fn planned_matcher_equals_unplanned(
         (g, _) in graph_strategy(),
@@ -163,51 +162,38 @@ proptest! {
     ) {
         let p = build_pattern(&vars, &edges);
         let reference = canonical(&match_pattern(&g, &p));
-
-        let auto = match_pattern_auto(&g, &p);
-        prop_assert_eq!(canonical(&auto.to_bindings()), reference.clone());
+        let guard = ExecutionGuard::unlimited();
 
         let domains = auto_domains(&g, &p);
-        let planned = match_pattern_planned(&g, &p, &domains);
-        prop_assert_eq!(canonical(&planned.to_bindings()), reference.clone());
-
-        let fz = FrozenGraph::freeze_attributed(&g);
-        let frozen = match_pattern_auto(&fz, &p);
-        prop_assert_eq!(canonical(&frozen.to_bindings()), reference.clone());
-
-        // Vectorized ≡ planned ≡ unplanned: the batch executor run
-        // three ways — auto-seeded, with explicitly supplied domains
-        // (seeded on the *snapshot*, so dense translation is covered),
-        // and under an unlimited guard (per-batch governor ticks must
-        // not change the result).
-        let vec_auto = match_pattern_vectorized_auto(&fz, &p);
-        prop_assert_eq!(canonical(&vec_auto.to_bindings()), reference.clone());
-
-        let fz_domains = auto_domains(&fz, &p);
-        let vec_explicit = match_pattern_vectorized(&fz, &p, &fz_domains);
-        prop_assert_eq!(canonical(&vec_explicit.to_bindings()), reference.clone());
-
-        let guard = graph_db_models::govern::ExecutionGuard::unlimited();
-        let vec_governed = match_pattern_vectorized_auto_governed(&fz, &p, &guard)
+        let live = match_pattern_seeded(&g, &p, &domains, &guard)
             .expect("unlimited guard never interrupts");
-        prop_assert_eq!(canonical(&vec_governed.to_bindings()), reference);
+        prop_assert_eq!(canonical(&live.to_bindings()), reference.clone());
 
-        // Morsel-driven parallel executor ≡ vectorized, and not just
-        // set-equal: the tables must be *byte-identical* (same rows in
-        // the same order). The forced entry point skips the
-        // minimum-root-count threshold so these tiny graphs really do
-        // split into per-worker morsels, even on a single-core machine.
-        let par_forced =
-            graph_db_models::algo::par_vectorized::match_pattern_par_vectorized_forced(
-                &fz, &p, &fz_domains, 3, None,
-            )
-            .expect("ungoverned run never interrupts");
-        prop_assert_eq!(&par_forced, &vec_explicit);
+        // Snapshot ≡ live ≡ unplanned: the batch executor with
+        // domains seeded on the *snapshot* (so dense translation is
+        // covered) and with the live graph's domains (same node ids).
+        // Per-batch governor ticks must not change the result.
+        let fz = FrozenGraph::freeze_attributed(&g);
+        let fz_domains = auto_domains(&fz, &p);
+        let frozen = match_pattern_seeded(&fz, &p, &fz_domains, &guard)
+            .expect("unlimited guard never interrupts");
+        prop_assert_eq!(canonical(&frozen.to_bindings()), reference.clone());
+        let frozen_live_domains = match_pattern_seeded(&fz, &p, &domains, &guard)
+            .expect("unlimited guard never interrupts");
+        prop_assert_eq!(canonical(&frozen_live_domains.to_bindings()), reference);
 
-        // The public auto-seeded entry point (what the facade and the
-        // planner call) agrees with its sequential counterpart too.
-        let par_auto = graph_db_models::algo::match_pattern_par_vectorized(&fz, &p, 2);
-        prop_assert_eq!(&par_auto, &vec_auto);
+        // Morsel execution ≡ one worker, and not just set-equal: the
+        // tables must be *byte-identical* (same rows in the same
+        // order). The forced entry point skips the minimum-root-count
+        // threshold so these tiny graphs really do split into
+        // per-worker morsels, even on a single-core machine.
+        let one_worker = match_pattern_forced_morsels(&fz, &p, &fz_domains, 1, &guard)
+            .expect("unlimited guard never interrupts");
+        let par_forced = match_pattern_forced_morsels(&fz, &p, &fz_domains, 3, &guard)
+            .expect("unlimited guard never interrupts");
+        prop_assert_eq!(&par_forced, &one_worker);
+        // The entry point at the process's worker setting agrees too.
+        prop_assert_eq!(&frozen, &one_worker);
     }
 }
 
@@ -278,17 +264,16 @@ proptest! {
         prop_assert_eq!(&rows, &reference);
         // The facade entry point is the planned path.
         prop_assert_eq!(&evaluate_select(&g, &q).expect("facade evaluates"), &reference);
-        prop_assert!(!explain.vectorized, "live graphs have no batch backend");
         let parsed = ExplainPlan::parse(&explain.render()).expect("explain round-trips");
         prop_assert_eq!(parsed, explain);
 
-        // On the CSR snapshot the planner picks the vectorized backend
-        // — and the rows must not change.
+        // On the CSR snapshot the batch executor runs (and the
+        // snapshot's own indexes seed the domains) — the rows must not
+        // change.
         let fz = FrozenGraph::freeze_attributed(&g);
-        let (fz_rows, fz_explain) =
+        let (fz_rows, _) =
             evaluate_select_planned(&fz, &q).expect("frozen planned path evaluates");
         prop_assert_eq!(&fz_rows, &reference);
-        prop_assert!(fz_explain.vectorized, "snapshot queries run batch-at-a-time");
     }
 }
 
