@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use gdm_bench::{ba_graph, load_into_engine};
 use gdm_core::{GraphView, NodeId, PropertyMap};
-use gdm_engines::gstore::GStoreEngine;
+use gdm_engines::gstore::{self, GStoreEngine};
 use gdm_engines::GraphEngine;
 use gdm_graphs::PropertyGraph;
 use std::hint::black_box;
@@ -15,7 +15,7 @@ fn build(tag: &str, recluster: bool) -> (GStoreEngine, Vec<NodeId>) {
     let dir = std::env::temp_dir().join(format!("gdm-bench-place-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("dir");
-    let mut engine = GStoreEngine::open(&dir).expect("engine");
+    let mut engine = gstore::open(&dir).expect("engine");
     // Community-free BA graph in *shuffled* insertion order, so
     // insertion-order placement scatters neighborhoods across pages.
     let ba = ba_graph(3000, 3, 77);
@@ -56,20 +56,20 @@ fn pg_collect_edges(g: &gdm_graphs::SimpleGraph, out: &mut Vec<(usize, usize)>) 
 }
 
 fn full_bfs(engine: &GStoreEngine, start: NodeId) -> usize {
-    gdm_algo::traverse::bfs_order(engine, start, gdm_core::Direction::Both).len()
+    gdm_algo::traverse::bfs_order(engine.view(), start, gdm_core::Direction::Both).len()
 }
 
 fn bench_placement(c: &mut Criterion) {
-    let (mut scattered, nodes_s) = build("scattered", false);
-    let (mut clustered, nodes_c) = build("clustered", true);
+    let (scattered, nodes_s) = build("scattered", false);
+    let (clustered, nodes_c) = build("clustered", true);
 
     // One-shot page-fault report.
-    scattered.reset_pool_stats();
+    scattered.view().reset_pool_stats();
     let visited = full_bfs(&scattered, nodes_s[0]);
-    let faults_scattered = scattered.pool_stats().misses;
-    clustered.reset_pool_stats();
+    let faults_scattered = scattered.view().pool_stats().misses;
+    clustered.view().reset_pool_stats();
     let visited_c = full_bfs(&clustered, nodes_c[0]);
-    let faults_clustered = clustered.pool_stats().misses;
+    let faults_clustered = clustered.view().pool_stats().misses;
     eprintln!(
         "placement: BFS visited {visited}/{visited_c} nodes; page faults \
          scattered={faults_scattered} clustered={faults_clustered}"

@@ -10,72 +10,93 @@
 //! constraints (Table VI), strong essential-query support minus
 //! pattern matching (Table VII).
 
-use crate::facade::{AnalysisFunc, EngineDescriptor, GraphEngine, SummaryFunc};
-use gdm_algo::adjacency::{k_neighborhood, nodes_adjacent};
-use gdm_algo::analysis;
-use gdm_algo::paths::{fixed_length_paths, shortest_path};
-use gdm_algo::regular::{regular_path_exists, LabelRegex};
-use gdm_algo::summary;
+use crate::engine::{Capability as C, Engine, Model, Profile};
+use crate::facade::EngineDescriptor;
 use gdm_core::{
-    AttributedView, DeltaTracker, Direction, EdgeId, FxHashMap, GdmError, GraphView, NodeId,
-    PropertyMap, Result, Support, Value,
+    EdgeId, FxHashMap, GdmError, GraphView, NodeId, PropertyMap, Result, Support, Value,
 };
+use gdm_govern::Limits;
 use gdm_graphs::PropertyGraph;
-use gdm_query::eval::ResultSet;
-use gdm_schema::{validate, Constraint};
-use gdm_storage::{Bitmap, BitmapIndex, ValueIndex};
-use std::cell::RefCell;
+use gdm_schema::{Constraint, EdgeTypeDef, NodeTypeDef};
+use gdm_storage::{Bitmap, BitmapIndex};
 use std::path::{Path, PathBuf};
+use std::time::Duration;
 
-const NAME: &str = "DEX";
-const PATH_BUDGET: usize = 1_000_000;
+/// DEX's row of the paper's tables.
+pub static PROFILE: Profile = Profile::new(
+    EngineDescriptor {
+        name: "DEX",
+        gui: Support::None,
+        graphical_ql: Support::None,
+        query_language_grade: Support::None,
+        backend_storage: Support::None,
+        blurb: "bitmap-based library for persistent and temporary very large graphs",
+    },
+    // The paper's high-performance engine: a wide visit budget (its
+    // bitmap structures chew through nodes cheaply) under the same
+    // wall-clock ceiling as the other databases.
+    Limits {
+        deadline: Some(Duration::from_secs(30)),
+        max_node_visits: Some(50_000_000),
+        max_edge_visits: None,
+        max_rows: None,
+    },
+    &[
+        (&[C::Hyperedges], "hyperedges"),
+        (&[C::EdgesOnEdges], "edges between edges"),
+        (&[C::NestedGraphs], "nested graphs"),
+        (
+            &[
+                C::Cardinality,
+                C::FunctionalDependency,
+                C::PatternConstraints,
+            ],
+            "this constraint kind (types, identity, referential only)",
+        ),
+        (&[C::Ddl], "a data definition language"),
+        (&[C::Dml], "a data manipulation language"),
+        (&[C::QueryLanguage], "a query language"),
+        (&[C::Explain], "explain"),
+        (&[C::Reasoning], "reasoning"),
+        (&[C::PatternMatching], "pattern matching queries"),
+    ],
+);
 
 /// The DEX emulation.
-pub struct DexEngine {
+pub type DexEngine = Engine<Dex>;
+
+/// Opens (or creates) the store under `dir`.
+pub fn open(dir: &Path) -> Result<DexEngine> {
+    let snapshot_path = dir.join("dex.snapshot");
+    let graph = if snapshot_path.exists() {
+        PropertyGraph::from_snapshot(&std::fs::read(&snapshot_path)?)?
+    } else {
+        PropertyGraph::new()
+    };
+    let mut dex = Dex {
+        graph,
+        node_type_bitmaps: FxHashMap::default(),
+        edge_type_bitmaps: FxHashMap::default(),
+        constraints: Vec::new(),
+        snapshot_path,
+    };
+    dex.rebuild_bitmaps();
+    Ok(Engine::new(&PROFILE, dex))
+}
+
+/// DEX's substrate: a property graph under DEX-style type bitmaps.
+/// Its attribute indexes are [`BitmapIndex`]es.
+pub struct Dex {
     graph: PropertyGraph,
-    /// DEX-style type bitmaps: node label → object bitmap.
+    /// Node label → object bitmap.
     node_type_bitmaps: FxHashMap<String, Bitmap>,
     /// Edge label → edge bitmap.
     edge_type_bitmaps: FxHashMap<String, Bitmap>,
-    /// Attribute → value→bitmap index.
-    attr_indexes: FxHashMap<String, BitmapIndex>,
     constraints: Vec<Constraint>,
     snapshot_path: PathBuf,
-    tx_snapshot: Option<PropertyGraph>,
-    /// Mutations since the last snapshot, for the O(changes)
-    /// incremental re-freeze (`RefCell`: snapshots reset it through
-    /// `&self`; engines are not `Send`, so access is uncontended).
-    delta: RefCell<DeltaTracker>,
 }
 
-impl DexEngine {
-    /// Opens (or creates) the store under `dir`.
-    pub fn open(dir: &Path) -> Result<Self> {
-        let snapshot_path = dir.join("dex.snapshot");
-        let graph = if snapshot_path.exists() {
-            PropertyGraph::from_snapshot(&std::fs::read(&snapshot_path)?)?
-        } else {
-            PropertyGraph::new()
-        };
-        let mut engine = Self {
-            graph,
-            node_type_bitmaps: FxHashMap::default(),
-            edge_type_bitmaps: FxHashMap::default(),
-            attr_indexes: FxHashMap::default(),
-            constraints: Vec::new(),
-            snapshot_path,
-            tx_snapshot: None,
-            delta: RefCell::new(DeltaTracker::new()),
-        };
-        engine.rebuild_bitmaps();
-        Ok(engine)
-    }
-
-    /// The wrapped property graph (read-only), for benches.
-    pub fn graph(&self) -> &PropertyGraph {
-        &self.graph
-    }
-
+impl Dex {
     /// Nodes of a type via the type bitmap (the DEX lookup path).
     pub fn nodes_of_type(&self, label: &str) -> Vec<NodeId> {
         self.node_type_bitmaps
@@ -103,71 +124,26 @@ impl DexEngine {
                 .or_default()
                 .insert(e.raw());
         }
-        let keys: Vec<String> = self.attr_indexes.keys().cloned().collect();
-        for key in keys {
-            self.reindex(&key);
-        }
-    }
-
-    fn reindex(&mut self, key: &str) {
-        let mut index = BitmapIndex::new();
-        let mut nodes = Vec::new();
-        self.graph.visit_nodes(&mut |n| nodes.push(n));
-        for n in nodes {
-            if let Some(v) = self.graph.node_property(n, key) {
-                index.insert(&v, n.raw());
-            }
-        }
-        self.attr_indexes.insert(key.to_owned(), index);
-    }
-
-    fn check_constraints(&self) -> Result<()> {
-        let violations = validate(&self.graph, &self.constraints);
-        match violations.into_iter().next() {
-            Some(v) => Err(GdmError::Constraint(v.to_string())),
-            None => Ok(()),
-        }
-    }
-
-    fn unsupported<T>(&self, feature: &str) -> Result<T> {
-        Err(GdmError::unsupported(NAME, feature.to_owned()))
     }
 }
 
-impl GraphEngine for DexEngine {
-    fn name(&self) -> &'static str {
-        NAME
-    }
+impl Model for Dex {
+    type Graph = PropertyGraph;
+    type Index = BitmapIndex;
+    type Saved = PropertyGraph;
 
-    fn descriptor(&self) -> EngineDescriptor {
-        EngineDescriptor {
-            name: NAME,
-            gui: Support::None,
-            graphical_ql: Support::None,
-            query_language_grade: Support::None,
-            backend_storage: Support::None,
-            blurb: "bitmap-based library for persistent and temporary very large graphs",
-        }
+    fn graph(&self) -> &PropertyGraph {
+        &self.graph
     }
 
     fn create_node(&mut self, label: Option<&str>, props: PropertyMap) -> Result<NodeId> {
         let label = label
             .ok_or_else(|| GdmError::InvalidArgument("DEX nodes require a type label".into()))?;
-        let n = self.graph.add_node(label, props.clone());
-        if let Err(e) = self.check_constraints() {
-            self.graph.remove_node(n)?;
-            return Err(e);
-        }
+        let n = self.graph.add_node(label, props);
         self.node_type_bitmaps
             .entry(label.to_owned())
             .or_default()
             .insert(n.raw());
-        for (key, index) in self.attr_indexes.iter_mut() {
-            if let Some(v) = props.get(key) {
-                index.insert(v, n.raw());
-            }
-        }
-        self.delta.get_mut().touch_node(n.raw());
         Ok(n)
     }
 
@@ -181,87 +157,29 @@ impl GraphEngine for DexEngine {
         let label = label
             .ok_or_else(|| GdmError::InvalidArgument("DEX edges require a type label".into()))?;
         let e = self.graph.add_edge(from, to, label, props)?;
-        if let Err(err) = self.check_constraints() {
-            self.graph.remove_edge(e)?;
-            return Err(err);
-        }
         self.edge_type_bitmaps
             .entry(label.to_owned())
             .or_default()
             .insert(e.raw());
-        self.delta.get_mut().touch_node(from.raw());
-        self.delta.get_mut().touch_node(to.raw());
         Ok(e)
     }
 
-    fn create_hyperedge(
-        &mut self,
-        _label: &str,
-        _targets: &[NodeId],
-        _props: PropertyMap,
-    ) -> Result<EdgeId> {
-        self.unsupported("hyperedges")
+    fn set_node_property(&mut self, n: NodeId, key: &str, value: Value) -> Result<Option<Value>> {
+        self.graph.set_node_property(n, key, value)
     }
 
-    fn create_edge_on_edge(&mut self, _from: EdgeId, _to: NodeId, _label: &str) -> Result<EdgeId> {
-        self.unsupported("edges between edges")
+    fn remove_node_property(&mut self, n: NodeId, key: &str) -> Result<()> {
+        self.graph.remove_node_property(n, key).map(drop)
     }
 
-    fn nest_subgraph(&mut self, _node: NodeId) -> Result<()> {
-        self.unsupported("nested graphs")
-    }
-
-    fn set_node_attribute(&mut self, n: NodeId, key: &str, value: Value) -> Result<()> {
-        let old = self.graph.set_node_property(n, key, value.clone())?;
-        // Track immediately: even the constraint-violation path leaves
-        // the node's property list rewritten (restore or Null-out).
-        self.delta.get_mut().touch_node(n.raw());
-        if let Err(e) = self.check_constraints() {
-            match old {
-                Some(v) => {
-                    self.graph.set_node_property(n, key, v)?;
-                }
-                None => {
-                    // No remove-property API needed elsewhere; restore
-                    // by overwriting with Null and reindexing.
-                    self.graph.set_node_property(n, key, Value::Null)?;
-                }
-            }
-            return Err(e);
-        }
-        if let Some(index) = self.attr_indexes.get_mut(key) {
-            if let Some(v) = old {
-                index.remove(&v, n.raw());
-            }
-            index.insert(&value, n.raw());
-        }
-        Ok(())
-    }
-
-    fn set_edge_attribute(&mut self, e: EdgeId, key: &str, value: Value) -> Result<()> {
-        self.graph.set_edge_property(e, key, value)?;
-        self.delta.get_mut().touch_edge_props(e.raw());
-        Ok(())
-    }
-
-    fn node_attribute(&self, n: NodeId, key: &str) -> Result<Option<Value>> {
-        self.graph.node_properties(n)?;
-        Ok(self.graph.node_property(n, key))
+    fn set_edge_property(&mut self, e: EdgeId, key: &str, value: Value) -> Result<()> {
+        self.graph.set_edge_property(e, key, value).map(drop)
     }
 
     fn delete_node(&mut self, n: NodeId) -> Result<()> {
-        let label = self.graph.node_label_text(n)?.to_owned();
         self.graph.remove_node(n)?;
-        if let Some(bm) = self.node_type_bitmaps.get_mut(&label) {
-            bm.remove(n.raw());
-        }
-        for index in self.attr_indexes.values_mut() {
-            // Bitmap indexes don't support per-id removal without the
-            // value; rebuild lazily instead.
-            let _ = index;
-        }
+        // The removal cascades to incident edges of any type.
         self.rebuild_bitmaps();
-        self.delta.get_mut().remove_node(n.raw());
         Ok(())
     }
 
@@ -271,201 +189,54 @@ impl GraphEngine for DexEngine {
         if let Some(bm) = self.edge_type_bitmaps.get_mut(&label) {
             bm.remove(e.raw());
         }
-        self.delta.get_mut().remove_edge(e.raw());
         Ok(())
     }
 
-    fn node_count(&self) -> usize {
-        self.graph.node_count()
-    }
-
-    fn edge_count(&self) -> usize {
-        self.graph.edge_count()
-    }
-
-    fn define_node_type(&mut self, def: gdm_schema::NodeTypeDef) -> Result<()> {
+    fn define_node_type(&mut self, def: NodeTypeDef) -> Result<()> {
         // DEX types are created implicitly; an explicit definition
         // pre-creates the bitmap.
         self.node_type_bitmaps.entry(def.name).or_default();
         Ok(())
     }
 
-    fn define_edge_type(&mut self, def: gdm_schema::EdgeTypeDef) -> Result<()> {
+    fn define_edge_type(&mut self, def: EdgeTypeDef) -> Result<()> {
         self.edge_type_bitmaps.entry(def.name).or_default();
         Ok(())
     }
 
     fn install_constraint(&mut self, constraint: Constraint) -> Result<()> {
-        match &constraint {
-            Constraint::TypeChecking(_)
-            | Constraint::Identity { .. }
-            | Constraint::ReferentialIntegrity => {
-                // Reject installation when current data already violates.
-                let mut probe = self.constraints.clone();
-                probe.push(constraint.clone());
-                if let Some(v) = validate(&self.graph, &probe).into_iter().next() {
-                    return Err(GdmError::Constraint(v.to_string()));
-                }
-                self.constraints.push(constraint);
-                Ok(())
-            }
-            _ => self.unsupported("this constraint kind (types, identity, referential only)"),
+        // Refused when the current data already violates it.
+        self.constraints.push(constraint);
+        let checked = self.validate();
+        if checked.is_err() {
+            self.constraints.pop();
         }
+        checked
     }
 
-    fn execute_ddl(&mut self, _statement: &str) -> Result<()> {
-        self.unsupported("a data definition language")
+    fn validate(&self) -> Result<()> {
+        gdm_schema::check(&self.graph, &self.constraints)
     }
 
-    fn execute_dml(&mut self, _statement: &str) -> Result<()> {
-        self.unsupported("a data manipulation language")
+    fn save(&self) -> PropertyGraph {
+        self.graph.clone()
     }
 
-    fn execute_query(&mut self, _query: &str) -> Result<ResultSet> {
-        self.unsupported("a query language")
-    }
-
-    fn reason(&mut self, _rules: &str, _goal: &str) -> Result<Vec<Vec<String>>> {
-        self.unsupported("reasoning")
-    }
-
-    fn analyze(&self, func: AnalysisFunc) -> Result<Value> {
-        Ok(match func {
-            AnalysisFunc::ConnectedComponents => {
-                Value::Int(analysis::connected_components(&self.graph).len() as i64)
-            }
-            AnalysisFunc::Triangles => Value::Int(analysis::triangle_count(&self.graph) as i64),
-            AnalysisFunc::AverageClustering => analysis::average_clustering(&self.graph)
-                .map(Value::Float)
-                .unwrap_or(Value::Null),
-            AnalysisFunc::TopDegreeNode => analysis::degree_centrality(&self.graph, 1)
-                .first()
-                .map(|(n, _)| Value::Int(n.raw() as i64))
-                .unwrap_or(Value::Null),
-        })
-    }
-
-    fn adjacent(&self, a: NodeId, b: NodeId) -> Result<bool> {
-        Ok(nodes_adjacent(&self.graph, a, b))
-    }
-
-    fn k_neighborhood(&self, n: NodeId, k: usize) -> Result<Vec<NodeId>> {
-        Ok(k_neighborhood(&self.graph, n, k, Direction::Outgoing))
-    }
-
-    fn fixed_length_paths(&self, a: NodeId, b: NodeId, len: usize) -> Result<usize> {
-        Ok(fixed_length_paths(&self.graph, a, b, len, PATH_BUDGET)?.len())
-    }
-
-    fn regular_path(&self, a: NodeId, b: NodeId, expr: &str) -> Result<bool> {
-        let regex = LabelRegex::compile(expr)?;
-        Ok(regular_path_exists(&self.graph, a, b, &regex))
-    }
-
-    fn shortest_path(&self, a: NodeId, b: NodeId) -> Result<Option<Vec<NodeId>>> {
-        Ok(shortest_path(&self.graph, a, b).map(|p| p.nodes))
-    }
-
-    fn pattern_match(&self, _pattern: &gdm_algo::pattern::Pattern) -> Result<usize> {
-        self.unsupported("pattern matching queries")
-    }
-
-    fn snapshot(&self) -> Result<gdm_algo::FrozenGraph> {
-        let fz = gdm_algo::FrozenGraph::freeze_attributed(&self.graph);
-        self.delta.borrow_mut().reset(fz.epoch());
-        Ok(fz)
-    }
-
-    fn pending_changes(&self) -> u64 {
-        self.delta.borrow().peek().pending_hint()
-    }
-
-    fn refreeze(&self, prev: &gdm_algo::FrozenGraph) -> Result<gdm_algo::FrozenGraph> {
-        let delta = self.delta.borrow().peek().clone();
-        let next = gdm_algo::incremental_refreeze(&self.graph, prev, &delta);
-        self.delta.borrow_mut().reset(next.epoch());
-        Ok(next)
-    }
-
-    fn default_limits(&self) -> gdm_govern::Limits {
-        // The paper's high-performance engine: a wide visit budget (its
-        // bitmap structures chew through nodes cheaply) under the same
-        // wall-clock ceiling as the other databases.
-        gdm_govern::Limits::none()
-            .with_deadline(std::time::Duration::from_secs(30))
-            .with_node_visits(50_000_000)
-    }
-
-    fn summarize(&self, func: SummaryFunc) -> Result<Value> {
-        Ok(match func {
-            SummaryFunc::PropertyAggregate(agg, key) => {
-                let mut values = Vec::new();
-                self.graph.visit_nodes(&mut |n| {
-                    if let Some(v) = self.graph.node_property(n, key) {
-                        values.push(v);
-                    }
-                });
-                summary::aggregate(agg, &values)?
-            }
-            other => crate::vertexdb::summarize_simple(&self.graph, other, NAME)?,
-        })
-    }
-
-    fn begin_transaction(&mut self) -> Result<()> {
-        if self.tx_snapshot.is_some() {
-            return Err(GdmError::InvalidArgument("transaction already open".into()));
-        }
-        self.tx_snapshot = Some(self.graph.clone());
-        Ok(())
-    }
-
-    fn commit_transaction(&mut self) -> Result<()> {
-        self.tx_snapshot
-            .take()
-            .map(|_| ())
-            .ok_or_else(|| GdmError::InvalidArgument("no open transaction".into()))
-    }
-
-    fn rollback_transaction(&mut self) -> Result<()> {
-        let snapshot = self
-            .tx_snapshot
-            .take()
-            .ok_or_else(|| GdmError::InvalidArgument("no open transaction".into()))?;
-        self.graph = snapshot;
+    fn restore(&mut self, saved: PropertyGraph) {
+        self.graph = saved;
         self.rebuild_bitmaps();
-        // The rollback rewinds past everything tracked in the open
-        // transaction; the tracker cannot un-record, so degrade.
-        self.delta.get_mut().mark_all();
-        Ok(())
     }
 
     fn persist(&mut self) -> Result<()> {
         std::fs::write(&self.snapshot_path, self.graph.to_snapshot())?;
         Ok(())
     }
-
-    fn create_index(&mut self, property: &str) -> Result<()> {
-        self.reindex(property);
-        Ok(())
-    }
-
-    fn lookup_by_property(&self, key: &str, value: &Value) -> Result<Vec<NodeId>> {
-        if let Some(index) = self.attr_indexes.get(key) {
-            return Ok(index.lookup(value).into_iter().map(NodeId).collect());
-        }
-        let mut out = Vec::new();
-        self.graph.visit_nodes(&mut |n| {
-            if self.graph.node_property(n, key).as_ref() == Some(value) {
-                out.push(n);
-            }
-        });
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::facade::{AnalysisFunc, GraphEngine, SummaryFunc};
     use gdm_core::props;
     use gdm_schema::{NodeTypeDef, PropertyType, Schema, ValueType};
 
@@ -473,7 +244,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("gdm-dex-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        DexEngine::open(&dir).unwrap()
+        open(&dir).unwrap()
     }
 
     #[test]
@@ -494,7 +265,7 @@ mod tests {
             e.node_attribute(a, "name").unwrap(),
             Some(Value::from("ana"))
         );
-        assert_eq!(e.nodes_of_type("person"), vec![a, b]);
+        assert_eq!(e.model().nodes_of_type("person"), vec![a, b]);
         // Unlabeled nodes are out of model.
         assert!(e.create_node(None, props! {}).is_err());
     }
@@ -590,7 +361,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let a;
         {
-            let mut e = DexEngine::open(&dir).unwrap();
+            let mut e = open(&dir).unwrap();
             a = e
                 .create_node(Some("person"), props! { "name" => "ana" })
                 .unwrap();
@@ -599,9 +370,9 @@ mod tests {
             e.persist().unwrap();
         }
         {
-            let e = DexEngine::open(&dir).unwrap();
+            let e = open(&dir).unwrap();
             assert_eq!(GraphEngine::node_count(&e), 2);
-            assert_eq!(e.nodes_of_type("person"), vec![a]);
+            assert_eq!(e.model().nodes_of_type("person"), vec![a]);
             assert_eq!(
                 e.node_attribute(a, "name").unwrap(),
                 Some(Value::from("ana"))

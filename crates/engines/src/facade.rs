@@ -7,6 +7,7 @@
 //! paper records but that have no executable form here (shipping a
 //! GUI, a graphical query language) live in [`EngineDescriptor`].
 
+use crate::engine::Profile;
 use gdm_algo::pattern::Pattern;
 use gdm_algo::summary::Aggregate;
 use gdm_core::{Direction, EdgeId, NodeId, PropertyMap, Result, Support, Value};
@@ -249,39 +250,25 @@ pub trait GraphEngine {
     /// essential query identically but at array speed, and that the
     /// parallel executor ([`gdm_algo::parallel`]) can fan out over.
     /// Later mutations of the engine are invisible to the snapshot.
-    fn snapshot(&self) -> Result<gdm_algo::FrozenGraph> {
-        Err(gdm_core::GdmError::unsupported(
-            self.name(),
-            "snapshot".to_owned(),
-        ))
-    }
+    fn snapshot(&self) -> Result<gdm_algo::FrozenGraph>;
 
     /// Refreshes a previously taken snapshot to the engine's current
-    /// state. Engines record their mutations in a
-    /// [`gdm_core::DeltaTracker`] and override this with the
-    /// O(changes) incremental re-freeze
-    /// ([`gdm_algo::incremental_refreeze`]), patching only the CSR
-    /// rows and index segments the delta touches and sharing the rest
-    /// with `prev`. The default falls back to a full
-    /// [`GraphEngine::snapshot`]. Either way the result is
-    /// content-identical to a fresh full snapshot — incrementality is
-    /// a cost property, never a semantic one — and carries a new
-    /// epoch, so serving layers can swap it in and key caches off it.
-    fn refreeze(&self, prev: &gdm_algo::FrozenGraph) -> Result<gdm_algo::FrozenGraph> {
-        let _ = prev;
-        self.snapshot()
-    }
+    /// state: the engine records its mutations in a
+    /// [`gdm_core::DeltaTracker`] and runs the O(changes) incremental
+    /// re-freeze ([`gdm_algo::incremental_refreeze`]), patching only
+    /// the CSR rows and index segments the delta touches and sharing
+    /// the rest with `prev`. The result is content-identical to a
+    /// fresh full snapshot — incrementality is a cost property, never
+    /// a semantic one — and carries a new epoch, so serving layers can
+    /// swap it in and key caches off it.
+    fn refreeze(&self, prev: &gdm_algo::FrozenGraph) -> Result<gdm_algo::FrozenGraph>;
 
     /// How many mutations the engine's [`gdm_core::DeltaTracker`] has
     /// recorded since its snapshot was last (re-)frozen — the signal a
     /// serving layer's auto-refresh policy triggers on. `u64::MAX`
     /// means the delta degraded to "everything changed" (untracked
     /// mutation or spill) and the next re-freeze will rebuild fully.
-    /// Engines without a tracker report 0 (their snapshots, when they
-    /// have any, are full rebuilds either way).
-    fn pending_changes(&self) -> u64 {
-        0
-    }
+    fn pending_changes(&self) -> u64;
 
     /// Everything a network serving layer needs to answer read queries
     /// for this engine from worker threads: the point-in-time CSR
@@ -304,14 +291,10 @@ pub trait GraphEngine {
 
     /// The engine's default resource limits for governed execution —
     /// what an operator would configure as this engine's query
-    /// timeout/budget. [`Limits::none()`] means "no default limits";
-    /// engines emulating systems with configurable traversal bounds
-    /// override this. Callers combine these with their own limits via
+    /// timeout/budget. Callers combine these with their own limits via
     /// the [`Limits`] builders before constructing an
     /// [`ExecutionGuard`].
-    fn default_limits(&self) -> Limits {
-        Limits::none()
-    }
+    fn default_limits(&self) -> Limits;
 
     /// Runs one unbounded-cost essential query under `guard`:
     /// cooperative deadline/budget/cancellation checks inside the hot
@@ -360,33 +343,18 @@ pub trait GraphEngine {
     // the major components in database management systems, being them:
     // ... transaction engine ..." — the six systems it classes as
     // *graph databases* get snapshot transactions; the three *graph
-    // stores* (Filament, G-Store, VertexDB) inherit these refusals.
+    // stores* (Filament, G-Store, VertexDB) refuse.
 
     /// Begins a transaction. Graph *stores* refuse (no transaction
     /// engine — the paper's category distinction).
-    fn begin_transaction(&mut self) -> Result<()> {
-        Err(gdm_core::GdmError::unsupported(
-            self.name(),
-            "transactions (graph store, not a graph database)".to_owned(),
-        ))
-    }
+    fn begin_transaction(&mut self) -> Result<()>;
 
     /// Commits the open transaction.
-    fn commit_transaction(&mut self) -> Result<()> {
-        Err(gdm_core::GdmError::unsupported(
-            self.name(),
-            "transactions (graph store, not a graph database)".to_owned(),
-        ))
-    }
+    fn commit_transaction(&mut self) -> Result<()>;
 
     /// Rolls the open transaction back, restoring the pre-transaction
     /// state.
-    fn rollback_transaction(&mut self) -> Result<()> {
-        Err(gdm_core::GdmError::unsupported(
-            self.name(),
-            "transactions (graph store, not a graph database)".to_owned(),
-        ))
-    }
+    fn rollback_transaction(&mut self) -> Result<()>;
 
     // ---- storage (Table I probes) ------------------------------------
 
@@ -441,19 +409,24 @@ impl EngineKind {
         ]
     }
 
+    /// The engine as data: its row of the paper's tables.
+    pub fn profile(self) -> &'static Profile {
+        match self {
+            EngineKind::Allegro => &crate::allegro::PROFILE,
+            EngineKind::Dex => &crate::dex::PROFILE,
+            EngineKind::Filament => &crate::filament::PROFILE,
+            EngineKind::GStore => &crate::gstore::PROFILE,
+            EngineKind::HyperGraphDb => &crate::hypergraphdb::PROFILE,
+            EngineKind::InfiniteGraph => &crate::infinitegraph::PROFILE,
+            EngineKind::Neo4j => &crate::neo4j::PROFILE,
+            EngineKind::Sones => &crate::sones::PROFILE,
+            EngineKind::VertexDb => &crate::vertexdb::PROFILE,
+        }
+    }
+
     /// The paper's spelling.
     pub fn label(self) -> &'static str {
-        match self {
-            EngineKind::Allegro => "AllegroGraph",
-            EngineKind::Dex => "DEX",
-            EngineKind::Filament => "Filament",
-            EngineKind::GStore => "G-Store",
-            EngineKind::HyperGraphDb => "HyperGraphDB",
-            EngineKind::InfiniteGraph => "InfiniteGraph",
-            EngineKind::Neo4j => "Neo4j",
-            EngineKind::Sones => "Sones",
-            EngineKind::VertexDb => "VertexDB",
-        }
+        self.profile().descriptor.name
     }
 }
 
@@ -461,17 +434,15 @@ impl EngineKind {
 /// engines that persist reload existing data from it.
 pub fn make_engine(kind: EngineKind, dir: &Path) -> Result<Box<dyn GraphEngine>> {
     Ok(match kind {
-        EngineKind::Allegro => Box::new(crate::allegro::AllegroEngine::open(dir)?),
-        EngineKind::Dex => Box::new(crate::dex::DexEngine::open(dir)?),
-        EngineKind::Filament => Box::new(crate::filament::FilamentEngine::open(dir)?),
-        EngineKind::GStore => Box::new(crate::gstore::GStoreEngine::open(dir)?),
-        EngineKind::HyperGraphDb => Box::new(crate::hypergraphdb::HyperGraphDbEngine::open(dir)?),
-        EngineKind::InfiniteGraph => {
-            Box::new(crate::infinitegraph::InfiniteGraphEngine::open(dir)?)
-        }
-        EngineKind::Neo4j => Box::new(crate::neo4j::Neo4jEngine::open(dir)?),
-        EngineKind::Sones => Box::new(crate::sones::SonesEngine::new()),
-        EngineKind::VertexDb => Box::new(crate::vertexdb::VertexDbEngine::open(dir)?),
+        EngineKind::Allegro => Box::new(crate::allegro::open(dir)?),
+        EngineKind::Dex => Box::new(crate::dex::open(dir)?),
+        EngineKind::Filament => Box::new(crate::filament::open(dir)?),
+        EngineKind::GStore => Box::new(crate::gstore::open(dir)?),
+        EngineKind::HyperGraphDb => Box::new(crate::hypergraphdb::open(dir)?),
+        EngineKind::InfiniteGraph => Box::new(crate::infinitegraph::open(dir)?),
+        EngineKind::Neo4j => Box::new(crate::neo4j::open(dir)?),
+        EngineKind::Sones => Box::new(crate::sones::open()),
+        EngineKind::VertexDb => Box::new(crate::vertexdb::open(dir)?),
     })
 }
 

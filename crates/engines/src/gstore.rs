@@ -6,19 +6,18 @@
 //! (Table II). G-Store's research contribution was *placement*:
 //! co-locating neighborhoods on disk pages. The emulation stores node
 //! records (label + outgoing adjacency) in the slotted-page
-//! [`HeapFile`] and exposes [`GStoreEngine::recluster`], which rewrites
+//! [`HeapFile`] and exposes `GStoreEngine::recluster`, which rewrites
 //! the heap in BFS order with placement hints — the knob the placement
 //! ablation bench measures via buffer-pool fault counts.
 
-use crate::facade::{AnalysisFunc, EngineDescriptor, GraphEngine, SummaryFunc};
-use crate::vertexdb::summarize_simple;
-use gdm_algo::adjacency::{k_neighborhood, nodes_adjacent};
+use crate::engine::{Capability as C, Engine, Model, Profile};
+use crate::facade::{EngineDescriptor, GraphEngine};
 use gdm_algo::paths::{fixed_length_paths, shortest_path};
-use gdm_algo::regular::{regular_path_exists, LabelRegex};
 use gdm_core::{
-    DeltaTracker, Direction, EdgeId, EdgeRef, FxHashMap, GdmError, GraphView, Interner, NodeId,
-    PropertyMap, Result, Support, Symbol, Value,
+    Direction, EdgeId, EdgeRef, FxHashMap, GdmError, GraphView, Interner, NodeId, PropertyMap,
+    Result, Support, Symbol, Value,
 };
+use gdm_govern::Limits;
 use gdm_query::eval::ResultSet;
 use gdm_query::gsql::{self, GsqlStatement};
 use gdm_storage::codec::{get_bytes, get_u64, get_varint, put_bytes, put_u64, put_varint};
@@ -27,15 +26,137 @@ use gdm_storage::{BufferPool, HeapFile, Rid};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
+use std::time::Duration;
 
-const NAME: &str = "G-Store";
 const PATH_BUDGET: usize = 1_000_000;
 /// Buffer-pool frames — deliberately small so the external-memory
 /// behaviour (page faults) is observable.
 const POOL_FRAMES: usize = 64;
 
+/// G-Store's row of the paper's tables.
+pub static PROFILE: Profile = Profile::new(
+    EngineDescriptor {
+        name: "G-Store",
+        gui: Support::None,
+        graphical_ql: Support::None,
+        query_language_grade: Support::Full,
+        backend_storage: Support::None,
+        blurb: "a basic storage manager for large vertex-labeled graphs on disk pages",
+    },
+    // A graph *store* without a query governor of its own: tight
+    // harness defaults keep a runaway traversal from monopolizing the
+    // page-partitioned backend.
+    Limits {
+        deadline: Some(Duration::from_secs(5)),
+        max_node_visits: Some(1_000_000),
+        max_edge_visits: None,
+        max_rows: None,
+    },
+    &[
+        (
+            &[C::NodeProperties],
+            "node attributes (vertex-labeled simple graph)",
+        ),
+        (&[C::EdgeLabels], "edge labels (vertex-labeled model)"),
+        (&[C::EdgeProperties, C::SetEdgeAttribute], "edge attributes"),
+        (&[C::Hyperedges], "hyperedges"),
+        (&[C::EdgesOnEdges], "edges between edges"),
+        (&[C::NestedGraphs], "nested graphs"),
+        (
+            &[C::SetNodeAttribute, C::ReadNodeAttribute],
+            "node attributes",
+        ),
+        (&[C::NodeTypes], "schema definitions beyond vertex labels"),
+        (&[C::EdgeTypes], "edge type definitions"),
+        (&C::CONSTRAINTS, "integrity constraints"),
+        (&[C::Dml], "a data manipulation language"),
+        (&[C::Explain], "explain"),
+        (&[C::Reasoning], "reasoning"),
+        (&[C::Analysis], "analysis functions"),
+        (&[C::PatternMatching], "pattern matching queries"),
+        (
+            &[C::PropertyAggregation],
+            "property aggregation (no attributes)",
+        ),
+        (
+            &[C::Transactions],
+            "transactions (graph store, not a graph database)",
+        ),
+        (&[C::Indexes], "secondary indexes"),
+        (&[C::PropertyLookup], "property lookups (no attributes)"),
+    ],
+);
+
 /// The G-Store emulation.
-pub struct GStoreEngine {
+pub type GStoreEngine = Engine<GStore>;
+
+/// Opens (or creates) the store under `dir`.
+pub fn open(dir: &Path) -> Result<GStoreEngine> {
+    Ok(Engine::new(
+        &PROFILE,
+        GStore::open_file(&dir.join("gstore.pages"))?,
+    ))
+}
+
+impl GStoreEngine {
+    /// Rewrites the whole heap placing node records in BFS order with
+    /// per-page clustering hints (G-Store's contribution). Returns the
+    /// number of records moved.
+    pub fn recluster(&mut self) -> Result<usize> {
+        // Placement changes no answer, but the write is invisible to
+        // the facade's bookkeeping all the same.
+        let store = self.model_mut();
+        // BFS order over all nodes (restarting per component).
+        let mut order: Vec<u64> = Vec::with_capacity(store.nodes.len());
+        let mut seen: std::collections::HashSet<u64> = std::collections::HashSet::new();
+        let mut all: Vec<u64> = store.nodes.keys().copied().collect();
+        all.sort_unstable();
+        for &root in &all {
+            if !seen.insert(root) {
+                continue;
+            }
+            let mut queue = VecDeque::from([root]);
+            while let Some(n) = queue.pop_front() {
+                order.push(n);
+                if let Ok(rec) = store.read_record(n) {
+                    for &(_, to) in &rec.out {
+                        if seen.insert(to) {
+                            queue.push_back(to);
+                        }
+                    }
+                }
+            }
+        }
+        // Rewrite into a fresh heap file, filling pages in BFS order.
+        let tmp = store.path.with_extension("recluster");
+        let _ = std::fs::remove_file(&tmp);
+        let mut fresh = HeapFile::new(BufferPool::file(&tmp, POOL_FRAMES)?)?;
+        let mut new_rids: FxHashMap<u64, Rid> = FxHashMap::default();
+        let mut last_page = None;
+        for &n in &order {
+            let rec = store.read_record(n)?;
+            let rid = fresh.insert_hint(&rec.encode(), last_page)?;
+            last_page = Some(rid.page);
+            new_rids.insert(n, rid);
+        }
+        fresh.flush()?;
+        drop(fresh);
+        // Swap files and reopen.
+        std::fs::rename(&tmp, &store.path)?;
+        let heap = HeapFile::new(BufferPool::file(&store.path, POOL_FRAMES)?)?;
+        store.heap = RefCell::new(heap);
+        for (n, rid) in new_rids {
+            if let Some(entry) = store.nodes.get_mut(&n) {
+                entry.0 = rid;
+            }
+        }
+        Ok(order.len())
+    }
+}
+
+/// G-Store's substrate: node records (label + outgoing adjacency) in a
+/// slotted-page heap file, read as a vertex-labeled simple graph.
+pub struct GStore {
     heap: RefCell<HeapFile>,
     interner: Interner,
     /// node id → (record location, label symbol if labeled).
@@ -47,22 +168,12 @@ pub struct GStoreEngine {
     next_node: u64,
     next_edge: u64,
     path: PathBuf,
-    /// Mutations since the last snapshot, for the O(changes)
-    /// incremental re-freeze (`RefCell`: snapshots reset it through
-    /// `&self`; engines are not `Send`, so access is uncontended).
-    delta: RefCell<DeltaTracker>,
 }
 
-impl GStoreEngine {
-    /// Opens (or creates) the store under `dir`.
-    pub fn open(dir: &Path) -> Result<Self> {
-        let path = dir.join("gstore.pages");
-        Self::open_file(&path)
-    }
-
+impl GStore {
     fn open_file(path: &Path) -> Result<Self> {
         let heap = HeapFile::new(BufferPool::file(path, POOL_FRAMES)?)?;
-        let mut engine = Self {
+        let mut store = Self {
             heap: RefCell::new(heap),
             interner: Interner::new(),
             nodes: FxHashMap::default(),
@@ -71,10 +182,9 @@ impl GStoreEngine {
             next_node: 0,
             next_edge: 0,
             path: path.to_path_buf(),
-            delta: RefCell::new(DeltaTracker::new()),
         };
-        engine.rebuild_maps()?;
-        Ok(engine)
+        store.rebuild_maps()?;
+        Ok(store)
     }
 
     fn rebuild_maps(&mut self) -> Result<()> {
@@ -121,105 +231,49 @@ impl GStoreEngine {
     }
 
     /// Zeroes buffer-pool statistics.
-    pub fn reset_pool_stats(&mut self) {
+    pub fn reset_pool_stats(&self) {
         self.heap.borrow_mut().reset_pool_stats();
     }
 
-    /// Rewrites the whole heap placing node records in BFS order with
-    /// per-page clustering hints (G-Store's contribution). Returns the
-    /// number of records moved.
-    pub fn recluster(&mut self) -> Result<usize> {
-        // BFS order over all nodes (restarting per component).
-        let mut order: Vec<u64> = Vec::with_capacity(self.nodes.len());
-        let mut seen: std::collections::HashSet<u64> = std::collections::HashSet::new();
-        let mut all: Vec<u64> = self.nodes.keys().copied().collect();
-        all.sort_unstable();
-        for &root in &all {
-            if !seen.insert(root) {
-                continue;
-            }
-            let mut queue = VecDeque::from([root]);
-            while let Some(n) = queue.pop_front() {
-                order.push(n);
-                if let Ok(rec) = self.read_record(n) {
-                    for &(_, to) in &rec.out {
-                        if seen.insert(to) {
-                            queue.push_back(to);
-                        }
-                    }
-                }
-            }
-        }
-        // Rewrite into a fresh heap file, filling pages in BFS order.
-        let tmp = self.path.with_extension("recluster");
-        let _ = std::fs::remove_file(&tmp);
-        let mut fresh = HeapFile::new(BufferPool::file(&tmp, POOL_FRAMES)?)?;
-        let mut new_rids: FxHashMap<u64, Rid> = FxHashMap::default();
-        let mut last_page = None;
-        for &n in &order {
-            let rec = self.read_record(n)?;
-            let rid = fresh.insert_hint(&rec.encode(), last_page)?;
-            last_page = Some(rid.page);
-            new_rids.insert(n, rid);
-        }
-        fresh.flush()?;
-        drop(fresh);
-        // Swap files and reopen.
-        std::fs::rename(&tmp, &self.path)?;
-        let heap = HeapFile::new(BufferPool::file(&self.path, POOL_FRAMES)?)?;
-        self.heap = RefCell::new(heap);
-        for (n, rid) in new_rids {
-            if let Some(entry) = self.nodes.get_mut(&n) {
-                entry.0 = rid;
-            }
-        }
-        Ok(order.len())
-    }
-
-    fn unsupported<T>(&self, feature: &str) -> Result<T> {
-        Err(GdmError::unsupported(NAME, feature.to_owned()))
-    }
-
-    fn run_statement(&mut self, stmt: GsqlStatement) -> Result<ResultSet> {
+    /// Runs a read statement of the GSQL dialect.
+    fn select(&self, stmt: GsqlStatement) -> Result<ResultSet> {
         let single = |name: &str, v: Value| ResultSet {
             columns: vec![name.to_owned()],
             rows: vec![vec![v]],
         };
+        let node_rows = |mut ids: Vec<u64>| {
+            ids.sort_unstable();
+            ResultSet {
+                columns: vec!["node".into()],
+                rows: ids
+                    .into_iter()
+                    .map(|i| vec![Value::Int(i as i64)])
+                    .collect(),
+            }
+        };
         Ok(match stmt {
-            GsqlStatement::CreateNode { label } => {
-                let n = self.create_node(Some(&label), PropertyMap::new())?;
-                single("node", Value::Int(n.raw() as i64))
+            GsqlStatement::CreateNode { .. } | GsqlStatement::CreateEdge { .. } => {
+                return Err(GdmError::InvalidArgument(
+                    "CREATE statements go through the DDL interface".into(),
+                ))
             }
-            GsqlStatement::CreateEdge { from, to } => {
-                let e = self.create_edge(from, to, None, PropertyMap::new())?;
-                single("edge", Value::Int(e.raw() as i64))
+            GsqlStatement::SelectNodes { label: None } => {
+                node_rows(self.nodes.keys().copied().collect())
             }
-            GsqlStatement::SelectNodes { label } => {
-                let mut ids: Vec<u64> = match label {
-                    None => self.nodes.keys().copied().collect(),
-                    Some(l) => {
-                        let sym = self.interner.get(&l);
-                        self.nodes
-                            .iter()
-                            .filter(|(_, (_, s))| *s == sym && sym.is_some())
-                            .map(|(&id, _)| id)
-                            .collect()
-                    }
-                };
-                ids.sort_unstable();
-                ResultSet {
-                    columns: vec!["node".into()],
-                    rows: ids
-                        .into_iter()
-                        .map(|i| vec![Value::Int(i as i64)])
+            GsqlStatement::SelectNodes { label: Some(l) } => {
+                let sym = self.interner.get(&l);
+                node_rows(
+                    self.nodes
+                        .iter()
+                        .filter(|(_, (_, s))| *s == sym && sym.is_some())
+                        .map(|(&id, _)| id)
                         .collect(),
-                }
+                )
             }
             GsqlStatement::CountNodes => single("count", Value::Int(self.nodes.len() as i64)),
             GsqlStatement::CountEdges => single("count", Value::Int(self.edges.len() as i64)),
             GsqlStatement::ShortestPath { from, to } => {
-                let path = shortest_path(self, from, to);
-                let row = match path {
+                let row = match shortest_path(self, from, to) {
                     Some(p) => {
                         Value::List(p.nodes.iter().map(|n| Value::Int(n.raw() as i64)).collect())
                     }
@@ -231,20 +285,11 @@ impl GStoreEngine {
                 let count = fixed_length_paths(self, from, to, length, PATH_BUDGET)?.len();
                 single("paths", Value::Int(count as i64))
             }
-            GsqlStatement::Reachable { from } => {
-                let mut ids: Vec<u64> =
-                    gdm_algo::paths::reachable_set(self, from, Direction::Outgoing)
-                        .into_iter()
-                        .collect();
-                ids.sort_unstable();
-                ResultSet {
-                    columns: vec!["node".into()],
-                    rows: ids
-                        .into_iter()
-                        .map(|i| vec![Value::Int(i as i64)])
-                        .collect(),
-                }
-            }
+            GsqlStatement::Reachable { from } => node_rows(
+                gdm_algo::paths::reachable_set(self, from, Direction::Outgoing)
+                    .into_iter()
+                    .collect(),
+            ),
         })
     }
 }
@@ -304,7 +349,7 @@ impl NodeRecord {
     }
 }
 
-impl GraphView for GStoreEngine {
+impl GraphView for GStore {
     fn is_directed(&self) -> bool {
         true
     }
@@ -352,26 +397,16 @@ impl GraphView for GStoreEngine {
     }
 }
 
-impl GraphEngine for GStoreEngine {
-    fn name(&self) -> &'static str {
-        NAME
+impl Model for GStore {
+    type Graph = GStore;
+    type Index = gdm_storage::HashIndex; // never built: the profile refuses indexes
+    type Saved = (); // never taken: graph stores have no transaction engine
+
+    fn graph(&self) -> &GStore {
+        self
     }
 
-    fn descriptor(&self) -> EngineDescriptor {
-        EngineDescriptor {
-            name: NAME,
-            gui: Support::None,
-            graphical_ql: Support::None,
-            query_language_grade: Support::Full,
-            backend_storage: Support::None,
-            blurb: "a basic storage manager for large vertex-labeled graphs on disk pages",
-        }
-    }
-
-    fn create_node(&mut self, label: Option<&str>, props: PropertyMap) -> Result<NodeId> {
-        if !props.is_empty() {
-            return self.unsupported("node attributes (vertex-labeled simple graph)");
-        }
+    fn create_node(&mut self, label: Option<&str>, _props: PropertyMap) -> Result<NodeId> {
         let id = self.next_node;
         self.next_node += 1;
         let rec = NodeRecord {
@@ -382,7 +417,6 @@ impl GraphEngine for GStoreEngine {
         let rid = self.heap.borrow_mut().insert(&rec.encode())?;
         let sym = label.map(|l| self.interner.intern(l));
         self.nodes.insert(id, (rid, sym));
-        self.delta.get_mut().touch_node(id);
         Ok(NodeId(id))
     }
 
@@ -390,15 +424,9 @@ impl GraphEngine for GStoreEngine {
         &mut self,
         from: NodeId,
         to: NodeId,
-        label: Option<&str>,
-        props: PropertyMap,
+        _label: Option<&str>,
+        _props: PropertyMap,
     ) -> Result<EdgeId> {
-        if label.is_some() {
-            return self.unsupported("edge labels (vertex-labeled model)");
-        }
-        if !props.is_empty() {
-            return self.unsupported("edge attributes");
-        }
         if !self.nodes.contains_key(&to.raw()) {
             return Err(GdmError::NotFound(format!("node {to}")));
         }
@@ -412,38 +440,7 @@ impl GraphEngine for GStoreEngine {
             .entry(to.raw())
             .or_default()
             .push((edge, from.raw()));
-        self.delta.get_mut().touch_node(from.raw());
-        self.delta.get_mut().touch_node(to.raw());
         Ok(EdgeId(edge))
-    }
-
-    fn create_hyperedge(
-        &mut self,
-        _label: &str,
-        _targets: &[NodeId],
-        _props: PropertyMap,
-    ) -> Result<EdgeId> {
-        self.unsupported("hyperedges")
-    }
-
-    fn create_edge_on_edge(&mut self, _from: EdgeId, _to: NodeId, _label: &str) -> Result<EdgeId> {
-        self.unsupported("edges between edges")
-    }
-
-    fn nest_subgraph(&mut self, _node: NodeId) -> Result<()> {
-        self.unsupported("nested graphs")
-    }
-
-    fn set_node_attribute(&mut self, _n: NodeId, _key: &str, _value: Value) -> Result<()> {
-        self.unsupported("node attributes")
-    }
-
-    fn set_edge_attribute(&mut self, _e: EdgeId, _key: &str, _value: Value) -> Result<()> {
-        self.unsupported("edge attributes")
-    }
-
-    fn node_attribute(&self, _n: NodeId, _key: &str) -> Result<Option<Value>> {
-        self.unsupported("node attributes")
     }
 
     fn delete_node(&mut self, n: NodeId) -> Result<()> {
@@ -465,7 +462,6 @@ impl GraphEngine for GStoreEngine {
         }
         let (rid, _) = self.nodes.remove(&n.raw()).expect("checked by read_record");
         self.heap.borrow_mut().delete(rid)?;
-        self.delta.get_mut().remove_node(n.raw());
         Ok(())
     }
 
@@ -480,132 +476,33 @@ impl GraphEngine for GStoreEngine {
         if let Some(list) = self.in_edges.get_mut(&to) {
             list.retain(|(edge, _)| *edge != e.raw());
         }
-        self.delta.get_mut().remove_edge(e.raw());
         Ok(())
     }
 
-    fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
-    fn define_node_type(&mut self, _def: gdm_schema::NodeTypeDef) -> Result<()> {
-        self.unsupported("schema definitions beyond vertex labels")
-    }
-
-    fn define_edge_type(&mut self, _def: gdm_schema::EdgeTypeDef) -> Result<()> {
-        self.unsupported("edge type definitions")
-    }
-
-    fn install_constraint(&mut self, _c: gdm_schema::Constraint) -> Result<()> {
-        self.unsupported("integrity constraints")
-    }
-
-    fn execute_ddl(&mut self, statement: &str) -> Result<()> {
+    fn execute_ddl(engine: &mut GStoreEngine, statement: &str) -> Result<()> {
         match gsql::parse(statement)? {
-            stmt @ (GsqlStatement::CreateNode { .. } | GsqlStatement::CreateEdge { .. }) => {
-                self.run_statement(stmt)?;
-                Ok(())
-            }
+            GsqlStatement::CreateNode { label } => engine
+                .create_node(Some(&label), PropertyMap::new())
+                .map(drop),
+            GsqlStatement::CreateEdge { from, to } => engine
+                .create_edge(from, to, None, PropertyMap::new())
+                .map(drop),
             _ => Err(GdmError::InvalidArgument(
                 "not a DDL statement (use CREATE NODE / CREATE EDGE)".into(),
             )),
         }
     }
 
-    fn execute_dml(&mut self, _statement: &str) -> Result<()> {
-        self.unsupported("a data manipulation language")
+    fn execute_query(engine: &mut GStoreEngine, query: &str) -> Result<ResultSet> {
+        engine.model().select(gsql::parse(query)?)
     }
 
-    fn execute_query(&mut self, query: &str) -> Result<ResultSet> {
-        let stmt = gsql::parse(query)?;
-        if matches!(
-            stmt,
-            GsqlStatement::CreateNode { .. } | GsqlStatement::CreateEdge { .. }
-        ) {
-            return Err(GdmError::InvalidArgument(
-                "CREATE statements go through the DDL interface".into(),
-            ));
-        }
-        self.run_statement(stmt)
-    }
+    fn save(&self) {}
 
-    fn reason(&mut self, _rules: &str, _goal: &str) -> Result<Vec<Vec<String>>> {
-        self.unsupported("reasoning")
-    }
-
-    fn analyze(&self, _func: AnalysisFunc) -> Result<Value> {
-        self.unsupported("analysis functions")
-    }
-
-    fn adjacent(&self, a: NodeId, b: NodeId) -> Result<bool> {
-        Ok(nodes_adjacent(self, a, b))
-    }
-
-    fn k_neighborhood(&self, n: NodeId, k: usize) -> Result<Vec<NodeId>> {
-        Ok(k_neighborhood(self, n, k, Direction::Outgoing))
-    }
-
-    fn fixed_length_paths(&self, a: NodeId, b: NodeId, len: usize) -> Result<usize> {
-        Ok(fixed_length_paths(self, a, b, len, PATH_BUDGET)?.len())
-    }
-
-    fn regular_path(&self, a: NodeId, b: NodeId, expr: &str) -> Result<bool> {
-        let regex = LabelRegex::compile(expr)?;
-        Ok(regular_path_exists(self, a, b, &regex))
-    }
-
-    fn shortest_path(&self, a: NodeId, b: NodeId) -> Result<Option<Vec<NodeId>>> {
-        Ok(shortest_path(self, a, b).map(|p| p.nodes))
-    }
-
-    fn pattern_match(&self, _pattern: &gdm_algo::pattern::Pattern) -> Result<usize> {
-        self.unsupported("pattern matching queries")
-    }
-
-    fn snapshot(&self) -> Result<gdm_algo::FrozenGraph> {
-        let fz = gdm_algo::FrozenGraph::freeze(self);
-        self.delta.borrow_mut().reset(fz.epoch());
-        Ok(fz)
-    }
-
-    fn pending_changes(&self) -> u64 {
-        self.delta.borrow().peek().pending_hint()
-    }
-
-    fn refreeze(&self, prev: &gdm_algo::FrozenGraph) -> Result<gdm_algo::FrozenGraph> {
-        let delta = self.delta.borrow().peek().clone();
-        let next = gdm_algo::incremental_refreeze_structural(self, prev, &delta);
-        self.delta.borrow_mut().reset(next.epoch());
-        Ok(next)
-    }
-
-    fn default_limits(&self) -> gdm_govern::Limits {
-        // A graph *store* without a query governor of its own: tight
-        // harness defaults keep a runaway traversal from monopolizing
-        // the page-partitioned backend.
-        gdm_govern::Limits::none()
-            .with_deadline(std::time::Duration::from_secs(5))
-            .with_node_visits(1_000_000)
-    }
-
-    fn summarize(&self, func: SummaryFunc) -> Result<Value> {
-        summarize_simple(self, func, NAME)
-    }
+    fn restore(&mut self, (): ()) {}
 
     fn persist(&mut self) -> Result<()> {
         self.heap.borrow_mut().flush()
-    }
-
-    fn create_index(&mut self, _property: &str) -> Result<()> {
-        self.unsupported("secondary indexes")
-    }
-
-    fn lookup_by_property(&self, _key: &str, _value: &Value) -> Result<Vec<NodeId>> {
-        self.unsupported("property lookups (no attributes)")
     }
 }
 
@@ -617,7 +514,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("gdm-gstore-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        (GStoreEngine::open(&dir).unwrap(), dir)
+        (open(&dir).unwrap(), dir)
     }
 
     #[test]
@@ -683,14 +580,14 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let (a, b);
         {
-            let mut e = GStoreEngine::open(&dir).unwrap();
+            let mut e = open(&dir).unwrap();
             a = e.create_node(Some("v"), PropertyMap::new()).unwrap();
             b = e.create_node(Some("w"), PropertyMap::new()).unwrap();
             e.create_edge(a, b, None, PropertyMap::new()).unwrap();
             e.persist().unwrap();
         }
         {
-            let e = GStoreEngine::open(&dir).unwrap();
+            let e = open(&dir).unwrap();
             assert_eq!(GraphEngine::node_count(&e), 2);
             assert!(e.adjacent(a, b).unwrap());
             assert_eq!(e.k_neighborhood(a, 1).unwrap(), vec![b]);

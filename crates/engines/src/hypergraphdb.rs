@@ -9,69 +9,97 @@
 //! with indexes (Table I), API only (Tables II and V), and type
 //! checking + node/edge identity constraints (Table VI).
 
-use crate::facade::{AnalysisFunc, EngineDescriptor, GraphEngine, SummaryFunc};
-use gdm_algo::summary;
-use gdm_core::{
-    DeltaTracker, Direction, EdgeId, FxHashMap, GdmError, GraphView, NodeId, PropertyMap, Result,
-    Support, Value,
-};
+use crate::engine::{no_hook, Capability as C, Engine, Model, Profile};
+use crate::facade::EngineDescriptor;
+use gdm_core::{EdgeId, GdmError, NodeId, PropertyMap, Result, Support, Value};
+use gdm_govern::Limits;
 use gdm_graphs::hyper::{AtomId, HyperGraph};
-use gdm_query::eval::ResultSet;
-use gdm_schema::{Constraint, NodeTypeDef, Schema};
-use gdm_storage::{HashIndex, ValueIndex};
-use std::cell::RefCell;
+use gdm_schema::{Constraint, EdgeTypeDef, NodeTypeDef, Schema};
+use gdm_storage::HashIndex;
 use std::path::{Path, PathBuf};
+use std::time::Duration;
 
-const NAME: &str = "HyperGraphDB";
+/// HyperGraphDB's row of the paper's tables.
+pub static PROFILE: Profile = Profile::new(
+    EngineDescriptor {
+        name: "HyperGraphDB",
+        gui: Support::None,
+        graphical_ql: Support::None,
+        query_language_grade: Support::None,
+        backend_storage: Support::Full,
+        blurb: "implements the hypergraph data model; links may connect any atoms",
+    },
+    // A graph database over a generic backend; the two-section
+    // expansion of hyperedges inflates visit counts, so the edge
+    // budget is the binding one.
+    Limits {
+        deadline: Some(Duration::from_secs(30)),
+        max_node_visits: Some(10_000_000),
+        max_edge_visits: Some(50_000_000),
+        max_rows: None,
+    },
+    &[
+        (&[C::NestedGraphs], "nested graphs"),
+        (
+            &[
+                C::ReferentialIntegrity,
+                C::Cardinality,
+                C::FunctionalDependency,
+                C::PatternConstraints,
+            ],
+            "this constraint kind (types and identity only)",
+        ),
+        (&[C::Ddl], "a data definition language"),
+        (&[C::Dml], "a data manipulation language"),
+        (&[C::QueryLanguage], "a query language"),
+        (&[C::Explain], "explain"),
+        (&[C::Reasoning], "reasoning"),
+        (&[C::Analysis], "analysis functions"),
+        (&[C::KNeighborhood], "k-neighborhood queries"),
+        (&[C::FixedLengthPaths], "fixed-length path queries"),
+        (&[C::RegularPaths], "regular path queries"),
+        (&[C::ShortestPath], "shortest path queries"),
+        (&[C::PatternMatching], "pattern matching queries"),
+    ],
+);
 
-/// The HyperGraphDB emulation.
-pub struct HyperGraphDbEngine {
+/// The HyperGraphDB emulation. [`Engine::view`] is the underlying
+/// atom space.
+pub type HyperGraphDbEngine = Engine<HyperGraphDb>;
+
+/// Opens (or creates) the store under `dir`.
+pub fn open(dir: &Path) -> Result<HyperGraphDbEngine> {
+    let snapshot_path = dir.join("hypergraphdb.atoms");
+    let atoms = if snapshot_path.exists() {
+        HyperGraph::from_snapshot(&std::fs::read(&snapshot_path)?)?
+    } else {
+        HyperGraph::new()
+    };
+    Ok(Engine::new(
+        &PROFILE,
+        HyperGraphDb {
+            atoms,
+            schema: Schema::new(),
+            identities: Vec::new(),
+            type_checking: false,
+            snapshot_path,
+        },
+    ))
+}
+
+/// HyperGraphDB's substrate: an atom space, read through its
+/// two-section, with type and identity checks on new atoms.
+pub struct HyperGraphDb {
     atoms: HyperGraph,
     schema: Schema,
     /// Installed identity constraints: type → identifying property.
     identities: Vec<(String, String)>,
     /// Whether type checking is enforced.
     type_checking: bool,
-    indexes: FxHashMap<String, HashIndex>,
     snapshot_path: PathBuf,
-    tx_snapshot: Option<HyperGraph>,
-    /// Mutations since the last snapshot, for the O(changes)
-    /// incremental re-freeze of the two-section view (`RefCell`:
-    /// snapshots reset it through `&self`; engines are not `Send`, so
-    /// access is uncontended).
-    delta: RefCell<DeltaTracker>,
 }
 
-impl HyperGraphDbEngine {
-    /// Opens (or creates) the store under `dir`.
-    pub fn open(dir: &Path) -> Result<Self> {
-        let snapshot_path = dir.join("hypergraphdb.atoms");
-        let atoms = if snapshot_path.exists() {
-            HyperGraph::from_snapshot(&std::fs::read(&snapshot_path)?)?
-        } else {
-            HyperGraph::new()
-        };
-        Ok(Self {
-            atoms,
-            schema: Schema::new(),
-            identities: Vec::new(),
-            type_checking: false,
-            indexes: FxHashMap::default(),
-            snapshot_path,
-            tx_snapshot: None,
-            delta: RefCell::new(DeltaTracker::new()),
-        })
-    }
-
-    /// The underlying atom space (for the bioinformatics example).
-    pub fn atoms(&self) -> &HyperGraph {
-        &self.atoms
-    }
-
-    fn unsupported<T>(&self, feature: &str) -> Result<T> {
-        Err(GdmError::unsupported(NAME, feature.to_owned()))
-    }
-
+impl HyperGraphDb {
     fn check_new_atom(&self, label: &str, props: &PropertyMap) -> Result<()> {
         if self.type_checking && !self.schema.node_types().is_empty() {
             let Some(def) = self.schema.node_type(label) else {
@@ -124,39 +152,25 @@ impl HyperGraphDbEngine {
         }
         Ok(())
     }
-
-    fn index_atom(&mut self, id: AtomId, props: &PropertyMap) {
-        for (key, index) in self.indexes.iter_mut() {
-            if let Some(v) = props.get(key) {
-                index.insert(v, id.raw());
-            }
-        }
-    }
 }
 
-impl GraphEngine for HyperGraphDbEngine {
-    fn name(&self) -> &'static str {
-        NAME
+impl Model for HyperGraphDb {
+    type Graph = HyperGraph;
+    type Index = HashIndex;
+    type Saved = HyperGraph;
+
+    fn graph(&self) -> &HyperGraph {
+        &self.atoms
     }
 
-    fn descriptor(&self) -> EngineDescriptor {
-        EngineDescriptor {
-            name: NAME,
-            gui: Support::None,
-            graphical_ql: Support::None,
-            query_language_grade: Support::None,
-            backend_storage: Support::Full,
-            blurb: "implements the hypergraph data model; links may connect any atoms",
-        }
+    fn count_edges(&self) -> usize {
+        self.atoms.link_count()
     }
 
     fn create_node(&mut self, label: Option<&str>, props: PropertyMap) -> Result<NodeId> {
         let label = label.unwrap_or("atom");
         self.check_new_atom(label, &props)?;
-        let id = self.atoms.add_node(label, props.clone());
-        self.index_atom(id, &props);
-        self.delta.get_mut().touch_node(id.raw());
-        Ok(NodeId(id.raw()))
+        Ok(NodeId(self.atoms.add_node(label, props).raw()))
     }
 
     fn create_edge(
@@ -166,17 +180,7 @@ impl GraphEngine for HyperGraphDbEngine {
         label: Option<&str>,
         props: PropertyMap,
     ) -> Result<EdgeId> {
-        let label = label.unwrap_or("link");
-        self.check_new_atom(label, &props)?;
-        let id = self.atoms.add_link(
-            label,
-            &[AtomId(from.raw()), AtomId(to.raw())],
-            props.clone(),
-        )?;
-        self.index_atom(id, &props);
-        self.delta.get_mut().touch_node(from.raw());
-        self.delta.get_mut().touch_node(to.raw());
-        Ok(EdgeId(id.raw()))
+        self.create_hyperedge(label.unwrap_or("link"), &[from, to], props)
     }
 
     fn create_hyperedge(
@@ -187,84 +191,38 @@ impl GraphEngine for HyperGraphDbEngine {
     ) -> Result<EdgeId> {
         self.check_new_atom(label, &props)?;
         let atoms: Vec<AtomId> = targets.iter().map(|n| AtomId(n.raw())).collect();
-        let id = self.atoms.add_link(label, &atoms, props.clone())?;
-        self.index_atom(id, &props);
-        // The two-section projection adds pairwise edges among the
-        // targets, so every target's row changes.
-        for t in targets {
-            self.delta.get_mut().touch_node(t.raw());
-        }
-        Ok(EdgeId(id.raw()))
+        Ok(EdgeId(self.atoms.add_link(label, &atoms, props)?.raw()))
     }
 
     fn create_edge_on_edge(&mut self, from: EdgeId, to: NodeId, label: &str) -> Result<EdgeId> {
-        let id = self.atoms.add_link(
-            label,
-            &[AtomId(from.raw()), AtomId(to.raw())],
-            PropertyMap::new(),
-        )?;
-        // A link over another link projects onto the two-section view
-        // in ways the per-node tracker cannot attribute; degrade.
-        self.delta.get_mut().mark_all();
+        let targets = [AtomId(from.raw()), AtomId(to.raw())];
+        let id = self.atoms.add_link(label, &targets, PropertyMap::new())?;
         Ok(EdgeId(id.raw()))
     }
 
-    fn nest_subgraph(&mut self, _node: NodeId) -> Result<()> {
-        self.unsupported("nested graphs")
+    fn set_node_property(&mut self, n: NodeId, key: &str, value: Value) -> Result<Option<Value>> {
+        self.atoms.set_property(AtomId(n.raw()), key, value)
     }
 
-    fn set_node_attribute(&mut self, n: NodeId, key: &str, value: Value) -> Result<()> {
+    fn set_edge_property(&mut self, e: EdgeId, key: &str, value: Value) -> Result<()> {
         self.atoms
-            .set_property(AtomId(n.raw()), key, value.clone())?;
-        if let Some(index) = self.indexes.get_mut(key) {
-            index.insert(&value, n.raw());
-        }
-        self.delta.get_mut().touch_node(n.raw());
-        Ok(())
-    }
-
-    fn set_edge_attribute(&mut self, e: EdgeId, key: &str, value: Value) -> Result<()> {
-        self.atoms.set_property(AtomId(e.raw()), key, value)?;
-        // Every two-section pair of this link carries the link's id.
-        self.delta.get_mut().touch_edge_props(e.raw());
-        Ok(())
-    }
-
-    fn node_attribute(&self, n: NodeId, key: &str) -> Result<Option<Value>> {
-        if !self.atoms.contains(AtomId(n.raw())) {
-            return Err(GdmError::NotFound(format!("atom {n}")));
-        }
-        Ok(self.atoms.property(AtomId(n.raw()), key).cloned())
+            .set_property(AtomId(e.raw()), key, value)
+            .map(drop)
     }
 
     fn delete_node(&mut self, n: NodeId) -> Result<()> {
-        self.atoms.remove_atom(AtomId(n.raw()), true)?;
-        // The cascade also removes incident links, but every pair
-        // those links projected runs through this node's two-section
-        // neighbours, which the re-freeze re-reads.
-        self.delta.get_mut().remove_node(n.raw());
-        Ok(())
+        self.atoms.remove_atom(AtomId(n.raw()), true)
     }
 
     fn delete_edge(&mut self, e: EdgeId) -> Result<()> {
-        self.atoms.remove_atom(AtomId(e.raw()), true)?;
-        self.delta.get_mut().remove_edge(e.raw());
-        Ok(())
-    }
-
-    fn node_count(&self) -> usize {
-        self.atoms.node_count()
-    }
-
-    fn edge_count(&self) -> usize {
-        self.atoms.link_count()
+        self.atoms.remove_atom(AtomId(e.raw()), true)
     }
 
     fn define_node_type(&mut self, def: NodeTypeDef) -> Result<()> {
         self.schema.add_node_type(def)
     }
 
-    fn define_edge_type(&mut self, def: gdm_schema::EdgeTypeDef) -> Result<()> {
+    fn define_edge_type(&mut self, def: EdgeTypeDef) -> Result<()> {
         // HyperGraphDB types atoms uniformly; reuse node-type storage.
         self.schema.add_edge_type(def)
     }
@@ -274,199 +232,34 @@ impl GraphEngine for HyperGraphDbEngine {
             Constraint::TypeChecking(schema) => {
                 self.schema = schema;
                 self.type_checking = true;
-                Ok(())
             }
             Constraint::Identity {
                 type_name,
                 property,
-            } => {
-                self.identities.push((type_name, property));
-                Ok(())
-            }
-            _ => self.unsupported("this constraint kind (types and identity only)"),
+            } => self.identities.push((type_name, property)),
+            _ => return Err(no_hook("this constraint kind")),
         }
-    }
-
-    fn execute_ddl(&mut self, _statement: &str) -> Result<()> {
-        self.unsupported("a data definition language")
-    }
-
-    fn execute_dml(&mut self, _statement: &str) -> Result<()> {
-        self.unsupported("a data manipulation language")
-    }
-
-    fn execute_query(&mut self, _query: &str) -> Result<ResultSet> {
-        self.unsupported("a query language")
-    }
-
-    fn reason(&mut self, _rules: &str, _goal: &str) -> Result<Vec<Vec<String>>> {
-        self.unsupported("reasoning")
-    }
-
-    fn analyze(&self, _func: AnalysisFunc) -> Result<Value> {
-        self.unsupported("analysis functions")
-    }
-
-    fn adjacent(&self, a: NodeId, b: NodeId) -> Result<bool> {
-        Ok(self
-            .atoms
-            .neighbors(AtomId(a.raw()))?
-            .contains(&AtomId(b.raw())))
-    }
-
-    fn k_neighborhood(&self, _n: NodeId, _k: usize) -> Result<Vec<NodeId>> {
-        self.unsupported("k-neighborhood queries")
-    }
-
-    fn fixed_length_paths(&self, _a: NodeId, _b: NodeId, _len: usize) -> Result<usize> {
-        self.unsupported("fixed-length path queries")
-    }
-
-    fn regular_path(&self, _a: NodeId, _b: NodeId, _expr: &str) -> Result<bool> {
-        self.unsupported("regular path queries")
-    }
-
-    fn shortest_path(&self, _a: NodeId, _b: NodeId) -> Result<Option<Vec<NodeId>>> {
-        self.unsupported("shortest path queries")
-    }
-
-    fn pattern_match(&self, _pattern: &gdm_algo::pattern::Pattern) -> Result<usize> {
-        self.unsupported("pattern matching queries")
-    }
-
-    fn snapshot(&self) -> Result<gdm_algo::FrozenGraph> {
-        let fz = gdm_algo::FrozenGraph::freeze_attributed(&self.atoms.two_section());
-        self.delta.borrow_mut().reset(fz.epoch());
-        Ok(fz)
-    }
-
-    fn pending_changes(&self) -> u64 {
-        self.delta.borrow().peek().pending_hint()
-    }
-
-    fn refreeze(&self, prev: &gdm_algo::FrozenGraph) -> Result<gdm_algo::FrozenGraph> {
-        let delta = self.delta.borrow().peek().clone();
-        let next = gdm_algo::incremental_refreeze(&self.atoms.two_section(), prev, &delta);
-        self.delta.borrow_mut().reset(next.epoch());
-        Ok(next)
-    }
-
-    fn default_limits(&self) -> gdm_govern::Limits {
-        // A graph database over a generic backend; the two-section
-        // expansion of hyperedges inflates visit counts, so the edge
-        // budget is the binding one.
-        gdm_govern::Limits::none()
-            .with_deadline(std::time::Duration::from_secs(30))
-            .with_node_visits(10_000_000)
-            .with_edge_visits(50_000_000)
-    }
-
-    fn summarize(&self, func: SummaryFunc) -> Result<Value> {
-        let view = self.atoms.two_section();
-        Ok(match func {
-            SummaryFunc::Order => Value::Int(self.atoms.node_count() as i64),
-            SummaryFunc::Size => Value::Int(self.atoms.link_count() as i64),
-            SummaryFunc::Degree(n) => Value::Int(view.degree(n) as i64),
-            SummaryFunc::MinDegree => match summary::degree_stats(&view) {
-                Some((min, _, _)) => Value::Int(min as i64),
-                None => Value::Null,
-            },
-            SummaryFunc::MaxDegree => match summary::degree_stats(&view) {
-                Some((_, max, _)) => Value::Int(max as i64),
-                None => Value::Null,
-            },
-            SummaryFunc::AvgDegree => match summary::degree_stats(&view) {
-                Some((_, _, avg)) => Value::Float(avg),
-                None => Value::Null,
-            },
-            SummaryFunc::Distance(a, b) => match summary::distance_between(&view, a, b) {
-                Some(d) => Value::Int(d as i64),
-                None => Value::Null,
-            },
-            SummaryFunc::Diameter => match summary::diameter(&view, Direction::Outgoing) {
-                Some(d) => Value::Int(d as i64),
-                None => Value::Null,
-            },
-            SummaryFunc::PropertyAggregate(agg, key) => {
-                let values: Vec<Value> = self
-                    .atoms
-                    .node_ids()
-                    .into_iter()
-                    .filter_map(|a| self.atoms.property(a, key).cloned())
-                    .collect();
-                summary::aggregate(agg, &values)?
-            }
-        })
-    }
-
-    fn begin_transaction(&mut self) -> Result<()> {
-        if self.tx_snapshot.is_some() {
-            return Err(GdmError::InvalidArgument("transaction already open".into()));
-        }
-        self.tx_snapshot = Some(self.atoms.clone());
         Ok(())
     }
 
-    fn commit_transaction(&mut self) -> Result<()> {
-        self.tx_snapshot
-            .take()
-            .map(|_| ())
-            .ok_or_else(|| GdmError::InvalidArgument("no open transaction".into()))
+    fn save(&self) -> HyperGraph {
+        self.atoms.clone()
     }
 
-    fn rollback_transaction(&mut self) -> Result<()> {
-        let snapshot = self
-            .tx_snapshot
-            .take()
-            .ok_or_else(|| GdmError::InvalidArgument("no open transaction".into()))?;
-        self.atoms = snapshot;
-        // The rollback rewinds past everything tracked in the open
-        // transaction; the tracker cannot un-record, so degrade.
-        self.delta.get_mut().mark_all();
-        Ok(())
+    fn restore(&mut self, saved: HyperGraph) {
+        self.atoms = saved;
     }
 
     fn persist(&mut self) -> Result<()> {
         std::fs::write(&self.snapshot_path, self.atoms.to_snapshot())?;
         Ok(())
     }
-
-    fn create_index(&mut self, property: &str) -> Result<()> {
-        let mut index = HashIndex::new();
-        for id in self
-            .atoms
-            .node_ids()
-            .into_iter()
-            .chain(self.atoms.link_ids())
-        {
-            if let Some(v) = self.atoms.property(id, property) {
-                index.insert(v, id.raw());
-            }
-        }
-        self.indexes.insert(property.to_owned(), index);
-        Ok(())
-    }
-
-    fn lookup_by_property(&self, key: &str, value: &Value) -> Result<Vec<NodeId>> {
-        match self.indexes.get(key) {
-            Some(index) => Ok(index.lookup(value).into_iter().map(NodeId).collect()),
-            None => {
-                // Unindexed scan (the API allows it; just slower).
-                let mut out = Vec::new();
-                for id in self.atoms.node_ids() {
-                    if self.atoms.property(id, key) == Some(value) {
-                        out.push(NodeId(id.raw()));
-                    }
-                }
-                Ok(out)
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::facade::{GraphEngine, SummaryFunc};
     use gdm_core::props;
     use gdm_schema::{PropertyType, ValueType};
 
@@ -474,7 +267,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("gdm-hgdb-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        HyperGraphDbEngine::open(&dir).unwrap()
+        open(&dir).unwrap()
     }
 
     #[test]
@@ -552,24 +345,13 @@ mod tests {
     }
 
     #[test]
-    fn profile_refusals() {
-        let mut e = temp_engine("refuse");
-        let a = e.create_node(None, props! {}).unwrap();
-        let b = e.create_node(None, props! {}).unwrap();
-        assert!(e.k_neighborhood(a, 2).unwrap_err().is_unsupported());
-        assert!(e.shortest_path(a, b).unwrap_err().is_unsupported());
-        assert!(e.execute_query("x").unwrap_err().is_unsupported());
-        assert!(e.reason("", "").unwrap_err().is_unsupported());
-    }
-
-    #[test]
     fn persistence() {
         let dir = std::env::temp_dir().join(format!("gdm-hgdb-persist-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let (a, b);
         {
-            let mut e = HyperGraphDbEngine::open(&dir).unwrap();
+            let mut e = open(&dir).unwrap();
             a = e.create_node(Some("x"), props! { "v" => 1 }).unwrap();
             b = e.create_node(Some("x"), props! {}).unwrap();
             let c = e.create_node(Some("x"), props! {}).unwrap();
@@ -577,7 +359,7 @@ mod tests {
             e.persist().unwrap();
         }
         {
-            let e = HyperGraphDbEngine::open(&dir).unwrap();
+            let e = open(&dir).unwrap();
             assert_eq!(GraphEngine::node_count(&e), 3);
             assert_eq!(GraphEngine::edge_count(&e), 1);
             assert!(e.adjacent(a, b).unwrap());

@@ -8,78 +8,107 @@
 //! checking + identity constraints (Table VI).
 //!
 //! The distribution substitution (DESIGN.md §2): nodes get an explicit
-//! partition assignment; [`InfiniteGraphEngine::edge_cut`] and
-//! [`InfiniteGraphEngine::partitioned_view`] expose the remote-hop
+//! partition assignment; [`InfiniteGraph::edge_cut`] and
+//! [`InfiniteGraph::partitioned_view`] expose the remote-hop
 //! cost model the partition ablation bench measures.
 
-use crate::facade::{AnalysisFunc, EngineDescriptor, GraphEngine, SummaryFunc};
-use gdm_algo::adjacency::{k_neighborhood, nodes_adjacent};
-use gdm_algo::paths::{fixed_length_paths, shortest_path};
-use gdm_algo::regular::{regular_path_exists, LabelRegex};
-use gdm_algo::summary;
+use crate::engine::{Capability as C, Engine, Model, Profile};
+use crate::facade::EngineDescriptor;
 use gdm_core::{
-    AttributedView, DeltaTracker, Direction, EdgeId, FxHashMap, GdmError, GraphView, NodeId,
-    PropertyMap, Result, Support, Value,
+    EdgeId, FxHashMap, GdmError, GraphView, NodeId, PropertyMap, Result, Support, Value,
 };
+use gdm_govern::Limits;
 use gdm_graphs::partitioned::{PartitionedGraph, Strategy};
 use gdm_graphs::PropertyGraph;
-use gdm_query::eval::ResultSet;
-use gdm_schema::{validate, Constraint};
-use gdm_storage::{BTreeIndex, ValueIndex};
-use std::cell::RefCell;
+use gdm_schema::{Constraint, EdgeTypeDef, NodeTypeDef};
+use gdm_storage::BTreeIndex;
 use std::path::{Path, PathBuf};
+use std::time::Duration;
 
-const NAME: &str = "InfiniteGraph";
-const PATH_BUDGET: usize = 1_000_000;
+/// InfiniteGraph's row of the paper's tables.
+pub static PROFILE: Profile = Profile::new(
+    EngineDescriptor {
+        name: "InfiniteGraph",
+        gui: Support::None,
+        graphical_ql: Support::None,
+        query_language_grade: Support::None,
+        backend_storage: Support::None,
+        blurb: "large-scale graphs in a distributed environment; traversal across stores",
+    },
+    // A distributed-deployment database: generous wall-clock but a
+    // bounded visit budget, on the model of its traversal policies.
+    Limits {
+        deadline: Some(Duration::from_secs(30)),
+        max_node_visits: Some(10_000_000),
+        max_edge_visits: None,
+        max_rows: None,
+    },
+    &[
+        (&[C::Hyperedges], "hyperedges"),
+        (&[C::EdgesOnEdges], "edges between edges"),
+        (&[C::NestedGraphs], "nested graphs"),
+        (
+            &[
+                C::ReferentialIntegrity,
+                C::Cardinality,
+                C::FunctionalDependency,
+                C::PatternConstraints,
+            ],
+            "this constraint kind (types and identity only)",
+        ),
+        (&[C::Ddl], "a data definition language"),
+        (&[C::Dml], "a data manipulation language"),
+        (&[C::QueryLanguage], "a query language"),
+        (&[C::Explain], "explain"),
+        (&[C::Reasoning], "reasoning"),
+        (&[C::Analysis], "analysis functions"),
+        (&[C::PatternMatching], "pattern matching queries"),
+    ],
+);
 
 /// The InfiniteGraph emulation.
-pub struct InfiniteGraphEngine {
+pub type InfiniteGraphEngine = Engine<InfiniteGraph>;
+
+/// Opens (or creates) the store under `dir` with 4 simulated
+/// partitions.
+pub fn open(dir: &Path) -> Result<InfiniteGraphEngine> {
+    open_with_partitions(dir, 4)
+}
+
+/// Opens with an explicit partition count.
+pub fn open_with_partitions(dir: &Path, partitions: u32) -> Result<InfiniteGraphEngine> {
+    let snapshot_path = dir.join("infinitegraph.snapshot");
+    let graph = if snapshot_path.exists() {
+        PropertyGraph::from_snapshot(&std::fs::read(&snapshot_path)?)?
+    } else {
+        PropertyGraph::new()
+    };
+    let mut model = InfiniteGraph {
+        graph,
+        partitions: partitions.max(1),
+        partition_of: FxHashMap::default(),
+        constraints: Vec::new(),
+        snapshot_path,
+    };
+    let mut nodes = Vec::new();
+    model.graph.visit_nodes(&mut |n| nodes.push(n));
+    for n in nodes {
+        model.assign_partition(n);
+    }
+    Ok(Engine::new(&PROFILE, model))
+}
+
+/// InfiniteGraph's substrate: a property graph whose nodes carry an
+/// explicit partition assignment.
+pub struct InfiniteGraph {
     graph: PropertyGraph,
     partitions: u32,
     partition_of: FxHashMap<u64, u32>,
-    indexes: FxHashMap<String, BTreeIndex>,
     constraints: Vec<Constraint>,
     snapshot_path: PathBuf,
-    tx_snapshot: Option<(PropertyGraph, FxHashMap<u64, u32>)>,
-    /// Mutations since the last snapshot, for the O(changes)
-    /// incremental re-freeze (`RefCell`: snapshots reset it through
-    /// `&self`; engines are not `Send`, so access is uncontended).
-    delta: RefCell<DeltaTracker>,
 }
 
-impl InfiniteGraphEngine {
-    /// Opens (or creates) the store under `dir` with 4 simulated
-    /// partitions.
-    pub fn open(dir: &Path) -> Result<Self> {
-        Self::open_with_partitions(dir, 4)
-    }
-
-    /// Opens with an explicit partition count.
-    pub fn open_with_partitions(dir: &Path, partitions: u32) -> Result<Self> {
-        let snapshot_path = dir.join("infinitegraph.snapshot");
-        let graph = if snapshot_path.exists() {
-            PropertyGraph::from_snapshot(&std::fs::read(&snapshot_path)?)?
-        } else {
-            PropertyGraph::new()
-        };
-        let mut engine = Self {
-            graph,
-            partitions: partitions.max(1),
-            partition_of: FxHashMap::default(),
-            indexes: FxHashMap::default(),
-            constraints: Vec::new(),
-            snapshot_path,
-            tx_snapshot: None,
-            delta: RefCell::new(DeltaTracker::new()),
-        };
-        let mut nodes = Vec::new();
-        engine.graph.visit_nodes(&mut |n| nodes.push(n));
-        for n in nodes {
-            engine.assign_partition(n);
-        }
-        Ok(engine)
-    }
-
+impl InfiniteGraph {
     fn assign_partition(&mut self, n: NodeId) {
         let h = n.raw().wrapping_mul(0x9e37_79b9_7f4a_7c15);
         self.partition_of
@@ -108,56 +137,23 @@ impl InfiniteGraphEngine {
     pub fn partitioned_view(&self, strategy: Strategy) -> PartitionedGraph {
         PartitionedGraph::new(self.graph.clone(), self.partitions, strategy)
     }
-
-    /// The wrapped property graph.
-    pub fn graph(&self) -> &PropertyGraph {
-        &self.graph
-    }
-
-    fn check_constraints(&self) -> Result<()> {
-        match validate(&self.graph, &self.constraints).into_iter().next() {
-            Some(v) => Err(GdmError::Constraint(v.to_string())),
-            None => Ok(()),
-        }
-    }
-
-    fn unsupported<T>(&self, feature: &str) -> Result<T> {
-        Err(GdmError::unsupported(NAME, feature.to_owned()))
-    }
 }
 
-impl GraphEngine for InfiniteGraphEngine {
-    fn name(&self) -> &'static str {
-        NAME
-    }
+impl Model for InfiniteGraph {
+    type Graph = PropertyGraph;
+    type Index = BTreeIndex;
+    type Saved = (PropertyGraph, FxHashMap<u64, u32>);
 
-    fn descriptor(&self) -> EngineDescriptor {
-        EngineDescriptor {
-            name: NAME,
-            gui: Support::None,
-            graphical_ql: Support::None,
-            query_language_grade: Support::None,
-            backend_storage: Support::None,
-            blurb: "large-scale graphs in a distributed environment; traversal across stores",
-        }
+    fn graph(&self) -> &PropertyGraph {
+        &self.graph
     }
 
     fn create_node(&mut self, label: Option<&str>, props: PropertyMap) -> Result<NodeId> {
         let label = label.ok_or_else(|| {
             GdmError::InvalidArgument("InfiniteGraph vertices require a type".into())
         })?;
-        let n = self.graph.add_node(label, props.clone());
-        if let Err(e) = self.check_constraints() {
-            self.graph.remove_node(n)?;
-            return Err(e);
-        }
+        let n = self.graph.add_node(label, props);
         self.assign_partition(n);
-        for (key, index) in self.indexes.iter_mut() {
-            if let Some(v) = props.get(key) {
-                index.insert(v, n.raw());
-            }
-        }
-        self.delta.get_mut().touch_node(n.raw());
         Ok(n)
     }
 
@@ -171,263 +167,81 @@ impl GraphEngine for InfiniteGraphEngine {
         let label = label.ok_or_else(|| {
             GdmError::InvalidArgument("InfiniteGraph edges require a type".into())
         })?;
-        let e = self.graph.add_edge(from, to, label, props)?;
-        if let Err(err) = self.check_constraints() {
-            self.graph.remove_edge(e)?;
-            return Err(err);
-        }
-        self.delta.get_mut().touch_node(from.raw());
-        self.delta.get_mut().touch_node(to.raw());
-        Ok(e)
+        self.graph.add_edge(from, to, label, props)
     }
 
-    fn create_hyperedge(
-        &mut self,
-        _label: &str,
-        _targets: &[NodeId],
-        _props: PropertyMap,
-    ) -> Result<EdgeId> {
-        self.unsupported("hyperedges")
+    fn set_node_property(&mut self, n: NodeId, key: &str, value: Value) -> Result<Option<Value>> {
+        self.graph.set_node_property(n, key, value)
     }
 
-    fn create_edge_on_edge(&mut self, _from: EdgeId, _to: NodeId, _label: &str) -> Result<EdgeId> {
-        self.unsupported("edges between edges")
+    fn remove_node_property(&mut self, n: NodeId, key: &str) -> Result<()> {
+        self.graph.remove_node_property(n, key).map(drop)
     }
 
-    fn nest_subgraph(&mut self, _node: NodeId) -> Result<()> {
-        self.unsupported("nested graphs")
-    }
-
-    fn set_node_attribute(&mut self, n: NodeId, key: &str, value: Value) -> Result<()> {
-        let old = self.graph.set_node_property(n, key, value.clone())?;
-        self.delta.get_mut().touch_node(n.raw());
-        if let Err(e) = self.check_constraints() {
-            if let Some(v) = old {
-                self.graph.set_node_property(n, key, v)?;
-            }
-            return Err(e);
-        }
-        if let Some(index) = self.indexes.get_mut(key) {
-            if let Some(v) = old {
-                index.remove(&v, n.raw());
-            }
-            index.insert(&value, n.raw());
-        }
-        Ok(())
-    }
-
-    fn set_edge_attribute(&mut self, e: EdgeId, key: &str, value: Value) -> Result<()> {
-        self.graph.set_edge_property(e, key, value)?;
-        self.delta.get_mut().touch_edge_props(e.raw());
-        Ok(())
-    }
-
-    fn node_attribute(&self, n: NodeId, key: &str) -> Result<Option<Value>> {
-        self.graph.node_properties(n)?;
-        Ok(self.graph.node_property(n, key))
+    fn set_edge_property(&mut self, e: EdgeId, key: &str, value: Value) -> Result<()> {
+        self.graph.set_edge_property(e, key, value).map(drop)
     }
 
     fn delete_node(&mut self, n: NodeId) -> Result<()> {
         self.graph.remove_node(n)?;
         self.partition_of.remove(&n.raw());
-        self.delta.get_mut().remove_node(n.raw());
         Ok(())
     }
 
     fn delete_edge(&mut self, e: EdgeId) -> Result<()> {
-        self.graph.remove_edge(e)?;
-        self.delta.get_mut().remove_edge(e.raw());
-        Ok(())
+        self.graph.remove_edge(e)
     }
 
-    fn node_count(&self) -> usize {
-        self.graph.node_count()
-    }
-
-    fn edge_count(&self) -> usize {
-        self.graph.edge_count()
-    }
-
-    fn define_node_type(&mut self, _def: gdm_schema::NodeTypeDef) -> Result<()> {
+    fn define_node_type(&mut self, _def: NodeTypeDef) -> Result<()> {
         // Types exist implicitly; schema lives in the type-checking
         // constraint when installed.
         Ok(())
     }
 
-    fn define_edge_type(&mut self, _def: gdm_schema::EdgeTypeDef) -> Result<()> {
+    fn define_edge_type(&mut self, _def: EdgeTypeDef) -> Result<()> {
         Ok(())
     }
 
     fn install_constraint(&mut self, constraint: Constraint) -> Result<()> {
-        match &constraint {
-            Constraint::TypeChecking(_) | Constraint::Identity { .. } => {
-                let mut probe = self.constraints.clone();
-                probe.push(constraint.clone());
-                if let Some(v) = validate(&self.graph, &probe).into_iter().next() {
-                    return Err(GdmError::Constraint(v.to_string()));
-                }
-                self.constraints.push(constraint);
-                Ok(())
-            }
-            _ => self.unsupported("this constraint kind (types and identity only)"),
+        // Refused when the current data already violates it.
+        self.constraints.push(constraint);
+        let checked = self.validate();
+        if checked.is_err() {
+            self.constraints.pop();
         }
+        checked
     }
 
-    fn execute_ddl(&mut self, _statement: &str) -> Result<()> {
-        self.unsupported("a data definition language")
+    fn validate(&self) -> Result<()> {
+        gdm_schema::check(&self.graph, &self.constraints)
     }
 
-    fn execute_dml(&mut self, _statement: &str) -> Result<()> {
-        self.unsupported("a data manipulation language")
+    fn save(&self) -> Self::Saved {
+        (self.graph.clone(), self.partition_of.clone())
     }
 
-    fn execute_query(&mut self, _query: &str) -> Result<ResultSet> {
-        self.unsupported("a query language")
-    }
-
-    fn reason(&mut self, _rules: &str, _goal: &str) -> Result<Vec<Vec<String>>> {
-        self.unsupported("reasoning")
-    }
-
-    fn analyze(&self, _func: AnalysisFunc) -> Result<Value> {
-        self.unsupported("analysis functions")
-    }
-
-    fn adjacent(&self, a: NodeId, b: NodeId) -> Result<bool> {
-        Ok(nodes_adjacent(&self.graph, a, b))
-    }
-
-    fn k_neighborhood(&self, n: NodeId, k: usize) -> Result<Vec<NodeId>> {
-        Ok(k_neighborhood(&self.graph, n, k, Direction::Outgoing))
-    }
-
-    fn fixed_length_paths(&self, a: NodeId, b: NodeId, len: usize) -> Result<usize> {
-        Ok(fixed_length_paths(&self.graph, a, b, len, PATH_BUDGET)?.len())
-    }
-
-    fn regular_path(&self, a: NodeId, b: NodeId, expr: &str) -> Result<bool> {
-        let regex = LabelRegex::compile(expr)?;
-        Ok(regular_path_exists(&self.graph, a, b, &regex))
-    }
-
-    fn shortest_path(&self, a: NodeId, b: NodeId) -> Result<Option<Vec<NodeId>>> {
-        Ok(shortest_path(&self.graph, a, b).map(|p| p.nodes))
-    }
-
-    fn pattern_match(&self, _pattern: &gdm_algo::pattern::Pattern) -> Result<usize> {
-        self.unsupported("pattern matching queries")
-    }
-
-    fn snapshot(&self) -> Result<gdm_algo::FrozenGraph> {
-        let fz = gdm_algo::FrozenGraph::freeze_attributed(&self.graph);
-        self.delta.borrow_mut().reset(fz.epoch());
-        Ok(fz)
-    }
-
-    fn pending_changes(&self) -> u64 {
-        self.delta.borrow().peek().pending_hint()
-    }
-
-    fn refreeze(&self, prev: &gdm_algo::FrozenGraph) -> Result<gdm_algo::FrozenGraph> {
-        let delta = self.delta.borrow().peek().clone();
-        let next = gdm_algo::incremental_refreeze(&self.graph, prev, &delta);
-        self.delta.borrow_mut().reset(next.epoch());
-        Ok(next)
-    }
-
-    fn default_limits(&self) -> gdm_govern::Limits {
-        // A distributed-deployment database: generous wall-clock but a
-        // bounded visit budget, on the model of its traversal policies.
-        gdm_govern::Limits::none()
-            .with_deadline(std::time::Duration::from_secs(30))
-            .with_node_visits(10_000_000)
-    }
-
-    fn summarize(&self, func: SummaryFunc) -> Result<Value> {
-        Ok(match func {
-            SummaryFunc::PropertyAggregate(agg, key) => {
-                let mut values = Vec::new();
-                self.graph.visit_nodes(&mut |n| {
-                    if let Some(v) = self.graph.node_property(n, key) {
-                        values.push(v);
-                    }
-                });
-                summary::aggregate(agg, &values)?
-            }
-            other => crate::vertexdb::summarize_simple(&self.graph, other, NAME)?,
-        })
-    }
-
-    fn begin_transaction(&mut self) -> Result<()> {
-        if self.tx_snapshot.is_some() {
-            return Err(GdmError::InvalidArgument("transaction already open".into()));
-        }
-        self.tx_snapshot = Some((self.graph.clone(), self.partition_of.clone()));
-        Ok(())
-    }
-
-    fn commit_transaction(&mut self) -> Result<()> {
-        self.tx_snapshot
-            .take()
-            .map(|_| ())
-            .ok_or_else(|| GdmError::InvalidArgument("no open transaction".into()))
-    }
-
-    fn rollback_transaction(&mut self) -> Result<()> {
-        let (graph, partitions) = self
-            .tx_snapshot
-            .take()
-            .ok_or_else(|| GdmError::InvalidArgument("no open transaction".into()))?;
+    fn restore(&mut self, (graph, partition_of): Self::Saved) {
         self.graph = graph;
-        self.partition_of = partitions;
-        // The rollback rewinds past everything tracked in the open
-        // transaction; the tracker cannot un-record, so degrade.
-        self.delta.get_mut().mark_all();
-        Ok(())
+        self.partition_of = partition_of;
     }
 
     fn persist(&mut self) -> Result<()> {
         std::fs::write(&self.snapshot_path, self.graph.to_snapshot())?;
         Ok(())
     }
-
-    fn create_index(&mut self, property: &str) -> Result<()> {
-        let mut index = BTreeIndex::new();
-        let mut nodes = Vec::new();
-        self.graph.visit_nodes(&mut |n| nodes.push(n));
-        for n in nodes {
-            if let Some(v) = self.graph.node_property(n, property) {
-                index.insert(&v, n.raw());
-            }
-        }
-        self.indexes.insert(property.to_owned(), index);
-        Ok(())
-    }
-
-    fn lookup_by_property(&self, key: &str, value: &Value) -> Result<Vec<NodeId>> {
-        if let Some(index) = self.indexes.get(key) {
-            return Ok(index.lookup(value).into_iter().map(NodeId).collect());
-        }
-        let mut out = Vec::new();
-        self.graph.visit_nodes(&mut |n| {
-            if self.graph.node_property(n, key).as_ref() == Some(value) {
-                out.push(n);
-            }
-        });
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::facade::GraphEngine;
     use gdm_core::props;
 
     fn temp_engine(tag: &str) -> InfiniteGraphEngine {
         let dir = std::env::temp_dir().join(format!("gdm-ig-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        InfiniteGraphEngine::open(&dir).unwrap()
+        open(&dir).unwrap()
     }
 
     #[test]
@@ -437,12 +251,12 @@ mod tests {
             .map(|i| e.create_node(Some("v"), props! { "i" => i }).unwrap())
             .collect();
         for n in &nodes {
-            assert!(e.partition_of(*n).is_some());
+            assert!(e.model().partition_of(*n).is_some());
         }
         for w in nodes.windows(2) {
             e.create_edge(w[0], w[1], Some("r"), props! {}).unwrap();
         }
-        assert!(e.edge_cut() > 0, "hash placement cuts a ring");
+        assert!(e.model().edge_cut() > 0, "hash placement cuts a ring");
     }
 
     #[test]
@@ -497,14 +311,14 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let a;
         {
-            let mut e = InfiniteGraphEngine::open(&dir).unwrap();
+            let mut e = open(&dir).unwrap();
             a = e.create_node(Some("v"), props! { "x" => 9 }).unwrap();
             e.persist().unwrap();
         }
         {
-            let e = InfiniteGraphEngine::open(&dir).unwrap();
+            let e = open(&dir).unwrap();
             assert_eq!(e.node_attribute(a, "x").unwrap(), Some(Value::from(9)));
-            assert!(e.partition_of(a).is_some());
+            assert!(e.model().partition_of(a).is_some());
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

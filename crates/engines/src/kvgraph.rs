@@ -17,6 +17,7 @@
 //! their buffer pool on reads; the structure is single-threaded like
 //! the embedded stores it models.
 
+use crate::engine::Model;
 use gdm_core::{
     EdgeId, EdgeRef, GdmError, GraphView, Interner, NodeId, PropertyMap, Result, Symbol, Value,
 };
@@ -310,6 +311,48 @@ impl GraphView for KvGraph {
 
     fn label_text(&self, sym: Symbol) -> Option<&str> {
         self.interner.resolve(sym)
+    }
+}
+
+/// The graph-store model: Filament and VertexDB are this substrate
+/// over different backends, told apart by their profiles alone.
+impl Model for KvGraph {
+    type Graph = KvGraph;
+    type Index = gdm_storage::HashIndex; // never built: both profiles refuse indexes
+    type Saved = (); // never taken: graph stores have no transaction engine
+
+    fn graph(&self) -> &KvGraph {
+        self
+    }
+
+    fn create_node(&mut self, label: Option<&str>, props: PropertyMap) -> Result<NodeId> {
+        self.add_node(label, &props)
+    }
+
+    fn create_edge(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        label: Option<&str>,
+        props: PropertyMap,
+    ) -> Result<EdgeId> {
+        self.add_edge(from, to, label, &props)
+    }
+
+    fn delete_node(&mut self, n: NodeId) -> Result<()> {
+        KvGraph::delete_node(self, n)
+    }
+
+    fn delete_edge(&mut self, e: EdgeId) -> Result<()> {
+        KvGraph::delete_edge(self, e)
+    }
+
+    fn save(&self) {}
+
+    fn restore(&mut self, (): ()) {}
+
+    fn persist(&mut self) -> Result<()> {
+        self.flush()
     }
 }
 

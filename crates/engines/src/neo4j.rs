@@ -12,46 +12,138 @@
 //! B-tree indexes, the traversal framework from `gdm-algo`, and the
 //! partial Cypher front-end from `gdm-query`.
 
-use crate::facade::{AnalysisFunc, EngineDescriptor, GraphEngine, SummaryFunc};
-use gdm_algo::adjacency::{k_neighborhood, nodes_adjacent};
-use gdm_algo::paths::{fixed_length_paths, shortest_path};
-use gdm_algo::regular::{regular_path_exists, LabelRegex};
-use gdm_algo::summary;
+use crate::engine::{Capability as C, Engine, Model, Profile};
+use crate::facade::{EngineDescriptor, GraphEngine};
 use gdm_core::{
-    AttributedView, DeltaTracker, Direction, EdgeId, EdgeRef, FxHashMap, GdmError, GraphView,
-    Interner, NodeId, PropertyMap, Result, Support, Symbol, Value,
+    AttributedView, EdgeId, EdgeRef, GdmError, GraphView, Interner, NodeId, PropertyMap, Result,
+    Support, Symbol, Value,
 };
+use gdm_govern::Limits;
 use gdm_query::cypher::{self, CypherStatement};
 use gdm_query::eval::{evaluate_select, ResultSet};
-use gdm_storage::{BTreeIndex, RecordStore, ValueIndex};
-use std::cell::RefCell;
+use gdm_storage::{BTreeIndex, RecordStore};
 use std::path::{Path, PathBuf};
+use std::time::Duration;
 
-const NAME: &str = "Neo4j";
-const PATH_BUDGET: usize = 1_000_000;
+/// Neo4j's row of the paper's tables.
+pub static PROFILE: Profile = Profile::new(
+    EngineDescriptor {
+        name: "Neo4j",
+        gui: Support::None,
+        graphical_ql: Support::None,
+        query_language_grade: Support::Partial,
+        backend_storage: Support::None,
+        blurb: "network-oriented model; native disk storage; traversal framework; Cypher in development",
+    },
+    // A server-class graph database: generous operator defaults —
+    // queries may be long, but never unbounded.
+    Limits {
+        deadline: Some(Duration::from_secs(30)),
+        max_node_visits: Some(10_000_000),
+        max_edge_visits: None,
+        max_rows: None,
+    },
+    &[
+        (&[C::Hyperedges], "hyperedges"),
+        (&[C::EdgesOnEdges], "edges between edges"),
+        (&[C::NestedGraphs], "nested graphs"),
+        (&[C::NodeTypes, C::EdgeTypes], "schema definitions (schema-free model)"),
+        (&C::CONSTRAINTS, "integrity constraints"),
+        (&[C::Ddl], "a data definition language"),
+        (&[C::Dml], "a separate data manipulation language (use Cypher CREATE)"),
+        (&[C::Reasoning], "reasoning"),
+        (&[C::Analysis], "built-in analysis functions"),
+        // Table VII (reconstructed) does not credit 2012 Neo4j with
+        // pattern matching through its API; the in-development Cypher
+        // covers single patterns via execute_query instead.
+        (&[C::PatternMatching], "pattern matching through the API"),
+    ],
+);
 
-/// The Neo4j emulation.
-pub struct Neo4jEngine {
+/// The Neo4j emulation. [`Engine::view`] is the read view used with
+/// `gdm_algo::Traversal` — the paper's "framework for graph
+/// traversals".
+pub type Neo4jEngine = Engine<Neo4j>;
+
+/// Opens (or creates) the store under `dir`.
+pub fn open(dir: &Path) -> Result<Neo4jEngine> {
+    let store_path = dir.join("neo4j.store");
+    let tokens_path = dir.join("neo4j.tokens");
+    let store = if store_path.exists() {
+        RecordStore::load(&store_path)?
+    } else {
+        RecordStore::new()
+    };
+    let mut tokens = Interner::new();
+    if tokens_path.exists() {
+        for line in std::fs::read_to_string(&tokens_path)?.lines() {
+            tokens.intern(line);
+        }
+    }
+    Ok(Engine::new(
+        &PROFILE,
+        Neo4j {
+            store,
+            tokens,
+            store_path,
+            tokens_path,
+        },
+    ))
+}
+
+/// Neo4j's substrate: the record store plus the token table naming its
+/// labels, relationship types and property keys.
+pub struct Neo4j {
     store: RecordStore,
     tokens: Interner,
-    indexes: FxHashMap<String, BTreeIndex>,
     store_path: PathBuf,
     tokens_path: PathBuf,
-    tx_snapshot: Option<RecordStore>,
-    /// Mutations since the last snapshot, for the O(changes)
-    /// incremental re-freeze (`RefCell`: snapshots reset it through
-    /// `&self`; engines are not `Send`, so access is uncontended).
-    delta: RefCell<DeltaTracker>,
 }
 
-/// Read view over the record store, used by the generic algorithms and
-/// the Cypher evaluator.
-pub struct RecordView<'a> {
-    store: &'a RecordStore,
-    tokens: &'a Interner,
+/// Record ids are 32-bit; a wider facade id names no record.
+fn record_id(raw: u64) -> Option<u32> {
+    u32::try_from(raw).ok()
 }
 
-impl GraphView for RecordView<'_> {
+impl Neo4j {
+    fn node_id(&self, n: NodeId) -> Result<u32> {
+        record_id(n.raw())
+            .filter(|&id| self.store.node_in_use(id))
+            .ok_or_else(|| GdmError::NotFound(format!("node {n}")))
+    }
+
+    fn rel_id(e: EdgeId) -> Result<u32> {
+        record_id(e.raw()).ok_or_else(|| GdmError::NotFound(format!("relationship {e}")))
+    }
+
+    fn visit_rels(&self, n: NodeId, outgoing: bool, f: &mut dyn FnMut(EdgeRef)) {
+        let Some(id) = record_id(n.raw()) else {
+            return;
+        };
+        // Self-loops are both an out- and an in-edge of their node (the
+        // chain holds them once, so they are visited exactly once per
+        // direction); excluding them from one direction would make
+        // `degree` undercount and backward traversals disagree with
+        // every other view.
+        self.store.visit_rels(id, &mut |rel| {
+            let (near, far) = if outgoing {
+                (rel.from, rel.to)
+            } else {
+                (rel.to, rel.from)
+            };
+            if near == id {
+                f(EdgeRef {
+                    id: EdgeId(u64::from(rel.id)),
+                    from: n,
+                    to: NodeId(u64::from(far)),
+                    label: Some(Symbol(rel.rel_type)),
+                });
+            }
+        });
+    }
+}
+
+impl GraphView for Neo4j {
     fn is_directed(&self) -> bool {
         true
     }
@@ -65,7 +157,7 @@ impl GraphView for RecordView<'_> {
     }
 
     fn contains_node(&self, n: NodeId) -> bool {
-        n.raw() <= u64::from(u32::MAX) && self.store.node_in_use(n.raw() as u32)
+        self.node_id(n).is_ok()
     }
 
     fn visit_nodes(&self, f: &mut dyn FnMut(NodeId)) {
@@ -77,33 +169,11 @@ impl GraphView for RecordView<'_> {
     }
 
     fn visit_out_edges(&self, n: NodeId, f: &mut dyn FnMut(EdgeRef)) {
-        self.store.visit_rels(n.raw() as u32, &mut |rel| {
-            if u64::from(rel.from) == n.raw() {
-                f(EdgeRef {
-                    id: EdgeId(u64::from(rel.id)),
-                    from: n,
-                    to: NodeId(u64::from(rel.to)),
-                    label: Some(Symbol(rel.rel_type)),
-                });
-            }
-        });
+        self.visit_rels(n, true, f);
     }
 
     fn visit_in_edges(&self, n: NodeId, f: &mut dyn FnMut(EdgeRef)) {
-        // Self-loops are both an out- and an in-edge of their node (the
-        // chain holds them once, so they are visited exactly once per
-        // direction); excluding them here would make `degree` undercount
-        // and backward traversals disagree with every other view.
-        self.store.visit_rels(n.raw() as u32, &mut |rel| {
-            if u64::from(rel.to) == n.raw() {
-                f(EdgeRef {
-                    id: EdgeId(u64::from(rel.id)),
-                    from: n,
-                    to: NodeId(u64::from(rel.from)),
-                    label: Some(Symbol(rel.rel_type)),
-                });
-            }
-        });
+        self.visit_rels(n, false, f);
     }
 
     fn label_text(&self, sym: Symbol) -> Option<&str> {
@@ -111,35 +181,44 @@ impl GraphView for RecordView<'_> {
     }
 }
 
-impl AttributedView for RecordView<'_> {
+impl AttributedView for Neo4j {
     fn node_label(&self, n: NodeId) -> Option<Symbol> {
-        self.store.node_label(n.raw() as u32).ok().map(Symbol)
+        self.store.node_label(record_id(n.raw())?).ok().map(Symbol)
     }
 
     fn node_property(&self, n: NodeId, key: &str) -> Option<Value> {
         let token = self.tokens.get(key)?;
-        self.store.node_prop(n.raw() as u32, token.raw()).cloned()
+        self.store
+            .node_prop(record_id(n.raw())?, token.raw())
+            .cloned()
     }
 
     fn edge_property(&self, e: EdgeId, key: &str) -> Option<Value> {
         let token = self.tokens.get(key)?;
-        self.store.rel_prop(e.raw() as u32, token.raw()).cloned()
+        self.store
+            .rel_prop(record_id(e.raw())?, token.raw())
+            .cloned()
     }
 
     // Enumeration hooks: without these, `FrozenGraph::freeze_attributed`
     // captures labels but no property values, and a snapshot served to
     // the query layer silently answers property predicates with nothing.
     fn visit_node_properties(&self, n: NodeId, f: &mut dyn FnMut(&str, &Value)) {
-        self.store
-            .visit_node_props(n.raw() as u32, &mut |token, v| {
-                if let Some(key) = self.tokens.resolve(Symbol(token)) {
-                    f(key, v);
-                }
-            });
+        let Some(id) = record_id(n.raw()) else {
+            return;
+        };
+        self.store.visit_node_props(id, &mut |token, v| {
+            if let Some(key) = self.tokens.resolve(Symbol(token)) {
+                f(key, v);
+            }
+        });
     }
 
     fn visit_edge_properties(&self, e: EdgeId, f: &mut dyn FnMut(&str, &Value)) {
-        self.store.visit_rel_props(e.raw() as u32, &mut |token, v| {
+        let Some(id) = record_id(e.raw()) else {
+            return;
+        };
+        self.store.visit_rel_props(id, &mut |token, v| {
             if let Some(key) = self.tokens.resolve(Symbol(token)) {
                 f(key, v);
             }
@@ -147,69 +226,13 @@ impl AttributedView for RecordView<'_> {
     }
 }
 
-impl Neo4jEngine {
-    /// Opens (or creates) the store under `dir`.
-    pub fn open(dir: &Path) -> Result<Self> {
-        let store_path = dir.join("neo4j.store");
-        let tokens_path = dir.join("neo4j.tokens");
-        let store = if store_path.exists() {
-            RecordStore::load(&store_path)?
-        } else {
-            RecordStore::new()
-        };
-        let mut tokens = Interner::new();
-        if tokens_path.exists() {
-            for line in std::fs::read_to_string(&tokens_path)?.lines() {
-                tokens.intern(line);
-            }
-        }
-        Ok(Self {
-            store,
-            tokens,
-            indexes: FxHashMap::default(),
-            store_path,
-            tokens_path,
-            tx_snapshot: None,
-            delta: RefCell::new(DeltaTracker::new()),
-        })
-    }
+impl Model for Neo4j {
+    type Graph = Neo4j;
+    type Index = BTreeIndex;
+    type Saved = RecordStore;
 
-    /// The read view used with `gdm_algo::Traversal` — the paper's
-    /// "framework for graph traversals".
-    pub fn view(&self) -> RecordView<'_> {
-        RecordView {
-            store: &self.store,
-            tokens: &self.tokens,
-        }
-    }
-
-    fn unsupported<T>(&self, feature: &str) -> Result<T> {
-        Err(GdmError::unsupported(NAME, feature.to_owned()))
-    }
-
-    fn node_u32(&self, n: NodeId) -> Result<u32> {
-        let id = u32::try_from(n.raw()).map_err(|_| GdmError::NotFound(format!("node {n}")))?;
-        if !self.store.node_in_use(id) {
-            return Err(GdmError::NotFound(format!("node {n}")));
-        }
-        Ok(id)
-    }
-}
-
-impl GraphEngine for Neo4jEngine {
-    fn name(&self) -> &'static str {
-        NAME
-    }
-
-    fn descriptor(&self) -> EngineDescriptor {
-        EngineDescriptor {
-            name: NAME,
-            gui: Support::None,
-            graphical_ql: Support::None,
-            query_language_grade: Support::Partial,
-            backend_storage: Support::None,
-            blurb: "network-oriented model; native disk storage; traversal framework; Cypher in development",
-        }
+    fn graph(&self) -> &Neo4j {
+        self
     }
 
     fn create_node(&mut self, label: Option<&str>, props: PropertyMap) -> Result<NodeId> {
@@ -218,11 +241,7 @@ impl GraphEngine for Neo4jEngine {
         for (k, v) in &props {
             let key = self.tokens.intern(k).raw();
             self.store.set_node_prop(id, key, v.clone())?;
-            if let Some(index) = self.indexes.get_mut(k) {
-                index.insert(v, u64::from(id));
-            }
         }
-        self.delta.get_mut().touch_node(u64::from(id));
         Ok(NodeId(u64::from(id)))
     }
 
@@ -236,130 +255,54 @@ impl GraphEngine for Neo4jEngine {
         let label = label.ok_or_else(|| {
             GdmError::InvalidArgument("Neo4j relationships require a type".into())
         })?;
-        let f = self.node_u32(from)?;
-        let t = self.node_u32(to)?;
+        let f = self.node_id(from)?;
+        let t = self.node_id(to)?;
         let token = self.tokens.intern(label).raw();
         let rel = self.store.create_rel(f, t, token)?;
         for (k, v) in &props {
             let key = self.tokens.intern(k).raw();
             self.store.set_rel_prop(rel, key, v.clone())?;
         }
-        self.delta.get_mut().touch_node(from.raw());
-        self.delta.get_mut().touch_node(to.raw());
         Ok(EdgeId(u64::from(rel)))
     }
 
-    fn create_hyperedge(
-        &mut self,
-        _label: &str,
-        _targets: &[NodeId],
-        _props: PropertyMap,
-    ) -> Result<EdgeId> {
-        self.unsupported("hyperedges")
-    }
-
-    fn create_edge_on_edge(&mut self, _from: EdgeId, _to: NodeId, _label: &str) -> Result<EdgeId> {
-        self.unsupported("edges between edges")
-    }
-
-    fn nest_subgraph(&mut self, _node: NodeId) -> Result<()> {
-        self.unsupported("nested graphs")
-    }
-
-    fn set_node_attribute(&mut self, n: NodeId, key: &str, value: Value) -> Result<()> {
-        let id = self.node_u32(n)?;
-        let old = {
-            let token = self.tokens.get(key);
-            token.and_then(|t| self.store.node_prop(id, t.raw()).cloned())
-        };
+    fn set_node_property(&mut self, n: NodeId, key: &str, value: Value) -> Result<Option<Value>> {
+        let id = self.node_id(n)?;
         let token = self.tokens.intern(key).raw();
-        self.store.set_node_prop(id, token, value.clone())?;
-        if let Some(index) = self.indexes.get_mut(key) {
-            if let Some(v) = old {
-                index.remove(&v, n.raw());
-            }
-            index.insert(&value, n.raw());
-        }
-        self.delta.get_mut().touch_node(n.raw());
-        Ok(())
+        let old = self.store.node_prop(id, token).cloned();
+        self.store.set_node_prop(id, token, value)?;
+        Ok(old)
     }
 
-    fn set_edge_attribute(&mut self, e: EdgeId, key: &str, value: Value) -> Result<()> {
+    fn set_edge_property(&mut self, e: EdgeId, key: &str, value: Value) -> Result<()> {
+        let id = Self::rel_id(e)?;
         let token = self.tokens.intern(key).raw();
-        self.store.set_rel_prop(e.raw() as u32, token, value)?;
-        self.delta.get_mut().touch_edge_props(e.raw());
-        Ok(())
-    }
-
-    fn node_attribute(&self, n: NodeId, key: &str) -> Result<Option<Value>> {
-        let id = self.node_u32(n)?;
-        Ok(self
-            .tokens
-            .get(key)
-            .and_then(|t| self.store.node_prop(id, t.raw()).cloned()))
+        self.store.set_rel_prop(id, token, value)
     }
 
     fn delete_node(&mut self, n: NodeId) -> Result<()> {
-        let id = self.node_u32(n)?;
-        self.store.delete_node(id)?;
-        // The detach-delete cascade only removes relationships
-        // incident on `n`; the re-freeze re-reads `n`'s previous
-        // neighbours, which covers them.
-        self.delta.get_mut().remove_node(n.raw());
-        Ok(())
+        let id = self.node_id(n)?;
+        self.store.delete_node(id)
     }
 
     fn delete_edge(&mut self, e: EdgeId) -> Result<()> {
-        self.store.delete_rel(e.raw() as u32)?;
-        self.delta.get_mut().remove_edge(e.raw());
-        Ok(())
+        self.store.delete_rel(Self::rel_id(e)?)
     }
 
-    fn node_count(&self) -> usize {
-        self.store.node_count()
-    }
-
-    fn edge_count(&self) -> usize {
-        self.store.rel_count()
-    }
-
-    fn define_node_type(&mut self, _def: gdm_schema::NodeTypeDef) -> Result<()> {
-        self.unsupported("schema definitions (schema-free model)")
-    }
-
-    fn define_edge_type(&mut self, _def: gdm_schema::EdgeTypeDef) -> Result<()> {
-        self.unsupported("schema definitions (schema-free model)")
-    }
-
-    fn install_constraint(&mut self, _c: gdm_schema::Constraint) -> Result<()> {
-        self.unsupported("integrity constraints")
-    }
-
-    fn execute_ddl(&mut self, _statement: &str) -> Result<()> {
-        self.unsupported("a data definition language")
-    }
-
-    fn execute_dml(&mut self, _statement: &str) -> Result<()> {
-        self.unsupported("a separate data manipulation language (use Cypher CREATE)")
-    }
-
-    fn execute_query(&mut self, query: &str) -> Result<ResultSet> {
+    fn execute_query(engine: &mut Neo4jEngine, query: &str) -> Result<ResultSet> {
         match cypher::parse(query)? {
-            CypherStatement::Select(q) => {
-                let view = self.view();
-                evaluate_select(&view, &q)
-            }
+            CypherStatement::Select(q) => evaluate_select(engine.view(), &q),
             CypherStatement::Create(items) => {
                 let mut created_nodes = 0i64;
                 let mut created_rels = 0i64;
                 for item in items {
                     let mut ids = Vec::new();
                     for (_, label, props) in &item.nodes {
-                        ids.push(self.create_node(Some(label), props.clone())?);
+                        ids.push(engine.create_node(Some(label), props.clone())?);
                         created_nodes += 1;
                     }
                     for (i, (rel, props)) in item.edges.iter().enumerate() {
-                        self.create_edge(ids[i], ids[i + 1], Some(rel), props.clone())?;
+                        engine.create_edge(ids[i], ids[i + 1], Some(rel), props.clone())?;
                         created_rels += 1;
                     }
                 }
@@ -373,124 +316,20 @@ impl GraphEngine for Neo4jEngine {
 
     fn explain(&self, query: &str) -> Result<String> {
         match cypher::parse(query)? {
-            CypherStatement::Select(q) => {
-                let view = self.view();
-                Ok(gdm_query::plan_select(&view, &q)?.explain.render())
-            }
+            CypherStatement::Select(q) => Ok(gdm_query::plan_select(self, &q)?.explain.render()),
             CypherStatement::Create(_) => Err(GdmError::InvalidArgument(
                 "EXPLAIN applies to MATCH queries, not CREATE".into(),
             )),
         }
     }
 
-    fn reason(&mut self, _rules: &str, _goal: &str) -> Result<Vec<Vec<String>>> {
-        self.unsupported("reasoning")
+    fn save(&self) -> RecordStore {
+        self.store.clone()
     }
 
-    fn analyze(&self, _func: AnalysisFunc) -> Result<Value> {
-        self.unsupported("built-in analysis functions")
-    }
-
-    fn adjacent(&self, a: NodeId, b: NodeId) -> Result<bool> {
-        Ok(nodes_adjacent(&self.view(), a, b))
-    }
-
-    fn k_neighborhood(&self, n: NodeId, k: usize) -> Result<Vec<NodeId>> {
-        Ok(k_neighborhood(&self.view(), n, k, Direction::Outgoing))
-    }
-
-    fn fixed_length_paths(&self, a: NodeId, b: NodeId, len: usize) -> Result<usize> {
-        Ok(fixed_length_paths(&self.view(), a, b, len, PATH_BUDGET)?.len())
-    }
-
-    fn regular_path(&self, a: NodeId, b: NodeId, expr: &str) -> Result<bool> {
-        let regex = LabelRegex::compile(expr)?;
-        Ok(regular_path_exists(&self.view(), a, b, &regex))
-    }
-
-    fn shortest_path(&self, a: NodeId, b: NodeId) -> Result<Option<Vec<NodeId>>> {
-        Ok(shortest_path(&self.view(), a, b).map(|p| p.nodes))
-    }
-
-    fn pattern_match(&self, _pattern: &gdm_algo::pattern::Pattern) -> Result<usize> {
-        // Table VII (reconstructed) does not credit 2012 Neo4j with
-        // pattern matching through its API; the in-development Cypher
-        // covers single patterns via execute_query instead.
-        self.unsupported("pattern matching through the API")
-    }
-
-    fn snapshot(&self) -> Result<gdm_algo::FrozenGraph> {
-        let fz = gdm_algo::FrozenGraph::freeze_attributed(&self.view());
-        self.delta.borrow_mut().reset(fz.epoch());
-        Ok(fz)
-    }
-
-    fn pending_changes(&self) -> u64 {
-        self.delta.borrow().peek().pending_hint()
-    }
-
-    fn refreeze(&self, prev: &gdm_algo::FrozenGraph) -> Result<gdm_algo::FrozenGraph> {
-        let delta = self.delta.borrow().peek().clone();
-        let next = gdm_algo::incremental_refreeze(&self.view(), prev, &delta);
-        self.delta.borrow_mut().reset(next.epoch());
-        Ok(next)
-    }
-
-    fn default_limits(&self) -> gdm_govern::Limits {
-        // A server-class graph database: generous operator defaults —
-        // queries may be long, but never unbounded.
-        gdm_govern::Limits::none()
-            .with_deadline(std::time::Duration::from_secs(30))
-            .with_node_visits(10_000_000)
-    }
-
-    fn summarize(&self, func: SummaryFunc) -> Result<Value> {
-        let view = self.view();
-        Ok(match func {
-            SummaryFunc::PropertyAggregate(agg, key) => {
-                let mut values = Vec::new();
-                view.visit_nodes(&mut |n| {
-                    if let Some(v) = view.node_property(n, key) {
-                        values.push(v);
-                    }
-                });
-                summary::aggregate(agg, &values)?
-            }
-            other => crate::vertexdb::summarize_simple(&view, other, NAME)?,
-        })
-    }
-
-    fn begin_transaction(&mut self) -> Result<()> {
-        if self.tx_snapshot.is_some() {
-            return Err(GdmError::InvalidArgument("transaction already open".into()));
-        }
-        self.tx_snapshot = Some(self.store.clone());
-        Ok(())
-    }
-
-    fn commit_transaction(&mut self) -> Result<()> {
-        self.tx_snapshot
-            .take()
-            .map(|_| ())
-            .ok_or_else(|| GdmError::InvalidArgument("no open transaction".into()))
-    }
-
-    fn rollback_transaction(&mut self) -> Result<()> {
-        let snapshot = self
-            .tx_snapshot
-            .take()
-            .ok_or_else(|| GdmError::InvalidArgument("no open transaction".into()))?;
-        self.store = snapshot;
-        // Token additions are harmless to keep; rebuild indexes so they
-        // reflect the restored records.
-        let keys: Vec<String> = self.indexes.keys().cloned().collect();
-        for key in keys {
-            self.create_index(&key)?;
-        }
-        // The rollback rewinds past everything tracked in the open
-        // transaction; the tracker cannot un-record, so degrade.
-        self.delta.get_mut().mark_all();
-        Ok(())
+    fn restore(&mut self, saved: RecordStore) {
+        // Token additions are harmless to keep.
+        self.store = saved;
     }
 
     fn persist(&mut self) -> Result<()> {
@@ -499,41 +338,12 @@ impl GraphEngine for Neo4jEngine {
         std::fs::write(&self.tokens_path, lines.join("\n"))?;
         Ok(())
     }
-
-    fn create_index(&mut self, property: &str) -> Result<()> {
-        let mut index = BTreeIndex::new();
-        let view = self.view();
-        let mut pairs = Vec::new();
-        view.visit_nodes(&mut |n| {
-            if let Some(v) = view.node_property(n, property) {
-                pairs.push((v, n.raw()));
-            }
-        });
-        for (v, id) in pairs {
-            index.insert(&v, id);
-        }
-        self.indexes.insert(property.to_owned(), index);
-        Ok(())
-    }
-
-    fn lookup_by_property(&self, key: &str, value: &Value) -> Result<Vec<NodeId>> {
-        if let Some(index) = self.indexes.get(key) {
-            return Ok(index.lookup(value).into_iter().map(NodeId).collect());
-        }
-        let view = self.view();
-        let mut out = Vec::new();
-        view.visit_nodes(&mut |n| {
-            if view.node_property(n, key).as_ref() == Some(value) {
-                out.push(n);
-            }
-        });
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::facade::SummaryFunc;
     use gdm_algo::traverse::Traversal;
     use gdm_core::props;
 
@@ -541,7 +351,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("gdm-neo-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        Neo4jEngine::open(&dir).unwrap()
+        open(&dir).unwrap()
     }
 
     fn seed(e: &mut Neo4jEngine) -> Vec<NodeId> {
@@ -593,9 +403,7 @@ mod tests {
     fn traversal_framework() {
         let mut e = temp_engine("traverse");
         let n = seed(&mut e);
-        let order = Traversal::new(n[0])
-            .relationships(&["KNOWS"])
-            .run(&e.view());
+        let order = Traversal::new(n[0]).relationships(&["KNOWS"]).run(e.view());
         assert_eq!(order, vec![n[0], n[1]]);
     }
 
@@ -634,12 +442,12 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         {
-            let mut e = Neo4jEngine::open(&dir).unwrap();
+            let mut e = open(&dir).unwrap();
             seed(&mut e);
             e.persist().unwrap();
         }
         {
-            let mut e = Neo4jEngine::open(&dir).unwrap();
+            let mut e = open(&dir).unwrap();
             assert_eq!(GraphEngine::node_count(&e), 3);
             let rs = e
                 .execute_query("MATCH (p:Person) RETURN count(*) AS n")
@@ -647,20 +455,5 @@ mod tests {
             assert_eq!(rs.get(0, "n"), Some(&Value::Int(2)));
         }
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn profile_refusals() {
-        let mut e = temp_engine("refuse");
-        assert!(e
-            .install_constraint(gdm_schema::Constraint::ReferentialIntegrity)
-            .unwrap_err()
-            .is_unsupported());
-        assert!(e.execute_ddl("x").unwrap_err().is_unsupported());
-        assert!(e.reason("", "").unwrap_err().is_unsupported());
-        assert!(e
-            .analyze(AnalysisFunc::Triangles)
-            .unwrap_err()
-            .is_unsupported());
     }
 }

@@ -12,66 +12,91 @@
 //! The model is an attributed atom space (`gdm_graphs::HyperGraph`):
 //! binary links are ordinary edges, n-ary links are Sones' hyperedges,
 //! and the GQL front-end (`gdm_query::gql`) runs over the binary
-//! projection.
+//! projection (the two-section, which is how a `HyperGraph` reads as a
+//! graph).
 
-use crate::facade::{AnalysisFunc, EngineDescriptor, GraphEngine, SummaryFunc};
-use gdm_algo::adjacency::nodes_adjacent;
-use gdm_algo::analysis;
-use gdm_algo::summary;
-use gdm_core::{
-    DeltaTracker, Direction, EdgeId, FxHashMap, GdmError, GraphView, NodeId, PropertyMap, Result,
-    Support, Value,
-};
+use crate::engine::{no_hook, Capability as C, Engine, Model, Profile};
+use crate::facade::{EngineDescriptor, GraphEngine};
+use gdm_core::{EdgeId, GdmError, GraphView, NodeId, PropertyMap, Result, Support, Value};
+use gdm_govern::Limits;
 use gdm_graphs::hyper::{AtomId, HyperGraph};
 use gdm_query::eval::{evaluate_select, ResultSet};
 use gdm_query::gql::{self, GqlStatement};
 use gdm_schema::{
     Cardinality, Constraint, EdgeTypeDef, NodeTypeDef, PropertyType, Schema, ValueType,
 };
-use gdm_storage::{HashIndex, ValueIndex};
-use std::cell::RefCell;
+use gdm_storage::HashIndex;
+use std::time::Duration;
 
-const NAME: &str = "Sones";
+/// Sones' row of the paper's tables.
+pub static PROFILE: Profile = Profile::new(
+    EngineDescriptor {
+        name: "Sones",
+        gui: Support::Full,
+        graphical_ql: Support::Full,
+        query_language_grade: Support::Full,
+        backend_storage: Support::None,
+        blurb: "inherent support for high-level graph abstractions; defines its own query language",
+    },
+    // A server-class database with a declarative query language:
+    // generous defaults plus a result-row cap, the shape a GQL
+    // endpoint would enforce per statement.
+    Limits {
+        deadline: Some(Duration::from_secs(30)),
+        max_node_visits: Some(10_000_000),
+        max_edge_visits: None,
+        max_rows: Some(1_000_000),
+    },
+    &[
+        (&[C::NestedGraphs], "nested graphs"),
+        (
+            &[
+                C::TypeChecking,
+                C::ReferentialIntegrity,
+                C::FunctionalDependency,
+                C::PatternConstraints,
+            ],
+            "this constraint kind (identity and cardinality only)",
+        ),
+        (&[C::Reasoning], "reasoning"),
+        (&[C::KNeighborhood], "k-neighborhood queries"),
+        (&[C::FixedLengthPaths], "fixed-length path queries"),
+        (&[C::RegularPaths], "regular path queries"),
+        (&[C::ShortestPath], "shortest path queries"),
+        (&[C::PatternMatching], "pattern matching queries"),
+        (
+            &[C::Persistence],
+            "external-memory persistence (main-memory system)",
+        ),
+    ],
+);
 
 /// The Sones emulation.
-pub struct SonesEngine {
-    atoms: HyperGraph,
-    schema: Schema,
-    identities: Vec<(String, String)>,
-    cardinalities: Vec<(String, Cardinality)>,
-    indexes: FxHashMap<String, HashIndex>,
-    tx_snapshot: Option<HyperGraph>,
-    /// Mutations since the last snapshot, for the O(changes)
-    /// incremental re-freeze of the two-section view (`RefCell`:
-    /// snapshots reset it through `&self`; engines are not `Send`, so
-    /// access is uncontended).
-    delta: RefCell<DeltaTracker>,
-}
+pub type SonesEngine = Engine<Sones>;
 
-impl Default for SonesEngine {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl SonesEngine {
-    /// Creates an empty (main-memory) database.
-    pub fn new() -> Self {
-        Self {
+/// Creates an empty (main-memory) database.
+pub fn open() -> SonesEngine {
+    Engine::new(
+        &PROFILE,
+        Sones {
             atoms: HyperGraph::new(),
             schema: Schema::new(),
             identities: Vec::new(),
             cardinalities: Vec::new(),
-            indexes: FxHashMap::default(),
-            tx_snapshot: None,
-            delta: RefCell::new(DeltaTracker::new()),
-        }
-    }
+        },
+    )
+}
 
-    fn unsupported<T>(&self, feature: &str) -> Result<T> {
-        Err(GdmError::unsupported(NAME, feature.to_owned()))
-    }
+/// Sones' substrate: an attributed atom space, read through its
+/// two-section, with identity and cardinality checks on new atoms.
+pub struct Sones {
+    atoms: HyperGraph,
+    schema: Schema,
+    identities: Vec<(String, String)>,
+    cardinalities: Vec<(String, Cardinality)>,
+}
 
+impl Sones {
     fn check_identity(&self, label: &str, props: &PropertyMap) -> Result<()> {
         for (type_name, key) in &self.identities {
             if type_name == label {
@@ -134,17 +159,17 @@ impl SonesEngine {
     /// (e.g., walks)"): follow a fixed sequence of edge types from
     /// `start`, returning every vertex sequence that spells it.
     pub fn walks(&self, start: NodeId, edge_types: &[&str]) -> Result<Vec<Vec<NodeId>>> {
-        let view = self.atoms.two_section();
+        let view = &self.atoms;
         let mut complete = Vec::new();
         let mut partial: Vec<Vec<NodeId>> = vec![vec![start]];
         for want in edge_types {
             let mut next = Vec::new();
             for walk in &partial {
                 let last = *walk.last().expect("walks are non-empty");
-                gdm_core::GraphView::visit_out_edges(&view, last, &mut |e| {
+                GraphView::visit_out_edges(view, last, &mut |e| {
                     let matches = e
                         .label
-                        .and_then(|s| gdm_core::GraphView::label_text(&view, s))
+                        .and_then(|s| GraphView::label_text(view, s))
                         .is_some_and(|t| t == *want);
                     if matches {
                         let mut w = walk.clone();
@@ -161,40 +186,25 @@ impl SonesEngine {
         complete.extend(partial);
         Ok(complete)
     }
-
-    fn index_atom(&mut self, id: AtomId, props: &PropertyMap) {
-        for (key, index) in self.indexes.iter_mut() {
-            if let Some(v) = props.get(key) {
-                index.insert(v, id.raw());
-            }
-        }
-    }
 }
 
-impl GraphEngine for SonesEngine {
-    fn name(&self) -> &'static str {
-        NAME
+impl Model for Sones {
+    type Graph = HyperGraph;
+    type Index = HashIndex;
+    type Saved = HyperGraph;
+
+    fn graph(&self) -> &HyperGraph {
+        &self.atoms
     }
 
-    fn descriptor(&self) -> EngineDescriptor {
-        EngineDescriptor {
-            name: NAME,
-            gui: Support::Full,
-            graphical_ql: Support::Full,
-            query_language_grade: Support::Full,
-            backend_storage: Support::None,
-            blurb:
-                "inherent support for high-level graph abstractions; defines its own query language",
-        }
+    fn count_edges(&self) -> usize {
+        self.atoms.link_count()
     }
 
     fn create_node(&mut self, label: Option<&str>, props: PropertyMap) -> Result<NodeId> {
         let label = label.unwrap_or("Vertex");
         self.check_identity(label, &props)?;
-        let id = self.atoms.add_node(label, props.clone());
-        self.index_atom(id, &props);
-        self.delta.get_mut().touch_node(id.raw());
-        Ok(NodeId(id.raw()))
+        Ok(NodeId(self.atoms.add_node(label, props).raw()))
     }
 
     fn create_edge(
@@ -206,12 +216,7 @@ impl GraphEngine for SonesEngine {
     ) -> Result<EdgeId> {
         let label = label.unwrap_or("Edge");
         self.check_cardinality(label, AtomId(from.raw()))?;
-        let id = self
-            .atoms
-            .add_link(label, &[AtomId(from.raw()), AtomId(to.raw())], props)?;
-        self.delta.get_mut().touch_node(from.raw());
-        self.delta.get_mut().touch_node(to.raw());
-        Ok(EdgeId(id.raw()))
+        self.create_hyperedge(label, &[from, to], props)
     }
 
     fn create_hyperedge(
@@ -221,76 +226,31 @@ impl GraphEngine for SonesEngine {
         props: PropertyMap,
     ) -> Result<EdgeId> {
         let atoms: Vec<AtomId> = targets.iter().map(|n| AtomId(n.raw())).collect();
-        let id = self.atoms.add_link(label, &atoms, props)?;
-        // The two-section projection adds pairwise edges among the
-        // targets, so every target's row changes.
-        for t in targets {
-            self.delta.get_mut().touch_node(t.raw());
-        }
-        Ok(EdgeId(id.raw()))
+        Ok(EdgeId(self.atoms.add_link(label, &atoms, props)?.raw()))
     }
 
     fn create_edge_on_edge(&mut self, from: EdgeId, to: NodeId, label: &str) -> Result<EdgeId> {
-        let id = self.atoms.add_link(
-            label,
-            &[AtomId(from.raw()), AtomId(to.raw())],
-            PropertyMap::new(),
-        )?;
-        // A link over another link projects onto the two-section view
-        // in ways the per-node tracker cannot attribute; degrade.
-        self.delta.get_mut().mark_all();
+        let targets = [AtomId(from.raw()), AtomId(to.raw())];
+        let id = self.atoms.add_link(label, &targets, PropertyMap::new())?;
         Ok(EdgeId(id.raw()))
     }
 
-    fn nest_subgraph(&mut self, _node: NodeId) -> Result<()> {
-        self.unsupported("nested graphs")
+    fn set_node_property(&mut self, n: NodeId, key: &str, value: Value) -> Result<Option<Value>> {
+        self.atoms.set_property(AtomId(n.raw()), key, value)
     }
 
-    fn set_node_attribute(&mut self, n: NodeId, key: &str, value: Value) -> Result<()> {
+    fn set_edge_property(&mut self, e: EdgeId, key: &str, value: Value) -> Result<()> {
         self.atoms
-            .set_property(AtomId(n.raw()), key, value.clone())?;
-        if let Some(index) = self.indexes.get_mut(key) {
-            index.insert(&value, n.raw());
-        }
-        self.delta.get_mut().touch_node(n.raw());
-        Ok(())
-    }
-
-    fn set_edge_attribute(&mut self, e: EdgeId, key: &str, value: Value) -> Result<()> {
-        self.atoms.set_property(AtomId(e.raw()), key, value)?;
-        // Every two-section pair of this link carries the link's id.
-        self.delta.get_mut().touch_edge_props(e.raw());
-        Ok(())
-    }
-
-    fn node_attribute(&self, n: NodeId, key: &str) -> Result<Option<Value>> {
-        if !self.atoms.contains(AtomId(n.raw())) {
-            return Err(GdmError::NotFound(format!("vertex {n}")));
-        }
-        Ok(self.atoms.property(AtomId(n.raw()), key).cloned())
+            .set_property(AtomId(e.raw()), key, value)
+            .map(drop)
     }
 
     fn delete_node(&mut self, n: NodeId) -> Result<()> {
-        self.atoms.remove_atom(AtomId(n.raw()), true)?;
-        // The cascade also removes incident links, but every pair
-        // those links projected runs through this node's two-section
-        // neighbours, which the re-freeze re-reads.
-        self.delta.get_mut().remove_node(n.raw());
-        Ok(())
+        self.atoms.remove_atom(AtomId(n.raw()), true)
     }
 
     fn delete_edge(&mut self, e: EdgeId) -> Result<()> {
-        self.atoms.remove_atom(AtomId(e.raw()), true)?;
-        self.delta.get_mut().remove_edge(e.raw());
-        Ok(())
-    }
-
-    fn node_count(&self) -> usize {
-        self.atoms.node_count()
-    }
-
-    fn edge_count(&self) -> usize {
-        self.atoms.link_count()
+        self.atoms.remove_atom(AtomId(e.raw()), true)
     }
 
     fn define_node_type(&mut self, def: NodeTypeDef) -> Result<()> {
@@ -315,23 +275,20 @@ impl GraphEngine for SonesEngine {
             Constraint::Identity {
                 type_name,
                 property,
-            } => {
-                self.identities.push((type_name, property));
-                Ok(())
-            }
+            } => self.identities.push((type_name, property)),
             Constraint::Cardinality(schema) => {
                 for def in schema.edge_types() {
                     if def.cardinality != Cardinality::ManyToMany {
                         self.cardinalities.push((def.name.clone(), def.cardinality));
                     }
                 }
-                Ok(())
             }
-            _ => self.unsupported("this constraint kind (identity and cardinality only)"),
+            _ => return Err(no_hook("this constraint kind")),
         }
+        Ok(())
     }
 
-    fn execute_ddl(&mut self, statement: &str) -> Result<()> {
+    fn execute_ddl(engine: &mut SonesEngine, statement: &str) -> Result<()> {
         match gql::parse(statement)? {
             GqlStatement::CreateVertexType { name, attributes } => {
                 let mut def = NodeTypeDef::new(name);
@@ -349,10 +306,10 @@ impl GraphEngine for SonesEngine {
                     }
                     def = def.with(pt);
                 }
-                self.define_node_type(def)
+                engine.define_node_type(def)
             }
             GqlStatement::CreateEdgeType { name, from, to } => {
-                self.define_edge_type(EdgeTypeDef::new(name).between(from, to))
+                engine.define_edge_type(EdgeTypeDef::new(name).between(from, to))
             }
             _ => Err(GdmError::InvalidArgument(
                 "not a DDL statement (use CREATE VERTEX TYPE / CREATE EDGE TYPE)".into(),
@@ -360,11 +317,10 @@ impl GraphEngine for SonesEngine {
         }
     }
 
-    fn execute_dml(&mut self, statement: &str) -> Result<()> {
+    fn execute_dml(engine: &mut SonesEngine, statement: &str) -> Result<()> {
         match gql::parse(statement)? {
             GqlStatement::InsertVertex { type_name, props } => {
-                self.create_node(Some(&type_name), props)?;
-                Ok(())
+                engine.create_node(Some(&type_name), props).map(drop)
             }
             GqlStatement::InsertEdge {
                 type_name,
@@ -372,10 +328,11 @@ impl GraphEngine for SonesEngine {
                 to,
                 props,
             } => {
-                let f = self.find_by(&from.0, &from.1, &from.2)?;
-                let t = self.find_by(&to.0, &to.1, &to.2)?;
-                self.create_edge(NodeId(f.raw()), NodeId(t.raw()), Some(&type_name), props)?;
-                Ok(())
+                let f = engine.model().find_by(&from.0, &from.1, &from.2)?;
+                let t = engine.model().find_by(&to.0, &to.1, &to.2)?;
+                engine
+                    .create_edge(NodeId(f.raw()), NodeId(t.raw()), Some(&type_name), props)
+                    .map(drop)
             }
             _ => Err(GdmError::InvalidArgument(
                 "not a DML statement (use INSERT INTO / INSERT EDGE)".into(),
@@ -383,12 +340,9 @@ impl GraphEngine for SonesEngine {
         }
     }
 
-    fn execute_query(&mut self, query: &str) -> Result<ResultSet> {
+    fn execute_query(engine: &mut SonesEngine, query: &str) -> Result<ResultSet> {
         match gql::parse(query)? {
-            GqlStatement::Select(q) => {
-                let view = self.atoms.two_section();
-                evaluate_select(&view, &q)
-            }
+            GqlStatement::Select(q) => evaluate_select(engine.view(), &q),
             _ => Err(GdmError::InvalidArgument(
                 "not a query (use FROM … SELECT …)".into(),
             )),
@@ -398,8 +352,7 @@ impl GraphEngine for SonesEngine {
     fn explain(&self, query: &str) -> Result<String> {
         match gql::parse(query)? {
             GqlStatement::Select(q) => {
-                let view = self.atoms.two_section();
-                Ok(gdm_query::plan_select(&view, &q)?.explain.render())
+                Ok(gdm_query::plan_select(&self.atoms, &q)?.explain.render())
             }
             _ => Err(GdmError::InvalidArgument(
                 "EXPLAIN applies to FROM … SELECT … queries".into(),
@@ -407,183 +360,24 @@ impl GraphEngine for SonesEngine {
         }
     }
 
-    fn reason(&mut self, _rules: &str, _goal: &str) -> Result<Vec<Vec<String>>> {
-        self.unsupported("reasoning")
+    fn save(&self) -> HyperGraph {
+        self.atoms.clone()
     }
 
-    fn analyze(&self, func: AnalysisFunc) -> Result<Value> {
-        let view = self.atoms.two_section();
-        Ok(match func {
-            AnalysisFunc::ConnectedComponents => {
-                Value::Int(analysis::connected_components(&view).len() as i64)
-            }
-            AnalysisFunc::Triangles => Value::Int(analysis::triangle_count(&view) as i64),
-            AnalysisFunc::AverageClustering => analysis::average_clustering(&view)
-                .map(Value::Float)
-                .unwrap_or(Value::Null),
-            AnalysisFunc::TopDegreeNode => analysis::degree_centrality(&view, 1)
-                .first()
-                .map(|(n, _)| Value::Int(n.raw() as i64))
-                .unwrap_or(Value::Null),
-        })
-    }
-
-    fn adjacent(&self, a: NodeId, b: NodeId) -> Result<bool> {
-        let view = self.atoms.two_section();
-        Ok(nodes_adjacent(&view, a, b))
-    }
-
-    fn k_neighborhood(&self, _n: NodeId, _k: usize) -> Result<Vec<NodeId>> {
-        self.unsupported("k-neighborhood queries")
-    }
-
-    fn fixed_length_paths(&self, _a: NodeId, _b: NodeId, _len: usize) -> Result<usize> {
-        self.unsupported("fixed-length path queries")
-    }
-
-    fn regular_path(&self, _a: NodeId, _b: NodeId, _expr: &str) -> Result<bool> {
-        self.unsupported("regular path queries")
-    }
-
-    fn shortest_path(&self, _a: NodeId, _b: NodeId) -> Result<Option<Vec<NodeId>>> {
-        self.unsupported("shortest path queries")
-    }
-
-    fn pattern_match(&self, _pattern: &gdm_algo::pattern::Pattern) -> Result<usize> {
-        self.unsupported("pattern matching queries")
-    }
-
-    fn snapshot(&self) -> Result<gdm_algo::FrozenGraph> {
-        let fz = gdm_algo::FrozenGraph::freeze_attributed(&self.atoms.two_section());
-        self.delta.borrow_mut().reset(fz.epoch());
-        Ok(fz)
-    }
-
-    fn pending_changes(&self) -> u64 {
-        self.delta.borrow().peek().pending_hint()
-    }
-
-    fn refreeze(&self, prev: &gdm_algo::FrozenGraph) -> Result<gdm_algo::FrozenGraph> {
-        let delta = self.delta.borrow().peek().clone();
-        let next = gdm_algo::incremental_refreeze(&self.atoms.two_section(), prev, &delta);
-        self.delta.borrow_mut().reset(next.epoch());
-        Ok(next)
-    }
-
-    fn default_limits(&self) -> gdm_govern::Limits {
-        // A server-class database with a declarative query language:
-        // generous defaults plus a result-row cap, the shape a GQL
-        // endpoint would enforce per statement.
-        gdm_govern::Limits::none()
-            .with_deadline(std::time::Duration::from_secs(30))
-            .with_node_visits(10_000_000)
-            .with_rows(1_000_000)
-    }
-
-    fn summarize(&self, func: SummaryFunc) -> Result<Value> {
-        let view = self.atoms.two_section();
-        Ok(match func {
-            SummaryFunc::Order => Value::Int(self.atoms.node_count() as i64),
-            SummaryFunc::Size => Value::Int(self.atoms.link_count() as i64),
-            SummaryFunc::Degree(n) => Value::Int(view.degree(n) as i64),
-            SummaryFunc::MinDegree => match summary::degree_stats(&view) {
-                Some((min, _, _)) => Value::Int(min as i64),
-                None => Value::Null,
-            },
-            SummaryFunc::MaxDegree => match summary::degree_stats(&view) {
-                Some((_, max, _)) => Value::Int(max as i64),
-                None => Value::Null,
-            },
-            SummaryFunc::AvgDegree => match summary::degree_stats(&view) {
-                Some((_, _, avg)) => Value::Float(avg),
-                None => Value::Null,
-            },
-            SummaryFunc::Distance(a, b) => match summary::distance_between(&view, a, b) {
-                Some(d) => Value::Int(d as i64),
-                None => Value::Null,
-            },
-            SummaryFunc::Diameter => match summary::diameter(&view, Direction::Outgoing) {
-                Some(d) => Value::Int(d as i64),
-                None => Value::Null,
-            },
-            SummaryFunc::PropertyAggregate(agg, key) => {
-                let values: Vec<Value> = self
-                    .atoms
-                    .node_ids()
-                    .into_iter()
-                    .filter_map(|a| self.atoms.property(a, key).cloned())
-                    .collect();
-                summary::aggregate(agg, &values)?
-            }
-        })
-    }
-
-    fn begin_transaction(&mut self) -> Result<()> {
-        if self.tx_snapshot.is_some() {
-            return Err(GdmError::InvalidArgument("transaction already open".into()));
-        }
-        self.tx_snapshot = Some(self.atoms.clone());
-        Ok(())
-    }
-
-    fn commit_transaction(&mut self) -> Result<()> {
-        self.tx_snapshot
-            .take()
-            .map(|_| ())
-            .ok_or_else(|| GdmError::InvalidArgument("no open transaction".into()))
-    }
-
-    fn rollback_transaction(&mut self) -> Result<()> {
-        let snapshot = self
-            .tx_snapshot
-            .take()
-            .ok_or_else(|| GdmError::InvalidArgument("no open transaction".into()))?;
-        self.atoms = snapshot;
-        // The rollback rewinds past everything tracked in the open
-        // transaction; the tracker cannot un-record, so degrade.
-        self.delta.get_mut().mark_all();
-        Ok(())
-    }
-
-    fn persist(&mut self) -> Result<()> {
-        self.unsupported("external-memory persistence (main-memory system)")
-    }
-
-    fn create_index(&mut self, property: &str) -> Result<()> {
-        let mut index = HashIndex::new();
-        for id in self.atoms.node_ids() {
-            if let Some(v) = self.atoms.property(id, property) {
-                index.insert(v, id.raw());
-            }
-        }
-        self.indexes.insert(property.to_owned(), index);
-        Ok(())
-    }
-
-    fn lookup_by_property(&self, key: &str, value: &Value) -> Result<Vec<NodeId>> {
-        match self.indexes.get(key) {
-            Some(index) => Ok(index.lookup(value).into_iter().map(NodeId).collect()),
-            None => {
-                let mut out = Vec::new();
-                for id in self.atoms.node_ids() {
-                    if self.atoms.property(id, key) == Some(value) {
-                        out.push(NodeId(id.raw()));
-                    }
-                }
-                Ok(out)
-            }
-        }
+    fn restore(&mut self, saved: HyperGraph) {
+        self.atoms = saved;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::facade::{AnalysisFunc, SummaryFunc};
     use gdm_core::props;
 
     #[test]
     fn gql_end_to_end() {
-        let mut e = SonesEngine::new();
+        let mut e = open();
         e.execute_ddl("CREATE VERTEX TYPE Person ATTRIBUTES (String name UNIQUE, Int age)")
             .unwrap();
         e.execute_ddl("CREATE EDGE TYPE knows FROM Person TO Person")
@@ -607,7 +401,7 @@ mod tests {
 
     #[test]
     fn hyperedges_supported() {
-        let mut e = SonesEngine::new();
+        let mut e = open();
         let a = e.create_node(Some("T"), props! {}).unwrap();
         let b = e.create_node(Some("T"), props! {}).unwrap();
         let c = e.create_node(Some("T"), props! {}).unwrap();
@@ -617,7 +411,7 @@ mod tests {
 
     #[test]
     fn cardinality_constraint() {
-        let mut e = SonesEngine::new();
+        let mut e = open();
         e.define_node_type(NodeTypeDef::new("Person")).unwrap();
         e.define_node_type(NodeTypeDef::new("Company")).unwrap();
         e.define_edge_type(
@@ -638,7 +432,7 @@ mod tests {
 
     #[test]
     fn analysis_functions() {
-        let mut e = SonesEngine::new();
+        let mut e = open();
         let a = e.create_node(Some("T"), props! {}).unwrap();
         let b = e.create_node(Some("T"), props! {}).unwrap();
         let c = e.create_node(Some("T"), props! {}).unwrap();
@@ -654,7 +448,7 @@ mod tests {
 
     #[test]
     fn main_memory_profile() {
-        let mut e = SonesEngine::new();
+        let mut e = open();
         assert!(e.persist().unwrap_err().is_unsupported());
         let a = e.create_node(Some("T"), props! {}).unwrap();
         let b = e.create_node(Some("T"), props! {}).unwrap();
@@ -664,7 +458,7 @@ mod tests {
 
     #[test]
     fn walks_follow_edge_type_sequences() {
-        let mut e = SonesEngine::new();
+        let mut e = open();
         let a = e
             .create_node(Some("City"), props! { "name" => "a" })
             .unwrap();
@@ -681,18 +475,18 @@ mod tests {
         e.create_edge(b, c, Some("rail"), props! {}).unwrap();
         e.create_edge(a, d, Some("road"), props! {}).unwrap();
         e.create_edge(d, c, Some("rail"), props! {}).unwrap();
-        let walks = e.walks(a, &["road", "rail"]).unwrap();
+        let walks = e.model().walks(a, &["road", "rail"]).unwrap();
         assert_eq!(walks.len(), 2, "two road-then-rail walks from a");
         assert!(walks.iter().all(|w| w[0] == a && w[2] == c));
         // A type sequence nothing spells.
-        assert!(e.walks(a, &["rail", "road"]).unwrap().is_empty());
+        assert!(e.model().walks(a, &["rail", "road"]).unwrap().is_empty());
         // The empty sequence is the trivial walk.
-        assert_eq!(e.walks(a, &[]).unwrap(), vec![vec![a]]);
+        assert_eq!(e.model().walks(a, &[]).unwrap(), vec![vec![a]]);
     }
 
     #[test]
     fn summarize_with_aggregates() {
-        let mut e = SonesEngine::new();
+        let mut e = open();
         e.create_node(Some("T"), props! { "x" => 1 }).unwrap();
         e.create_node(Some("T"), props! { "x" => 3 }).unwrap();
         assert_eq!(

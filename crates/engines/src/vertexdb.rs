@@ -10,290 +10,85 @@
 //! adjacency, k-neighborhood, fixed-length paths, and summarization
 //! (Table VII).
 
-use crate::facade::{AnalysisFunc, EngineDescriptor, GraphEngine, SummaryFunc};
+use crate::engine::{Capability as C, Engine, Profile};
+use crate::facade::EngineDescriptor;
 use crate::kvgraph::KvGraph;
-use gdm_algo::adjacency::{k_neighborhood, nodes_adjacent};
-use gdm_algo::paths::fixed_length_paths;
-use gdm_algo::regular::{regular_path_exists, LabelRegex};
-use gdm_algo::summary;
-use gdm_core::{
-    DeltaTracker, Direction, EdgeId, GdmError, GraphView, NodeId, PropertyMap, Result, Support,
-    Value,
-};
-use gdm_query::eval::ResultSet;
+use gdm_core::{Result, Support};
+use gdm_govern::Limits;
 use gdm_storage::DiskBTree;
-use std::cell::RefCell;
 use std::path::Path;
+use std::time::Duration;
 
-const NAME: &str = "VertexDB";
-const PATH_BUDGET: usize = 1_000_000;
+/// VertexDB's row of the paper's tables.
+pub static PROFILE: Profile = Profile::new(
+    EngineDescriptor {
+        name: "VertexDB",
+        gui: Support::None,
+        graphical_ql: Support::None,
+        query_language_grade: Support::None,
+        backend_storage: Support::Full,
+        blurb: "graph store on top of TokyoCabinet (a B-tree key/value disk store)",
+    },
+    // An HTTP-fronted store: request-scale limits — short deadline and
+    // a response-size row cap, as a web endpoint would impose.
+    Limits {
+        deadline: Some(Duration::from_secs(5)),
+        max_node_visits: Some(1_000_000),
+        max_edge_visits: None,
+        max_rows: Some(100_000),
+    },
+    &[
+        (&[C::NodeLabels], "node labels (simple graph model)"),
+        (&[C::NodeProperties], "node attributes (simple graph model)"),
+        (&[C::EdgeProperties], "edge attributes (simple graph model)"),
+        (&[C::Hyperedges], "hyperedges"),
+        (&[C::EdgesOnEdges], "edges between edges"),
+        (&[C::NestedGraphs], "nested graphs"),
+        (
+            &[C::SetNodeAttribute, C::ReadNodeAttribute],
+            "node attributes",
+        ),
+        (&[C::SetEdgeAttribute], "edge attributes"),
+        (&[C::NodeTypes, C::EdgeTypes], "schema definitions"),
+        (&C::CONSTRAINTS, "integrity constraints"),
+        (&[C::Ddl], "a data definition language"),
+        (&[C::Dml], "a data manipulation language"),
+        (&[C::QueryLanguage], "a query language"),
+        (&[C::Explain], "explain"),
+        (&[C::Reasoning], "reasoning"),
+        (&[C::Analysis], "analysis functions"),
+        (&[C::ShortestPath], "shortest path queries"),
+        (&[C::PatternMatching], "pattern matching queries"),
+        (
+            &[C::PropertyAggregation],
+            "property aggregation (no attributes)",
+        ),
+        (
+            &[C::Transactions],
+            "transactions (graph store, not a graph database)",
+        ),
+        (&[C::Indexes], "secondary indexes"),
+        (&[C::PropertyLookup], "property lookups (no attributes)"),
+    ],
+);
 
-/// The VertexDB emulation.
-pub struct VertexDbEngine {
-    graph: KvGraph,
-    /// Mutations since the last snapshot, for the O(changes)
-    /// incremental re-freeze (`RefCell`: snapshots reset it through
-    /// `&self`; engines are not `Send`, so access is uncontended).
-    delta: RefCell<DeltaTracker>,
-}
-
-impl VertexDbEngine {
-    /// Opens (or creates) the store under `dir`.
-    pub fn open(dir: &Path) -> Result<Self> {
-        let tree = DiskBTree::file(&dir.join("vertexdb.tc"), 256)?;
-        Ok(Self {
-            graph: KvGraph::new(Box::new(tree))?,
-            delta: RefCell::new(DeltaTracker::new()),
-        })
-    }
-
-    fn unsupported<T>(&self, feature: &str) -> Result<T> {
-        Err(GdmError::unsupported(NAME, feature.to_owned()))
-    }
-}
-
-impl GraphEngine for VertexDbEngine {
-    fn name(&self) -> &'static str {
-        NAME
-    }
-
-    fn descriptor(&self) -> EngineDescriptor {
-        EngineDescriptor {
-            name: NAME,
-            gui: Support::None,
-            graphical_ql: Support::None,
-            query_language_grade: Support::None,
-            backend_storage: Support::Full,
-            blurb: "graph store on top of TokyoCabinet (a B-tree key/value disk store)",
-        }
-    }
-
-    fn create_node(&mut self, label: Option<&str>, props: PropertyMap) -> Result<NodeId> {
-        if label.is_some() {
-            return self.unsupported("node labels (simple graph model)");
-        }
-        if !props.is_empty() {
-            return self.unsupported("node attributes (simple graph model)");
-        }
-        let n = self.graph.add_node(None, &props)?;
-        self.delta.get_mut().touch_node(n.raw());
-        Ok(n)
-    }
-
-    fn create_edge(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        label: Option<&str>,
-        props: PropertyMap,
-    ) -> Result<EdgeId> {
-        if !props.is_empty() {
-            return self.unsupported("edge attributes (simple graph model)");
-        }
-        let e = self.graph.add_edge(from, to, label, &props)?;
-        self.delta.get_mut().touch_node(from.raw());
-        self.delta.get_mut().touch_node(to.raw());
-        Ok(e)
-    }
-
-    fn create_hyperedge(
-        &mut self,
-        _label: &str,
-        _targets: &[NodeId],
-        _props: PropertyMap,
-    ) -> Result<EdgeId> {
-        self.unsupported("hyperedges")
-    }
-
-    fn create_edge_on_edge(&mut self, _from: EdgeId, _to: NodeId, _label: &str) -> Result<EdgeId> {
-        self.unsupported("edges between edges")
-    }
-
-    fn nest_subgraph(&mut self, _node: NodeId) -> Result<()> {
-        self.unsupported("nested graphs")
-    }
-
-    fn set_node_attribute(&mut self, _n: NodeId, _key: &str, _value: Value) -> Result<()> {
-        self.unsupported("node attributes")
-    }
-
-    fn set_edge_attribute(&mut self, _e: EdgeId, _key: &str, _value: Value) -> Result<()> {
-        self.unsupported("edge attributes")
-    }
-
-    fn node_attribute(&self, _n: NodeId, _key: &str) -> Result<Option<Value>> {
-        self.unsupported("node attributes")
-    }
-
-    fn delete_node(&mut self, n: NodeId) -> Result<()> {
-        self.graph.delete_node(n)?;
-        self.delta.get_mut().remove_node(n.raw());
-        Ok(())
-    }
-
-    fn delete_edge(&mut self, e: EdgeId) -> Result<()> {
-        self.graph.delete_edge(e)?;
-        self.delta.get_mut().remove_edge(e.raw());
-        Ok(())
-    }
-
-    fn node_count(&self) -> usize {
-        GraphView::node_count(&self.graph)
-    }
-
-    fn edge_count(&self) -> usize {
-        GraphView::edge_count(&self.graph)
-    }
-
-    fn define_node_type(&mut self, _def: gdm_schema::NodeTypeDef) -> Result<()> {
-        self.unsupported("schema definitions")
-    }
-
-    fn define_edge_type(&mut self, _def: gdm_schema::EdgeTypeDef) -> Result<()> {
-        self.unsupported("schema definitions")
-    }
-
-    fn install_constraint(&mut self, _c: gdm_schema::Constraint) -> Result<()> {
-        self.unsupported("integrity constraints")
-    }
-
-    fn execute_ddl(&mut self, _statement: &str) -> Result<()> {
-        self.unsupported("a data definition language")
-    }
-
-    fn execute_dml(&mut self, _statement: &str) -> Result<()> {
-        self.unsupported("a data manipulation language")
-    }
-
-    fn execute_query(&mut self, _query: &str) -> Result<ResultSet> {
-        self.unsupported("a query language")
-    }
-
-    fn reason(&mut self, _rules: &str, _goal: &str) -> Result<Vec<Vec<String>>> {
-        self.unsupported("reasoning")
-    }
-
-    fn analyze(&self, _func: AnalysisFunc) -> Result<Value> {
-        self.unsupported("analysis functions")
-    }
-
-    fn adjacent(&self, a: NodeId, b: NodeId) -> Result<bool> {
-        Ok(nodes_adjacent(&self.graph, a, b))
-    }
-
-    fn k_neighborhood(&self, n: NodeId, k: usize) -> Result<Vec<NodeId>> {
-        Ok(k_neighborhood(&self.graph, n, k, Direction::Outgoing))
-    }
-
-    fn fixed_length_paths(&self, a: NodeId, b: NodeId, len: usize) -> Result<usize> {
-        Ok(fixed_length_paths(&self.graph, a, b, len, PATH_BUDGET)?.len())
-    }
-
-    fn regular_path(&self, a: NodeId, b: NodeId, expr: &str) -> Result<bool> {
-        let regex = LabelRegex::compile(expr)?;
-        Ok(regular_path_exists(&self.graph, a, b, &regex))
-    }
-
-    fn shortest_path(&self, _a: NodeId, _b: NodeId) -> Result<Option<Vec<NodeId>>> {
-        self.unsupported("shortest path queries")
-    }
-
-    fn pattern_match(&self, _pattern: &gdm_algo::pattern::Pattern) -> Result<usize> {
-        self.unsupported("pattern matching queries")
-    }
-
-    fn snapshot(&self) -> Result<gdm_algo::FrozenGraph> {
-        let fz = gdm_algo::FrozenGraph::freeze(&self.graph);
-        self.delta.borrow_mut().reset(fz.epoch());
-        Ok(fz)
-    }
-
-    fn pending_changes(&self) -> u64 {
-        self.delta.borrow().peek().pending_hint()
-    }
-
-    fn refreeze(&self, prev: &gdm_algo::FrozenGraph) -> Result<gdm_algo::FrozenGraph> {
-        let delta = self.delta.borrow().peek().clone();
-        let next = gdm_algo::incremental_refreeze_structural(&self.graph, prev, &delta);
-        self.delta.borrow_mut().reset(next.epoch());
-        Ok(next)
-    }
-
-    fn default_limits(&self) -> gdm_govern::Limits {
-        // An HTTP-fronted store: request-scale limits — short deadline
-        // and a response-size row cap, as a web endpoint would impose.
-        gdm_govern::Limits::none()
-            .with_deadline(std::time::Duration::from_secs(5))
-            .with_node_visits(1_000_000)
-            .with_rows(100_000)
-    }
-
-    fn summarize(&self, func: SummaryFunc) -> Result<Value> {
-        summarize_simple(&self.graph, func, NAME)
-    }
-
-    fn persist(&mut self) -> Result<()> {
-        self.graph.flush()
-    }
-
-    fn create_index(&mut self, _property: &str) -> Result<()> {
-        self.unsupported("secondary indexes")
-    }
-
-    fn lookup_by_property(&self, _key: &str, _value: &Value) -> Result<Vec<NodeId>> {
-        self.unsupported("property lookups (no attributes)")
-    }
-}
-
-/// Shared structural summarization for simple-graph engines (no
-/// property aggregates).
-pub(crate) fn summarize_simple(
-    g: &dyn GraphView,
-    func: SummaryFunc,
-    engine: &'static str,
-) -> Result<Value> {
-    Ok(match func {
-        SummaryFunc::Order => Value::Int(summary::graph_order(g) as i64),
-        SummaryFunc::Size => Value::Int(summary::graph_size(g) as i64),
-        SummaryFunc::Degree(n) => Value::Int(g.degree(n) as i64),
-        SummaryFunc::MinDegree => match summary::degree_stats(g) {
-            Some((min, _, _)) => Value::Int(min as i64),
-            None => Value::Null,
-        },
-        SummaryFunc::MaxDegree => match summary::degree_stats(g) {
-            Some((_, max, _)) => Value::Int(max as i64),
-            None => Value::Null,
-        },
-        SummaryFunc::AvgDegree => match summary::degree_stats(g) {
-            Some((_, _, avg)) => Value::Float(avg),
-            None => Value::Null,
-        },
-        SummaryFunc::Distance(a, b) => match summary::distance_between(g, a, b) {
-            Some(d) => Value::Int(d as i64),
-            None => Value::Null,
-        },
-        SummaryFunc::Diameter => match summary::diameter(g, Direction::Outgoing) {
-            Some(d) => Value::Int(d as i64),
-            None => Value::Null,
-        },
-        SummaryFunc::PropertyAggregate(..) => {
-            return Err(GdmError::unsupported(
-                engine,
-                "property aggregation (no attributes)".to_owned(),
-            ))
-        }
-    })
+/// Opens (or creates) the store under `dir`.
+pub fn open(dir: &Path) -> Result<Engine<KvGraph>> {
+    let tree = DiskBTree::file(&dir.join("vertexdb.tc"), 256)?;
+    Ok(Engine::new(&PROFILE, KvGraph::new(Box::new(tree))?))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::facade::{GraphEngine, SummaryFunc};
+    use gdm_core::{PropertyMap, Value};
 
-    fn temp_engine(tag: &str) -> VertexDbEngine {
+    fn temp_engine(tag: &str) -> Engine<KvGraph> {
         let dir = std::env::temp_dir().join(format!("gdm-vdb-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        VertexDbEngine::open(&dir).unwrap()
+        open(&dir).unwrap()
     }
 
     #[test]
@@ -312,28 +107,6 @@ mod tests {
         assert_eq!(e.k_neighborhood(a, 2).unwrap(), vec![b, c]);
         assert_eq!(e.fixed_length_paths(a, c, 2).unwrap(), 1);
         assert!(e.regular_path(a, c, "links links").unwrap());
-    }
-
-    #[test]
-    fn unsupported_features_refuse() {
-        let mut e = temp_engine("unsup");
-        assert!(e
-            .create_node(Some("label"), PropertyMap::new())
-            .unwrap_err()
-            .is_unsupported());
-        assert!(e.execute_query("whatever").unwrap_err().is_unsupported());
-        let a = e.create_node(None, PropertyMap::new()).unwrap();
-        let b = e.create_node(None, PropertyMap::new()).unwrap();
-        assert!(e.shortest_path(a, b).unwrap_err().is_unsupported());
-        assert!(e
-            .pattern_match(&gdm_algo::pattern::Pattern::new())
-            .unwrap_err()
-            .is_unsupported());
-        assert!(e.create_index("x").unwrap_err().is_unsupported());
-        assert!(e
-            .set_node_attribute(a, "k", Value::from(1))
-            .unwrap_err()
-            .is_unsupported());
     }
 
     #[test]
@@ -357,14 +130,14 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let (a, b);
         {
-            let mut e = VertexDbEngine::open(&dir).unwrap();
+            let mut e = open(&dir).unwrap();
             a = e.create_node(None, PropertyMap::new()).unwrap();
             b = e.create_node(None, PropertyMap::new()).unwrap();
             e.create_edge(a, b, Some("x"), PropertyMap::new()).unwrap();
             e.persist().unwrap();
         }
         {
-            let e = VertexDbEngine::open(&dir).unwrap();
+            let e = open(&dir).unwrap();
             assert_eq!(e.node_count(), 2);
             assert!(e.adjacent(a, b).unwrap());
         }

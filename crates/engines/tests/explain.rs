@@ -4,9 +4,7 @@
 //! with a `GdmError::Unsupported`, never panic.
 
 use gdm_core::{props, GdmError};
-use gdm_engines::neo4j::Neo4jEngine;
-use gdm_engines::sones::SonesEngine;
-use gdm_engines::{all_engines, GraphEngine};
+use gdm_engines::{all_engines, neo4j, sones, GraphEngine};
 use gdm_query::{Access, ExplainPlan};
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -18,7 +16,7 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 
 #[test]
 fn neo4j_explain_parses_and_reports_pushdown() {
-    let mut e = Neo4jEngine::open(&temp_dir("neo")).unwrap();
+    let mut e = neo4j::open(&temp_dir("neo")).unwrap();
     for (name, age) in [("ada", 36), ("bob", 25), ("cleo", 41)] {
         e.create_node(Some("Person"), props! { "name" => name, "age" => age })
             .unwrap();
@@ -42,7 +40,7 @@ fn neo4j_explain_parses_and_reports_pushdown() {
 
 #[test]
 fn sones_explain_parses() {
-    let mut e = SonesEngine::new();
+    let mut e = sones::open();
     e.execute_ddl("CREATE VERTEX TYPE Person ATTRIBUTES (String name, Int age)")
         .unwrap();
     e.execute_dml("INSERT INTO Person VALUES (name = 'ana', age = 30)")

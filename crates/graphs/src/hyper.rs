@@ -9,10 +9,10 @@
 //! exactly Table III's "edges between edges" column, so we reproduce
 //! the atom-space formulation rather than plain set-hyperedges.
 //!
-//! [`HyperGraph::two_section`] exposes the standard binary projection
-//! (each k-ary link induces edges between its targets in tuple order)
-//! as a [`GraphView`], which is how the essential queries run over the
-//! hypergraph model.
+//! Read as a [`GraphView`], a [`HyperGraph`] is its *two-section*, the
+//! standard binary projection (each k-ary link induces edges between
+//! its targets in tuple order), which is how the essential queries run
+//! over the hypergraph model.
 
 use gdm_core::{
     EdgeId, EdgeRef, GdmError, GraphView, Interner, NodeId, PropertyMap, Result, Symbol, Value,
@@ -214,15 +214,19 @@ impl HyperGraph {
         self.atoms.get(id.index())?.as_ref().map(|a| &a.props)
     }
 
-    /// Sets a property on atom `id`.
-    pub fn set_property(&mut self, id: AtomId, key: &str, value: impl Into<Value>) -> Result<()> {
+    /// Sets a property on atom `id`; returns the previous value.
+    pub fn set_property(
+        &mut self,
+        id: AtomId,
+        key: &str,
+        value: impl Into<Value>,
+    ) -> Result<Option<Value>> {
         self.atom(id)?;
-        self.atoms[id.index()]
+        Ok(self.atoms[id.index()]
             .as_mut()
             .expect("validated")
             .props
-            .set(key, value);
-        Ok(())
+            .set(key, value))
     }
 
     /// Number of node atoms.
@@ -269,11 +273,6 @@ impl HyperGraph {
             }
         }
         Ok(out)
-    }
-
-    /// The binary projection of the hypergraph as a [`GraphView`].
-    pub fn two_section(&self) -> TwoSection<'_> {
-        TwoSection { graph: self }
     }
 
     /// Serializes the atom space (tombstones included, so atom ids
@@ -364,43 +363,38 @@ impl HyperGraph {
     }
 }
 
-/// Binary projection of a [`HyperGraph`]: every *node atom* is a view
+/// The two-section of the hypergraph: every *node atom* is a view
 /// node and each k-ary link contributes directed edges between its
 /// targets in tuple order (`t_i → t_j` for `i < j`), all sharing the
 /// link's id and label. Link atoms are not listed as view nodes (the
 /// classical 2-section has only vertices), but links that appear as
 /// targets of other links still traverse correctly —
 /// `contains_node` accepts any live atom.
-pub struct TwoSection<'a> {
-    graph: &'a HyperGraph,
-}
-
-impl GraphView for TwoSection<'_> {
+impl GraphView for HyperGraph {
     fn is_directed(&self) -> bool {
         true
     }
 
     fn node_count(&self) -> usize {
-        self.graph.node_count
+        self.node_count
     }
 
     fn edge_count(&self) -> usize {
-        self.graph
-            .link_ids()
+        self.link_ids()
             .into_iter()
             .map(|l| {
-                let k = self.graph.arity(l).expect("live link");
+                let k = self.arity(l).expect("live link");
                 k * (k.saturating_sub(1)) / 2
             })
             .sum()
     }
 
     fn contains_node(&self, n: NodeId) -> bool {
-        self.graph.contains(AtomId(n.raw()))
+        self.contains(AtomId(n.raw()))
     }
 
     fn visit_nodes(&self, f: &mut dyn FnMut(NodeId)) {
-        for (i, slot) in self.graph.atoms.iter().enumerate() {
+        for (i, slot) in self.atoms.iter().enumerate() {
             if matches!(slot, Some(atom) if matches!(atom.kind, AtomKind::Node)) {
                 f(NodeId(i as u64));
             }
@@ -416,26 +410,21 @@ impl GraphView for TwoSection<'_> {
     }
 
     fn label_text(&self, sym: Symbol) -> Option<&str> {
-        self.graph.interner.resolve(sym)
+        self.interner.resolve(sym)
     }
 }
 
-impl TwoSection<'_> {
-    /// The underlying hypergraph.
-    pub fn hypergraph(&self) -> &HyperGraph {
-        self.graph
-    }
-
+impl HyperGraph {
     fn visit_pairs(&self, n: NodeId, forward: bool, f: &mut dyn FnMut(EdgeRef)) {
         let atom_id = AtomId(n.raw());
-        let Ok(atom) = self.graph.atom(atom_id) else {
+        let Ok(atom) = self.atom(atom_id) else {
             return;
         };
         for &link in &atom.incidence {
-            let Ok(targets) = self.graph.targets(link) else {
+            let Ok(targets) = self.targets(link) else {
                 continue;
             };
-            let label = self.graph.atom(link).map(|a| a.label).ok();
+            let label = self.atom(link).map(|a| a.label).ok();
             for (i, &a) in targets.iter().enumerate() {
                 if a != atom_id {
                     continue;
@@ -533,7 +522,7 @@ mod tests {
         let b = h.add_node("n", props! {});
         let c = h.add_node("n", props! {});
         h.add_link("team", &[a, b, c], props! {}).unwrap();
-        let view = h.two_section();
+        let view: &dyn GraphView = &h;
         assert_eq!(view.edge_count(), 3); // 3 choose 2
         let out_a: Vec<_> = view.out_edges(NodeId(a.raw()));
         assert_eq!(out_a.len(), 2); // a→b, a→c
@@ -546,7 +535,7 @@ mod tests {
         let a = h.add_node("n", props! {});
         let b = h.add_node("n", props! {});
         h.add_link("collab", &[a, b], props! {}).unwrap();
-        let view = h.two_section();
+        let view: &dyn GraphView = &h;
         let e = view.out_edges(NodeId(a.raw()));
         assert_eq!(view.label_text(e[0].label.unwrap()), Some("collab"));
     }

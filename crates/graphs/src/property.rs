@@ -216,6 +216,16 @@ impl PropertyGraph {
         Ok(previous)
     }
 
+    /// Removes a node attribute; returns the value it held.
+    pub fn remove_node_property(&mut self, n: NodeId, key: &str) -> Result<Option<Value>> {
+        self.node_data(n)?;
+        let previous = self.node_mut(n).props.remove(key);
+        if let (Some(old), Some(idx)) = (&previous, self.prop_indexes.get_mut(key)) {
+            idx.remove(old, n.raw());
+        }
+        Ok(previous)
+    }
+
     /// All nodes whose attribute `key` is loosely equal to `value`,
     /// ascending by id — answered from the auto-maintained secondary
     /// index, never by scanning.

@@ -6,7 +6,7 @@
 //! own module; the remaining structures pick up their implementations
 //! here so every model of Table III can run every essential query.
 
-use crate::hyper::{AtomId, TwoSection};
+use crate::hyper::{AtomId, HyperGraph};
 use crate::nested::NestedGraph;
 use crate::partitioned::PartitionedGraph;
 use crate::rdf::RdfGraph;
@@ -58,20 +58,19 @@ impl AttributedView for NestedGraph {
 
 impl WeightedView for NestedGraph {}
 
-impl AttributedView for TwoSection<'_> {
+impl AttributedView for HyperGraph {
     fn node_label(&self, n: NodeId) -> Option<Symbol> {
-        let h = self.hypergraph();
-        let text = h.label(AtomId(n.raw())).ok()?;
-        h.label_symbol(text)
+        let text = self.label(AtomId(n.raw())).ok()?;
+        self.label_symbol(text)
     }
 
     fn node_property(&self, n: NodeId, key: &str) -> Option<Value> {
-        self.hypergraph().property(AtomId(n.raw()), key).cloned()
+        self.property(AtomId(n.raw()), key).cloned()
     }
 
     fn edge_property(&self, e: EdgeId, key: &str) -> Option<Value> {
-        // Edge ids in the 2-section are link atom ids.
-        self.hypergraph().property(AtomId(e.raw()), key).cloned()
+        // Edge ids in the two-section are link atom ids.
+        self.property(AtomId(e.raw()), key).cloned()
     }
 
     // Enumeration hooks: HyperGraphDB and Sones freeze this view for
@@ -79,7 +78,7 @@ impl AttributedView for TwoSection<'_> {
     // carry labels but no attributes — a property predicate that
     // matches live data would silently return nothing when served.
     fn visit_node_properties(&self, n: NodeId, f: &mut dyn FnMut(&str, &Value)) {
-        if let Some(props) = self.hypergraph().properties(AtomId(n.raw())) {
+        if let Some(props) = self.properties(AtomId(n.raw())) {
             for (k, v) in props {
                 f(k, v);
             }
@@ -87,7 +86,7 @@ impl AttributedView for TwoSection<'_> {
     }
 
     fn visit_edge_properties(&self, e: EdgeId, f: &mut dyn FnMut(&str, &Value)) {
-        if let Some(props) = self.hypergraph().properties(AtomId(e.raw())) {
+        if let Some(props) = self.properties(AtomId(e.raw())) {
             for (k, v) in props {
                 f(k, v);
             }
@@ -95,14 +94,14 @@ impl AttributedView for TwoSection<'_> {
     }
 }
 
-impl WeightedView for TwoSection<'_> {}
+impl WeightedView for HyperGraph {}
 
 impl AttributedView for RdfGraph {
     // This profile *legitimately* lacks properties, as opposed to a
     // view that loses them: RDF expresses every value as a triple with
     // a literal object, and literals are nodes of this view, so a
     // frozen snapshot preserves exactly what the live view exposes.
-    // (Contrast `TwoSection`, whose atoms do carry attributes and
+    // (Contrast `HyperGraph`, whose atoms do carry attributes and
     // therefore needs the enumeration hooks above.)
     fn node_label(&self, _n: NodeId) -> Option<Symbol> {
         None // RDF terms are identities, not typed labels
@@ -158,17 +157,17 @@ mod tests {
         let b = h.add_node("gene", props! {});
         h.add_link("binds", &[a, b], props! { "score" => 0.8 })
             .unwrap();
-        let view = h.two_section();
+        let view = &h;
         let n = NodeId(a.raw());
-        let sym = AttributedView::node_label(&view, n).unwrap();
-        assert_eq!(GraphView::label_text(&view, sym), Some("gene"));
+        let sym = AttributedView::node_label(view, n).unwrap();
+        assert_eq!(GraphView::label_text(view, sym), Some("gene"));
         assert_eq!(
-            AttributedView::node_property(&view, n, "name"),
+            AttributedView::node_property(view, n, "name"),
             Some(Value::from("tp53"))
         );
         let e = view.out_edges(n)[0];
         assert_eq!(
-            AttributedView::edge_property(&view, e.id, "score"),
+            AttributedView::edge_property(view, e.id, "score"),
             Some(Value::from(0.8))
         );
     }

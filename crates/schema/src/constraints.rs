@@ -100,6 +100,15 @@ impl fmt::Display for Violation {
     }
 }
 
+/// [`validate`] as a `Result`: the first violation, if any, as a
+/// [`gdm_core::GdmError::Constraint`] — the form engines reject an update with.
+pub fn check(g: &PropertyGraph, constraints: &[Constraint]) -> gdm_core::Result<()> {
+    match validate(g, constraints).into_iter().next() {
+        Some(v) => Err(gdm_core::GdmError::Constraint(v.to_string())),
+        None => Ok(()),
+    }
+}
+
 /// Validates `g` against `constraints`, returning every violation.
 pub fn validate(g: &PropertyGraph, constraints: &[Constraint]) -> Vec<Violation> {
     let mut out = Vec::new();

@@ -26,5 +26,5 @@
 pub mod constraints;
 pub mod schema;
 
-pub use constraints::{validate, Constraint, PatternKind, Violation};
+pub use constraints::{check, validate, Constraint, PatternKind, Violation};
 pub use schema::{Cardinality, EdgeTypeDef, NodeTypeDef, PropertyType, Schema, ValueType};

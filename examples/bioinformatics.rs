@@ -14,14 +14,14 @@
 //! ```
 
 use graph_db_models::core::{props, Result, Value};
-use graph_db_models::engines::hypergraphdb::HyperGraphDbEngine;
+use graph_db_models::engines::hypergraphdb;
 use graph_db_models::engines::{GraphEngine, SummaryFunc};
 use graph_db_models::graphs::hyper::AtomId;
 
 fn main() -> Result<()> {
     let dir = std::env::temp_dir().join(format!("gdm-bio-{}", std::process::id()));
     std::fs::create_dir_all(&dir)?;
-    let mut db = HyperGraphDbEngine::open(&dir)?;
+    let mut db = hypergraphdb::open(&dir)?;
 
     // Molecules and enzymes as typed atoms.
     let glucose = db.create_node(Some("metabolite"), props! { "name" => "glucose" })?;
@@ -69,10 +69,10 @@ fn main() -> Result<()> {
     // Queries through the hypergraph API.
     println!(
         "glucose participates with: {:?}",
-        db.atoms()
+        db.view()
             .neighbors(AtomId(glucose.raw()))?
             .iter()
-            .map(|a| db.atoms().property(*a, "name").cloned())
+            .map(|a| db.view().property(*a, "name").cloned())
             .collect::<Vec<Option<Value>>>()
     );
     println!(
@@ -81,11 +81,11 @@ fn main() -> Result<()> {
     );
     println!(
         "hexokinase reaction arity: {}",
-        db.atoms().arity(AtomId(r1.raw()))?
+        db.view().arity(AtomId(r1.raw()))?
     );
     println!(
         "provenance links on r1: {:?}",
-        db.atoms().incidence(AtomId(r1.raw()))?
+        db.view().incidence(AtomId(r1.raw()))?
     );
 
     // Identity constraint: metabolite names are unique (Table VI's
