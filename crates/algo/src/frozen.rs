@@ -689,28 +689,26 @@ impl AttributedView for FrozenGraph {
     }
 
     /// Seeds from the frozen label index when a label constraint is
-    /// present (property constraints post-filtered over that run);
-    /// label-less requests scan, same as the default.
+    /// present (property constraints post-filtered over that run, in
+    /// place over the property columns); label-less requests scan, same
+    /// as the default.
     fn candidates(&self, label: Option<&str>, props: &[(String, Value)]) -> Vec<NodeId> {
-        let pool: Vec<NodeId> = match label {
-            Some(want) => match self.label_symbol(want) {
-                None => return Vec::new(),
-                Some(sym) => self
-                    .nodes_with_label(sym)
-                    .iter()
-                    .map(|&d| self.nodes[d as usize])
-                    .collect(),
-            },
-            None => self.nodes.clone(),
-        };
-        pool.into_iter()
-            .filter(|&n| {
-                props.iter().all(|(key, want)| {
-                    self.node_property(n, key)
-                        .is_some_and(|got| got.loose_eq(want))
-                })
+        let matches = |dense: &u32| {
+            let have = self.node_props_dense(*dense);
+            props.iter().all(|(key, want)| {
+                have.iter()
+                    .find(|(k, _)| k == key)
+                    .is_some_and(|(_, got)| got.loose_eq(want))
             })
-            .collect()
+        };
+        let node = |dense: u32| self.nodes[dense as usize];
+        match label {
+            Some(want) => self.label_symbol(want).map_or_else(Vec::new, |sym| {
+                let labelled = self.nodes_with_label(sym).iter();
+                labelled.filter(|d| matches(d)).map(|&d| node(d)).collect()
+            }),
+            None => (0..self.len() as u32).filter(matches).map(node).collect(),
+        }
     }
 
     /// The label run length bounds the candidate count; the snapshot

@@ -59,10 +59,12 @@ pub use paths::{
     bidirectional_shortest_path, dijkstra, distance, fixed_length_path_exists, fixed_length_paths,
     is_reachable, shortest_path, shortest_path_governed, Path,
 };
-pub use pattern::{match_pattern, match_pattern_governed, Pattern, PatternEdge, PatternNode};
+pub use pattern::{
+    match_pattern, match_pattern_governed, within_hops, Pattern, PatternEdge, PatternNode,
+};
 pub use planned::{
-    auto_domains, domain_estimates, domains_consistent, match_pattern_seeded, planned_order,
-    Domains, MatchTable,
+    auto_domains, domain_estimates, domains_consistent, generating_edges, match_pattern_seeded,
+    planned_order, Domains, MatchTable,
 };
 pub use refreeze::{incremental_refreeze, incremental_refreeze_structural};
 pub use regular::{

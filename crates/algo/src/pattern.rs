@@ -6,10 +6,20 @@
 //! (injective on nodes, non-induced on edges) with optional label and
 //! property constraints; [`match_pattern_brute`] is the brute-force
 //! oracle the property tests compare against.
+//!
+//! A pattern edge may be *variable-length* ([`Pattern::edge_hops`]): it
+//! then stands for a walk of `min..=max` label-matching hops instead of
+//! one edge. [`within_hops`] is the reference predicate for such an
+//! edge; the matchers in this module check it per candidate pair, the
+//! planned executors ([`crate::planned`], [`crate::vectorized`]) expand
+//! it from the bound endpoint instead.
 
-use gdm_core::{AttributedView, Direction, FxHashMap, GdmError, NodeId, Result, Symbol, Value};
+use gdm_core::{
+    AttributedView, Direction, FxHashMap, FxHashSet, GdmError, NodeId, Result, Symbol, Value,
+};
 use gdm_govern::{ExecutionGuard, GuardExt};
 use std::cmp::Ordering;
+use std::collections::VecDeque;
 
 /// A pattern node: a variable plus optional constraints.
 #[derive(Debug, Clone, Default)]
@@ -56,13 +66,19 @@ pub struct PatternEdge {
     /// Required edge label, if constrained.
     pub label: Option<String>,
     /// Direction semantics: `Outgoing` means `from → to` in the data
-    /// graph, `Both` accepts either orientation.
+    /// graph, `Both` accepts either orientation. Never `Incoming`: the
+    /// constructors store such an edge reversed.
     pub direction: Direction,
     /// Inclusive range constraints on edge properties: `(key, low,
     /// high)` with either bound optional. Comparison is loose the way
     /// [`Value::compare`] is (number-family unified); an edge missing
     /// the property never matches.
     pub ranges: Vec<(String, Option<Value>, Option<Value>)>,
+    /// `Some((min, max))` makes the edge variable-length: it matches
+    /// when a walk of `min..=max` hops, each over an edge carrying
+    /// `label` and oriented by `direction`, leads from `from` to `to`
+    /// (`1 <= min <= max`). Nodes and edges may repeat along the walk.
+    pub hops: Option<(u32, u32)>,
 }
 
 /// True when `got` lies in the inclusive, number-family-loose range
@@ -125,14 +141,49 @@ impl Pattern {
             label: label.map(str::to_owned),
             direction,
             ranges: Vec::new(),
+            hops: None,
         });
+        Ok(())
+    }
+
+    /// Adds a variable-length edge constraint: a walk of `min..=max`
+    /// hops from `from` to `to`, every hop over an edge labelled
+    /// `label` (any when `None`) and oriented by `direction` relative
+    /// to the walk. `Incoming` is stored as the reversed `Outgoing`
+    /// edge.
+    pub fn edge_hops(
+        &mut self,
+        from: usize,
+        to: usize,
+        label: Option<&str>,
+        direction: Direction,
+        min: usize,
+        max: usize,
+    ) -> Result<()> {
+        let bound = |hops: usize| {
+            u32::try_from(hops)
+                .map_err(|_| GdmError::InvalidArgument(format!("hop bound {hops} is too large")))
+        };
+        let (min, max) = (bound(min)?, bound(max)?);
+        if min == 0 || min > max {
+            return Err(GdmError::InvalidArgument(format!(
+                "variable-length edge needs 1 <= min <= max, got {min}..{max}"
+            )));
+        }
+        let (from, to, direction) = match direction {
+            Direction::Incoming => (to, from, Direction::Outgoing),
+            other => (from, to, other),
+        };
+        self.add_edge(from, to, label, direction)?;
+        self.edges.last_mut().expect("just added").hops = Some((min, max));
         Ok(())
     }
 
     /// Adds an inclusive range constraint on property `key` of the
     /// most recently added edge (either bound optional, loose
     /// number-family comparison; an edge without the property never
-    /// matches). Errors when no edge has been added yet.
+    /// matches). Errors when no edge has been added yet, or when that
+    /// edge is variable-length.
     pub fn edge_range(
         &mut self,
         key: impl Into<String>,
@@ -144,6 +195,11 @@ impl Pattern {
                 "edge_range requires a preceding edge".into(),
             ));
         };
+        if e.hops.is_some() {
+            return Err(GdmError::InvalidArgument(
+                "variable-length edges take no range constraints".into(),
+            ));
+        }
         e.ranges.push((key.into(), low, high));
         Ok(())
     }
@@ -309,14 +365,15 @@ fn extend<G: AttributedView + ?Sized>(
 }
 
 /// Candidate data nodes for pattern node `pv`: neighbors of an
-/// already-bound pattern neighbor when possible, otherwise all nodes.
+/// already-bound pattern neighbor over a single-hop edge when
+/// possible, otherwise all nodes.
 fn candidates<G: AttributedView + ?Sized>(
     g: &G,
     pattern: &Pattern,
     pv: usize,
     assignment: &[Option<NodeId>],
 ) -> Vec<NodeId> {
-    for e in &pattern.edges {
+    for e in pattern.edges.iter().filter(|e| e.hops.is_none()) {
         if e.to == pv {
             if let Some(bound) = assignment[e.from] {
                 let mut c = Vec::new();
@@ -394,6 +451,10 @@ fn has_edge<G: AttributedView + ?Sized>(
     e: &PatternEdge,
     cache: &mut FxHashMap<u32, bool>,
 ) -> bool {
+    if let Some((min, max)) = e.hops {
+        let label = e.label.as_deref();
+        return within_hops(g, from, to, label, e.direction, min as usize, max as usize);
+    }
     let check = |a: NodeId, b: NodeId, cache: &mut FxHashMap<u32, bool>| {
         let mut found = false;
         g.visit_out_edges(a, &mut |er| {
@@ -411,6 +472,54 @@ fn has_edge<G: AttributedView + ?Sized>(
         Direction::Incoming => check(to, from, cache),
         Direction::Both => check(from, to, cache) || check(to, from, cache),
     }
+}
+
+/// The reference predicate for variable-length edges: does a walk of
+/// `min..=max` hops lead from `from` to `to`, every hop over an edge
+/// whose label matches `label` (any label when `None`) followed in
+/// `direction`? Nodes and edges may repeat along the walk.
+pub fn within_hops<G: AttributedView + ?Sized>(
+    g: &G,
+    from: NodeId,
+    to: NodeId,
+    label: Option<&str>,
+    direction: Direction,
+    min: usize,
+    max: usize,
+) -> bool {
+    // States are (node, depth): a walk may need to revisit a node at a
+    // greater depth to satisfy `min`, so nodes are not globally marked.
+    let mut seen: FxHashSet<(u64, usize)> = FxHashSet::default();
+    seen.insert((from.raw(), 0));
+    let mut queue: VecDeque<(NodeId, usize)> = VecDeque::from([(from, 0)]);
+    while let Some((n, d)) = queue.pop_front() {
+        if d >= max {
+            continue;
+        }
+        let mut hit = false;
+        g.visit_edges_dir(n, direction, &mut |e| {
+            let label_ok = match label {
+                None => true,
+                Some(want) => e
+                    .label
+                    .and_then(|s| g.label_text(s))
+                    .is_some_and(|t| t == want),
+            };
+            if !label_ok {
+                return;
+            }
+            if e.to == to && d + 1 >= min {
+                hit = true;
+            }
+            if seen.insert((e.to.raw(), d + 1)) {
+                queue.push_back((e.to, d + 1));
+            }
+        });
+        if hit {
+            return true;
+        }
+    }
+    false
 }
 
 /// Exact edge-property range check: every constrained key must be

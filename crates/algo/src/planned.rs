@@ -13,6 +13,12 @@
 //! symbol caches, so a label comparison is one `u32` hash instead of a
 //! text resolution per edge) for everything else.
 //!
+//! A variable-length pattern edge ([`Pattern::edge_hops`]) is an
+//! operator of both executors, not a filter over finished bindings:
+//! chosen as a variable's generating edge it is expanded from the bound
+//! endpoint by [`walk_levels`], and with both endpoints bound it is the
+//! same walk stopped at the first arrival.
+//!
 //! Results land in a flat [`MatchTable`] (one row per match, one
 //! column per pattern variable) rather than one hash map per match;
 //! [`MatchTable::to_bindings`] converts for consumers of the unplanned
@@ -21,9 +27,10 @@
 //! row order may differ because the variable order does.
 
 use crate::frozen::FrozenGraph;
-use crate::pattern::{label_ok, Binding, Pattern};
+use crate::pattern::{label_ok, Binding, Pattern, PatternEdge};
 use gdm_core::{AttributedView, Direction, FxHashMap, FxHashSet, NodeId, Result};
 use gdm_govern::{ExecutionGuard, CHECK_INTERVAL};
+use std::ops::ControlFlow;
 
 /// Per-variable candidate domains, indexed like `Pattern::nodes`.
 /// `None` leaves the variable unrestricted (full scan or neighbor
@@ -132,33 +139,215 @@ pub fn planned_order(pattern: &Pattern, estimates: &[usize]) -> Vec<usize> {
     order
 }
 
-/// Domain estimates for ordering: the domain size where one is given,
-/// the graph's node count where not.
+/// Candidate-count estimates for ordering. A variable with a domain is
+/// estimated at the domain's size; one without at its label's index
+/// count ([`AttributedView::candidate_estimate`]) when it is labelled
+/// and the view indexes labels, else at the graph's node count. A
+/// variable-length edge then caps each endpoint at what walks from the
+/// other can reach: the other's estimate × Σ (average degree)^d over
+/// the hop range.
 pub fn domain_estimates<G: AttributedView + ?Sized>(
     g: &G,
     pattern: &Pattern,
     domains: &[Option<Vec<NodeId>>],
 ) -> Vec<usize> {
-    (0..pattern.nodes.len())
-        .map(|i| {
-            domains
-                .get(i)
-                .and_then(Option::as_ref)
-                .map_or_else(|| g.node_count(), Vec::len)
+    let own: Vec<usize> = pattern
+        .nodes
+        .iter()
+        .enumerate()
+        .map(|(i, pn)| match domains.get(i).and_then(Option::as_ref) {
+            Some(domain) => domain.len(),
+            None => pn
+                .label
+                .as_deref()
+                .and_then(|label| g.candidate_estimate(Some(label), &[]))
+                .unwrap_or_else(|| g.node_count()),
+        })
+        .collect();
+    let mut estimates = own.clone();
+    for e in &pattern.edges {
+        let Some((min, max)) = e.hops else {
+            continue;
+        };
+        let mut degree = g.edge_count().div_ceil(g.node_count().max(1)).max(1);
+        if e.direction == Direction::Both {
+            degree *= 2;
+        }
+        let reach = walk_reach(degree, min, max);
+        for (near, far) in [(e.from, e.to), (e.to, e.from)] {
+            estimates[far] = estimates[far].min(own[near].saturating_mul(reach));
+        }
+    }
+    estimates
+}
+
+/// Σ `degree`^d for d in `min..=max`, saturating: how many nodes the
+/// walks of that hop range from one node can end at.
+fn walk_reach(degree: usize, min: u32, max: u32) -> usize {
+    if degree == 1 {
+        return (max - min) as usize + 1;
+    }
+    let mut level = degree.saturating_pow(min);
+    let mut reach = 0usize;
+    for _ in min..=max {
+        reach = reach.saturating_add(level);
+        if reach == usize::MAX {
+            break;
+        }
+        level = level.saturating_mul(degree);
+    }
+    reach
+}
+
+/// For each position of `order`, the pattern edge its variable is
+/// generated along — expanded from an endpoint bound earlier in the
+/// order, so only the nodes satisfying that edge are tried: a
+/// single-hop edge when one joins the variable to an earlier one, else
+/// a variable-length edge, else `None` (the variable is seeded from its
+/// domain or a scan). Every other edge between bound variables is
+/// checked per candidate.
+///
+/// A variable-length edge does not generate a variable whose domain
+/// pins it to a single node: one walk would find every endpoint only to
+/// keep that one, whereas seeding the node and checking the edge is the
+/// same walk stopped at its first arrival there.
+pub fn generating_edges(
+    pattern: &Pattern,
+    order: &[usize],
+    domains: &[Option<Vec<NodeId>>],
+) -> Vec<Option<usize>> {
+    let mut bound = vec![false; pattern.nodes.len()];
+    order
+        .iter()
+        .map(|&pv| {
+            let joins = |e: &PatternEdge| {
+                (e.to == pv && e.from != pv && bound[e.from])
+                    || (e.from == pv && e.to != pv && bound[e.to])
+            };
+            let first = |variable_length: bool| {
+                pattern
+                    .edges
+                    .iter()
+                    .position(|e| e.hops.is_some() == variable_length && joins(e))
+            };
+            let pinned = matches!(domains.get(pv), Some(Some(domain)) if domain.len() <= 1);
+            let generator = first(false).or_else(|| if pinned { None } else { first(true) });
+            bound[pv] = true;
+            generator
         })
         .collect()
 }
 
+/// The bound endpoint of generating edge `e` when it generates `pv`,
+/// and the direction to follow from there.
+pub(crate) fn expand_from(e: &PatternEdge, pv: usize) -> (usize, Direction) {
+    if e.to == pv {
+        (e.from, e.direction)
+    } else {
+        let dir = match e.direction {
+            Direction::Outgoing => Direction::Incoming,
+            other => other,
+        };
+        (e.to, dir)
+    }
+}
+
+/// Reusable buffers of [`walk_levels`].
+pub(crate) struct WalkBufs<K> {
+    frontier: Vec<K>,
+    next: Vec<K>,
+    neighbours: Vec<K>,
+}
+
+impl<K> Default for WalkBufs<K> {
+    fn default() -> Self {
+        WalkBufs {
+            frontier: Vec::new(),
+            next: Vec::new(),
+            neighbours: Vec::new(),
+        }
+    }
+}
+
+/// The variable-length edge operator, shared by both executors: a
+/// depth-bounded, level-synchronous frontier expansion from `start`
+/// that calls `emit` exactly once for every node some walk of
+/// `min..=max` hops ends at, and stops when `emit` breaks (returning
+/// whether it did).
+///
+/// The executor supplies the graph access and the dedup store:
+/// `neighbours(u, out)` appends the label-matching targets of `u`
+/// (duplicates allowed), `mark(t, level)` stamps `t` with the walk's
+/// `level`-th generation and says whether it was not already stamped
+/// so, and `charge(k)` draws `k` node visits from the guard — called
+/// for every [`CHECK_INTERVAL`] frontier nodes before they are
+/// expanded, so a budget or deadline interrupts a walk mid-level.
+///
+/// Dedup rule. Below `min`, every level has its own generation
+/// (`level = depth - 1`): a walk may revisit a node at a greater depth,
+/// so the frontier at depth `d` is exactly the nodes `d` hops out, each
+/// once. From depth `min` on all levels share generation `min - 1`: the
+/// nodes to emit are those within `max - min` hops of the depth-`min`
+/// frontier, which a visit-once search from that frontier enumerates.
+/// With `min == 1` that is one generation for the whole walk. A walk
+/// therefore consumes `min` generations.
+pub(crate) fn walk_levels<K: Copy>(
+    start: K,
+    (min, max): (u32, u32),
+    bufs: &mut WalkBufs<K>,
+    mut neighbours: impl FnMut(K, &mut Vec<K>),
+    mut mark: impl FnMut(K, u32) -> bool,
+    mut charge: impl FnMut(u64) -> Result<()>,
+    mut emit: impl FnMut(K) -> ControlFlow<()>,
+) -> Result<bool> {
+    let WalkBufs {
+        frontier,
+        next,
+        neighbours: found,
+    } = bufs;
+    frontier.clear();
+    frontier.push(start);
+    for depth in 1..=max {
+        if frontier.is_empty() {
+            break;
+        }
+        let level = depth.min(min) - 1;
+        next.clear();
+        for chunk in frontier.chunks(CHECK_INTERVAL as usize) {
+            charge(chunk.len() as u64)?;
+            for &u in chunk {
+                found.clear();
+                neighbours(u, found);
+                for &t in found.iter() {
+                    if !mark(t, level) {
+                        continue;
+                    }
+                    next.push(t);
+                    if depth >= min && emit(t).is_break() {
+                        return Ok(true);
+                    }
+                }
+            }
+        }
+        std::mem::swap(frontier, next);
+    }
+    Ok(false)
+}
+
 /// Builds domains for `pattern` from the view's own indexes: each
-/// constrained variable whose constraints an index can bound (per
-/// [`AttributedView::candidate_estimate`]) gets its candidate list;
-/// unconstrained or index-less variables stay unrestricted.
+/// variable with property constraints an index can bound (per
+/// [`AttributedView::candidate_estimate`]) gets its candidate list.
+/// Everything else stays unrestricted — including a variable
+/// constrained by label alone: both executors scan the view's label
+/// index directly when such a variable is a root, and check the label
+/// per candidate when it is expanded into, so a materialised copy of
+/// the label population would only add cost that follows |V|.
 pub fn auto_domains<G: AttributedView + ?Sized>(g: &G, pattern: &Pattern) -> Domains {
     pattern
         .nodes
         .iter()
         .map(|pn| {
-            if pn.label.is_none() && pn.props.is_empty() {
+            if pn.props.is_empty() {
                 return None;
             }
             g.candidate_estimate(pn.label.as_deref(), &pn.props)
@@ -195,7 +384,8 @@ pub fn domains_consistent<G: AttributedView + ?Sized>(
 /// 1. Domains that fail the [`domains_consistent`] probe are discarded
 ///    and the reference matcher ([`crate::match_pattern_governed`])
 ///    answers — it scans rather than trusts indexes: slower, never
-///    wrong.
+///    wrong. So is a live view's label index when the search would
+///    seed a variable from it and it fails the same probe.
 /// 2. A view backed by a CSR snapshot ([`FrozenGraph`]) runs the batch
 ///    pipeline of [`crate::vectorized`] across
 ///    [`crate::executor_workers`] morsel workers (one worker, or a
@@ -216,42 +406,65 @@ pub fn match_pattern_seeded<G: AttributedView + ?Sized>(
     domains: &[Option<Vec<NodeId>>],
     guard: &ExecutionGuard,
 ) -> Result<MatchTable> {
-    if !domains_consistent(g, domains) {
-        let bindings = crate::pattern::match_pattern_governed(g, pattern, guard)?;
-        return Ok(MatchTable::from_bindings(pattern, &bindings));
+    if domains_consistent(g, domains) {
+        let snapshot = g
+            .batch_backend()
+            .and_then(|backend| backend.downcast_ref::<FrozenGraph>());
+        match snapshot {
+            Some(fz) => {
+                return crate::vectorized::run_morsels(
+                    fz,
+                    pattern,
+                    domains,
+                    crate::vectorized::executor_workers(),
+                    false,
+                    guard,
+                )
+            }
+            None => {
+                if let Some(table) = search_rows(g, pattern, domains, guard)? {
+                    return Ok(table);
+                }
+            }
+        }
     }
-    let snapshot = g
-        .batch_backend()
-        .and_then(|backend| backend.downcast_ref::<FrozenGraph>());
-    match snapshot {
-        Some(fz) => crate::vectorized::run_morsels(
-            fz,
-            pattern,
-            domains,
-            crate::vectorized::executor_workers(),
-            false,
-            guard,
-        ),
-        None => search_rows(g, pattern, domains, guard),
-    }
+    let bindings = crate::pattern::match_pattern_governed(g, pattern, guard)?;
+    Ok(MatchTable::from_bindings(pattern, &bindings))
 }
 
-/// The row-at-a-time search for live views.
+/// The row-at-a-time search for live views. `None` when the view's
+/// label index, which seeds labelled variables that have no domain,
+/// fails the [`domains_consistent`] probe.
 fn search_rows<G: AttributedView + ?Sized>(
     g: &G,
     pattern: &Pattern,
     domains: &[Option<Vec<NodeId>>],
     guard: &ExecutionGuard,
-) -> Result<MatchTable> {
+) -> Result<Option<MatchTable>> {
     let vars = var_names(pattern);
     if pattern.nodes.is_empty() {
-        return Ok(MatchTable {
+        return Ok(Some(MatchTable {
             vars,
             data: Vec::new(),
-        });
+        }));
     }
     let estimates = domain_estimates(g, pattern, domains);
     let order = planned_order(pattern, &estimates);
+    let generators = generating_edges(pattern, &order, domains);
+    // What a variable that is neither generated nor restricted is
+    // seeded from: the nodes carrying its label, all nodes when it has
+    // none.
+    let mut scans: Domains = vec![None; pattern.nodes.len()];
+    for (&pv, generator) in order.iter().zip(&generators) {
+        if generator.is_none() && domains.get(pv).is_none_or(Option::is_none) {
+            let label = pattern.nodes[pv].label.as_deref();
+            let scan = g.candidates(label, &[]);
+            if label.is_some() && !scan.iter().all(|&n| g.contains_node(n)) {
+                return Ok(None);
+            }
+            scans[pv] = Some(scan);
+        }
+    }
     let domain_sets: Vec<Option<FxHashSet<u64>>> = (0..pattern.nodes.len())
         .map(|i| {
             domains
@@ -264,30 +477,70 @@ fn search_rows<G: AttributedView + ?Sized>(
         g,
         pattern,
         order: &order,
+        generators: &generators,
         domains,
+        scans: &scans,
         domain_sets: &domain_sets,
         edge_label_cache: vec![FxHashMap::default(); pattern.edges.len()],
         node_label_cache: vec![FxHashMap::default(); pattern.nodes.len()],
         assignment: vec![None; pattern.nodes.len()],
-        all_nodes: None,
+        walk_marks: FxHashMap::default(),
+        walk_generation: 0,
+        walk_bufs: WalkBufs::default(),
         data: Vec::new(),
-        guard,
-        uncharged_nodes: 0,
-        uncharged_rows: 0,
+        pending: Pending {
+            guard,
+            nodes: 0,
+            rows: 0,
+        },
     };
     search.extend(0)?;
-    search.charge()?;
-    Ok(MatchTable {
+    search.pending.settle()?;
+    Ok(Some(MatchTable {
         vars,
         data: search.data,
-    })
+    }))
+}
+
+/// Candidate visits and emitted rows not yet drawn from the guard:
+/// drawing [`CHECK_INTERVAL`] units at a time keeps the guard's atomics
+/// and clock off the per-candidate path.
+struct Pending<'a> {
+    guard: &'a ExecutionGuard,
+    nodes: u64,
+    rows: u64,
+}
+
+impl Pending<'_> {
+    /// Draws the pending counts from the guard (each bulk draw also
+    /// runs its deadline/cancel check). Rows first, so a trip's
+    /// `partial` count includes every row emitted so far.
+    fn settle(&mut self) -> Result<()> {
+        self.guard.rows(std::mem::take(&mut self.rows))?;
+        self.guard.nodes(std::mem::take(&mut self.nodes))
+    }
+
+    /// Counts `k` node visits, settling once an interval's worth is
+    /// pending.
+    fn visit(&mut self, k: u64) -> Result<()> {
+        self.nodes += k;
+        if self.nodes + self.rows >= CHECK_INTERVAL {
+            self.settle()?;
+        }
+        Ok(())
+    }
 }
 
 struct Search<'a, G: ?Sized> {
     g: &'a G,
     pattern: &'a Pattern,
     order: &'a [usize],
+    /// Per position of `order`: see [`generating_edges`].
+    generators: &'a [Option<usize>],
     domains: &'a [Option<Vec<NodeId>>],
+    /// Seed lists of the variables `domains` leaves unrestricted and no
+    /// edge generates.
+    scans: &'a [Option<Vec<NodeId>>],
     domain_sets: &'a [Option<FxHashSet<u64>>],
     /// Per pattern edge: label symbol → "matches the edge's label
     /// constraint", so text is resolved once per distinct symbol.
@@ -295,46 +548,32 @@ struct Search<'a, G: ?Sized> {
     /// Per pattern node: ditto for the node label constraint.
     node_label_cache: Vec<FxHashMap<u32, bool>>,
     assignment: Vec<Option<NodeId>>,
-    /// Full node list, materialized at most once per search.
-    all_nodes: Option<Vec<NodeId>>,
+    /// Dedup store of [`walk_levels`]: node → generation it was last
+    /// marked with. Generations only grow, so marks of earlier walks
+    /// never collide with a later one's.
+    walk_marks: FxHashMap<u64, u32>,
+    walk_generation: u32,
+    walk_bufs: WalkBufs<NodeId>,
     data: Vec<NodeId>,
-    guard: &'a ExecutionGuard,
-    /// Candidate visits and emitted rows not yet drawn from `guard`:
-    /// drawing [`CHECK_INTERVAL`] units at a time keeps the guard's
-    /// atomics and clock off the per-candidate path.
-    uncharged_nodes: u64,
-    uncharged_rows: u64,
+    pending: Pending<'a>,
 }
 
 impl<G: AttributedView + ?Sized> Search<'_, G> {
-    /// Draws the pending counts from the guard (each bulk draw also
-    /// runs its deadline/cancel check). Rows first, so a trip's
-    /// `partial` count includes every row emitted so far.
-    fn charge(&mut self) -> Result<()> {
-        self.guard.rows(std::mem::take(&mut self.uncharged_rows))?;
-        self.guard.nodes(std::mem::take(&mut self.uncharged_nodes))
-    }
-
     fn extend(&mut self, depth: usize) -> Result<()> {
         if depth == self.order.len() {
-            self.uncharged_rows += 1;
+            self.pending.rows += 1;
             for slot in &self.assignment {
                 self.data.push(slot.expect("complete assignment"));
             }
             return Ok(());
         }
         let pv = self.order[depth];
-        // Generating edge: the first pattern edge joining `pv` to an
-        // already-bound variable. Expanding along it yields exactly
-        // the nodes satisfying that edge constraint, so it is skipped
-        // during the consistency re-check.
-        let generator = self.pattern.edges.iter().position(|e| {
-            (e.to == pv && e.from != pv && self.assignment[e.from].is_some())
-                || (e.from == pv && e.to != pv && self.assignment[e.to].is_some())
-        });
-        match generator {
+        // Expanding along the generating edge yields exactly the nodes
+        // satisfying that edge constraint, so it is skipped during the
+        // consistency re-check.
+        match self.generators[depth] {
             Some(ei) => {
-                let candidates = self.expand(ei, pv);
+                let candidates = self.expand(ei, pv)?;
                 for n in candidates {
                     if let Some(set) = &self.domain_sets[pv] {
                         if !set.contains(&n.raw()) {
@@ -345,48 +584,37 @@ impl<G: AttributedView + ?Sized> Search<'_, G> {
                 }
             }
             None => {
-                let domains = self.domains;
-                if let Some(dom) = domains.get(pv).and_then(|d| d.as_deref()) {
-                    for &n in dom {
-                        self.try_bind(depth, pv, n, None)?;
-                    }
-                } else {
-                    if self.all_nodes.is_none() {
-                        self.all_nodes = Some(self.g.node_ids());
-                    }
-                    let all = self.all_nodes.take().expect("just filled");
-                    for &n in &all {
-                        if let Err(e) = self.try_bind(depth, pv, n, None) {
-                            self.all_nodes = Some(all);
-                            return Err(e);
-                        }
-                    }
-                    self.all_nodes = Some(all);
+                let (domains, scans) = (self.domains, self.scans);
+                let seeds = domains.get(pv).and_then(|d| d.as_deref());
+                let seeds = seeds.or(scans[pv].as_deref()).expect("seeded variable");
+                for &n in seeds {
+                    self.try_bind(depth, pv, n, None)?;
                 }
             }
         }
         Ok(())
     }
 
-    /// Distinct neighbors of the bound endpoint of pattern edge `ei`
-    /// reachable along it, with the edge-label constraint applied
-    /// during the visit.
-    fn expand(&mut self, ei: usize, pv: usize) -> Vec<NodeId> {
-        let g = self.g;
-        let e = &self.pattern.edges[ei];
-        let (bound, dir) = if e.to == pv {
-            (self.assignment[e.from].expect("generator"), e.direction)
-        } else {
-            let dir = match e.direction {
-                Direction::Outgoing => Direction::Incoming,
-                other => other,
-            };
-            (self.assignment[e.to].expect("generator"), dir)
-        };
+    /// Distinct nodes reachable from the bound endpoint of generating
+    /// edge `ei` along it — its neighbors, or for a variable-length
+    /// edge the endpoints of its walks — with the edge-label
+    /// constraint applied during the visit.
+    fn expand(&mut self, ei: usize, pv: usize) -> Result<Vec<NodeId>> {
+        let (g, pattern) = (self.g, self.pattern);
+        let e = &pattern.edges[ei];
+        let (bound_var, dir) = expand_from(e, pv);
+        let bound = self.assignment[bound_var].expect("generator");
+        let mut out = Vec::new();
+        if e.hops.is_some() {
+            self.walk(ei, bound, dir, |n| {
+                out.push(n);
+                ControlFlow::Continue(())
+            })?;
+            return Ok(out);
+        }
         let want = e.label.as_deref();
         let ranges = &e.ranges;
         let cache = &mut self.edge_label_cache[ei];
-        let mut out = Vec::new();
         g.visit_edges_dir(bound, dir, &mut |er| {
             if label_ok(g, cache, want, er.label)
                 && crate::pattern::edge_ranges_ok(g, er.id, ranges)
@@ -395,7 +623,46 @@ impl<G: AttributedView + ?Sized> Search<'_, G> {
                 out.push(er.to);
             }
         });
-        out
+        Ok(out)
+    }
+
+    /// Runs [`walk_levels`] for variable-length edge `ei` from `start`
+    /// through the view's visitor API.
+    fn walk(
+        &mut self,
+        ei: usize,
+        start: NodeId,
+        dir: Direction,
+        emit: impl FnMut(NodeId) -> ControlFlow<()>,
+    ) -> Result<bool> {
+        let (g, pattern) = (self.g, self.pattern);
+        let e = &pattern.edges[ei];
+        let hops = e.hops.expect("variable-length edge");
+        let want = e.label.as_deref();
+        if self.walk_generation > u32::MAX - hops.0 {
+            self.walk_marks.clear();
+            self.walk_generation = 0;
+        }
+        let base = self.walk_generation + 1;
+        self.walk_generation += hops.0;
+        let cache = &mut self.edge_label_cache[ei];
+        let marks = &mut self.walk_marks;
+        let pending = &mut self.pending;
+        walk_levels(
+            start,
+            hops,
+            &mut self.walk_bufs,
+            |u, out| {
+                g.visit_edges_dir(u, dir, &mut |er| {
+                    if label_ok(g, cache, want, er.label) {
+                        out.push(er.to);
+                    }
+                });
+            },
+            |t, level| marks.insert(t.raw(), base + level) != Some(base + level),
+            |k| pending.visit(k),
+            emit,
+        )
     }
 
     fn try_bind(
@@ -405,10 +672,7 @@ impl<G: AttributedView + ?Sized> Search<'_, G> {
         n: NodeId,
         generator: Option<usize>,
     ) -> Result<()> {
-        self.uncharged_nodes += 1;
-        if self.uncharged_nodes + self.uncharged_rows >= CHECK_INTERVAL {
-            self.charge()?;
-        }
+        self.pending.visit(1)?;
         if self.assignment.iter().flatten().any(|&m| m == n) {
             return Ok(()); // injectivity
         }
@@ -416,10 +680,9 @@ impl<G: AttributedView + ?Sized> Search<'_, G> {
             return Ok(());
         }
         self.assignment[pv] = Some(n);
-        let recurse = if self.edges_consistent(pv, generator) {
-            self.extend(depth + 1)
-        } else {
-            Ok(())
+        let recurse = match self.edges_consistent(pv, generator) {
+            Ok(true) => self.extend(depth + 1),
+            other => other.map(|_| ()),
         };
         self.assignment[pv] = None;
         recurse
@@ -446,7 +709,7 @@ impl<G: AttributedView + ?Sized> Search<'_, G> {
     /// Checks every pattern edge incident to `just_placed` whose
     /// endpoints are both bound, except the generating edge (already
     /// satisfied by construction).
-    fn edges_consistent(&mut self, just_placed: usize, skip: Option<usize>) -> bool {
+    fn edges_consistent(&mut self, just_placed: usize, skip: Option<usize>) -> Result<bool> {
         for ei in 0..self.pattern.edges.len() {
             if Some(ei) == skip {
                 continue;
@@ -458,16 +721,28 @@ impl<G: AttributedView + ?Sized> Search<'_, G> {
             let (Some(from), Some(to)) = (self.assignment[e.from], self.assignment[e.to]) else {
                 continue;
             };
-            if !self.has_edge(ei, from, to) {
-                return false;
+            if !self.has_edge(ei, from, to)? {
+                return Ok(false);
             }
         }
-        true
+        Ok(true)
     }
 
-    fn has_edge(&mut self, ei: usize, from: NodeId, to: NodeId) -> bool {
-        let g = self.g;
-        let e = &self.pattern.edges[ei];
+    fn has_edge(&mut self, ei: usize, from: NodeId, to: NodeId) -> Result<bool> {
+        let (g, pattern) = (self.g, self.pattern);
+        let e = &pattern.edges[ei];
+        if e.hops.is_some() {
+            // Both endpoints bound: the same walk, stopped at the
+            // first arrival.
+            let arrived = self.walk(ei, from, e.direction, |n| {
+                if n == to {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            })?;
+            return Ok(arrived);
+        }
         let want = e.label.as_deref();
         let ranges = &e.ranges;
         let cache = &mut self.edge_label_cache[ei];
@@ -483,11 +758,11 @@ impl<G: AttributedView + ?Sized> Search<'_, G> {
             });
             found
         };
-        match e.direction {
+        Ok(match e.direction {
             Direction::Outgoing => check(from, to, cache),
             Direction::Incoming => check(to, from, cache),
             Direction::Both => check(from, to, cache) || check(to, from, cache),
-        }
+        })
     }
 }
 
@@ -694,7 +969,17 @@ mod tests {
     #[test]
     fn inconsistent_index_falls_back_to_reference_matcher() {
         let g = LyingIndex(community());
-        let p = chain_pattern();
+        // With `y` constrained by label alone no domain is materialised,
+        // but the live search would seed `y` from the lying label index:
+        // the same probe catches that.
+        let label_only = chain_pattern();
+        assert!(domains_consistent(&g, &auto_domains(&g, &label_only)));
+        assert_eq!(
+            canonical(&auto(&g, &label_only).to_bindings()),
+            canonical(&match_pattern(&g.0, &label_only))
+        );
+        let mut p = label_only;
+        p.nodes[0].props.push(("band".into(), 1.into()));
         let domains = auto_domains(&g, &p);
         assert!(!domains_consistent(&g, &domains));
         // Trusting the lying index would return zero matches; the

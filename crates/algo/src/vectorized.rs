@@ -14,12 +14,21 @@
 //! The operator set mirrors a classic batch pipeline:
 //!
 //! * **label scan** — a variable constrained only by label seeds
-//!   straight from the `nodes_with_label` slice;
+//!   straight from the `nodes_with_label` slice (the planner
+//!   materialises no domain for it);
 //! * **index/range seed** — planner-supplied domains (equality and
 //!   range lookups, node or edge) arrive as dense selection vectors;
 //! * **batched expand** — the generating pattern edge is expanded by
 //!   walking `out_targets`/`in_targets` runs, deduplicating per source
 //!   row with a reusable stamp array (no per-row allocation);
+//! * **walk expand** — a variable-length generating edge is expanded by
+//!   [`walk_levels`]: a depth-bounded, level-synchronous frontier
+//!   expansion over the forward runs from a bound `from` (the reverse
+//!   runs from a bound `to`), deduplicated with the same stamp array,
+//!   emitting each distinct endpoint once per source row. The
+//!   variable's domain filters what is emitted, never what is walked
+//!   through. With both endpoints bound the same walk is a residual
+//!   check that stops at the first arrival;
 //! * **residual filter** — label symbols (pre-resolved once per query
 //!   against the snapshot's interner, so the batch loop compares
 //!   `u32`s), property equality, injectivity, and non-generator edge
@@ -67,7 +76,11 @@
 //! visit: [`ExecutionGuard::nodes`] charges a whole candidate batch in
 //! one atomic add and runs the deadline/cancel check unconditionally —
 //! at ≤ [`BATCH`] visits per draw that is both cheaper and *more
-//! responsive* than the per-visit amortized pulse. One shared guard
+//! responsive* than the per-visit amortized pulse. A walk charges one
+//! node visit per frontier node it expands, drawn before every
+//! `CHECK_INTERVAL` of them, so a budget or deadline stops it
+//! mid-level; the endpoints it emits are then charged with their batch
+//! like any other candidates. One shared guard
 //! would serialize N workers on its budget atomics, so each morsel
 //! worker charges a [`WorkerGuard`] — a thread-local view that
 //! accumulates counts in plain cells, drains them in bulk at morsel
@@ -88,9 +101,14 @@
 use crate::frozen::FrozenGraph;
 use crate::parallel::{clamp_threads, default_threads, isolate};
 use crate::pattern::{value_in_range, Pattern};
-use crate::planned::{domain_estimates, planned_order, var_names, MatchTable};
+use crate::planned::{
+    domain_estimates, expand_from, generating_edges, planned_order, var_names, walk_levels,
+    MatchTable, WalkBufs,
+};
 use gdm_core::{Direction, GdmError, GraphView, NodeId, Result, Symbol, Value};
 use gdm_govern::{ExecutionGuard, GuardExt, WorkerGuard};
+use std::cell::RefCell;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// Rows per batch. Large enough to amortize per-batch costs (guard
@@ -236,20 +254,44 @@ struct BatchPlan<'a> {
     dom_bits: Vec<Option<Vec<u64>>>,
 }
 
-/// Reusable per-thread search scratch: the dense-indexed dedup stamp
-/// array. Kept outside [`BatchPlan`] so one allocation serves every
-/// morsel a worker runs, instead of `O(|V|)` zeroing per morsel.
+/// Per-thread search scratch: the dense-indexed dedup stamp array and
+/// the walk buffers. It lives in a thread-local and is reused by every
+/// execution on the thread — a node is marked iff its stamp equals a
+/// generation handed out by [`Self::generations`], and generations only
+/// grow, so stamps left behind by earlier executions (on this or any
+/// other snapshot) never read as marks and nothing is zeroed per query.
+#[derive(Default)]
 struct BatchScratch {
     stamp: Vec<u32>,
     stamp_gen: u32,
+    walk: WalkBufs<u32>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<BatchScratch> = RefCell::default();
 }
 
 impl BatchScratch {
-    fn new(fz: &FrozenGraph) -> BatchScratch {
-        BatchScratch {
-            stamp: vec![0u32; fz.len()],
-            stamp_gen: 0,
+    /// Runs `f` with this thread's scratch, grown to cover `fz`.
+    fn with<R>(fz: &FrozenGraph, f: impl FnOnce(&mut BatchScratch) -> R) -> R {
+        SCRATCH.with_borrow_mut(|scratch| {
+            if scratch.stamp.len() < fz.len() {
+                scratch.stamp.resize(fz.len(), 0);
+            }
+            f(scratch)
+        })
+    }
+
+    /// Reserves `k` fresh consecutive generations and returns the
+    /// first. Stamps are zeroed only when the counter would wrap.
+    fn generations(&mut self, k: u32) -> u32 {
+        if self.stamp_gen > u32::MAX - k {
+            self.stamp.fill(0);
+            self.stamp_gen = 0;
         }
+        let first = self.stamp_gen + 1;
+        self.stamp_gen += k;
+        first
     }
 }
 
@@ -310,14 +352,10 @@ impl<'a> BatchPlan<'a> {
         // bound set at each depth is `order[..depth]`, so the
         // generating edge and the residual edge checks are knowable up
         // front instead of per candidate.
+        let generators = generating_edges(pattern, &order, domains);
         let mut bound = vec![false; n_vars];
-        let mut generators: Vec<Option<usize>> = Vec::with_capacity(order.len());
         let mut residual_edges: Vec<Vec<usize>> = Vec::with_capacity(order.len());
-        for &pv in &order {
-            let generator = pattern.edges.iter().position(|e| {
-                (e.to == pv && e.from != pv && bound[e.from])
-                    || (e.from == pv && e.to != pv && bound[e.to])
-            });
+        for (&pv, &generator) in order.iter().zip(&generators) {
             bound[pv] = true;
             let checks = pattern
                 .edges
@@ -331,7 +369,6 @@ impl<'a> BatchPlan<'a> {
                 })
                 .map(|(ei, _)| ei)
                 .collect();
-            generators.push(generator);
             residual_edges.push(checks);
         }
 
@@ -402,7 +439,7 @@ impl<'a> BatchPlan<'a> {
 
     /// Runs the plan over its whole root domain on the calling thread.
     fn run_inline(&self, guard: &ExecutionGuard) -> Result<Vec<NodeId>> {
-        self.run(None, &mut BatchScratch::new(self.fz), Some(guard))
+        BatchScratch::with(self.fz, |scratch| self.run(None, scratch, Some(guard)))
     }
 
     /// Executes the plan across `workers` morsel workers and returns
@@ -437,33 +474,35 @@ impl<'a> BatchPlan<'a> {
             let mut out: Vec<(usize, Vec<NodeId>)> = Vec::new();
             let mut first_err: Option<GdmError> = None;
             let ok = isolate(|| {
-                let mut scratch = BatchScratch::new(self.fz);
-                let worker_guard: WorkerGuard<'_> = guard.worker();
-                loop {
-                    if abort.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let m = cursor.fetch_add(1, Ordering::Relaxed);
-                    if m >= morsels.len() {
-                        break;
-                    }
-                    // Drain the worker's pending counts at every morsel
-                    // boundary so budget trips surface promptly even when
-                    // morsels are smaller than the flush threshold.
-                    let res = self
-                        .run(Some(morsels[m]), &mut scratch, &worker_guard)
-                        .and_then(|data| worker_guard.flush().map(|()| data));
-                    match res {
-                        Ok(data) => out.push((m, data)),
-                        Err(e) => {
-                            abort.store(true, Ordering::Relaxed);
-                            first_err = Some(e);
+                BatchScratch::with(self.fz, |scratch| {
+                    let worker_guard: WorkerGuard<'_> = guard.worker();
+                    loop {
+                        if abort.load(Ordering::Relaxed) {
                             break;
                         }
+                        let m = cursor.fetch_add(1, Ordering::Relaxed);
+                        if m >= morsels.len() {
+                            break;
+                        }
+                        // Drain the worker's pending counts at every morsel
+                        // boundary so budget trips surface promptly even when
+                        // morsels are smaller than the flush threshold.
+                        let res = self
+                            .run(Some(morsels[m]), scratch, &worker_guard)
+                            .and_then(|data| worker_guard.flush().map(|()| data));
+                        match res {
+                            Ok(data) => out.push((m, data)),
+                            Err(e) => {
+                                abort.store(true, Ordering::Relaxed);
+                                first_err = Some(e);
+                                break;
+                            }
+                        }
                     }
-                }
-                // `worker_guard` drops here, settling any remaining counts
-                // into the shared guard so partials merge across workers.
+                    // `worker_guard` drops here, settling any remaining
+                    // counts into the shared guard so partials merge across
+                    // workers.
+                })
             });
             (out, first_err, ok)
         };
@@ -518,14 +557,25 @@ impl<'a> BatchPlan<'a> {
     }
 }
 
+/// Which CSR sides a traversal in direction `dir` reads: (forward,
+/// reverse). An undirected snapshot's forward runs already hold every
+/// incident edge.
+fn csr_sides(dir: Direction, directed: bool) -> (bool, bool) {
+    match dir {
+        Direction::Outgoing => (true, false),
+        Direction::Incoming => (false, true),
+        Direction::Both => (true, directed),
+    }
+}
+
 struct VecSearch<'a, G: GuardExt> {
     plan: &'a BatchPlan<'a>,
     /// Root seed sub-range override (morsel execution); `None` scans
     /// the plan's whole root domain.
     root_seeds: Option<&'a [u32]>,
-    /// Reusable per-row dedup marks for batched expansion: a node is a
-    /// duplicate within one source row's expansion iff its stamp
-    /// equals the current generation.
+    /// The thread's dedup marks and walk buffers: a node is a
+    /// duplicate within one source row's expansion (or one level of a
+    /// walk) iff its stamp equals that expansion's generation.
     scratch: &'a mut BatchScratch,
     /// Flat result buffer, `n_vars` node ids per row in pattern
     /// variable order.
@@ -554,12 +604,12 @@ impl<G: GuardExt> VecSearch<'_, G> {
                     return Ok(());
                 }
                 for row in 0..frame.len {
-                    self.expand_row(pv, ei, frame, row, &mut sel, &mut vals);
+                    self.expand_row(pv, ei, frame, row, &mut sel, &mut vals)?;
                     // Flush between source rows only: the child batch's
-                    // own expansions reuse the dedup stamps, so running
-                    // them mid-row would corrupt this row's marks. A
-                    // batch may therefore overshoot BATCH by one row's
-                    // fan-out.
+                    // own expansions and walks reuse the dedup stamps,
+                    // so running them mid-row would corrupt this row's
+                    // marks. A batch may therefore overshoot BATCH by
+                    // one row's fan-out.
                     if vals.len() >= BATCH {
                         self.flush(depth, pv, frame, &mut sel, &mut vals)?;
                     }
@@ -601,9 +651,10 @@ impl<G: GuardExt> VecSearch<'_, G> {
         Ok(())
     }
 
-    /// Batched expand: walks the CSR run of `row`'s bound endpoint of
-    /// generating edge `ei`, pushing label/range-qualified,
-    /// deduplicated, in-domain targets into the pending batch.
+    /// Batched expand: pushes the label/range-qualified, deduplicated,
+    /// in-domain nodes generating edge `ei` leads to from `row`'s bound
+    /// endpoint into the pending batch — the targets of its CSR runs,
+    /// or for a variable-length edge the endpoints of its walks.
     fn expand_row(
         &mut self,
         pv: usize,
@@ -612,37 +663,82 @@ impl<G: GuardExt> VecSearch<'_, G> {
         row: usize,
         sel: &mut Vec<u32>,
         vals: &mut Vec<u32>,
-    ) {
-        let e = &self.plan.pattern.edges[ei];
-        let (bound_var, dir) = if e.to == pv {
-            (e.from, e.direction)
-        } else {
-            let dir = match e.direction {
-                Direction::Outgoing => Direction::Incoming,
-                other => other,
-            };
-            (e.to, dir)
-        };
+    ) -> Result<()> {
+        let plan = self.plan;
+        let e = &plan.pattern.edges[ei];
+        let (bound_var, dir) = expand_from(e, pv);
         let bound = frame.cols[bound_var][row];
 
-        // New dedup generation for this source row.
-        self.scratch.stamp_gen = self.scratch.stamp_gen.wrapping_add(1);
-        if self.scratch.stamp_gen == 0 {
-            self.scratch.stamp.fill(0);
-            self.scratch.stamp_gen = 1;
+        if e.hops.is_some() {
+            let bits = plan.dom_bits[pv].as_deref();
+            self.walk(ei, bound, dir, |target| {
+                // The domain restricts where a walk may end, not where
+                // it may pass.
+                if bits.is_none_or(|bits| bits[target as usize / 64] & (1 << (target % 64)) != 0) {
+                    sel.push(row as u32);
+                    vals.push(target);
+                }
+                ControlFlow::Continue(())
+            })?;
+            return Ok(());
         }
 
-        let (fwd_first, rev_too) = match dir {
-            Direction::Outgoing => (true, false),
-            Direction::Incoming => (false, true),
-            Direction::Both => (true, self.plan.fz.is_directed()),
-        };
-        if fwd_first {
-            self.expand_run(pv, ei, row, bound, false, sel, vals);
+        // New dedup generation for this source row.
+        let gen = self.scratch.generations(1);
+        let (fwd, rev) = csr_sides(dir, plan.fz.is_directed());
+        if fwd {
+            self.expand_run(pv, ei, row, bound, false, gen, sel, vals);
         }
-        if rev_too {
-            self.expand_run(pv, ei, row, bound, true, sel, vals);
+        if rev {
+            self.expand_run(pv, ei, row, bound, true, gen, sel, vals);
         }
+        Ok(())
+    }
+
+    /// Runs [`walk_levels`] for variable-length edge `ei` from dense
+    /// position `start` over the CSR runs: forward runs for an outgoing
+    /// walk, reverse runs for an incoming one, both for `Both`.
+    fn walk(
+        &mut self,
+        ei: usize,
+        start: u32,
+        dir: Direction,
+        emit: impl FnMut(u32) -> ControlFlow<()>,
+    ) -> Result<bool> {
+        let fz = self.plan.fz;
+        let hops = self.plan.pattern.edges[ei]
+            .hops
+            .expect("variable-length edge");
+        let want = self.plan.edge_want[ei];
+        let (fwd, rev) = csr_sides(dir, fz.is_directed());
+        let first = self.scratch.generations(hops.0);
+        let BatchScratch { stamp, walk, .. } = &mut *self.scratch;
+        let guard = &self.guard;
+        walk_levels(
+            start,
+            hops,
+            walk,
+            |u, out| {
+                for (follow, csr) in [(fwd, &fz.fwd), (rev, &fz.rev)] {
+                    if follow {
+                        let run = csr.run(u);
+                        for (&target, &label) in run.targets.iter().zip(run.labels) {
+                            if want.accepts(label) {
+                                out.push(target);
+                            }
+                        }
+                    }
+                }
+            },
+            |target, level| {
+                let stamp = &mut stamp[target as usize];
+                let fresh = *stamp != first + level;
+                *stamp = first + level;
+                fresh
+            },
+            |k| guard.nodes(k),
+            emit,
+        )
     }
 
     /// One CSR run (forward or reverse) of the batched expand.
@@ -654,6 +750,7 @@ impl<G: GuardExt> VecSearch<'_, G> {
         row: usize,
         bound: u32,
         reverse: bool,
+        gen: u32,
         sel: &mut Vec<u32>,
         vals: &mut Vec<u32>,
     ) {
@@ -674,10 +771,10 @@ impl<G: GuardExt> VecSearch<'_, G> {
                 continue;
             }
             let target = run.targets[pos];
-            if self.scratch.stamp[target as usize] == self.scratch.stamp_gen {
+            if self.scratch.stamp[target as usize] == gen {
                 continue; // parallel-edge duplicate within this row
             }
-            self.scratch.stamp[target as usize] = self.scratch.stamp_gen;
+            self.scratch.stamp[target as usize] = gen;
             if let Some(bits) = bits {
                 if bits[target as usize / 64] & (1 << (target % 64)) == 0 {
                     continue; // outside the variable's domain
@@ -703,20 +800,21 @@ impl<G: GuardExt> VecSearch<'_, G> {
     ) -> Result<()> {
         self.guard.nodes(vals.len() as u64)?;
 
-        let pn = &self.plan.pattern.nodes[pv];
-        let want = self.plan.node_want[pv];
-        let bound_vars = &self.plan.order[..depth];
+        let plan = self.plan;
+        let pn = &plan.pattern.nodes[pv];
+        let want = plan.node_want[pv];
+        let bound_vars = &plan.order[..depth];
         let mut keep = 0usize;
         'cand: for i in 0..vals.len() {
             let cand = vals[i];
             let row = sel[i] as usize;
             // Label: one symbol compare against the label column.
-            if !want.accepts(self.plan.fz.node_label_dense(cand)) {
+            if !want.accepts(plan.fz.node_label_dense(cand)) {
                 continue;
             }
             // Property equality over the snapshot's property columns.
             if !pn.props.is_empty() {
-                let props = self.plan.fz.node_props_dense(cand);
+                let props = plan.fz.node_props_dense(cand);
                 for (key, want_v) in &pn.props {
                     let ok = props
                         .iter()
@@ -734,8 +832,8 @@ impl<G: GuardExt> VecSearch<'_, G> {
                 }
             }
             // Residual (non-generator) edge checks.
-            for &rei in &self.plan.residual_edges[depth] {
-                let e = &self.plan.pattern.edges[rei];
+            for &rei in &plan.residual_edges[depth] {
+                let e = &plan.pattern.edges[rei];
                 let from = if e.from == pv {
                     cand
                 } else {
@@ -746,7 +844,7 @@ impl<G: GuardExt> VecSearch<'_, G> {
                 } else {
                     frame.cols[e.to][row]
                 };
-                if !self.has_edge_dense(rei, from, to) {
+                if !self.has_edge_dense(rei, from, to)? {
                     continue 'cand;
                 }
             }
@@ -779,14 +877,25 @@ impl<G: GuardExt> VecSearch<'_, G> {
 
     /// Does the snapshot hold an edge satisfying pattern edge `rei`
     /// between the dense endpoints? Pure CSR scan, symbol-compare
-    /// labels, exact range re-check.
-    fn has_edge_dense(&self, rei: usize, from: u32, to: u32) -> bool {
+    /// labels, exact range re-check. For a variable-length edge, the
+    /// walk from `from`, stopped at its first arrival at `to`.
+    fn has_edge_dense(&mut self, rei: usize, from: u32, to: u32) -> Result<bool> {
         let e = &self.plan.pattern.edges[rei];
-        match e.direction {
+        if e.hops.is_some() {
+            let arrived = self.walk(rei, from, e.direction, |target| {
+                if target == to {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            })?;
+            return Ok(arrived);
+        }
+        Ok(match e.direction {
             Direction::Outgoing => self.scan_edge(rei, from, to),
             Direction::Incoming => self.scan_edge(rei, to, from),
             Direction::Both => self.scan_edge(rei, from, to) || self.scan_edge(rei, to, from),
-        }
+        })
     }
 
     fn scan_edge(&self, rei: usize, a: u32, b: u32) -> bool {
@@ -1105,6 +1214,42 @@ mod tests {
             canonical(&vec.to_bindings()),
             canonical(&match_pattern(&fz, &p))
         );
+    }
+
+    #[test]
+    fn walks_larger_than_one_batch_emit_each_endpoint_once() {
+        // The same hub as above behind a variable-length edge: one
+        // source row's walk emits BATCH + 300 endpoints at depth 1 and
+        // meets them all again at depth 2 (leaf i → leaf i+1), and the
+        // next operator's expansions reuse the stamps.
+        let mut g = PropertyGraph::new();
+        let hub = g.add_node("hub", props! {});
+        let leaves: Vec<NodeId> = (0..BATCH + 300)
+            .map(|_| g.add_node("leaf", props! {}))
+            .collect();
+        for (i, &leaf) in leaves.iter().enumerate() {
+            g.add_edge(hub, leaf, "to", props! {}).unwrap();
+            g.add_edge(leaf, leaves[(i + 1) % leaves.len()], "to", props! {})
+                .unwrap();
+        }
+        let fz = FrozenGraph::freeze_attributed(&g);
+        for (min, max) in [(1, 2), (2, 3)] {
+            let mut p = Pattern::new();
+            let x = p.node(PatternNode::var("x").with_label("hub"));
+            let y = p.node(PatternNode::var("y"));
+            let z = p.node(PatternNode::var("z"));
+            p.edge_hops(x, y, Some("to"), Direction::Outgoing, min, max)
+                .unwrap();
+            p.edge(y, z, Some("to")).unwrap();
+            let vec = with_workers(&fz, &p, 1);
+            assert_eq!(vec.len(), BATCH + 300, "{min}..{max}");
+            assert_eq!(vec, with_workers(&fz, &p, 3), "{min}..{max}");
+            assert_eq!(
+                canonical(&vec.to_bindings()),
+                canonical(&live(&g, &p).to_bindings()),
+                "{min}..{max}"
+            );
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use gdm_algo::pattern::Pattern;
 use gdm_algo::summary::Aggregate;
-use gdm_core::{GdmError, Result, Value};
+use gdm_core::{Direction, GdmError, Result, Value};
 
 /// Binary operators in filter and projection expressions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,15 +98,19 @@ impl Projection {
 }
 
 /// A variable-length path constraint between two pattern variables
-/// (Cypher's `-[:T*min..max]->`).
+/// (Cypher's `-[:T*min..max]->`): a walk of `min..=max` hops leads
+/// from `from` to `to`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VarLengthEdge {
-    /// Source variable.
+    /// Variable the walk starts at.
     pub from: String,
-    /// Target variable.
+    /// Variable the walk ends at.
     pub to: String,
     /// Required edge label, if any.
     pub label: Option<String>,
+    /// How each hop follows its edge, relative to the walk: `Outgoing`
+    /// for `-[*]->`, `Incoming` for `<-[*]-`, `Both` for `-[*]-`.
+    pub direction: Direction,
     /// Minimum hops (≥ 1).
     pub min: usize,
     /// Maximum hops.
@@ -118,7 +122,8 @@ pub struct VarLengthEdge {
 pub struct SelectQuery {
     /// The fixed graph pattern (variables + single-hop edges).
     pub pattern: Pattern,
-    /// Variable-length path constraints layered on the pattern.
+    /// Variable-length path constraints between pattern variables. The
+    /// planner lowers them into `pattern` as variable-length edges.
     pub var_paths: Vec<VarLengthEdge>,
     /// Row filter.
     pub filter: Option<Expr>,
@@ -276,6 +281,7 @@ mod tests {
             from: "a".into(),
             to: "ghost".into(),
             label: None,
+            direction: Direction::Outgoing,
             min: 1,
             max: 2,
         });
@@ -290,6 +296,7 @@ mod tests {
             from: "a".into(),
             to: "b".into(),
             label: None,
+            direction: Direction::Outgoing,
             min: 0,
             max: 2,
         });

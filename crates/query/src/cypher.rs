@@ -18,7 +18,8 @@
 //!          | CREATE node-pat (',' node-pat)*
 //! pattern := node-pat (edge node-pat)*
 //! node-pat:= '(' [var] [':' label] [props] ')'
-//! edge    := '-[' [':' type] ['*' min '..' max] ']->' | '<-[...]-' | '-[...]-'
+//! edge    := '-[' [':' type] [hops] ']->' | '<-[...]-' | '-[...]-'
+//! hops    := '*' min '..' max | '*' '..' max | '*' n      (an upper bound is required)
 //! props   := '{' key ':' literal (',' key ':' literal)* '}'
 //! proj    := expr [AS name] | count '(' '*' | expr ')' | sum/avg/min/max '(' expr ')'
 //! ```
@@ -174,16 +175,20 @@ fn parse_path_pattern(c: &mut Cursor, query: &mut SelectQuery) -> Result<()> {
                 label = Some(c.expect_ident()?);
             }
             if c.eat_punct("*") {
-                let min = match c.peek() {
-                    TokenKind::Int(_) => parse_usize(c)?,
-                    _ => 1,
+                // `*min..max`, `*..max` (from 1) or `*n` (exactly n).
+                let bound = |c: &mut Cursor| match c.peek() {
+                    TokenKind::Int(_) => parse_usize(c).map(Some),
+                    _ => Ok(None),
                 };
-                let max = if c.eat_punct("..") {
-                    parse_usize(c)?
-                } else {
-                    min.max(1)
+                let min = bound(c)?;
+                let max = if c.eat_punct("..") { bound(c)? } else { min };
+                let Some(max) = max else {
+                    return Err(c.error(
+                        "a variable-length relationship requires an upper bound: \
+                         write `*1..N`, `*..N` or `*N` (unbounded `*` is not supported)",
+                    ));
                 };
-                var_len = Some((min.max(1), max));
+                var_len = Some((min.unwrap_or(1).max(1), max));
             }
             c.expect_punct("]")?;
         }
@@ -200,19 +205,14 @@ fn parse_path_pattern(c: &mut Cursor, query: &mut SelectQuery) -> Result<()> {
         };
         let next = parse_node_pattern(c, query)?;
         match var_len {
-            Some((min, max)) => {
-                let (from, to) = match direction {
-                    Direction::Incoming => (next.clone(), prev.clone()),
-                    _ => (prev.clone(), next.clone()),
-                };
-                query.var_paths.push(VarLengthEdge {
-                    from,
-                    to,
-                    label,
-                    min,
-                    max,
-                });
-            }
+            Some((min, max)) => query.var_paths.push(VarLengthEdge {
+                from: prev.clone(),
+                to: next.clone(),
+                label,
+                direction,
+                min,
+                max,
+            }),
             None => {
                 let from_idx = var_index(query, &prev);
                 let to_idx = var_index(query, &next);
@@ -621,6 +621,50 @@ mod tests {
         );
         let names: Vec<&str> = rs.rows.iter().map(|r| r[0].as_str().unwrap()).collect();
         assert_eq!(names, vec!["bob", "cleo"]);
+    }
+
+    #[test]
+    fn variable_length_path_honours_the_relationship_direction() {
+        // d -> a -> b -> c
+        let mut g = PropertyGraph::new();
+        let [d, a, b, c] = ["d", "a", "b", "c"].map(|n| g.add_node("n", props! { "name" => n }));
+        for (from, to) in [(d, a), (a, b), (b, c)] {
+            g.add_edge(from, to, "knows", props! {}).unwrap();
+        }
+        let reached = |edge: &str| -> Vec<String> {
+            let query = format!("MATCH (x {{name: 'a'}}){edge}(y) RETURN y.name ORDER BY y.name");
+            let rows = run(&g, &query).rows;
+            rows.iter()
+                .map(|r| r[0].as_str().unwrap().to_owned())
+                .collect()
+        };
+        assert_eq!(reached("-[:knows*1..2]->"), ["b", "c"]);
+        assert_eq!(reached("<-[:knows*1..2]-"), ["d"]);
+        // Undirected: either orientation per hop, so `d` is one hop away.
+        assert_eq!(reached("-[:knows*1..2]-"), ["b", "c", "d"]);
+    }
+
+    #[test]
+    fn variable_length_bounds_spellings() {
+        let hops = |edge: &str| {
+            let stmt = parse(&format!("MATCH (a)-[:knows{edge}]->(b) RETURN b"));
+            stmt.map(|stmt| match stmt {
+                CypherStatement::Select(q) => (q.var_paths[0].min, q.var_paths[0].max),
+                CypherStatement::Create(_) => panic!("expected select"),
+            })
+        };
+        assert_eq!(hops("*1..3").unwrap(), (1, 3));
+        assert_eq!(hops("*2..3").unwrap(), (2, 3));
+        assert_eq!(hops("*..3").unwrap(), (1, 3));
+        assert_eq!(hops("*3").unwrap(), (3, 3));
+        // Cypher's unbounded forms are refused, not read as one hop.
+        for unbounded in ["*", "*2.."] {
+            let err = hops(unbounded).unwrap_err().to_string();
+            assert!(
+                err.contains("requires an upper bound"),
+                "{unbounded}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -1,18 +1,17 @@
 //! Evaluates the shared logical algebra over any attributed graph.
 //!
-//! The pipeline: match the fixed pattern (VF2 from `gdm-algo`), expand
-//! variable-length path constraints (label-filtered BFS in the hop
-//! range), filter, project (row or aggregate), order, skip, limit.
+//! The pipeline: match the pattern — variable-length edges included,
+//! they are pattern edges the matcher expands (`gdm-algo`) — then
+//! filter, project (row or aggregate), order, skip, limit.
 //! Bare variables project as node ids; `var.key` projects the bound
 //! node's property; the pseudo-properties `id`, `label`, and `degree`
 //! are always available (the paper's engines all expose them through
 //! their APIs).
 
 use crate::ast::{BinOp, Expr, Projection, SelectQuery};
-use gdm_algo::pattern::{match_pattern, Binding};
+use gdm_algo::pattern::{match_pattern, within_hops, Binding};
 use gdm_algo::summary::aggregate;
 use gdm_core::{AttributedView, FxHashSet, GdmError, NodeId, Result, Value};
-use std::collections::VecDeque;
 
 /// A tabular query result.
 #[derive(Debug, Clone, PartialEq)]
@@ -80,38 +79,44 @@ pub fn evaluate_select<G: AttributedView + ?Sized>(
     crate::plan::evaluate_select_planned(g, query).map(|(rs, _)| rs)
 }
 
-/// Executes `query` without planning: full VF2 over all nodes, the
-/// WHERE clause applied only after matching. Kept as the reference
-/// path the property tests compare the planner against.
+/// Executes `query` without planning: full VF2 over all nodes, each
+/// variable-length path constraint checked per binding with the
+/// reference predicate, the WHERE clause applied only after matching.
+/// Kept as the reference path the property tests compare the planner
+/// against.
 pub fn evaluate_select_unplanned<G: AttributedView + ?Sized>(
     g: &G,
     query: &SelectQuery,
 ) -> Result<ResultSet> {
     query.validate()?;
-    // 1. Fixed pattern.
-    let bindings = match_pattern(g, &query.pattern);
+    let mut bindings = match_pattern(g, &query.pattern);
+    for vp in &query.var_paths {
+        let label = vp.label.as_deref();
+        bindings.retain(|b| {
+            within_hops(
+                g,
+                b[&vp.from],
+                b[&vp.to],
+                label,
+                vp.direction,
+                vp.min,
+                vp.max,
+            )
+        });
+    }
     finish_select(g, query, bindings)
 }
 
-/// Steps 2–7 of the pipeline, shared by the planned and unplanned
-/// paths: var-length paths, filter, deterministic sort, projection,
-/// distinct, order, skip/limit. The deterministic sort guarantees both
-/// paths produce byte-identical row order regardless of how the
-/// bindings were found.
+/// Everything after the match, shared by the planned and unplanned
+/// paths: filter, deterministic sort, projection, distinct, order,
+/// skip/limit. The deterministic sort guarantees both paths produce
+/// byte-identical row order regardless of how the bindings were found.
 pub(crate) fn finish_select<G: AttributedView + ?Sized>(
     g: &G,
     query: &SelectQuery,
     mut bindings: Vec<Binding>,
 ) -> Result<ResultSet> {
-    // 2. Variable-length path constraints.
-    for vp in &query.var_paths {
-        bindings.retain(|b| {
-            let from = b[&vp.from];
-            let to = b[&vp.to];
-            within_hops(g, from, to, vp.label.as_deref(), vp.min, vp.max)
-        });
-    }
-    // 3. Filter.
+    // 1. Filter.
     if let Some(filter) = &query.filter {
         let mut kept = Vec::with_capacity(bindings.len());
         for b in bindings {
@@ -134,7 +139,7 @@ pub(crate) fn finish_select<G: AttributedView + ?Sized>(
         .map(|p| p.name().to_owned())
         .collect();
 
-    // 4. Aggregate, grouped, or row projection.
+    // 2. Aggregate, grouped, or row projection.
     let is_aggregate = query.projections.iter().any(Projection::is_aggregate);
     // `ORDER BY alias` sorts by a projected column after projection;
     // detect it up front so group keys are not evaluated for it.
@@ -222,13 +227,13 @@ pub(crate) fn finish_select<G: AttributedView + ?Sized>(
         out
     };
 
-    // 5. Distinct.
+    // 3. Distinct.
     if query.distinct {
         let mut seen: FxHashSet<String> = FxHashSet::default();
         rows.retain(|r| seen.insert(format!("{r:?}")));
     }
 
-    // 6. Order by (only meaningful for row projections, but harmless
+    // 4. Order by (only meaningful for row projections, but harmless
     // otherwise). The sort key is evaluated against bindings for row
     // queries; for simplicity we sort rows by the projected columns
     // when the key expression equals a projection, else re-evaluate.
@@ -268,7 +273,7 @@ pub(crate) fn finish_select<G: AttributedView + ?Sized>(
         }
     }
 
-    // 7. Skip / limit.
+    // 5. Skip / limit.
     if query.skip > 0 {
         rows.drain(..query.skip.min(rows.len()));
     }
@@ -277,51 +282,6 @@ pub(crate) fn finish_select<G: AttributedView + ?Sized>(
     }
 
     Ok(ResultSet { columns, rows })
-}
-
-/// Is `to` reachable from `from` in `min..=max` hops over edges whose
-/// label matches `label` (any label when `None`)?
-fn within_hops<G: AttributedView + ?Sized>(
-    g: &G,
-    from: NodeId,
-    to: NodeId,
-    label: Option<&str>,
-    min: usize,
-    max: usize,
-) -> bool {
-    // States are (node, depth): a walk may need to revisit a node at a
-    // greater depth to satisfy `min`, so nodes are not globally marked.
-    let mut seen: FxHashSet<(u64, usize)> = FxHashSet::default();
-    seen.insert((from.raw(), 0));
-    let mut queue: VecDeque<(NodeId, usize)> = VecDeque::from([(from, 0)]);
-    while let Some((n, d)) = queue.pop_front() {
-        if d >= max {
-            continue;
-        }
-        let mut hit = false;
-        g.visit_out_edges(n, &mut |e| {
-            let label_ok = match label {
-                None => true,
-                Some(want) => e
-                    .label
-                    .and_then(|s| g.label_text(s))
-                    .is_some_and(|t| t == want),
-            };
-            if !label_ok {
-                return;
-            }
-            if e.to == to && d + 1 >= min {
-                hit = true;
-            }
-            if seen.insert((e.to.raw(), d + 1)) {
-                queue.push_back((e.to, d + 1));
-            }
-        });
-        if hit {
-            return true;
-        }
-    }
-    false
 }
 
 /// Evaluates `expr` under `binding`.
@@ -544,6 +504,7 @@ mod tests {
             from: "a".into(),
             to: "b".into(),
             label: Some("knows".into()),
+            direction: gdm_core::Direction::Outgoing,
             min: 1,
             max: 2,
         });

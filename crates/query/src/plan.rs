@@ -1,9 +1,14 @@
 //! Cost-based planning for the shared logical algebra.
 //!
 //! Every dialect lowers to the same [`SelectQuery`], so one planner
-//! speeds all of them up. Planning happens in two moves:
+//! speeds all of them up. Planning happens in three moves:
 //!
-//! 1. **Predicate pushdown.** The WHERE clause is split into its
+//! 1. **Path lowering.** Every variable-length path constraint becomes
+//!    a variable-length edge of the pattern
+//!    ([`gdm_algo::Pattern::edge_hops`]), so the matcher orders,
+//!    expands and governs it like any other edge; the planned query
+//!    carries no `var_paths`.
+//! 2. **Predicate pushdown.** The WHERE clause is split into its
 //!    top-level AND conjuncts; every conjunct of the form
 //!    `var.key = literal` (either operand order) becomes a property
 //!    constraint on that pattern variable, and `var.label = "text"`
@@ -12,12 +17,16 @@
 //!    filter a missing property compares as `NULL = NULL` (true),
 //!    while a pattern constraint requires the property to exist —
 //!    pushing would change results.
-//! 2. **Access selection + ordering.** For each pattern variable the
+//! 3. **Access selection + ordering.** For each pattern variable the
 //!    view's [`AttributedView::candidate_estimate`] reports whether an
-//!    index can bound its candidates; if so the variable is seeded
-//!    from [`AttributedView::candidates`] (index access), otherwise it
+//!    index can bound its candidates. A variable with property
+//!    constraints an index covers gets its candidates materialised as a
+//!    domain ([`AttributedView::candidates`]); a variable constrained
+//!    by label alone is index access too, but keeps no domain — the
+//!    executors read the view's label index in place, so the plan holds
+//!    nothing proportional to the label's population. Everything else
 //!    scans. [`gdm_algo::planned_order`] then eliminates variables
-//!    smallest estimated domain first, connectivity as the tiebreak.
+//!    smallest estimate first, connectivity as the tiebreak.
 //!
 //! The chosen plan is recorded as an [`ExplainPlan`] whose
 //! [`ExplainPlan::render`]/[`ExplainPlan::parse`] round-trip gives
@@ -25,7 +34,9 @@
 
 use crate::ast::{BinOp, Expr, SelectQuery};
 use crate::eval::{finish_select, ResultSet};
-use gdm_algo::planned::{domain_estimates, match_pattern_seeded, planned_order, Domains};
+use gdm_algo::planned::{
+    domain_estimates, generating_edges, match_pattern_seeded, planned_order, Domains,
+};
 use gdm_algo::Pattern;
 use gdm_core::{AttributedView, GdmError, Result, Value};
 use gdm_govern::ExecutionGuard;
@@ -56,8 +67,10 @@ pub struct PlanStep {
     pub var: String,
     /// Index seeding vs scanning.
     pub access: Access,
-    /// Estimated candidate count (index cardinality, or the graph's
-    /// node count for scans).
+    /// Estimated candidate count: index cardinality, or the graph's
+    /// node count for scans — capped, at either end of a
+    /// variable-length edge, by what its walks can reach from the
+    /// other end.
     pub estimate: usize,
     /// Number of property constraints on the variable after pushdown.
     pub props: usize,
@@ -68,6 +81,9 @@ pub struct PlanStep {
     pub ranges: usize,
     /// Label constraint after pushdown, if any.
     pub label: Option<String>,
+    /// `Some((min, max))` when the variable is reached by expanding a
+    /// variable-length edge of that hop range from an earlier step.
+    pub hops: Option<(u32, u32)>,
 }
 
 /// The recorded plan: what was pushed down and how each variable is
@@ -110,6 +126,10 @@ impl ExplainPlan {
             if let Some(label) = &s.label {
                 out.push_str(&format!(" label={label}"));
             }
+            // Like `ranges=`: absent unless the step has it.
+            if let Some((min, max)) = s.hops {
+                out.push_str(&format!(" hops={min}..{max}"));
+            }
             out.push('\n');
         }
         out
@@ -146,6 +166,7 @@ impl ExplainPlan {
             }
             let (mut var, mut access, mut estimate, mut props, mut ranges, mut label) =
                 (None, None, None, None, None, None);
+            let mut hops = None;
             for tok in toks {
                 let (k, v) = split_kv(tok)?;
                 match k {
@@ -161,6 +182,15 @@ impl ExplainPlan {
                     "props" => props = Some(parse_count(k, v)?),
                     "ranges" => ranges = Some(parse_count(k, v)?),
                     "label" => label = Some(v.to_owned()),
+                    "hops" => {
+                        let bounds = v
+                            .split_once("..")
+                            .and_then(|(min, max)| Some((min.parse().ok()?, max.parse().ok()?)));
+                        hops =
+                            Some(bounds.ok_or_else(|| {
+                                invalid(format!("hops must be min..max, got {v:?}"))
+                            })?);
+                    }
                     other => return Err(invalid(format!("unknown step field {other:?}"))),
                 }
             }
@@ -172,6 +202,7 @@ impl ExplainPlan {
                 // Absent in pre-range plan text: default to zero.
                 ranges: ranges.unwrap_or(0),
                 label,
+                hops,
             });
         }
         Ok(Self {
@@ -211,15 +242,27 @@ pub struct PlannedSelect {
     pub explain: ExplainPlan,
 }
 
-/// Plans `query` against `g`: validates, pushes equality predicates
-/// into the pattern, seeds index-coverable variables with candidate
-/// domains, and records the elimination order.
+/// Plans `query` against `g`: validates, lowers variable-length paths
+/// into pattern edges, pushes equality predicates into the pattern,
+/// seeds index-coverable variables with candidate domains, and records
+/// the elimination order.
 pub fn plan_select<G: AttributedView + ?Sized>(
     g: &G,
     query: &SelectQuery,
 ) -> Result<PlannedSelect> {
     query.validate()?;
     let mut query = query.clone();
+    for vp in std::mem::take(&mut query.var_paths) {
+        let index = |var: &str| {
+            let found = query.pattern.nodes.iter().position(|n| n.var == var);
+            found.expect("validate() checked path variables")
+        };
+        let (from, to) = (index(&vp.from), index(&vp.to));
+        let label = vp.label.as_deref();
+        query
+            .pattern
+            .edge_hops(from, to, label, vp.direction, vp.min, vp.max)?;
+    }
     let mut pushed = 0usize;
     let mut residual = Vec::new();
     if let Some(filter) = query.filter.take() {
@@ -232,7 +275,7 @@ pub fn plan_select<G: AttributedView + ?Sized>(
         }
     }
     let residual_count = residual.len();
-    let mut domains = index_domains(g, &query.pattern);
+    let mut domains = gdm_algo::planned::auto_domains(g, &query.pattern);
     let mut range_counts = vec![0usize; query.pattern.nodes.len()];
     // Edge-range pushdown: a pattern edge carrying range constraints
     // (`Pattern::edge_range`) narrows *both* endpoint variables to the
@@ -260,13 +303,19 @@ pub fn plan_select<G: AttributedView + ?Sized>(
 
     let estimates = domain_estimates(g, &query.pattern, &domains);
     let order = planned_order(&query.pattern, &estimates);
+    let generators = generating_edges(&query.pattern, &order, &domains);
     let steps = order
         .iter()
-        .map(|&i| {
+        .zip(&generators)
+        .map(|(&i, generator)| {
             let pn = &query.pattern.nodes[i];
+            let label_indexed = || {
+                let label = pn.label.as_deref();
+                label.is_some() && g.candidate_estimate(label, &[]).is_some()
+            };
             PlanStep {
                 var: pn.var.clone(),
-                access: if domains[i].is_some() {
+                access: if domains[i].is_some() || label_indexed() {
                     Access::Index
                 } else {
                     Access::Scan
@@ -275,6 +324,7 @@ pub fn plan_select<G: AttributedView + ?Sized>(
                 props: pn.props.len(),
                 ranges: range_counts[i],
                 label: pn.label.clone(),
+                hops: generator.and_then(|ei| query.pattern.edges[ei].hops),
             }
         })
         .collect();
@@ -320,13 +370,6 @@ pub fn execute_planned_governed<G: AttributedView + ?Sized>(
 ) -> Result<ResultSet> {
     let table = match_pattern_seeded(g, &planned.query.pattern, &planned.domains, guard)?;
     finish_select(g, &planned.query, table.to_bindings())
-}
-
-/// Candidate domains from the view's indexes: a constrained variable
-/// whose constraints an index can bound gets its candidate list;
-/// everything else stays unrestricted.
-fn index_domains<G: AttributedView + ?Sized>(g: &G, pattern: &Pattern) -> Domains {
-    gdm_algo::planned::auto_domains(g, pattern)
 }
 
 /// Narrows both endpoint variables of a range-constrained pattern edge
@@ -649,6 +692,40 @@ mod tests {
         assert!(text.starts_with("plan nodes=2 pushed=1 residual=0"));
         let back = ExplainPlan::parse(&text).unwrap();
         assert_eq!(back, planned.explain);
+    }
+
+    #[test]
+    fn variable_length_paths_lower_into_the_pattern_and_explain_as_hops() {
+        let g = social();
+        let mut q = name_query(None);
+        q.pattern
+            .node(PatternNode::var("a").with_prop("name", "ada"));
+        q.var_paths.push(crate::ast::VarLengthEdge {
+            from: "a".into(),
+            to: "p".into(),
+            label: Some("knows".into()),
+            direction: gdm_core::Direction::Outgoing,
+            min: 1,
+            max: 2,
+        });
+        let planned = plan_select(&g, &q).unwrap();
+        assert!(planned.query.var_paths.is_empty());
+        assert_eq!(planned.query.pattern.edges[0].hops, Some((1, 2)));
+        // `p` is constrained by label alone: index access by estimate,
+        // nothing materialised.
+        assert!(planned.domains[0].is_none());
+        let text = planned.explain.render();
+        assert_eq!(
+            text,
+            "plan nodes=2 pushed=0 residual=0\n\
+             step var=a access=index estimate=1 props=1\n\
+             step var=p access=index estimate=2 props=0 label=person hops=1..2\n"
+        );
+        assert_eq!(ExplainPlan::parse(&text).unwrap(), planned.explain);
+        assert!(ExplainPlan::parse(&text.replace("1..2", "1-2")).is_err());
+        let (rs, _) = evaluate_select_planned(&g, &q).unwrap();
+        assert_eq!(rs, evaluate_select_unplanned(&g, &q).unwrap());
+        assert_eq!(rs.len(), 2);
     }
 
     #[test]

@@ -356,3 +356,66 @@ fn governed_par_vectorized_gauntlet_under_forced_workers() {
         "a poisoned morsel must degrade to the sequential answer, not change it"
     );
 }
+
+/// A variable-length edge is expanded under the guard by both
+/// executors. On a dense graph (every person knows every other),
+/// `*1..8` from one bound person under a 1-unit node budget trips on
+/// the walk's first charge — the seed alone fits the budget — and the
+/// same walk from every person under a 1 ms deadline runs out of time
+/// part-way: tens of millions of edge scans, checked every
+/// `CHECK_INTERVAL` frontier nodes.
+#[test]
+fn variable_length_expand_is_interruptible_on_both_executors() {
+    use graph_db_models::algo::FrozenGraph;
+    use graph_db_models::core::{props, AttributedView, InterruptReason};
+    use graph_db_models::graphs::PropertyGraph;
+    use graph_db_models::query::cypher::{parse, CypherStatement};
+    use graph_db_models::query::plan::{execute_planned_governed, plan_select};
+
+    const PEOPLE: usize = 300;
+    let mut g = PropertyGraph::new();
+    let people: Vec<NodeId> = (0..PEOPLE)
+        .map(|i| g.add_node("person", props! { "name" => format!("person{i}") }))
+        .collect();
+    for &from in &people {
+        for &to in &people {
+            if from != to {
+                g.add_edge(from, to, "knows", props! {}).unwrap();
+            }
+        }
+    }
+    let fz = FrozenGraph::freeze_attributed(&g);
+    let select = |text: &str| match parse(text).unwrap() {
+        CypherStatement::Select(q) => *q,
+        CypherStatement::Create(_) => panic!("expected a MATCH query"),
+    };
+    let from_one =
+        select("MATCH (p:person {name:'person7'})-[:knows*1..8]->(g:person) RETURN count(*)");
+    let from_all = select("MATCH (p:person)-[:knows*1..8]->(g:person) RETURN count(*)");
+
+    fn check<G: AttributedView>(
+        view: &G,
+        from_one: &graph_db_models::query::SelectQuery,
+        from_all: &graph_db_models::query::SelectQuery,
+    ) {
+        let planned = plan_select(view, from_one).unwrap();
+        let unlimited = ExecutionGuard::unlimited();
+        let rows = execute_planned_governed(view, &planned, &unlimited).unwrap();
+        assert_eq!(rows.rows[0][0], ((PEOPLE - 1) as i64).into());
+
+        let guard = ExecutionGuard::new(Limits::none().with_node_visits(1));
+        let err = execute_planned_governed(view, &planned, &guard).unwrap_err();
+        assert_eq!(err.interrupt_reason(), Some(InterruptReason::Budget));
+        assert!(
+            guard.budget().node_visits() > 1,
+            "the trip came from a charge after the seed's"
+        );
+
+        let planned = plan_select(view, from_all).unwrap();
+        let guard = ExecutionGuard::new(Limits::none().with_deadline(Duration::from_millis(1)));
+        let err = execute_planned_governed(view, &planned, &guard).unwrap_err();
+        assert_eq!(err.interrupt_reason(), Some(InterruptReason::Deadline));
+    }
+    check(&g, &from_one, &from_all);
+    check(&fz, &from_one, &from_all);
+}

@@ -1,6 +1,6 @@
 //! Property suite for the cost-based pattern planner.
 //!
-//! Two invariants hold the planner together:
+//! Three invariants hold the planner together:
 //!
 //! 1. **Planned ≡ unplanned.** On any graph and any pattern/query, the
 //!    planned matcher (index-seeded domains, selectivity ordering) and
@@ -12,17 +12,24 @@
 //!    per-key value indexes, after an arbitrary insert/remove/update
 //!    sequence, must answer exactly like an index rebuilt from scratch
 //!    over the surviving nodes — and both must agree with a raw scan.
+//! 3. **Expanded ≡ checked.** A variable-length edge, which the planned
+//!    executors expand from a bound endpoint, must select exactly the
+//!    pairs the reference predicate `within_hops` accepts — on the live
+//!    view, on the snapshot, across morsel workers, and through the
+//!    corrupt-domain fallback.
 
 use graph_db_models::algo::pattern::{canonical, match_pattern, Pattern, PatternNode};
 use graph_db_models::algo::planned::{auto_domains, match_pattern_seeded};
-use graph_db_models::algo::vectorized::match_pattern_forced_morsels;
+use graph_db_models::algo::vectorized::{match_pattern_forced_morsels, BATCH};
 use graph_db_models::algo::FrozenGraph;
-use graph_db_models::core::{props, AttributedView, GraphView, NodeId, Value};
+use graph_db_models::core::{props, AttributedView, Direction, GraphView, NodeId, Value};
 use graph_db_models::govern::ExecutionGuard;
 use graph_db_models::graphs::PropertyGraph;
 use graph_db_models::query::eval::{evaluate_select, evaluate_select_unplanned};
-use graph_db_models::query::plan::{evaluate_select_planned, ExplainPlan};
-use graph_db_models::query::{BinOp, Expr, Projection, SelectQuery};
+use graph_db_models::query::plan::{
+    evaluate_select_planned, execute_planned_governed, plan_select, ExplainPlan,
+};
+use graph_db_models::query::{BinOp, Expr, Projection, SelectQuery, VarLengthEdge};
 use graph_db_models::storage::{BTreeIndex, ValueIndex};
 use proptest::prelude::*;
 
@@ -274,6 +281,213 @@ proptest! {
         let (fz_rows, _) =
             evaluate_select_planned(&fz, &q).expect("frozen planned path evaluates");
         prop_assert_eq!(&fz_rows, &reference);
+    }
+}
+
+const WALK_EDGE_LABELS: [Option<&str>; 3] = [None, Some("a"), Some("b")];
+const DIRECTIONS: [Direction; 3] = [Direction::Outgoing, Direction::Incoming, Direction::Both];
+
+/// `(label, k)` per core node, `(from, to, label)` per core edge, and
+/// for a hub graph how many leaves beyond [`BATCH`] it fans out to.
+type WalkGraphSpec = (Vec<(u8, i64)>, Vec<(usize, usize, u8)>, Option<usize>);
+
+/// A directed graph for the variable-length property: three to eight
+/// labelled core nodes (unique `id`, shared `k`) under random edges
+/// over two labels — cycles, self loops and parallel edges included —
+/// and, in one case out of four, the first core node a hub fanning
+/// out to more than [`BATCH`] leaves (PR 12's bug class: one source row
+/// overflowing a batch), some of which lead back into the core.
+fn walk_graph_strategy() -> impl Strategy<Value = WalkGraphSpec> {
+    (
+        prop::collection::vec((0u8..2, 0i64..3), 3..9),
+        prop::collection::vec((0usize..8, 0usize..8, 0u8..2), 0..20),
+        (0u8..4, 1usize..64),
+    )
+        .prop_map(|(core, edges, (hub, extra))| (core, edges, (hub == 0).then_some(extra)))
+}
+
+fn build_walk_graph((core, edges, hub): &WalkGraphSpec) -> PropertyGraph {
+    let mut g = PropertyGraph::new();
+    let nodes: Vec<NodeId> = core
+        .iter()
+        .enumerate()
+        .map(|(i, &(label, k))| {
+            let label = ["person", "place"][label as usize];
+            g.add_node(label, props! { "id" => i as i64, "k" => k })
+        })
+        .collect();
+    let edge_label = |l: usize| ["a", "b"][l % 2];
+    let n = nodes.len();
+    for &(from, to, label) in edges {
+        g.add_edge(
+            nodes[from % n],
+            nodes[to % n],
+            edge_label(label as usize),
+            props! {},
+        )
+        .expect("endpoints exist");
+    }
+    if let Some(extra) = *hub {
+        let hub = nodes[0];
+        for i in 0..BATCH + extra {
+            let leaf = g.add_node("leaf", props! {});
+            g.add_edge(hub, leaf, "a", props! {})
+                .expect("endpoints exist");
+            if i % 3 == 0 {
+                g.add_edge(hub, leaf, "b", props! {})
+                    .expect("endpoints exist");
+            }
+            if i < 16 {
+                g.add_edge(leaf, nodes[i % n], edge_label(i / 2), props! {})
+                    .expect("endpoints exist");
+            }
+        }
+    }
+    g
+}
+
+/// `(label, direction, min, extra)`: hop range `min..=min(min + extra, 4)`.
+type HopsSpec = (u8, u8, usize, usize);
+
+/// Per-variable constraint kinds and values, the pattern's shape, and
+/// its two variable-length edges.
+type WalkQuerySpec = (Vec<(u8, i64)>, u8, Vec<HopsSpec>);
+
+fn walk_query_strategy() -> impl Strategy<Value = WalkQuerySpec> {
+    (
+        prop::collection::vec((0u8..7, 0i64..8), 3..4),
+        0u8..5,
+        prop::collection::vec((0u8..3, 0u8..3, 1usize..4, 0usize..4), 2..3),
+    )
+}
+
+/// Builds one of five shapes over variables `a`, `b`, `c`:
+/// `(a)-[*]-(b)`, `(a)-[fixed]->(b)-[*]-(c)`, `(a)-[*]-(b)-[*]-(c)`,
+/// `(a)-[*]-(a)`, and two variable-length edges between `a` and `b`.
+/// Each variable is unconstrained, labelled (so not index-bound: no
+/// domain), or index-bound by its unique `id` or shared `k`.
+fn build_walk_query((vars, shape, hops): &WalkQuerySpec, graph: &WalkGraphSpec) -> SelectQuery {
+    let used = match shape {
+        0 | 4 => 2,
+        3 => 1,
+        _ => 3,
+    };
+    let (core, leaves) = (graph.0.len(), graph.2.map_or(0, |extra| BATCH + extra));
+    let mut kinds: Vec<u8> = vars.iter().take(used).map(|&(kind, _)| kind).collect();
+    // The reference pipeline checks every binding of the fixed pattern
+    // with a search of its own: on a hub graph, pin the narrower
+    // variables until only one may still range over the leaves.
+    let size = |kind: u8| match kind {
+        0 | 1 => core + leaves,
+        4 => leaves.max(1),
+        5 => 1,
+        _ => core,
+    };
+    while kinds.iter().map(|&k| size(k)).product::<usize>() > 1_200 {
+        let unpinned = (0..used).filter(|&i| kinds[i] != 5);
+        let narrowest = unpinned
+            .min_by_key(|&i| size(kinds[i]))
+            .expect("a variable");
+        kinds[narrowest] = 5;
+    }
+
+    let mut q = SelectQuery::default();
+    for (i, name) in ["a", "b", "c"].into_iter().take(used).enumerate() {
+        let node = PatternNode::var(name);
+        q.pattern.node(match kinds[i] {
+            0 | 1 => node,
+            2 => node.with_label("person"),
+            3 => node.with_label("place"),
+            4 => node.with_label("leaf"),
+            5 => node.with_prop("id", vars[i].1 % core as i64),
+            _ => node.with_prop("k", vars[i].1 % 3),
+        });
+        q.projections.push(Projection::Expr {
+            name: name.into(),
+            expr: Expr::Var(name.into()),
+        });
+    }
+    let mut path = |from: &str, to: &str, &(label, direction, min, extra): &HopsSpec| {
+        q.var_paths.push(VarLengthEdge {
+            from: from.into(),
+            to: to.into(),
+            label: WALK_EDGE_LABELS[label as usize].map(str::to_owned),
+            direction: DIRECTIONS[direction as usize],
+            min,
+            max: (min + extra).min(4),
+        });
+    };
+    match shape {
+        0 => path("a", "b", &hops[0]),
+        1 => path("b", "c", &hops[0]),
+        2 => {
+            path("a", "b", &hops[0]);
+            path("b", "c", &hops[1]);
+        }
+        3 => path("a", "a", &hops[0]),
+        _ => {
+            path("a", "b", &hops[0]);
+            path("b", "a", &hops[1]);
+        }
+    }
+    if *shape == 1 {
+        let label = WALK_EDGE_LABELS[hops[1].0 as usize];
+        q.pattern.edge(0, 1, label).expect("vars exist");
+    }
+    q
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Invariant 3: one or two variable-length edges — any label, any
+    /// direction, `min` up to 3, `max` up to 4, either, both or neither
+    /// endpoint index-bound, alone, chained after a fixed edge, chained
+    /// after each other, or closing on their own start — answer alike
+    /// through the reference predicate, the live search, the batch
+    /// pipeline, its morsel driver, and the corrupt-domain fallback.
+    #[test]
+    fn variable_length_edges_expand_to_what_the_reference_checks(
+        graph in walk_graph_strategy(),
+        query in walk_query_strategy(),
+    ) {
+        let g = build_walk_graph(&graph);
+        let q = build_walk_query(&query, &graph);
+        let guard = ExecutionGuard::unlimited();
+        let reference = evaluate_select_unplanned(&g, &q).expect("reference path evaluates");
+
+        let (live_rows, explain) = evaluate_select_planned(&g, &q).expect("live plan evaluates");
+        prop_assert_eq!(&live_rows, &reference);
+        let parsed = ExplainPlan::parse(&explain.render()).expect("explain round-trips");
+        prop_assert_eq!(parsed, explain);
+
+        let fz = FrozenGraph::freeze_attributed(&g);
+        let planned = plan_select(&fz, &q).expect("snapshot plan");
+        prop_assert!(planned.query.var_paths.is_empty());
+        let (pattern, domains) = (&planned.query.pattern, &planned.domains);
+        let one_worker = match_pattern_forced_morsels(&fz, pattern, domains, 1, &guard)
+            .expect("unlimited guard never interrupts");
+        let three_workers = match_pattern_forced_morsels(&fz, pattern, domains, 3, &guard)
+            .expect("unlimited guard never interrupts");
+        prop_assert_eq!(&three_workers, &one_worker);
+        let seeded = match_pattern_seeded(&fz, pattern, domains, &guard)
+            .expect("unlimited guard never interrupts");
+        prop_assert_eq!(&seeded, &one_worker);
+        let frozen_rows = execute_planned_governed(&fz, &planned, &guard).expect("snapshot rows");
+        prop_assert_eq!(&frozen_rows, &reference);
+
+        // A dangling id in a domain sends either view to the reference
+        // matcher, whose edge check is the reference predicate (so on a
+        // hub graph this would only repeat the reference's work).
+        if graph.2.is_some() {
+            return Ok(());
+        }
+        let mut corrupt = planned;
+        corrupt.domains[0] = Some(vec![NodeId(u64::MAX)]);
+        let fallback = execute_planned_governed(&fz, &corrupt, &guard).expect("fallback rows");
+        prop_assert_eq!(&fallback, &reference);
+        let fallback = execute_planned_governed(&g, &corrupt, &guard).expect("fallback rows");
+        prop_assert_eq!(&fallback, &reference);
     }
 }
 
