@@ -20,11 +20,11 @@
 //! same walk stopped at the first arrival.
 //!
 //! Results land in a flat [`MatchTable`] (one row per match, one
-//! column per pattern variable) rather than one hash map per match;
-//! [`MatchTable::to_bindings`] converts for consumers of the unplanned
-//! API. The planned and unplanned matchers always produce the same
-//! binding *set* (verified by the `planned_equiv` property suite); the
-//! row order may differ because the variable order does.
+//! column per pattern variable) rather than one hash map per match,
+//! and the query layer finishes rows straight from it. The planned and
+//! unplanned matchers always produce the same binding *set* (verified
+//! by the `planned_equiv` property suite); the row order may differ
+//! because the variable order does.
 
 use crate::frozen::FrozenGraph;
 use crate::pattern::{label_ok, Binding, Pattern, PatternEdge};
@@ -72,7 +72,14 @@ impl MatchTable {
         self.data.chunks_exact(self.vars.len().max(1))
     }
 
-    /// Converts to the unplanned API's binding maps.
+    /// Match `i` as a node-id row aligned with [`Self::vars`].
+    pub fn row(&self, i: usize) -> &[NodeId] {
+        let width = self.vars.len();
+        &self.data[i * width..(i + 1) * width]
+    }
+
+    /// Converts to the unplanned API's binding maps (tests compare
+    /// match sets through it; the query layer reads the rows in place).
     pub fn to_bindings(&self) -> Vec<Binding> {
         self.rows()
             .map(|row| {

@@ -369,7 +369,7 @@ pub fn execute_planned_governed<G: AttributedView + ?Sized>(
     guard: &ExecutionGuard,
 ) -> Result<ResultSet> {
     let table = match_pattern_seeded(g, &planned.query.pattern, &planned.domains, guard)?;
-    finish_select(g, &planned.query, table.to_bindings())
+    finish_select(g, &planned.query, &table)
 }
 
 /// Narrows both endpoint variables of a range-constrained pattern edge

@@ -211,32 +211,29 @@ fn run_query(shared: &Arc<Shared>, tenant: &str, q: &QueryReq) -> Response {
         }
     };
 
-    let key = q.text.trim();
-    let statement = match cypher::parse(key) {
-        Ok(s) => s,
-        Err(e) => {
-            return Response::Error(ErrorReply {
-                message: e.to_string(),
-            })
-        }
-    };
-    let select = match statement {
-        CypherStatement::Select(s) => *s,
-        _ => {
-            return Response::Error(ErrorReply {
-                message: "the server serves an immutable snapshot: only MATCH queries are accepted"
-                    .to_owned(),
-            })
-        }
-    };
-
+    // The text is looked up before it is parsed: a hit needs no parse.
     // Cache lookups carry the pinned snapshot's epoch: a plan cached
     // against an older (or newer) snapshot misses and is evicted, so a
-    // refresh needs no coordinated cache clear.
+    // refresh needs no coordinated cache clear. Only a text that parsed
+    // as MATCH and planned is ever inserted.
+    let key = q.text.trim();
     let epoch = snapshot.frozen.epoch();
     let (planned, cached_plan) = match shared.cache.get_epoch(key, epoch) {
         Some(p) => (p, true),
         None => {
+            let select = match cypher::parse(key) {
+                Ok(CypherStatement::Select(s)) => *s,
+                Ok(_) => return Response::Error(ErrorReply {
+                    message:
+                        "the server serves an immutable snapshot: only MATCH queries are accepted"
+                            .to_owned(),
+                }),
+                Err(e) => {
+                    return Response::Error(ErrorReply {
+                        message: e.to_string(),
+                    })
+                }
+            };
             let planned = match gdm_query::plan_select(&snapshot.frozen, &select) {
                 Ok(p) => Arc::new(p),
                 Err(e) => {

@@ -1,6 +1,6 @@
 //! Live snapshot refresh over the wire.
 //!
-//! Two integration proofs:
+//! Three integration proofs:
 //!
 //! 1. A scripted session shows the whole freshness protocol: a cached
 //!    plan serves repeats, a mutation plus [`ServerHandle::refresh_with`]
@@ -11,6 +11,9 @@
 //!    them never observe an error: every response is a complete row
 //!    set, and the row counts a session sees only grow — each query
 //!    pins the snapshot it started on.
+//! 3. The plan cache is consulted before the text is parsed: a repeated
+//!    text is a hit with identical rows, and a text that does not parse
+//!    as `MATCH` gets the same `Error` every time and is never cached.
 
 use gdm_core::props;
 use gdm_engines::{make_engine, EngineKind, GraphEngine};
@@ -72,6 +75,49 @@ fn grow_and_refresh(db: &mut Box<dyn GraphEngine>, handle: &ServerHandle, i: usi
     let anchor = gdm_core::NodeId(0);
     db.create_edge(anchor, n, Some("knows"), props! {}).unwrap();
     handle.refresh_with(|prev| db.refreeze(prev)).unwrap()
+}
+
+#[test]
+fn cache_lookup_precedes_parsing_and_rejected_texts_never_enter_it() {
+    let (_db, handle, dir) = start("hit-path");
+    let mut c = Client::connect(handle.addr()).unwrap();
+    c.hello("alpha", None).unwrap();
+    let first = rows(c.query(QUERY).unwrap());
+    let repeat = rows(c.query(QUERY).unwrap());
+    assert!(!first.cached_plan && repeat.cached_plan);
+    assert_eq!(
+        (&first.columns, &first.rows),
+        (&repeat.columns, &repeat.rows)
+    );
+    assert_eq!(c.stats().unwrap().plan_cache.entries, 1);
+
+    let syntax_error = "MATCH (p:person RETURN p.name";
+    let not_a_match = "CREATE (n:person {name:'x'})";
+    for (text, want) in [
+        (
+            syntax_error,
+            gdm_query::cypher::parse(syntax_error)
+                .unwrap_err()
+                .to_string(),
+        ),
+        (
+            not_a_match,
+            "the server serves an immutable snapshot: only MATCH queries are accepted".to_owned(),
+        ),
+    ] {
+        for _ in 0..2 {
+            match c.query(text).unwrap() {
+                Response::Error(e) => assert_eq!(e.message, want),
+                other => panic!("expected Error for {text:?}, got {other:?}"),
+            }
+        }
+    }
+    let stats = c.stats().unwrap();
+    assert_eq!(stats.plan_cache.entries, 1, "rejected texts are not cached");
+    assert_eq!(stats.plan_cache.hits, 1);
+    c.goodbye().ok();
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
