@@ -25,16 +25,19 @@
 //!
 //! For read-heavy workloads, [`frozen`] compiles any view into a
 //! point-in-time CSR snapshot ([`FrozenGraph`]) that answers the same
-//! queries identically but at array speed, and [`parallel`] fans the
-//! expensive analyses (diameter, components, triangles, clustering)
-//! out across scoped threads.
+//! queries identically but at array speed, and [`parallel`] holds the
+//! one fan-out driver: the calling thread runs the work in morsels and
+//! scoped helpers, capped process-wide, join it — for the expensive
+//! analyses (diameter, components, triangles) and for pattern queries
+//! big enough to pay for a thread.
 //!
 //! Pattern matching has two public matchers: the reference oracle
 //! [`match_pattern`] and the planned entry point
 //! [`match_pattern_seeded`], which picks its executor from the input
-//! view — the [`vectorized`] batch pipeline, morsel-parallel across
-//! [`executor_workers`] threads, for snapshots; a row-at-a-time search
-//! for live views.
+//! view — the [`vectorized`] batch pipeline for snapshots (inline on
+//! the calling thread unless its estimated work admits it to the
+//! driver, then on at most [`executor_workers`] threads); a
+//! row-at-a-time search for live views.
 
 pub mod adjacency;
 pub mod analysis;
@@ -52,8 +55,8 @@ pub mod vectorized;
 pub use adjacency::{edges_adjacent, k_neighborhood, nodes_adjacent};
 pub use frozen::{frozen_regular_path_exists, FrozenGraph};
 pub use parallel::{
-    default_threads, par_average_clustering, par_connected_components, par_degree_stats,
-    par_diameter, par_eccentricities, par_triangle_count,
+    default_threads, executor_workers, par_connected_components, par_diameter, par_eccentricities,
+    par_triangle_count, set_executor_workers,
 };
 pub use paths::{
     bidirectional_shortest_path, dijkstra, distance, fixed_length_path_exists, fixed_length_paths,
@@ -74,4 +77,3 @@ pub use summary::{
     aggregate, degree_stats, diameter, diameter_governed, graph_order, graph_size, Aggregate,
 };
 pub use traverse::{bfs_order, dfs_order, Traversal};
-pub use vectorized::{executor_workers, set_executor_workers};

@@ -1,55 +1,87 @@
-//! A work-stealing-free parallel executor over [`FrozenGraph`].
+//! The fan-out driver, and the analyses that run on it.
 //!
-//! No thread pool, no channels, no new dependencies: every function
-//! partitions its node range into contiguous chunks and runs one
-//! [`std::thread::scope`] thread per chunk (the snapshot is immutable
-//! and `Sync`, so threads share it by reference). Results are reduced
-//! on the calling thread in chunk order, which keeps outputs
-//! *deterministic* and equal to the sequential algorithms:
+//! [`fan_out`] is the crate's one `std::thread::scope` call site — the
+//! pattern pipeline ([`crate::vectorized`]) and every `par_*` analysis
+//! below split their input into **morsels** (contiguous index ranges)
+//! and run them through it:
 //!
-//! * [`par_diameter`] / [`par_eccentricities`] — multi-source BFS,
-//!   sources split across threads; a max is order-independent.
-//! * [`par_connected_components`] — lock-free union-by-min over the
-//!   edge array, then a sequential gather that reproduces
-//!   [`crate::analysis::connected_components`]'s exact output order.
-//! * [`par_triangle_count`] / [`par_average_clustering`] /
-//!   [`par_degree_stats`] — per-node loops over cached adjacency;
-//!   float sums are reduced in node order so even the average comes
-//!   out identical to the sequential fold.
-//!
-//! Pattern matching fans out differently — morsel-driven, inside
-//! [`crate::vectorized`] — but shares this module's panic shield.
-//!
-//! **Panic isolation.** Every worker body runs inside `catch_unwind`;
-//! a panicking worker never unwinds into [`std::thread::scope`] (which
-//! would re-panic on the caller and poison the whole call). Instead
-//! the reducer notices the lost chunk and degrades: the query is
-//! recomputed by the sequential algorithm on the calling thread, so
-//! the caller still receives the correct answer — just without the
-//! speedup. This is the first rung of the governor's degradation
-//! ladder (see DESIGN.md §11).
+//! * **Work is admitted, not assumed.** Callers estimate the visits a
+//!   job will make and ask [`admitted_workers`]: under
+//!   [`FAN_OUT_MIN_VISITS`] the job gets one worker — its caller — and
+//!   no thread is spawned for it.
+//! * **The caller runs.** The calling thread is worker 0 and starts
+//!   claiming morsels from the shared cursor at once; helpers only ever
+//!   *join* it. A call that is granted no helper runs every morsel
+//!   itself, so the worst case of fanning out is the sequential run
+//!   plus one `clone(2)`.
+//! * **Helpers are capped process-wide.** A call asks for at most
+//!   `workers − 1` scoped helper threads and is granted what one
+//!   process-wide in-flight count, bounded by [`executor_workers`]` − 1`,
+//!   has free — N concurrent sessions cannot put N × `workers` threads
+//!   on the machine's cores. There is no parked pool: lending borrowed
+//!   `&FrozenGraph` / `&Pattern` / `&ExecutionGuard` to long-lived
+//!   threads needs `unsafe` (these crates have none), and admission
+//!   confines the spawn to work it is a small fraction of (DESIGN.md
+//!   §13).
+//! * **Deterministic reduce.** Workers tag what they produce with its
+//!   morsel index and the caller reassembles in morsel order, so every
+//!   output equals the sequential algorithm's whatever the worker count.
+//! * **Panic isolation.** Every worker body — the caller's share too —
+//!   runs inside `catch_unwind`; a panicking worker never unwinds into
+//!   [`std::thread::scope`] (which would re-panic on the caller).
+//!   Instead the queue is aborted, [`fan_out`] returns `None`, and the
+//!   caller recomputes sequentially: the same answer without the
+//!   speedup — the first rung of the governor's degradation ladder
+//!   (DESIGN.md §11).
 
 use crate::frozen::FrozenGraph;
+use crate::planned::average_degree;
 use gdm_core::{Direction, FxHashMap, GraphView, NodeId};
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Number of worker threads to use by default: the machine's available
 /// parallelism, or 1 when that cannot be determined. Resolved once per
 /// process — std re-reads the affinity mask and cgroup quota files on
 /// every `available_parallelism` call, and this sits on the per-query
-/// path via [`crate::executor_workers`].
+/// path via [`executor_workers`].
 pub fn default_threads() -> usize {
     static THREADS: OnceLock<usize> = OnceLock::new();
     *THREADS
         .get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
 }
 
+/// Process-wide worker override: 0 means "auto" (use
+/// [`default_threads`]). Set once at startup by `--workers N` flags
+/// and the server config; read at every fan-out decision.
+static EXECUTOR_WORKERS: AtomicUsize = AtomicUsize::new(0);
+
+/// Overrides the executor worker count for this process. `0` restores
+/// auto-detection. This is how single-core CI lets admitted queries
+/// take a helper (`--workers 2`) and how benchmarks pin a reproducible
+/// size.
+pub fn set_executor_workers(n: usize) {
+    EXECUTOR_WORKERS.store(n, Ordering::Relaxed);
+}
+
+/// The executor worker count in effect — the [`set_executor_workers`]
+/// override when one is set, else the machine's available parallelism.
+/// It bounds the threads one admitted query runs on (the caller
+/// included) and, minus one, the helper threads in flight across the
+/// whole process.
+pub fn executor_workers() -> usize {
+    match EXECUTOR_WORKERS.load(Ordering::Relaxed) {
+        0 => default_threads(),
+        n => n,
+    }
+}
+
 /// Fault-injection hook for the degradation tests: when armed, the
-/// next worker thread that starts panics once. Not part of the public
-/// API surface.
+/// next worker that starts — the caller's own share included — panics
+/// once. Not part of the public API surface.
 #[doc(hidden)]
 pub static INJECT_WORKER_PANIC: AtomicBool = AtomicBool::new(false);
 
@@ -60,31 +92,168 @@ pub fn inject_worker_panic_once() {
     INJECT_WORKER_PANIC.store(true, Ordering::SeqCst);
 }
 
-#[inline]
-pub(crate) fn maybe_inject_panic() {
-    if INJECT_WORKER_PANIC.swap(false, Ordering::SeqCst) {
-        panic!("injected worker panic (test hook)");
+/// Estimated visits below which work stays on the calling thread. Two
+/// measurements on the 2-vCPU reference box set it (DESIGN.md §13): the
+/// pattern pipeline visits a candidate in ~20 ns inline (a BFS or
+/// union-find step is of that order), and taking one helper costs
+/// ~200 µs end to end when its core is not free — spawn, scratch
+/// set-up, morsel bookkeeping, the merge copy, and the join waiting on
+/// a descheduled helper. That is under 10 % of the inline time only
+/// from 200 µs / 0.10 / 20 ns = 100 000 visits up; 2¹⁷ is the next
+/// power of two.
+const FAN_OUT_MIN_VISITS: usize = 1 << 17;
+
+/// Admission by estimated work: the workers a job of about `visits`
+/// visits may run on — `workers`, or just the caller when a helper's
+/// spawn would not be a small part of it.
+pub(crate) fn admitted_workers(workers: usize, visits: usize) -> usize {
+    if visits >= FAN_OUT_MIN_VISITS {
+        workers
+    } else {
+        1
     }
 }
 
-/// Runs `body` inside `catch_unwind` on a worker thread, reporting
-/// success. Workers never unwind into [`std::thread::scope`] (which
-/// would re-panic on the caller); a `false` return tells the reducer
-/// to discard the parallel attempt and degrade to the sequential
-/// algorithm. The panic payload is intentionally swallowed — the
-/// sequential rerun recomputes everything the lost worker owned.
-#[inline]
-pub(crate) fn isolate<F: FnOnce()>(body: F) -> bool {
-    catch_unwind(AssertUnwindSafe(|| {
-        maybe_inject_panic();
-        body();
-    }))
-    .is_ok()
+/// Upper bound on items per morsel: small enough that a skewed range
+/// (one hub owning most of the work) cannot leave the other workers
+/// idle, large enough that cursor traffic stays negligible.
+const MAX_MORSEL: usize = 256;
+
+/// Helper threads running right now, across every [`fan_out`] of the
+/// process.
+static HELPERS_IN_FLIGHT: AtomicUsize = AtomicUsize::new(0);
+
+/// Lifetime count of [`fan_out`] calls that were granted a helper.
+static FANNED_OUT: AtomicU64 = AtomicU64::new(0);
+
+/// How many executions so far ran on more than their calling thread
+/// (`STATS`' `fanned_out`; the admission gate in `tests/cost_gate.rs`
+/// holds it still across the benchmark's templates).
+#[doc(hidden)]
+pub fn fanned_out() -> u64 {
+    FANNED_OUT.load(Ordering::Relaxed)
 }
 
-#[inline]
-pub(crate) fn clamp_threads(threads: usize, work_items: usize) -> usize {
-    threads.max(1).min(work_items.max(1))
+/// Helper permits drawn from [`HELPERS_IN_FLIGHT`], returned on drop.
+#[doc(hidden)]
+pub struct HelperPermits(usize);
+
+impl HelperPermits {
+    /// Takes up to `want` permits, leaving at most `cap` in flight.
+    fn acquire(want: usize, cap: usize) -> HelperPermits {
+        let mut granted = 0;
+        // The count only meters threads; it publishes no data.
+        let _ = HELPERS_IN_FLIGHT.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |busy| {
+            granted = want.min(cap.saturating_sub(busy));
+            Some(busy + granted)
+        });
+        HelperPermits(granted)
+    }
+}
+
+impl Drop for HelperPermits {
+    fn drop(&mut self) {
+        HELPERS_IN_FLIGHT.fetch_sub(self.0, Ordering::Relaxed);
+    }
+}
+
+/// Test hook: takes every helper permit there will ever be, so until
+/// the result drops no [`fan_out`] — forced or not — is granted one.
+#[doc(hidden)]
+pub fn hold_helper_permits() -> HelperPermits {
+    HelperPermits::acquire(usize::MAX, usize::MAX)
+}
+
+/// The morsels of one [`fan_out`]: `0..len` cut into equal ranges that
+/// workers claim from a shared cursor (self-balancing — a worker stuck
+/// on a dense morsel simply claims fewer).
+pub(crate) struct Morsels {
+    len: usize,
+    size: usize,
+    cursor: AtomicUsize,
+    aborted: AtomicBool,
+}
+
+impl Morsels {
+    /// The next unclaimed morsel — its index and its range — or `None`
+    /// once all are claimed or the queue was aborted.
+    pub(crate) fn claim(&self) -> Option<(usize, Range<usize>)> {
+        if self.aborted.load(Ordering::Relaxed) {
+            return None;
+        }
+        let m = self.cursor.fetch_add(1, Ordering::Relaxed);
+        let start = m * self.size;
+        (start < self.len).then(|| (m, start..(start + self.size).min(self.len)))
+    }
+
+    /// Stops handing out morsels (a worker tripped its guard or was lost).
+    pub(crate) fn abort(&self) {
+        self.aborted.store(true, Ordering::Relaxed);
+    }
+}
+
+/// The driver (module docs). Cuts `0..len` into morsels and runs
+/// `worker` on the calling thread and on up to `workers − 1` helpers;
+/// each invocation claims morsels until none are left and returns what
+/// it produced. Returns every worker's result, the caller's first, or
+/// `None` when a worker panicked — its morsels are lost, so the caller
+/// recomputes sequentially. `forced` lifts the process-wide helper cap
+/// (tests on machines with fewer cores than workers).
+pub(crate) fn fan_out<T: Send>(
+    len: usize,
+    workers: usize,
+    forced: bool,
+    worker: impl Fn(&Morsels) -> T + Sync,
+) -> Option<Vec<T>> {
+    let workers = workers.clamp(1, len.max(1));
+    let morsels = Morsels {
+        len,
+        // ~4 morsels per worker smooths skew without flooding the cursor;
+        // MAX_MORSEL caps the tail latency of an unlucky claim.
+        size: len.div_ceil(workers * 4).clamp(1, MAX_MORSEL),
+        cursor: AtomicUsize::new(0),
+        aborted: AtomicBool::new(false),
+    };
+    let cap = if forced {
+        usize::MAX
+    } else {
+        executor_workers() - 1
+    };
+    let permits = HelperPermits::acquire(workers - 1, cap);
+    if permits.0 > 0 {
+        FANNED_OUT.fetch_add(1, Ordering::Relaxed);
+    }
+    let run = || {
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            if INJECT_WORKER_PANIC.swap(false, Ordering::SeqCst) {
+                panic!("injected worker panic (test hook)");
+            }
+            worker(&morsels)
+        }));
+        // The payload is swallowed: the sequential rerun recomputes
+        // everything the lost worker owned, so nobody need go on.
+        if result.is_err() {
+            morsels.abort();
+        }
+        result.ok()
+    };
+    std::thread::scope(|s| {
+        let helpers: Vec<_> = (0..permits.0).map(|_| s.spawn(run)).collect();
+        let mine = run();
+        // A panic cannot unwind out of `run`; a join error still just
+        // marks the helper lost.
+        std::iter::once(mine)
+            .chain(helpers.into_iter().map(|h| h.join().ok().flatten()))
+            .collect()
+    })
+}
+
+/// Flattens per-worker `(morsel index, part)` lists into the parts in
+/// morsel order — the order a sequential run produces them in.
+pub(crate) fn in_morsel_order<P>(harvests: Vec<Vec<(usize, P)>>) -> impl Iterator<Item = P> {
+    let mut parts: Vec<(usize, P)> = harvests.into_iter().flatten().collect();
+    parts.sort_unstable_by_key(|&(m, _)| m);
+    parts.into_iter().map(|(_, part)| part)
 }
 
 /// Single-source BFS over the dense arrays. `dist` must be `len()`
@@ -131,78 +300,59 @@ fn bfs_depth(
     max as usize
 }
 
-/// Eccentricity of every node (indexed by dense position), computed
-/// by parallel multi-source BFS. Agrees with
-/// [`crate::summary::eccentricity`] per node.
-///
-/// Degradation: a panicking worker is contained by `catch_unwind` and
-/// the whole result is recomputed sequentially on the calling thread —
-/// slower, same answer.
-pub fn par_eccentricities(fz: &FrozenGraph, direction: Direction, threads: usize) -> Vec<usize> {
-    let n = fz.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = clamp_threads(threads, n);
-    let chunk = n.div_ceil(threads);
-    let mut ecc = vec![0usize; n];
-    let ok = std::thread::scope(|s| {
-        let handles: Vec<_> = ecc
-            .chunks_mut(chunk)
-            .enumerate()
-            .map(|(t, slice)| {
-                let start = t * chunk;
-                s.spawn(move || {
-                    isolate(|| {
-                        let mut dist = vec![u32::MAX; n];
-                        let mut queue = VecDeque::new();
-                        let mut touched = Vec::new();
-                        for (i, e) in slice.iter_mut().enumerate() {
-                            *e = bfs_depth(
-                                fz,
-                                (start + i) as u32,
-                                direction,
-                                &mut dist,
-                                &mut queue,
-                                &mut touched,
-                            );
-                        }
-                    })
-                })
-            })
-            .collect();
-        handles.into_iter().all(|h| h.join().unwrap_or(false))
-    });
-    if ok {
-        return ecc;
-    }
-    seq_eccentricities(fz, direction)
-}
-
-/// Sequential fallback for [`par_eccentricities`]: the same BFS, one
-/// source at a time on the calling thread.
-fn seq_eccentricities(fz: &FrozenGraph, direction: Direction) -> Vec<usize> {
-    let n = fz.len();
-    let mut dist = vec![u32::MAX; n];
+/// A reusable BFS sweep over `fz`: maps a range of source positions to
+/// their eccentricities, keeping its buffers between calls.
+fn bfs_sweep(
+    fz: &FrozenGraph,
+    direction: Direction,
+) -> impl FnMut(Range<usize>) -> Vec<usize> + '_ {
+    let mut dist = vec![u32::MAX; fz.len()];
     let mut queue = VecDeque::new();
     let mut touched = Vec::new();
-    (0..n as u32)
-        .map(|src| bfs_depth(fz, src, direction, &mut dist, &mut queue, &mut touched))
-        .collect()
+    move |sources| {
+        sources
+            .map(|src| {
+                bfs_depth(
+                    fz,
+                    src as u32,
+                    direction,
+                    &mut dist,
+                    &mut queue,
+                    &mut touched,
+                )
+            })
+            .collect()
+    }
 }
 
-/// Diameter by parallel all-pairs BFS; agrees with
+/// Eccentricity of every node (indexed by dense position), computed
+/// by multi-source BFS on up to `threads` workers. Agrees with
+/// [`crate::summary::eccentricity`] per node.
+pub fn par_eccentricities(fz: &FrozenGraph, direction: Direction, threads: usize) -> Vec<usize> {
+    let n = fz.len();
+    let workers = admitted_workers(threads, n.saturating_mul(n + fz.edge_count()));
+    let harvests = fan_out(n, workers, false, |morsels| {
+        let mut sweep = bfs_sweep(fz, direction);
+        let mut out = Vec::new();
+        while let Some((m, sources)) = morsels.claim() {
+            out.push((m, sweep(sources)));
+        }
+        out
+    });
+    match harvests {
+        Some(harvests) => in_morsel_order(harvests).flatten().collect(),
+        None => bfs_sweep(fz, direction)(0..n),
+    }
+}
+
+/// Diameter by all-pairs BFS on up to `threads` workers; agrees with
 /// [`crate::summary::diameter`].
 pub fn par_diameter(fz: &FrozenGraph, direction: Direction, threads: usize) -> Option<usize> {
-    let ecc = par_eccentricities(fz, direction, threads);
-    ecc.into_iter().max()
+    par_eccentricities(fz, direction, threads).into_iter().max()
 }
 
-// ---------------------------------------------------------------------
-// Connected components: lock-free union-by-min
-// ---------------------------------------------------------------------
-
-/// Finds the root of `x`, halving the path with opportunistic CASes.
+/// Finds the root of `x` in the lock-free union-by-min forest, halving
+/// the path with opportunistic CASes.
 fn uf_find(parents: &[AtomicU32], mut x: u32) -> u32 {
     loop {
         let p = parents[x as usize].load(Ordering::Acquire);
@@ -245,49 +395,30 @@ fn uf_union(parents: &[AtomicU32], mut a: u32, mut b: u32) {
     }
 }
 
-/// Weakly connected components. Output is exactly
-/// [`crate::analysis::connected_components`]'s: each component sorted
-/// ascending, components ordered largest-first with ties in discovery
-/// (minimum-dense-member) order.
+/// Weakly connected components on up to `threads` workers. Output is
+/// exactly [`crate::analysis::connected_components`]'s: each component
+/// sorted ascending, components ordered largest-first with ties in
+/// discovery (minimum-dense-member) order.
 pub fn par_connected_components(fz: &FrozenGraph, threads: usize) -> Vec<Vec<NodeId>> {
     let n = fz.len();
-    if n == 0 {
-        return Vec::new();
-    }
     let parents: Vec<AtomicU32> = (0..n as u32).map(AtomicU32::new).collect();
-    let threads = clamp_threads(threads, n);
-    let chunk = n.div_ceil(threads);
-    let ok = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let parents = &parents;
-                s.spawn(move || {
-                    isolate(|| {
-                        let lo = t * chunk;
-                        let hi = ((t + 1) * chunk).min(n);
-                        for u in lo..hi {
-                            let u = u as u32;
-                            for &v in fz.out_targets(u) {
-                                uf_union(parents, u, v);
-                            }
-                            // Reverse runs normally mirror the forward
-                            // ones, but a view is free to record
-                            // asymmetrically; union over both so the
-                            // snapshot's full incidence counts.
-                            for &v in fz.in_targets(u) {
-                                uf_union(parents, u, v);
-                            }
-                        }
-                    })
-                })
-            })
-            .collect();
-        handles.into_iter().all(|h| h.join().unwrap_or(false))
+    let workers = admitted_workers(threads, n + 2 * fz.edge_count());
+    let united = fan_out(n, workers, false, |morsels| {
+        while let Some((_, nodes)) = morsels.claim() {
+            for u in nodes {
+                let u = u as u32;
+                // Reverse runs normally mirror the forward ones, but a
+                // view is free to record asymmetrically; union over
+                // both so the snapshot's full incidence counts.
+                for &v in fz.out_targets(u).iter().chain(fz.in_targets(u)) {
+                    uf_union(&parents, u, v);
+                }
+            }
+        }
     });
-    if !ok {
+    if united.is_none() {
         // A lost worker means some unions never happened; the partial
-        // union-find cannot be trusted. Degrade to the sequential
-        // algorithm (same output contract).
+        // union-find cannot be trusted.
         return crate::analysis::connected_components(fz);
     }
     // Sequential gather: scanning dense positions ascending creates
@@ -310,233 +441,71 @@ pub fn par_connected_components(fz: &FrozenGraph, threads: usize) -> Vec<Vec<Nod
     components
 }
 
-// ---------------------------------------------------------------------
-// Per-node analysis loops
-// ---------------------------------------------------------------------
-
-/// Undirected dense neighbor lists (self-loops dropped, deduplicated,
-/// sorted) — the snapshot counterpart of `analysis::neighbor_sets`,
-/// built in parallel.
-fn dense_neighbor_lists(fz: &FrozenGraph, threads: usize) -> Vec<Vec<u32>> {
-    let n = fz.len();
-    let mut lists: Vec<Vec<u32>> = vec![Vec::new(); n];
-    if n == 0 {
-        return lists;
+/// Undirected dense neighbor list of `u` (self-loops dropped,
+/// deduplicated, sorted) — the snapshot counterpart of
+/// `analysis::neighbor_sets`.
+fn dense_neighbors(fz: &FrozenGraph, u: u32) -> Vec<u32> {
+    let mut list: Vec<u32> = fz.out_targets(u).to_vec();
+    if fz.is_directed() {
+        list.extend_from_slice(fz.in_targets(u));
     }
-    let build = |u: u32, list: &mut Vec<u32>| {
-        list.extend(fz.out_targets(u).iter().copied().filter(|&v| v != u));
-        if fz.is_directed() {
-            list.extend(fz.in_targets(u).iter().copied().filter(|&v| v != u));
-        }
-        list.sort_unstable();
-        list.dedup();
-    };
-    let threads = clamp_threads(threads, n);
-    let chunk = n.div_ceil(threads);
-    let ok = std::thread::scope(|s| {
-        let handles: Vec<_> = lists
-            .chunks_mut(chunk)
-            .enumerate()
-            .map(|(t, slice)| {
-                let start = t * chunk;
-                s.spawn(move || {
-                    isolate(|| {
-                        for (i, list) in slice.iter_mut().enumerate() {
-                            build((start + i) as u32, list);
-                        }
-                    })
-                })
-            })
-            .collect();
-        handles.into_iter().all(|h| h.join().unwrap_or(false))
-    });
-    if !ok {
-        // Rebuild everything sequentially; a panicked worker may have
-        // left its chunk half-filled.
-        for list in &mut lists {
-            list.clear();
-        }
-        for (u, list) in lists.iter_mut().enumerate() {
-            build(u as u32, list);
-        }
-    }
-    lists
+    list.retain(|&v| v != u);
+    list.sort_unstable();
+    list.dedup();
+    list
 }
 
-/// Triangle count; agrees with [`crate::analysis::triangle_count`].
+/// Triangle count on up to `threads` workers; agrees with
+/// [`crate::analysis::triangle_count`].
 pub fn par_triangle_count(fz: &FrozenGraph, threads: usize) -> usize {
     let n = fz.len();
-    if n == 0 {
-        return 0;
-    }
-    let lists = dense_neighbor_lists(fz, threads);
-    let lists = &lists;
-    let threads = clamp_threads(threads, n);
-    let chunk = n.div_ceil(threads);
-    let mut partial = vec![0usize; threads];
-    let ok = std::thread::scope(|s| {
-        let handles: Vec<_> = partial
-            .iter_mut()
-            .enumerate()
-            .map(|(t, out)| {
-                s.spawn(move || {
-                    isolate(|| {
-                        let lo = t * chunk;
-                        let hi = ((t + 1) * chunk).min(n);
-                        let mut count = 0usize;
-                        for u in lo..hi {
-                            let neigh = &lists[u];
-                            for (i, &m) in neigh.iter().enumerate() {
-                                if m as usize <= u {
-                                    continue;
-                                }
-                                let mset = &lists[m as usize];
-                                for &k in &neigh[i + 1..] {
-                                    if k > m && mset.binary_search(&k).is_ok() {
-                                        count += 1;
-                                    }
-                                }
+    // Per edge, one probe per neighbor of its lower endpoint.
+    let probes = fz
+        .edge_count()
+        .saturating_mul(average_degree(fz, Direction::Both));
+    let workers = admitted_workers(threads, probes);
+    let counted = || {
+        let lists: Vec<Vec<u32>> = in_morsel_order(fan_out(n, workers, false, |morsels| {
+            let mut out = Vec::new();
+            while let Some((m, nodes)) = morsels.claim() {
+                let lists: Vec<Vec<u32>> = nodes.map(|u| dense_neighbors(fz, u as u32)).collect();
+                out.push((m, lists));
+            }
+            out
+        })?)
+        .flatten()
+        .collect();
+        let partial = fan_out(n, workers, false, |morsels| {
+            let mut count = 0usize;
+            while let Some((_, nodes)) = morsels.claim() {
+                for u in nodes {
+                    let neigh = &lists[u];
+                    for (i, &m) in neigh.iter().enumerate() {
+                        if m as usize <= u {
+                            continue;
+                        }
+                        let mset = &lists[m as usize];
+                        for &k in &neigh[i + 1..] {
+                            if k > m && mset.binary_search(&k).is_ok() {
+                                count += 1;
                             }
                         }
-                        *out = count;
-                    })
-                })
-            })
-            .collect();
-        handles.into_iter().all(|h| h.join().unwrap_or(false))
-    });
-    if !ok {
-        return crate::analysis::triangle_count(fz);
-    }
-    partial.into_iter().sum()
-}
-
-/// Average clustering coefficient over nodes with degree ≥ 2; agrees
-/// with [`crate::analysis::average_clustering`] (per-node coefficients
-/// are computed in parallel, then folded in node order, so even the
-/// floating-point sum matches the sequential one).
-pub fn par_average_clustering(fz: &FrozenGraph, threads: usize) -> Option<f64> {
-    let n = fz.len();
-    if n == 0 {
-        return None;
-    }
-    let lists = dense_neighbor_lists(fz, threads);
-    let lists = &lists;
-    let threads = clamp_threads(threads, n);
-    let chunk = n.div_ceil(threads);
-    let mut coeffs: Vec<Option<f64>> = vec![None; n];
-    let ok = std::thread::scope(|s| {
-        let handles: Vec<_> = coeffs
-            .chunks_mut(chunk)
-            .enumerate()
-            .map(|(t, slice)| {
-                let start = t * chunk;
-                s.spawn(move || {
-                    isolate(|| {
-                        for (i, out) in slice.iter_mut().enumerate() {
-                            let neigh = &lists[start + i];
-                            let k = neigh.len();
-                            if k < 2 {
-                                continue;
-                            }
-                            let mut closed = 0usize;
-                            for (j, &a) in neigh.iter().enumerate() {
-                                let aset = &lists[a as usize];
-                                for &b in &neigh[j + 1..] {
-                                    if aset.binary_search(&b).is_ok() {
-                                        closed += 1;
-                                    }
-                                }
-                            }
-                            *out = Some(closed as f64 / (k * (k - 1) / 2) as f64);
-                        }
-                    })
-                })
-            })
-            .collect();
-        handles.into_iter().all(|h| h.join().unwrap_or(false))
-    });
-    if !ok {
-        return crate::analysis::average_clustering(fz);
-    }
-    let mut sum = 0.0;
-    let mut count = 0usize;
-    for c in coeffs.into_iter().flatten() {
-        sum += c;
-        count += 1;
-    }
-    (count > 0).then(|| sum / count as f64)
-}
-
-/// Degree statistics `(min, max, average)`; agrees with
-/// [`crate::summary::degree_stats`] (the sum is integral, so the
-/// average is exact).
-pub fn par_degree_stats(fz: &FrozenGraph, threads: usize) -> Option<(usize, usize, f64)> {
-    let n = fz.len();
-    if n == 0 {
-        return None;
-    }
-    let threads = clamp_threads(threads, n);
-    let chunk = n.div_ceil(threads);
-    let mut partial = vec![(usize::MAX, 0usize, 0usize); threads];
-    let ok = std::thread::scope(|s| {
-        let handles: Vec<_> = partial
-            .iter_mut()
-            .enumerate()
-            .map(|(t, out)| {
-                s.spawn(move || {
-                    isolate(|| {
-                        let lo = t * chunk;
-                        let hi = ((t + 1) * chunk).min(n);
-                        let (mut min, mut max, mut sum) = (usize::MAX, 0usize, 0usize);
-                        for u in lo..hi {
-                            let d = fz.degree_dense(u as u32);
-                            min = min.min(d);
-                            max = max.max(d);
-                            sum += d;
-                        }
-                        *out = (min, max, sum);
-                    })
-                })
-            })
-            .collect();
-        handles.into_iter().all(|h| h.join().unwrap_or(false))
-    });
-    if !ok {
-        return crate::summary::degree_stats(fz);
-    }
-    let (mut min, mut max, mut sum) = (usize::MAX, 0usize, 0usize);
-    for (lo, hi, s) in partial {
-        min = min.min(lo);
-        max = max.max(hi);
-        sum += s;
-    }
-    Some((min, max, sum as f64 / n as f64))
+                    }
+                }
+            }
+            count
+        })?;
+        Some(partial.into_iter().sum())
+    };
+    counted().unwrap_or_else(|| crate::analysis::triangle_count(fz))
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::analysis::{average_clustering, connected_components, triangle_count};
-    use crate::pattern::{canonical, match_pattern, Pattern, PatternNode};
-    use crate::planned::{auto_domains, MatchTable};
-    use crate::summary::{degree_stats, diameter, eccentricity};
-    use gdm_core::props;
-    use gdm_graphs::{PropertyGraph, SimpleGraph};
-
-    /// The morsel-driven pattern executor at an explicit worker count.
-    fn morsel_match(fz: &FrozenGraph, pattern: &Pattern, threads: usize) -> MatchTable {
-        let guard = gdm_govern::ExecutionGuard::unlimited();
-        crate::vectorized::run_morsels(
-            fz,
-            pattern,
-            &auto_domains(fz, pattern),
-            threads,
-            false,
-            &guard,
-        )
-        .expect("an unlimited guard never interrupts")
-    }
+    use crate::analysis::{connected_components, triangle_count};
+    use crate::summary::{diameter, eccentricity};
+    use gdm_graphs::SimpleGraph;
 
     /// Deterministic scale-free-ish graph: node i links to i/2 and to
     /// a pseudo-random earlier node, plus a few self-loops.
@@ -561,22 +530,38 @@ mod tests {
         g
     }
 
+    /// Runs `analysis` with four executor workers allowed and says how
+    /// many of its fan-outs took a helper thread. The analyses admit
+    /// themselves by estimated work like everything else, so the
+    /// fixtures below are sized to clear the bar — or, where noted, not.
+    fn helped<R>(analysis: impl FnOnce() -> R) -> (R, u64) {
+        let _guard = lock_hooks();
+        set_executor_workers(4);
+        let before = fanned_out();
+        let result = analysis();
+        let helped = fanned_out() - before;
+        set_executor_workers(0);
+        (result, helped)
+    }
+
     #[test]
     fn parallel_diameter_matches_sequential() {
         for directed in [true, false] {
-            let g = fixture(directed, 80);
+            let g = fixture(directed, 220);
             let fz = FrozenGraph::freeze(&g);
             for dir in [Direction::Outgoing, Direction::Incoming, Direction::Both] {
-                assert_eq!(par_diameter(&fz, dir, 4), diameter(&fz, dir), "{dir:?}");
+                let (par, helped) = helped(|| par_diameter(&fz, dir, 4));
+                assert_eq!(par, diameter(&fz, dir), "{dir:?}");
+                assert_eq!(helped, 1, "220 searches of ~670 steps are admitted");
             }
         }
     }
 
     #[test]
     fn parallel_eccentricities_match_sequential() {
-        let g = fixture(true, 60);
+        let g = fixture(true, 220);
         let fz = FrozenGraph::freeze(&g);
-        let ecc = par_eccentricities(&fz, Direction::Both, 3);
+        let (ecc, _) = helped(|| par_eccentricities(&fz, Direction::Both, 3));
         for (dense, &e) in ecc.iter().enumerate() {
             let n = fz.node_at(dense as u32);
             assert_eq!(Some(e), eccentricity(&fz, n, Direction::Both));
@@ -585,106 +570,44 @@ mod tests {
 
     #[test]
     fn parallel_components_match_sequential_exactly() {
-        for directed in [true, false] {
-            let mut g = fixture(directed, 50);
-            // A couple of extra isolated nodes and a detached pair.
-            let a = g.add_node();
-            let b = g.add_node();
-            g.add_node();
-            g.add_edge(a, b).unwrap();
+        // 50 nodes stay on the calling thread; 27 000 take helpers.
+        for (n, admitted) in [(50, 0), (27_000, 1)] {
+            for directed in [true, false] {
+                let mut g = fixture(directed, n);
+                // A couple of extra isolated nodes and a detached pair.
+                let a = g.add_node();
+                let b = g.add_node();
+                g.add_node();
+                g.add_edge(a, b).unwrap();
+                let fz = FrozenGraph::freeze(&g);
+                let (par, helped) = helped(|| par_connected_components(&fz, 4));
+                assert_eq!(par, connected_components(&fz));
+                assert_eq!(helped, admitted, "{n} nodes");
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_triangles_match() {
+        // Both of its fan-outs (neighbor lists, then the count) take
+        // helpers at 12 000 nodes, neither at 70.
+        for (n, admitted) in [(70, 0), (12_000, 2)] {
+            let g = fixture(false, n);
             let fz = FrozenGraph::freeze(&g);
-            assert_eq!(par_connected_components(&fz, 4), connected_components(&fz));
+            let (par, helped) = helped(|| par_triangle_count(&fz, 4));
+            assert_eq!(par, triangle_count(&fz));
+            assert_eq!(helped, admitted, "{n} nodes");
         }
-    }
-
-    #[test]
-    fn parallel_triangles_and_clustering_match() {
-        let g = fixture(false, 70);
-        let fz = FrozenGraph::freeze(&g);
-        assert_eq!(par_triangle_count(&fz, 4), triangle_count(&fz));
-        let par = par_average_clustering(&fz, 4);
-        let seq = average_clustering(&fz);
-        match (par, seq) {
-            (Some(p), Some(s)) => assert!((p - s).abs() < 1e-12, "{p} vs {s}"),
-            (p, s) => assert_eq!(p, s),
-        }
-    }
-
-    #[test]
-    fn parallel_degree_stats_match() {
-        let g = fixture(true, 90);
-        let fz = FrozenGraph::freeze(&g);
-        assert_eq!(par_degree_stats(&fz, 4), degree_stats(&fz));
-    }
-
-    #[test]
-    fn parallel_pattern_reproduces_sequential_bindings() {
-        let mut g = PropertyGraph::new();
-        let people: Vec<NodeId> = (0..12)
-            .map(|i| g.add_node("person", props! { "i" => i }))
-            .collect();
-        let hub = g.add_node("company", props! {});
-        for w in people.windows(2) {
-            g.add_edge(w[0], w[1], "knows", props! {}).unwrap();
-        }
-        for &p in people.iter().step_by(3) {
-            g.add_edge(p, hub, "works_at", props! {}).unwrap();
-        }
-        let fz = FrozenGraph::freeze_attributed(&g);
-
-        let mut p = Pattern::new();
-        let x = p.node(PatternNode::var("x").with_label("person"));
-        let y = p.node(PatternNode::var("y").with_label("person"));
-        let c = p.node(PatternNode::var("c").with_label("company"));
-        p.edge(x, y, Some("knows")).unwrap();
-        p.edge(x, c, Some("works_at")).unwrap();
-
-        let seq = match_pattern(&fz, &p);
-        for threads in [1, 2, 4, 7] {
-            let par = morsel_match(&fz, &p, threads);
-            assert_eq!(canonical(&par.to_bindings()), canonical(&seq));
-            assert_eq!(par.len(), seq.len());
-        }
-    }
-
-    #[test]
-    fn parallel_pattern_spawn_path_matches_sequential() {
-        // 80 unlabeled roots clears the inline threshold, so this
-        // exercises the actual scoped-thread fan-out.
-        let g = fixture(true, 80);
-        let fz = FrozenGraph::freeze(&g);
-        let mut p = Pattern::new();
-        let x = p.node(PatternNode::var("x"));
-        let y = p.node(PatternNode::var("y"));
-        p.edge(x, y, Some("a")).unwrap();
-        let seq = match_pattern(&fz, &p);
-        assert!(!seq.is_empty());
-        for threads in [2, 4] {
-            let par = morsel_match(&fz, &p, threads);
-            assert_eq!(par.len(), seq.len());
-            assert_eq!(canonical(&par.to_bindings()), canonical(&seq));
-        }
-    }
-
-    #[test]
-    fn pattern_with_unknown_label_matches_nothing() {
-        let g = fixture(true, 10);
-        let fz = FrozenGraph::freeze(&g);
-        let mut p = Pattern::new();
-        p.node(PatternNode::var("x").with_label("nope"));
-        assert!(morsel_match(&fz, &p, 4).is_empty());
-        assert!(match_pattern(&fz, &p).is_empty());
     }
 
     #[test]
     fn empty_graph_edge_cases() {
+        let _guard = lock_hooks();
         let g = SimpleGraph::directed();
         let fz = FrozenGraph::freeze(&g);
         assert_eq!(par_diameter(&fz, Direction::Both, 4), None);
         assert!(par_connected_components(&fz, 4).is_empty());
         assert_eq!(par_triangle_count(&fz, 4), 0);
-        assert_eq!(par_average_clustering(&fz, 4), None);
-        assert_eq!(par_degree_stats(&fz, 4), None);
     }
 
     #[test]
@@ -692,62 +615,137 @@ mod tests {
         assert!(default_threads() >= 1);
     }
 
-    /// The injection hook is process-global; these tests take this
-    /// lock so concurrent test threads do not steal each other's
-    /// armed panic. (A stolen panic is still *safe* — any `par_*`
-    /// call degrades to the sequential answer — it just stops the
-    /// assertion below from being meaningful.)
-    static PANIC_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    /// The panic hook, the worker override, the helper permits and the
+    /// fan-out counter are process-global; tests that arm, set, hold or
+    /// count them — and the ones that merely take permits, the
+    /// unforced `par_*` calls — hold this lock so concurrent test
+    /// threads do not steal each other's armed panic or permits. (A
+    /// stolen panic is still *safe* — any fan-out degrades to the
+    /// sequential answer — it just stops the assertion from being
+    /// meaningful.)
+    static HOOK_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-    #[test]
-    fn injected_worker_panic_degrades_diameter_to_sequential() {
-        let _guard = PANIC_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let g = fixture(true, 80);
-        let fz = FrozenGraph::freeze(&g);
-        let want = diameter(&fz, Direction::Both);
-        inject_worker_panic_once();
-        let got = par_diameter(&fz, Direction::Both, 4);
-        assert_eq!(got, want, "panicking worker must not change the answer");
-        assert!(
-            !INJECT_WORKER_PANIC.load(Ordering::SeqCst),
-            "the injected panic fired"
-        );
+    pub(crate) fn lock_hooks() -> std::sync::MutexGuard<'static, ()> {
+        HOOK_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Runs `check` twice: with whatever helpers the machine grants,
+    /// and with none to be had, so an armed panic is certain to land on
+    /// the caller's own share.
+    fn with_and_without_helpers(check: impl Fn()) {
+        let _guard = lock_hooks();
+        check();
+        let _none_free = hold_helper_permits();
+        check();
     }
 
     #[test]
-    fn injected_worker_panic_degrades_pattern_match_to_sequential() {
-        let _guard = PANIC_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    fn injected_worker_panic_degrades_diameter_to_sequential() {
         let g = fixture(true, 80);
         let fz = FrozenGraph::freeze(&g);
-        let mut p = Pattern::new();
-        let x = p.node(PatternNode::var("x"));
-        let y = p.node(PatternNode::var("y"));
-        p.edge(x, y, Some("a")).unwrap();
-        let seq = match_pattern(&fz, &p);
-        assert!(!seq.is_empty());
-        inject_worker_panic_once();
-        let par = morsel_match(&fz, &p, 4);
-        assert_eq!(canonical(&par.to_bindings()), canonical(&seq));
-        assert_eq!(par.len(), seq.len());
+        let want = diameter(&fz, Direction::Both);
+        with_and_without_helpers(|| {
+            inject_worker_panic_once();
+            let got = par_diameter(&fz, Direction::Both, 4);
+            assert_eq!(got, want, "panicking worker must not change the answer");
+            assert!(
+                !INJECT_WORKER_PANIC.load(Ordering::SeqCst),
+                "the injected panic fired"
+            );
+        });
     }
 
     #[test]
     fn injected_worker_panic_degrades_components_and_counts() {
-        let _guard = PANIC_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let g = fixture(false, 70);
         let fz = FrozenGraph::freeze(&g);
-        inject_worker_panic_once();
-        assert_eq!(par_connected_components(&fz, 4), connected_components(&fz));
-        inject_worker_panic_once();
-        assert_eq!(par_triangle_count(&fz, 4), triangle_count(&fz));
-        inject_worker_panic_once();
-        assert_eq!(par_degree_stats(&fz, 4), degree_stats(&fz));
-        inject_worker_panic_once();
-        let par = par_average_clustering(&fz, 4);
-        let seq = average_clustering(&fz);
-        match (par, seq) {
-            (Some(p), Some(s)) => assert!((p - s).abs() < 1e-12),
-            (p, s) => assert_eq!(p, s),
+        with_and_without_helpers(|| {
+            inject_worker_panic_once();
+            assert_eq!(par_connected_components(&fz, 4), connected_components(&fz));
+            inject_worker_panic_once();
+            assert_eq!(par_triangle_count(&fz, 4), triangle_count(&fz));
+        });
+    }
+
+    /// One worker's share of a [`fan_out`]: the ranges it claimed.
+    fn drain(morsels: &Morsels) -> Vec<Range<usize>> {
+        std::iter::from_fn(|| morsels.claim())
+            .map(|(_, at)| at)
+            .collect()
+    }
+
+    #[test]
+    fn every_item_is_claimed_exactly_once() {
+        let _guard = lock_hooks();
+        for len in [0, 1, 5, 256, 1000, 5000] {
+            for workers in [1, 2, 4, 9] {
+                let shares = fan_out(len, workers, true, drain).expect("no worker panics");
+                let mut seen = vec![0u8; len];
+                for at in shares.into_iter().flatten() {
+                    assert!(at.len() <= MAX_MORSEL);
+                    seen[at].iter_mut().for_each(|n| *n += 1);
+                }
+                assert!(seen.iter().all(|&n| n == 1), "len={len} workers={workers}");
+            }
+        }
+    }
+
+    #[test]
+    fn helpers_are_capped_across_the_process() {
+        let _guard = lock_hooks();
+        let workers_running = |workers, forced| {
+            fan_out(1000, workers, forced, drain)
+                .expect("no worker panics")
+                .len()
+        };
+        set_executor_workers(3);
+        let before = fanned_out();
+        assert_eq!(workers_running(8, false), 3, "the setting bounds one call");
+        assert_eq!(workers_running(2, false), 2, "and so does what it asks for");
+        assert_eq!(workers_running(8, true), 8, "a forced call is not capped");
+        assert_eq!(fanned_out(), before + 3);
+
+        // A second call beside one whose two helpers are in flight — a
+        // second session — finds no permit left and runs alone.
+        let nested = fan_out(3, 3, false, |morsels| {
+            drain(morsels);
+            workers_running(8, false)
+        });
+        assert_eq!(nested, Some(vec![1, 1, 1]));
+        assert_eq!(fanned_out(), before + 4);
+
+        // With every permit held not even a forced call gets a helper,
+        // and nothing is counted as fanned out.
+        let none_free = hold_helper_permits();
+        assert_eq!(workers_running(8, false), 1);
+        assert_eq!(workers_running(8, true), 1);
+        assert_eq!(fanned_out(), before + 4);
+        drop(none_free);
+        assert_eq!(workers_running(8, false), 3, "permits come back");
+        set_executor_workers(0);
+    }
+
+    #[test]
+    fn workers_override_round_trips() {
+        let _guard = lock_hooks();
+        set_executor_workers(3);
+        assert_eq!(executor_workers(), 3);
+        set_executor_workers(0);
+        assert_eq!(executor_workers(), default_threads());
+    }
+
+    #[test]
+    fn a_panicking_worker_loses_the_whole_fan_out() {
+        let _guard = lock_hooks();
+        // Whichever worker claims morsel 3 panics — with one worker,
+        // the caller itself; nobody's partial result survives.
+        for workers in [3, 1] {
+            let lost = fan_out(5000, workers, true, |morsels| {
+                while let Some((m, _)) = morsels.claim() {
+                    assert_ne!(m, 3, "poisoned morsel");
+                }
+            });
+            assert_eq!(lost, None, "workers={workers}");
         }
     }
 }

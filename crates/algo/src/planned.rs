@@ -28,7 +28,7 @@
 
 use crate::frozen::FrozenGraph;
 use crate::pattern::{label_ok, Binding, Pattern, PatternEdge};
-use gdm_core::{AttributedView, Direction, FxHashMap, FxHashSet, NodeId, Result};
+use gdm_core::{AttributedView, Direction, FxHashMap, FxHashSet, GraphView, NodeId, Result};
 use gdm_govern::{ExecutionGuard, CHECK_INTERVAL};
 use std::ops::ControlFlow;
 
@@ -176,11 +176,7 @@ pub fn domain_estimates<G: AttributedView + ?Sized>(
         let Some((min, max)) = e.hops else {
             continue;
         };
-        let mut degree = g.edge_count().div_ceil(g.node_count().max(1)).max(1);
-        if e.direction == Direction::Both {
-            degree *= 2;
-        }
-        let reach = walk_reach(degree, min, max);
+        let reach = walk_reach(average_degree(g, e.direction), min, max);
         for (near, far) in [(e.from, e.to), (e.to, e.from)] {
             estimates[far] = estimates[far].min(own[near].saturating_mul(reach));
         }
@@ -188,9 +184,19 @@ pub fn domain_estimates<G: AttributedView + ?Sized>(
     estimates
 }
 
+/// How many nodes one hop in `direction` leads to on average, at
+/// least 1.
+pub(crate) fn average_degree<G: GraphView + ?Sized>(g: &G, direction: Direction) -> usize {
+    let degree = g.edge_count().div_ceil(g.node_count().max(1)).max(1);
+    match direction {
+        Direction::Both => degree * 2,
+        _ => degree,
+    }
+}
+
 /// Σ `degree`^d for d in `min..=max`, saturating: how many nodes the
 /// walks of that hop range from one node can end at.
-fn walk_reach(degree: usize, min: u32, max: u32) -> usize {
+pub(crate) fn walk_reach(degree: usize, min: u32, max: u32) -> usize {
     if degree == 1 {
         return (max - min) as usize + 1;
     }
@@ -394,9 +400,10 @@ pub fn domains_consistent<G: AttributedView + ?Sized>(
 ///    wrong. So is a live view's label index when the search would
 ///    seed a variable from it and it fails the same probe.
 /// 2. A view backed by a CSR snapshot ([`FrozenGraph`]) runs the batch
-///    pipeline of [`crate::vectorized`] across
-///    [`crate::executor_workers`] morsel workers (one worker, or a
-///    small root domain, is the same pipeline run inline).
+///    pipeline of [`crate::vectorized`] — on the calling thread,
+///    unless the compiled plan estimates enough work to pay for
+///    helper threads (at most [`crate::executor_workers`] run it then,
+///    the caller included).
 /// 3. Any other view is searched row-at-a-time through the
 ///    [`AttributedView`] trait.
 ///
@@ -423,7 +430,7 @@ pub fn match_pattern_seeded<G: AttributedView + ?Sized>(
                     fz,
                     pattern,
                     domains,
-                    crate::vectorized::executor_workers(),
+                    crate::parallel::executor_workers(),
                     false,
                     guard,
                 )

@@ -42,17 +42,22 @@
 //! fan-out), which keeps memory bounded by `depth × (BATCH + max
 //! degree)` regardless of result size.
 //!
-//! **Morsels.** [`run_morsels`] is the pipeline's only driver. It
-//! compiles one [`BatchPlan`], splits the plan's root seed list into
-//! fixed-size **morsels** (contiguous sub-ranges of the root domain,
-//! in the morsel-driven style of HyPer), and lets scoped worker
-//! threads claim morsels from a shared atomic cursor (self-balancing —
-//! a worker stuck on a dense morsel simply claims fewer). Each worker
-//! runs the *full* operator chain morsel by morsel into a thread-local
-//! buffer. With one worker, or fewer than [`PAR_PATTERN_MIN_ROOTS`]
-//! seeds, the same plan runs once over the whole root domain on the
-//! calling thread: sequential execution is the one-worker case, not a
-//! separate path.
+//! **Morsels.** [`run_morsels`] is the pipeline's only entry. It
+//! compiles one [`BatchPlan`], and the plan decides — before paying for
+//! anything — where it runs. Its estimate of the candidates it will
+//! visit (exact root seed count × per-depth fan-out, from the order,
+//! generators and domains it already holds) is put to
+//! [`crate::parallel::admitted_workers`]; every point query and every
+//! community-sized scan stays under that bar and runs once over the
+//! whole root domain on the calling thread. An admitted plan hands its
+//! root seeds — index ranges over the borrowed domain list, label slice
+//! or dense range, never a copy — to [`crate::parallel::fan_out`] as
+//! fixed-size **morsels** (in the morsel-driven style of HyPer): the
+//! calling thread claims morsels from the shared cursor at once, and
+//! whatever helper threads the process-wide cap has free join it. Each
+//! worker runs the *full* operator chain morsel by morsel into its own
+//! buffers. Sequential execution is the one-worker case, not a separate
+//! path.
 //!
 //! **Determinism.** Every worker executes the *same* compiled plan, so
 //! the elimination order, domain bitsets, and resolved label symbols
@@ -82,8 +87,8 @@
 //! mid-level; the endpoints it emits are then charged with their batch
 //! like any other candidates. One shared guard
 //! would serialize N workers on its budget atomics, so each morsel
-//! worker charges a [`WorkerGuard`] — a thread-local view that
-//! accumulates counts in plain cells, drains them in bulk at morsel
+//! worker charges a [`gdm_govern::WorkerGuard`] — a thread-local view
+//! that accumulates counts in plain cells, drains them in bulk at morsel
 //! boundaries (and at a pending-units threshold), and still runs the
 //! shared guard's *read-only* deadline/cancel check on every charge.
 //! Budget trips are observed at drain points, overrunning by at most a
@@ -92,24 +97,23 @@
 //! structured [`GdmError::Interrupted`] the row-at-a-time search
 //! returns, with `partial` covering rows from *all* workers.
 //!
-//! **Panic isolation.** Each worker body runs inside the same
-//! `catch_unwind` shield as [`crate::parallel`]'s analysis loops; a
-//! poisoned morsel discards the parallel attempt and the query is
-//! recomputed inline on the calling thread — the first rung of the
-//! governor's degradation ladder (DESIGN.md §11).
+//! **Panic isolation.** The driver runs each worker body — the calling
+//! thread's share too — inside `catch_unwind`; a poisoned morsel
+//! discards the attempt and the query is recomputed inline on the
+//! calling thread — the first rung of the governor's degradation ladder
+//! (DESIGN.md §11).
 
 use crate::frozen::FrozenGraph;
-use crate::parallel::{clamp_threads, default_threads, isolate};
+use crate::parallel::{admitted_workers, fan_out, in_morsel_order};
 use crate::pattern::{value_in_range, Pattern};
 use crate::planned::{
-    domain_estimates, expand_from, generating_edges, planned_order, var_names, walk_levels,
-    MatchTable, WalkBufs,
+    average_degree, domain_estimates, expand_from, generating_edges, planned_order, var_names,
+    walk_levels, walk_reach, MatchTable, WalkBufs,
 };
 use gdm_core::{Direction, GdmError, GraphView, NodeId, Result, Symbol, Value};
-use gdm_govern::{ExecutionGuard, GuardExt, WorkerGuard};
+use gdm_govern::{ExecutionGuard, GuardExt};
 use std::cell::RefCell;
-use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::ops::{ControlFlow, Range};
 
 /// Rows per batch. Large enough to amortize per-batch costs (guard
 /// draw, recursion) to noise; small enough that a working set of
@@ -164,45 +168,13 @@ impl Frame {
     }
 }
 
-/// Minimum number of root seeds before fanning a pattern search out
-/// across threads. Below this, spawn + join costs more than the rooted
-/// searches themselves, so the driver runs the pipeline inline.
-const PAR_PATTERN_MIN_ROOTS: usize = 64;
-
-/// Upper bound on seeds per morsel: small enough that a skewed root
-/// (one hub owning most of the matches) cannot leave N-1 workers idle,
-/// large enough that cursor traffic stays negligible.
-const MAX_MORSEL: usize = 256;
-
-/// Process-wide worker-pool override: 0 means "auto" (use
-/// [`default_threads`]). Set once at startup by `--workers N` flags
-/// and the server config; read at every snapshot pattern execution.
-static EXECUTOR_WORKERS: AtomicUsize = AtomicUsize::new(0);
-
-/// Overrides the executor worker-pool size for this process. `0`
-/// restores auto-detection. This is how single-core CI forces the
-/// parallel path (`--workers 2`) and how benchmarks pin a reproducible
-/// pool size.
-pub fn set_executor_workers(n: usize) {
-    EXECUTOR_WORKERS.store(n, Ordering::Relaxed);
-}
-
-/// The executor worker-pool size in effect: the
-/// [`set_executor_workers`] override when one is set, else the
-/// machine's available parallelism.
-pub fn executor_workers() -> usize {
-    match EXECUTOR_WORKERS.load(Ordering::Relaxed) {
-        0 => default_threads(),
-        n => n,
-    }
-}
-
-/// Test hook: [`run_morsels`] with an explicit worker count and the
-/// [`PAR_PATTERN_MIN_ROOTS`] inline threshold skipped, so tiny
-/// property-test graphs still exercise the real morsel machinery
-/// (cursor, worker guards, merge) — and `workers = 1` pins the inline
-/// run the morsel output must equal. Not part of the public API
-/// surface; everything else calls [`crate::match_pattern_seeded`].
+/// Test hook: [`run_morsels`] with an explicit worker count, admission
+/// skipped and the process-wide helper cap lifted, so tiny
+/// property-test graphs on any machine still exercise the real morsel
+/// machinery (cursor, helper threads, worker guards, merge) — and
+/// `workers = 1` pins the inline run the morsel output must equal. Not
+/// part of the public API surface; everything else calls
+/// [`crate::match_pattern_seeded`].
 #[doc(hidden)]
 pub fn match_pattern_forced_morsels(
     fz: &FrozenGraph,
@@ -214,8 +186,8 @@ pub fn match_pattern_forced_morsels(
     run_morsels(fz, pattern, domains, workers, true, guard)
 }
 
-/// The morsel driver (module docs). `force` bypasses the inline
-/// threshold (tests).
+/// Compiles and executes one match (module docs). `force` bypasses
+/// admission and the helper cap (tests).
 pub(crate) fn run_morsels(
     fz: &FrozenGraph,
     pattern: &Pattern,
@@ -251,7 +223,45 @@ struct BatchPlan<'a> {
     node_want: Vec<Want>,
     edge_want: Vec<Want>,
     dom_list: Vec<Option<Vec<u32>>>,
+    /// Domain membership bitsets — of the variables an edge generates
+    /// only: a seeded variable scans its `dom_list` and never probes.
     dom_bits: Vec<Option<Vec<u64>>>,
+}
+
+/// The candidates of a seeded variable, borrowed from wherever they
+/// already live — a domain list, the snapshot's label index, or just
+/// the dense range — so deciding how to run a query copies nothing
+/// that follows |V|. Morsels are index sub-ranges of one of these.
+#[derive(Clone)]
+enum Seeds<'a> {
+    List(&'a [u32]),
+    Dense(Range<u32>),
+}
+
+impl<'a> Seeds<'a> {
+    fn len(&self) -> usize {
+        match self {
+            Seeds::List(list) => list.len(),
+            Seeds::Dense(range) => range.len(),
+        }
+    }
+
+    /// The seeds at positions `at` of this list, in the same order.
+    fn slice(&self, at: Range<usize>) -> Seeds<'a> {
+        match self {
+            Seeds::List(list) => Seeds::List(&list[at]),
+            Seeds::Dense(range) => {
+                Seeds::Dense(range.start + at.start as u32..range.start + at.end as u32)
+            }
+        }
+    }
+
+    fn append_to(&self, vals: &mut Vec<u32>) {
+        match self {
+            Seeds::List(list) => vals.extend_from_slice(list),
+            Seeds::Dense(range) => vals.extend(range.clone()),
+        }
+    }
 }
 
 /// Per-thread search scratch: the dense-indexed dedup stamp array and
@@ -275,7 +285,13 @@ impl BatchScratch {
     /// Runs `f` with this thread's scratch, grown to cover `fz`.
     fn with<R>(fz: &FrozenGraph, f: impl FnOnce(&mut BatchScratch) -> R) -> R {
         SCRATCH.with_borrow_mut(|scratch| {
-            if scratch.stamp.len() < fz.len() {
+            if scratch.stamp.is_empty() {
+                // A thread's first array comes from `alloc_zeroed`, so
+                // pages no search stamps are never faulted in — a
+                // scoped helper is always a new thread, and `resize`
+                // would write all |V| words for it.
+                scratch.stamp = vec![0; fz.len()];
+            } else if scratch.stamp.len() < fz.len() {
                 scratch.stamp.resize(fz.len(), 0);
             }
             f(scratch)
@@ -309,9 +325,7 @@ impl<'a> BatchPlan<'a> {
 
         // Selection vectors: planner domains mapped to dense positions
         // (ids the snapshot never held simply drop out — the planned
-        // matcher rejects them via `contains_node` the same way), plus
-        // a bitset per restricted variable for O(1) membership during
-        // expansion.
+        // matcher rejects them via `contains_node` the same way).
         let dom_list: Vec<Option<Vec<u32>>> = (0..n_vars)
             .map(|i| {
                 domains.get(i).and_then(Option::as_ref).map(|d| {
@@ -321,20 +335,6 @@ impl<'a> BatchPlan<'a> {
                 })
             })
             .collect();
-        let words = fz.len().div_ceil(64);
-        let dom_bits: Vec<Option<Vec<u64>>> = dom_list
-            .iter()
-            .map(|d| {
-                d.as_ref().map(|list| {
-                    let mut bits = vec![0u64; words];
-                    for &dense in list {
-                        bits[dense as usize / 64] |= 1 << (dense % 64);
-                    }
-                    bits
-                })
-            })
-            .collect();
-
         // Labels resolved once per query; the batch loops compare
         // symbols.
         let node_want: Vec<Want> = pattern
@@ -353,6 +353,21 @@ impl<'a> BatchPlan<'a> {
         // generating edge and the residual edge checks are knowable up
         // front instead of per candidate.
         let generators = generating_edges(pattern, &order, domains);
+        // A bitset per restricted *generated* variable, for O(1)
+        // membership during expansion. A seeded one — the root of every
+        // point query — scans its list instead, and |V| / 8 zeroed bytes
+        // per request would be the only part of its cost following |V|.
+        let words = fz.len().div_ceil(64);
+        let mut dom_bits: Vec<Option<Vec<u64>>> = vec![None; n_vars];
+        for (&pv, generator) in order.iter().zip(&generators) {
+            if let (Some(_), Some(list)) = (generator, &dom_list[pv]) {
+                let mut bits = vec![0u64; words];
+                for &dense in list {
+                    bits[dense as usize / 64] |= 1 << (dense % 64);
+                }
+                dom_bits[pv] = Some(bits);
+            }
+        }
         let mut bound = vec![false; n_vars];
         let mut residual_edges: Vec<Vec<usize>> = Vec::with_capacity(order.len());
         for (&pv, &generator) in order.iter().zip(&generators) {
@@ -385,44 +400,53 @@ impl<'a> BatchPlan<'a> {
         }
     }
 
-    /// The full root seed list (dense positions), in the exact order
-    /// the sequential executor scans it. The morsel driver splits this
-    /// into contiguous ranges; because emission order is a function of
-    /// seed order alone (batch boundaries split but never reorder the
-    /// candidate stream, and recursion drains a prefix before its
-    /// suffix), concatenating per-range results in range order
-    /// reproduces the sequential output byte for byte.
-    fn root_seed_list(&self) -> Vec<u32> {
-        let pv = self.order[0];
-        if self.node_want[pv] == Want::Impossible {
-            return Vec::new();
-        }
-        match &self.dom_list[pv] {
-            Some(list) => list.clone(),
-            None => self.all_dense(pv),
+    /// The candidates of seeded variable `pv`, in the exact order the
+    /// seed operator scans them: the domain selection vector when the
+    /// planner supplied one, else the label index slice when the
+    /// variable is labelled, else every dense position.
+    fn seeds(&self, pv: usize) -> Seeds<'_> {
+        match (&self.dom_list[pv], self.node_want[pv]) {
+            (_, Want::Impossible) => Seeds::List(&[]),
+            (Some(list), _) => Seeds::List(list),
+            (None, Want::Sym(sym)) => Seeds::List(self.fz.nodes_with_label(sym)),
+            (None, Want::Any) => Seeds::Dense(0..self.fz.len() as u32),
         }
     }
 
-    /// Dense positions a label-only scan of `pv` must consider: the
-    /// label index slice when the variable is labelled, else all
-    /// nodes. (Only reached when the planner supplied no domain.)
-    fn all_dense(&self, pv: usize) -> Vec<u32> {
-        match self.node_want[pv] {
-            Want::Sym(sym) => self.fz.nodes_with_label(sym).to_vec(),
-            _ => (0..self.fz.len() as u32).collect(),
+    /// How many candidates the search is expected to visit, from what
+    /// the plan already holds: the root's exact seed count, then per
+    /// depth the rows so far × that depth's fan-out — the average
+    /// degree along a single-hop generator, [`walk_reach`] along a
+    /// variable-length one, the seed count of a seeded variable.
+    /// Label, property and domain filters are ignored, so it errs high.
+    fn estimated_visits(&self) -> usize {
+        let mut rows = 1usize;
+        let mut visits = 0usize;
+        for (&pv, &generator) in self.order.iter().zip(&self.generators) {
+            let fan_out = match generator.map(|ei| &self.pattern.edges[ei]) {
+                None => self.seeds(pv).len(),
+                Some(e) => {
+                    let degree = average_degree(self.fz, e.direction);
+                    e.hops
+                        .map_or(degree, |(min, max)| walk_reach(degree, min, max))
+                }
+            };
+            rows = rows.saturating_mul(fan_out);
+            visits = visits.saturating_add(rows);
         }
+        visits
     }
 
     /// Runs the full operator chain — seed, batched expand, residual
     /// filter, materialize — and returns the flat result data
     /// (`n_vars` node ids per row). `root_seeds` restricts the root
-    /// seed operator to a sub-range (the morsel driver's hook); `None`
-    /// scans the whole root domain. The guard is generic so the same
-    /// pipeline serves the sequential path (`Option<&ExecutionGuard>`)
-    /// and parallel workers (`&WorkerGuard`) without dynamic dispatch.
+    /// seed operator to a sub-range (one morsel); `None` scans the
+    /// whole root domain. The guard is generic so the same pipeline
+    /// serves the inline path (`Option<&ExecutionGuard>`) and morsel
+    /// workers (`&WorkerGuard`) without dynamic dispatch.
     fn run<G: GuardExt>(
         &self,
-        root_seeds: Option<&[u32]>,
+        root_seeds: Option<Seeds<'_>>,
         scratch: &mut BatchScratch,
         guard: G,
     ) -> Result<Vec<NodeId>> {
@@ -442,91 +466,68 @@ impl<'a> BatchPlan<'a> {
         BatchScratch::with(self.fz, |scratch| self.run(None, scratch, Some(guard)))
     }
 
-    /// Executes the plan across `workers` morsel workers and returns
-    /// the flat result data, byte-identical to [`Self::run_inline`].
+    /// Executes the plan on up to `workers` threads — if it is worth
+    /// any — and returns the flat result data, byte-identical to
+    /// [`Self::run_inline`]. Deciding costs nothing that follows the
+    /// graph: a query stays on the calling thread unless
+    /// [`Self::estimated_visits`] admits it ([`admitted_workers`]) or
+    /// `force` is set; an admitted one cuts its root seeds into
+    /// morsels for [`fan_out`], where the calling thread claims morsels
+    /// alongside whatever helpers the process has free.
     fn run_morsels(
         &self,
         workers: usize,
         force: bool,
         guard: &ExecutionGuard,
     ) -> Result<Vec<NodeId>> {
-        if workers <= 1 {
-            return self.run_inline(guard);
-        }
-        let seeds = self.root_seed_list();
-        let workers = clamp_threads(workers, seeds.len());
-        if workers == 1 || (!force && seeds.len() < PAR_PATTERN_MIN_ROOTS) {
+        let seeds = self.seeds(self.order[0]);
+        let workers = if force {
+            workers
+        } else {
+            admitted_workers(workers, self.estimated_visits())
+        };
+        if workers.min(seeds.len()) <= 1 {
             return self.run_inline(guard);
         }
 
-        // ~4 morsels per worker smooths skew without flooding the cursor;
-        // MAX_MORSEL caps the tail latency of an unlucky claim.
-        let morsel = seeds.len().div_ceil(workers * 4).clamp(1, MAX_MORSEL);
-        let morsels: Vec<&[u32]> = seeds.chunks(morsel).collect();
-        let cursor = AtomicUsize::new(0);
-        let abort = AtomicBool::new(false);
-        let (morsels, cursor, abort) = (&morsels, &cursor, &abort);
-
-        // Per-worker harvest: (morsel index, flat rows) pairs plus the
-        // first trip the worker observed; `false` marks a poisoned worker.
-        type Harvest = (Vec<(usize, Vec<NodeId>)>, Option<GdmError>, bool);
-        let run_worker = move || -> Harvest {
-            let mut out: Vec<(usize, Vec<NodeId>)> = Vec::new();
-            let mut first_err: Option<GdmError> = None;
-            let ok = isolate(|| {
-                BatchScratch::with(self.fz, |scratch| {
-                    let worker_guard: WorkerGuard<'_> = guard.worker();
-                    loop {
-                        if abort.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let m = cursor.fetch_add(1, Ordering::Relaxed);
-                        if m >= morsels.len() {
-                            break;
-                        }
-                        // Drain the worker's pending counts at every morsel
-                        // boundary so budget trips surface promptly even when
-                        // morsels are smaller than the flush threshold.
-                        let res = self
-                            .run(Some(morsels[m]), scratch, &worker_guard)
-                            .and_then(|data| worker_guard.flush().map(|()| data));
-                        match res {
-                            Ok(data) => out.push((m, data)),
-                            Err(e) => {
-                                abort.store(true, Ordering::Relaxed);
-                                first_err = Some(e);
-                                break;
-                            }
+        // Per worker: (morsel index, flat rows) pairs, and the trip
+        // that stopped it, if one did.
+        let harvests = fan_out(seeds.len(), workers, force, |morsels| {
+            BatchScratch::with(self.fz, |scratch| {
+                // One shared guard would serialize the workers on its
+                // budget atomics; each charges a thread-local view and
+                // settles it into the shared guard when it drops.
+                let worker_guard = guard.worker();
+                let mut out: Vec<(usize, Vec<NodeId>)> = Vec::new();
+                while let Some((m, at)) = morsels.claim() {
+                    // Drain the worker's pending counts at every morsel
+                    // boundary so budget trips surface promptly even when
+                    // morsels are smaller than the flush threshold.
+                    let res = self
+                        .run(Some(seeds.slice(at)), scratch, &worker_guard)
+                        .and_then(|data| worker_guard.flush().map(|()| data));
+                    match res {
+                        Ok(data) => out.push((m, data)),
+                        Err(e) => {
+                            morsels.abort();
+                            return (out, Some(e));
                         }
                     }
-                    // `worker_guard` drops here, settling any remaining
-                    // counts into the shared guard so partials merge across
-                    // workers.
-                })
-            });
-            (out, first_err, ok)
+                }
+                (out, None)
+            })
+        });
+        let Some(harvests) = harvests else {
+            // A lost worker means lost morsels; discard the attempt and
+            // recompute inline on the calling thread. The rerun
+            // re-charges work the lost attempt already drew —
+            // degradation trades budget precision for a correct answer,
+            // never the reverse.
+            return self.run_inline(guard);
         };
 
-        let mut merged: Vec<(usize, Vec<NodeId>)> = Vec::new();
-        let mut trip: Option<GdmError> = None;
-        let mut poisoned = false;
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers).map(|_| s.spawn(run_worker)).collect();
-            for h in handles {
-                // A panic inside `isolate` cannot unwind out of the worker;
-                // an outer join error still just marks the worker lost.
-                let (out, err, ok) = h.join().unwrap_or((Vec::new(), None, false));
-                if !ok {
-                    poisoned = true;
-                }
-                if trip.is_none() {
-                    trip = err;
-                }
-                merged.extend(out);
-            }
-        });
-
-        if let Some(e) = trip {
+        let (parts, trips): (Vec<_>, Vec<_>) = harvests.into_iter().unzip();
+        if let Some(e) = trips.into_iter().flatten().next() {
             // Re-wrap after every worker settled: the partial row count
             // then covers rows emitted by all workers, not just the one
             // that tripped first.
@@ -535,24 +536,11 @@ impl<'a> BatchPlan<'a> {
                 None => e,
             });
         }
-        if poisoned {
-            // A lost worker means lost morsels; discard the parallel
-            // attempt and recompute inline on the calling thread. The
-            // rerun re-charges work the lost attempt already drew —
-            // degradation trades budget precision for a correct answer,
-            // never the reverse.
-            return self.run_inline(guard);
-        }
-
-        // Deterministic reduce: morsel order is seed order, and per-morsel
-        // output equals the inline run's output for that seed range, so
-        // this concatenation is byte-identical to an inline run over the
-        // full seed list.
-        merged.sort_unstable_by_key(|&(m, _)| m);
-        let mut data = Vec::with_capacity(merged.iter().map(|(_, d)| d.len()).sum());
-        for (_, part) in merged {
-            data.extend(part);
-        }
+        // Morsel order is seed order, and per-morsel output equals the
+        // inline run's output for that seed range, so this concatenation
+        // is byte-identical to an inline run over the full seed list.
+        let mut data = Vec::with_capacity(parts.iter().flatten().map(|(_, d)| d.len()).sum());
+        in_morsel_order(parts).for_each(|part| data.extend(part));
         Ok(data)
     }
 }
@@ -572,7 +560,7 @@ struct VecSearch<'a, G: GuardExt> {
     plan: &'a BatchPlan<'a>,
     /// Root seed sub-range override (morsel execution); `None` scans
     /// the plan's whole root domain.
-    root_seeds: Option<&'a [u32]>,
+    root_seeds: Option<Seeds<'a>>,
     /// The thread's dedup marks and walk buffers: a node is a
     /// duplicate within one source row's expansion (or one level of a
     /// walk) iff its stamp equals that expansion's generation.
@@ -617,28 +605,22 @@ impl<G: GuardExt> VecSearch<'_, G> {
             }
             None => {
                 // Seed operator: the morsel's root sub-range at depth
-                // 0 when one was supplied, else the domain selection
-                // vector when the planner supplied one, else the
-                // label-scan slice, else every dense position.
-                let owned: Vec<u32>;
-                let scan: &[u32] = match (depth, self.root_seeds) {
-                    (0, Some(seeds)) => seeds,
-                    _ => match &self.plan.dom_list[pv] {
-                        Some(list) => list,
-                        None => {
-                            owned = self.plan.all_dense(pv);
-                            &owned
-                        }
-                    },
+                // 0 when one was supplied, else the variable's seeds.
+                let plan = self.plan;
+                let seeds = match (depth, &self.root_seeds) {
+                    (0, Some(morsel)) => morsel.clone(),
+                    _ => plan.seeds(pv),
                 };
                 for row in 0..frame.len {
-                    for chunk in scan.chunks(BATCH) {
+                    for at in (0..seeds.len()).step_by(BATCH) {
                         // The seed list is independent of the row, so
                         // whole chunks flush without the fill loop.
                         sel.clear();
                         vals.clear();
-                        sel.resize(chunk.len(), row as u32);
-                        vals.extend_from_slice(chunk);
+                        seeds
+                            .slice(at..(at + BATCH).min(seeds.len()))
+                            .append_to(&mut vals);
+                        sel.resize(vals.len(), row as u32);
                         self.flush(depth, pv, frame, &mut sel, &mut vals)?;
                     }
                 }
@@ -945,7 +927,8 @@ impl<G: GuardExt> VecSearch<'_, G> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel::inject_worker_panic_once;
+    use crate::parallel::tests::lock_hooks;
+    use crate::parallel::{fanned_out, hold_helper_permits, inject_worker_panic_once};
     use crate::pattern::{canonical, match_pattern, PatternNode};
     use crate::planned::{auto_domains, match_pattern_seeded};
     use gdm_core::{props, InterruptReason};
@@ -953,19 +936,15 @@ mod tests {
     use gdm_graphs::PropertyGraph;
     use std::time::Duration;
 
-    /// Serializes tests that touch process-global state (the panic
-    /// injection hook and the worker-pool override).
-    static GLOBAL_HOOK_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    /// The driver as [`match_pattern_seeded`] calls it, with auto
-    /// domains and an explicit worker count.
+    /// Forced morsels with auto domains at an explicit worker count:
+    /// these graphs are far too small to be admitted.
     fn governed(
         fz: &FrozenGraph,
         p: &Pattern,
         workers: usize,
         guard: &ExecutionGuard,
     ) -> Result<MatchTable> {
-        run_morsels(fz, p, &auto_domains(fz, p), workers, false, guard)
+        run_morsels(fz, p, &auto_domains(fz, p), workers, true, guard)
     }
 
     fn with_workers(fz: &FrozenGraph, p: &Pattern, workers: usize) -> MatchTable {
@@ -1146,6 +1125,7 @@ mod tests {
 
     #[test]
     fn empty_and_impossible_patterns() {
+        let _hooks = lock_hooks();
         let g = social(80);
         let fz = FrozenGraph::freeze_attributed(&g);
         let mut p = Pattern::new();
@@ -1218,6 +1198,7 @@ mod tests {
 
     #[test]
     fn walks_larger_than_one_batch_emit_each_endpoint_once() {
+        let _hooks = lock_hooks();
         // The same hub as above behind a variable-length edge: one
         // source row's walk emits BATCH + 300 endpoints at depth 1 and
         // meets them all again at depth 2 (leaf i → leaf i+1), and the
@@ -1252,32 +1233,42 @@ mod tests {
         }
     }
 
+    /// A table with the node visits and rows its guard was charged.
+    fn table_and_charges(fz: &FrozenGraph, p: &Pattern, workers: usize) -> (MatchTable, u64, u64) {
+        let guard = ExecutionGuard::unlimited();
+        let table = governed(fz, p, workers, &guard).expect("an unlimited guard never interrupts");
+        (
+            table,
+            guard.budget().node_visits(),
+            guard.budget().rows_emitted(),
+        )
+    }
+
     #[test]
-    fn morsel_output_is_byte_identical_to_one_worker() {
-        let g = social(200);
-        let fz = FrozenGraph::freeze_attributed(&g);
-        let p = two_hop();
-        let seq = with_workers(&fz, &p, 1);
-        assert!(!seq.is_empty());
-        for workers in [2, 3, 4, 7] {
-            let par = with_workers(&fz, &p, workers);
-            assert_eq!(par, seq, "workers={workers}: rows must match byte for byte");
+    fn morsel_output_and_charges_equal_one_worker_with_or_without_helpers() {
+        let _hooks = lock_hooks();
+        // Morsels of a label-index slice, and of the dense range an
+        // unlabelled root scans.
+        for (n, p) in [(20, two_hop()), (200, two_hop()), (200, chain_pattern())] {
+            let fz = FrozenGraph::freeze_attributed(&social(n));
+            let inline = table_and_charges(&fz, &p, 1);
+            assert!(!inline.0.is_empty() && inline.1 > 0);
+            for workers in [1, 2, 3, 4, 7] {
+                let fanned = fanned_out();
+                assert_eq!(table_and_charges(&fz, &p, workers), inline, "{workers}");
+                assert_eq!(fanned_out() - fanned, u64::from(workers > 1));
+                // No helper to be had: the caller claims every morsel.
+                let none_free = hold_helper_permits();
+                assert_eq!(table_and_charges(&fz, &p, workers), inline, "{workers}");
+                assert_eq!(fanned_out() - fanned, u64::from(workers > 1));
+                drop(none_free);
+            }
         }
     }
 
     #[test]
-    fn forced_morsels_on_tiny_graphs_stay_identical() {
-        let g = social(20);
-        let fz = FrozenGraph::freeze_attributed(&g);
-        let p = two_hop();
-        let dom = auto_domains(&fz, &p);
-        let unlimited = ExecutionGuard::unlimited();
-        let par = match_pattern_forced_morsels(&fz, &p, &dom, 3, &unlimited).unwrap();
-        assert_eq!(par, with_workers(&fz, &p, 1));
-    }
-
-    #[test]
     fn morsel_output_matches_reference_set() {
+        let _hooks = lock_hooks();
         let g = social(150);
         let fz = FrozenGraph::freeze_attributed(&g);
         let p = two_hop();
@@ -1289,28 +1280,36 @@ mod tests {
     }
 
     #[test]
-    fn morsel_workers_settle_charges_into_the_shared_guard() {
-        let g = social(150);
-        let fz = FrozenGraph::freeze_attributed(&g);
-        let p = two_hop();
-        let guard = ExecutionGuard::unlimited();
-        let par = governed(&fz, &p, 4, &guard).unwrap();
-        assert_eq!(par, with_workers(&fz, &p, 1));
-        assert!(guard.budget().node_visits() > 0, "workers settled charges");
-    }
-
-    #[test]
     fn governed_budget_trips_with_merged_partial() {
+        let _hooks = lock_hooks();
         let g = social(400);
         let fz = FrozenGraph::freeze_attributed(&g);
         let p = two_hop();
-        let guard = ExecutionGuard::new(Limits::none().with_node_visits(50));
-        let err = governed(&fz, &p, 4, &guard).unwrap_err();
-        assert_eq!(err.interrupt_reason(), Some(InterruptReason::Budget));
+        // 320 roots in morsels of 20, ~140 visits each: the budget
+        // trips a few morsels in, whichever worker draws last — the
+        // caller itself when it is the only one.
+        let trip = || {
+            let guard = ExecutionGuard::new(Limits::none().with_node_visits(600));
+            let err = governed(&fz, &p, 4, &guard).unwrap_err();
+            let GdmError::Interrupted { reason, partial } = err else {
+                panic!("expected Interrupted, got {err:?}");
+            };
+            assert_eq!(reason, InterruptReason::Budget);
+            assert!(partial > 0, "whole morsels finished before the trip");
+            assert_eq!(
+                partial,
+                guard.budget().rows_emitted(),
+                "rows of all workers"
+            );
+        };
+        trip();
+        let _none_free = hold_helper_permits();
+        trip();
     }
 
     #[test]
     fn governed_deadline_and_cancel_trip() {
+        let _hooks = lock_hooks();
         let g = social(200);
         let fz = FrozenGraph::freeze_attributed(&g);
         let p = two_hop();
@@ -1326,7 +1325,7 @@ mod tests {
 
     #[test]
     fn poisoned_morsel_falls_back_to_sequential() {
-        let _lock = GLOBAL_HOOK_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _hooks = lock_hooks();
         let g = social(200);
         let fz = FrozenGraph::freeze_attributed(&g);
         let p = two_hop();
@@ -1334,14 +1333,89 @@ mod tests {
         inject_worker_panic_once();
         let par = with_workers(&fz, &p, 4);
         assert_eq!(par, seq, "panicking worker must not change the answer");
+        // With no helper, the panic lands on the caller's own share.
+        let _none_free = hold_helper_permits();
+        inject_worker_panic_once();
+        assert_eq!(with_workers(&fz, &p, 4), seq);
     }
 
     #[test]
-    fn workers_override_round_trips() {
-        let _lock = GLOBAL_HOOK_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        set_executor_workers(3);
-        assert_eq!(executor_workers(), 3);
-        set_executor_workers(0);
-        assert_eq!(executor_workers(), default_threads());
+    fn estimate_is_root_seeds_times_per_depth_fan_out() {
+        // 200 nodes, 400 edges: average degree 2; 160 persons.
+        let fz = FrozenGraph::freeze_attributed(&social(200));
+        let estimate = |p: &Pattern, domains: &[Option<Vec<NodeId>>]| {
+            BatchPlan::compile(&fz, p, domains).estimated_visits()
+        };
+        // Label-scan root, two single-hop generators.
+        assert_eq!(estimate(&two_hop(), &[None, None, None]), 160 + 320 + 640);
+        // A domain is counted exactly, whatever the label says.
+        let three = Some(
+            (0..3)
+                .map(|dense| fz.node_at(dense))
+                .collect::<Vec<NodeId>>(),
+        );
+        assert_eq!(
+            estimate(&two_hop(), &[three.clone(), None, None]),
+            3 + 6 + 12
+        );
+        // A variable-length generator fans out by its reach: 2 + 4 + 8.
+        let mut walk = Pattern::new();
+        let x = walk.node(PatternNode::var("x"));
+        let y = walk.node(PatternNode::var("y"));
+        walk.edge_hops(x, y, Some("knows"), Direction::Outgoing, 1, 3)
+            .unwrap();
+        assert_eq!(estimate(&walk, &[three.clone(), None]), 3 + 3 * 14);
+        // A seeded non-root variable multiplies by its own seed count.
+        let mut pair = Pattern::new();
+        pair.node(PatternNode::var("x"));
+        pair.node(PatternNode::var("c").with_label("company"));
+        assert_eq!(estimate(&pair, &[three, None]), 3 + 3 * 40);
+        // An unknown label seeds nothing.
+        let mut none = Pattern::new();
+        none.node(PatternNode::var("u").with_label("unicorn"));
+        assert_eq!(estimate(&none, &[None]), 0);
+    }
+
+    #[test]
+    fn small_queries_stay_on_the_calling_thread() {
+        let _hooks = lock_hooks();
+        let fz = FrozenGraph::freeze_attributed(&social(200));
+        let p = two_hop();
+        let fanned = fanned_out();
+        let unforced = run_morsels(
+            &fz,
+            &p,
+            &auto_domains(&fz, &p),
+            4,
+            false,
+            &ExecutionGuard::unlimited(),
+        )
+        .unwrap();
+        assert_eq!(
+            fanned_out(),
+            fanned,
+            "1 120 estimated visits are not admitted"
+        );
+        assert_eq!(unforced, with_workers(&fz, &p, 4));
+        assert_eq!(fanned_out(), fanned + 1, "forcing skips admission");
+    }
+
+    #[test]
+    fn a_fresh_threads_scratch_agrees_with_a_reused_one() {
+        // This thread's stamp array is grown by `resize` from a small
+        // snapshot's; a new thread's — every scoped helper's — is
+        // allocated zeroed at full size. Same marks either way.
+        let small = FrozenGraph::freeze_attributed(&social(20));
+        let large = FrozenGraph::freeze_attributed(&social(30_000));
+        let p = two_hop();
+        with_workers(&small, &p, 1);
+        let reused = with_workers(&large, &p, 1);
+        let fresh = std::thread::scope(|s| {
+            s.spawn(|| with_workers(&large, &p, 1))
+                .join()
+                .expect("the fresh thread does not panic")
+        });
+        assert!(reused.len() > 30_000, "{} matches", reused.len());
+        assert_eq!(fresh, reused);
     }
 }

@@ -15,9 +15,9 @@
 //! (live vs frozen vs frozen+parallel) and writes the numbers to a
 //! machine-readable `BENCH_essential.json` (path configurable with
 //! `--json PATH`). `--smoke` shrinks the workload and iteration
-//! counts for a quick CI sanity run. `--workers N` pins the morsel
-//! executor's worker pool (default: the machine's available
-//! parallelism) so parallel rows are reproducible across machines.
+//! counts for a quick CI sanity run. `--workers N` pins the executor's
+//! worker count (default: the machine's available parallelism) so
+//! parallel rows are reproducible across machines.
 //!
 //! `--deadline-ms N` switches to the **governor gauntlet** instead of
 //! benchmarking: an expensive governed pattern match runs on every
@@ -421,12 +421,12 @@ fn main() {
         );
         // The frozen and parallel cells measure the execution path a
         // snapshot query actually takes — the one planned entry point,
-        // which routes frozen inputs to the batch executor — at one
-        // worker (the pipeline inline on the calling thread) and at
-        // the configured pool size (morsel-driven, DESIGN.md §13).
-        // (The unplanned reference matcher stays the correctness
-        // oracle in tests; its per-row HashMap bindings are not the
-        // serving path.)
+        // which routes frozen inputs to the batch executor — with the
+        // executor held to one worker and at the configured worker
+        // count, where the plan's estimated work decides whether the
+        // calling thread takes helpers (DESIGN.md §13). (The unplanned
+        // reference matcher stays the correctness oracle in tests; its
+        // per-row HashMap bindings are not the serving path.)
         gdm_algo::set_executor_workers(1);
         let one_worker_table = planned_match(&pfz, &pattern);
         let vectorized_pat = time_us(
@@ -486,41 +486,24 @@ fn main() {
             parallel_ops_s: None,
         });
 
-        // The batch-at-a-time executor (dense-id selection vectors
-        // straight off the CSR arrays, no per-node view dispatch) and
-        // its morsel-driven fan-out keep their own rows: the same two
-        // measurements as the `pattern` row, so parallel/frozen within
-        // `pattern_par_vectorized` is the executor's speedup.
-        rows.push(Row {
-            name: "pattern_vectorized",
-            live_ops_s: None,
-            frozen_ops_s: ops_s(vectorized_pat),
-            parallel_ops_s: None,
-        });
-        rows.push(Row {
-            name: "pattern_par_vectorized",
-            live_ops_s: None,
-            frozen_ops_s: ops_s(vectorized_pat),
-            parallel_ops_s: Some(ops_s(par_vec_pat)),
-        });
-        // Byte-identical results are the executor's contract on every
-        // machine. The speedup is not: on a 2-vCPU host, spawn + join
-        // for a ~1 ms query costs more than the second worker saves
-        // (measured at this and the previous commit), so a slower
-        // parallel cell is reported, not asserted.
+        // Byte-identical results are the morsel driver's contract on
+        // every machine. Admission is the executor's own decision, so
+        // the check forces real morsels: the calling thread plus
+        // `threads − 1` helpers (at least one), whatever this workload
+        // estimates.
+        let domains = gdm_algo::auto_domains(&pfz, &pattern);
+        let forced = gdm_algo::vectorized::match_pattern_forced_morsels(
+            &pfz,
+            &pattern,
+            &domains,
+            threads.max(2),
+            &ExecutionGuard::unlimited(),
+        )
+        .expect("an unlimited guard never interrupts");
         assert!(
-            planned_match(&pfz, &pattern) == one_worker_table,
+            forced == one_worker_table,
             "morsel-driven match must be byte-identical to the one-worker run",
         );
-        if threads > 1 && par_vec_pat > vectorized_pat {
-            eprintln!(
-                "WARNING: morsel-driven pattern match ({:.1} ops/s) is slower than the \
-                 one-worker executor ({:.1} ops/s) with {threads} workers on a {}-core machine",
-                ops_s(par_vec_pat),
-                ops_s(vectorized_pat),
-                gdm_algo::default_threads(),
-            );
-        }
 
         // Planning + EXPLAIN rendering throughput for the equivalent
         // algebra query (pushdown of `x.community = 3`).

@@ -24,7 +24,8 @@
 //!     with exact rows, every fault category must fire at least once,
 //!     and the final STATS must show the faults absorbed as counters
 //! cargo run --release --bin server_load -- --smoke --workers 2   # pin
-//!     the morsel executor's worker pool (any mode); STATS must echo it
+//!     the executor's worker count (any mode); STATS must echo it, and
+//!     prints `fanned_out`, the executions that took a helper thread
 //! ```
 
 use gdm_bench::workload::{load_into_engine, social_graph, SocialParams};
@@ -306,11 +307,12 @@ fn main() {
         }
         let stats = c.stats().expect("stats");
         println!(
-            "plan cache: {} hits / {} misses / {} entries; executor workers: {}",
+            "plan cache: {} hits / {} misses / {} entries; executor workers: {}; fanned out: {}",
             stats.plan_cache.hits,
             stats.plan_cache.misses,
             stats.plan_cache.entries,
-            stats.executor_workers
+            stats.executor_workers,
+            stats.fanned_out
         );
         if stats.plan_cache.hits == 0 {
             fail("STATS must show a plan-cache hit rate > 0");
@@ -429,12 +431,14 @@ fn main() {
         );
     }
     println!(
-        "  plan cache: {} hits / {} misses / {} entries; queue sheds: {}; executor workers: {}",
+        "  plan cache: {} hits / {} misses / {} entries; queue sheds: {}; \
+         executor workers: {}; fanned out: {}",
         stats.plan_cache.hits,
         stats.plan_cache.misses,
         stats.plan_cache.entries,
         stats.queue_shed,
-        stats.executor_workers
+        stats.executor_workers,
+        stats.fanned_out
     );
 
     let _ = std::fs::remove_dir_all(&dir);

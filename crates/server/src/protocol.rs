@@ -177,9 +177,14 @@ pub struct StatsReply {
     pub plan_cache: CacheStats,
     /// Lifetime requests shed by the global queue.
     pub queue_shed: u64,
-    /// Morsel-executor worker threads each frozen pattern query may
-    /// fan out across (the resolved process-wide setting, ≥ 1).
+    /// The most threads one admitted query may run on, its session
+    /// thread included — and, minus one, the helper threads in flight
+    /// across all sessions (the resolved process-wide setting, ≥ 1).
     pub executor_workers: u64,
+    /// Lifetime executions that ran on more than their session thread:
+    /// they estimated enough work to be admitted *and* found a helper
+    /// free. 0 means `executor_workers` has had nothing to do.
+    pub fanned_out: u64,
     /// Epoch of the snapshot currently serving queries.
     pub snapshot_epoch: u64,
     /// Lifetime live snapshot refreshes since startup.
@@ -350,6 +355,7 @@ mod tests {
                 },
                 queue_shed: 0,
                 executor_workers: 2,
+                fanned_out: 5,
                 snapshot_epoch: 42,
                 refreshes: 3,
                 last_refresh_us: 180,

@@ -85,9 +85,13 @@ pub struct ServerConfig {
     pub query_limits: Option<Limits>,
     /// Plans the shared cache holds before FIFO eviction.
     pub plan_cache_capacity: usize,
-    /// Morsel-executor worker threads per query (`0` keeps the
-    /// process-wide auto setting, [`gdm_algo::default_threads`]).
-    /// Applied once by [`serve`] via [`gdm_algo::set_executor_workers`].
+    /// The most threads one query may run on, its session thread
+    /// included, and (minus one) the executor's helper threads in
+    /// flight across all sessions; `0` keeps the process-wide auto
+    /// setting, [`gdm_algo::default_threads`]. Only a query whose plan
+    /// estimates enough work ever takes a helper (`STATS`'
+    /// `fanned_out` counts them). Applied once by [`serve`] via
+    /// [`gdm_algo::set_executor_workers`].
     pub executor_workers: usize,
     /// Once the first byte of a frame has arrived, the whole frame
     /// must arrive within this deadline — the slowloris cutoff. A
@@ -214,6 +218,7 @@ impl Shared {
             },
             queue_shed: self.admission.queue_shed(),
             executor_workers: gdm_algo::executor_workers() as u64,
+            fanned_out: gdm_algo::parallel::fanned_out(),
             snapshot_epoch: self.current().frozen.epoch(),
             refreshes: self.refreshes.load(Ordering::Relaxed),
             last_refresh_us: self.last_refresh_us.load(Ordering::Relaxed),

@@ -1,45 +1,51 @@
 //! Cost gates that do not depend on the machine, because the counts
 //! they hold repeat exactly: the guard's node visits (a query whose cost
 //! must follow its result rather than the graph is held to a fixed count
-//! at two graph sizes) and this thread's heap allocations (finishing the
-//! rows of a match must not allocate per match).
+//! at two graph sizes), this thread's heap allocations (finishing the
+//! rows of a match must not allocate per match; a point query must not
+//! allocate by graph size) and the executor's count of executions that
+//! took a helper thread (no template of the benchmark may).
 
-use graph_db_models::algo::FrozenGraph;
+use graph_db_models::algo::parallel::{fanned_out, hold_helper_permits};
+use graph_db_models::algo::{match_pattern_seeded, set_executor_workers, FrozenGraph};
 use graph_db_models::bench::workload::{social_graph, SocialParams};
 use graph_db_models::govern::ExecutionGuard;
 use graph_db_models::graphs::PropertyGraph;
 use graph_db_models::query::cypher::{parse, CypherStatement};
-use graph_db_models::query::plan::{execute_planned_governed, plan_select};
+use graph_db_models::query::plan::{execute_planned_governed, plan_select, PlannedSelect};
 use graph_db_models::query::ResultSet;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 /// The system allocator, counting the calling thread's allocations
-/// (growing a block counts) so tests running beside this one on other
-/// threads do not show up in its count.
+/// (growing a block counts) and the bytes they asked for, so tests
+/// running beside this one on other threads do not show up in its
+/// count.
 struct CountingAllocator;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static ALLOCATED_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count_allocation() {
+fn count_allocation(bytes: usize) {
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = ALLOCATED_BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
-// SAFETY: every call is forwarded unchanged to `System`; the counter is
-// a const-initialised thread-local `Cell` that neither allocates nor has
-// a destructor.
+// SAFETY: every call is forwarded unchanged to `System`; the counters
+// are const-initialised thread-local `Cell`s that neither allocate nor
+// have a destructor.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_allocation();
+        count_allocation(layout.size());
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_allocation();
+        count_allocation(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -56,20 +62,29 @@ fn benchmark_shaped_graph(people: usize) -> PropertyGraph {
     })
 }
 
-/// Plans `text`, executes it once to warm this thread's executor
-/// scratch, and returns the rows of a second execution with the number
-/// of allocations that execution made. One root, so the pipeline runs
-/// inline on this thread.
-fn rows_and_allocations(fz: &FrozenGraph, text: &str) -> (ResultSet, u64) {
+fn plan(fz: &FrozenGraph, text: &str) -> PlannedSelect {
     let CypherStatement::Select(query) = parse(text).unwrap() else {
         panic!("expected a MATCH query");
     };
-    let planned = plan_select(fz, &query).unwrap();
+    plan_select(fz, &query).unwrap()
+}
+
+/// Plans `text`, executes it once to warm this thread's executor
+/// scratch, and returns the rows of a second execution with the number
+/// of allocations that execution made and the bytes they asked for.
+/// None of these queries is admitted to fan out, so the pipeline runs
+/// inline on this thread.
+fn rows_and_allocations(fz: &FrozenGraph, text: &str) -> (ResultSet, u64, u64) {
+    let planned = plan(fz, text);
     let guard = ExecutionGuard::unlimited();
     execute_planned_governed(fz, &planned, &guard).unwrap();
-    let before = ALLOCATIONS.with(Cell::get);
+    let before = (ALLOCATIONS.with(Cell::get), ALLOCATED_BYTES.with(Cell::get));
     let rows = execute_planned_governed(fz, &planned, &guard).unwrap();
-    (rows, ALLOCATIONS.with(Cell::get) - before)
+    (
+        rows,
+        ALLOCATIONS.with(Cell::get) - before.0,
+        ALLOCATED_BYTES.with(Cell::get) - before.1,
+    )
 }
 
 /// Counting ten times the matches costs no more allocations than the
@@ -78,7 +93,7 @@ fn rows_and_allocations(fz: &FrozenGraph, text: &str) -> (ResultSet, u64) {
 fn counting_matches_allocates_nothing_per_match() {
     let fz = FrozenGraph::freeze_attributed(&benchmark_shaped_graph(20_000));
     let count = |hops: &str| {
-        let (rows, allocations) = rows_and_allocations(
+        let (rows, allocations, _) = rows_and_allocations(
             &fz,
             &format!(
                 "MATCH (p:person {{name:'person7'}})-[:knows*{hops}]->(g:person) RETURN count(*)"
@@ -107,8 +122,8 @@ fn grouping_allocates_per_group_not_per_match() {
     let matches = "MATCH (a:person {name:'person7'})-[:knows*1..3]->(b:person) RETURN count(*)";
     let grouped =
         "MATCH (a:person {name:'person7'})-[:knows*1..3]->(b:person) RETURN b.community, count(*)";
-    let (total, _) = rows_and_allocations(&fz, matches);
-    let (groups, allocations) = rows_and_allocations(&fz, grouped);
+    let (total, ..) = rows_and_allocations(&fz, matches);
+    let (groups, allocations, _) = rows_and_allocations(&fz, grouped);
     let total = total.rows[0][0].as_int().unwrap() as usize;
     assert!(
         total >= 10 * groups.len(),
@@ -130,13 +145,10 @@ fn grouping_allocates_per_group_not_per_match() {
 #[test]
 fn two_hop_reachability_cost_does_not_follow_graph_size() {
     let text = "MATCH (p:person {name:'person7'})-[:knows*1..2]->(g:person) RETURN count(*)";
-    let CypherStatement::Select(query) = parse(text).unwrap() else {
-        panic!("expected a MATCH query");
-    };
     for people in [2_000, 20_000] {
         let live = benchmark_shaped_graph(people);
         let fz = FrozenGraph::freeze_attributed(&live);
-        let planned = plan_select(&fz, &query).unwrap();
+        let planned = plan(&fz, text);
         let nodes = &planned.query.pattern.nodes;
         let g = nodes.iter().position(|n| n.var == "g").unwrap();
         assert!(planned.domains[g].is_none(), "no domain for g:person");
@@ -146,6 +158,9 @@ fn two_hop_reachability_cost_does_not_follow_graph_size() {
         let visits = guard.budget().node_visits();
         assert!(visits < 200, "{people} people: {visits} node visits");
 
+        let CypherStatement::Select(query) = parse(text).unwrap() else {
+            panic!("expected a MATCH query");
+        };
         let on_live = plan_select(&live, &query).unwrap();
         let unlimited = ExecutionGuard::unlimited();
         assert_eq!(
@@ -153,4 +168,90 @@ fn two_hop_reachability_cost_does_not_follow_graph_size() {
             execute_planned_governed(&live, &on_live, &unlimited).unwrap()
         );
     }
+}
+
+/// The outgoing-adjacency point query — 30 of every 100 benchmark
+/// requests — allocates for its ten-odd rows, not for the graph: the
+/// seeded root never probes a domain bitset, so none (|V| / 8 bytes) is
+/// built for it.
+#[test]
+fn point_query_allocation_does_not_follow_graph_size() {
+    let run = |people: usize| {
+        let fz = FrozenGraph::freeze_attributed(&benchmark_shaped_graph(people));
+        let text = "MATCH (p:person {name:'person1'})-[:knows]->(f) RETURN f.name";
+        let (rows, _, bytes) = rows_and_allocations(&fz, text);
+        (rows.rows.len(), bytes)
+    };
+    let (small_rows, small_bytes) = run(2_000);
+    let (large_rows, large_bytes) = run(20_000);
+    assert_eq!(small_rows, large_rows, "same out-degree on both fixtures");
+    assert!(
+        small_bytes.abs_diff(large_bytes) <= 64,
+        "{small_bytes} bytes at 2 000 people, {large_bytes} at 20 000"
+    );
+}
+
+/// The ten templates of `benchmark/src/gen.rs::render`, on the
+/// 20 000-person fixture.
+const BENCHMARK_TEMPLATES: [&str; 10] = [
+    "MATCH (p:person {name:'person7'})-[:knows]->(f) RETURN f.name",
+    "MATCH (p:person {name:'person7'})<-[:knows]-(f:person) RETURN f.name, f.age",
+    "MATCH (p:person {name:'person7'})-[:knows*1..2]->(g:person) RETURN count(*)",
+    "MATCH (p:person {name:'person7'})-[:knows*1..4]->(g:person {name:'person1234'}) \
+     RETURN count(*)",
+    "MATCH (a:person {name:'person7'})-[:knows]->(b)-[:knows]->(c)-[:knows]->(a) \
+     RETURN b.name, c.name",
+    "MATCH (a:person {name:'person7'})-[:knows]->(b:person)-[:knows]->(c:person) \
+     WHERE c.age > 60 RETURN b.name, c.name",
+    "MATCH (a:person {community:3})-[:knows]->(b:person) WHERE b.age < 30 RETURN a.name, b.name",
+    "MATCH (q:person {community:3}) RETURN count(*), avg(q.age), max(q.age)",
+    "MATCH (a:person {community:3})-[:knows]->(b:person) RETURN b.community, count(*)",
+    "MATCH (q:person) WHERE q.age = 30 RETURN q.community, count(*)",
+];
+
+/// Fan-out is admitted by estimated work: with four executor workers
+/// allowed, no benchmark template takes a helper thread (a 100-root or
+/// 300-root match is microseconds; a spawn is not), a whole-label
+/// two-edge pattern does, and the same pattern takes none while the
+/// process's permits are all out — and answers the same.
+#[test]
+fn fan_out_is_admitted_by_estimated_work_and_free_permits() {
+    set_executor_workers(4);
+    let fz = FrozenGraph::freeze_attributed(&benchmark_shaped_graph(20_000));
+    let guard = ExecutionGuard::unlimited();
+
+    let before = fanned_out();
+    for text in BENCHMARK_TEMPLATES {
+        let rows = execute_planned_governed(&fz, &plan(&fz, text), &guard).unwrap();
+        assert!(!rows.rows.is_empty(), "{text}");
+    }
+    assert_eq!(fanned_out(), before, "a benchmark template fanned out");
+
+    let big = plan(
+        &fz,
+        "MATCH (a:person)-[:knows]->(b)-[:knows]->(c) RETURN count(*)",
+    );
+    let matched = || match_pattern_seeded(&fz, &big.query.pattern, &big.domains, &guard).unwrap();
+    let with_helpers = matched();
+    assert_eq!(fanned_out(), before + 1, "2 × 10⁶ estimated visits fan out");
+    assert!(with_helpers.len() > 1_000_000);
+
+    // Another thread — another session — holds every helper permit.
+    let (held, wait_held) = std::sync::mpsc::channel();
+    let (release, wait_release) = std::sync::mpsc::channel::<()>();
+    std::thread::scope(|s| {
+        s.spawn(move || {
+            let _permits = hold_helper_permits();
+            held.send(()).unwrap();
+            let _ = wait_release.recv();
+        });
+        wait_held.recv().unwrap();
+        let alone = matched();
+        drop(release);
+        assert_eq!(fanned_out(), before + 1, "no permit free, no helper");
+        assert!(
+            alone == with_helpers,
+            "the caller alone returns the same table"
+        );
+    });
 }
