@@ -1,14 +1,19 @@
 //! Essential graph queries across the nine engine emulations — the
 //! performance companion the paper's related work (Dominguez-Sal et
 //! al. [11]) ran against real 2012 systems. Engines that do not
-//! support a query are skipped, mirroring Table VII.
+//! support a query are skipped, mirroring Table VII. Then the CSR
+//! snapshot against the live engines, and the cost of keeping a
+//! snapshot fresh.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gdm_algo::pattern::{Pattern, PatternNode};
+use gdm_algo::FrozenGraph;
 use gdm_bench::{load_into_engine, social_graph, SocialParams};
-use gdm_core::{Direction, NodeId};
+use gdm_core::{DeltaTracker, Direction, GraphView, NodeId, PropertyMap, Value};
 use gdm_engines::{make_engine, AnalysisFunc, EngineKind, GraphEngine, SummaryFunc};
+use gdm_graphs::PropertyGraph;
 use std::hint::black_box;
+use std::path::PathBuf;
 
 struct Fixture {
     kind: EngineKind,
@@ -16,23 +21,32 @@ struct Fixture {
     nodes: Vec<NodeId>,
 }
 
-fn fixtures(people: usize) -> Vec<Fixture> {
-    let graph = social_graph(SocialParams {
-        people,
+fn graph() -> PropertyGraph {
+    social_graph(SocialParams {
+        people: 600,
         communities: 8,
         intra_edges: 6,
         inter_edges: 2,
         seed: 42,
-    });
-    let base = std::env::temp_dir().join(format!("gdm-bench-eq-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&base);
+    })
+}
+
+/// A fresh, empty directory for `kind`'s files.
+fn engine_dir(kind: EngineKind) -> PathBuf {
+    let dir = std::env::temp_dir()
+        .join(format!("gdm-bench-eq-{}", std::process::id()))
+        .join(kind.label().to_lowercase().replace('-', "_"));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    dir
+}
+
+fn fixtures(graph: &PropertyGraph) -> Vec<Fixture> {
     EngineKind::all()
         .into_iter()
         .map(|kind| {
-            let dir = base.join(kind.label().to_lowercase().replace('-', "_"));
-            std::fs::create_dir_all(&dir).expect("temp dir");
-            let mut engine = make_engine(kind, &dir).expect("engine");
-            let nodes = load_into_engine(engine.as_mut(), &graph).expect("load");
+            let mut engine = make_engine(kind, &engine_dir(kind)).expect("engine");
+            let nodes = load_into_engine(engine.as_mut(), graph).expect("load");
             Fixture {
                 kind,
                 engine,
@@ -43,7 +57,22 @@ fn fixtures(people: usize) -> Vec<Fixture> {
 }
 
 fn bench_essential(c: &mut Criterion) {
-    let fixtures = fixtures(600);
+    // Opening an engine in a fresh directory and loading the workload
+    // through the facade.
+    let graph = graph();
+    let mut group = c.benchmark_group("load");
+    group.sample_size(10);
+    for kind in EngineKind::all() {
+        group.bench_function(BenchmarkId::from_parameter(kind.label()), |b| {
+            b.iter(|| {
+                let mut engine = make_engine(kind, &engine_dir(kind)).expect("engine");
+                load_into_engine(engine.as_mut(), &graph).expect("load")
+            })
+        });
+    }
+    group.finish();
+
+    let fixtures = fixtures(&graph);
 
     let mut group = c.benchmark_group("adjacency");
     for f in &fixtures {
@@ -100,10 +129,9 @@ fn bench_essential(c: &mut Criterion) {
 }
 
 /// Live vs frozen vs frozen+parallel on one representative engine:
-/// the CSR snapshot fast path whose numbers `perf_report` records in
-/// `BENCH_essential.json`.
+/// the CSR snapshot fast path.
 fn bench_frozen(c: &mut Criterion) {
-    let fixtures = fixtures(600);
+    let fixtures = fixtures(&graph());
     let f = fixtures
         .iter()
         .find(|f| f.kind == EngineKind::Neo4j)
@@ -167,15 +195,17 @@ fn bench_frozen(c: &mut Criterion) {
     });
     group.finish();
 
+    // No label constraints: some engine models drop labels on load.
     let mut pattern = Pattern::new();
-    let x = pattern.node(PatternNode::var("x").with_label("person"));
-    let y = pattern.node(PatternNode::var("y").with_label("person"));
-    let z = pattern.node(PatternNode::var("z").with_label("person"));
+    let x = pattern.node(PatternNode::var("x"));
+    let y = pattern.node(PatternNode::var("y"));
+    let z = pattern.node(PatternNode::var("z"));
     pattern.edge(x, y, Some("knows")).expect("vars exist");
     pattern.edge(y, z, Some("knows")).expect("vars exist");
     // Pattern matching is compared on the one engine that executes it
-    // live, against that engine's own snapshot, so all three rows
-    // answer the same question on the same data.
+    // live, against that engine's own snapshot through the planned
+    // entry point (the batch pipeline) at one worker and at `threads`,
+    // so all three rows answer the same question on the same data.
     let mut group = c.benchmark_group("pattern_two_hop");
     group.sample_size(10);
     if let Some(live) = fixtures
@@ -183,35 +213,70 @@ fn bench_frozen(c: &mut Criterion) {
         .find(|f| f.engine.pattern_match(&pattern).is_ok())
     {
         let pfz = live.engine.snapshot().expect("snapshot");
+        let domains = gdm_algo::auto_domains(&pfz, &pattern);
+        let planned = || {
+            gdm_algo::match_pattern_seeded(
+                &pfz,
+                &pattern,
+                &domains,
+                &gdm_govern::ExecutionGuard::unlimited(),
+            )
+            .expect("an unlimited guard never interrupts")
+            .len()
+        };
         group.bench_function(BenchmarkId::new("live", live.kind.label()), |b| {
             b.iter(|| black_box(live.engine.pattern_match(&pattern).expect("supported")))
         });
-        group.bench_function("frozen_seq", |b| {
-            b.iter(|| black_box(gdm_algo::pattern::match_pattern(&pfz, &pattern).len()))
-        });
+        gdm_algo::set_executor_workers(1);
+        group.bench_function("frozen_seq", |b| b.iter(|| black_box(planned())));
         gdm_algo::set_executor_workers(threads);
-        group.bench_function("frozen_par", |b| {
-            b.iter(|| {
-                black_box(
-                    gdm_algo::match_pattern_seeded(
-                        &pfz,
-                        &pattern,
-                        &gdm_algo::auto_domains(&pfz, &pattern),
-                        &gdm_govern::ExecutionGuard::unlimited(),
-                    )
-                    .expect("an unlimited guard never interrupts")
-                    .len(),
-                )
-            })
-        });
+        group.bench_function("frozen_par", |b| b.iter(|| black_box(planned())));
         gdm_algo::set_executor_workers(0);
     }
+    group.finish();
+}
+
+/// Re-freezing after a mutation batch of under 1 % of the graph — six
+/// `age` writes and two new `knows` edges, ten touched rows — patched
+/// into the previous snapshot, against a full freeze of the same graph.
+fn bench_refreeze(c: &mut Criterion) {
+    let mut live = graph();
+    let prev = FrozenGraph::freeze_attributed(&live);
+    let mut ids = Vec::new();
+    live.visit_nodes(&mut |n| ids.push(n));
+    let mut tracker = DeltaTracker::new();
+    tracker.reset(prev.epoch());
+    for i in 0..6 {
+        let n = ids[(i * 37 + 11) % ids.len()];
+        live.set_node_property(n, "age", Value::from(200 + i as i64))
+            .expect("node exists");
+        tracker.touch_node(n.raw());
+    }
+    for i in 0..2 {
+        let (a, b) = (
+            ids[(i * 53 + 7) % ids.len()],
+            ids[(i * 71 + 29) % ids.len()],
+        );
+        live.add_edge(a, b, "knows", PropertyMap::new())
+            .expect("endpoints exist");
+        tracker.touch_node(a.raw());
+        tracker.touch_node(b.raw());
+    }
+    let delta = tracker.peek();
+
+    let mut group = c.benchmark_group("refreeze");
+    group.bench_function("incremental", |b| {
+        b.iter(|| black_box(gdm_algo::incremental_refreeze(&live, &prev, delta).len()))
+    });
+    group.bench_function("full", |b| {
+        b.iter(|| black_box(FrozenGraph::freeze_attributed(&live).len()))
+    });
     group.finish();
 }
 
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_essential, bench_frozen
+    targets = bench_essential, bench_frozen, bench_refreeze
 }
 criterion_main!(benches);

@@ -10,7 +10,7 @@
 //!
 //! | bench | measures |
 //! |---|---|
-//! | `essential_queries` | the Section IV queries across all nine engine emulations |
+//! | `essential_queries` | load and the Section IV queries across all nine engine emulations; live vs CSR snapshot; incremental vs full re-freeze |
 //! | `storage` | DiskBTree vs MemKv, buffer-pool sizing |
 //! | `pattern` | VF2 vs brute-force subgraph matching |
 //! | `regular_paths` | product-automaton reachability scaling |

@@ -278,9 +278,9 @@ pub fn verify_engine(kind: EngineKind, workdir: &Path) -> Result<Vec<String>> {
     // ---- CSR snapshot fast path (Table V analysis cross-check) --------
     // Freeze the probe graph and require that the snapshot — serially
     // and through the parallel executor — reproduces the live engine's
-    // analysis answers exactly. This is how `perf_report` accelerates
-    // Table V's analysis probes, so the agreement is checked here, not
-    // just in gdm-algo's own tests.
+    // analysis answers exactly. The `essential_queries` benches time
+    // these snapshot analyses against the live engines, so the
+    // agreement is checked here, not just in gdm-algo's own tests.
     {
         let mut e = fresh("snapshot")?;
         let nodes = build_probe_graph(e.as_mut())?;

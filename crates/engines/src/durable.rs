@@ -679,6 +679,10 @@ impl<F: WalFs> GraphEngine for DurableEngine<F> {
         self.inner.execute_query(query)
     }
 
+    fn explain(&self, query: &str) -> Result<String> {
+        self.inner.explain(query)
+    }
+
     fn reason(&mut self, rules: &str, goal: &str) -> Result<Vec<Vec<String>>> {
         // Rule loading is scoped to the call in every emulation, so
         // there is no persistent state to journal.

@@ -1,18 +1,21 @@
 //! The profile is the engine: for each of the nine emulations, every
 //! capability its [`gdm_engines::Profile`] marks refused answers
 //! `Unsupported` carrying that engine's name and that refusal text, and
-//! every capability it marks supported does not. Plus the regression
-//! tests of the two bugs the nine hand-written copies had drifted into.
+//! every capability it marks supported does not — in plain and in
+//! durable mode. Plus the regression tests of the two bugs the nine
+//! hand-written copies had drifted into.
 
 use gdm_algo::pattern::Pattern;
 use gdm_algo::summary::Aggregate;
 use gdm_core::{props, AttributedView, EdgeId, GdmError, NodeId, PropertyMap, Value};
 use gdm_engines::{
-    make_engine, AnalysisFunc, Capability, EngineKind, GraphEngine, Profile, SummaryFunc,
+    make_engine, AnalysisFunc, Capability, DurableEngine, EngineKind, GraphEngine, Profile,
+    SummaryFunc,
 };
 use gdm_schema::{
     Constraint, EdgeTypeDef, NodeTypeDef, PatternKind, PropertyType, Schema, ValueType,
 };
+use gdm_wal::{FaultFs, WalOptions};
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("gdm-profile-{}-{tag}", std::process::id()));
@@ -137,34 +140,60 @@ fn probe(
     }
 }
 
+/// Typed schema DDL: the calls the durable journal cannot encode.
+fn is_typed_schema_ddl(capability: Capability) -> bool {
+    matches!(capability, Capability::NodeTypes | Capability::EdgeTypes)
+        || Capability::CONSTRAINTS.contains(&capability)
+}
+
+/// Each engine twice, plain and durable over an in-memory journal.
+/// Durable mode answers as its profile says, with two documented
+/// exceptions: typed schema DDL is refused as `NotJournalable` before
+/// the engine is asked, and `persist` succeeds even where the profile
+/// refuses persistence, because the journal is the persistence.
 #[test]
 fn every_engine_refuses_exactly_what_its_profile_says() {
     for kind in EngineKind::all() {
         let profile = kind.profile();
         let name = profile.descriptor.name;
-        for &capability in Capability::ALL {
-            let dir = temp_dir(&format!("{name}-{capability:?}"));
-            let mut engine = make_engine(kind, &dir).unwrap();
-            assert_eq!(engine.name(), name);
-            let outcome = probe(engine.as_mut(), profile, capability);
-            match (profile.refusal(capability), outcome) {
-                (Some(text), Err(GdmError::Unsupported { engine, feature })) => {
-                    assert_eq!(
-                        (engine, feature.as_str()),
-                        (name, text),
-                        "{name}: {capability:?}"
-                    );
+        for durable in [false, true] {
+            for &capability in Capability::ALL {
+                let dir = temp_dir(&format!("{name}-{capability:?}-{durable}"));
+                let mut engine: Box<dyn GraphEngine> = if durable {
+                    let opts = WalOptions::default();
+                    Box::new(
+                        DurableEngine::open(kind, &dir, FaultFs::new(), opts)
+                            .unwrap()
+                            .0,
+                    )
+                } else {
+                    make_engine(kind, &dir).unwrap()
+                };
+                assert_eq!(engine.name(), name);
+                let outcome = probe(engine.as_mut(), profile, capability);
+                let case = format!("{name} (durable: {durable}): {capability:?}");
+                match (profile.refusal(capability), outcome) {
+                    (_, outcome) if durable && is_typed_schema_ddl(capability) => {
+                        assert!(
+                            matches!(&outcome, Err(err) if err.is_not_journalable()),
+                            "{case} cannot be journaled but answered {outcome:?}"
+                        );
+                    }
+                    (Some(_), Ok(())) if durable && capability == Capability::Persistence => {}
+                    (Some(text), Err(GdmError::Unsupported { engine, feature })) => {
+                        assert_eq!((engine, feature.as_str()), (name, text), "{case}");
+                    }
+                    (Some(text), other) => {
+                        panic!("{case} is refused ({text}) but answered {other:?}")
+                    }
+                    (None, Err(err)) if err.is_unsupported() => {
+                        panic!("{case} is supported but answered {err}")
+                    }
+                    (None, _) => {}
                 }
-                (Some(text), other) => {
-                    panic!("{name}: {capability:?} is refused ({text}) but answered {other:?}")
-                }
-                (None, Err(err)) if err.is_unsupported() => {
-                    panic!("{name}: {capability:?} is supported but answered {err}")
-                }
-                (None, _) => {}
+                drop(engine);
+                let _ = std::fs::remove_dir_all(&dir);
             }
-            drop(engine);
-            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 }

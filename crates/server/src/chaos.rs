@@ -17,8 +17,8 @@
 //! transparently). Delay faults are the exception: they only stretch
 //! time, never corrupt, and the connection survives.
 //!
-//! Used by `tests/server_chaos.rs` and `server_load --chaos-smoke`;
-//! the design notes live in DESIGN.md §15.
+//! Used by `tests/server_chaos.rs`; the design notes live in
+//! DESIGN.md §15.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -6,7 +6,8 @@
 //!    plan serves repeats, a mutation plus [`ServerHandle::refresh_with`]
 //!    advances the serving epoch, the very next query of the same text
 //!    sees the new data (its stale plan is epoch-evicted, not served),
-//!    and `STATS` reports the refresh counters.
+//!    and `STATS` reports the refresh counters and echoes the configured
+//!    executor worker count.
 //! 2. Sessions hammering queries *while* the snapshot is swapped under
 //!    them never observe an error: every response is a complete row
 //!    set, and the row counts a session sees only grow — each query
@@ -25,6 +26,8 @@ use std::time::Duration;
 
 const QUERY: &str = "MATCH (p:person) RETURN p.name";
 const PEOPLE: usize = 50;
+/// The executor worker count every server in this file is started with.
+const EXECUTOR_WORKERS: usize = 2;
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("gdm-refresh-{}-{tag}", std::process::id()));
@@ -50,6 +53,7 @@ fn start(tag: &str) -> (Box<dyn GraphEngine>, ServerHandle, std::path::PathBuf) 
     }
     let mut config = ServerConfig {
         refill_credits: 500_000,
+        executor_workers: EXECUTOR_WORKERS,
         ..ServerConfig::default()
     };
     let mut alpha = TenantConfig::new("alpha", 1);
@@ -147,7 +151,9 @@ fn refresh_protocol_end_to_end() {
     let stats = c.stats().unwrap();
     assert_eq!(stats.snapshot_epoch, epoch1);
     assert_eq!(stats.refreshes, 1);
+    assert!(stats.last_refresh_us > 0);
     assert!(stats.plan_cache.epoch_evictions >= 1);
+    assert_eq!(stats.executor_workers, EXECUTOR_WORKERS as u64);
     c.goodbye().ok();
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);

@@ -3,12 +3,20 @@
 //! must follow its result rather than the graph is held to a fixed count
 //! at two graph sizes), this thread's heap allocations (finishing the
 //! rows of a match must not allocate per match; a point query must not
-//! allocate by graph size) and the executor's count of executions that
-//! took a helper thread (no template of the benchmark may).
+//! allocate by graph size; a frozen match must run the batch pipeline),
+//! the executor's count of executions that took a helper thread (no
+//! template of the benchmark may) and a re-freeze's work units (a small
+//! batch must not cost a full freeze).
 
 use graph_db_models::algo::parallel::{fanned_out, hold_helper_permits};
-use graph_db_models::algo::{match_pattern_seeded, set_executor_workers, FrozenGraph};
+use graph_db_models::algo::pattern::{Pattern, PatternNode};
+use graph_db_models::algo::{
+    auto_domains, incremental_refreeze, match_pattern_seeded, set_executor_workers, FrozenGraph,
+};
 use graph_db_models::bench::workload::{social_graph, SocialParams};
+use graph_db_models::core::{
+    AttributedView, DeltaTracker, FreezeDelta, GraphView, PropertyMap, Value,
+};
 use graph_db_models::govern::ExecutionGuard;
 use graph_db_models::graphs::PropertyGraph;
 use graph_db_models::query::cypher::{parse, CypherStatement};
@@ -254,4 +262,105 @@ fn fan_out_is_admitted_by_estimated_work_and_free_permits() {
             "the caller alone returns the same table"
         );
     });
+}
+
+/// A mutation batch of under 1 % of the graph — six `age` writes and two
+/// new `knows` edges, touching at most ten rows — on `live`, returned as
+/// the delta since `prev` was frozen.
+fn one_percent_batch(live: &mut PropertyGraph, prev: &FrozenGraph) -> FreezeDelta {
+    let mut ids = Vec::new();
+    live.visit_nodes(&mut |n| ids.push(n));
+    let mut tracker = DeltaTracker::new();
+    tracker.reset(prev.epoch());
+    for i in 0..6 {
+        let n = ids[(i * 37 + 11) % ids.len()];
+        live.set_node_property(n, "age", Value::from(200 + i as i64))
+            .unwrap();
+        tracker.touch_node(n.raw());
+    }
+    for i in 0..2 {
+        let (a, b) = (
+            ids[(i * 53 + 7) % ids.len()],
+            ids[(i * 71 + 29) % ids.len()],
+        );
+        live.add_edge(a, b, "knows", PropertyMap::new()).unwrap();
+        tracker.touch_node(a.raw());
+        tracker.touch_node(b.raw());
+    }
+    tracker.peek().clone()
+}
+
+/// Re-freezing after that batch does work in proportion to the ten rows
+/// it touched, not to the graph: the incremental `freeze_work` is a
+/// few hundred units at both 2 000 and 20 000 people, and under a tenth
+/// of a full freeze's even at the small size.
+#[test]
+fn refreeze_after_a_one_percent_batch_does_not_follow_graph_size() {
+    for (people, work) in [(2_000, 279), (20_000, 295)] {
+        let mut live = benchmark_shaped_graph(people);
+        let prev = FrozenGraph::freeze_attributed(&live);
+        let delta = one_percent_batch(&mut live, &prev);
+        assert_eq!(delta.change_count(), 10);
+        let incremental = incremental_refreeze(&live, &prev, &delta);
+        let full = FrozenGraph::freeze_attributed(&live);
+        assert_eq!(incremental.freeze_work(), work, "{people} people");
+        assert!(
+            incremental.freeze_work() * 10 <= full.freeze_work(),
+            "{people} people: incremental {work}, full {}",
+            full.freeze_work()
+        );
+    }
+}
+
+/// A frozen two-hop `knows` match runs the batch pipeline, not the
+/// row-at-a-time search a live view gets. Both charge the guard the
+/// same node visits and rows (pinned), so the path shows in what each
+/// allocates: the pipeline a fixed handful of buffers at either graph
+/// size, the row search one or more per node it expands. The pattern is
+/// rooted in one community so the match is never admitted to fan out
+/// and every allocation happens on this thread.
+#[test]
+fn frozen_two_hop_match_takes_the_batch_pipeline() {
+    let mut pattern = Pattern::new();
+    let x = pattern.node(
+        PatternNode::var("x")
+            .with_label("person")
+            .with_prop("community", 3),
+    );
+    let y = pattern.node(PatternNode::var("y"));
+    let z = pattern.node(PatternNode::var("z"));
+    pattern.edge(x, y, Some("knows")).unwrap();
+    pattern.edge(y, z, Some("knows")).unwrap();
+    // Node visits, rows and this thread's allocations of a second run.
+    let charges = |g: &dyn AttributedView| {
+        let domains = auto_domains(g, &pattern);
+        let run = |guard: &ExecutionGuard| match_pattern_seeded(g, &pattern, &domains, guard);
+        run(&ExecutionGuard::unlimited()).unwrap();
+        let guard = ExecutionGuard::unlimited();
+        let before = ALLOCATIONS.with(Cell::get);
+        let table = run(&guard).unwrap();
+        let allocations = ALLOCATIONS.with(Cell::get) - before;
+        let budget = guard.budget();
+        assert_eq!(budget.rows_emitted(), table.len() as u64);
+        (budget.node_visits(), budget.rows_emitted(), allocations)
+    };
+    let mut pipeline_allocations = Vec::new();
+    for (people, visits, rows) in [(2_000, 10_130, 9_012), (20_000, 10_285, 9_160)] {
+        let live = benchmark_shaped_graph(people);
+        let fz = FrozenGraph::freeze_attributed(&live);
+        let (frozen_visits, frozen_rows, frozen_allocations) = charges(&fz);
+        let (live_visits, live_rows, live_allocations) = charges(&live);
+        assert_eq!(
+            (frozen_visits, frozen_rows),
+            (visits, rows),
+            "{people} people"
+        );
+        assert_eq!((live_visits, live_rows), (visits, rows), "{people} people");
+        assert!(
+            frozen_allocations * 10 < live_allocations,
+            "{people} people: frozen {frozen_allocations} allocations, live {live_allocations}"
+        );
+        pipeline_allocations.push(frozen_allocations);
+    }
+    assert_eq!(pipeline_allocations[0], pipeline_allocations[1]);
 }
