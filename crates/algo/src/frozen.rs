@@ -20,25 +20,26 @@
 //!
 //! **Slabbed layout.** Each CSR direction is chopped into fixed-size
 //! *slabs* of [`SLAB_NODES`] consecutive dense rows, each slab an
-//! independently `Arc`-shared block of offsets/targets/edge-ids/labels
-//! (plus the label-sorted run permutation). Queries never notice —
+//! independently `Arc`-shared block of offsets/targets/edge-ids/labels.
+//! Queries never notice —
 //! [`Csr::run`] hands out the same contiguous per-row slices as a flat
 //! layout — but the incremental re-freeze path
 //! ([`crate::refreeze`]) can now share every untouched slab with the
 //! previous snapshot by bumping a reference count instead of copying,
 //! which is what makes re-freezing O(changes) rather than O(graph).
 //!
-//! Beyond the plain CSR the snapshot carries three acceleration
+//! Beyond the plain CSR the snapshot carries two acceleration
 //! structures:
 //!
 //! * **cached degrees** — run lengths read off the offset arrays in
 //!   O(1), overriding the counting defaults;
-//! * **label-partitioned edge runs** (per-slab `run_order`) — a
-//!   per-node permutation of the forward run, stably sorted by label,
-//!   letting [`frozen_regular_path_exists`] step its NFA once per
-//!   distinct label instead of once per edge;
 //! * **a node-label index** (`nodes_with_label`) — the candidate
-//!   prefilter the parallel pattern matcher starts from.
+//!   prefilter the batch pattern pipeline seeds labelled variables
+//!   from.
+//!
+//! Everything else — regular paths, shortest paths, diameter — runs the
+//! crate's one generic implementation over the snapshot's
+//! [`GraphView`] impl.
 //!
 //! Every snapshot is stamped with a process-unique, monotonically
 //! increasing **epoch** ([`FrozenGraph::epoch`]); the serving layer
@@ -48,12 +49,10 @@
 //! so it is `Send + Sync` and shareable across the scoped threads of
 //! [`crate::parallel`].
 
-use crate::regular::LabelRegex;
 use gdm_core::{
-    AttributedView, EdgeId, EdgeRef, FxHashMap, FxHashSet, GraphView, Interner, NodeId, Symbol,
-    Value, WeightedView,
+    AttributedView, EdgeId, EdgeRef, FxHashMap, GraphView, Interner, NodeId, Symbol, Value,
+    WeightedView,
 };
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -92,15 +91,13 @@ pub(crate) type EdgePropsMap = Arc<FxHashMap<u64, Arc<Vec<(String, Value)>>>>;
 
 /// One slab: [`SLAB_NODES`] consecutive dense rows of a CSR direction.
 /// `offsets` are slab-local (`offsets[0] == 0`, length `rows + 1`);
-/// `targets` remain global dense positions. `run_order` is the
-/// label-sorted permutation of slab-local positions, per row.
+/// `targets` remain global dense positions.
 #[derive(Debug, Default)]
 pub(crate) struct CsrSlab {
     pub(crate) offsets: Vec<u32>,
     pub(crate) targets: Vec<u32>,
     pub(crate) edge_ids: Vec<EdgeId>,
     pub(crate) labels: Vec<Option<Symbol>>,
-    pub(crate) run_order: Vec<u32>,
 }
 
 impl CsrSlab {
@@ -113,16 +110,6 @@ impl CsrSlab {
     #[inline]
     pub(crate) fn local_range(&self, row: usize) -> std::ops::Range<usize> {
         self.offsets[row] as usize..self.offsets[row + 1] as usize
-    }
-
-    /// (Re)builds `run_order`: per row, slab-local positions stably
-    /// sorted by label so equal labels form contiguous runs.
-    pub(crate) fn sort_runs(&mut self) {
-        self.run_order = (0..self.targets.len() as u32).collect();
-        for row in 0..self.rows() {
-            let range = self.local_range(row);
-            self.run_order[range].sort_by_key(|&pos| self.labels[pos as usize].map(Symbol::raw));
-        }
     }
 }
 
@@ -144,7 +131,7 @@ pub(crate) struct Run<'a> {
 
 impl Csr {
     /// Chops flat recording arrays (global offsets of length `n + 1`)
-    /// into slabs and builds each slab's label-run permutation.
+    /// into slabs.
     pub(crate) fn from_flat(
         n: usize,
         offsets: &[u32],
@@ -159,15 +146,12 @@ impl Csr {
             let hi = (lo + SLAB_NODES as usize).min(n);
             let base = offsets[lo];
             let end = offsets[hi] as usize;
-            let mut slab = CsrSlab {
+            slabs.push(Arc::new(CsrSlab {
                 offsets: offsets[lo..=hi].iter().map(|&o| o - base).collect(),
                 targets: targets[base as usize..end].to_vec(),
                 edge_ids: edge_ids[base as usize..end].to_vec(),
                 labels: labels[base as usize..end].to_vec(),
-                run_order: Vec::new(),
-            };
-            slab.sort_runs();
-            slabs.push(Arc::new(slab));
+            }));
             lo = hi;
         }
         Self { n, slabs }
@@ -514,28 +498,6 @@ impl FrozenGraph {
         self.label_index.get(&sym).map_or(&[], Vec::as_slice)
     }
 
-    /// Calls `f` once per label-partitioned forward run of `dense`:
-    /// the run's label, the slab-local positions carrying it, and the
-    /// slab's target array to resolve those positions through.
-    pub(crate) fn for_each_label_run(
-        &self,
-        dense: u32,
-        mut f: impl FnMut(Option<Symbol>, &[u32], &[u32]),
-    ) {
-        let (slab, row) = self.fwd.locate(dense);
-        let order = &slab.run_order[slab.local_range(row)];
-        let mut start = 0;
-        while start < order.len() {
-            let label = slab.labels[order[start] as usize];
-            let mut end = start + 1;
-            while end < order.len() && slab.labels[order[end] as usize] == label {
-                end += 1;
-            }
-            f(label, &order[start..end], &slab.targets);
-            start = end;
-        }
-    }
-
     // ---- columnar accessors (the vectorized executor's fast path) ---
 
     /// Interned label of the node at dense position `dense`.
@@ -767,71 +729,9 @@ impl WeightedView for FrozenGraph {
     }
 }
 
-/// Walk-semantics regular path query over the frozen label runs:
-/// result-equivalent to [`crate::regular_path_exists`], but steps the
-/// NFA once per *distinct label* of a node (memoized per state) rather
-/// than once per edge.
-pub fn frozen_regular_path_exists(
-    fz: &FrozenGraph,
-    a: NodeId,
-    b: NodeId,
-    regex: &LabelRegex,
-) -> bool {
-    let (Some(da), Some(db)) = (fz.dense_of(a), fz.dense_of(b)) else {
-        return false;
-    };
-    let start = regex.start_set();
-    if da == db && regex.accepts_set(&start) {
-        return true;
-    }
-    let mut seen: FxHashSet<(u32, usize)> = FxHashSet::default();
-    let mut queue: VecDeque<(u32, usize)> = VecDeque::new();
-    for &s in &start {
-        if seen.insert((da, s)) {
-            queue.push_back((da, s));
-        }
-    }
-    // (state, label) → closed successor set; shared across every node
-    // because stepping depends only on the pair.
-    let mut memo: FxHashMap<(usize, Option<Symbol>), FxHashSet<usize>> = FxHashMap::default();
-    while let Some((node, state)) = queue.pop_front() {
-        fz.for_each_label_run(node, |label, positions, slab_targets| {
-            let next = memo.entry((state, label)).or_insert_with(|| {
-                let mut from = FxHashSet::default();
-                from.insert(state);
-                regex.eps_closure(&mut from);
-                regex.step(&from, label.and_then(|sym| fz.label_text(sym)))
-            });
-            if next.is_empty() {
-                return;
-            }
-            let accepts = regex.accepts_set(next);
-            for &pos in positions {
-                let to = slab_targets[pos as usize];
-                if to == db && accepts {
-                    // Can't early-return out of the closure; flag via
-                    // sentinel pair that short-circuits below.
-                    seen.insert((u32::MAX, usize::MAX));
-                    return;
-                }
-                for &ns in next.iter() {
-                    if seen.insert((to, ns)) {
-                        queue.push_back((to, ns));
-                    }
-                }
-            }
-        });
-        if seen.contains(&(u32::MAX, usize::MAX)) {
-            return true;
-        }
-    }
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::regular_path_exists;
     use gdm_core::props;
     use gdm_graphs::{PropertyGraph, SimpleGraph};
 
@@ -888,39 +788,6 @@ mod tests {
                 })
                 .collect();
             assert_eq!(live, frozen);
-        }
-    }
-
-    #[test]
-    fn label_runs_partition_the_forward_run() {
-        let (g, n) = labeled_chain();
-        let fz = FrozenGraph::freeze(&g);
-        let d0 = fz.dense_of(n[0]).unwrap();
-        let mut runs = Vec::new();
-        fz.for_each_label_run(d0, |label, positions, _| {
-            let text = label.and_then(|s| fz.label_text(s)).map(str::to_owned);
-            runs.push((text, positions.len()));
-        });
-        // Node 0 has one "a" edge and one "b" edge: two runs of one.
-        assert_eq!(runs.len(), 2);
-        assert_eq!(fz.out_degree_dense(d0), 2);
-    }
-
-    #[test]
-    fn frozen_regular_paths_agree_with_live() {
-        let (g, n) = labeled_chain();
-        let fz = FrozenGraph::freeze(&g);
-        for expr in ["a a b", "a b", "a* b", "a a a a b", "b", "(a|b)+", "a*"] {
-            let r = LabelRegex::compile(expr).unwrap();
-            for &from in &n {
-                for &to in &n {
-                    assert_eq!(
-                        regular_path_exists(&g, from, to, &r),
-                        frozen_regular_path_exists(&fz, from, to, &r),
-                        "expr {expr:?} {from} -> {to}"
-                    );
-                }
-            }
         }
     }
 

@@ -31,6 +31,13 @@
 //! analyses (diameter, components, triangles) and for pattern queries
 //! big enough to pay for a thread.
 //!
+//! The searches whose cost the paper calls unbounded — [`match_pattern`],
+//! [`match_pattern_seeded`], [`shortest_path`], [`regular_path_exists`]
+//! and [`diameter`] — each exist once, take an [`ExecutionGuard`] and
+//! return a `Result`; they charge it only through a per-thread
+//! `gdm_govern::Meter`, and ungoverned callers pass
+//! [`ExecutionGuard::unlimited`].
+//!
 //! Pattern matching has two public matchers: the reference oracle
 //! [`match_pattern`] and the planned entry point
 //! [`match_pattern_seeded`], which picks its executor from the input
@@ -53,27 +60,26 @@ pub mod traverse;
 pub mod vectorized;
 
 pub use adjacency::{edges_adjacent, k_neighborhood, nodes_adjacent};
-pub use frozen::{frozen_regular_path_exists, FrozenGraph};
+pub use frozen::FrozenGraph;
 pub use parallel::{
     default_threads, executor_workers, par_connected_components, par_diameter, par_eccentricities,
     par_triangle_count, set_executor_workers,
 };
 pub use paths::{
     bidirectional_shortest_path, dijkstra, distance, fixed_length_path_exists, fixed_length_paths,
-    is_reachable, shortest_path, shortest_path_governed, Path,
+    is_reachable, shortest_path, Path,
 };
-pub use pattern::{
-    match_pattern, match_pattern_governed, within_hops, Pattern, PatternEdge, PatternNode,
-};
+pub use pattern::{match_pattern, within_hops, Pattern, PatternEdge, PatternNode};
 pub use planned::{
     auto_domains, domain_estimates, domains_consistent, generating_edges, match_pattern_seeded,
     planned_order, Domains, MatchTable,
 };
 pub use refreeze::{incremental_refreeze, incremental_refreeze_structural};
-pub use regular::{
-    regular_path_exists, regular_path_exists_governed, regular_simple_paths, LabelRegex,
-};
-pub use summary::{
-    aggregate, degree_stats, diameter, diameter_governed, graph_order, graph_size, Aggregate,
-};
+pub use regular::{regular_path_exists, regular_simple_paths, LabelRegex};
+pub use summary::{aggregate, degree_stats, diameter, graph_order, graph_size, Aggregate};
 pub use traverse::{bfs_order, dfs_order, Traversal};
+
+/// The guard every governed search here takes, re-exported so a caller
+/// can pass `ExecutionGuard::unlimited()` without its own `gdm-govern`
+/// dependency.
+pub use gdm_govern::ExecutionGuard;

@@ -530,6 +530,11 @@ pub(crate) mod tests {
         g
     }
 
+    fn sequential_diameter(fz: &FrozenGraph, dir: Direction) -> Option<usize> {
+        diameter(fz, dir, &gdm_govern::ExecutionGuard::unlimited())
+            .expect("an unlimited guard never interrupts")
+    }
+
     /// Runs `analysis` with four executor workers allowed and says how
     /// many of its fan-outs took a helper thread. The analyses admit
     /// themselves by estimated work like everything else, so the
@@ -551,7 +556,7 @@ pub(crate) mod tests {
             let fz = FrozenGraph::freeze(&g);
             for dir in [Direction::Outgoing, Direction::Incoming, Direction::Both] {
                 let (par, helped) = helped(|| par_diameter(&fz, dir, 4));
-                assert_eq!(par, diameter(&fz, dir), "{dir:?}");
+                assert_eq!(par, sequential_diameter(&fz, dir), "{dir:?}");
                 assert_eq!(helped, 1, "220 searches of ~670 steps are admitted");
             }
         }
@@ -643,7 +648,7 @@ pub(crate) mod tests {
     fn injected_worker_panic_degrades_diameter_to_sequential() {
         let g = fixture(true, 80);
         let fz = FrozenGraph::freeze(&g);
-        let want = diameter(&fz, Direction::Both);
+        let want = sequential_diameter(&fz, Direction::Both);
         with_and_without_helpers(|| {
             inject_worker_panic_once();
             let got = par_diameter(&fz, Direction::Both, 4);

@@ -12,7 +12,7 @@ use gdm_core::{
     Direction, EdgeId, EdgeRef, FxHashMap, FxHashSet, GdmError, GraphView, NodeId, Result,
     WeightedView,
 };
-use gdm_govern::{ExecutionGuard, GuardExt};
+use gdm_govern::ExecutionGuard;
 use std::collections::VecDeque;
 
 /// A path: `nodes.len() == edges.len() + 1`.
@@ -175,28 +175,15 @@ fn search_fixed(
     Ok(())
 }
 
-/// Unweighted shortest path from `a` to `b` (BFS), if any.
-pub fn shortest_path(g: &dyn GraphView, a: NodeId, b: NodeId) -> Option<Path> {
-    shortest_path_guarded(g, a, b, None).expect("ungoverned search cannot be interrupted")
-}
-
-/// [`shortest_path`] under an [`ExecutionGuard`]: the BFS charges one
-/// node visit per dequeued node and one edge visit per traversed edge.
-/// With an unlimited guard the result equals [`shortest_path`].
-pub fn shortest_path_governed(
+/// Unweighted shortest path from `a` to `b` (BFS), if any, under
+/// `guard`: the BFS charges one node visit per dequeued node and one
+/// edge visit per traversed edge, and a trip returns
+/// [`GdmError::Interrupted`].
+pub fn shortest_path(
     g: &dyn GraphView,
     a: NodeId,
     b: NodeId,
     guard: &ExecutionGuard,
-) -> Result<Option<Path>> {
-    shortest_path_guarded(g, a, b, Some(guard))
-}
-
-pub(crate) fn shortest_path_guarded(
-    g: &dyn GraphView,
-    a: NodeId,
-    b: NodeId,
-    guard: Option<&ExecutionGuard>,
 ) -> Result<Option<Path>> {
     if !g.contains_node(a) || !g.contains_node(b) {
         return Ok(None);
@@ -211,15 +198,16 @@ pub(crate) fn shortest_path_guarded(
     let mut queue = VecDeque::from([a]);
     let mut seen: FxHashSet<u64> = FxHashSet::default();
     seen.insert(a.raw());
-    'outer: while let Some(n) = queue.pop_front() {
-        guard.node()?;
+    let meter = guard.meter();
+    while let Some(n) = queue.pop_front() {
+        meter.nodes(1)?;
         let mut hit = false;
         let mut tripped = Ok(());
         g.visit_out_edges(n, &mut |e| {
             if tripped.is_err() {
                 return;
             }
-            tripped = guard.edge();
+            tripped = meter.edges(1);
             if tripped.is_err() {
                 return;
             }
@@ -234,15 +222,18 @@ pub(crate) fn shortest_path_guarded(
         tripped?;
         if hit {
             // First discovery of b is at minimal depth (BFS order).
-            break 'outer;
+            break;
         }
     }
+    meter.settle()?;
     Ok(reconstruct(&parent, a, b))
 }
 
 /// Distance between nodes: length of the shortest path, if connected.
 pub fn distance(g: &dyn GraphView, a: NodeId, b: NodeId) -> Option<usize> {
-    shortest_path(g, a, b).map(|p| p.len())
+    shortest_path(g, a, b, &ExecutionGuard::unlimited())
+        .expect("an unlimited guard never interrupts")
+        .map(|p| p.len())
 }
 
 /// Bidirectional BFS: expands frontiers from both endpoints (forward
@@ -530,7 +521,9 @@ mod tests {
     #[test]
     fn bfs_shortest_path() {
         let (g, n) = diamond();
-        let p = shortest_path(&g, n[0], n[4]).unwrap();
+        let p = shortest_path(&g, n[0], n[4], &ExecutionGuard::unlimited())
+            .unwrap()
+            .unwrap();
         assert_eq!(p.len(), 3);
         assert_eq!(p.nodes.first(), Some(&n[0]));
         assert_eq!(p.nodes.last(), Some(&n[4]));
@@ -552,7 +545,7 @@ mod tests {
         assert_eq!(cost, 3.0);
         assert_eq!(path.nodes, vec![a, c, b]);
         // BFS ignores weights and goes direct.
-        assert_eq!(shortest_path(&g, a, b).unwrap().len(), 1);
+        assert_eq!(distance(&g, a, b), Some(1));
     }
 
     #[test]
@@ -576,7 +569,7 @@ mod tests {
     fn bidirectional_agrees_with_bfs_on_the_diamond() {
         let (g, n) = diamond();
         for (s, t) in [(0usize, 4usize), (0, 3), (1, 4), (4, 0), (2, 2)] {
-            let uni = shortest_path(&g, n[s], n[t]).map(|p| p.len());
+            let uni = distance(&g, n[s], n[t]);
             let bi = bidirectional_shortest_path(&g, n[s], n[t]).map(|p| p.len());
             assert_eq!(uni, bi, "({s}, {t})");
         }

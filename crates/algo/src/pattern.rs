@@ -17,7 +17,7 @@
 use gdm_core::{
     AttributedView, Direction, FxHashMap, FxHashSet, GdmError, NodeId, Result, Symbol, Value,
 };
-use gdm_govern::{ExecutionGuard, GuardExt};
+use gdm_govern::{ExecutionGuard, Meter};
 use std::cmp::Ordering;
 use std::collections::VecDeque;
 
@@ -208,22 +208,38 @@ impl Pattern {
 /// One match: pattern variable → data node.
 pub type Binding = FxHashMap<String, NodeId>;
 
-/// Finds all subgraph matches of `pattern` in `g` (VF2-style search).
-/// Matches are injective on nodes. Returns bindings in a stable order.
-pub fn match_pattern<G: AttributedView + ?Sized>(g: &G, pattern: &Pattern) -> Vec<Binding> {
-    match_pattern_guarded(g, pattern, None).expect("ungoverned search cannot be interrupted")
-}
-
-/// [`match_pattern`] under an [`ExecutionGuard`]: the search charges
-/// one node visit per candidate considered and one row per binding
-/// emitted, and returns [`GdmError::Interrupted`] when the guard
-/// trips. With an unlimited guard the result equals [`match_pattern`].
-pub fn match_pattern_governed<G: AttributedView + ?Sized>(
+/// Finds all subgraph matches of `pattern` in `g` (VF2-style search)
+/// under `guard`: one node visit is charged per candidate considered
+/// and one row per binding emitted, and a trip returns
+/// [`GdmError::Interrupted`]. Matches are injective on nodes. Returns
+/// bindings in a stable order.
+pub fn match_pattern<G: AttributedView + ?Sized>(
     g: &G,
     pattern: &Pattern,
     guard: &ExecutionGuard,
 ) -> Result<Vec<Binding>> {
-    match_pattern_guarded(g, pattern, Some(guard))
+    if pattern.nodes.is_empty() {
+        return Ok(Vec::new());
+    }
+    // Order pattern nodes: most-constrained first, then by
+    // connectivity to already-placed nodes (classic VF2 ordering).
+    let order = matching_order(pattern);
+    let mut assignment: Vec<Option<NodeId>> = vec![None; pattern.nodes.len()];
+    let mut caches = MatchCaches::for_pattern(pattern);
+    let mut out = Vec::new();
+    let meter = guard.meter();
+    extend(
+        g,
+        pattern,
+        &order,
+        0,
+        &mut assignment,
+        &mut caches,
+        &mut out,
+        &meter,
+    )?;
+    meter.settle()?;
+    Ok(out)
 }
 
 /// Per-search memo of label-symbol checks: one `symbol → matches?` map
@@ -266,33 +282,6 @@ pub(crate) fn label_ok<G: AttributedView + ?Sized>(
         .or_insert_with(|| g.label_text(sym).is_some_and(|t| t == want))
 }
 
-pub(crate) fn match_pattern_guarded<G: AttributedView + ?Sized>(
-    g: &G,
-    pattern: &Pattern,
-    guard: Option<&ExecutionGuard>,
-) -> Result<Vec<Binding>> {
-    if pattern.nodes.is_empty() {
-        return Ok(Vec::new());
-    }
-    // Order pattern nodes: most-constrained first, then by
-    // connectivity to already-placed nodes (classic VF2 ordering).
-    let order = matching_order(pattern);
-    let mut assignment: Vec<Option<NodeId>> = vec![None; pattern.nodes.len()];
-    let mut caches = MatchCaches::for_pattern(pattern);
-    let mut out = Vec::new();
-    extend(
-        g,
-        pattern,
-        &order,
-        0,
-        &mut assignment,
-        &mut caches,
-        &mut out,
-        guard,
-    )?;
-    Ok(out)
-}
-
 pub(crate) fn matching_order(pattern: &Pattern) -> Vec<usize> {
     let n = pattern.nodes.len();
     let mut order = Vec::with_capacity(n);
@@ -328,10 +317,10 @@ fn extend<G: AttributedView + ?Sized>(
     assignment: &mut Vec<Option<NodeId>>,
     caches: &mut MatchCaches,
     out: &mut Vec<Binding>,
-    guard: Option<&ExecutionGuard>,
+    meter: &Meter,
 ) -> Result<()> {
     if depth == order.len() {
-        guard.row()?;
+        meter.rows(1)?;
         let binding = pattern
             .nodes
             .iter()
@@ -343,7 +332,7 @@ fn extend<G: AttributedView + ?Sized>(
     }
     let pv = order[depth];
     for candidate in candidates(g, pattern, pv, assignment) {
-        guard.node()?;
+        meter.nodes(1)?;
         if assignment.iter().flatten().any(|&n| n == candidate) {
             continue; // injectivity
         }
@@ -357,7 +346,7 @@ fn extend<G: AttributedView + ?Sized>(
         }
         assignment[pv] = Some(candidate);
         if edges_consistent(g, pattern, pv, assignment, &mut caches.edge_labels) {
-            extend(g, pattern, order, depth + 1, assignment, caches, out, guard)?;
+            extend(g, pattern, order, depth + 1, assignment, caches, out, meter)?;
         }
         assignment[pv] = None;
     }
@@ -616,10 +605,17 @@ pub fn canonical(bindings: &[Binding]) -> Vec<Vec<(String, u64)>> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use gdm_core::props;
     use gdm_graphs::PropertyGraph;
+
+    /// [`match_pattern`] under an unlimited guard: the reference answer
+    /// the crate's tests compare the other executors against.
+    pub(crate) fn reference<G: AttributedView + ?Sized>(g: &G, p: &Pattern) -> Vec<Binding> {
+        match_pattern(g, p, &ExecutionGuard::unlimited())
+            .expect("an unlimited guard never interrupts")
+    }
 
     fn triangle_with_tail() -> (PropertyGraph, Vec<NodeId>) {
         let mut g = PropertyGraph::new();
@@ -643,10 +639,10 @@ mod tests {
         let (g, _) = triangle_with_tail();
         let mut p = Pattern::new();
         p.node(PatternNode::var("x").with_label("person"));
-        assert_eq!(match_pattern(&g, &p).len(), 3);
+        assert_eq!(reference(&g, &p).len(), 3);
         let mut q = Pattern::new();
         q.node(PatternNode::var("x").with_label("company"));
-        assert_eq!(match_pattern(&g, &q).len(), 1);
+        assert_eq!(reference(&g, &q).len(), 1);
     }
 
     #[test]
@@ -654,7 +650,7 @@ mod tests {
         let (g, n) = triangle_with_tail();
         let mut p = Pattern::new();
         p.node(PatternNode::var("x").with_prop("i", 2));
-        let m = match_pattern(&g, &p);
+        let m = reference(&g, &p);
         assert_eq!(m.len(), 1);
         assert_eq!(m[0]["x"], n[2]);
     }
@@ -666,7 +662,7 @@ mod tests {
         let a = p.node(PatternNode::var("a").with_label("person"));
         let b = p.node(PatternNode::var("b").with_label("company"));
         p.edge(a, b, Some("works_at")).unwrap();
-        let m = match_pattern(&g, &p);
+        let m = reference(&g, &p);
         assert_eq!(m.len(), 1);
     }
 
@@ -680,7 +676,7 @@ mod tests {
         p.edge(a, b, Some("knows")).unwrap();
         p.edge(b, c, Some("knows")).unwrap();
         p.edge(c, a, Some("knows")).unwrap();
-        let m = match_pattern(&g, &p);
+        let m = reference(&g, &p);
         assert_eq!(m.len(), 3, "three rotations of the triangle");
     }
 
@@ -694,7 +690,7 @@ mod tests {
         // 2-cycles, so no match.
         p.edge(a, b, Some("knows")).unwrap();
         p.edge(b, a, Some("knows")).unwrap();
-        assert!(match_pattern(&g, &p).is_empty());
+        assert!(reference(&g, &p).is_empty());
     }
 
     #[test]
@@ -704,7 +700,7 @@ mod tests {
         let a = p.node(PatternNode::var("a").with_label("company"));
         let b = p.node(PatternNode::var("b").with_label("person"));
         p.edge_undirected(a, b, Some("works_at")).unwrap();
-        assert_eq!(match_pattern(&g, &p).len(), 1);
+        assert_eq!(reference(&g, &p).len(), 1);
     }
 
     #[test]
@@ -722,7 +718,7 @@ mod tests {
             for (f, t, l) in &edges {
                 p.edge(vars[*f], vars[*t], *l).unwrap();
             }
-            let fast = canonical(&match_pattern(&g, &p));
+            let fast = canonical(&reference(&g, &p));
             let slow = canonical(&match_pattern_brute(&g, &p));
             assert_eq!(fast, slow, "edges {edges:?}");
         }
@@ -731,7 +727,7 @@ mod tests {
     #[test]
     fn empty_pattern_matches_nothing() {
         let (g, _) = triangle_with_tail();
-        assert!(match_pattern(&g, &Pattern::new()).is_empty());
+        assert!(reference(&g, &Pattern::new()).is_empty());
     }
 
     #[test]
@@ -748,6 +744,6 @@ mod tests {
         p.node(PatternNode::var("x").with_label("company"));
         p.node(PatternNode::var("y").with_label("person"));
         // No edges: all injective (company, person) pairs.
-        assert_eq!(match_pattern(&g, &p).len(), 3);
+        assert_eq!(reference(&g, &p).len(), 3);
     }
 }

@@ -25,11 +25,16 @@
 //! unplanned matchers always produce the same binding *set* (verified
 //! by the `planned_equiv` property suite); the row order may differ
 //! because the variable order does.
+//!
+//! Both executors charge the caller's guard the same units — one node
+//! visit per candidate, one per walk frontier node, one row per match —
+//! through a [`Meter`] each search (or morsel worker) owns, settled
+//! before the search returns.
 
 use crate::frozen::FrozenGraph;
 use crate::pattern::{label_ok, Binding, Pattern, PatternEdge};
 use gdm_core::{AttributedView, Direction, FxHashMap, FxHashSet, GraphView, NodeId, Result};
-use gdm_govern::{ExecutionGuard, CHECK_INTERVAL};
+use gdm_govern::{ExecutionGuard, Meter};
 use std::ops::ControlFlow;
 
 /// Per-variable candidate domains, indexed like `Pattern::nodes`.
@@ -292,9 +297,9 @@ impl<K> Default for WalkBufs<K> {
 /// `neighbours(u, out)` appends the label-matching targets of `u`
 /// (duplicates allowed), `mark(t, level)` stamps `t` with the walk's
 /// `level`-th generation and says whether it was not already stamped
-/// so, and `charge(k)` draws `k` node visits from the guard — called
-/// for every [`CHECK_INTERVAL`] frontier nodes before they are
-/// expanded, so a budget or deadline interrupts a walk mid-level.
+/// so. Every frontier node is charged to `meter` as one node visit
+/// before it is expanded, so a budget or deadline interrupts a walk
+/// mid-level.
 ///
 /// Dedup rule. Below `min`, every level has its own generation
 /// (`level = depth - 1`): a walk may revisit a node at a greater depth,
@@ -310,7 +315,7 @@ pub(crate) fn walk_levels<K: Copy>(
     bufs: &mut WalkBufs<K>,
     mut neighbours: impl FnMut(K, &mut Vec<K>),
     mut mark: impl FnMut(K, u32) -> bool,
-    mut charge: impl FnMut(u64) -> Result<()>,
+    meter: &Meter,
     mut emit: impl FnMut(K) -> ControlFlow<()>,
 ) -> Result<bool> {
     let WalkBufs {
@@ -326,19 +331,17 @@ pub(crate) fn walk_levels<K: Copy>(
         }
         let level = depth.min(min) - 1;
         next.clear();
-        for chunk in frontier.chunks(CHECK_INTERVAL as usize) {
-            charge(chunk.len() as u64)?;
-            for &u in chunk {
-                found.clear();
-                neighbours(u, found);
-                for &t in found.iter() {
-                    if !mark(t, level) {
-                        continue;
-                    }
-                    next.push(t);
-                    if depth >= min && emit(t).is_break() {
-                        return Ok(true);
-                    }
+        for &u in frontier.iter() {
+            meter.nodes(1)?;
+            found.clear();
+            neighbours(u, found);
+            for &t in found.iter() {
+                if !mark(t, level) {
+                    continue;
+                }
+                next.push(t);
+                if depth >= min && emit(t).is_break() {
+                    return Ok(true);
                 }
             }
         }
@@ -395,7 +398,7 @@ pub fn domains_consistent<G: AttributedView + ?Sized>(
 /// The executor is chosen from the input, never by the caller:
 ///
 /// 1. Domains that fail the [`domains_consistent`] probe are discarded
-///    and the reference matcher ([`crate::match_pattern_governed`])
+///    and the reference matcher ([`crate::match_pattern`])
 ///    answers — it scans rather than trusts indexes: slower, never
 ///    wrong. So is a live view's label index when the search would
 ///    seed a variable from it and it fails the same probe.
@@ -407,10 +410,8 @@ pub fn domains_consistent<G: AttributedView + ?Sized>(
 /// 3. Any other view is searched row-at-a-time through the
 ///    [`AttributedView`] trait.
 ///
-/// Every path charges `guard` — one node visit per candidate binding
-/// attempt, one row per match, drawn in bulk ([`CHECK_INTERVAL`] units
-/// by the row-at-a-time search, a batch at a time by the pipeline) so
-/// an unlimited guard costs nothing per candidate — and returns the
+/// Every path charges `guard` through a [`Meter`] — one node visit per
+/// candidate binding attempt, one row per match — and returns the
 /// structured `Interrupted` error on a trip. Ungoverned callers pass
 /// [`ExecutionGuard::unlimited`]; callers without planner-supplied
 /// domains pass [`auto_domains`].
@@ -442,7 +443,7 @@ pub fn match_pattern_seeded<G: AttributedView + ?Sized>(
             }
         }
     }
-    let bindings = crate::pattern::match_pattern_governed(g, pattern, guard)?;
+    let bindings = crate::pattern::match_pattern(g, pattern, guard)?;
     Ok(MatchTable::from_bindings(pattern, &bindings))
 }
 
@@ -502,47 +503,14 @@ fn search_rows<G: AttributedView + ?Sized>(
         walk_generation: 0,
         walk_bufs: WalkBufs::default(),
         data: Vec::new(),
-        pending: Pending {
-            guard,
-            nodes: 0,
-            rows: 0,
-        },
+        meter: guard.meter(),
     };
     search.extend(0)?;
-    search.pending.settle()?;
+    search.meter.settle()?;
     Ok(Some(MatchTable {
         vars,
         data: search.data,
     }))
-}
-
-/// Candidate visits and emitted rows not yet drawn from the guard:
-/// drawing [`CHECK_INTERVAL`] units at a time keeps the guard's atomics
-/// and clock off the per-candidate path.
-struct Pending<'a> {
-    guard: &'a ExecutionGuard,
-    nodes: u64,
-    rows: u64,
-}
-
-impl Pending<'_> {
-    /// Draws the pending counts from the guard (each bulk draw also
-    /// runs its deadline/cancel check). Rows first, so a trip's
-    /// `partial` count includes every row emitted so far.
-    fn settle(&mut self) -> Result<()> {
-        self.guard.rows(std::mem::take(&mut self.rows))?;
-        self.guard.nodes(std::mem::take(&mut self.nodes))
-    }
-
-    /// Counts `k` node visits, settling once an interval's worth is
-    /// pending.
-    fn visit(&mut self, k: u64) -> Result<()> {
-        self.nodes += k;
-        if self.nodes + self.rows >= CHECK_INTERVAL {
-            self.settle()?;
-        }
-        Ok(())
-    }
 }
 
 struct Search<'a, G: ?Sized> {
@@ -569,13 +537,13 @@ struct Search<'a, G: ?Sized> {
     walk_generation: u32,
     walk_bufs: WalkBufs<NodeId>,
     data: Vec<NodeId>,
-    pending: Pending<'a>,
+    meter: Meter<'a>,
 }
 
 impl<G: AttributedView + ?Sized> Search<'_, G> {
     fn extend(&mut self, depth: usize) -> Result<()> {
         if depth == self.order.len() {
-            self.pending.rows += 1;
+            self.meter.rows(1)?;
             for slot in &self.assignment {
                 self.data.push(slot.expect("complete assignment"));
             }
@@ -661,7 +629,6 @@ impl<G: AttributedView + ?Sized> Search<'_, G> {
         self.walk_generation += hops.0;
         let cache = &mut self.edge_label_cache[ei];
         let marks = &mut self.walk_marks;
-        let pending = &mut self.pending;
         walk_levels(
             start,
             hops,
@@ -674,7 +641,7 @@ impl<G: AttributedView + ?Sized> Search<'_, G> {
                 });
             },
             |t, level| marks.insert(t.raw(), base + level) != Some(base + level),
-            |k| pending.visit(k),
+            &self.meter,
             emit,
         )
     }
@@ -686,7 +653,7 @@ impl<G: AttributedView + ?Sized> Search<'_, G> {
         n: NodeId,
         generator: Option<usize>,
     ) -> Result<()> {
-        self.pending.visit(1)?;
+        self.meter.nodes(1)?;
         if self.assignment.iter().flatten().any(|&m| m == n) {
             return Ok(()); // injectivity
         }
@@ -783,7 +750,8 @@ impl<G: AttributedView + ?Sized> Search<'_, G> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pattern::{canonical, match_pattern, PatternNode};
+    use crate::pattern::tests::reference;
+    use crate::pattern::{canonical, PatternNode};
     use gdm_core::{props, Symbol};
     use gdm_graphs::PropertyGraph;
 
@@ -828,7 +796,7 @@ mod tests {
         let g = community();
         let p = chain_pattern();
         let planned = auto(&g, &p);
-        let unplanned = match_pattern(&g, &p);
+        let unplanned = reference(&g, &p);
         assert_eq!(canonical(&planned.to_bindings()), canonical(&unplanned));
         assert_eq!(planned.len(), unplanned.len());
     }
@@ -858,7 +826,7 @@ mod tests {
         let z_only = NodeId(3);
         let dom: Domains = vec![None, None, Some(vec![z_only])];
         let restricted = seeded(&g, &p, &dom);
-        let full = canonical(&match_pattern(&g, &p));
+        let full = canonical(&reference(&g, &p));
         for row in restricted.rows() {
             assert_eq!(row[2], z_only);
         }
@@ -990,7 +958,7 @@ mod tests {
         assert!(domains_consistent(&g, &auto_domains(&g, &label_only)));
         assert_eq!(
             canonical(&auto(&g, &label_only).to_bindings()),
-            canonical(&match_pattern(&g.0, &label_only))
+            canonical(&reference(&g.0, &label_only))
         );
         let mut p = label_only;
         p.nodes[0].props.push(("band".into(), 1.into()));
@@ -999,7 +967,7 @@ mod tests {
         // Trusting the lying index would return zero matches; the
         // fallback answers from the reference scan instead.
         let via_auto = auto(&g, &p);
-        let reference = match_pattern(&g.0, &p);
+        let reference = reference(&g.0, &p);
         assert!(!reference.is_empty());
         assert_eq!(canonical(&via_auto.to_bindings()), canonical(&reference));
         // The probe comes before executor selection: a snapshot handed
@@ -1030,7 +998,7 @@ mod tests {
         let mut p = Pattern::new();
         p.node(PatternNode::var("x").with_prop("v", 3.0));
         let planned = auto(&g, &p);
-        let unplanned = match_pattern(&g, &p);
+        let unplanned = reference(&g, &p);
         assert_eq!(canonical(&planned.to_bindings()), canonical(&unplanned));
         assert_eq!(planned.len(), 2);
         let bound: Vec<NodeId> = planned.rows().map(|r| r[0]).collect();

@@ -309,7 +309,6 @@ fn build_dir<G: GraphView + ?Sized>(
             let len = u32::try_from(slab.targets.len()).expect("frozen graph u32 edge limit");
             slab.offsets.push(len);
         }
-        slab.sort_runs();
         slabs.push(Arc::new(slab));
         lo = hi;
     }

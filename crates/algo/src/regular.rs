@@ -25,7 +25,7 @@
 
 use crate::paths::Path;
 use gdm_core::{EdgeId, FxHashSet, GdmError, GraphView, NodeId, Result};
-use gdm_govern::{ExecutionGuard, GuardExt};
+use gdm_govern::ExecutionGuard;
 use std::collections::VecDeque;
 
 // ---------------------------------------------------------------------
@@ -342,32 +342,16 @@ impl LabelRegex {
 // ---------------------------------------------------------------------
 
 /// Walk semantics: is there any walk from `a` to `b` whose label word
-/// matches `regex`? Polynomial product-automaton BFS.
-pub fn regular_path_exists(g: &dyn GraphView, a: NodeId, b: NodeId, regex: &LabelRegex) -> bool {
-    regular_path_exists_guarded(g, a, b, regex, None)
-        .expect("ungoverned search cannot be interrupted")
-}
-
-/// [`regular_path_exists`] under an [`ExecutionGuard`]: the product
-/// BFS charges one node visit per dequeued product state and one edge
-/// visit per expanded edge. With an unlimited guard the result equals
-/// [`regular_path_exists`].
-pub fn regular_path_exists_governed(
+/// matches `regex`? Polynomial product-automaton BFS under `guard`: it
+/// charges one node visit per dequeued product state and one edge
+/// visit per expanded edge, and a trip returns
+/// [`GdmError::Interrupted`].
+pub fn regular_path_exists(
     g: &dyn GraphView,
     a: NodeId,
     b: NodeId,
     regex: &LabelRegex,
     guard: &ExecutionGuard,
-) -> Result<bool> {
-    regular_path_exists_guarded(g, a, b, regex, Some(guard))
-}
-
-pub(crate) fn regular_path_exists_guarded(
-    g: &dyn GraphView,
-    a: NodeId,
-    b: NodeId,
-    regex: &LabelRegex,
-    guard: Option<&ExecutionGuard>,
 ) -> Result<bool> {
     if !g.contains_node(a) || !g.contains_node(b) {
         return Ok(false);
@@ -385,35 +369,40 @@ pub(crate) fn regular_path_exists_guarded(
     if a == b && regex.accepts_set(&start) {
         return Ok(true);
     }
-    while let Some((node, state)) = queue.pop_front() {
-        guard.node()?;
-        let mut edges = Vec::new();
-        g.visit_out_edges(node, &mut |e| edges.push(e));
-        for e in edges {
-            guard.edge()?;
-            let label = e.label.and_then(|sym| g.label_text(sym));
-            let mut from_set = FxHashSet::default();
-            from_set.insert(state);
-            // No eps-closure needed here: sets in `seen` are already
-            // closed at insertion time via step()/start_set(). A single
-            // state still needs closing before stepping.
-            regex.eps_closure(&mut from_set);
-            let next = regex.step(&from_set, label);
-            for &ns in &next {
-                if ns == regex.accept && e.to == b {
-                    return Ok(true);
+    let meter = guard.meter();
+    let found = 'search: {
+        while let Some((node, state)) = queue.pop_front() {
+            meter.nodes(1)?;
+            let mut edges = Vec::new();
+            g.visit_out_edges(node, &mut |e| edges.push(e));
+            for e in edges {
+                meter.edges(1)?;
+                let label = e.label.and_then(|sym| g.label_text(sym));
+                let mut from_set = FxHashSet::default();
+                from_set.insert(state);
+                // No eps-closure needed here: sets in `seen` are already
+                // closed at insertion time via step()/start_set(). A
+                // single state still needs closing before stepping.
+                regex.eps_closure(&mut from_set);
+                let next = regex.step(&from_set, label);
+                for &ns in &next {
+                    if ns == regex.accept && e.to == b {
+                        break 'search true;
+                    }
+                    if seen.insert((e.to.raw(), ns)) {
+                        queue.push_back((e.to, ns));
+                    }
                 }
-                if seen.insert((e.to.raw(), ns)) {
-                    queue.push_back((e.to, ns));
+                // Accepting in a non-accept-labeled state set.
+                if e.to == b && regex.accepts_set(&next) {
+                    break 'search true;
                 }
-            }
-            // Accepting in a non-accept-labeled state set.
-            if e.to == b && regex.accepts_set(&next) {
-                return Ok(true);
             }
         }
-    }
-    Ok(false)
+        false
+    };
+    meter.settle()?;
+    Ok(found)
 }
 
 /// Simple-path semantics: enumerate simple paths from `a` to `b` whose
@@ -545,6 +534,11 @@ mod tests {
         }
     }
 
+    fn exists(g: &SimpleGraph, a: NodeId, b: NodeId, regex: &LabelRegex) -> bool {
+        regular_path_exists(g, a, b, regex, &ExecutionGuard::unlimited())
+            .expect("an unlimited guard never interrupts")
+    }
+
     fn chain() -> (SimpleGraph, Vec<NodeId>) {
         // 0 -a-> 1 -a-> 2 -b-> 3, plus shortcut 0 -b-> 3 and cycle 1->0.
         let mut g = SimpleGraph::directed();
@@ -561,11 +555,11 @@ mod tests {
     fn walk_semantics_existence() {
         let (g, n) = chain();
         let r = LabelRegex::compile("a a b").unwrap();
-        assert!(regular_path_exists(&g, n[0], n[3], &r));
+        assert!(exists(&g, n[0], n[3], &r));
         let r2 = LabelRegex::compile("a b").unwrap();
-        assert!(!regular_path_exists(&g, n[0], n[3], &r2));
+        assert!(!exists(&g, n[0], n[3], &r2));
         let r3 = LabelRegex::compile("a* b").unwrap();
-        assert!(regular_path_exists(&g, n[0], n[3], &r3));
+        assert!(exists(&g, n[0], n[3], &r3));
     }
 
     #[test]
@@ -573,14 +567,14 @@ mod tests {
         let (g, n) = chain();
         // a a a a b requires going around the 0↔1 cycle.
         let r = LabelRegex::compile("a a a a b").unwrap();
-        assert!(regular_path_exists(&g, n[0], n[3], &r));
+        assert!(exists(&g, n[0], n[3], &r));
     }
 
     #[test]
     fn empty_word_at_same_node() {
         let (g, n) = chain();
         let r = LabelRegex::compile("a*").unwrap();
-        assert!(regular_path_exists(&g, n[0], n[0], &r));
+        assert!(exists(&g, n[0], n[0], &r));
     }
 
     #[test]
@@ -610,8 +604,8 @@ mod tests {
         let b = g.add_node();
         g.add_edge(a, b).unwrap(); // unlabeled
         let any = LabelRegex::compile(".").unwrap();
-        assert!(regular_path_exists(&g, a, b, &any));
+        assert!(exists(&g, a, b, &any));
         let named = LabelRegex::compile("x").unwrap();
-        assert!(!regular_path_exists(&g, a, b, &named));
+        assert!(!exists(&g, a, b, &named));
     }
 }

@@ -134,37 +134,28 @@ pub fn eccentricity(g: &dyn GraphView, n: NodeId, direction: Direction) -> Optio
 /// BFS — O(V·E); fine at the scales the benches use. Returns `None`
 /// for an empty graph. Nodes that cannot reach each other do not
 /// contribute (the usual finite-diameter convention).
-pub fn diameter(g: &dyn GraphView, direction: Direction) -> Option<usize> {
-    let mut best: Option<usize> = None;
-    g.visit_nodes(&mut |n| {
-        if let Some(e) = eccentricity(g, n, direction) {
-            best = Some(best.map_or(e, |b| b.max(e)));
-        }
-    });
-    best
-}
-
-/// [`diameter`] under an [`ExecutionGuard`]: all-pairs BFS is O(V·E),
-/// so the guard is consulted at per-source granularity — one node
-/// charge plus a deadline/cancellation check before each source's
-/// eccentricity BFS. Each completed source is counted as one emitted
-/// row, so the `partial` field of an interrupt reports how many
-/// sources contributed to the (partial) maximum. With an unlimited
-/// guard the result equals [`diameter`].
-pub fn diameter_governed(
+///
+/// The guard is charged per source: one node visit, settled with a
+/// deadline/cancellation check before the source's eccentricity BFS,
+/// and one row once the source has contributed, so the `partial` field
+/// of an interrupt reports how many sources the (partial) maximum
+/// covers.
+pub fn diameter(
     g: &dyn GraphView,
     direction: Direction,
     guard: &ExecutionGuard,
 ) -> Result<Option<usize>> {
+    let meter = guard.meter();
     let mut best: Option<usize> = None;
     for n in g.node_ids() {
-        guard.check_now()?;
-        guard.node()?;
+        meter.nodes(1)?;
+        meter.settle()?;
         if let Some(e) = eccentricity(g, n, direction) {
             best = Some(best.map_or(e, |b| b.max(e)));
         }
-        guard.row()?;
+        meter.rows(1)?;
     }
+    meter.settle()?;
     Ok(best)
 }
 
@@ -231,6 +222,11 @@ mod tests {
         assert_eq!(parse_aggregate("median"), None);
     }
 
+    fn diameter_of(g: &SimpleGraph, direction: Direction) -> Option<usize> {
+        diameter(g, direction, &ExecutionGuard::unlimited())
+            .expect("an unlimited guard never interrupts")
+    }
+
     fn path_graph(n: usize) -> (SimpleGraph, Vec<NodeId>) {
         let mut g = SimpleGraph::directed();
         let nodes: Vec<NodeId> = (0..n).map(|_| g.add_node()).collect();
@@ -255,7 +251,7 @@ mod tests {
     fn empty_graph_stats() {
         let g = SimpleGraph::directed();
         assert_eq!(degree_stats(&g), None);
-        assert_eq!(diameter(&g, Direction::Both), None);
+        assert_eq!(diameter_of(&g, Direction::Both), None);
     }
 
     #[test]
@@ -263,11 +259,11 @@ mod tests {
         let (g, n) = path_graph(5);
         assert_eq!(eccentricity(&g, n[0], Direction::Outgoing), Some(4));
         assert_eq!(eccentricity(&g, n[4], Direction::Outgoing), Some(0));
-        assert_eq!(diameter(&g, Direction::Outgoing), Some(4));
+        assert_eq!(diameter_of(&g, Direction::Outgoing), Some(4));
         // Treating edges as bidirectional the diameter is the same
         // here but eccentricity of the middle node drops.
         assert_eq!(eccentricity(&g, n[2], Direction::Both), Some(2));
-        assert_eq!(diameter(&g, Direction::Both), Some(4));
+        assert_eq!(diameter_of(&g, Direction::Both), Some(4));
     }
 
     #[test]

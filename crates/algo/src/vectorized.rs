@@ -77,23 +77,17 @@
 //! suite proves snapshot ≡ live ≡ oracle). Row order may differ from
 //! the live search: batching reorders siblings, never membership.
 //!
-//! **Governance.** The guard is ticked once per batch, not once per
-//! visit: [`ExecutionGuard::nodes`] charges a whole candidate batch in
-//! one atomic add and runs the deadline/cancel check unconditionally —
-//! at ≤ [`BATCH`] visits per draw that is both cheaper and *more
-//! responsive* than the per-visit amortized pulse. A walk charges one
-//! node visit per frontier node it expands, drawn before every
-//! `CHECK_INTERVAL` of them, so a budget or deadline stops it
-//! mid-level; the endpoints it emits are then charged with their batch
-//! like any other candidates. One shared guard
-//! would serialize N workers on its budget atomics, so each morsel
-//! worker charges a [`gdm_govern::WorkerGuard`] — a thread-local view
-//! that accumulates counts in plain cells, drains them in bulk at morsel
-//! boundaries (and at a pending-units threshold), and still runs the
-//! shared guard's *read-only* deadline/cancel check on every charge.
-//! Budget trips are observed at drain points, overrunning by at most a
-//! few batches per worker. A trip aborts the morsel queue, every
-//! worker settles its counts, and the caller receives the same
+//! **Governance.** Every worker — the calling thread of an inline run
+//! included — charges its own [`Meter`]: a candidate batch is one
+//! charge of its size at the residual filter, an emitted batch one
+//! charge of its rows, and a walk one node visit per frontier node it
+//! expands, so a budget or deadline stops it mid-level (the endpoints
+//! it emits are then charged with their batch like any other
+//! candidates). The meter reaches the shared guard once per
+//! [`gdm_govern::CHECK_INTERVAL`] units and at every morsel boundary,
+//! so N workers do not serialize on the guard's atomics, and limits
+//! are observed at those settles. A trip aborts the morsel queue,
+//! every worker settles its counts, and the caller receives the same
 //! structured [`GdmError::Interrupted`] the row-at-a-time search
 //! returns, with `partial` covering rows from *all* workers.
 //!
@@ -111,12 +105,12 @@ use crate::planned::{
     walk_levels, walk_reach, MatchTable, WalkBufs,
 };
 use gdm_core::{Direction, GdmError, GraphView, NodeId, Result, Symbol, Value};
-use gdm_govern::{ExecutionGuard, GuardExt};
+use gdm_govern::{ExecutionGuard, Meter};
 use std::cell::RefCell;
 use std::ops::{ControlFlow, Range};
 
-/// Rows per batch. Large enough to amortize per-batch costs (guard
-/// draw, recursion) to noise; small enough that a working set of
+/// Rows per batch. Large enough to amortize per-batch costs (meter
+/// charge, recursion) to noise; small enough that a working set of
 /// `pattern depth × BATCH × 4` bytes stays cache-resident.
 pub const BATCH: usize = 1024;
 
@@ -171,7 +165,7 @@ impl Frame {
 /// Test hook: [`run_morsels`] with an explicit worker count, admission
 /// skipped and the process-wide helper cap lifted, so tiny
 /// property-test graphs on any machine still exercise the real morsel
-/// machinery (cursor, helper threads, worker guards, merge) — and
+/// machinery (cursor, helper threads, worker meters, merge) — and
 /// `workers = 1` pins the inline run the morsel output must equal. Not
 /// part of the public API surface; everything else calls
 /// [`crate::match_pattern_seeded`].
@@ -441,29 +435,29 @@ impl<'a> BatchPlan<'a> {
     /// filter, materialize — and returns the flat result data
     /// (`n_vars` node ids per row). `root_seeds` restricts the root
     /// seed operator to a sub-range (one morsel); `None` scans the
-    /// whole root domain. The guard is generic so the same pipeline
-    /// serves the inline path (`Option<&ExecutionGuard>`) and morsel
-    /// workers (`&WorkerGuard`) without dynamic dispatch.
-    fn run<G: GuardExt>(
+    /// whole root domain. Everything is charged to `meter` and settled
+    /// before the data is returned.
+    fn run(
         &self,
         root_seeds: Option<Seeds<'_>>,
         scratch: &mut BatchScratch,
-        guard: G,
+        meter: &Meter,
     ) -> Result<Vec<NodeId>> {
         let mut search = VecSearch {
             plan: self,
             root_seeds,
             scratch,
             data: Vec::new(),
-            guard,
+            meter,
         };
         search.step(0, &Frame::root(self.pattern.nodes.len()))?;
+        meter.settle()?;
         Ok(search.data)
     }
 
     /// Runs the plan over its whole root domain on the calling thread.
     fn run_inline(&self, guard: &ExecutionGuard) -> Result<Vec<NodeId>> {
-        BatchScratch::with(self.fz, |scratch| self.run(None, scratch, Some(guard)))
+        BatchScratch::with(self.fz, |scratch| self.run(None, scratch, &guard.meter()))
     }
 
     /// Executes the plan on up to `workers` threads — if it is worth
@@ -494,19 +488,12 @@ impl<'a> BatchPlan<'a> {
         // that stopped it, if one did.
         let harvests = fan_out(seeds.len(), workers, force, |morsels| {
             BatchScratch::with(self.fz, |scratch| {
-                // One shared guard would serialize the workers on its
-                // budget atomics; each charges a thread-local view and
-                // settles it into the shared guard when it drops.
-                let worker_guard = guard.worker();
+                // Each worker charges its own meter; a run settles it at
+                // every morsel boundary.
+                let meter = guard.meter();
                 let mut out: Vec<(usize, Vec<NodeId>)> = Vec::new();
                 while let Some((m, at)) = morsels.claim() {
-                    // Drain the worker's pending counts at every morsel
-                    // boundary so budget trips surface promptly even when
-                    // morsels are smaller than the flush threshold.
-                    let res = self
-                        .run(Some(seeds.slice(at)), scratch, &worker_guard)
-                        .and_then(|data| worker_guard.flush().map(|()| data));
-                    match res {
+                    match self.run(Some(seeds.slice(at)), scratch, &meter) {
                         Ok(data) => out.push((m, data)),
                         Err(e) => {
                             morsels.abort();
@@ -556,7 +543,7 @@ fn csr_sides(dir: Direction, directed: bool) -> (bool, bool) {
     }
 }
 
-struct VecSearch<'a, G: GuardExt> {
+struct VecSearch<'a> {
     plan: &'a BatchPlan<'a>,
     /// Root seed sub-range override (morsel execution); `None` scans
     /// the plan's whole root domain.
@@ -568,10 +555,10 @@ struct VecSearch<'a, G: GuardExt> {
     /// Flat result buffer, `n_vars` node ids per row in pattern
     /// variable order.
     data: Vec<NodeId>,
-    guard: G,
+    meter: &'a Meter<'a>,
 }
 
-impl<G: GuardExt> VecSearch<'_, G> {
+impl VecSearch<'_> {
     /// Runs the operator for depth `depth` over one input batch.
     fn step(&mut self, depth: usize, frame: &Frame) -> Result<()> {
         if depth == self.plan.order.len() {
@@ -582,7 +569,7 @@ impl<G: GuardExt> VecSearch<'_, G> {
             return Ok(());
         }
 
-        // Pending child batch: parent row index + candidate value.
+        // The child batch being filled: parent row index + candidate value.
         let mut sel: Vec<u32> = Vec::with_capacity(BATCH);
         let mut vals: Vec<u32> = Vec::with_capacity(BATCH);
 
@@ -695,7 +682,6 @@ impl<G: GuardExt> VecSearch<'_, G> {
         let (fwd, rev) = csr_sides(dir, fz.is_directed());
         let first = self.scratch.generations(hops.0);
         let BatchScratch { stamp, walk, .. } = &mut *self.scratch;
-        let guard = &self.guard;
         walk_levels(
             start,
             hops,
@@ -718,7 +704,7 @@ impl<G: GuardExt> VecSearch<'_, G> {
                 *stamp = first + level;
                 fresh
             },
-            |k| guard.nodes(k),
+            self.meter,
             emit,
         )
     }
@@ -767,7 +753,7 @@ impl<G: GuardExt> VecSearch<'_, G> {
         }
     }
 
-    /// Residual filter + recurse: charges the guard for the candidate
+    /// Residual filter + recurse: charges the meter for the candidate
     /// batch, filters it in place against the node constraints,
     /// injectivity, and the depth's residual edge checks, gathers the
     /// survivors into a child frame, and runs the next operator on it.
@@ -780,7 +766,7 @@ impl<G: GuardExt> VecSearch<'_, G> {
         sel: &mut Vec<u32>,
         vals: &mut Vec<u32>,
     ) -> Result<()> {
-        self.guard.nodes(vals.len() as u64)?;
+        self.meter.nodes(vals.len() as u64)?;
 
         let plan = self.plan;
         let pn = &plan.pattern.nodes[pv];
@@ -913,7 +899,7 @@ impl<G: GuardExt> VecSearch<'_, G> {
     /// rows (dense ids translated back to node ids) to the flat
     /// result buffer.
     fn emit(&mut self, frame: &Frame) -> Result<()> {
-        self.guard.rows(frame.len as u64)?;
+        self.meter.rows(frame.len as u64)?;
         self.data.reserve(frame.len * self.plan.pattern.nodes.len());
         for row in 0..frame.len {
             for col in &frame.cols {
@@ -929,7 +915,8 @@ mod tests {
     use super::*;
     use crate::parallel::tests::lock_hooks;
     use crate::parallel::{fanned_out, hold_helper_permits, inject_worker_panic_once};
-    use crate::pattern::{canonical, match_pattern, PatternNode};
+    use crate::pattern::tests::reference;
+    use crate::pattern::{canonical, PatternNode};
     use crate::planned::{auto_domains, match_pattern_seeded};
     use gdm_core::{props, InterruptReason};
     use gdm_govern::{CancelToken, Limits};
@@ -1022,7 +1009,7 @@ mod tests {
         let fz = FrozenGraph::freeze_attributed(&g);
         let p = chain_pattern();
         let vec = with_workers(&fz, &p, 1);
-        let unplanned = match_pattern(&fz, &p);
+        let unplanned = reference(&fz, &p);
         assert_eq!(
             canonical(&vec.to_bindings()),
             canonical(&live(&g, &p).to_bindings())
@@ -1070,7 +1057,7 @@ mod tests {
         let vec = with_workers(&fz, &p, 1);
         assert_eq!(
             canonical(&vec.to_bindings()),
-            canonical(&match_pattern(&fz, &p))
+            canonical(&reference(&fz, &p))
         );
         // Undirected two-node pattern.
         let mut q = Pattern::new();
@@ -1080,7 +1067,7 @@ mod tests {
         let vec = with_workers(&fz, &q, 1);
         assert_eq!(
             canonical(&vec.to_bindings()),
-            canonical(&match_pattern(&fz, &q))
+            canonical(&reference(&fz, &q))
         );
         assert_eq!(vec.len(), 2);
     }
@@ -1096,7 +1083,7 @@ mod tests {
         p.edge_range("w", Some(Value::from(5)), Some(Value::from(9)))
             .unwrap();
         let vec = with_workers(&fz, &p, 1);
-        let unplanned = match_pattern(&fz, &p);
+        let unplanned = reference(&fz, &p);
         assert_eq!(canonical(&vec.to_bindings()), canonical(&unplanned));
         assert_eq!(vec.len(), 5, "w ∈ [5, 9] keeps five edges");
     }
@@ -1192,7 +1179,7 @@ mod tests {
         assert_eq!(vec.len(), BATCH + 300);
         assert_eq!(
             canonical(&vec.to_bindings()),
-            canonical(&match_pattern(&fz, &p))
+            canonical(&reference(&fz, &p))
         );
     }
 
@@ -1275,7 +1262,7 @@ mod tests {
         let par = with_workers(&fz, &p, 4);
         assert_eq!(
             canonical(&par.to_bindings()),
-            canonical(&match_pattern(&fz, &p))
+            canonical(&reference(&fz, &p))
         );
     }
 

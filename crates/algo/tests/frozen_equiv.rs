@@ -7,8 +7,8 @@
 //! The CSR snapshot is built by *recording* what the live view's
 //! visitors yield, so these tests pin the whole contract: adjacency,
 //! reachability, shortest paths (unidirectional and bidirectional),
-//! regular paths (visitor path and the label-run fast path), pattern
-//! matching, summarization, and the analysis functions.
+//! regular paths, pattern matching, summarization, and the analysis
+//! functions.
 
 use gdm_algo::analysis::{average_clustering, connected_components, triangle_count};
 use gdm_algo::pattern::{canonical, match_pattern, Pattern, PatternNode};
@@ -16,11 +16,12 @@ use gdm_algo::summary::eccentricity;
 use gdm_algo::vectorized::match_pattern_forced_morsels;
 use gdm_algo::{
     bfs_order, bidirectional_shortest_path, degree_stats, diameter, distance,
-    fixed_length_path_exists, frozen_regular_path_exists, graph_order, graph_size, is_reachable,
-    k_neighborhood, nodes_adjacent, par_connected_components, par_diameter, par_eccentricities,
-    par_triangle_count, regular_path_exists, shortest_path, FrozenGraph, LabelRegex,
+    fixed_length_path_exists, graph_order, graph_size, is_reachable, k_neighborhood,
+    nodes_adjacent, par_connected_components, par_diameter, par_eccentricities, par_triangle_count,
+    regular_path_exists, shortest_path, FrozenGraph, LabelRegex,
 };
 use gdm_core::{Direction, GraphView, NodeId, PropertyMap, Value};
+use gdm_govern::ExecutionGuard;
 use gdm_graphs::{PropertyGraph, SimpleGraph};
 use proptest::prelude::*;
 
@@ -90,6 +91,7 @@ proptest! {
     ) {
         let g = build_simple(directed, n, &raw_edges);
         let fz = FrozenGraph::freeze(&g);
+        let unlimited = ExecutionGuard::unlimited();
 
         prop_assert_eq!(graph_order(&g), graph_order(&fz));
         prop_assert_eq!(graph_size(&g), graph_size(&fz));
@@ -119,8 +121,8 @@ proptest! {
                 prop_assert_eq!(distance(&g, a, b), distance(&fz, a, b));
                 prop_assert_eq!(fz.frozen_distance(a, b), distance(&g, a, b));
                 prop_assert_eq!(
-                    shortest_path(&g, a, b).map(|p| p.len()),
-                    shortest_path(&fz, a, b).map(|p| p.len())
+                    shortest_path(&g, a, b, &unlimited).unwrap().map(|p| p.len()),
+                    shortest_path(&fz, a, b, &unlimited).unwrap().map(|p| p.len())
                 );
                 // The bidirectional variant must agree with plain BFS
                 // on both representations (the undirected self-loop
@@ -140,12 +142,15 @@ proptest! {
             }
         }
         for dir in all_directions() {
-            prop_assert_eq!(diameter(&g, dir), diameter(&fz, dir));
+            prop_assert_eq!(
+                diameter(&g, dir, &unlimited).unwrap(),
+                diameter(&fz, dir, &unlimited).unwrap()
+            );
         }
     }
 
-    /// Regular path queries agree three ways: live visitor, frozen
-    /// visitor, and the frozen label-run fast path.
+    /// Regular path queries agree between the live view and its
+    /// snapshot.
     #[test]
     fn frozen_regular_paths_match_live(
         directed in prop::bool::ANY,
@@ -155,13 +160,15 @@ proptest! {
         let g = build_simple(directed, n, &raw_edges);
         let fz = FrozenGraph::freeze(&g);
         let exprs = ["a", "a*", "a b", "(a|b)*", "a (a|b)* c", "b+"];
+        let unlimited = ExecutionGuard::unlimited();
         for expr in exprs {
             let re = LabelRegex::compile(expr).unwrap();
             for &a in &g.node_ids() {
                 for &b in &g.node_ids() {
-                    let live = regular_path_exists(&g, a, b, &re);
-                    prop_assert_eq!(live, regular_path_exists(&fz, a, b, &re));
-                    prop_assert_eq!(live, frozen_regular_path_exists(&fz, a, b, &re));
+                    prop_assert_eq!(
+                        regular_path_exists(&g, a, b, &re, &unlimited).unwrap(),
+                        regular_path_exists(&fz, a, b, &re, &unlimited).unwrap()
+                    );
                 }
             }
         }
@@ -179,7 +186,10 @@ proptest! {
         let fz = FrozenGraph::freeze(&g);
         for threads in [1usize, 4] {
             for dir in all_directions() {
-                prop_assert_eq!(par_diameter(&fz, dir, threads), diameter(&fz, dir));
+                prop_assert_eq!(
+                    par_diameter(&fz, dir, threads),
+                    diameter(&fz, dir, &ExecutionGuard::unlimited()).unwrap()
+                );
                 let ecc = par_eccentricities(&fz, dir, threads);
                 for (dense, &e) in ecc.iter().enumerate() {
                     prop_assert_eq!(
@@ -241,8 +251,8 @@ proptest! {
             }
         }
 
-        let live = match_pattern(&g, &pat);
-        let frozen_seq = match_pattern(&fz, &pat);
+        let live = match_pattern(&g, &pat, &ExecutionGuard::unlimited()).unwrap();
+        let frozen_seq = match_pattern(&fz, &pat, &ExecutionGuard::unlimited()).unwrap();
         prop_assert_eq!(canonical(&live), canonical(&frozen_seq));
         // Forced morsels at every worker count, with the helpers the
         // count asks for and with none to be had (the caller claims
@@ -250,7 +260,7 @@ proptest! {
         // the same charges settled into the guard.
         let domains = gdm_algo::auto_domains(&fz, &pat);
         let forced = |workers: usize| {
-            let guard = gdm_govern::ExecutionGuard::unlimited();
+            let guard = ExecutionGuard::unlimited();
             let table = match_pattern_forced_morsels(&fz, &pat, &domains, workers, &guard)
                 .expect("an unlimited guard never interrupts");
             let budget = guard.budget();

@@ -5,6 +5,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gdm_algo::pattern::{match_pattern, match_pattern_brute, Pattern, PatternNode};
 use gdm_bench::{social_graph, SocialParams};
+use gdm_govern::ExecutionGuard;
+use gdm_graphs::PropertyGraph;
 use std::hint::black_box;
 
 fn triangle_pattern() -> Pattern {
@@ -26,10 +28,14 @@ fn bench_pattern(c: &mut Criterion) {
         inter_edges: 1,
         seed: 5,
     });
+    let guard = ExecutionGuard::unlimited();
+    let vf2 = |g: &PropertyGraph| {
+        match_pattern(g, &triangle_pattern(), &guard)
+            .expect("an unlimited guard never interrupts")
+            .len()
+    };
     let mut group = c.benchmark_group("triangle_40_nodes");
-    group.bench_function("vf2", |b| {
-        b.iter(|| black_box(match_pattern(&small, &triangle_pattern()).len()))
-    });
+    group.bench_function("vf2", |b| b.iter(|| black_box(vf2(&small))));
     group.bench_function("brute_force", |b| {
         b.iter(|| black_box(match_pattern_brute(&small, &triangle_pattern()).len()))
     });
@@ -45,7 +51,7 @@ fn bench_pattern(c: &mut Criterion) {
             seed: 5,
         });
         group.bench_function(BenchmarkId::from_parameter(people), |b| {
-            b.iter(|| black_box(match_pattern(&g, &triangle_pattern()).len()))
+            b.iter(|| black_box(vf2(&g)))
         });
     }
     group.finish();

@@ -6,9 +6,11 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gdm_algo::regular::{regular_path_exists, regular_simple_paths, LabelRegex};
 use gdm_bench::er_graph;
 use gdm_core::NodeId;
+use gdm_govern::ExecutionGuard;
 use std::hint::black_box;
 
 fn bench_regular(c: &mut Criterion) {
+    let guard = ExecutionGuard::unlimited();
     let mut group = c.benchmark_group("walk_reachability");
     for n in [100usize, 400, 1600] {
         let g = er_graph(n, n * 4, 21);
@@ -20,6 +22,7 @@ fn bench_regular(c: &mut Criterion) {
                     NodeId(0),
                     NodeId((n - 1) as u64),
                     &regex,
+                    &guard,
                 ))
             })
         });

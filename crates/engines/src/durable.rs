@@ -372,8 +372,12 @@ impl LogicalOp {
 }
 
 /// When the durable wrapper writes snapshot checkpoints on its own.
-/// Without automatic checkpoints the journal grows with history and
-/// reopen cost grows with it; the policy keeps replay bounded.
+/// A checkpoint bounds WAL-record replay on reopen
+/// ([`RecoveryReport::records_applied`]) to the records written after
+/// it. It does not bound reopen cost as a whole: the journal table
+/// keeps every logical op ever journaled, every checkpoint image holds
+/// all of them, and [`DurableEngine::open`] re-applies each one to the
+/// fresh engine, so reopen still grows with history.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckpointPolicy {
     /// Checkpoint only when [`DurableEngine::checkpoint`] is called.

@@ -746,17 +746,19 @@ impl<M: Model> GraphEngine for Engine<M> {
     fn regular_path(&self, a: NodeId, b: NodeId, expr: &str) -> Result<bool> {
         self.gate(Capability::RegularPaths)?;
         let regex = gdm_algo::LabelRegex::compile(expr)?;
-        Ok(gdm_algo::regular_path_exists(
+        gdm_algo::regular_path_exists(
             self.model.graph(),
             a,
             b,
             &regex,
-        ))
+            &ExecutionGuard::unlimited(),
+        )
     }
 
     fn shortest_path(&self, a: NodeId, b: NodeId) -> Result<Option<Vec<NodeId>>> {
         self.gate(Capability::ShortestPath)?;
-        Ok(gdm_algo::shortest_path(self.model.graph(), a, b).map(|p| p.nodes))
+        let path = gdm_algo::shortest_path(self.model.graph(), a, b, &ExecutionGuard::unlimited())?;
+        Ok(path.map(|p| p.nodes))
     }
 
     fn pattern_match(&self, pattern: &Pattern) -> Result<usize> {
@@ -777,7 +779,11 @@ impl<M: Model> GraphEngine for Engine<M> {
                 summary::degree_stats(g).map_or(Value::Null, |(_, _, avg)| Value::Float(avg))
             }
             SummaryFunc::Distance(a, b) => int(summary::distance_between(g, a, b)),
-            SummaryFunc::Diameter => int(summary::diameter(g, Direction::Outgoing)),
+            SummaryFunc::Diameter => int(summary::diameter(
+                g,
+                Direction::Outgoing,
+                &ExecutionGuard::unlimited(),
+            )?),
             SummaryFunc::PropertyAggregate(agg, key) => {
                 self.gate(Capability::PropertyAggregation)?;
                 summary::aggregate(agg, &self.model.property_values(key))?

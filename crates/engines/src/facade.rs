@@ -321,15 +321,15 @@ pub trait GraphEngine {
                 Ok(GovernedAnswer::Matches(table.len()))
             }
             GovernedOp::ShortestPath(a, b) => Ok(GovernedAnswer::Path(
-                gdm_algo::shortest_path_governed(&fz, a, b, guard)?.map(|p| p.nodes),
+                gdm_algo::shortest_path(&fz, a, b, guard)?.map(|p| p.nodes),
             )),
             GovernedOp::RegularPath(a, b, expr) => {
                 let regex = gdm_algo::LabelRegex::compile(expr)?;
-                Ok(GovernedAnswer::Reachable(
-                    gdm_algo::regular_path_exists_governed(&fz, a, b, &regex, guard)?,
-                ))
+                Ok(GovernedAnswer::Reachable(gdm_algo::regular_path_exists(
+                    &fz, a, b, &regex, guard,
+                )?))
             }
-            GovernedOp::Diameter => Ok(GovernedAnswer::Diameter(gdm_algo::diameter_governed(
+            GovernedOp::Diameter => Ok(GovernedAnswer::Diameter(gdm_algo::diameter(
                 &fz,
                 Direction::Outgoing,
                 guard,

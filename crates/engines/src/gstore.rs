@@ -17,7 +17,7 @@ use gdm_core::{
     Direction, EdgeId, EdgeRef, FxHashMap, GdmError, GraphView, Interner, NodeId, PropertyMap,
     Result, Support, Symbol, Value,
 };
-use gdm_govern::Limits;
+use gdm_govern::{ExecutionGuard, Limits};
 use gdm_query::eval::ResultSet;
 use gdm_query::gsql::{self, GsqlStatement};
 use gdm_storage::codec::{get_bytes, get_u64, get_varint, put_bytes, put_u64, put_varint};
@@ -273,7 +273,7 @@ impl GStore {
             GsqlStatement::CountNodes => single("count", Value::Int(self.nodes.len() as i64)),
             GsqlStatement::CountEdges => single("count", Value::Int(self.edges.len() as i64)),
             GsqlStatement::ShortestPath { from, to } => {
-                let row = match shortest_path(self, from, to) {
+                let row = match shortest_path(self, from, to, &ExecutionGuard::unlimited())? {
                     Some(p) => {
                         Value::List(p.nodes.iter().map(|n| Value::Int(n.raw() as i64)).collect())
                     }

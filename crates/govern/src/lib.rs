@@ -8,21 +8,22 @@
 //!
 //! * [`Budget`] — node-visit, edge-visit, and row-emission counters
 //!   checked against per-query limits,
-//! * [`Deadline`] — a wall-clock cutoff, checked at amortized
-//!   intervals (every [`CHECK_INTERVAL`] ticks) so the hot loops pay
-//!   one atomic increment, not one `Instant::now()`, per step,
+//! * [`Deadline`] — a wall-clock cutoff,
 //! * [`CancelToken`] — a shareable flag another thread (a client
 //!   disconnect handler, an admin console) can trip at any time.
 //!
-//! [`ExecutionGuard`] bundles them behind three `#[inline]` tick
-//! methods (`node`/`edge`/`row`) that the `gdm-algo` search loops call
-//! cooperatively; when a limit trips, the guard returns
-//! [`GdmError::Interrupted`] carrying the reason and the number of
-//! rows produced so far, and the search unwinds cleanly. Ungoverned
-//! call paths pass `None` (see [`GuardExt`]) and pay nothing.
+//! [`ExecutionGuard`] bundles them. A search never touches the guard's
+//! atomics or clock itself: it charges a [`Meter`]
+//! ([`ExecutionGuard::meter`]), a per-thread counter that settles into
+//! the guard every [`CHECK_INTERVAL`] units, at the search's explicit
+//! [`Meter::settle`] points, and on drop. A settle checks every limit,
+//! so a trip surfaces as [`GdmError::Interrupted`] carrying the reason
+//! and the number of rows produced so far, and the search unwinds
+//! cleanly. Ungoverned callers pass [`ExecutionGuard::unlimited`].
 //!
-//! All counters are atomics, so one guard can be shared by reference
-//! across the scoped worker threads of `gdm_algo::parallel`.
+//! All guard counters are atomics, so one guard can be shared by
+//! reference across the scoped worker threads of `gdm_algo::parallel`,
+//! each worker with its own meter.
 
 use gdm_core::{GdmError, InterruptReason, Result};
 use std::cell::Cell;
@@ -36,19 +37,22 @@ pub mod retry;
 pub use pool::{BudgetPool, TenantAllowance};
 pub use retry::RetryPolicy;
 
-/// How many guard ticks elapse between wall-clock/cancellation checks.
-/// Small enough that a 1 ms deadline trips promptly in any real search
-/// loop; large enough that `Instant::now()` stays off the hot path.
+/// How many units a [`Meter`] counts before it settles into its guard:
+/// the guard's atomics and clock are reached at most once per this
+/// many visits. Small enough that a 1 ms deadline trips promptly in
+/// any real search loop and a budget overruns by less than one
+/// interval per thread; large enough that `Instant::now()` and shared
+/// cache lines stay off the hot path.
 pub const CHECK_INTERVAL: u64 = 256;
 
 /// Per-query resource limits. `None` fields are unlimited.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Limits {
-    /// Maximum node visits charged via [`ExecutionGuard::node`].
+    /// Maximum node visits charged via [`Meter::nodes`].
     pub max_node_visits: Option<u64>,
-    /// Maximum edge visits charged via [`ExecutionGuard::edge`].
+    /// Maximum edge visits charged via [`Meter::edges`].
     pub max_edge_visits: Option<u64>,
-    /// Maximum result rows emitted via [`ExecutionGuard::row`].
+    /// Maximum result rows emitted via [`Meter::rows`].
     pub max_rows: Option<u64>,
     /// Wall-clock allowance, measured from guard construction.
     pub deadline: Option<Duration>,
@@ -193,16 +197,14 @@ impl Deadline {
     }
 }
 
-/// The combined governor handed into search loops. Construction
-/// starts the deadline clock; the loops call [`ExecutionGuard::node`],
-/// [`ExecutionGuard::edge`], and [`ExecutionGuard::row`] as they work
-/// and propagate the [`GdmError::Interrupted`] those return on a trip.
+/// The combined governor of one query. Construction starts the
+/// deadline clock; searches charge it through a [`Meter`] and
+/// propagate the [`GdmError::Interrupted`] a settle returns on a trip.
 #[derive(Debug)]
 pub struct ExecutionGuard {
     budget: Budget,
     deadline: Deadline,
     cancel: CancelToken,
-    ticks: AtomicU64,
     /// Shared-pool allowance this guard draws visit credits from, when
     /// the query runs on behalf of a tenant (see [`pool`]).
     allowance: Option<Arc<TenantAllowance>>,
@@ -220,7 +222,6 @@ impl ExecutionGuard {
             budget: Budget::new(&limits),
             deadline: limits.deadline.map_or(Deadline::none(), Deadline::after),
             cancel,
-            ticks: AtomicU64::new(0),
             allowance: None,
         }
     }
@@ -230,7 +231,7 @@ impl ExecutionGuard {
     /// serving configuration. When the tenant's allowance is exhausted
     /// the guard interrupts with [`InterruptReason::Throttled`]
     /// (re-exported reason of [`GdmError::Interrupted`]) at the next
-    /// visit, leaving other tenants' credits untouched.
+    /// settle, leaving other tenants' credits untouched.
     pub fn with_allowance(
         limits: Limits,
         cancel: CancelToken,
@@ -263,114 +264,18 @@ impl ExecutionGuard {
         &self.budget
     }
 
-    /// Charges one node visit.
-    #[inline]
-    pub fn node(&self) -> Result<()> {
-        let n = self.budget.nodes.fetch_add(1, Ordering::Relaxed) + 1;
-        if n > self.budget.max_nodes {
-            return Err(self.interrupt(InterruptReason::Budget));
+    /// A fresh meter charging this guard — one per search, and one per
+    /// worker thread when a search fans out.
+    pub fn meter(&self) -> Meter<'_> {
+        Meter {
+            guard: self,
+            nodes: Cell::new(0),
+            edges: Cell::new(0),
+            rows: Cell::new(0),
         }
-        self.draw()?;
-        self.pulse()
     }
 
-    /// Charges one edge visit.
-    #[inline]
-    pub fn edge(&self) -> Result<()> {
-        let n = self.budget.edges.fetch_add(1, Ordering::Relaxed) + 1;
-        if n > self.budget.max_edges {
-            return Err(self.interrupt(InterruptReason::Budget));
-        }
-        self.draw()?;
-        self.pulse()
-    }
-
-    /// Draws one shared-pool credit, when a tenant allowance is
-    /// attached; ungoverned and single-tenant guards skip the branch.
-    #[inline]
-    fn draw(&self) -> Result<()> {
-        if let Some(a) = &self.allowance {
-            if let Some(reason) = a.charge(1) {
-                return Err(self.interrupt(reason));
-            }
-        }
-        Ok(())
-    }
-
-    /// Charges one emitted result row.
-    #[inline]
-    pub fn row(&self) -> Result<()> {
-        let n = self.budget.rows.fetch_add(1, Ordering::Relaxed) + 1;
-        if n > self.budget.max_rows {
-            return Err(self.interrupt(InterruptReason::Budget));
-        }
-        self.pulse()
-    }
-
-    /// Charges `k` node visits in one draw — the batch-granularity
-    /// entry point for the vectorized executor. One atomic add covers
-    /// the whole batch, and the deadline/cancel check runs
-    /// unconditionally: at ~one call per thousand visits that costs
-    /// nothing and reacts *faster* than the amortized per-visit pulse.
-    #[inline]
-    pub fn nodes(&self, k: u64) -> Result<()> {
-        if k == 0 {
-            return self.check_now();
-        }
-        let n = self.budget.nodes.fetch_add(k, Ordering::Relaxed) + k;
-        if n > self.budget.max_nodes {
-            return Err(self.interrupt(InterruptReason::Budget));
-        }
-        self.draw_many(k)?;
-        self.check_now()
-    }
-
-    /// Charges `k` edge visits in one draw (batch twin of [`edge`]).
-    ///
-    /// [`edge`]: ExecutionGuard::edge
-    #[inline]
-    pub fn edges(&self, k: u64) -> Result<()> {
-        if k == 0 {
-            return self.check_now();
-        }
-        let n = self.budget.edges.fetch_add(k, Ordering::Relaxed) + k;
-        if n > self.budget.max_edges {
-            return Err(self.interrupt(InterruptReason::Budget));
-        }
-        self.draw_many(k)?;
-        self.check_now()
-    }
-
-    /// Charges `k` emitted rows in one draw (batch twin of [`row`]).
-    ///
-    /// [`row`]: ExecutionGuard::row
-    #[inline]
-    pub fn rows(&self, k: u64) -> Result<()> {
-        if k == 0 {
-            return self.check_now();
-        }
-        let n = self.budget.rows.fetch_add(k, Ordering::Relaxed) + k;
-        if n > self.budget.max_rows {
-            return Err(self.interrupt(InterruptReason::Budget));
-        }
-        self.check_now()
-    }
-
-    /// Draws `k` shared-pool credits at once, when a tenant allowance
-    /// is attached.
-    #[inline]
-    fn draw_many(&self, k: u64) -> Result<()> {
-        if let Some(a) = &self.allowance {
-            if let Some(reason) = a.charge(k) {
-                return Err(self.interrupt(reason));
-            }
-        }
-        Ok(())
-    }
-
-    /// Unconditional cancellation + deadline check — call at coarse
-    /// boundaries (per BFS source, per root candidate) where prompt
-    /// reaction matters more than amortization.
+    /// Unconditional cancellation + deadline check.
     pub fn check_now(&self) -> Result<()> {
         if self.cancel.is_cancelled() {
             return Err(self.interrupt(InterruptReason::Cancelled));
@@ -381,270 +286,96 @@ impl ExecutionGuard {
         Ok(())
     }
 
-    /// Amortized check: consults the wall clock and the cancel flag
-    /// once every [`CHECK_INTERVAL`] ticks.
-    #[inline]
-    fn pulse(&self) -> Result<()> {
-        if self
-            .ticks
-            .fetch_add(1, Ordering::Relaxed)
-            .is_multiple_of(CHECK_INTERVAL)
-        {
-            self.check_now()?;
+    /// Adds `k` units to `counter` in one atomic add, tripping once the
+    /// total passes `max`; `credits` also draws `k` shared-pool credits
+    /// when a tenant allowance is attached.
+    fn draw(&self, counter: &AtomicU64, max: u64, k: u64, credits: bool) -> Result<()> {
+        if k == 0 {
+            return Ok(());
         }
-        Ok(())
+        if counter.fetch_add(k, Ordering::Relaxed) + k > max {
+            return Err(self.interrupt(InterruptReason::Budget));
+        }
+        match &self.allowance {
+            Some(a) if credits => a.charge(k).map_or(Ok(()), |r| Err(self.interrupt(r))),
+            _ => Ok(()),
+        }
     }
 
     fn interrupt(&self, reason: InterruptReason) -> GdmError {
         GdmError::interrupted(reason, self.budget.rows_emitted())
     }
-
-    /// A thread-local batching view of this guard for one parallel
-    /// worker. See [`WorkerGuard`].
-    pub fn worker(&self) -> WorkerGuard<'_> {
-        WorkerGuard {
-            shared: self,
-            nodes: Cell::new(0),
-            edges: Cell::new(0),
-            rows: Cell::new(0),
-        }
-    }
 }
 
-/// How many pending visit/row units a [`WorkerGuard`] accumulates
-/// locally before draining them into the shared [`ExecutionGuard`]
-/// counters. Large enough that N workers hammering one query do not
-/// turn the guard's atomics into a contention point; small enough that
-/// a budget trip overruns by at most a few batches per worker.
-pub const WORKER_FLUSH_UNITS: u64 = 4096;
-
-/// A per-worker batching wrapper over a shared [`ExecutionGuard`].
+/// The one way a search charges its [`ExecutionGuard`].
 ///
-/// Parallel morsel execution shares one guard across scoped worker
-/// threads. Charging the shared atomics on every batch would serialize
-/// the workers on cache-line ping-pong, so each worker accumulates its
-/// visit/row counts in plain [`Cell`]s and drains them in bulk — at
-/// [`WORKER_FLUSH_UNITS`] pending units, at explicit [`flush`] points
-/// (morsel boundaries), and unconditionally on drop, so partial-result
-/// accounting survives an interrupted or poisoned worker. Between
-/// flushes every charge still runs the *read-only*
-/// [`ExecutionGuard::check_now`], so cancellation and deadlines stay
-/// exactly as responsive as in the sequential vectorized path; only
-/// budget/allowance trips are deferred to the next drain.
-///
-/// [`flush`]: WorkerGuard::flush
+/// A meter counts node visits, edge visits and emitted rows in plain
+/// [`Cell`]s and settles them into the guard — rows, then nodes, then
+/// edges, then the deadline/cancel check — in three cases: once
+/// [`CHECK_INTERVAL`] units are pending, at an explicit
+/// [`Meter::settle`] (the end of every search, every morsel boundary),
+/// and on drop, so partial-result accounting survives an interrupted
+/// or poisoned worker. A charge between settles is a cell add and a
+/// compare: it reads no clock and touches no shared cache line, which
+/// is what lets sequential searches and N parallel workers (one meter
+/// each) charge per visit. Every limit — budget, allowance, deadline,
+/// cancellation — is observed at settles only.
 #[derive(Debug)]
-pub struct WorkerGuard<'a> {
-    shared: &'a ExecutionGuard,
+pub struct Meter<'a> {
+    guard: &'a ExecutionGuard,
     nodes: Cell<u64>,
     edges: Cell<u64>,
     rows: Cell<u64>,
 }
 
-impl WorkerGuard<'_> {
+impl Meter<'_> {
+    /// Counts `k` node visits.
     #[inline]
-    fn pending(&self) -> u64 {
-        self.nodes.get() + self.edges.get() + self.rows.get()
+    pub fn nodes(&self, k: u64) -> Result<()> {
+        self.charge(&self.nodes, k)
     }
 
-    /// Drains every pending count into the shared guard, returning the
-    /// first trip (budget, allowance, deadline, or cancellation) it
-    /// observes. Rows drain first so a budget trip's `partial` count
-    /// reflects every row this worker already emitted.
-    pub fn flush(&self) -> Result<()> {
-        let rows = self.rows.take();
-        let nodes = self.nodes.take();
-        let edges = self.edges.take();
-        if rows > 0 {
-            self.shared.rows(rows)?;
-        }
-        if nodes > 0 {
-            self.shared.nodes(nodes)?;
-        }
-        if edges > 0 {
-            self.shared.edges(edges)?;
-        }
-        self.shared.check_now()
+    /// Counts `k` edge visits.
+    #[inline]
+    pub fn edges(&self, k: u64) -> Result<()> {
+        self.charge(&self.edges, k)
+    }
+
+    /// Counts `k` emitted rows.
+    #[inline]
+    pub fn rows(&self, k: u64) -> Result<()> {
+        self.charge(&self.rows, k)
     }
 
     #[inline]
     fn charge(&self, cell: &Cell<u64>, k: u64) -> Result<()> {
         cell.set(cell.get() + k);
-        if self.pending() >= WORKER_FLUSH_UNITS {
-            self.flush()
+        if self.nodes.get() + self.edges.get() + self.rows.get() >= CHECK_INTERVAL {
+            self.settle()
         } else {
-            self.shared.check_now()
+            Ok(())
         }
+    }
+
+    /// Draws every pending count from the guard, then checks deadline
+    /// and cancellation, returning the first trip observed. Rows go
+    /// first so a trip's `partial` count covers every row this meter
+    /// emitted.
+    pub fn settle(&self) -> Result<()> {
+        let (g, b) = (self.guard, &self.guard.budget);
+        g.draw(&b.rows, b.max_rows, self.rows.take(), false)?;
+        g.draw(&b.nodes, b.max_nodes, self.nodes.take(), true)?;
+        g.draw(&b.edges, b.max_edges, self.edges.take(), true)?;
+        g.check_now()
     }
 }
 
-impl Drop for WorkerGuard<'_> {
-    /// Settles outstanding counts into the shared guard no matter how
-    /// the worker exits, so `Interrupted { partial, .. }` and the
-    /// budget telemetry account for work done by every worker. The
-    /// drain itself may observe a trip; by this point the worker's
-    /// fate is already decided, so the result is ignored — the atomic
-    /// adds land regardless.
+impl Drop for Meter<'_> {
+    /// Settles outstanding counts no matter how the search exits. A
+    /// trip observed here is ignored: the search's fate is decided, and
+    /// the atomic adds land regardless.
     fn drop(&mut self) {
-        let _ = self.flush();
-    }
-}
-
-impl GuardExt for WorkerGuard<'_> {
-    #[inline]
-    fn node(&self) -> Result<()> {
-        self.charge(&self.nodes, 1)
-    }
-
-    #[inline]
-    fn edge(&self) -> Result<()> {
-        self.charge(&self.edges, 1)
-    }
-
-    #[inline]
-    fn row(&self) -> Result<()> {
-        self.charge(&self.rows, 1)
-    }
-
-    #[inline]
-    fn nodes(&self, k: u64) -> Result<()> {
-        self.charge(&self.nodes, k)
-    }
-
-    #[inline]
-    fn edges(&self, k: u64) -> Result<()> {
-        self.charge(&self.edges, k)
-    }
-
-    #[inline]
-    fn rows(&self, k: u64) -> Result<()> {
-        self.charge(&self.rows, k)
-    }
-
-    #[inline]
-    fn check_now(&self) -> Result<()> {
-        self.shared.check_now()
-    }
-}
-
-/// Zero-cost optional-guard plumbing: search internals take
-/// `Option<&ExecutionGuard>` and tick through this extension trait, so
-/// the ungoverned public APIs pass `None` and skip even the atomic
-/// increments.
-pub trait GuardExt {
-    /// Charges one node visit, if a guard is present.
-    fn node(&self) -> Result<()>;
-    /// Charges one edge visit, if a guard is present.
-    fn edge(&self) -> Result<()>;
-    /// Charges one emitted row, if a guard is present.
-    fn row(&self) -> Result<()>;
-    /// Charges `k` node visits at batch granularity, if a guard is
-    /// present.
-    fn nodes(&self, k: u64) -> Result<()>;
-    /// Charges `k` edge visits at batch granularity, if a guard is
-    /// present.
-    fn edges(&self, k: u64) -> Result<()>;
-    /// Charges `k` emitted rows at batch granularity, if a guard is
-    /// present.
-    fn rows(&self, k: u64) -> Result<()>;
-    /// Unconditional deadline/cancel check, if a guard is present.
-    fn check_now(&self) -> Result<()>;
-}
-
-impl GuardExt for Option<&ExecutionGuard> {
-    #[inline]
-    fn node(&self) -> Result<()> {
-        match self {
-            Some(g) => g.node(),
-            None => Ok(()),
-        }
-    }
-
-    #[inline]
-    fn edge(&self) -> Result<()> {
-        match self {
-            Some(g) => g.edge(),
-            None => Ok(()),
-        }
-    }
-
-    #[inline]
-    fn row(&self) -> Result<()> {
-        match self {
-            Some(g) => g.row(),
-            None => Ok(()),
-        }
-    }
-
-    #[inline]
-    fn nodes(&self, k: u64) -> Result<()> {
-        match self {
-            Some(g) => g.nodes(k),
-            None => Ok(()),
-        }
-    }
-
-    #[inline]
-    fn edges(&self, k: u64) -> Result<()> {
-        match self {
-            Some(g) => g.edges(k),
-            None => Ok(()),
-        }
-    }
-
-    #[inline]
-    fn rows(&self, k: u64) -> Result<()> {
-        match self {
-            Some(g) => g.rows(k),
-            None => Ok(()),
-        }
-    }
-
-    #[inline]
-    fn check_now(&self) -> Result<()> {
-        match self {
-            Some(g) => g.check_now(),
-            None => Ok(()),
-        }
-    }
-}
-
-/// References delegate, so generic search loops can hold either an
-/// `Option<&ExecutionGuard>` by value or a borrowed [`WorkerGuard`].
-impl<T: GuardExt> GuardExt for &T {
-    #[inline]
-    fn node(&self) -> Result<()> {
-        (**self).node()
-    }
-
-    #[inline]
-    fn edge(&self) -> Result<()> {
-        (**self).edge()
-    }
-
-    #[inline]
-    fn row(&self) -> Result<()> {
-        (**self).row()
-    }
-
-    #[inline]
-    fn nodes(&self, k: u64) -> Result<()> {
-        (**self).nodes(k)
-    }
-
-    #[inline]
-    fn edges(&self, k: u64) -> Result<()> {
-        (**self).edges(k)
-    }
-
-    #[inline]
-    fn rows(&self, k: u64) -> Result<()> {
-        (**self).rows(k)
-    }
-
-    #[inline]
-    fn check_now(&self) -> Result<()> {
-        (**self).check_now()
+        let _ = self.settle();
     }
 }
 
@@ -659,11 +390,13 @@ mod tests {
     #[test]
     fn unlimited_guard_never_trips() {
         let g = ExecutionGuard::unlimited();
+        let m = g.meter();
         for _ in 0..10_000 {
-            g.node().unwrap();
-            g.edge().unwrap();
-            g.row().unwrap();
+            m.nodes(1).unwrap();
+            m.edges(1).unwrap();
+            m.rows(1).unwrap();
         }
+        m.settle().unwrap();
         g.check_now().unwrap();
         assert_eq!(g.budget().node_visits(), 10_000);
     }
@@ -671,26 +404,31 @@ mod tests {
     #[test]
     fn node_budget_trips_exactly_at_the_limit() {
         let g = ExecutionGuard::new(Limits::none().with_node_visits(3));
-        for _ in 0..3 {
-            g.node().unwrap();
-        }
-        let err = g.node().unwrap_err();
-        assert_eq!(reason_of(err), InterruptReason::Budget);
+        let m = g.meter();
+        m.nodes(3).unwrap();
+        m.settle().unwrap();
+        m.nodes(1).unwrap(); // below the interval: only counted
+        assert_eq!(reason_of(m.settle().unwrap_err()), InterruptReason::Budget);
+        assert_eq!(g.budget().node_visits(), 4);
     }
 
     #[test]
     fn edge_and_row_budgets_are_independent() {
         let g = ExecutionGuard::new(Limits::none().with_edge_visits(2).with_rows(1));
-        g.node().unwrap();
-        g.edge().unwrap();
-        g.edge().unwrap();
-        assert_eq!(reason_of(g.edge().unwrap_err()), InterruptReason::Budget);
-        g.row().unwrap();
-        let err = g.row().unwrap_err();
-        assert_eq!(reason_of(err), InterruptReason::Budget);
+        let m = g.meter();
+        m.nodes(1).unwrap();
+        m.edges(2).unwrap();
+        m.rows(1).unwrap();
+        m.settle().unwrap();
+        m.edges(1).unwrap();
+        assert_eq!(reason_of(m.settle().unwrap_err()), InterruptReason::Budget);
+        m.rows(1).unwrap();
         // Partial count travels in the error.
-        match g.row().unwrap_err() {
-            GdmError::Interrupted { partial, .. } => assert!(partial >= 1),
+        match m.settle().unwrap_err() {
+            GdmError::Interrupted { reason, partial } => {
+                assert_eq!(reason, InterruptReason::Budget);
+                assert_eq!(partial, 2);
+            }
             other => panic!("{other:?}"),
         }
     }
@@ -698,18 +436,20 @@ mod tests {
     #[test]
     fn zero_deadline_trips_on_first_check() {
         let g = ExecutionGuard::new(Limits::none().with_deadline(Duration::ZERO));
-        let err = g.check_now().unwrap_err();
-        assert_eq!(reason_of(err), InterruptReason::Deadline);
-        // The amortized path trips within one check interval.
-        let g2 = ExecutionGuard::new(Limits::none().with_deadline(Duration::ZERO));
-        let mut tripped = false;
-        for _ in 0..=CHECK_INTERVAL {
-            if g2.node().is_err() {
-                tripped = true;
-                break;
-            }
-        }
-        assert!(tripped);
+        assert_eq!(
+            reason_of(g.check_now().unwrap_err()),
+            InterruptReason::Deadline
+        );
+        // A meter sees it within one interval of single charges…
+        let m = g.meter();
+        let tripped_at = (1..=CHECK_INTERVAL).find(|_| m.nodes(1).is_err());
+        assert_eq!(tripped_at, Some(CHECK_INTERVAL));
+        // …and at once on a charge of a whole interval.
+        let m = g.meter();
+        assert_eq!(
+            reason_of(m.rows(CHECK_INTERVAL).unwrap_err()),
+            InterruptReason::Deadline
+        );
     }
 
     #[test]
@@ -721,18 +461,12 @@ mod tests {
             .expect("cancel thread");
         let err = g.check_now().unwrap_err();
         assert_eq!(reason_of(err), InterruptReason::Cancelled);
-    }
-
-    #[test]
-    fn optional_guard_is_a_no_op_when_absent() {
-        let none: Option<&ExecutionGuard> = None;
-        none.node().unwrap();
-        none.edge().unwrap();
-        none.row().unwrap();
-        none.check_now().unwrap();
-        let g = ExecutionGuard::new(Limits::none().with_node_visits(0));
-        let some: Option<&ExecutionGuard> = Some(&g);
-        assert!(some.node().is_err());
+        let m = g.meter();
+        m.nodes(1).unwrap();
+        assert_eq!(
+            reason_of(m.settle().unwrap_err()),
+            InterruptReason::Cancelled
+        );
     }
 
     #[test]
@@ -742,125 +476,114 @@ mod tests {
         // Two concurrent guards share the tenant's 100-credit allowance.
         let g1 = ExecutionGuard::with_allowance(Limits::none(), CancelToken::new(), tenant.clone());
         let g2 = ExecutionGuard::with_allowance(Limits::none(), CancelToken::new(), tenant.clone());
-        for _ in 0..50 {
-            g1.node().unwrap();
-            g2.edge().unwrap();
-        }
-        let err = g1.node().unwrap_err();
-        assert_eq!(reason_of(err), InterruptReason::Throttled);
+        let (m1, m2) = (g1.meter(), g2.meter());
+        m1.nodes(50).unwrap();
+        m2.edges(50).unwrap();
+        m1.settle().unwrap();
+        m2.settle().unwrap();
+        m1.nodes(1).unwrap();
         assert_eq!(
-            reason_of(g2.node().unwrap_err()),
+            reason_of(m1.settle().unwrap_err()),
+            InterruptReason::Throttled
+        );
+        m2.nodes(1).unwrap();
+        assert_eq!(
+            reason_of(m2.settle().unwrap_err()),
             InterruptReason::Throttled
         );
         // A refill lets a fresh guard for the same tenant run again.
         pool.refill(10);
         let g3 = ExecutionGuard::with_allowance(Limits::none(), CancelToken::new(), tenant);
-        g3.node().unwrap();
+        let m3 = g3.meter();
+        m3.nodes(1).unwrap();
+        m3.settle().unwrap();
         // Per-guard budgets still travel on the same guard.
         assert_eq!(g3.budget().node_visits(), 1);
     }
 
     #[test]
     fn batch_charges_match_per_visit_semantics() {
-        let g = ExecutionGuard::new(Limits::none().with_node_visits(100).with_rows(10));
-        g.nodes(64).unwrap();
-        g.nodes(36).unwrap();
-        assert_eq!(g.budget().node_visits(), 100);
-        assert_eq!(reason_of(g.nodes(1).unwrap_err()), InterruptReason::Budget);
-        g.rows(10).unwrap();
-        assert_eq!(reason_of(g.rows(1).unwrap_err()), InterruptReason::Budget);
-        // Zero-sized batches still react to deadline/cancel promptly.
-        let g2 = ExecutionGuard::new(Limits::none().with_deadline(Duration::ZERO));
-        assert_eq!(
-            reason_of(g2.nodes(0).unwrap_err()),
-            InterruptReason::Deadline
-        );
+        let limits = Limits::none().with_node_visits(100).with_rows(10);
+        let (per_visit, batched) = (ExecutionGuard::new(limits), ExecutionGuard::new(limits));
+        let (one, bulk) = (per_visit.meter(), batched.meter());
+        for _ in 0..100 {
+            one.nodes(1).unwrap();
+        }
+        bulk.nodes(64).unwrap();
+        bulk.nodes(36).unwrap();
+        for m in [&one, &bulk] {
+            m.rows(10).unwrap();
+            m.settle().unwrap();
+            m.rows(1).unwrap();
+            assert_eq!(reason_of(m.settle().unwrap_err()), InterruptReason::Budget);
+        }
+        assert_eq!(per_visit.budget().node_visits(), 100);
+        assert_eq!(batched.budget().node_visits(), 100);
     }
 
     #[test]
     fn batch_charges_draw_from_tenant_allowance() {
         let mut pool = BudgetPool::new();
         let tenant = pool.register("acme", 1, 100);
-        let g = ExecutionGuard::with_allowance(Limits::none(), CancelToken::new(), tenant);
-        g.nodes(60).unwrap();
-        g.edges(40).unwrap();
+        let g = ExecutionGuard::with_allowance(Limits::none(), CancelToken::new(), tenant.clone());
+        let m = g.meter();
+        m.nodes(60).unwrap();
+        m.edges(40).unwrap();
+        m.rows(5).unwrap(); // rows draw no credits
+        m.settle().unwrap();
+        assert_eq!(tenant.charged(), 100);
+        m.nodes(1).unwrap();
         assert_eq!(
-            reason_of(g.nodes(1).unwrap_err()),
+            reason_of(m.settle().unwrap_err()),
             InterruptReason::Throttled
         );
     }
 
     #[test]
-    fn worker_guard_batches_charges_and_settles_on_drop() {
+    fn meter_settles_past_the_interval_and_on_drop() {
         let g = ExecutionGuard::unlimited();
         {
-            let w = g.worker();
-            w.nodes(100).unwrap();
-            w.edges(50).unwrap();
-            w.rows(7).unwrap();
-            // Below the flush threshold nothing reaches the shared
-            // counters yet.
+            let m = g.meter();
+            m.nodes(100).unwrap();
+            m.edges(50).unwrap();
+            m.rows(7).unwrap();
+            // Below the interval nothing reaches the guard yet.
             assert_eq!(g.budget().node_visits(), 0);
-            w.flush().unwrap();
-            assert_eq!(g.budget().node_visits(), 100);
+            m.nodes(CHECK_INTERVAL - 157).unwrap(); // reaches it: settles
+            assert_eq!(g.budget().node_visits(), CHECK_INTERVAL - 57);
             assert_eq!(g.budget().edge_visits(), 50);
             assert_eq!(g.budget().rows_emitted(), 7);
-            w.nodes(9).unwrap();
+            m.nodes(9).unwrap();
         } // drop settles the trailing 9
-        assert_eq!(g.budget().node_visits(), 109);
+        assert_eq!(g.budget().node_visits(), CHECK_INTERVAL - 48);
     }
 
     #[test]
-    fn worker_guard_flushes_automatically_past_the_threshold() {
-        let g = ExecutionGuard::unlimited();
-        let w = g.worker();
-        w.nodes(WORKER_FLUSH_UNITS - 1).unwrap();
-        assert_eq!(g.budget().node_visits(), 0);
-        w.node().unwrap(); // crosses the threshold, drains
-        assert_eq!(g.budget().node_visits(), WORKER_FLUSH_UNITS);
-    }
-
-    #[test]
-    fn worker_guard_budget_trips_at_flush_with_partial_rows() {
+    fn meter_budget_trip_counts_rows_settled_first() {
         let g = ExecutionGuard::new(Limits::none().with_node_visits(10));
-        let w = g.worker();
-        w.rows(3).unwrap();
-        w.nodes(50).unwrap();
-        let err = w.flush().unwrap_err();
-        assert_eq!(reason_of(err), InterruptReason::Budget);
-        // Rows drained before the tripping node charge, so the partial
-        // count carried the worker's emitted rows.
-        match g.nodes(1).unwrap_err() {
-            GdmError::Interrupted { partial, .. } => assert_eq!(partial, 3),
+        let m = g.meter();
+        m.rows(3).unwrap();
+        m.nodes(50).unwrap();
+        // Rows settled before the tripping node draw, so the partial
+        // count carries the meter's emitted rows.
+        match m.settle().unwrap_err() {
+            GdmError::Interrupted { reason, partial } => {
+                assert_eq!(reason, InterruptReason::Budget);
+                assert_eq!(partial, 3);
+            }
             other => panic!("{other:?}"),
         }
     }
 
     #[test]
-    fn worker_guard_sees_cancel_and_deadline_without_flushing() {
-        let g = ExecutionGuard::unlimited();
-        let w = g.worker();
-        w.nodes(5).unwrap();
-        g.cancel_token().cancel();
-        assert_eq!(
-            reason_of(w.nodes(1).unwrap_err()),
-            InterruptReason::Cancelled
-        );
-        let g2 = ExecutionGuard::new(Limits::none().with_deadline(Duration::ZERO));
-        let w2 = g2.worker();
-        assert_eq!(reason_of(w2.node().unwrap_err()), InterruptReason::Deadline);
-    }
-
-    #[test]
     fn two_workers_merge_into_one_shared_budget() {
         let g = ExecutionGuard::new(Limits::none().with_node_visits(100));
-        let w1 = g.worker();
-        let w2 = g.worker();
-        w1.nodes(60).unwrap();
-        w2.nodes(60).unwrap();
-        w1.flush().unwrap();
-        // The pool is shared: the second worker's drain trips it.
-        assert_eq!(reason_of(w2.flush().unwrap_err()), InterruptReason::Budget);
+        let (m1, m2) = (g.meter(), g.meter());
+        m1.nodes(60).unwrap();
+        m2.nodes(60).unwrap();
+        m1.settle().unwrap();
+        // The pool is shared: the second meter's settle trips it.
+        assert_eq!(reason_of(m2.settle().unwrap_err()), InterruptReason::Budget);
         assert_eq!(g.budget().node_visits(), 120);
     }
 

@@ -14,6 +14,7 @@ use gdm_algo::pattern::{match_pattern, within_hops};
 use gdm_algo::summary::{aggregate, Aggregate};
 use gdm_algo::MatchTable;
 use gdm_core::{AttributedView, FxHashMap, FxHashSet, GdmError, NodeId, Result, Value};
+use gdm_govern::ExecutionGuard;
 use std::cmp::Ordering;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::Hasher;
@@ -94,7 +95,7 @@ pub fn evaluate_select_unplanned<G: AttributedView + ?Sized>(
     query: &SelectQuery,
 ) -> Result<ResultSet> {
     query.validate()?;
-    let mut bindings = match_pattern(g, &query.pattern);
+    let mut bindings = match_pattern(g, &query.pattern, &ExecutionGuard::unlimited())?;
     for vp in &query.var_paths {
         let label = vp.label.as_deref();
         bindings.retain(|b| {

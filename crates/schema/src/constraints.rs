@@ -7,6 +7,7 @@
 
 use crate::schema::{Cardinality, Schema};
 use gdm_algo::pattern::{match_pattern, Pattern};
+use gdm_algo::ExecutionGuard;
 use gdm_core::{FxHashMap, GraphView, NodeId, Value};
 use gdm_graphs::PropertyGraph;
 use std::fmt;
@@ -417,7 +418,8 @@ fn check_pattern(
     c: &Constraint,
     out: &mut Vec<Violation>,
 ) {
-    let matches = match_pattern(g, pattern);
+    let matches = match_pattern(g, pattern, &ExecutionGuard::unlimited())
+        .expect("an unlimited guard never interrupts");
     match kind {
         PatternKind::Forbidden if !matches.is_empty() => {
             let nodes: Vec<NodeId> = matches[0].values().copied().collect();

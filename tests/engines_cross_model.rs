@@ -249,7 +249,9 @@ fn property_predicate_served_through_every_snapshot() {
         );
         // And the snapshot agrees with the reference matcher on the
         // same predicate — the serving path adds speed, not answers.
-        let reference = graph_db_models::algo::match_pattern(&snap.frozen, &p);
+        let unlimited = graph_db_models::govern::ExecutionGuard::unlimited();
+        let reference = graph_db_models::algo::match_pattern(&snap.frozen, &p, &unlimited)
+            .expect("an unlimited guard never interrupts");
         assert_eq!(served.len(), reference.len(), "{}", l.kind.label());
     }
 }

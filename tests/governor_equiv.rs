@@ -1,29 +1,32 @@
-//! Governor equivalence and interruption guarantees.
+//! Governor accounting and interruption guarantees.
 //!
 //! Two properties, both load-bearing for trusting governed execution:
 //!
-//! 1. **Equivalence.** Under an unlimited guard, every governed
-//!    algorithm returns exactly what its ungoverned twin returns —
-//!    the guard threading changes control flow on interruption only,
-//!    never the answer. Checked property-style on random graphs.
+//! 1. **Exact accounting.** Every governed search charges its guard
+//!    through a meter that settles every unit it counts: limited to
+//!    exactly the totals an unlimited run charged, a search returns
+//!    the same answer, and one node unit fewer interrupts it. The
+//!    answers are checked against independent code on random graphs.
 //! 2. **Interruption.** Under a hopeless limit (an already-expired
 //!    deadline, a one-node budget) an expensive query on a committed
 //!    1k-node workload returns a structured `Interrupted` error — it
 //!    neither hangs nor panics nor corrupts the engine — on every one
 //!    of the nine emulated engines.
 
-use graph_db_models::algo::pattern::{match_pattern, match_pattern_governed, PatternNode};
-use graph_db_models::algo::regular::{
-    regular_path_exists, regular_path_exists_governed, LabelRegex,
+use graph_db_models::algo::pattern::{canonical, match_pattern, PatternNode};
+use graph_db_models::algo::planned::{auto_domains, match_pattern_seeded};
+use graph_db_models::algo::regular::{regular_path_exists, regular_simple_paths, LabelRegex};
+use graph_db_models::algo::summary::diameter;
+use graph_db_models::algo::{
+    bidirectional_shortest_path, par_diameter, shortest_path, FrozenGraph, Pattern,
 };
-use graph_db_models::algo::summary::{diameter, diameter_governed};
-use graph_db_models::algo::{shortest_path, shortest_path_governed, Pattern};
 use graph_db_models::bench::workload::{load_into_engine, social_graph, SocialParams};
-use graph_db_models::core::{Direction, NodeId};
+use graph_db_models::core::{Direction, InterruptReason, NodeId, Result};
 use graph_db_models::engines::{make_engine, EngineKind, GovernedAnswer, GovernedOp};
 use graph_db_models::govern::{ExecutionGuard, Limits};
 use graph_db_models::graphs::SimpleGraph;
 use proptest::prelude::*;
+use std::fmt::Debug;
 use std::time::Duration;
 
 /// A random small directed graph with labels from a 3-letter alphabet.
@@ -53,40 +56,69 @@ fn wedge_pattern() -> Pattern {
     p
 }
 
+/// Runs `search` under an unlimited guard, then under a guard limited
+/// to exactly the node, edge and row totals that run charged — which
+/// must return the same answer — and, when it charged any node, under
+/// one node unit fewer — which must trip the budget. Returns the
+/// answer.
+fn holds_at_charged_total<T: PartialEq + Debug>(
+    search: impl Fn(&ExecutionGuard) -> Result<T>,
+) -> T {
+    let unlimited = ExecutionGuard::unlimited();
+    let answer = search(&unlimited).expect("an unlimited guard never interrupts");
+    let spent = unlimited.budget();
+    let exact = Limits::none()
+        .with_node_visits(spent.node_visits())
+        .with_edge_visits(spent.edge_visits())
+        .with_rows(spent.rows_emitted());
+    let at_total = search(&ExecutionGuard::new(exact)).expect("the charged total fits");
+    assert_eq!(at_total, answer);
+    if let Some(fewer) = spent.node_visits().checked_sub(1) {
+        let err = search(&ExecutionGuard::new(exact.with_node_visits(fewer))).unwrap_err();
+        assert_eq!(err.interrupt_reason(), Some(InterruptReason::Budget));
+    }
+    answer
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// governed(∞) ≡ ungoverned for pattern matching (the reference
-    /// backtracker; the planned entry point has no ungoverned twin),
-    /// shortest paths, regular paths, and diameter.
+    /// The four governed searches hold at exactly their charged totals
+    /// (so their meters neither drop nor invent a unit), and answer
+    /// what independent code answers: the planned matcher, the
+    /// bidirectional BFS, simple-path enumeration (a simple path is a
+    /// walk) and the parallel diameter over a snapshot.
     #[test]
-    fn unlimited_guard_changes_nothing((g, n) in graph_strategy()) {
-        let guard = ExecutionGuard::unlimited();
+    fn budgets_hold_at_the_charged_total((g, n) in graph_strategy()) {
         let pattern = wedge_pattern();
-
-        let plain = match_pattern(&g, &pattern);
-        let governed = match_pattern_governed(&g, &pattern, &guard).unwrap();
-        prop_assert_eq!(&plain, &governed);
+        let matches = holds_at_charged_total(|guard| match_pattern(&g, &pattern, guard));
+        let seeded = match_pattern_seeded(
+            &g,
+            &pattern,
+            &auto_domains(&g, &pattern),
+            &ExecutionGuard::unlimited(),
+        )
+        .unwrap();
+        prop_assert_eq!(canonical(&matches), canonical(&seeded.to_bindings()));
 
         let regex = LabelRegex::compile("(a|b)*c?").unwrap();
         for i in 0..n {
             for j in 0..n {
                 let (a, b) = (NodeId(i as u64), NodeId(j as u64));
+                let path = holds_at_charged_total(|guard| shortest_path(&g, a, b, guard));
                 prop_assert_eq!(
-                    shortest_path(&g, a, b).map(|p| p.nodes),
-                    shortest_path_governed(&g, a, b, &guard).unwrap().map(|p| p.nodes)
+                    path.map(|p| p.len()),
+                    bidirectional_shortest_path(&g, a, b).map(|p| p.len())
                 );
-                prop_assert_eq!(
-                    regular_path_exists(&g, a, b, &regex),
-                    regular_path_exists_governed(&g, a, b, &regex, &guard).unwrap()
-                );
+                let walk =
+                    holds_at_charged_total(|guard| regular_path_exists(&g, a, b, &regex, guard));
+                let simple = regular_simple_paths(&g, a, b, &regex, 10_000);
+                prop_assert!(walk || simple.is_ok_and(|paths| paths.is_empty()));
             }
         }
 
-        prop_assert_eq!(
-            diameter(&g, Direction::Outgoing),
-            diameter_governed(&g, Direction::Outgoing, &guard).unwrap()
-        );
+        let d = holds_at_charged_total(|guard| diameter(&g, Direction::Outgoing, guard));
+        prop_assert_eq!(d, par_diameter(&FrozenGraph::freeze(&g), Direction::Outgoing, 2));
     }
 }
 
@@ -181,7 +213,9 @@ fn tiny_budget_interrupts_diameter_on_every_engine() {
         let fz = engine.snapshot().unwrap();
         assert_eq!(
             got,
-            GovernedAnswer::Diameter(diameter(&fz, Direction::Outgoing)),
+            GovernedAnswer::Diameter(
+                diameter(&fz, Direction::Outgoing, &ExecutionGuard::unlimited()).unwrap()
+            ),
             "{}",
             kind.label()
         );
@@ -197,11 +231,8 @@ fn tiny_budget_interrupts_diameter_on_every_engine() {
 /// like the row-at-a-time matchers it replaces.
 #[test]
 fn governed_vectorized_budget_and_deadline_gauntlet() {
-    use graph_db_models::algo::pattern::canonical;
-    use graph_db_models::algo::planned::auto_domains;
     use graph_db_models::algo::vectorized::match_pattern_forced_morsels;
-    use graph_db_models::algo::FrozenGraph;
-    use graph_db_models::core::{GdmError, InterruptReason};
+    use graph_db_models::core::GdmError;
 
     let people = social_graph(SocialParams {
         people: 300,
@@ -227,7 +258,7 @@ fn governed_vectorized_budget_and_deadline_gauntlet() {
     let plain = run(&ExecutionGuard::unlimited()).unwrap();
     assert_eq!(
         canonical(&plain.to_bindings()),
-        canonical(&match_pattern(&fz, &pattern))
+        canonical(&match_pattern(&fz, &pattern, &ExecutionGuard::unlimited()).unwrap())
     );
     assert!(!plain.is_empty(), "workload has 2-hop chains");
 
@@ -280,10 +311,8 @@ fn governed_vectorized_budget_and_deadline_gauntlet() {
 #[test]
 fn governed_par_vectorized_gauntlet_under_forced_workers() {
     use graph_db_models::algo::parallel::inject_worker_panic_once;
-    use graph_db_models::algo::planned::auto_domains;
     use graph_db_models::algo::vectorized::match_pattern_forced_morsels;
-    use graph_db_models::algo::FrozenGraph;
-    use graph_db_models::core::{GdmError, InterruptReason};
+    use graph_db_models::core::GdmError;
 
     let people = social_graph(SocialParams {
         people: 300,
@@ -362,12 +391,11 @@ fn governed_par_vectorized_gauntlet_under_forced_workers() {
 /// `*1..8` from one bound person under a 1-unit node budget trips on
 /// the walk's first charge — the seed alone fits the budget — and the
 /// same walk from every person under a 1 ms deadline runs out of time
-/// part-way: tens of millions of edge scans, checked every
+/// part-way: tens of millions of edge scans, the meter settling every
 /// `CHECK_INTERVAL` frontier nodes.
 #[test]
 fn variable_length_expand_is_interruptible_on_both_executors() {
-    use graph_db_models::algo::FrozenGraph;
-    use graph_db_models::core::{props, AttributedView, InterruptReason};
+    use graph_db_models::core::{props, AttributedView};
     use graph_db_models::graphs::PropertyGraph;
     use graph_db_models::query::cypher::{parse, CypherStatement};
     use graph_db_models::query::plan::{execute_planned_governed, plan_select};

@@ -168,7 +168,7 @@ proptest! {
         (vars, edges) in pattern_strategy(),
     ) {
         let p = build_pattern(&vars, &edges);
-        let reference = canonical(&match_pattern(&g, &p));
+        let reference = canonical(&match_pattern(&g, &p, &ExecutionGuard::unlimited()).unwrap());
         let guard = ExecutionGuard::unlimited();
 
         let domains = auto_domains(&g, &p);

@@ -13,6 +13,7 @@ use graph_db_models::algo::pattern::{
 };
 use graph_db_models::algo::regular::{regular_path_exists, LabelRegex};
 use graph_db_models::core::{GraphView, NodeId, Value};
+use graph_db_models::govern::ExecutionGuard;
 use graph_db_models::graphs::SimpleGraph;
 use graph_db_models::storage::codec;
 use proptest::prelude::*;
@@ -76,7 +77,8 @@ proptest! {
                 let b = NodeId(j as u64);
                 prop_assert_eq!(distance(&g, a, b), oracle[i][j], "{} -> {}", i, j);
                 prop_assert_eq!(is_reachable(&g, a, b), oracle[i][j].is_some());
-                if let Some(p) = shortest_path(&g, a, b) {
+                let path = shortest_path(&g, a, b, &ExecutionGuard::unlimited()).unwrap();
+                if let Some(p) = path {
                     prop_assert_eq!(Some(p.len()), oracle[i][j]);
                     // The path must be a real walk.
                     for w in p.nodes.windows(2) {
@@ -95,7 +97,7 @@ proptest! {
             for j in 0..n {
                 let a = NodeId(i as u64);
                 let b = NodeId(j as u64);
-                let uni = shortest_path(&g, a, b).map(|p| p.len());
+                let uni = distance(&g, a, b);
                 let bi = bidirectional_shortest_path(&g, a, b).map(|p| p.len());
                 prop_assert_eq!(uni, bi, "{} -> {}", i, j);
                 if let Some(p) = bidirectional_shortest_path(&g, a, b) {
@@ -135,7 +137,7 @@ proptest! {
             out
         };
         for p in &patterns {
-            let fast = canonical(&match_pattern(&g, p));
+            let fast = canonical(&match_pattern(&g, p, &ExecutionGuard::unlimited()).unwrap());
             let slow = canonical(&match_pattern_brute(&g, p));
             prop_assert_eq!(fast, slow);
         }
@@ -151,7 +153,8 @@ proptest! {
                 let b = NodeId(dst as u64);
                 for rtext in regexes {
                     let regex = LabelRegex::compile(rtext).expect("valid");
-                    let fast = regular_path_exists(&g, a, b, &regex);
+                    let fast =
+                        regular_path_exists(&g, a, b, &regex, &ExecutionGuard::unlimited()).unwrap();
                     let slow = oracle_walk_exists(&g, a, b, &regex, 6);
                     // The product automaton has no length bound, so it
                     // may accept where the bounded oracle cannot — but
