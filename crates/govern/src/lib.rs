@@ -540,7 +540,7 @@ mod tests {
     }
 
     #[test]
-    fn meter_settles_past_the_interval_and_on_drop() {
+    fn worker_guard_batches_charges_and_settles_on_drop() {
         let g = ExecutionGuard::unlimited();
         {
             let m = g.meter();
@@ -549,13 +549,26 @@ mod tests {
             m.rows(7).unwrap();
             // Below the interval nothing reaches the guard yet.
             assert_eq!(g.budget().node_visits(), 0);
-            m.nodes(CHECK_INTERVAL - 157).unwrap(); // reaches it: settles
-            assert_eq!(g.budget().node_visits(), CHECK_INTERVAL - 57);
+            m.settle().unwrap();
+            assert_eq!(g.budget().node_visits(), 100);
             assert_eq!(g.budget().edge_visits(), 50);
             assert_eq!(g.budget().rows_emitted(), 7);
             m.nodes(9).unwrap();
         } // drop settles the trailing 9
-        assert_eq!(g.budget().node_visits(), CHECK_INTERVAL - 48);
+        assert_eq!(g.budget().node_visits(), 109);
+    }
+
+    #[test]
+    fn worker_guard_flushes_automatically_past_the_threshold() {
+        let g = ExecutionGuard::unlimited();
+        let m = g.meter();
+        m.nodes(50).unwrap();
+        m.edges(CHECK_INTERVAL - 51).unwrap();
+        assert_eq!(g.budget().node_visits(), 0);
+        m.rows(1).unwrap(); // the interval counts every unit: settles
+        assert_eq!(g.budget().node_visits(), 50);
+        assert_eq!(g.budget().edge_visits(), CHECK_INTERVAL - 51);
+        assert_eq!(g.budget().rows_emitted(), 1);
     }
 
     #[test]
