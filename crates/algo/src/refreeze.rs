@@ -22,7 +22,11 @@
 //!   clean). The ordered edge-attribute index is patched — retire the
 //!   rows of deleted/re-propertied edges, sort just the freshly
 //!   captured rows, and merge them in place from the tail — rather
-//!   than rebuilt or re-sorted.
+//!   than rebuilt or re-sorted. The node-property equality index is
+//!   patched too: the rows of removed, re-read and relocated nodes are
+//!   found by their old values' hashes and retire, re-read rows and
+//!   relocated rows at their new position are merged in, and keys no
+//!   changed row carries keep sharing the previous run.
 //! * **Integer metadata is rebuilt** (`nodes`, id index, label index):
 //!   these are O(V) `memcpy`-class passes with no string or hash work
 //!   per element, which keeps the implementation honest without
@@ -43,7 +47,10 @@
 //! discovered mid-patch (an edge endpoint the delta never mentioned).
 //! Falling back is always correct; the delta only ever buys speed.
 
-use crate::frozen::{empty_props, next_epoch, Csr, CsrSlab, FrozenGraph, RangeRow, SLAB_NODES};
+use crate::frozen::{
+    empty_props, eq_hash, next_epoch, push_eq_rows, Csr, CsrSlab, EqRow, EqRun, FrozenGraph,
+    RangeRow, SLAB_NODES,
+};
 use gdm_core::{
     AttributedView, FreezeDelta, FxHashMap, FxHashSet, GraphView, Interner, NodeId, Symbol, Value,
 };
@@ -66,6 +73,8 @@ struct RebuildPlan {
     /// Previous dense position → new dense position, for relocated
     /// survivors only (identity entries are omitted).
     moves: FxHashMap<u32, u32>,
+    /// Previous dense positions of the removed nodes.
+    removed: Vec<u32>,
     /// New dense rows whose adjacency must be re-read from the source.
     reread: Vec<bool>,
     /// New dense rows whose *forward* run references a relocated dense
@@ -105,6 +114,7 @@ fn plan_rebuild<G: GraphView + ?Sized>(
     // node's edges ran through them; translated to new positions once
     // the node set settles.
     let mut reread_prev: FxHashSet<u32> = FxHashSet::default();
+    let mut removed = Vec::new();
     let mut work = delta.change_count() as u64;
 
     for &raw in &delta.removed_nodes {
@@ -112,6 +122,7 @@ fn plan_rebuild<G: GraphView + ?Sized>(
             continue; // created and deleted within the batch
         };
         let prev_d = orig[d as usize];
+        removed.push(prev_d);
         // Every neighbour's run mentions the removed node: re-read.
         for &t in prev.fwd.targets(prev_d) {
             reread_prev.insert(t);
@@ -226,6 +237,7 @@ fn plan_rebuild<G: GraphView + ?Sized>(
         index,
         orig,
         moves,
+        removed,
         reread,
         retarget_fwd,
         retarget_rev,
@@ -368,6 +380,7 @@ fn refreeze_structural_core<G: GraphView + ?Sized>(
         edge_props: Arc::new(FxHashMap::default()),
         label_index: FxHashMap::default(),
         edge_ranges: FxHashMap::default(),
+        node_eq: FxHashMap::default(),
     };
     Some((fz, plan))
 }
@@ -441,6 +454,7 @@ pub fn incremental_refreeze<G: AttributedView + ?Sized>(
             fz.label_index.entry(*sym).or_default().push(i as u32);
         }
     }
+    fz.node_eq = patch_node_eq(prev, &fz, &plan);
 
     // Edge properties: share the previous Arc per edge, retire stale
     // ids, re-capture the ids surfacing in re-read rows that the
@@ -594,18 +608,114 @@ pub fn incremental_refreeze<G: AttributedView + ?Sized>(
     fz
 }
 
+/// The node-property equality index of `fz`, patched from `prev`'s:
+/// the rows of removed, re-read and relocated nodes retire, and re-read
+/// rows plus relocated nodes' rows at their new position are merged in.
+/// Only those rows' values are hashed — old ones to find the rows that
+/// retire, new ones to place the rows that enter — and a key none of
+/// them carries keeps sharing the previous run. Like the label index
+/// this is integer work and is not charged to `freeze_work`.
+fn patch_node_eq(
+    prev: &FrozenGraph,
+    fz: &FrozenGraph,
+    plan: &RebuildPlan,
+) -> FxHashMap<String, EqRun> {
+    // Previous dense positions whose rows retire.
+    let mut retired = plan.removed.clone();
+    let mut fresh: FxHashMap<String, Vec<EqRow>> = FxHashMap::default();
+    for (i, _) in plan.reread.iter().enumerate().filter(|(_, &r)| r) {
+        push_eq_rows(&mut fresh, fz.node_props_dense(i as u32), i as u32);
+        if plan.orig[i] != NEW_ROW {
+            retired.push(plan.orig[i]);
+        }
+    }
+    for (&p, &i) in &plan.moves {
+        if !plan.reread[i as usize] {
+            retired.push(p);
+            push_eq_rows(&mut fresh, &prev.node_props[p as usize], i);
+        }
+    }
+    let mut stale: FxHashMap<&str, Vec<EqRow>> = FxHashMap::default();
+    for &p in &retired {
+        for (key, value) in prev.node_props[p as usize].iter() {
+            stale
+                .entry(key.as_str())
+                .or_default()
+                .push((eq_hash(value), p));
+        }
+    }
+    let mut runs = prev.node_eq.clone();
+    let mut patch = |key: &str, stale: &[EqRow], add: Vec<EqRow>| {
+        let old = prev.node_eq.get(key).map_or(&[][..], |run| run.as_slice());
+        let run = patch_run(old, stale, add);
+        if run.is_empty() {
+            runs.remove(key);
+        } else {
+            runs.insert(key.to_owned(), Arc::new(run));
+        }
+    };
+    for (key, add) in fresh {
+        let rows = stale.remove(key.as_str()).unwrap_or_default();
+        patch(&key, &rows, add);
+    }
+    for (key, rows) in stale {
+        patch(key, &rows, Vec::new());
+    }
+    runs
+}
+
+/// One key's run with the `stale` rows taken out and the `add` rows
+/// merged in by hash. Each stale row is found by a binary search on its
+/// hash, and the rows between two changes are copied as one slice.
+fn patch_run(old: &[EqRow], stale: &[EqRow], mut add: Vec<EqRow>) -> Vec<EqRow> {
+    let mut dropped: Vec<usize> = stale
+        .iter()
+        .flat_map(|&(hash, p)| {
+            let start = old.partition_point(|r| r.0 < hash);
+            let same_hash = old[start..].iter().take_while(move |r| r.0 == hash);
+            same_hash
+                .enumerate()
+                .filter(move |(_, r)| r.1 == p)
+                .map(move |(k, _)| start + k)
+        })
+        .collect();
+    dropped.sort_unstable();
+    dropped.dedup();
+    add.sort_unstable();
+    let mut run = Vec::with_capacity(old.len() + add.len());
+    let mut dropped = dropped.into_iter().peekable();
+    let mut copied = 0;
+    // Copies the kept rows of `old[copied..end]`.
+    let mut copy_to = |end: usize, run: &mut Vec<EqRow>| {
+        while let Some(d) = dropped.next_if(|&d| d < end) {
+            run.extend_from_slice(&old[copied..d]);
+            copied = d + 1;
+        }
+        run.extend_from_slice(&old[copied..end]);
+        copied = end;
+    };
+    for row in add {
+        copy_to(old.partition_point(|r| r.0 < row.0), &mut run);
+        run.push(row);
+    }
+    copy_to(old.len(), &mut run);
+    run
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use gdm_core::{props, DeltaTracker, GraphView};
     use gdm_graphs::PropertyGraph;
 
-    /// Content-canonical form of a snapshot: node rows, edge rows, and
-    /// the ordered edge index, all independent of dense ordering.
+    /// Content-canonical form of a snapshot: node rows, edge rows, the
+    /// ordered edge index and the node equality index, all independent
+    /// of dense ordering.
     type Canon = (
         Vec<(u64, Option<String>, Vec<(String, Value)>)>,
         Vec<(u64, u64, u64, Option<String>, Vec<(String, Value)>)>,
         Vec<(String, u64, u64, u64, String)>,
+        Vec<(String, u64, u64)>,
     );
 
     fn canon(fz: &FrozenGraph) -> Canon {
@@ -645,7 +755,14 @@ mod tests {
             }
         }
         ranges.sort();
-        (nodes, edges, ranges)
+        let mut eq = Vec::new();
+        for (key, run) in &fz.node_eq {
+            for &(hash, dense) in run.iter() {
+                eq.push((key.clone(), hash, fz.nodes[dense as usize].raw()));
+            }
+        }
+        eq.sort();
+        (nodes, edges, ranges, eq)
     }
 
     fn base_graph() -> (PropertyGraph, Vec<NodeId>) {

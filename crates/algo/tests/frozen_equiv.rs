@@ -16,11 +16,14 @@ use gdm_algo::summary::eccentricity;
 use gdm_algo::vectorized::match_pattern_forced_morsels;
 use gdm_algo::{
     bfs_order, bidirectional_shortest_path, degree_stats, diameter, distance,
-    fixed_length_path_exists, graph_order, graph_size, is_reachable, k_neighborhood,
-    nodes_adjacent, par_connected_components, par_diameter, par_eccentricities, par_triangle_count,
-    regular_path_exists, shortest_path, FrozenGraph, LabelRegex,
+    fixed_length_path_exists, graph_order, graph_size, incremental_refreeze, is_reachable,
+    k_neighborhood, nodes_adjacent, par_connected_components, par_diameter, par_eccentricities,
+    par_triangle_count, regular_path_exists, shortest_path, FrozenGraph, LabelRegex,
 };
-use gdm_core::{Direction, GraphView, NodeId, PropertyMap, Value};
+use gdm_core::{
+    AttributedView, DeltaTracker, Direction, EdgeId, EdgeRef, GraphView, NodeId, PropertyMap,
+    Symbol, Value,
+};
 use gdm_govern::ExecutionGuard;
 use gdm_graphs::{PropertyGraph, SimpleGraph};
 use proptest::prelude::*;
@@ -75,6 +78,75 @@ fn build_property(n: usize, raw_edges: &[(u64, u64, usize)]) -> PropertyGraph {
 
 fn all_directions() -> [Direction; 3] {
     [Direction::Outgoing, Direction::Incoming, Direction::Both]
+}
+
+/// Property values whose loose equalities are easy to get wrong:
+/// `Int` / `Float` pairs, signed zeros, integers past 2⁵³ that share an
+/// `f64` image, `NaN`, strings that look like numbers, nested lists.
+fn edge_case_values() -> Vec<Value> {
+    let two53 = 1i64 << 53;
+    vec![
+        Value::Int(0),
+        Value::Float(0.0),
+        Value::Float(-0.0),
+        Value::Int(3),
+        Value::Float(3.0),
+        Value::Int(two53),
+        Value::Int(two53 + 1),
+        Value::Float(two53 as f64),
+        Value::Float(f64::NAN),
+        Value::from("3"),
+        Value::from("a"),
+        Value::Bool(true),
+        Value::Bool(false),
+        Value::Null,
+        Value::List(vec![Value::Int(1), Value::List(vec![Value::Float(-0.0)])]),
+        Value::List(vec![Value::Int(1), Value::List(vec![Value::Float(0.0)])]),
+    ]
+}
+
+/// A live graph seen through the `AttributedView` default candidate
+/// scan: everything forwards except `candidates`, which stays the
+/// trait's scan.
+struct Scanned<'a>(&'a PropertyGraph);
+
+impl GraphView for Scanned<'_> {
+    fn is_directed(&self) -> bool {
+        self.0.is_directed()
+    }
+    fn node_count(&self) -> usize {
+        self.0.node_count()
+    }
+    fn edge_count(&self) -> usize {
+        self.0.edge_count()
+    }
+    fn contains_node(&self, n: NodeId) -> bool {
+        self.0.contains_node(n)
+    }
+    fn visit_nodes(&self, f: &mut dyn FnMut(NodeId)) {
+        self.0.visit_nodes(f)
+    }
+    fn visit_out_edges(&self, n: NodeId, f: &mut dyn FnMut(EdgeRef)) {
+        self.0.visit_out_edges(n, f)
+    }
+    fn visit_in_edges(&self, n: NodeId, f: &mut dyn FnMut(EdgeRef)) {
+        self.0.visit_in_edges(n, f)
+    }
+    fn label_text(&self, sym: Symbol) -> Option<&str> {
+        self.0.label_text(sym)
+    }
+}
+
+impl AttributedView for Scanned<'_> {
+    fn node_label(&self, n: NodeId) -> Option<Symbol> {
+        self.0.node_label(n)
+    }
+    fn node_property(&self, n: NodeId, key: &str) -> Option<Value> {
+        self.0.node_property(n, key)
+    }
+    fn edge_property(&self, e: EdgeId, key: &str) -> Option<Value> {
+        self.0.edge_property(e, key)
+    }
 }
 
 proptest! {
@@ -309,4 +381,113 @@ fn undirected_self_loop_agreement() {
     // The self-loop keeps `c` at eccentricity 0, not 1.
     assert_eq!(eccentricity(&fz, c, Direction::Both), Some(0));
     assert_eq!(distance(&fz, c, c), Some(0));
+}
+
+/// One candidate request: the label (`None`, the three node labels, or
+/// one no node carries) and `(key, value)` constraints drawn from
+/// `k0`, `k1` and a key no node carries.
+type Request = (usize, Vec<(usize, usize)>);
+
+fn request(
+    values: &[Value],
+    (label, constraints): &Request,
+) -> (Option<&'static str>, Vec<(String, Value)>) {
+    let label = match label {
+        0 => None,
+        4 => Some("alien"),
+        l => Some(NODE_LABELS[l - 1]),
+    };
+    let keys = ["k0", "k1", "absent"];
+    let props = constraints
+        .iter()
+        .map(|&(k, v)| (keys[k].to_owned(), values[v].clone()))
+        .collect();
+    (label, props)
+}
+
+/// The snapshot's equality index answers `{key: value}` candidates
+/// exactly as the trait's default scan over the live graph — same ids,
+/// ascending — and its estimate bounds the answer; also after an
+/// incremental re-freeze that rewrites one value and swap-removes a
+/// node.
+fn check_candidates(
+    g: &PropertyGraph,
+    fz: &FrozenGraph,
+    values: &[Value],
+    requests: &[Request],
+) -> Result<(), TestCaseError> {
+    for req in requests {
+        let (label, props) = request(values, req);
+        let got = fz.candidates(label, &props);
+        prop_assert_eq!(
+            &got,
+            &Scanned(g).candidates(label, &props),
+            "{:?} {:?}",
+            label,
+            props
+        );
+        prop_assert!(got.windows(2).all(|w| w[0].raw() < w[1].raw()));
+        let estimate = fz.candidate_estimate(label, &props);
+        if label.is_some() || !props.is_empty() {
+            prop_assert!(
+                estimate.is_some_and(|e| e >= got.len()),
+                "{:?} < {}",
+                estimate,
+                got.len()
+            );
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn equality_index_matches_the_default_scan(
+        nodes in prop::collection::vec(
+            (0usize..3, prop::option::of(0usize..16), prop::option::of(0usize..16)),
+            1..16,
+        ),
+        raw_edges in prop::collection::vec((0u64..1_000, 0u64..1_000), 0..24),
+        requests in prop::collection::vec(
+            (0usize..5, prop::collection::vec((0usize..3, 0usize..16), 0..3)),
+            1..12,
+        ),
+        rewrite in (0usize..16, 0usize..16),
+        delete in 0usize..16,
+    ) {
+        let values = edge_case_values();
+        let mut g = PropertyGraph::new();
+        let ids: Vec<NodeId> = nodes
+            .iter()
+            .map(|&(label, k0, k1)| {
+                let mut props = PropertyMap::new();
+                if let Some(v) = k0 {
+                    props = props.with("k0", values[v].clone());
+                }
+                if let Some(v) = k1 {
+                    props = props.with("k1", values[v].clone());
+                }
+                g.add_node(NODE_LABELS[label], props)
+            })
+            .collect();
+        for &(a, b) in &raw_edges {
+            let (from, to) = (ids[a as usize % ids.len()], ids[b as usize % ids.len()]);
+            g.add_edge(from, to, "a", PropertyMap::new()).unwrap();
+        }
+        let fz = FrozenGraph::freeze_attributed(&g);
+        check_candidates(&g, &fz, &values, &requests)?;
+
+        let mut tracker = DeltaTracker::new();
+        tracker.reset(fz.epoch());
+        let touched = ids[rewrite.0 % ids.len()];
+        g.set_node_property(touched, "k0", values[rewrite.1].clone()).unwrap();
+        tracker.touch_node(touched.raw());
+        let gone = ids[delete % ids.len()];
+        g.remove_node(gone).unwrap();
+        tracker.remove_node(gone.raw());
+        let refrozen = incremental_refreeze(&g, &fz, tracker.peek());
+        check_candidates(&g, &refrozen, &values, &requests)?;
+    }
 }

@@ -10,6 +10,7 @@ use crate::error::{GdmError, Result};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::Hasher;
 
 /// A dynamically typed attribute or query value.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -150,6 +151,25 @@ impl Value {
             (Value::Int(a), Value::Float(b)) => (*a as f64) == *b,
             (Value::Float(a), Value::Int(b)) => *a == (*b as f64),
             (a, b) => a == b,
+        }
+    }
+
+    /// Feeds the value to `state` so that values equal under
+    /// [`Value::loose_eq`] hash alike — the hash behind grouping and
+    /// equality indexes. A number hashes by its `f64` image (the one
+    /// `loose_eq` compares an `Int` with a `Float` by), with `-0.0`
+    /// folded into `0.0` (they are equal; adding `0.0` does it). `NaN`
+    /// equals nothing, so any hash will do. Unequal values may collide
+    /// (`2⁵³` and `2⁵³ + 1` share an image): callers re-check with
+    /// `loose_eq`.
+    pub fn hash_loose<H: Hasher>(&self, state: &mut H) {
+        match self {
+            Value::Null => state.write_u8(0),
+            Value::Bool(b) => state.write_u8(1 + u8::from(*b)),
+            Value::Int(i) => state.write_u64((*i as f64).to_bits()),
+            Value::Float(f) => state.write_u64((*f + 0.0).to_bits()),
+            Value::Str(s) => state.write(s.as_bytes()),
+            Value::List(items) => items.iter().for_each(|item| item.hash_loose(state)),
         }
     }
 
@@ -336,6 +356,60 @@ mod tests {
     fn loose_eq_coerces() {
         assert!(Value::from(3).loose_eq(&Value::from(3.0)));
         assert!(!Value::from(3).loose_eq(&Value::from("3")));
+    }
+
+    #[test]
+    fn loosely_equal_values_hash_alike() {
+        use std::hash::DefaultHasher;
+        let hash = |v: &Value| {
+            let mut h = DefaultHasher::new();
+            v.hash_loose(&mut h);
+            h.finish()
+        };
+        let two53 = 1i64 << 53;
+        let scalars = [
+            Value::Null,
+            Value::from(true),
+            Value::from(false),
+            Value::from(0),
+            Value::from(0.0),
+            Value::from(-0.0),
+            Value::from(3),
+            Value::from(3.0),
+            Value::from(-7),
+            Value::from(2.5),
+            Value::from(two53),
+            Value::from(two53 + 1),
+            Value::from(two53 as f64),
+            Value::from(f64::NAN),
+            Value::from(""),
+            Value::from("3"),
+            Value::from("a"),
+        ];
+        let mut values = scalars.to_vec();
+        values.extend(scalars.iter().map(|v| Value::List(vec![v.clone()])));
+        values.push(Value::List(vec![]));
+        values.push(Value::List(vec![
+            Value::from(1),
+            Value::List(vec![Value::from(-0.0), Value::from("x")]),
+        ]));
+        values.push(Value::List(vec![
+            Value::from(1),
+            Value::List(vec![Value::from(0.0), Value::from("x")]),
+        ]));
+        let mut pairs = 0;
+        for a in &values {
+            for b in &values {
+                if a.loose_eq(b) {
+                    pairs += 1;
+                    assert_eq!(hash(a), hash(b), "{a:?} and {b:?}");
+                }
+            }
+        }
+        // Cross-type and signed-zero equalities are among them.
+        assert!(Value::from(0).loose_eq(&Value::from(-0.0)));
+        assert!(Value::from(two53 + 1).loose_eq(&Value::from(two53 as f64)));
+        assert!(pairs > values.len());
     }
 
     #[test]

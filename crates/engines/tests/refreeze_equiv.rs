@@ -12,6 +12,7 @@
 //! `Err` must leave counts, snapshot content and the recorded delta
 //! exactly as they were.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use gdm_algo::FrozenGraph;
@@ -230,11 +231,18 @@ fn apply(
     }
 }
 
-/// Content-canonical form of a snapshot: labelled/propertied node rows
-/// and edge rows, independent of dense row ordering.
+/// One equality-index probe and its answers: label, key, value (its
+/// `Debug` form), the candidate ids and the candidate estimate.
+type Probe = (Option<String>, String, String, Vec<u64>, Option<usize>);
+
+/// Content-canonical form of a snapshot: labelled/propertied node rows,
+/// edge rows, and the equality index's answers for every (label, key,
+/// value) present — with and without the label — independent of dense
+/// row ordering.
 type Canon = (
     Vec<(u64, Option<String>, Vec<(String, String)>)>,
     Vec<(u64, u64, u64, Option<String>, Vec<(String, String)>)>,
+    Vec<Probe>,
 );
 
 fn canon(fz: &FrozenGraph) -> Canon {
@@ -261,7 +269,31 @@ fn canon(fz: &FrozenGraph) -> Canon {
         });
     });
     edges.sort();
-    (nodes, edges)
+    // Every (label, key, value) some node carries, and each (key,
+    // value) without the label.
+    let mut present = BTreeMap::new();
+    fz.visit_nodes(&mut |n| {
+        let label = fz
+            .node_label(n)
+            .and_then(|s| fz.label_text(s))
+            .map(str::to_owned);
+        fz.visit_node_properties(n, &mut |k, v| {
+            for label in [None, label.clone()] {
+                present.insert((label, k.to_owned(), format!("{v:?}")), v.clone());
+            }
+        });
+    });
+    let index = present
+        .into_iter()
+        .map(|((label, key, shown), value)| {
+            let props = [(key.clone(), value)];
+            let ids = fz.candidates(label.as_deref(), &props);
+            let estimate = fz.candidate_estimate(label.as_deref(), &props);
+            let ids = ids.into_iter().map(NodeId::raw).collect();
+            (label, key, shown, ids, estimate)
+        })
+        .collect();
+    (nodes, edges, index)
 }
 
 /// A deterministic seed batch so the base snapshot is non-trivial.

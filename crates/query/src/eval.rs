@@ -277,7 +277,7 @@ enum Output<'q> {
 /// `group_by` key tuple, returning the ids and the number of groups. Two
 /// tuples share a group when they are [`Value::loose_eq`] position by
 /// position, and a row joins the *first* group it equals — exactly what
-/// a linear scan over the groups finds, because [`hash_key`] sends
+/// a linear scan over the groups finds, because [`Value::hash_loose`] sends
 /// `loose_eq` values to one hash and the groups of one hash are chained
 /// in the order they appeared.
 fn group_rows<G: AttributedView + ?Sized>(
@@ -301,7 +301,7 @@ fn group_rows<G: AttributedView + ?Sized>(
         // their low 40-odd bits, which a multiplicative hash keeps zero —
         // and the low bits are what picks the bucket.
         let mut hasher = DefaultHasher::new();
-        key.iter().for_each(|v| hash_key(v, &mut hasher));
+        key.iter().for_each(|v| v.hash_loose(&mut hasher));
         let mut gid = *heads.entry(hasher.finish()).or_insert(keys.len());
         while gid < keys.len() && !keys[gid].iter().zip(&key).all(|(a, b)| a.loose_eq(b)) {
             if next[gid] == END {
@@ -316,22 +316,6 @@ fn group_rows<G: AttributedView + ?Sized>(
         group_of.push(gid);
     }
     Ok((group_of, keys.len()))
-}
-
-/// Feeds `v` to `hasher` so that values equal under [`Value::loose_eq`]
-/// hash alike: a number hashes by its `f64` image — the one `loose_eq`
-/// compares an `Int` with a `Float` by — with `-0.0` folded into `0.0`
-/// (they are equal; adding `0.0` does it). `NaN` equals nothing, so any
-/// hash will do.
-fn hash_key(v: &Value, hasher: &mut impl Hasher) {
-    match v {
-        Value::Null => hasher.write_u8(0),
-        Value::Bool(b) => hasher.write_u8(1 + u8::from(*b)),
-        Value::Int(i) => hasher.write_u64((*i as f64).to_bits()),
-        Value::Float(f) => hasher.write_u64((*f + 0.0).to_bits()),
-        Value::Str(s) => hasher.write(s.as_bytes()),
-        Value::List(items) => items.iter().for_each(|item| hash_key(item, hasher)),
-    }
 }
 
 /// An [`Expr`] with its variables resolved to match-table columns and

@@ -808,6 +808,51 @@ mod tests {
         assert_eq!(rs_fz.len(), 3);
     }
 
+    /// A re-freeze that deletes a node swap-removes it, so dense order
+    /// stops being id order; a snapshot's `{key: value}` candidates must
+    /// still ascend by id, or intersecting them with an edge-range
+    /// domain drops rows.
+    #[test]
+    fn snapshot_domains_intersect_after_a_swap_remove() {
+        use gdm_core::DeltaTracker;
+        let mut g = PropertyGraph::new();
+        let people: Vec<_> = (0..10i64)
+            .map(|i| g.add_node("person", props! { "c" => i % 2, "i" => i }))
+            .collect();
+        for i in 0..10usize {
+            let since = props! { "since" => 2000 + i as i64 };
+            g.add_edge(people[i], people[(i + 1) % 10], "knows", since)
+                .unwrap();
+        }
+        let prev = gdm_algo::FrozenGraph::freeze_attributed(&g);
+        let mut tracker = DeltaTracker::new();
+        tracker.reset(prev.epoch());
+        g.remove_node(people[2]).unwrap();
+        tracker.remove_node(people[2].raw());
+        let fz = gdm_algo::incremental_refreeze(&g, &prev, tracker.peek());
+
+        let odd = fz.candidates(Some("person"), &[("c".into(), Value::from(1))]);
+        let ids: Vec<u64> = odd.iter().map(|n| n.raw()).collect();
+        assert_eq!(ids, [1, 3, 5, 7, 9].map(|i| people[i].raw()));
+
+        let mut q = SelectQuery::default();
+        let a = q
+            .pattern
+            .node(PatternNode::var("a").with_label("person").with_prop("c", 1));
+        let b = q.pattern.node(PatternNode::var("b"));
+        q.pattern.edge(a, b, Some("knows")).unwrap();
+        q.pattern
+            .edge_range("since", Some(Value::from(2000)), Some(Value::from(2100)))
+            .unwrap();
+        q.projections.push(Projection::Expr {
+            name: "i".into(),
+            expr: Expr::Prop("a".into(), "i".into()),
+        });
+        let (rs, _) = evaluate_select_planned(&fz, &q).unwrap();
+        assert_eq!(rs, evaluate_select_unplanned(&g, &q).unwrap());
+        assert_eq!(rs.len(), 4);
+    }
+
     #[test]
     fn planned_join_matches_unplanned() {
         let g = social();

@@ -3,7 +3,8 @@
 //! must follow its result rather than the graph is held to a fixed count
 //! at two graph sizes), this thread's heap allocations (finishing the
 //! rows of a match must not allocate per match; a point query must not
-//! allocate by graph size; a frozen match must run the batch pipeline),
+//! allocate by graph size, to plan or to run; a frozen match must run
+//! the batch pipeline), a snapshot's candidate estimates,
 //! the executor's count of executions that took a helper thread (no
 //! template of the benchmark may) and a re-freeze's work units (a small
 //! batch must not cost a full freeze).
@@ -196,6 +197,36 @@ fn point_query_allocation_does_not_follow_graph_size() {
     assert!(
         small_bytes.abs_diff(large_bytes) <= 64,
         "{small_bytes} bytes at 2 000 people, {large_bytes} at 20 000"
+    );
+}
+
+/// Plan-time seeding reads the snapshot's equality index, not the label
+/// population: the estimate of a `{key: value}` constraint is the
+/// answer's size at 2 000 and at 20 000 people, and planning the point
+/// template allocates the same bytes at both sizes.
+#[test]
+fn point_seeding_does_not_follow_graph_size() {
+    let text = "MATCH (p:person {name:'person7'})-[:knows]->(f) RETURN f.name";
+    let CypherStatement::Select(query) = parse(text).unwrap() else {
+        panic!("expected a MATCH query");
+    };
+    let mut plan_bytes = Vec::new();
+    for people in [2_000, 20_000] {
+        let fz = FrozenGraph::freeze_attributed(&benchmark_shaped_graph(people));
+        let name = [("name".to_owned(), Value::from("person7"))];
+        let community = [("community".to_owned(), Value::from(3))];
+        assert_eq!(fz.candidate_estimate(Some("person"), &name), Some(1));
+        assert_eq!(fz.candidate_estimate(Some("person"), &community), Some(100));
+        let before = ALLOCATED_BYTES.with(Cell::get);
+        let planned = plan_select(&fz, &query).unwrap();
+        plan_bytes.push(ALLOCATED_BYTES.with(Cell::get) - before);
+        assert_eq!(planned.domains[0].as_ref().map(Vec::len), Some(1));
+    }
+    assert!(
+        plan_bytes[0].abs_diff(plan_bytes[1]) <= 64,
+        "planning allocated {} bytes at 2 000 people, {} at 20 000",
+        plan_bytes[0],
+        plan_bytes[1]
     );
 }
 
