@@ -1,16 +1,18 @@
-//! Recovery-throughput benches for the durability subsystem.
+//! Recovery-throughput bench for the durability subsystem.
 //!
-//! Two questions the numbers answer: how fast does [`DurableKv`] replay
-//! a raw log tail (records applied per second), and how much of that
-//! work does a checkpoint save (snapshot load + short tail vs full
-//! replay of the same history)? Both run against the in-memory
-//! fault-injection backend so the bench measures the recovery code
-//! path, not disk latency.
+//! The question the numbers answer: how long does
+//! [`DurableEngine::open`] take to rebuild an engine from a log of `n`
+//! journaled operations — the log read, frame checks, op decoding and
+//! re-applying every op to a fresh engine? It runs against the
+//! in-memory fault-injection backend so the bench measures the
+//! recovery code path, not disk latency.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gdm_storage::{KvStore, MemKv};
-use gdm_wal::{DurableKv, FaultFs, SyncPolicy, WalFs, WalOptions};
+use gdm_core::PropertyMap;
+use gdm_engines::{DurableEngine, EngineKind, GraphEngine};
+use gdm_wal::{FaultFs, SyncPolicy, WalFs, WalOptions};
 use std::hint::black_box;
+use std::path::Path;
 
 fn opts() -> WalOptions {
     WalOptions {
@@ -20,28 +22,30 @@ fn opts() -> WalOptions {
     }
 }
 
-/// Runs `n` autocommitted puts (plus a committed multi-op transaction
-/// every 64 writes, so replay exercises the txn-buffering path) and
-/// returns the resulting log directory image as (name, bytes) pairs.
-fn build_log_image(n: usize, checkpoint_at: Option<usize>) -> Vec<(String, Vec<u8>)> {
+/// Journals `n` operations — autocommitted node creations, plus a
+/// committed node-and-edge transaction every 64 ops so replay exercises
+/// the transaction-buffering path — and returns the resulting log
+/// directory image as (name, bytes) pairs.
+fn build_log_image(n: usize, scratch: &Path) -> Vec<(String, Vec<u8>)> {
     let fs = FaultFs::new();
-    let mut kv = DurableKv::create(fs.clone(), opts(), MemKv::new()).unwrap();
-    for i in 0..n {
-        let key = format!("key{i:08}");
-        if i % 64 == 0 {
-            kv.begin().unwrap();
-            kv.put(key.as_bytes(), b"txn-payload").unwrap();
-            kv.put(format!("{key}/extra").as_bytes(), b"x").unwrap();
-            kv.commit().unwrap();
+    let (mut eng, _) = DurableEngine::open(EngineKind::Neo4j, scratch, fs.clone(), opts()).unwrap();
+    let root = eng.create_node(Some("item"), PropertyMap::new()).unwrap();
+    let mut ops = 1;
+    while ops < n {
+        if ops % 64 == 0 {
+            eng.begin_transaction().unwrap();
+            let node = eng.create_node(Some("item"), PropertyMap::new()).unwrap();
+            eng.create_edge(root, node, Some("has"), PropertyMap::new())
+                .unwrap();
+            eng.commit_transaction().unwrap();
+            ops += 2;
         } else {
-            kv.put(key.as_bytes(), b"autocommit-payload").unwrap();
-        }
-        if checkpoint_at == Some(i) {
-            kv.checkpoint().unwrap();
+            eng.create_node(Some("item"), PropertyMap::new()).unwrap();
+            ops += 1;
         }
     }
-    kv.flush().unwrap();
-    drop(kv);
+    eng.close().unwrap();
+    drop(eng);
     let mut files: Vec<(String, Vec<u8>)> = fs
         .list()
         .unwrap()
@@ -64,43 +68,23 @@ fn restore(files: &[(String, Vec<u8>)]) -> FaultFs {
 }
 
 fn bench_recovery(c: &mut Criterion) {
+    let scratch = std::env::temp_dir().join(format!("gdm-bench-recovery-{}", std::process::id()));
     let mut group = c.benchmark_group("wal_recovery_replay");
     for &n in &[1_000usize, 5_000] {
-        let image = build_log_image(n, None);
-        group.bench_function(BenchmarkId::new("full_replay", n), |b| {
+        let image = build_log_image(n, &scratch);
+        group.bench_function(BenchmarkId::new("durable_open", n), |b| {
             b.iter(|| {
                 let fs = restore(&image);
-                let (kv, report) = DurableKv::recover(fs, opts(), MemKv::new()).unwrap();
+                let (eng, report) =
+                    DurableEngine::open(EngineKind::Neo4j, &scratch, fs, opts()).unwrap();
+                assert_eq!(report.records_applied, n);
                 assert_eq!(report.discarded_txns, 0);
-                black_box((kv.end_lsn(), report.records_applied))
+                black_box((eng.node_count(), eng.edge_count()))
             })
         });
     }
     group.finish();
-
-    // Same 5k-record history, with and without a checkpoint taken at
-    // 90% of the way through: recovery should only replay the tail.
-    let n = 5_000usize;
-    let full = build_log_image(n, None);
-    let ckpt = build_log_image(n, Some(n * 9 / 10));
-    let mut group = c.benchmark_group("wal_recovery_checkpoint");
-    group.bench_function("no_checkpoint", |b| {
-        b.iter(|| {
-            let fs = restore(&full);
-            let (kv, report) = DurableKv::recover(fs, opts(), MemKv::new()).unwrap();
-            assert!(!report.used_checkpoint);
-            black_box((kv.end_lsn(), report.records_applied))
-        })
-    });
-    group.bench_function("checkpoint_at_90pct", |b| {
-        b.iter(|| {
-            let fs = restore(&ckpt);
-            let (kv, report) = DurableKv::recover(fs, opts(), MemKv::new()).unwrap();
-            assert!(report.used_checkpoint);
-            black_box((kv.end_lsn(), report.records_applied))
-        })
-    });
-    group.finish();
+    let _ = std::fs::remove_dir_all(&scratch);
 }
 
 criterion_group!(benches, bench_recovery);

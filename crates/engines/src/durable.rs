@@ -3,16 +3,19 @@
 //!
 //! [`DurableEngine`] wraps any [`GraphEngine`] and records every
 //! successful data mutation as a *logical operation* in a write-ahead
-//! journal. The journal is a [`DurableKv`] whose table maps a
-//! monotonically increasing operation sequence number to the encoded
-//! operation, so the whole WAL machinery — group commit, segment
-//! rotation, checkpoints, torn-tail recovery — is reused unchanged.
-//! On reopen, the wrapper rebuilds the engine from scratch by replaying
-//! the committed operations in order; engines allocate ids
-//! monotonically and never reuse them, which makes replay reproduce the
-//! exact same `NodeId`/`EdgeId` assignment.
+//! log. The journal is the log: each operation is one `Put` record
+//! whose key is the operation's sequence number (8 bytes, big-endian)
+//! and whose value is [`LogicalOp::encode`], appended straight to a
+//! [`Wal`], so group commit, segment rotation and torn-tail recovery
+//! come from `gdm-wal` unchanged and no copy of the journal is kept in
+//! memory. On reopen, [`Wal::open`] streams the committed operations in
+//! log order and the wrapper re-applies each to a fresh engine. Engines
+//! allocate ids deterministically, and a rollback rewinds the
+//! allocators with the rest of the model, so replaying only the
+//! committed operations reproduces the exact same `NodeId`/`EdgeId`
+//! assignment.
 //!
-//! Facade transactions map one-to-one onto journal transactions:
+//! Facade transactions map one-to-one onto log transactions:
 //! operations inside `begin_transaction`…`commit_transaction` become
 //! durable atomically, and a crash before the commit record is synced
 //! discards them all.
@@ -33,8 +36,8 @@ use gdm_algo::pattern::Pattern;
 use gdm_core::{EdgeId, GdmError, NodeId, PropertyMap, Result, Value};
 use gdm_query::eval::ResultSet;
 use gdm_schema::Constraint;
-use gdm_storage::{codec, KvStore, MemKv};
-use gdm_wal::{DurableKv, RecoveryReport, WalFs, WalOptions};
+use gdm_storage::codec;
+use gdm_wal::{Record, RecoveryReport, Wal, WalFs, WalOptions};
 use std::path::{Path, PathBuf};
 
 /// One journaled mutation, in facade terms.
@@ -371,46 +374,23 @@ impl LogicalOp {
     }
 }
 
-/// When the durable wrapper writes snapshot checkpoints on its own.
-/// A checkpoint bounds WAL-record replay on reopen
-/// ([`RecoveryReport::records_applied`]) to the records written after
-/// it. It does not bound reopen cost as a whole: the journal table
-/// keeps every logical op ever journaled, every checkpoint image holds
-/// all of them, and [`DurableEngine::open`] re-applies each one to the
-/// fresh engine, so reopen still grows with history.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CheckpointPolicy {
-    /// Checkpoint only when [`DurableEngine::checkpoint`] is called.
-    Manual,
-    /// Checkpoint after every `n` journaled operations, and on clean
-    /// shutdown ([`DurableEngine::close`]). Never fires inside an open
-    /// transaction — the trigger is deferred to the next op after
-    /// commit.
-    EveryOps(u64),
-}
-
-impl Default for CheckpointPolicy {
-    fn default() -> Self {
-        CheckpointPolicy::EveryOps(1024)
-    }
-}
-
 /// A [`GraphEngine`] whose committed mutations survive crashes.
 pub struct DurableEngine<F: WalFs> {
     inner: Box<dyn GraphEngine>,
     kind: EngineKind,
-    journal: DurableKv<MemKv, F>,
+    wal: Wal<F>,
+    /// The open facade transaction's log transaction id.
+    txn: Option<u64>,
+    /// Sequence number of the next journaled operation.
     next_op: u64,
-    policy: CheckpointPolicy,
-    ops_since_ckpt: u64,
     closed: bool,
 }
 
 impl<F: WalFs> DurableEngine<F> {
     /// Opens `kind` in durable mode. `scratch` is the engine's private
-    /// state directory: it is **wiped on every open**, because the
-    /// journal in `fs` is the single durable source of truth and the
-    /// engine is rebuilt from it by replay.
+    /// state directory: it is **wiped on every open**, because the log
+    /// in `fs` is the single durable source of truth and the engine is
+    /// rebuilt from it by replay.
     pub fn open(
         kind: EngineKind,
         scratch: &Path,
@@ -421,23 +401,20 @@ impl<F: WalFs> DurableEngine<F> {
             std::fs::remove_dir_all(scratch)?;
         }
         std::fs::create_dir_all(scratch)?;
-        let (mut journal, report) = DurableKv::open(fs, opts, MemKv::new())?;
         let mut inner = make_engine(kind, scratch)?;
         let mut next_op = 0u64;
-        for (key, bytes) in journal.scan_range(b"", None)? {
-            let op = LogicalOp::decode(&bytes)?;
-            op.apply(inner.as_mut())?;
-            let mut pos = 0usize;
-            next_op = codec::get_u64(&key, &mut pos)? + 1;
-        }
+        let (wal, report) = Wal::open(fs, opts, |key, bytes| {
+            LogicalOp::decode(bytes)?.apply(inner.as_mut())?;
+            next_op = next_op.max(codec::get_u64(key, &mut 0)? + 1);
+            Ok(())
+        })?;
         Ok((
             DurableEngine {
                 inner,
                 kind,
-                journal,
+                wal,
+                txn: None,
                 next_op,
-                policy: CheckpointPolicy::default(),
-                ops_since_ckpt: 0,
                 closed: false,
             },
             report,
@@ -449,23 +426,7 @@ impl<F: WalFs> DurableEngine<F> {
         self.kind
     }
 
-    /// Replaces the automatic checkpoint policy (builder style).
-    #[must_use]
-    pub fn with_checkpoint_policy(mut self, policy: CheckpointPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Snapshot-checkpoints the journal and prunes old segments.
-    pub fn checkpoint(&mut self) -> Result<()> {
-        self.journal.checkpoint()?;
-        self.ops_since_ckpt = 0;
-        Ok(())
-    }
-
-    /// Clean shutdown: flushes the journal and, under an automatic
-    /// policy, writes a final checkpoint so the next open seeds from
-    /// the snapshot instead of replaying history.
+    /// Clean shutdown: writes and syncs everything buffered in the log.
     ///
     /// Idempotent: a second call (with no intervening mutation) is a
     /// no-op, so shutdown paths can call it defensively. If it fails —
@@ -477,38 +438,38 @@ impl<F: WalFs> DurableEngine<F> {
         if self.closed {
             return Ok(());
         }
-        self.journal.flush()?;
-        if matches!(self.policy, CheckpointPolicy::EveryOps(_))
-            && self.ops_since_ckpt > 0
-            && !self.journal.in_transaction()
-        {
-            self.checkpoint()?;
-        }
+        self.wal.flush()?;
         self.closed = true;
         Ok(())
     }
 
-    /// Checkpoints if the policy's op budget is spent and no
-    /// transaction is open (a mid-transaction snapshot would capture
-    /// uncommitted state — the journal refuses it).
-    fn maybe_checkpoint(&mut self) -> Result<()> {
-        if let CheckpointPolicy::EveryOps(n) = self.policy {
-            if self.ops_since_ckpt >= n.max(1) && !self.journal.in_transaction() {
-                self.checkpoint()?;
-            }
+    /// Appends a logical op to the log: inside the open transaction, or
+    /// as its own committed unit.
+    fn journal_op(&mut self, op: &LogicalOp) -> Result<()> {
+        let seq = self.next_op;
+        self.next_op += 1;
+        self.closed = false; // new work after a close() re-arms Drop's flush
+        self.wal.append(&Record::Put {
+            txn: self.txn.unwrap_or(0),
+            key: seq.to_be_bytes().to_vec(),
+            value: op.encode(),
+        });
+        if self.txn.is_none() {
+            self.wal.commit()?;
         }
         Ok(())
     }
 
-    /// Appends a committed-or-in-transaction logical op to the journal.
-    fn journal_op(&mut self, op: &LogicalOp) -> Result<()> {
-        let mut key = Vec::with_capacity(8);
-        codec::put_u64(&mut key, self.next_op);
-        self.next_op += 1;
-        self.closed = false; // new work after a close() re-arms Drop's flush
-        self.journal.put(&key, &op.encode())?;
-        self.ops_since_ckpt += 1;
-        self.maybe_checkpoint()
+    /// Ends the open log transaction with `end` (a commit or rollback
+    /// record); the record is written through before this returns.
+    fn end_transaction(&mut self, end: fn(u64) -> Record) -> Result<()> {
+        let txn = self
+            .txn
+            .ok_or_else(|| GdmError::InvalidArgument("no open transaction".into()))?;
+        self.wal.append(&end(txn));
+        self.wal.commit()?;
+        self.txn = None;
+        Ok(())
     }
 
     /// The structured refusal for typed schema DDL: the journal can
@@ -532,17 +493,16 @@ impl<F: WalFs> DurableEngine<F> {
 
 impl<F: WalFs> Drop for DurableEngine<F> {
     /// Best-effort flush when the engine is dropped without a clean
-    /// [`DurableEngine::close`]: buffered journal bytes are pushed to
-    /// the backend so a plain process exit loses nothing that was
+    /// [`DurableEngine::close`]: buffered log bytes are pushed to the
+    /// backend so a plain process exit loses nothing that was
     /// autocommitted. Errors are swallowed (drop may run during
-    /// unwind), no checkpoint is attempted, and records of a
-    /// still-open transaction are harmless to write — recovery
-    /// discards anything without a commit mark. Genuine kill/power-
-    /// loss scenarios never run this; for those, crash recovery is the
-    /// safety net.
+    /// unwind), and records of a still-open transaction are harmless
+    /// to write — recovery discards anything without a commit mark.
+    /// Genuine kill/power-loss scenarios never run this; for those,
+    /// crash recovery is the safety net.
     fn drop(&mut self) {
         if !self.closed {
-            let _ = self.journal.flush();
+            let _ = self.wal.flush();
         }
     }
 }
@@ -756,28 +716,29 @@ impl<F: WalFs> GraphEngine for DurableEngine<F> {
 
     fn begin_transaction(&mut self) -> Result<()> {
         // Graph stores refuse here, and the refusal propagates before
-        // the journal opens a transaction.
+        // the log opens a transaction.
         self.inner.begin_transaction()?;
-        self.journal.begin()
+        let txn = self.wal.allocate_txn();
+        self.wal.append(&Record::Begin { txn });
+        self.txn = Some(txn);
+        Ok(())
     }
 
     fn commit_transaction(&mut self) -> Result<()> {
         self.inner.commit_transaction()?;
-        // The true durability point: the journal's commit record syncs.
-        self.journal.commit()?;
-        // Ops deferred by the open transaction may trip the policy now.
-        self.maybe_checkpoint()
+        // The true durability point: the commit record syncs.
+        self.end_transaction(|txn| Record::Commit { txn })
     }
 
     fn rollback_transaction(&mut self) -> Result<()> {
         self.inner.rollback_transaction()?;
-        self.journal.rollback()
+        self.end_transaction(|txn| Record::Rollback { txn })
     }
 
     fn persist(&mut self) -> Result<()> {
-        // The journal IS the persistence layer in durable mode; the
+        // The log IS the persistence layer in durable mode; the
         // engine's own snapshot files are ignored on reopen.
-        self.journal.flush()
+        self.wal.flush()
     }
 
     fn create_index(&mut self, property: &str) -> Result<()> {
@@ -793,8 +754,8 @@ impl<F: WalFs> GraphEngine for DurableEngine<F> {
 }
 
 /// Opens `kind` in durable mode with an on-disk log. Layout under
-/// `dir`: `wal/` holds segments and checkpoints, `state/` is the
-/// engine's scratch area (rebuilt from the log on every open).
+/// `dir`: `wal/` holds the log segments, `state/` is the engine's
+/// scratch area (rebuilt from the log on every open).
 pub fn make_engine_durable(kind: EngineKind, dir: &Path) -> Result<Box<dyn GraphEngine>> {
     let wal_dir: PathBuf = dir.join("wal");
     let fs = gdm_wal::DiskFs::open(&wal_dir)?;
@@ -991,66 +952,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_policy_bounds_replay_to_the_tail() {
-        let fs = FaultFs::new();
-        let dir = scratch("policy");
-        let (eng, _) = DurableEngine::open(EngineKind::Neo4j, &dir, fs.clone(), opts()).unwrap();
-        let mut eng = eng.with_checkpoint_policy(CheckpointPolicy::EveryOps(8));
-        // 19 autocommit ops: checkpoints fire at ops 8 and 16, leaving
-        // a 3-op tail in the journal.
-        for _ in 0..19 {
-            eng.create_node(Some("n"), PropertyMap::new()).unwrap();
-        }
-        drop(eng); // kill without shutdown
-        fs.crash();
-        let (eng2, report) = DurableEngine::open(EngineKind::Neo4j, &dir, fs, opts()).unwrap();
-        assert!(report.used_checkpoint);
-        assert_eq!(report.records_applied, 3);
-        assert_eq!(eng2.node_count(), 19);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn checkpoint_never_fires_inside_a_transaction() {
-        let fs = FaultFs::new();
-        let dir = scratch("policy-txn");
-        let (eng, _) = DurableEngine::open(EngineKind::Neo4j, &dir, fs.clone(), opts()).unwrap();
-        let mut eng = eng.with_checkpoint_policy(CheckpointPolicy::EveryOps(2));
-        eng.begin_transaction().unwrap();
-        for _ in 0..6 {
-            eng.create_node(None, PropertyMap::new()).unwrap();
-        }
-        // The budget is long spent, but the snapshot is deferred until
-        // commit so it can never capture uncommitted state.
-        eng.commit_transaction().unwrap();
-        drop(eng);
-        fs.crash();
-        let (eng2, report) = DurableEngine::open(EngineKind::Neo4j, &dir, fs, opts()).unwrap();
-        assert!(report.used_checkpoint);
-        assert_eq!(report.records_applied, 0);
-        assert_eq!(eng2.node_count(), 6);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn clean_shutdown_checkpoints_so_reopen_replays_nothing() {
-        let fs = FaultFs::new();
-        let dir = scratch("shutdown");
-        let (eng, _) = DurableEngine::open(EngineKind::Dex, &dir, fs.clone(), opts()).unwrap();
-        let mut eng = eng.with_checkpoint_policy(CheckpointPolicy::EveryOps(1000));
-        for _ in 0..5 {
-            eng.create_node(Some("t"), PropertyMap::new()).unwrap();
-        }
-        eng.close().unwrap();
-        fs.crash();
-        let (eng2, report) = DurableEngine::open(EngineKind::Dex, &dir, fs, opts()).unwrap();
-        assert!(report.used_checkpoint);
-        assert_eq!(report.records_applied, 0);
-        assert_eq!(eng2.node_count(), 5);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn close_is_idempotent() {
         let fs = FaultFs::new();
         let dir = scratch("close-idem");
@@ -1087,23 +988,6 @@ mod tests {
     }
 
     #[test]
-    fn manual_policy_leaves_the_journal_alone() {
-        let fs = FaultFs::new();
-        let dir = scratch("manual");
-        let (eng, _) = DurableEngine::open(EngineKind::Neo4j, &dir, fs.clone(), opts()).unwrap();
-        let mut eng = eng.with_checkpoint_policy(CheckpointPolicy::Manual);
-        for _ in 0..12 {
-            eng.create_node(None, PropertyMap::new()).unwrap();
-        }
-        drop(eng);
-        fs.crash();
-        let (_, report) = DurableEngine::open(EngineKind::Neo4j, &dir, fs, opts()).unwrap();
-        assert!(!report.used_checkpoint);
-        assert_eq!(report.records_applied, 12);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn make_engine_durable_uses_disk_layout() {
         let dir = scratch("disk");
         {
@@ -1114,6 +998,117 @@ mod tests {
         let eng = make_engine_durable(EngineKind::Dex, &dir).unwrap();
         assert_eq!(eng.node_count(), 2);
         assert!(dir.join("wal").join("wal-0000000000.seg").exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn replay_reproduces_ids_assigned_after_a_rollback() {
+        use crate::engine::Capability;
+        use gdm_core::AttributedView;
+        let mut tested = Vec::new();
+        for kind in EngineKind::all() {
+            let profile = kind.profile();
+            if profile.refusal(Capability::NodeLabels).is_some()
+                || profile.refusal(Capability::Transactions).is_some()
+            {
+                continue;
+            }
+            let fs = FaultFs::new();
+            let dir = scratch(&format!("rollback-ids-{}", kind.label()));
+            let (mut eng, _) = DurableEngine::open(kind, &dir, fs.clone(), opts()).unwrap();
+            let a = eng.create_node(Some("t"), PropertyMap::new()).unwrap();
+            eng.begin_transaction().unwrap();
+            let b = eng.create_node(Some("t"), PropertyMap::new()).unwrap();
+            eng.create_edge(a, b, Some("r"), PropertyMap::new())
+                .unwrap();
+            eng.rollback_transaction().unwrap();
+            // Ids handed out after the rollback are the ones replay
+            // must reproduce: only committed ops are in the log.
+            let c = eng.create_node(Some("t"), PropertyMap::new()).unwrap();
+            let e = eng
+                .create_edge(a, c, Some("r"), PropertyMap::new())
+                .unwrap();
+            eng.set_node_attribute(a, "tag", Value::Str("a".into()))
+                .unwrap();
+            eng.set_node_attribute(c, "tag", Value::Str("c".into()))
+                .unwrap();
+            eng.set_edge_attribute(e, "tag", Value::Str("e".into()))
+                .unwrap();
+            drop(eng);
+            fs.crash();
+            let (eng, _) = DurableEngine::open(kind, &dir, fs, opts()).unwrap();
+            let label = kind.label();
+            assert_eq!((eng.node_count(), eng.edge_count()), (2, 1), "{label}");
+            assert_eq!(
+                eng.node_attribute(a, "tag").unwrap(),
+                Some(Value::Str("a".into())),
+                "{label}"
+            );
+            assert_eq!(
+                eng.node_attribute(c, "tag").unwrap(),
+                Some(Value::Str("c".into())),
+                "{label}"
+            );
+            assert_eq!(
+                eng.snapshot().unwrap().edge_property(e, "tag"),
+                Some(Value::Str("e".into())),
+                "{label}"
+            );
+            assert!(eng.adjacent(a, c).unwrap(), "{label}");
+            drop(eng);
+            let _ = std::fs::remove_dir_all(&dir);
+            tested.push(kind);
+        }
+        assert_eq!(
+            tested,
+            [
+                EngineKind::Dex,
+                EngineKind::HyperGraphDb,
+                EngineKind::InfiniteGraph,
+                EngineKind::Neo4j,
+                EngineKind::Sones
+            ]
+        );
+    }
+
+    #[test]
+    fn refuses_a_log_directory_holding_a_checkpoint() {
+        // A segment of one journaled op, as an older build would have
+        // left it after pruning what its checkpoint covered.
+        let old = FaultFs::new();
+        let mut wal = Wal::create(old.clone(), opts()).unwrap();
+        wal.append(&Record::Put {
+            txn: 0,
+            key: 7u64.to_be_bytes().to_vec(),
+            value: LogicalOp::CreateNode {
+                label: Some("t".into()),
+                props: PropertyMap::new(),
+            }
+            .encode(),
+        });
+        wal.commit().unwrap();
+        let fs = FaultFs::new();
+        fs.install("checkpoint-0000000001.ckpt", b"GDMCKPT1");
+        fs.install(
+            "wal-0000000004.seg",
+            &old.snapshot("wal-0000000000.seg").unwrap(),
+        );
+        let dir = scratch("old-layout");
+        let err = DurableEngine::open(EngineKind::Neo4j, &dir, fs.clone(), opts())
+            .err()
+            .expect("a checkpointed log must be refused");
+        assert!(
+            matches!(&err, GdmError::Storage(m) if m.contains("checkpoint-0000000001.ckpt")),
+            "{err}"
+        );
+        // Nothing was replayed, repaired or created.
+        assert_eq!(
+            fs.list().unwrap(),
+            vec![
+                "checkpoint-0000000001.ckpt".to_owned(),
+                "wal-0000000004.seg".to_owned()
+            ]
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

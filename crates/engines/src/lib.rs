@@ -44,7 +44,7 @@ pub mod neo4j;
 pub mod sones;
 pub mod vertexdb;
 
-pub use durable::{make_engine_durable, CheckpointPolicy, DurableEngine, LogicalOp};
+pub use durable::{make_engine_durable, DurableEngine, LogicalOp};
 pub use engine::{Capability, Engine, Model, Profile};
 pub use facade::{
     all_engines, make_engine, AnalysisFunc, EngineDescriptor, EngineKind, GovernedAnswer,

@@ -1,53 +1,34 @@
-//! [`DurableKv`]: write-ahead logging and crash recovery over any
-//! [`KvStore`].
+//! Reopening a log: [`Wal::open`] and crash recovery.
 //!
-//! Discipline is classic log-first: every mutation is appended to the
-//! WAL *before* it touches the inner store, and a transaction's effects
-//! become final exactly when its commit record is durable. Rollback
-//! reuses [`UndoKv`]'s undo log for the in-memory side; the WAL side
-//! just writes a rollback record so replay discards the transaction.
-//!
-//! # Checkpoints
-//!
-//! [`DurableKv::checkpoint`] serializes the full store into a snapshot
-//! file (`checkpoint-<seq>.ckpt`, written atomically), rotates to a
-//! fresh segment, and prunes: the newest *two* checkpoints are kept, as
-//! are all segments the older of the two still needs. Keeping two means
-//! a corrupted newest checkpoint (a real failure mode — it is the
-//! largest single write in the system) degrades to the previous
-//! checkpoint plus a longer replay instead of data loss.
-//!
-//! Snapshot format: `magic "GDMCKPT1" · start-segment u64 · pair count
-//! varint · (key bytes · value bytes)* · crc32 u32` — the CRC covers
-//! everything before it.
+//! The log is the only durable state. A committed unit is an
+//! autocommitted `Put` (transaction id 0) or the `Put`s of a
+//! transaction whose `Commit` record made it to disk; recovery streams
+//! every committed `Put` to the caller, in log order, and nothing else.
 //!
 //! # Recovery
 //!
-//! [`DurableKv::recover`] loads the newest usable checkpoint, replays
-//! every later record, and stops at the first torn or corrupt frame —
-//! everything after it is discarded (the tail is physically truncated
-//! so the log is append-consistent again). Transactions without a
-//! durable commit record are discarded. The resulting state is always
-//! a *prefix* of the committed history: every transaction acknowledged
-//! under [`crate::log::SyncPolicy::Always`] survives, and under `Batch(n)` at most
-//! the trailing unsynced window is lost, never an interior transaction.
+//! Segments are replayed from the first one on, buffering each
+//! transaction until its `Commit` (a `Rollback`, or a crash before the
+//! commit record is durable, discards it). Replay stops at the first
+//! torn or corrupt frame or at a gap in the segment chain: everything
+//! after it is discarded, and the segment it stopped in is physically
+//! truncated so the log is append-consistent again. The result is
+//! always a *prefix* of the committed history: every transaction
+//! acknowledged under [`crate::log::SyncPolicy::Always`] survives, and
+//! under `Batch` at most the trailing unsynced window is lost, never an
+//! interior transaction.
 
 use crate::fs::WalFs;
-use crate::log::{
-    checkpoint_name, parse_checkpoint_name, parse_segment_name, segment_name, Lsn, Wal, WalOptions,
-};
-use crate::record::{crc32, read_frame, Frame, Record};
+use crate::log::{parse_checkpoint_name, parse_segment_name, segment_name, Wal, WalOptions};
+use crate::record::{read_frame, Frame, Record};
 use gdm_core::{GdmError, Result};
-use gdm_storage::{codec, KvStore, UndoKv};
 use std::collections::BTreeMap;
 
-const CKPT_MAGIC: &[u8; 8] = b"GDMCKPT1";
-
-/// What recovery found and did. Returned alongside the reopened store
-/// so tests (and operators) can assert on the exact outcome.
+/// What recovery found and did. Returned alongside the reopened log so
+/// tests (and operators) can assert on the exact outcome.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Records replayed into the store (checkpoint pairs not counted).
+    /// Committed `Put` records handed to the caller.
     pub records_applied: usize,
     /// Committed transactions replayed.
     pub committed_txns: usize,
@@ -55,234 +36,57 @@ pub struct RecoveryReport {
     pub discarded_txns: usize,
     /// Log bytes discarded as torn or corrupt suffix.
     pub discarded_bytes: u64,
-    /// True when a checksum failure (not a clean tear) stopped replay.
+    /// True when a checksum failure, a segment gap, or a tear before
+    /// the last segment (not a clean tear at the end) stopped replay.
     pub corruption_detected: bool,
-    /// True when state was seeded from a checkpoint snapshot.
-    pub used_checkpoint: bool,
-    /// Checkpoints that failed validation and were skipped.
-    pub checkpoints_skipped: usize,
 }
 
-/// A [`KvStore`] with write-ahead durability and crash recovery.
-pub struct DurableKv<S: KvStore, F: WalFs> {
-    inner: UndoKv<S>,
-    wal: Wal<F>,
-    open_txn: Option<u64>,
-    next_ckpt: u64,
-    /// Oldest segment still needed by a retained checkpoint (pruning
-    /// floor).
-    retain_from: u64,
-}
-
-impl<S: KvStore, F: WalFs> DurableKv<S, F> {
-    /// Wraps `inner` with a fresh log in `fs`. `inner`'s existing
-    /// contents (if any) are NOT journaled; start from an empty store
-    /// unless you immediately checkpoint.
-    pub fn create(fs: F, opts: WalOptions, inner: S) -> Result<Self> {
-        let wal = Wal::create(fs, opts)?;
-        Ok(DurableKv {
-            inner: UndoKv::new(inner),
-            wal,
-            open_txn: None,
-            next_ckpt: 0,
-            retain_from: 0,
-        })
-    }
-
-    /// Opens the log in `fs`: recovers if log files exist, otherwise
-    /// starts fresh. `empty_inner` must be an empty store; recovery
-    /// fills it.
-    pub fn open(fs: F, opts: WalOptions, empty_inner: S) -> Result<(Self, RecoveryReport)> {
-        let has_log = fs
-            .list()?
-            .iter()
-            .any(|n| parse_segment_name(n).is_some() || parse_checkpoint_name(n).is_some());
-        if has_log {
-            Self::recover(fs, opts, empty_inner)
-        } else {
-            Ok((
-                Self::create(fs, opts, empty_inner)?,
-                RecoveryReport::default(),
-            ))
-        }
-    }
-
-    /// True while a transaction is open.
-    pub fn in_transaction(&self) -> bool {
-        self.open_txn.is_some()
-    }
-
-    /// Starts a transaction. Nested transactions are rejected.
-    pub fn begin(&mut self) -> Result<()> {
-        if self.open_txn.is_some() {
-            return Err(GdmError::InvalidArgument(
-                "transaction already in progress".into(),
-            ));
-        }
-        let txn = self.wal.allocate_txn();
-        self.wal.append(&Record::Begin { txn });
-        self.inner.begin()?;
-        self.open_txn = Some(txn);
-        Ok(())
-    }
-
-    /// Commits: the transaction is durable once this returns (under
-    /// [`crate::log::SyncPolicy::Always`]; under group commit, once the batch
-    /// syncs).
-    pub fn commit(&mut self) -> Result<()> {
-        let Some(txn) = self.open_txn else {
-            return Err(GdmError::InvalidArgument("no open transaction".into()));
-        };
-        self.wal.append(&Record::Commit { txn });
-        self.wal.commit()?;
-        self.inner.commit()?;
-        self.open_txn = None;
-        Ok(())
-    }
-
-    /// Rolls back: in-memory effects are undone and replay will discard
-    /// the transaction.
-    pub fn rollback(&mut self) -> Result<()> {
-        let Some(txn) = self.open_txn else {
-            return Err(GdmError::InvalidArgument("no open transaction".into()));
-        };
-        self.wal.append(&Record::Rollback { txn });
-        self.wal.commit()?;
-        self.inner.rollback()?;
-        self.open_txn = None;
-        Ok(())
-    }
-
-    /// The LSN one past the last appended record.
-    pub fn end_lsn(&self) -> Lsn {
-        self.wal.end_lsn()
-    }
-
-    /// Unwraps the inner store. Panics in debug builds if a transaction
-    /// is open — callers must commit or roll back first, because the
-    /// unwrapped store silently keeps the uncommitted effects.
-    pub fn into_inner(self) -> S {
-        debug_assert!(
-            self.open_txn.is_none(),
-            "DurableKv::into_inner with an open transaction"
-        );
-        self.inner.into_inner()
-    }
-
-    /// Writes a snapshot checkpoint and prunes old log files. Refused
-    /// while a transaction is open (the snapshot would capture
-    /// uncommitted state).
-    pub fn checkpoint(&mut self) -> Result<()> {
-        if self.open_txn.is_some() {
-            return Err(GdmError::InvalidArgument(
-                "checkpoint with a transaction in progress".into(),
-            ));
-        }
-        self.wal.flush()?;
-        let start_segment = self.wal.rotate()?;
-
-        let pairs = self.inner.scan_range(b"", None)?;
-        let mut snap = Vec::with_capacity(64 + pairs.len() * 16);
-        snap.extend_from_slice(CKPT_MAGIC);
-        codec::put_u64(&mut snap, start_segment);
-        codec::put_varint(&mut snap, pairs.len() as u64);
-        for (k, v) in &pairs {
-            codec::put_bytes(&mut snap, k);
-            codec::put_bytes(&mut snap, v);
-        }
-        let crc = crc32(&snap);
-        codec::put_u32(&mut snap, crc);
-
-        let seq = self.next_ckpt;
-        self.wal.fs().write_atomic(&checkpoint_name(seq), &snap)?;
-        self.next_ckpt += 1;
-
-        // Prune: keep this checkpoint and the previous one; drop
-        // everything older, and every segment below what the previous
-        // checkpoint still needs.
-        let (mut ckpts, segs) = list_log_files(self.wal.fs())?;
-        ckpts.sort_unstable();
-        let keep: Vec<u64> = ckpts.iter().rev().take(2).copied().collect();
-        for &old in ckpts.iter().filter(|c| !keep.contains(c)) {
-            self.wal.fs().remove(&checkpoint_name(old))?;
-        }
-        // The previous retained checkpoint's start segment is this
-        // checkpoint's pruning floor from the *last* call.
-        let floor = if keep.len() == 2 {
-            self.retain_from
-        } else {
-            start_segment
-        };
-        for seg in segs {
-            if seg < floor {
-                self.wal.fs().remove(&segment_name(seg))?;
+impl<F: WalFs> Wal<F> {
+    /// Opens the log in `fs`: a fresh log when the directory holds no
+    /// segment, otherwise recovery. Every committed `Put` is passed to
+    /// `apply` as `(key, value)` in log order; an error from `apply`
+    /// aborts the open.
+    ///
+    /// Refuses a directory holding a `checkpoint-*.ckpt` file: builds
+    /// that wrote those pruned the segments a checkpoint covered, so
+    /// replaying the surviving segments alone would silently drop that
+    /// history.
+    pub fn open(
+        fs: F,
+        opts: WalOptions,
+        mut apply: impl FnMut(&[u8], &[u8]) -> Result<()>,
+    ) -> Result<(Self, RecoveryReport)> {
+        let mut segs = Vec::new();
+        for name in fs.list()? {
+            if parse_checkpoint_name(&name).is_some() {
+                return Err(GdmError::Storage(format!(
+                    "log directory holds {name}, a snapshot checkpoint written by an older \
+                     build that pruned the segments it covered; replaying what is left would \
+                     lose that history, so the log is not opened"
+                )));
+            }
+            if let Some(seg) = parse_segment_name(&name) {
+                segs.push(seg);
             }
         }
-        self.retain_from = start_segment;
-        Ok(())
-    }
-
-    /// Rebuilds state from the log in `fs`: newest usable checkpoint
-    /// plus replay of every later durable, committed record.
-    pub fn recover(fs: F, opts: WalOptions, mut empty_inner: S) -> Result<(Self, RecoveryReport)> {
-        let mut report = RecoveryReport::default();
-        let (mut ckpts, mut segs) = list_log_files(&fs)?;
-        ckpts.sort_unstable();
         segs.sort_unstable();
+        let Some(&first) = segs.first() else {
+            return Ok((Wal::create(fs, opts)?, RecoveryReport::default()));
+        };
 
-        // Pick the newest checkpoint that parses, checksums, and whose
-        // replay range is still on disk.
-        let mut start_segment = segs.first().copied().unwrap_or(0);
-        let mut snapshot: Option<Vec<(Vec<u8>, Vec<u8>)>> = None;
-        for &seq in ckpts.iter().rev() {
-            match read_checkpoint(&fs, seq) {
-                Ok((from, pairs)) => {
-                    // Usable only if no needed segment is missing: every
-                    // existing segment ≥ `from` must chain contiguously
-                    // from `from` (or there are none, right after a
-                    // checkpoint).
-                    let later: Vec<u64> = segs.iter().copied().filter(|&s| s >= from).collect();
-                    let contiguous = later.iter().enumerate().all(|(i, &s)| s == from + i as u64);
-                    if contiguous {
-                        start_segment = from;
-                        snapshot = Some(pairs);
-                        break;
-                    }
-                    report.checkpoints_skipped += 1;
-                }
-                Err(_) => report.checkpoints_skipped += 1,
-            }
-        }
-        if let Some(pairs) = snapshot {
-            for (k, v) in pairs {
-                empty_inner.put(&k, &v)?;
-            }
-            report.used_checkpoint = true;
-        }
-
-        // Replay segments from the checkpoint onward, stopping at the
-        // first torn or corrupt frame.
-        let replay: Vec<u64> = segs
-            .iter()
-            .copied()
-            .filter(|&s| s >= start_segment)
-            .collect();
-        let mut open: BTreeMap<u64, Vec<Record>> = BTreeMap::new();
+        let mut report = RecoveryReport::default();
+        let mut open = Pending::new();
         let mut max_txn = 0u64;
-        let mut tail = None; // (segment, valid_len)
+        // (segment, valid length) the writer resumes at: the last
+        // segment replayed, cut after its last whole frame.
+        let mut tail = (first, 0u64);
         let mut stopped = false;
-        for (idx, &seg) in replay.iter().enumerate() {
-            if stopped {
-                // A bad frame invalidates everything after it; later
-                // segments are discarded wholesale.
-                report.discarded_bytes += fs.read(&segment_name(seg))?.len() as u64;
-                fs.remove(&segment_name(seg))?;
-                continue;
-            }
-            if seg != start_segment + idx as u64 {
-                // Gap in the chain (should have been caught above for
-                // checkpointed ranges; defends the no-checkpoint path).
-                report.corruption_detected = true;
+        for (idx, &seg) in segs.iter().enumerate() {
+            if stopped || seg != first + idx as u64 {
+                // A bad frame or a gap in the chain invalidates
+                // everything after it; later segments go wholesale. A
+                // gap found before any bad frame is itself corruption.
+                report.corruption_detected |= !stopped;
                 stopped = true;
                 report.discarded_bytes += fs.read(&segment_name(seg))?.len() as u64;
                 fs.remove(&segment_name(seg))?;
@@ -294,7 +98,7 @@ impl<S: KvStore, F: WalFs> DurableKv<S, F> {
                 match read_frame(&bytes, pos) {
                     Frame::Ok { record, consumed } => {
                         max_txn = max_txn.max(record.txn());
-                        apply_record(&mut empty_inner, &mut open, record, &mut report)?;
+                        replay(record, &mut open, &mut report, &mut apply)?;
                         pos += consumed;
                     }
                     Frame::Torn => {
@@ -303,7 +107,7 @@ impl<S: KvStore, F: WalFs> DurableKv<S, F> {
                             // end of the log; anywhere else the
                             // remainder is discarded too.
                             report.discarded_bytes += (bytes.len() - pos) as u64;
-                            if idx + 1 < replay.len() {
+                            if idx + 1 < segs.len() {
                                 report.corruption_detected = true;
                                 stopped = true;
                             }
@@ -318,77 +122,49 @@ impl<S: KvStore, F: WalFs> DurableKv<S, F> {
                     }
                 }
             }
-            if !stopped || idx + 1 >= replay.len() || tail.is_none() {
-                tail = Some((seg, pos as u64));
-            }
+            tail = (seg, pos as u64);
         }
         report.discarded_txns += open.len();
 
         // Reopen the tail segment truncated to its last valid frame so
         // future appends extend a consistent log.
-        let (tail_seg, tail_len) = match tail {
-            Some(t) => t,
-            None => (start_segment, 0),
-        };
-        let file = if replay.contains(&tail_seg) {
-            fs.open_truncated(&segment_name(tail_seg), tail_len)?
-        } else {
-            fs.create(&segment_name(tail_seg))?
-        };
-        let next_ckpt = ckpts.last().map_or(0, |c| c + 1);
-        let wal = Wal::resume(fs, opts, tail_seg, file, max_txn + 1);
-        Ok((
-            DurableKv {
-                inner: UndoKv::new(empty_inner),
-                wal,
-                open_txn: None,
-                next_ckpt,
-                retain_from: start_segment,
-            },
-            report,
-        ))
+        let (tail_seg, tail_len) = tail;
+        let file = fs.open_truncated(&segment_name(tail_seg), tail_len)?;
+        Ok((Wal::resume(fs, opts, tail_seg, file, max_txn + 1), report))
     }
 }
 
-/// Applies one replayed record, buffering transactional mutations until
-/// their commit record shows up.
-fn apply_record<S: KvStore>(
-    store: &mut S,
-    open: &mut BTreeMap<u64, Vec<Record>>,
+/// The `(key, value)` puts of each open transaction, awaiting its
+/// commit record.
+type Pending = BTreeMap<u64, Vec<(Vec<u8>, Vec<u8>)>>;
+
+/// Replays one record: autocommitted puts go straight to `apply`,
+/// transactional ones wait for their commit record.
+fn replay(
     record: Record,
+    open: &mut Pending,
     report: &mut RecoveryReport,
+    apply: &mut impl FnMut(&[u8], &[u8]) -> Result<()>,
 ) -> Result<()> {
     match record {
         Record::Begin { txn } => {
             open.insert(txn, Vec::new());
         }
         Record::Put { txn: 0, key, value } => {
-            store.put(&key, &value)?;
+            apply(&key, &value)?;
             report.records_applied += 1;
         }
-        Record::Delete { txn: 0, key } => {
-            store.delete(&key)?;
-            report.records_applied += 1;
-        }
-        Record::Put { txn, .. } | Record::Delete { txn, .. } => {
+        Record::Put { txn, key, value } => {
             // Records of a transaction whose Begin predates a corruption
             // stop (impossible in a well-formed log) are dropped.
             if let Some(buf) = open.get_mut(&txn) {
-                buf.push(record);
+                buf.push((key, value));
             }
         }
         Record::Commit { txn } => {
             if let Some(buf) = open.remove(&txn) {
-                for rec in buf {
-                    match rec {
-                        Record::Put { key, value, .. } => {
-                            store.put(&key, &value)?;
-                        }
-                        Record::Delete { key, .. } => {
-                            store.delete(&key)?;
-                        }
-                        _ => unreachable!("only mutations are buffered"),
-                    }
+                for (key, value) in buf {
+                    apply(&key, &value)?;
                     report.records_applied += 1;
                 }
                 report.committed_txns += 1;
@@ -401,99 +177,13 @@ fn apply_record<S: KvStore>(
     Ok(())
 }
 
-/// Key/value pairs captured by a checkpoint snapshot.
-type SnapshotPairs = Vec<(Vec<u8>, Vec<u8>)>;
-
-fn read_checkpoint<F: WalFs>(fs: &F, seq: u64) -> Result<(u64, SnapshotPairs)> {
-    let bytes = fs.read(&checkpoint_name(seq))?;
-    if bytes.len() < CKPT_MAGIC.len() + 12 || &bytes[..8] != CKPT_MAGIC {
-        return Err(GdmError::Storage("malformed checkpoint header".into()));
-    }
-    let body = &bytes[..bytes.len() - 4];
-    let mut pos = bytes.len() - 4;
-    let stored_crc = codec::get_u32(&bytes, &mut pos)?;
-    if crc32(body) != stored_crc {
-        return Err(GdmError::Storage("checkpoint checksum mismatch".into()));
-    }
-    let mut pos = 8usize;
-    let start_segment = codec::get_u64(body, &mut pos)?;
-    let count = codec::get_varint(body, &mut pos)? as usize;
-    let mut pairs = Vec::with_capacity(count);
-    for _ in 0..count {
-        let k = codec::get_bytes(body, &mut pos)?.to_vec();
-        let v = codec::get_bytes(body, &mut pos)?.to_vec();
-        pairs.push((k, v));
-    }
-    if pos != body.len() {
-        return Err(GdmError::Storage("trailing bytes in checkpoint".into()));
-    }
-    Ok((start_segment, pairs))
-}
-
-fn list_log_files<F: WalFs>(fs: &F) -> Result<(Vec<u64>, Vec<u64>)> {
-    let mut ckpts = Vec::new();
-    let mut segs = Vec::new();
-    for name in fs.list()? {
-        if let Some(seq) = parse_checkpoint_name(&name) {
-            ckpts.push(seq);
-        } else if let Some(seg) = parse_segment_name(&name) {
-            segs.push(seg);
-        }
-    }
-    Ok((ckpts, segs))
-}
-
-impl<S: KvStore, F: WalFs> KvStore for DurableKv<S, F> {
-    fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.inner.get(key)
-    }
-
-    fn put(&mut self, key: &[u8], value: &[u8]) -> Result<Option<Vec<u8>>> {
-        let txn = self.open_txn.unwrap_or(0);
-        self.wal.append(&Record::Put {
-            txn,
-            key: key.to_vec(),
-            value: value.to_vec(),
-        });
-        if self.open_txn.is_none() {
-            // Autocommit: the single record is its own committed unit.
-            self.wal.commit()?;
-        }
-        self.inner.put(key, value)
-    }
-
-    fn delete(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        let txn = self.open_txn.unwrap_or(0);
-        self.wal.append(&Record::Delete {
-            txn,
-            key: key.to_vec(),
-        });
-        if self.open_txn.is_none() {
-            self.wal.commit()?;
-        }
-        self.inner.delete(key)
-    }
-
-    fn scan_range(&mut self, start: &[u8], end: Option<&[u8]>) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        self.inner.scan_range(start, end)
-    }
-
-    fn len(&mut self) -> Result<usize> {
-        self.inner.len()
-    }
-
-    fn flush(&mut self) -> Result<()> {
-        self.wal.flush()?;
-        self.inner.flush()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fault::FaultFs;
     use crate::log::SyncPolicy;
-    use gdm_storage::MemKv;
+
+    type Store = BTreeMap<Vec<u8>, Vec<u8>>;
 
     fn opts() -> WalOptions {
         WalOptions {
@@ -503,22 +193,64 @@ mod tests {
         }
     }
 
-    fn contents<S: KvStore>(kv: &mut S) -> Vec<(Vec<u8>, Vec<u8>)> {
-        kv.scan_range(b"", None).unwrap()
+    /// Writes through a [`Wal`] the way a journaling caller does: a put
+    /// outside a transaction is its own committed unit.
+    struct Writer {
+        wal: Wal<FaultFs>,
+        txn: Option<u64>,
+    }
+
+    impl Writer {
+        fn put(&mut self, key: &[u8], value: &[u8]) {
+            self.wal.append(&Record::Put {
+                txn: self.txn.unwrap_or(0),
+                key: key.to_vec(),
+                value: value.to_vec(),
+            });
+            if self.txn.is_none() {
+                self.wal.commit().unwrap();
+            }
+        }
+
+        fn begin(&mut self) {
+            let txn = self.wal.allocate_txn();
+            self.wal.append(&Record::Begin { txn });
+            self.txn = Some(txn);
+        }
+
+        fn end(&mut self, record: fn(u64) -> Record) {
+            let txn = self.txn.take().expect("open transaction");
+            self.wal.append(&record(txn));
+            self.wal.commit().unwrap();
+        }
+    }
+
+    fn open(fs: &FaultFs, opts: WalOptions) -> (Writer, Store, RecoveryReport) {
+        let mut store = Store::new();
+        let (wal, report) = Wal::open(fs.clone(), opts, |k, v| {
+            store.insert(k.to_vec(), v.to_vec());
+            Ok(())
+        })
+        .unwrap();
+        (Writer { wal, txn: None }, store, report)
+    }
+
+    fn crash_and_reopen(w: Writer, fs: &FaultFs) -> (Writer, Store, RecoveryReport) {
+        drop(w); // simulated kill: no clean shutdown path exists
+        fs.crash();
+        open(fs, opts())
     }
 
     #[test]
     fn autocommit_survives_crash() {
         let fs = FaultFs::new();
-        let mut kv = DurableKv::create(fs.clone(), opts(), MemKv::new()).unwrap();
-        kv.put(b"a", b"1").unwrap();
-        kv.put(b"b", b"2").unwrap();
-        kv.delete(b"a").unwrap();
-        let before = contents(&mut kv);
-        drop(kv); // simulated kill: no clean shutdown path exists
-        fs.crash();
-        let (mut kv, report) = DurableKv::recover(fs, opts(), MemKv::new()).unwrap();
-        assert_eq!(contents(&mut kv), before);
+        let (mut w, _, _) = open(&fs, opts());
+        w.put(b"a", b"1");
+        w.put(b"b", b"2");
+        w.put(b"a", b"3");
+        let (_, store, report) = crash_and_reopen(w, &fs);
+        assert_eq!(store.get(&b"a"[..]), Some(&b"3".to_vec()));
+        assert_eq!(store.get(&b"b"[..]), Some(&b"2".to_vec()));
         assert_eq!(report.records_applied, 3);
         assert!(!report.corruption_detected);
     }
@@ -526,35 +258,31 @@ mod tests {
     #[test]
     fn two_transient_write_failures_still_commit_exactly_once() {
         let fs = FaultFs::new();
-        let mut kv = DurableKv::create(fs.clone(), opts(), MemKv::new()).unwrap();
+        let (mut w, _, _) = open(&fs, opts());
         fs.fail_appends(2); // default RetryPolicy absorbs both blips
-        kv.put(b"k", b"v").unwrap();
+        w.put(b"k", b"v");
         assert_eq!(fs.transient_failure_count(), 2);
-        drop(kv);
-        fs.crash();
         // Durable, and exactly one logical record — the retries did not
         // duplicate the put.
-        let (mut kv, report) = DurableKv::recover(fs, opts(), MemKv::new()).unwrap();
-        assert_eq!(kv.get(b"k").unwrap(), Some(b"v".to_vec()));
+        let (_, store, report) = crash_and_reopen(w, &fs);
+        assert_eq!(store.get(&b"k"[..]), Some(&b"v".to_vec()));
         assert_eq!(report.records_applied, 1);
-        assert_eq!(contents(&mut kv).len(), 1);
+        assert_eq!(store.len(), 1);
     }
 
     #[test]
     fn committed_txns_survive_uncommitted_discarded() {
         let fs = FaultFs::new();
-        let mut kv = DurableKv::create(fs.clone(), opts(), MemKv::new()).unwrap();
-        kv.begin().unwrap();
-        kv.put(b"committed", b"yes").unwrap();
-        kv.commit().unwrap();
-        kv.begin().unwrap();
-        kv.put(b"uncommitted", b"no").unwrap();
+        let (mut w, _, _) = open(&fs, opts());
+        w.begin();
+        w.put(b"committed", b"yes");
+        w.end(|txn| Record::Commit { txn });
+        w.begin();
+        w.put(b"uncommitted", b"no");
         // Crash with the second transaction open.
-        drop(kv);
-        fs.crash();
-        let (mut kv, report) = DurableKv::recover(fs, opts(), MemKv::new()).unwrap();
-        assert_eq!(kv.get(b"committed").unwrap(), Some(b"yes".to_vec()));
-        assert_eq!(kv.get(b"uncommitted").unwrap(), None);
+        let (_, store, report) = crash_and_reopen(w, &fs);
+        assert_eq!(store.get(&b"committed"[..]), Some(&b"yes".to_vec()));
+        assert_eq!(store.get(&b"uncommitted"[..]), None);
         assert_eq!(report.committed_txns, 1);
         assert!(report.discarded_txns <= 1); // Begin may not even be durable
     }
@@ -562,130 +290,144 @@ mod tests {
     #[test]
     fn rollback_is_clean_in_memory_and_on_replay() {
         let fs = FaultFs::new();
-        let mut kv = DurableKv::create(fs.clone(), opts(), MemKv::new()).unwrap();
-        kv.put(b"base", b"0").unwrap();
-        kv.begin().unwrap();
-        kv.put(b"base", b"dirty").unwrap();
-        kv.put(b"extra", b"x").unwrap();
-        kv.rollback().unwrap();
-        assert_eq!(kv.get(b"base").unwrap(), Some(b"0".to_vec()));
-        assert_eq!(kv.get(b"extra").unwrap(), None);
-        drop(kv);
-        fs.crash();
-        let (mut kv, _) = DurableKv::recover(fs, opts(), MemKv::new()).unwrap();
-        assert_eq!(kv.get(b"base").unwrap(), Some(b"0".to_vec()));
-        assert_eq!(kv.get(b"extra").unwrap(), None);
-    }
-
-    #[test]
-    fn checkpoint_prunes_and_recovery_uses_it() {
-        let fs = FaultFs::new();
-        let mut kv = DurableKv::create(fs.clone(), opts(), MemKv::new()).unwrap();
-        for i in 0..50u32 {
-            kv.put(format!("k{i:03}").as_bytes(), b"v").unwrap();
-        }
-        kv.checkpoint().unwrap();
-        kv.put(b"after", b"ckpt").unwrap();
-        let before = contents(&mut kv);
-        drop(kv);
-        fs.crash();
-        let (mut kv, report) = DurableKv::recover(fs.clone(), opts(), MemKv::new()).unwrap();
-        assert!(report.used_checkpoint);
-        assert_eq!(report.records_applied, 1); // only the post-checkpoint put
-        assert_eq!(contents(&mut kv), before);
-    }
-
-    #[test]
-    fn second_checkpoint_prunes_old_segments() {
-        let fs = FaultFs::new();
-        let mut kv = DurableKv::create(fs.clone(), opts(), MemKv::new()).unwrap();
-        for round in 0..3 {
-            for i in 0..40u32 {
-                kv.put(format!("r{round}k{i:03}").as_bytes(), b"v").unwrap();
-            }
-            kv.checkpoint().unwrap();
-        }
-        let (ckpts, segs) = list_log_files(&fs).unwrap();
-        assert_eq!(ckpts.len(), 2, "only two checkpoints retained");
-        // Segments below the older retained checkpoint's range are gone.
-        let min_needed = ckpts.iter().min().copied().unwrap();
-        let _ = min_needed;
-        assert!(segs.len() < 20, "old segments pruned, got {segs:?}");
-        let before = contents(&mut kv);
-        drop(kv);
-        fs.crash();
-        let (mut kv, _) = DurableKv::recover(fs, opts(), MemKv::new()).unwrap();
-        assert_eq!(contents(&mut kv), before);
-    }
-
-    #[test]
-    fn corrupt_newest_checkpoint_falls_back_to_previous() {
-        let fs = FaultFs::new();
-        let mut kv = DurableKv::create(fs.clone(), opts(), MemKv::new()).unwrap();
-        kv.put(b"one", b"1").unwrap();
-        kv.checkpoint().unwrap();
-        kv.put(b"two", b"2").unwrap();
-        kv.checkpoint().unwrap();
-        let before = contents(&mut kv);
-        drop(kv);
-        let (ckpts, _) = list_log_files(&fs).unwrap();
-        let newest = ckpts.iter().max().copied().unwrap();
-        fs.flip_bit(&checkpoint_name(newest), 20, 2);
-        let (mut kv, report) = DurableKv::recover(fs, opts(), MemKv::new()).unwrap();
-        assert_eq!(report.checkpoints_skipped, 1);
-        assert!(report.used_checkpoint);
-        assert_eq!(contents(&mut kv), before);
+        let (mut w, _, _) = open(&fs, opts());
+        w.put(b"base", b"0");
+        w.begin();
+        w.put(b"base", b"dirty");
+        w.put(b"extra", b"x");
+        w.end(|txn| Record::Rollback { txn });
+        let (_, store, report) = crash_and_reopen(w, &fs);
+        assert_eq!(store.get(&b"base"[..]), Some(&b"0".to_vec()));
+        assert_eq!(store.get(&b"extra"[..]), None);
+        assert_eq!(report.records_applied, 1);
+        assert_eq!(report.discarded_txns, 0);
     }
 
     #[test]
     fn dropped_fsyncs_lose_only_the_tail() {
         let fs = FaultFs::new();
-        let mut kv = DurableKv::create(fs.clone(), opts(), MemKv::new()).unwrap();
-        kv.put(b"durable", b"1").unwrap();
+        let (mut w, _, _) = open(&fs, opts());
+        w.put(b"durable", b"1");
         fs.set_drop_syncs(true);
-        kv.put(b"lost", b"2").unwrap(); // acked, but the disk lied
-        drop(kv);
+        w.put(b"lost", b"2"); // acked, but the disk lied
+        drop(w);
         fs.crash();
         fs.set_drop_syncs(false);
-        let (mut kv, _) = DurableKv::recover(fs, opts(), MemKv::new()).unwrap();
-        assert_eq!(kv.get(b"durable").unwrap(), Some(b"1".to_vec()));
-        assert_eq!(kv.get(b"lost").unwrap(), None);
+        let (_, store, _) = open(&fs, opts());
+        assert_eq!(store.get(&b"durable"[..]), Some(&b"1".to_vec()));
+        assert_eq!(store.get(&b"lost"[..]), None);
     }
 
     #[test]
     fn recovered_store_keeps_accepting_writes() {
         let fs = FaultFs::new();
-        let mut kv = DurableKv::create(fs.clone(), opts(), MemKv::new()).unwrap();
-        kv.put(b"a", b"1").unwrap();
-        drop(kv);
-        fs.crash();
-        let (mut kv, _) = DurableKv::recover(fs.clone(), opts(), MemKv::new()).unwrap();
-        kv.put(b"b", b"2").unwrap();
-        drop(kv);
-        fs.crash();
-        let (mut kv, _) = DurableKv::recover(fs, opts(), MemKv::new()).unwrap();
-        assert_eq!(kv.get(b"a").unwrap(), Some(b"1".to_vec()));
-        assert_eq!(kv.get(b"b").unwrap(), Some(b"2".to_vec()));
+        let (mut w, _, _) = open(&fs, opts());
+        w.put(b"a", b"1");
+        let (mut w, _, _) = crash_and_reopen(w, &fs);
+        w.put(b"b", b"2");
+        let (_, store, _) = crash_and_reopen(w, &fs);
+        assert_eq!(store.get(&b"a"[..]), Some(&b"1".to_vec()));
+        assert_eq!(store.get(&b"b"[..]), Some(&b"2".to_vec()));
     }
 
     #[test]
     fn open_is_create_then_recover() {
         let fs = FaultFs::new();
-        let (mut kv, report) = DurableKv::open(fs.clone(), opts(), MemKv::new()).unwrap();
+        let (mut w, store, report) = open(&fs, opts());
         assert_eq!(report, RecoveryReport::default());
-        kv.put(b"x", b"y").unwrap();
-        drop(kv);
-        let (mut kv, _) = DurableKv::open(fs, opts(), MemKv::new()).unwrap();
-        assert_eq!(kv.get(b"x").unwrap(), Some(b"y".to_vec()));
+        assert!(store.is_empty());
+        assert_eq!(fs.list().unwrap(), vec![segment_name(0)]);
+        w.put(b"x", b"y");
+        drop(w);
+        let (_, store, _) = open(&fs, opts());
+        assert_eq!(store.get(&b"x"[..]), Some(&b"y".to_vec()));
+    }
+
+    /// Forty autocommitted puts (keys 0..40), spread over at least
+    /// three 256-byte segments.
+    fn three_segment_log() -> FaultFs {
+        let fs = FaultFs::new();
+        let (mut w, _, _) = open(&fs, opts());
+        for i in 0..40u8 {
+            w.put(&[i], &[i; 8]);
+        }
+        assert!(
+            w.wal.current_segment() >= 2,
+            "workload spans three segments"
+        );
+        fs
+    }
+
+    /// End offsets of the whole frames in segment `seg`.
+    fn frame_ends(fs: &FaultFs, seg: u64) -> Vec<usize> {
+        let bytes = fs.read(&segment_name(seg)).unwrap();
+        let mut ends = Vec::new();
+        let mut pos = 0;
+        while let Frame::Ok { consumed, .. } = read_frame(&bytes, pos) {
+            pos += consumed;
+            ends.push(pos);
+        }
+        ends
     }
 
     #[test]
-    fn checkpoint_refused_mid_transaction() {
+    fn corruption_in_an_earlier_segment_truncates_there() {
+        let fs = three_segment_log();
+        // Damage segment 1's second frame: segment 0 and the first
+        // frame of segment 1 survive, every later segment goes.
+        let kept = frame_ends(&fs, 0).len() + 1;
+        fs.flip_bit(&segment_name(1), frame_ends(&fs, 1)[0] + 10, 0);
+        let (mut w, store, report) = open(&fs, opts());
+        assert!(report.corruption_detected);
+        let survivors: Vec<Vec<u8>> = (0..kept as u8).map(|i| vec![i]).collect();
+        assert_eq!(store.keys().cloned().collect::<Vec<_>>(), survivors);
+        assert_eq!(w.wal.current_segment(), 1);
+        assert_eq!(fs.list().unwrap(), vec![segment_name(0), segment_name(1)]);
+        // New writes extend the cut, so a second reopen replays each
+        // record exactly once and in order.
+        w.put(b"after", b"cut");
+        drop(w);
+        let mut applied = Vec::new();
+        Wal::open(fs.clone(), opts(), |k, _| {
+            applied.push(k.to_vec());
+            Ok(())
+        })
+        .unwrap();
+        let mut expected = survivors;
+        expected.push(b"after".to_vec());
+        assert_eq!(applied, expected);
+    }
+
+    #[test]
+    fn a_gap_in_the_segment_chain_stops_replay_there() {
+        let fs = three_segment_log();
+        // Segment 1 vanishes: segment 0 replays whole, the rest go.
+        let kept = frame_ends(&fs, 0).len() as u8;
+        fs.remove(&segment_name(1)).unwrap();
+        let (_, store, report) = open(&fs, opts());
+        assert!(report.corruption_detected);
+        assert_eq!(
+            store.into_keys().collect::<Vec<_>>(),
+            (0..kept).map(|i| vec![i]).collect::<Vec<_>>()
+        );
+        assert_eq!(fs.list().unwrap(), vec![segment_name(0)]);
+    }
+
+    #[test]
+    fn refuses_a_directory_with_a_checkpoint_file() {
         let fs = FaultFs::new();
-        let mut kv = DurableKv::create(fs, opts(), MemKv::new()).unwrap();
-        kv.begin().unwrap();
-        assert!(kv.checkpoint().is_err());
-        kv.rollback().unwrap();
-        assert!(kv.checkpoint().is_ok());
+        let (mut w, _, _) = open(&fs, opts());
+        w.put(b"k", b"v");
+        drop(w);
+        fs.install("checkpoint-0000000003.ckpt", b"GDMCKPT1");
+        let mut applied = 0;
+        let err = Wal::open(fs.clone(), opts(), |_, _| {
+            applied += 1;
+            Ok(())
+        })
+        .err()
+        .expect("an older build's checkpoint must be refused");
+        assert!(matches!(&err, GdmError::Storage(m) if m.contains("checkpoint-0000000003.ckpt")));
+        assert_eq!(applied, 0);
     }
 }

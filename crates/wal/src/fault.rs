@@ -18,8 +18,9 @@
 //!   [`crate::RetryPolicy`].
 //!
 //! Handles share state through `Rc<RefCell<…>>`, so a test can hold the
-//! `FaultFs`, hand clones to a [`crate::DurableKv`], kill the store,
-//! mutilate the bytes, and reopen — all without touching the real disk.
+//! `FaultFs`, hand a clone to a [`crate::Wal`], kill the writer,
+//! mutilate the bytes, and reopen with [`crate::Wal::open`] — all
+//! without touching the real disk.
 
 use crate::fs::{WalFile, WalFs};
 use gdm_core::{GdmError, Result};
@@ -246,13 +247,6 @@ impl WalFs for FaultFs {
 
     fn remove(&self, name: &str) -> Result<()> {
         self.state.borrow_mut().files.remove(name);
-        Ok(())
-    }
-
-    fn write_atomic(&self, name: &str, bytes: &[u8]) -> Result<()> {
-        // Atomic by construction: the whole contents land (and count as
-        // synced) or the call never happened.
-        self.install(name, bytes);
         Ok(())
     }
 }

@@ -4,10 +4,10 @@
 //! [`WalFile`], so the same log and recovery code runs over the real
 //! filesystem ([`DiskFs`]) and over the deterministic fault-injection
 //! backend ([`crate::fault::FaultFs`]). The trait is deliberately
-//! narrow: append, sync, whole-file read, atomic whole-file replace,
-//! list, remove, and truncate-reopen — the only operations a
-//! write-ahead log needs, and each one with crash semantics we can
-//! model exactly in the fault backend.
+//! narrow: append, sync, whole-file read, list, remove, and
+//! truncate-reopen — the only operations a write-ahead log needs, and
+//! each one with crash semantics we can model exactly in the fault
+//! backend.
 
 use gdm_core::{GdmError, Result};
 use std::fs;
@@ -53,11 +53,6 @@ pub trait WalFs {
     /// Removes `name`. Missing files are not an error (recovery retries
     /// cleanup that may have half-happened before a crash).
     fn remove(&self, name: &str) -> Result<()>;
-
-    /// Writes `name` so that after a crash the file holds either its
-    /// old contents or the new contents, never a mixture. Disk backends
-    /// implement this as write-to-temporary + fsync + rename.
-    fn write_atomic(&self, name: &str, bytes: &[u8]) -> Result<()>;
 }
 
 /// The real-filesystem backend: one directory, `fsync` on [`WalFile::sync`].
@@ -152,17 +147,6 @@ impl WalFs for DiskFs {
             Err(e) => Err(e.into()),
         }
     }
-
-    fn write_atomic(&self, name: &str, bytes: &[u8]) -> Result<()> {
-        let tmp = self.path(&format!("{name}.tmp"));
-        {
-            let mut file = fs::File::create(&tmp)?;
-            file.write_all(bytes)?;
-            file.sync_data()?;
-        }
-        fs::rename(&tmp, self.path(name))?;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -192,20 +176,9 @@ mod tests {
         f.sync().unwrap();
         drop(f);
         assert_eq!(fs_.read("a.seg").unwrap(), b"hello!");
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn atomic_write_and_listing() {
-        let dir = tmp_dir("atomic");
-        let fs_ = DiskFs::open(&dir).unwrap();
-        fs_.write_atomic("snap", b"v1").unwrap();
-        fs_.write_atomic("snap", b"v2").unwrap();
-        assert_eq!(fs_.read("snap").unwrap(), b"v2");
-        let names = fs_.list().unwrap();
-        assert_eq!(names, vec!["snap".to_owned()]);
-        fs_.remove("snap").unwrap();
-        fs_.remove("snap").unwrap(); // idempotent
+        assert_eq!(fs_.list().unwrap(), vec!["a.seg".to_owned()]);
+        fs_.remove("a.seg").unwrap();
+        fs_.remove("a.seg").unwrap(); // idempotent
         assert!(fs_.list().unwrap().is_empty());
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -9,8 +9,7 @@
 //! power loss, with a `window_ms` deadline bounding how long a light
 //! trickle of commits can sit unsynced.
 //! Rotation happens at commit boundaries only, so a transaction's
-//! records never straddle a segment edge and checkpoint truncation can
-//! drop whole files.
+//! records never straddle a segment edge.
 
 use crate::fs::{WalFile, WalFs};
 use crate::record::Record;
@@ -144,13 +143,9 @@ pub fn parse_segment_name(name: &str) -> Option<u64> {
         .ok()
 }
 
-/// File name of checkpoint `seq`.
-pub fn checkpoint_name(seq: u64) -> String {
-    format!("checkpoint-{seq:010}.ckpt")
-}
-
-/// Parses a checkpoint file name back to its sequence number.
-pub fn parse_checkpoint_name(name: &str) -> Option<u64> {
+/// Parses the name of a snapshot checkpoint file, which older builds
+/// wrote beside the segments, back to its sequence number.
+pub(crate) fn parse_checkpoint_name(name: &str) -> Option<u64> {
     name.strip_prefix("checkpoint-")?
         .strip_suffix(".ckpt")?
         .parse()
@@ -273,11 +268,11 @@ impl<F: WalFs> Wal<F> {
     }
 
     /// Seals the current segment (fsync) and starts the next one.
-    pub fn rotate(&mut self) -> Result<u64> {
+    fn rotate(&mut self) -> Result<()> {
         self.flush()?;
         self.segment += 1;
         self.file = self.fs.create(&segment_name(self.segment))?;
-        Ok(self.segment)
+        Ok(())
     }
 
     /// The LSN one past the last appended record.
@@ -291,11 +286,6 @@ impl<F: WalFs> Wal<F> {
     /// Current segment number.
     pub fn current_segment(&self) -> u64 {
         self.segment
-    }
-
-    /// The backing filesystem handle.
-    pub fn fs(&self) -> &F {
-        &self.fs
     }
 
     fn write_through(&mut self) -> Result<()> {

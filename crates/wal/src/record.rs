@@ -60,13 +60,6 @@ pub enum Record {
         /// The new value.
         value: Vec<u8>,
     },
-    /// A key was removed.
-    Delete {
-        /// Owning transaction, 0 for autocommit.
-        txn: u64,
-        /// The key.
-        key: Vec<u8>,
-    },
     /// The transaction's effects are final once this record is durable.
     Commit {
         /// Transaction id (> 0).
@@ -81,7 +74,8 @@ pub enum Record {
 
 const TAG_BEGIN: u8 = 1;
 const TAG_PUT: u8 = 2;
-const TAG_DELETE: u8 = 3;
+// Tag 3 was a key delete; it stays unused so no old frame decodes as
+// another record.
 const TAG_COMMIT: u8 = 4;
 const TAG_ROLLBACK: u8 = 5;
 
@@ -98,11 +92,6 @@ impl Record {
                 codec::put_varint(out, *txn);
                 codec::put_bytes(out, key);
                 codec::put_bytes(out, value);
-            }
-            Record::Delete { txn, key } => {
-                out.push(TAG_DELETE);
-                codec::put_varint(out, *txn);
-                codec::put_bytes(out, key);
             }
             Record::Commit { txn } => {
                 out.push(TAG_COMMIT);
@@ -131,10 +120,6 @@ impl Record {
                 let value = codec::get_bytes(buf, &mut pos)?.to_vec();
                 Record::Put { txn, key, value }
             }
-            TAG_DELETE => {
-                let key = codec::get_bytes(buf, &mut pos)?.to_vec();
-                Record::Delete { txn, key }
-            }
             TAG_COMMIT => Record::Commit { txn },
             TAG_ROLLBACK => Record::Rollback { txn },
             other => return Err(GdmError::Storage(format!("unknown WAL record tag {other}"))),
@@ -162,7 +147,6 @@ impl Record {
         match self {
             Record::Begin { txn }
             | Record::Put { txn, .. }
-            | Record::Delete { txn, .. }
             | Record::Commit { txn }
             | Record::Rollback { txn } => *txn,
         }
@@ -235,9 +219,10 @@ mod tests {
                 key: vec![0u8; 300],
                 value: Vec::new(),
             },
-            Record::Delete {
+            Record::Put {
                 txn: u64::MAX,
-                key: b"gone".to_vec(),
+                key: b"wide".to_vec(),
+                value: b"txn".to_vec(),
             },
             Record::Commit { txn: 1 },
             Record::Rollback { txn: 2 },

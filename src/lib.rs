@@ -25,7 +25,7 @@
 //! | [`query`] (`gdm-query`) | Cypher-like, SPARQL-like, GQL and GSQL dialects, Datalog reasoning |
 //! | [`engines`] (`gdm-engines`) | the nine engine emulations behind one [`engines::GraphEngine`] facade |
 //! | [`compare`] (`gdm-compare`) | recorded cells + execution probes + Table I–VIII renderers |
-//! | [`wal`] (`gdm-wal`) | segmented write-ahead log, checkpoints, crash recovery, fault injection |
+//! | [`wal`] (`gdm-wal`) | segmented write-ahead log, group commit, crash recovery, fault injection |
 //!
 //! ## Quickstart
 //!

@@ -9,8 +9,7 @@ use graph_db_models::engines::{
     DurableEngine, EngineKind, GovernedAnswer, GovernedOp, GraphEngine,
 };
 use graph_db_models::govern::{CancelToken, ExecutionGuard, Limits};
-use graph_db_models::storage::{KvStore, MemKv};
-use graph_db_models::wal::{DurableKv, FaultFs, WalOptions};
+use graph_db_models::wal::{FaultFs, Record, Wal, WalOptions};
 use proptest::prelude::*;
 use std::path::PathBuf;
 
@@ -36,7 +35,7 @@ proptest! {
         fail_sync_at in prop::option::of(0usize..40),
     ) {
         let fs = FaultFs::new();
-        let mut kv = DurableKv::create(fs.clone(), opts(), MemKv::new()).unwrap();
+        let mut wal = Wal::create(fs.clone(), opts()).unwrap();
         let cancel = CancelToken::new();
         let guard = ExecutionGuard::with_cancel(Limits::none(), cancel.clone());
         let mut done = 0u8;
@@ -53,19 +52,19 @@ proptest! {
             if guard.check_now().is_err() {
                 break; // cooperative cancellation between commits
             }
-            kv.put(&[i as u8], &[i as u8]).unwrap();
+            wal.append(&Record::Put { txn: 0, key: vec![i as u8], value: vec![i as u8] });
+            wal.commit().unwrap();
             done += 1;
         }
-        drop(kv); // kill without shutdown
+        drop(wal); // kill without shutdown
         fs.crash();
-        let (mut kv, report) = DurableKv::recover(fs, opts(), MemKv::new()).unwrap();
+        let mut keys = Vec::new();
+        let (_, report) = Wal::open(fs, opts(), |k, _| {
+            keys.push(k[0]);
+            Ok(())
+        })
+        .unwrap();
         prop_assert!(!report.corruption_detected);
-        let keys: Vec<u8> = kv
-            .scan_range(b"", None)
-            .unwrap()
-            .into_iter()
-            .map(|(k, _)| k[0])
-            .collect();
         prop_assert_eq!(keys, (0..done).collect::<Vec<u8>>());
     }
 

@@ -3,14 +3,14 @@
 //! The central property: **recovered state is always a prefix of the
 //! committed history.** The crash-point sweep below enforces it at
 //! every single byte offset of the log — for each truncation point the
-//! recovered store must equal exactly the state after the last
-//! committed unit whose commit record fits inside the prefix.
+//! store rebuilt from [`Wal::open`]'s replay must equal exactly the
+//! state after the last committed unit whose commit record fits inside
+//! the prefix. A `BTreeMap` stands in for the store.
 
 use gdm_core::PropertyMap;
 use gdm_engines::{DurableEngine, EngineKind, GraphEngine};
-use gdm_storage::{KvStore, MemKv};
 use gdm_wal::record::{read_frame, Frame};
-use gdm_wal::{DurableKv, FaultFs, Record, SyncPolicy, WalOptions};
+use gdm_wal::{FaultFs, Record, RecoveryReport, SyncPolicy, Wal, WalOptions};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -37,7 +37,6 @@ fn record_strategy() -> BoxedStrategy<Record> {
             key,
             value
         }),
-        (0u64..1000, bytes()).prop_map(|(txn, key)| Record::Delete { txn, key }),
         (1u64..1000).prop_map(|txn| Record::Commit { txn }),
         (1u64..1000).prop_map(|txn| Record::Rollback { txn }),
     ]
@@ -104,69 +103,114 @@ proptest! {
 // Crash-point sweep: every byte offset of a real workload's log
 // ---------------------------------------------------------------------
 
+type Store = BTreeMap<Vec<u8>, Vec<u8>>;
+
 /// (log length after a committed unit, expected store contents then).
-type Marks = Vec<(u64, BTreeMap<Vec<u8>, Vec<u8>>)>;
+type Marks = Vec<(u64, Store)>;
+
+/// Journals writes through a [`Wal`] the way a durable store does: a
+/// put outside a transaction is its own committed unit.
+struct Journal {
+    wal: Wal<FaultFs>,
+    txn: Option<u64>,
+}
+
+impl Journal {
+    fn put(&mut self, key: &[u8], value: &[u8]) {
+        self.wal.append(&Record::Put {
+            txn: self.txn.unwrap_or(0),
+            key: key.to_vec(),
+            value: value.to_vec(),
+        });
+        if self.txn.is_none() {
+            self.wal.commit().unwrap();
+        }
+    }
+
+    fn begin(&mut self) {
+        let txn = self.wal.allocate_txn();
+        self.wal.append(&Record::Begin { txn });
+        self.txn = Some(txn);
+    }
+
+    fn end(&mut self, record: fn(u64) -> Record) {
+        let txn = self.txn.take().expect("open transaction");
+        self.wal.append(&record(txn));
+        self.wal.commit().unwrap();
+    }
+}
+
+/// Replays the log in `fs` into a fresh store.
+fn recover(fs: FaultFs, opts: WalOptions) -> (Store, RecoveryReport) {
+    let mut store = Store::new();
+    let (_, report) = Wal::open(fs, opts, |k, v| {
+        store.insert(k.to_vec(), v.to_vec());
+        Ok(())
+    })
+    .unwrap();
+    (store, report)
+}
 
 /// Runs a mixed workload (autocommit writes, committed transactions, a
-/// rolled-back transaction, deletes) against a fault-injected
-/// [`DurableKv`], recording after every *committed unit* the log length
-/// and the expected store contents at that point.
+/// rolled-back transaction, overwrites) against a fault-injected
+/// [`Wal`], recording after every *committed unit* the log length and
+/// the expected store contents at that point.
 fn build_workload() -> (FaultFs, Marks) {
     let fs = FaultFs::new();
-    let mut kv = DurableKv::create(fs.clone(), opts(), MemKv::new()).unwrap();
-    let mut shadow: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+    let mut log = Journal {
+        wal: Wal::create(fs.clone(), opts()).unwrap(),
+        txn: None,
+    };
+    let mut shadow = Store::new();
     // (log length so far, expected state) — index 0 is the empty log.
     let mut marks = vec![(0u64, shadow.clone())];
-    let mark = |kv: &DurableKv<MemKv, FaultFs>, shadow: &BTreeMap<Vec<u8>, Vec<u8>>| {
-        (kv.end_lsn().offset, shadow.clone())
-    };
+    let mark = |log: &Journal, shadow: &Store| (log.wal.end_lsn().offset, shadow.clone());
 
     for i in 0..6u8 {
-        kv.put(&[b'a', i], &[i]).unwrap();
+        log.put(&[b'a', i], &[i]);
         shadow.insert(vec![b'a', i], vec![i]);
-        marks.push(mark(&kv, &shadow));
+        marks.push(mark(&log, &shadow));
     }
     // A committed transaction: atomic unit of three mutations.
-    kv.begin().unwrap();
-    kv.put(b"t1/x", b"1").unwrap();
-    kv.put(b"t1/y", b"2").unwrap();
-    kv.delete(&[b'a', 0]).unwrap();
-    kv.commit().unwrap();
+    log.begin();
+    log.put(b"t1/x", b"1");
+    log.put(b"t1/y", b"2");
+    log.put(&[b'a', 0], b"overwritten");
+    log.end(|txn| Record::Commit { txn });
     shadow.insert(b"t1/x".to_vec(), b"1".to_vec());
     shadow.insert(b"t1/y".to_vec(), b"2".to_vec());
-    shadow.remove(&vec![b'a', 0]);
-    marks.push(mark(&kv, &shadow));
+    shadow.insert(vec![b'a', 0], b"overwritten".to_vec());
+    marks.push(mark(&log, &shadow));
     // A rolled-back transaction: must never surface, at any cut.
-    kv.begin().unwrap();
-    kv.put(b"rolled", b"back").unwrap();
-    kv.delete(b"t1/x").unwrap();
-    kv.rollback().unwrap();
-    marks.push(mark(&kv, &shadow));
+    log.begin();
+    log.put(b"rolled", b"back");
+    log.put(b"t1/x", b"rolled back");
+    log.end(|txn| Record::Rollback { txn });
+    marks.push(mark(&log, &shadow));
     // More autocommit traffic after the rollback.
     for i in 0..4u8 {
-        kv.put(&[b'z', i], b"tail").unwrap();
+        log.put(&[b'z', i], b"tail");
         shadow.insert(vec![b'z', i], b"tail".to_vec());
-        marks.push(mark(&kv, &shadow));
+        marks.push(mark(&log, &shadow));
     }
     // A second committed transaction overwriting earlier keys.
-    kv.begin().unwrap();
-    kv.put(&[b'a', 1], b"rewritten").unwrap();
-    kv.put(b"t2", b"done").unwrap();
-    kv.commit().unwrap();
+    log.begin();
+    log.put(&[b'a', 1], b"rewritten");
+    log.put(b"t2", b"done");
+    log.end(|txn| Record::Commit { txn });
     shadow.insert(vec![b'a', 1], b"rewritten".to_vec());
     shadow.insert(b"t2".to_vec(), b"done".to_vec());
-    marks.push(mark(&kv, &shadow));
+    marks.push(mark(&log, &shadow));
 
-    kv.flush().unwrap();
-    drop(kv);
+    log.wal.flush().unwrap();
+    drop(log);
     (fs, marks)
 }
 
-fn recovered_contents(image: &[u8]) -> BTreeMap<Vec<u8>, Vec<u8>> {
+fn recovered_contents(image: &[u8]) -> Store {
     let fs = FaultFs::new();
     fs.install(SEG0, image);
-    let (mut kv, _report) = DurableKv::recover(fs, opts(), MemKv::new()).unwrap();
-    kv.scan_range(b"", None).unwrap().into_iter().collect()
+    recover(fs, opts()).0
 }
 
 /// The acceptance property: for EVERY truncation offset, recovery
@@ -214,8 +258,7 @@ fn bit_flip_sweep_recovers_clean_prefix() {
         let fs = FaultFs::new();
         fs.install(SEG0, &image);
         fs.flip_bit(SEG0, flip_at, (flip_at % 8) as u8);
-        let (mut kv, report) = DurableKv::recover(fs, opts(), MemKv::new()).unwrap();
-        let got: BTreeMap<_, _> = kv.scan_range(b"", None).unwrap().into_iter().collect();
+        let (got, report) = recover(fs, opts());
         // Everything before the damaged frame must survive intact.
         let damaged_frame_start =
             *frame_starts.iter().rev().find(|&&s| s <= flip_at).unwrap() as u64;
@@ -285,19 +328,16 @@ fn group_commit_crash_loses_only_a_suffix() {
         sync: SyncPolicy::batch(8),
         ..WalOptions::default()
     };
-    let mut kv = DurableKv::create(fs.clone(), batched, MemKv::new()).unwrap();
+    let mut log = Journal {
+        wal: Wal::create(fs.clone(), batched).unwrap(),
+        txn: None,
+    };
     for i in 0..20u8 {
-        kv.put(&[i], &[i]).unwrap();
+        log.put(&[i], &[i]);
     }
-    drop(kv);
+    drop(log);
     fs.crash(); // unsynced tail of the batch window vanishes
-    let (mut kv, _) = DurableKv::recover(fs, batched, MemKv::new()).unwrap();
-    let got: Vec<u8> = kv
-        .scan_range(b"", None)
-        .unwrap()
-        .into_iter()
-        .map(|(k, _)| k[0])
-        .collect();
+    let got: Vec<u8> = recover(fs, batched).0.into_keys().map(|k| k[0]).collect();
     // Whatever survived is a contiguous prefix 0..len — no holes.
     assert_eq!(got, (0..got.len() as u8).collect::<Vec<_>>());
     // At least the fully synced batches are there.
