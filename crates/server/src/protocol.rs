@@ -6,6 +6,10 @@
 //! a text encoding keeps the CI smoke client scriptable; the length
 //! prefix because JSON is not self-delimiting over a byte stream.
 //!
+//! A frame leaves in one write: [`write_frame`] puts the prefix and the
+//! body in one buffer. Both ends set `TCP_NODELAY`, so a prefix written
+//! on its own would be a segment — and a reader wakeup — of its own.
+//!
 //! Enum shape note: the vendored `serde_derive` supports unit and
 //! newtype enum variants but not struct variants, so every variant
 //! with fields wraps a named struct (`Request::Hello(Hello)` rather
@@ -229,30 +233,41 @@ pub enum Response {
     Bye,
 }
 
-/// Writes one frame: `u32` big-endian length, then the JSON bytes.
+/// Writes one frame: `u32` big-endian length, then the JSON bytes,
+/// assembled in one buffer and handed to a single `write_all`.
+///
+/// Both sides of the wire set `TCP_NODELAY`, so a prefix written on
+/// its own would leave as a segment of its own and wake the reader
+/// once for four bytes before the body arrives. A message over
+/// [`MAX_FRAME`] is refused before anything is written.
 pub fn write_frame<W: Write, T: Serialize>(w: &mut W, msg: &T) -> io::Result<()> {
     let body = serde_json::to_vec(msg)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
     let len = u32::try_from(body.len())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame too large"))?;
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "frame too large",
-        ));
-    }
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(&body)?;
+        .ok()
+        .filter(|&len| len <= MAX_FRAME)
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "frame too large"))?;
+    let mut frame = Vec::with_capacity(4 + body.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(&body);
+    w.write_all(&frame)?;
     w.flush()
 }
 
-/// Reads one frame, or `None` on a clean EOF at a frame boundary.
+/// Reads one frame, or `None` on a clean EOF at a frame boundary. EOF
+/// anywhere inside a frame — length prefix included — is an
+/// `UnexpectedEof` error.
 pub fn read_frame<R: Read, T: serde::Deserialize>(r: &mut R) -> io::Result<Option<T>> {
     let mut len_buf = [0u8; 4];
-    match r.read_exact(&mut len_buf) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
+    let mut got = 0;
+    while got < len_buf.len() {
+        match r.read(&mut len_buf[got..]) {
+            Ok(0) if got == 0 => return Ok(None),
+            Ok(0) => return Err(mid_frame_eof()),
+            Ok(n) => got += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
     let len = u32::from_be_bytes(len_buf);
     if len > MAX_FRAME {
@@ -270,16 +285,17 @@ pub fn read_frame<R: Read, T: serde::Deserialize>(r: &mut R) -> io::Result<Optio
         let want = (len - body.len()).min(chunk.len());
         let n = r.read(&mut chunk[..want])?;
         if n == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "connection closed mid-frame",
-            ));
+            return Err(mid_frame_eof());
         }
         body.extend_from_slice(&chunk[..n]);
     }
     serde_json::from_slice(&body)
         .map(Some)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+}
+
+fn mid_frame_eof() -> io::Error {
+    io::Error::new(io::ErrorKind::UnexpectedEof, "connection closed mid-frame")
 }
 
 #[cfg(test)]
@@ -296,9 +312,8 @@ mod tests {
         read_frame(&mut cursor).expect("read").expect("a frame")
     }
 
-    #[test]
-    fn requests_round_trip() {
-        for req in [
+    fn sample_requests() -> Vec<Request> {
+        vec![
             Request::Hello(Hello {
                 tenant: "alpha".into(),
                 secret: Some("s3cret".into()),
@@ -310,14 +325,11 @@ mod tests {
             Request::Health,
             Request::Shutdown,
             Request::Goodbye,
-        ] {
-            assert_eq!(round_trip(&req), req);
-        }
+        ]
     }
 
-    #[test]
-    fn responses_round_trip() {
-        for resp in [
+    fn sample_responses() -> Vec<Response> {
+        vec![
             Response::Welcome(Welcome {
                 engine: "Neo4j".into(),
                 tenant: "alpha".into(),
@@ -374,9 +386,81 @@ mod tests {
                 consecutive_refresh_failures: 1,
             }),
             Response::Bye,
-        ] {
+        ]
+    }
+
+    #[test]
+    fn requests_round_trip() {
+        for req in sample_requests() {
+            assert_eq!(round_trip(&req), req);
+        }
+    }
+
+    #[test]
+    fn responses_round_trip() {
+        for resp in sample_responses() {
             assert_eq!(round_trip(&resp), resp);
         }
+    }
+
+    /// A `Write` double that keeps the length of every `write` call.
+    #[derive(Default)]
+    struct WriteLog(Vec<usize>);
+
+    impl Write for WriteLog {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.len());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn write_calls<T: Serialize>(msg: &T) -> (io::Result<()>, Vec<usize>) {
+        let mut log = WriteLog::default();
+        let result = write_frame(&mut log, msg);
+        (result, log.0)
+    }
+
+    /// Writes `msg` and checks it reached the writer as one call of
+    /// `4 + body` bytes; returns the body length.
+    fn assert_one_write<T: Serialize>(msg: &T) -> usize {
+        let body = serde_json::to_vec(msg).expect("encode").len();
+        let (result, calls) = write_calls(msg);
+        result.expect("write");
+        assert_eq!(calls, vec![4 + body]);
+        body
+    }
+
+    #[test]
+    fn a_frame_reaches_the_writer_in_one_call_or_none() {
+        for req in sample_requests() {
+            assert_one_write(&req);
+        }
+        for resp in sample_responses() {
+            assert_one_write(&resp);
+        }
+        let big = Response::Rows(Rows {
+            columns: vec!["name".into()],
+            rows: (0..2048)
+                .map(|i| vec![Value::from(format!("person-{i:026}"))])
+                .collect(),
+            cached_plan: false,
+        });
+        assert!(assert_one_write(&big) > 64 * 1024);
+
+        // Over the cap: refused before anything reaches the writer.
+        let huge = Request::Query(QueryReq {
+            text: "x".repeat(MAX_FRAME as usize),
+        });
+        let (result, calls) = write_calls(&huge);
+        assert_eq!(
+            result.expect_err("refused").kind(),
+            io::ErrorKind::InvalidData
+        );
+        assert!(calls.is_empty(), "{calls:?}");
     }
 
     #[test]
@@ -385,9 +469,13 @@ mod tests {
         assert!(read_frame::<_, Request>(&mut empty)
             .expect("eof ok")
             .is_none());
-        // A length prefix with no body is a torn frame.
-        let mut torn = io::Cursor::new(vec![0, 0, 0, 9]);
-        assert!(read_frame::<_, Request>(&mut torn).is_err());
+        // A length prefix with no body, or a prefix cut after 1–3 of
+        // its bytes, is a torn frame.
+        for torn in [vec![0, 0, 0, 9], vec![0], vec![0, 0], vec![0, 0, 0]] {
+            let err = read_frame::<_, Request>(&mut io::Cursor::new(torn.clone()))
+                .expect_err("torn frame");
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{torn:?}");
+        }
     }
 
     #[test]
