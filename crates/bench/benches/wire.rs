@@ -3,10 +3,12 @@
 //!
 //! Two groups:
 //!
-//! - `frame` — [`write_frame`] and [`read_frame`] of a 1-row and a
-//!   10-row `Rows` reply (the shapes a point adjacency query returns),
-//!   in memory: encode + frame on the server side, frame + decode on
-//!   the client side.
+//! - `frame` — [`write_frame`] and [`read_frame`] in memory (encode +
+//!   frame on the server side, frame + decode on the client side) of
+//!   three `Rows` replies: 1 and 10 rows of one name (the shapes a
+//!   point adjacency query returns) and 800 rows of two integers (the
+//!   shape of the grouped `q.age = n` summarization reply at 100 000
+//!   people, where the codec once cost more than the execution).
 //! - `round_trip` — [`Client`] → [`serve`] over loopback TCP for a
 //!   `Health` probe (no query work at all: the loopback floor) and a
 //!   point adjacency query on a 1 000-person social graph.
@@ -35,21 +37,37 @@ fn rows_reply(n: usize) -> Response {
     })
 }
 
+/// A `Rows` reply shaped like the grouped summarization template's:
+/// `community, count(*)` over `n` groups.
+fn int_pair_reply(n: usize) -> Response {
+    Response::Rows(Rows {
+        columns: vec!["q.community".into(), "count(*)".into()],
+        rows: (0..n as i64)
+            .map(|i| vec![Value::Int(100 + i), Value::Int(1 + i % 3)])
+            .collect(),
+        cached_plan: true,
+    })
+}
+
 fn bench_frame(c: &mut Criterion) {
     let mut group = c.benchmark_group("frame");
-    for n in [1usize, 10] {
-        let reply = rows_reply(n);
+    let replies = [
+        ("1_row", rows_reply(1)),
+        ("10_row", rows_reply(10)),
+        ("800_row_int_pair", int_pair_reply(800)),
+    ];
+    for (name, reply) in &replies {
         let mut buf = Vec::new();
-        group.bench_function(BenchmarkId::new("write", format!("{n}_row")), |b| {
+        group.bench_function(BenchmarkId::new("write", name), |b| {
             b.iter(|| {
                 buf.clear();
-                write_frame(&mut buf, &reply).expect("write");
+                write_frame(&mut buf, reply).expect("write");
                 buf.len()
             })
         });
         let mut frame = Vec::new();
-        write_frame(&mut frame, &reply).expect("write");
-        group.bench_function(BenchmarkId::new("read", format!("{n}_row")), |b| {
+        write_frame(&mut frame, reply).expect("write");
+        group.bench_function(BenchmarkId::new("read", name), |b| {
             b.iter(|| {
                 read_frame::<_, Response>(&mut Cursor::new(&frame))
                     .expect("read")

@@ -667,6 +667,70 @@ mod tests {
         (g, alice, bob, acme)
     }
 
+    /// `social()` plus a tombstoned node and edge, and one property of
+    /// every value type.
+    fn snapshot_graph() -> PropertyGraph {
+        let (mut g, alice, bob, acme) = social();
+        let gone = g.add_node("temp", props! {});
+        g.add_edge(gone, bob, "knows", props! {}).unwrap();
+        g.remove_node(gone).unwrap();
+        let e = g
+            .add_edge(bob, acme, "works_at", props! { "weight" => 0.5 })
+            .unwrap();
+        g.remove_edge(e).unwrap();
+        g.set_node_property(
+            alice,
+            "misc",
+            Value::List(vec![
+                Value::Null,
+                Value::Bool(true),
+                Value::Float(-0.0),
+                Value::from("a\"b\\c\u{1}é"),
+                Value::List(vec![]),
+            ]),
+        )
+        .unwrap();
+        g.add_edge(
+            bob,
+            alice,
+            "knows",
+            props! { "since" => i64::MIN, "w" => 1e300 },
+        )
+        .unwrap();
+        g
+    }
+
+    /// `snapshot_graph()`'s snapshot bytes. Snapshots on disk are in this
+    /// format, so the encoder must reproduce it byte for byte.
+    const GOLDEN_SNAPSHOT: &str = r#"{"nodes":[["person",{"entries":{"age":{"Int":30},"misc":{"List":["Null",{"Bool":true},{"Float":-0.0},{"Str":"a\"b\\c\u0001é"},{"List":[]}]},"name":{"Str":"alice"}}}],["person",{"entries":{"age":{"Int":25},"name":{"Str":"bob"}}}],["company",{"entries":{"name":{"Str":"acme"}}}],null],"edges":[[0,1,"knows",{"entries":{"since":{"Int":2001}}}],[0,2,"works_at",{"entries":{}}],null,null,[1,0,"knows",{"entries":{"since":{"Int":-9223372036854775808},"w":{"Float":1e300}}}]]}"#;
+
+    #[test]
+    fn snapshot_round_trips() {
+        let g = snapshot_graph();
+        let bytes = g.to_snapshot();
+        assert_eq!(std::str::from_utf8(&bytes).unwrap(), GOLDEN_SNAPSHOT);
+        let back = PropertyGraph::from_snapshot(GOLDEN_SNAPSHOT.as_bytes()).unwrap();
+        assert_eq!(back.node_count(), g.node_count());
+        assert_eq!(back.edge_count(), g.edge_count());
+        assert_eq!(back.to_snapshot(), bytes);
+
+        // Non-finite floats read back too. `Value`'s `PartialEq` says
+        // `NaN != NaN`: compare the bits.
+        let floats = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        let mut g = PropertyGraph::new();
+        let nodes: Vec<NodeId> = floats
+            .iter()
+            .map(|&f| g.add_node("n", props! { "x" => f }))
+            .collect();
+        let back = PropertyGraph::from_snapshot(&g.to_snapshot()).expect("snapshot decodes");
+        for (n, f) in nodes.into_iter().zip(floats) {
+            match back.node_property(n, "x") {
+                Some(Value::Float(x)) => assert_eq!(x.to_bits(), f.to_bits(), "{f}"),
+                other => panic!("{f}: read back {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn labels_and_properties() {
         let (g, alice, _, acme) = social();

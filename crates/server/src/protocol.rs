@@ -6,6 +6,13 @@
 //! a text encoding keeps the CI smoke client scriptable; the length
 //! prefix because JSON is not self-delimiting over a byte stream.
 //!
+//! The derived codec streams: a reply is encoded straight from its
+//! result rows into the frame's one buffer, and a frame is decoded
+//! straight from its bytes into the message, with no value tree in
+//! between. Nesting deeper than 128 arrays and objects is refused, so a
+//! hostile frame gets an error, not a stack overflow; a non-finite
+//! float travels as `NaN`, `Infinity` or `-Infinity`.
+//!
 //! A frame leaves in one write: [`write_frame`] puts the prefix and the
 //! body in one buffer. Both ends set `TCP_NODELAY`, so a prefix written
 //! on its own would be a segment — and a reader wakeup — of its own.
@@ -389,6 +396,188 @@ mod tests {
         ]
     }
 
+    /// A `Rows` reply holding every `Value` variant and the writer's
+    /// edge cases: escapes, control characters, non-ASCII text, signed
+    /// zero, extreme floats and integers, nested and empty lists.
+    fn rows_corpus() -> Response {
+        Response::Rows(Rows {
+            columns: vec![
+                "a".into(),
+                "quote\"back\\slash/".into(),
+                "ünï\u{1}code\n".into(),
+            ],
+            rows: vec![
+                vec![Value::Null, Value::Bool(true), Value::Bool(false)],
+                vec![Value::Int(0), Value::Int(i64::MIN), Value::Int(i64::MAX)],
+                vec![
+                    Value::Float(-0.0),
+                    Value::Float(1e300),
+                    Value::Float(5e-324),
+                ],
+                vec![Value::Float(1.0), Value::Float(0.1), Value::Float(-2.5e-7)],
+                vec![
+                    Value::from("tab\tcr\rnl\n\u{1}\u{8}\u{c}\u{1f}"),
+                    Value::from("日本語 🎉"),
+                    Value::from(""),
+                ],
+                vec![
+                    Value::List(vec![]),
+                    Value::List(vec![
+                        Value::List(vec![Value::Int(-1), Value::List(vec![])]),
+                        Value::from("x"),
+                    ]),
+                    Value::Null,
+                ],
+                vec![],
+            ],
+            cached_plan: false,
+        })
+    }
+
+    /// Messages whose unsigned and signed fields sit at their limits.
+    fn extreme_responses() -> Vec<Response> {
+        vec![
+            Response::Interrupted(Interrupted {
+                reason: String::new(),
+                partial: u64::MAX,
+            }),
+            Response::Overloaded(Overloaded {
+                scope: "tenant".into(),
+                retry_after_ms: 0,
+            }),
+            Response::Stats(StatsReply {
+                tenants: vec![],
+                plan_cache: CacheStats {
+                    hits: u64::MAX,
+                    misses: 0,
+                    entries: 1,
+                    epoch_evictions: 2,
+                },
+                queue_shed: 3,
+                executor_workers: 4,
+                fanned_out: 5,
+                snapshot_epoch: 6,
+                refreshes: 7,
+                last_refresh_us: 8,
+                refresh_failures: 9,
+                frame_errors: 10,
+                sessions_reaped: 11,
+                queries_poisoned: 12,
+            }),
+            Response::Rows(Rows {
+                columns: vec![],
+                rows: vec![],
+                cached_plan: true,
+            }),
+        ]
+    }
+
+    /// The wire bodies of `sample_requests()`, then `sample_responses()`,
+    /// `rows_corpus()` and `extreme_responses()`: serde's standard JSON
+    /// shapes, which deployed clients parse. The encoder must reproduce
+    /// each byte for byte.
+    const GOLDEN_BODIES: [&str; 19] = [
+        r#"{"Hello":{"tenant":"alpha","secret":"s3cret"}}"#,
+        r#"{"Query":{"text":"MATCH (p:person) RETURN p.name"}}"#,
+        r#""Stats""#,
+        r#""Health""#,
+        r#""Shutdown""#,
+        r#""Goodbye""#,
+        r#"{"Welcome":{"engine":"Neo4j","tenant":"alpha"}}"#,
+        r#"{"Rows":{"columns":["name"],"rows":[[{"Str":"ada"}],["Null"]],"cached_plan":true}}"#,
+        r#"{"Interrupted":{"reason":"tenant allowance exhausted","partial":17}}"#,
+        r#"{"Overloaded":{"scope":"queue","retry_after_ms":25}}"#,
+        r#"{"Error":{"message":"cypher parse error"}}"#,
+        r#"{"Stats":{"tenants":[{"name":"alpha","weight":3,"credits":-2,"charged":1000,"throttled":4,"shed":1}],"plan_cache":{"hits":9,"misses":2,"entries":2,"epoch_evictions":1},"queue_shed":0,"executor_workers":2,"fanned_out":5,"snapshot_epoch":42,"refreshes":3,"last_refresh_us":180,"refresh_failures":1,"frame_errors":2,"sessions_reaped":1,"queries_poisoned":1}}"#,
+        r#"{"Health":{"state":"degraded","snapshot_epoch":42,"snapshot_age_ms":1200,"pending_changes":7,"auto_refresh":true,"refresh_failures":2,"consecutive_refresh_failures":1}}"#,
+        r#""Bye""#,
+        r#"{"Rows":{"columns":["a","quote\"back\\slash/","ünï\u0001code\n"],"rows":[["Null",{"Bool":true},{"Bool":false}],[{"Int":0},{"Int":-9223372036854775808},{"Int":9223372036854775807}],[{"Float":-0.0},{"Float":1e300},{"Float":5e-324}],[{"Float":1.0},{"Float":0.1},{"Float":-2.5e-7}],[{"Str":"tab\tcr\rnl\n\u0001\u0008\u000c\u001f"},{"Str":"日本語 🎉"},{"Str":""}],[{"List":[]},{"List":[{"List":[{"Int":-1},{"List":[]}]},{"Str":"x"}]},"Null"],[]],"cached_plan":false}}"#,
+        r#"{"Interrupted":{"reason":"","partial":18446744073709551615}}"#,
+        r#"{"Overloaded":{"scope":"tenant","retry_after_ms":0}}"#,
+        r#"{"Stats":{"tenants":[],"plan_cache":{"hits":18446744073709551615,"misses":0,"entries":1,"epoch_evictions":2},"queue_shed":3,"executor_workers":4,"fanned_out":5,"snapshot_epoch":6,"refreshes":7,"last_refresh_us":8,"refresh_failures":9,"frame_errors":10,"sessions_reaped":11,"queries_poisoned":12}}"#,
+        r#"{"Rows":{"columns":[],"rows":[],"cached_plan":true}}"#,
+    ];
+
+    /// Encodes `msg`, checks the body against `golden`, and checks that
+    /// `golden` decodes to `msg` and re-encodes to itself (which also
+    /// holds the sign of `-0.0`, where `PartialEq` does not look).
+    fn assert_golden<T>(msg: &T, golden: &str)
+    where
+        T: Serialize + serde::Deserialize + PartialEq + std::fmt::Debug,
+    {
+        let body = serde_json::to_vec(msg).expect("encode");
+        assert_eq!(std::str::from_utf8(&body).expect("UTF-8"), golden);
+        let back: T = serde_json::from_str(golden).expect("decode");
+        assert_eq!(&back, msg);
+        assert_eq!(serde_json::to_vec(&back).expect("re-encode"), body);
+    }
+
+    #[test]
+    fn bodies_are_byte_identical_to_the_golden_encoding() {
+        let requests = sample_requests();
+        let responses: Vec<Response> = sample_responses()
+            .into_iter()
+            .chain([rows_corpus()])
+            .chain(extreme_responses())
+            .collect();
+        assert_eq!(requests.len() + responses.len(), GOLDEN_BODIES.len());
+        let (request_bodies, response_bodies) = GOLDEN_BODIES.split_at(requests.len());
+        for (req, golden) in requests.iter().zip(request_bodies) {
+            assert_golden(req, golden);
+        }
+        for (resp, golden) in responses.iter().zip(response_bodies) {
+            assert_golden(resp, golden);
+        }
+    }
+
+    #[test]
+    fn decoding_tolerates_whitespace_reordered_and_unknown_fields() {
+        let hello = Request::Hello(Hello {
+            tenant: "alpha".into(),
+            secret: Some("s3cret".into()),
+        });
+        for body in [
+            " {\n\t\"Hello\" : { \"tenant\" : \"alpha\" ,\r\n \"secret\" : \"s3cret\" } } \n",
+            r#"{"Hello":{"secret":"s3cret","tenant":"alpha"}}"#,
+            r#"{"Hello":{"tenant":"alpha","extra":[1,{"x":null},"y",-2.5e3],"secret":"s3cret"}}"#,
+        ] {
+            assert_eq!(serde_json::from_str::<Request>(body).expect(body), hello);
+        }
+        let rows = &sample_responses()[1];
+        let body = r#"{ "Rows" : { "cached_plan" : true, "unknown" : {"a":[[]]},
+            "rows" : [ [ { "Str" : "ada" } ] , [ "Null" ] ], "columns" : [ "name" ] } }"#;
+        assert_eq!(&serde_json::from_str::<Response>(body).expect(body), rows);
+    }
+
+    #[test]
+    fn malformed_bodies_stay_errors() {
+        for body in [
+            // A trailing comma.
+            r#"{"Rows":{"columns":["a",],"rows":[],"cached_plan":true}}"#,
+            r#"{"Hello":{"tenant":"alpha","secret":null,}}"#,
+            // Trailing characters.
+            r#""Stats" x"#,
+            r#""Stats""Stats""#,
+            // Missing fields, an `Option` field included.
+            r#"{"Hello":{"tenant":"alpha"}}"#,
+            r#"{"Rows":{"columns":[],"rows":[]}}"#,
+            // Not one of the enum's shapes.
+            r#"{"Stats":null}"#,
+            r#"{"Hello":{"tenant":"alpha","secret":null},"Query":{"text":""}}"#,
+        ] {
+            assert!(serde_json::from_str::<Response>(body).is_err(), "{body}");
+            assert!(serde_json::from_str::<Request>(body).is_err(), "{body}");
+        }
+        // Every proper prefix of a body is a truncated body.
+        let body = GOLDEN_BODIES[14].as_bytes();
+        for cut in 0..body.len() {
+            assert!(
+                serde_json::from_slice::<Response>(&body[..cut]).is_err(),
+                "{cut}"
+            );
+        }
+    }
+
     #[test]
     fn requests_round_trip() {
         for req in sample_requests() {
@@ -400,6 +589,23 @@ mod tests {
     fn responses_round_trip() {
         for resp in sample_responses() {
             assert_eq!(round_trip(&resp), resp);
+        }
+        // `Value`'s `PartialEq` says `NaN != NaN`: compare the bits.
+        let floats = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        let non_finite = Response::Rows(Rows {
+            columns: vec!["x".into()],
+            rows: floats.iter().map(|&f| vec![Value::Float(f)]).collect(),
+            cached_plan: false,
+        });
+        let Response::Rows(back) = round_trip(&non_finite) else {
+            panic!("expected Rows");
+        };
+        assert_eq!(back.rows.len(), floats.len());
+        for (row, f) in back.rows.iter().zip(floats) {
+            match row[..] {
+                [Value::Float(x)] => assert_eq!(x.to_bits(), f.to_bits(), "{f}"),
+                ref other => panic!("{f}: read back {other:?}"),
+            }
         }
     }
 

@@ -8,7 +8,8 @@
 //! mangled frame with a structured `Error` (or a clean close when the
 //! bytes are beyond parsing), counts every incident in `frame_errors`,
 //! and keeps serving well-formed sessions throughout. The corpus is
-//! generated from a fixed seed, so a failure reproduces exactly.
+//! generated from a fixed seed, so a failure reproduces exactly; one
+//! fixed input follows it, a frame nested 100 000 arrays deep.
 
 use graph_db_models::core::props;
 use graph_db_models::engines::{make_engine, EngineKind};
@@ -100,6 +101,58 @@ fn corpus_case(rng: &mut StdRng) -> Vec<u8> {
     }
 }
 
+/// Sends `payload` on a fresh connection, half-closes it, and drains
+/// whatever the server answers until it closes. Says whether the
+/// answer held a structured `Error`.
+fn send_and_drain(addr: std::net::SocketAddr, payload: &[u8], case: usize) -> bool {
+    let mut s = TcpStream::connect(addr).expect("fuzz connect");
+    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    s.set_write_timeout(Some(Duration::from_secs(5))).unwrap();
+    // The server may close mid-write (it already rejected the
+    // prefix); a broken pipe here is the server being *correct*.
+    let _ = s.write_all(payload);
+    let _ = s.shutdown(std::net::Shutdown::Write);
+    // Drain whatever the server answers until it closes. The read
+    // deadline bounds this: a hang would fail the test, not CI.
+    let mut reply = Vec::new();
+    let mut buf = [0u8; 1024];
+    loop {
+        match s.read(&mut buf) {
+            Ok(0) => break,
+            Ok(n) => reply.extend_from_slice(&buf[..n]),
+            Err(e) => {
+                let timed_out = matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                );
+                assert!(
+                    !timed_out,
+                    "case {case}: server went silent without closing"
+                );
+                break; // reset/abort: also a close
+            }
+        }
+    }
+    reply.windows(b"Error".len()).any(|w| w == b"Error")
+}
+
+/// A well-formed session still gets its `Welcome` and all 10 rows.
+fn assert_healthy(addr: std::net::SocketAddr, case: usize) {
+    let mut c = Client::connect(addr).expect("healthy connect");
+    match c.hello("alpha", None).expect("healthy hello") {
+        Response::Welcome(_) => {}
+        other => panic!("case {case}: expected Welcome, got {other:?}"),
+    }
+    match c
+        .query("MATCH (p:person) RETURN p.name")
+        .expect("healthy query")
+    {
+        Response::Rows(r) => assert_eq!(r.rows.len(), 10),
+        other => panic!("case {case}: expected Rows, got {other:?}"),
+    }
+    c.goodbye().ok();
+}
+
 #[test]
 fn fuzzed_frames_get_structured_errors_and_never_wedge_the_server() {
     let (handle, dir) = server();
@@ -110,56 +163,27 @@ fn fuzzed_frames_get_structured_errors_and_never_wedge_the_server() {
     for case in 0..CASES {
         let mut rng = StdRng::seed_from_u64(SEED.wrapping_add(case as u64));
         let payload = corpus_case(&mut rng);
-        let mut s = TcpStream::connect(addr).expect("fuzz connect");
-        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        s.set_write_timeout(Some(Duration::from_secs(5))).unwrap();
-        // The server may close mid-write (it already rejected the
-        // prefix); a broken pipe here is the server being *correct*.
-        let _ = s.write_all(&payload);
-        let _ = s.shutdown(std::net::Shutdown::Write);
-        // Drain whatever the server answers until it closes. The read
-        // deadline bounds this: a hang would fail the test, not CI.
-        let mut reply = Vec::new();
-        let mut buf = [0u8; 1024];
-        loop {
-            match s.read(&mut buf) {
-                Ok(0) => break,
-                Ok(n) => reply.extend_from_slice(&buf[..n]),
-                Err(e) => {
-                    let timed_out = matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    );
-                    assert!(
-                        !timed_out,
-                        "case {case}: server went silent without closing"
-                    );
-                    break; // reset/abort: also a close
-                }
-            }
-        }
-        if reply.windows(b"Error".len()).any(|w| w == b"Error") {
+        if send_and_drain(addr, &payload, case) {
             structured_errors += 1;
         }
 
         // Every tenth case, prove a well-formed session still works —
         // the fuzz traffic must not degrade real service.
         if case % 10 == 0 {
-            let mut c = Client::connect(addr).expect("healthy connect");
-            match c.hello("alpha", None).expect("healthy hello") {
-                Response::Welcome(_) => {}
-                other => panic!("case {case}: expected Welcome, got {other:?}"),
-            }
-            match c
-                .query("MATCH (p:person) RETURN p.name")
-                .expect("healthy query")
-            {
-                Response::Rows(r) => assert_eq!(r.rows.len(), 10),
-                other => panic!("case {case}: expected Rows, got {other:?}"),
-            }
-            c.goodbye().ok();
+            assert_healthy(addr, case);
         }
     }
+
+    // One fixed input after the seeded corpus, so its cases do not
+    // shift: a frame of 100 000 `[`, sent before any `Hello`. Decoding
+    // must stop at the nesting limit with an error; recursing that deep
+    // would overflow the session worker's stack and abort the process.
+    let before_deep = handle.stats().frame_errors;
+    let mut deep = (100_000u32).to_be_bytes().to_vec();
+    deep.resize(4 + 100_000, b'[');
+    send_and_drain(addr, &deep, CASES);
+    assert_eq!(handle.stats().frame_errors - before_deep, 1);
+    assert_healthy(addr, CASES);
 
     let after = handle.stats();
     let frame_errors = after.frame_errors - before.frame_errors;
