@@ -702,14 +702,6 @@ impl<F: WalFs> GraphEngine for DurableEngine<F> {
         self.inner.default_limits()
     }
 
-    fn run_governed(
-        &self,
-        op: crate::facade::GovernedOp<'_>,
-        guard: &gdm_govern::ExecutionGuard,
-    ) -> Result<crate::facade::GovernedAnswer> {
-        self.inner.run_governed(op, guard)
-    }
-
     fn summarize(&self, func: SummaryFunc) -> Result<Value> {
         self.inner.summarize(func)
     }

@@ -10,8 +10,8 @@
 use crate::engine::Profile;
 use gdm_algo::pattern::Pattern;
 use gdm_algo::summary::Aggregate;
-use gdm_core::{Direction, EdgeId, NodeId, PropertyMap, Result, Support, Value};
-use gdm_govern::{ExecutionGuard, Limits};
+use gdm_core::{EdgeId, NodeId, PropertyMap, Result, Support, Value};
+use gdm_govern::Limits;
 use gdm_query::eval::ResultSet;
 use gdm_schema::Constraint;
 use std::path::{Path, PathBuf};
@@ -71,35 +71,6 @@ pub enum AnalysisFunc {
     AverageClustering,
     /// Highest-degree node.
     TopDegreeNode,
-}
-
-/// An essential query expressed for governed execution — the subset of
-/// the facade's read probes whose cost is unbounded in the graph size,
-/// and which [`GraphEngine::run_governed`] therefore runs under an
-/// [`ExecutionGuard`].
-#[derive(Debug, Clone)]
-pub enum GovernedOp<'a> {
-    /// Count matches of a structural pattern.
-    PatternMatch(&'a Pattern),
-    /// Shortest path between two nodes.
-    ShortestPath(NodeId, NodeId),
-    /// Regular-path reachability over a label regular expression.
-    RegularPath(NodeId, NodeId, &'a str),
-    /// Graph diameter (all-pairs BFS — the most expensive probe).
-    Diameter,
-}
-
-/// The answer to a [`GovernedOp`] that ran to completion.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum GovernedAnswer {
-    /// Match count for [`GovernedOp::PatternMatch`].
-    Matches(usize),
-    /// Node sequence for [`GovernedOp::ShortestPath`].
-    Path(Option<Vec<NodeId>>),
-    /// Reachability verdict for [`GovernedOp::RegularPath`].
-    Reachable(bool),
-    /// Diameter for [`GovernedOp::Diameter`].
-    Diameter(Option<usize>),
 }
 
 /// What a serving layer (the `gdm-server` crate) takes from an engine
@@ -264,8 +235,10 @@ pub trait GraphEngine {
     fn refreeze(&self, prev: &gdm_algo::FrozenGraph) -> Result<gdm_algo::FrozenGraph>;
 
     /// How many mutations the engine's [`gdm_core::DeltaTracker`] has
-    /// recorded since its snapshot was last (re-)frozen — the signal a
-    /// serving layer's auto-refresh policy triggers on. `u64::MAX`
+    /// recorded since its snapshot was last (re-)frozen — what the
+    /// engine's owning thread reports to the serving layer's
+    /// auto-refresh policy (`gdm-server`'s `ServerHandle::refresh_if_due`,
+    /// called with `|prev| engine.refreeze(prev)`). `u64::MAX`
     /// means the delta degraded to "everything changed" (untracked
     /// mutation or spill) and the next re-freeze will rebuild fully.
     fn pending_changes(&self) -> u64;
@@ -293,49 +266,8 @@ pub trait GraphEngine {
     /// what an operator would configure as this engine's query
     /// timeout/budget. Callers combine these with their own limits via
     /// the [`Limits`] builders before constructing an
-    /// [`ExecutionGuard`].
+    /// [`gdm_govern::ExecutionGuard`].
     fn default_limits(&self) -> Limits;
-
-    /// Runs one unbounded-cost essential query under `guard`:
-    /// cooperative deadline/budget/cancellation checks inside the hot
-    /// loops, returning [`gdm_core::GdmError::Interrupted`] (with the
-    /// partial-progress count) instead of hanging when a limit trips.
-    /// With an unlimited guard the answers equal the ungoverned probes.
-    ///
-    /// The default implementation freezes [`GraphEngine::snapshot`] and
-    /// runs the governed algorithms over the snapshot, so every engine
-    /// with a snapshot gets governed execution for free; engines whose
-    /// ungoverned probe refuses (e.g. no pattern matching through the
-    /// API) still answer here, because governed execution is harness
-    /// machinery, not an emulated 2012 feature.
-    fn run_governed(&self, op: GovernedOp<'_>, guard: &ExecutionGuard) -> Result<GovernedAnswer> {
-        let fz = self.snapshot()?;
-        match op {
-            GovernedOp::PatternMatch(pattern) => {
-                let table = gdm_algo::match_pattern_seeded(
-                    &fz,
-                    pattern,
-                    &gdm_algo::auto_domains(&fz, pattern),
-                    guard,
-                )?;
-                Ok(GovernedAnswer::Matches(table.len()))
-            }
-            GovernedOp::ShortestPath(a, b) => Ok(GovernedAnswer::Path(
-                gdm_algo::shortest_path(&fz, a, b, guard)?.map(|p| p.nodes),
-            )),
-            GovernedOp::RegularPath(a, b, expr) => {
-                let regex = gdm_algo::LabelRegex::compile(expr)?;
-                Ok(GovernedAnswer::Reachable(gdm_algo::regular_path_exists(
-                    &fz, a, b, &regex, guard,
-                )?))
-            }
-            GovernedOp::Diameter => Ok(GovernedAnswer::Diameter(gdm_algo::diameter(
-                &fz,
-                Direction::Outgoing,
-                guard,
-            )?)),
-        }
-    }
 
     // ---- transactions (the paper's database-vs-store split) ----------
     //

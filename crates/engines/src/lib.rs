@@ -47,8 +47,8 @@ pub mod vertexdb;
 pub use durable::{make_engine_durable, DurableEngine, LogicalOp};
 pub use engine::{Capability, Engine, Model, Profile};
 pub use facade::{
-    all_engines, make_engine, AnalysisFunc, EngineDescriptor, EngineKind, GovernedAnswer,
-    GovernedOp, GraphEngine, ServingSnapshot, SummaryFunc,
+    all_engines, make_engine, AnalysisFunc, EngineDescriptor, EngineKind, GraphEngine,
+    ServingSnapshot, SummaryFunc,
 };
 
 // Re-exported so downstream code can name the error type without a

@@ -59,5 +59,5 @@ pub use admission::{Admission, Permit, Shed};
 pub use chaos::{ChaosConfig, ChaosProxy, ChaosStats, Fault};
 pub use client::{Client, Deadlines, RetryingClient};
 pub use protocol::{HealthReply, Request, Response, StatsReply};
-pub use refresh::{channel_source, ChannelSource, RefreshPolicy, SnapshotSource, SourcePump};
+pub use refresh::RefreshPolicy;
 pub use server::{serve, ServerConfig, ServerHandle, TenantConfig, REFRESH_PRINCIPAL};

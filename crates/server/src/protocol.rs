@@ -153,12 +153,13 @@ pub struct CacheStats {
 ///
 /// Three states, coarsest first:
 /// - `"ready"` — the snapshot is fresh enough and refreshes succeed.
-/// - `"stale"` — recorded mutations have crossed the auto-refresh
-///   policy's thresholds but no fresh snapshot is serving yet; results
-///   are consistent but behind the live graph.
+/// - `"stale"` — the drift the engine owner last reported to
+///   `ServerHandle::refresh_if_due` crosses that call's
+///   [`crate::RefreshPolicy`] thresholds but no fresh snapshot is
+///   serving yet; results are consistent but behind the live graph.
 /// - `"degraded"` — the most recent refresh attempt(s) failed; the
 ///   server keeps answering from the last good snapshot while the
-///   refresh thread backs off and retries.
+///   owner's `refresh_if_due` calls back off and retry.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HealthReply {
     /// `"ready"`, `"stale"`, or `"degraded"`.
@@ -167,15 +168,15 @@ pub struct HealthReply {
     pub snapshot_epoch: u64,
     /// Milliseconds since the serving snapshot was installed.
     pub snapshot_age_ms: u64,
-    /// Mutations recorded against the serving snapshot, as last
-    /// observed by the refresh thread (0 when auto-refresh is off).
+    /// Mutations recorded against the serving snapshot, as the engine
+    /// owner last reported them to `refresh_if_due` (0 before that).
     pub pending_changes: u64,
-    /// Whether a background auto-refresh thread is running.
+    /// Whether the engine owner has called `refresh_if_due`.
     pub auto_refresh: bool,
     /// Lifetime failed refresh attempts (background and explicit).
     pub refresh_failures: u64,
     /// Failed refresh attempts since the last success — the degraded
-    /// trigger, and the exponent of the refresh thread's backoff.
+    /// trigger, and the exponent of `refresh_if_due`'s backoff.
     pub consecutive_refresh_failures: u64,
 }
 
@@ -204,7 +205,7 @@ pub struct StatsReply {
     /// microseconds; 0 until the first refresh.
     pub last_refresh_us: u64,
     /// Lifetime refresh attempts that failed (the serving snapshot was
-    /// left as it was; the refresh thread backs off and retries).
+    /// left as it was; `refresh_if_due` backs off and retries).
     pub refresh_failures: u64,
     /// Lifetime torn, oversized, or undecodable frames received —
     /// each one closed its session with a structured error where the

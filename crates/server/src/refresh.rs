@@ -1,31 +1,24 @@
-//! Background snapshot refresh: policy, source, and the thread glue.
+//! Owner-side snapshot refresh: when to re-freeze, and how to back off.
 //!
-//! PR 8 made live refresh *possible* (`ServerHandle::refresh_with`
-//! swaps an incrementally re-frozen snapshot under traffic); this
-//! module makes it *self-driving*. A server-owned thread watches how
-//! far the serving snapshot has drifted from the live engine — the
-//! [`DeltaTracker`](gdm_core::DeltaTracker) change count surfaced
-//! through [`SnapshotSource::pending_changes`] — and re-freezes when
-//! the drift crosses a change-count or staleness threshold. A failed
-//! rebuild never takes the server down: the old snapshot keeps
-//! serving, the thread backs off exponentially, and the `HEALTH`
-//! command reports `degraded` until a rebuild lands.
-//!
-//! Engines are deliberately not `Send`, so the refresh thread cannot
-//! own one. [`channel_source`] bridges the gap: the engine's owning
-//! thread keeps the engine and periodically *pumps* rebuild requests
-//! ([`SourcePump::try_serve`]) that the refresh thread sends through a
-//! channel — the engine never crosses a thread boundary, only the
-//! immutable [`FrozenGraph`] result does.
+//! `ServerHandle::refresh_with` swaps an incrementally re-frozen
+//! snapshot under traffic; [`crate::ServerHandle::refresh_if_due`]
+//! decides *when*. Engines are deliberately not `Send`, so the server
+//! never holds one and runs no refresh thread: the thread that owns the
+//! engine calls `refresh_if_due` from the loop where it already
+//! mutates, passing the drift its
+//! [`DeltaTracker`](gdm_core::DeltaTracker) recorded
+//! ([`gdm_engines::GraphEngine::pending_changes`]) and a build closure
+//! (typically [`gdm_engines::GraphEngine::refreeze`]). The call
+//! publishes the drift for `HEALTH` and re-freezes once the drift
+//! crosses a change-count or staleness threshold. A failed rebuild
+//! never takes the server down: the old snapshot keeps serving, later
+//! calls skip the build for an exponentially growing backoff, and
+//! `HEALTH` reports `degraded` until a rebuild lands.
 
-use gdm_algo::FrozenGraph;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
-use std::sync::Arc;
 use std::time::Duration;
 
-/// When the background refresh thread re-freezes, and how it behaves
-/// when a re-freeze fails.
+/// When [`crate::ServerHandle::refresh_if_due`] re-freezes, and how
+/// long it waits after a re-freeze fails.
 #[derive(Debug, Clone, Copy)]
 pub struct RefreshPolicy {
     /// Re-freeze once this many changes are pending, regardless of
@@ -34,9 +27,7 @@ pub struct RefreshPolicy {
     /// Re-freeze once *any* change is pending and the serving snapshot
     /// is older than this.
     pub max_staleness: Duration,
-    /// How often the thread samples [`SnapshotSource::pending_changes`].
-    pub poll_interval: Duration,
-    /// Sleep after the first failed rebuild; doubles per consecutive
+    /// Pause after the first failed rebuild; doubles per consecutive
     /// failure.
     pub failure_backoff: Duration,
     /// Ceiling on the failure backoff.
@@ -44,141 +35,34 @@ pub struct RefreshPolicy {
 }
 
 impl Default for RefreshPolicy {
-    /// Re-freeze at 1 000 pending changes or 2 s of staleness, polling
-    /// every 100 ms; failures back off 100 ms → 5 s.
+    /// Re-freeze at 1 000 pending changes or 2 s of staleness; failures
+    /// back off 100 ms → 5 s.
     fn default() -> Self {
         RefreshPolicy {
             min_changes: 1_000,
             max_staleness: Duration::from_secs(2),
-            poll_interval: Duration::from_millis(100),
             failure_backoff: Duration::from_millis(100),
             max_backoff: Duration::from_secs(5),
         }
     }
 }
 
-/// What the background refresh thread needs from the data side: how
-/// far the serving snapshot has drifted, and a way to build its
-/// replacement. Implementations must be `Send` (the thread owns the
-/// source); engine owners that cannot move their engine use
-/// [`channel_source`].
-pub trait SnapshotSource: Send {
-    /// Mutations recorded since the serving snapshot was frozen.
-    /// `u64::MAX` means "unbounded drift" (the tracker degraded to a
-    /// full rebuild) and triggers a refresh like any large count.
-    fn pending_changes(&mut self) -> u64;
-
-    /// Builds the next snapshot from the one currently serving —
-    /// typically [`gdm_engines::GraphEngine::refreeze`]. An error
-    /// leaves the previous snapshot serving; the refresh thread backs
-    /// off and retries.
-    fn rebuild(&mut self, prev: &FrozenGraph) -> gdm_core::Result<FrozenGraph>;
-}
-
-fn broken_pump(msg: &str) -> gdm_core::GdmError {
-    gdm_core::GdmError::Io(std::io::Error::new(std::io::ErrorKind::BrokenPipe, msg))
-}
-
-/// A rebuild request in flight from the refresh thread to the engine
-/// owner: the serving snapshot to patch, and where to send the result.
-struct RebuildReq {
-    prev: FrozenGraph,
-    reply: Sender<gdm_core::Result<FrozenGraph>>,
-}
-
-/// The `Send` half of [`channel_source`]: lives on the refresh thread,
-/// forwards rebuilds to the engine owner and relays pending-change
-/// reports.
-pub struct ChannelSource {
-    req_tx: Sender<RebuildReq>,
-    pending: Arc<AtomicU64>,
-    /// How long a rebuild may wait on the owner before the refresh
-    /// counts it as failed.
-    pub rebuild_timeout: Duration,
-}
-
-/// The engine-owner half of [`channel_source`]: stays on the thread
-/// that owns the (non-`Send`) engine, reporting drift and serving
-/// rebuild requests in its own loop.
-pub struct SourcePump {
-    req_rx: Receiver<RebuildReq>,
-    pending: Arc<AtomicU64>,
-}
-
-/// A [`SnapshotSource`] / [`SourcePump`] pair bridging the refresh
-/// thread and a thread-bound engine. Hand the [`ChannelSource`] to
-/// [`crate::ServerHandle::start_auto_refresh`]; on the engine's owning
-/// thread, interleave mutations with [`SourcePump::report_pending`]
-/// and [`SourcePump::try_serve`].
-pub fn channel_source() -> (ChannelSource, SourcePump) {
-    let (req_tx, req_rx) = mpsc::channel();
-    let pending = Arc::new(AtomicU64::new(0));
-    (
-        ChannelSource {
-            req_tx,
-            pending: pending.clone(),
-            rebuild_timeout: Duration::from_secs(10),
-        },
-        SourcePump { req_rx, pending },
-    )
-}
-
-impl SnapshotSource for ChannelSource {
-    fn pending_changes(&mut self) -> u64 {
-        self.pending.load(Ordering::Acquire)
+impl RefreshPolicy {
+    /// Whether `pending` changes against a snapshot `age` old call for
+    /// a re-freeze. `u64::MAX` (the tracker degraded to a full rebuild)
+    /// is due like any large count.
+    pub fn is_due(&self, pending: u64, age: Duration) -> bool {
+        pending >= self.min_changes.max(1) || (pending > 0 && age >= self.max_staleness)
     }
 
-    fn rebuild(&mut self, prev: &FrozenGraph) -> gdm_core::Result<FrozenGraph> {
-        let (reply_tx, reply_rx) = mpsc::channel();
-        self.req_tx
-            .send(RebuildReq {
-                prev: prev.clone(),
-                reply: reply_tx,
-            })
-            .map_err(|_| broken_pump("snapshot source pump is gone"))?;
-        match reply_rx.recv_timeout(self.rebuild_timeout) {
-            Ok(result) => result,
-            Err(RecvTimeoutError::Timeout) => Err(gdm_core::GdmError::Io(std::io::Error::new(
-                std::io::ErrorKind::TimedOut,
-                "snapshot rebuild timed out waiting for the engine owner",
-            ))),
-            Err(RecvTimeoutError::Disconnected) => {
-                Err(broken_pump("snapshot source pump dropped mid-rebuild"))
-            }
-        }
-    }
-}
-
-impl SourcePump {
-    /// Publishes the engine's current drift (typically
-    /// [`gdm_engines::GraphEngine::pending_changes`]) for the refresh
-    /// thread's next policy evaluation.
-    pub fn report_pending(&self, n: u64) {
-        self.pending.store(n, Ordering::Release);
-    }
-
-    /// Serves at most one queued rebuild request with `build` (run on
-    /// *this* thread, next to the engine). Returns whether a request
-    /// was served. On success the published drift resets to 0; the
-    /// owner's next [`SourcePump::report_pending`] re-establishes
-    /// truth for anything mutated meanwhile.
-    pub fn try_serve<F>(&self, build: F) -> bool
-    where
-        F: FnOnce(&FrozenGraph) -> gdm_core::Result<FrozenGraph>,
-    {
-        match self.req_rx.try_recv() {
-            Ok(req) => {
-                let result = build(&req.prev);
-                if result.is_ok() {
-                    self.pending.store(0, Ordering::Release);
-                }
-                // A dropped reply means the refresh timed out on us;
-                // the next request will carry the then-current prev.
-                let _ = req.reply.send(result);
-                true
-            }
-            Err(_) => false,
-        }
+    /// The pause after the `failures`-th consecutive failed rebuild:
+    /// `failure_backoff` doubled per earlier failure, capped at
+    /// `max_backoff`.
+    pub fn backoff(&self, failures: u64) -> Duration {
+        let doublings = failures.saturating_sub(1).min(31) as u32;
+        self.failure_backoff
+            .saturating_mul(1 << doublings)
+            .min(self.max_backoff)
     }
 }
 
@@ -187,39 +71,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn channel_source_round_trips_a_rebuild_error() {
-        let (mut source, pump) = channel_source();
-        source.rebuild_timeout = Duration::from_secs(2);
-        pump.report_pending(3);
-        assert_eq!(source.pending_changes(), 3);
-
-        let owner = std::thread::spawn(move || {
-            // Serve exactly one request, failing it.
-            loop {
-                let served = pump.try_serve(|_prev| {
-                    Err(gdm_core::GdmError::Storage(
-                        "injected rebuild failure".into(),
-                    ))
-                });
-                if served {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            pump
-        });
-
-        let dir = std::env::temp_dir().join(format!("gdm-refresh-unit-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let db = gdm_engines::make_engine(gdm_engines::EngineKind::Neo4j, &dir).expect("engine");
-        let prev = db.snapshot().expect("snapshot");
-        let err = source.rebuild(&prev).expect_err("injected failure");
-        assert!(err.to_string().contains("injected rebuild failure"));
-        let pump = owner.join().expect("owner thread");
-        // A failed rebuild must not clear the drift.
-        assert_eq!(source.pending_changes(), 3);
-        drop(pump);
-        // Pump gone: rebuild degrades to a structured error, not a hang.
-        assert!(source.rebuild(&prev).is_err());
+    fn backoff_doubles_up_to_the_ceiling() {
+        let policy = RefreshPolicy {
+            failure_backoff: Duration::from_millis(30),
+            max_backoff: Duration::from_millis(100),
+            ..RefreshPolicy::default()
+        };
+        let ms = |n| policy.backoff(n).as_millis();
+        assert_eq!([ms(1), ms(2), ms(3), ms(4)], [30, 60, 100, 100]);
+        assert_eq!(ms(u64::MAX), 100);
     }
 }

@@ -19,7 +19,7 @@
 
 use crate::admission::Admission;
 use crate::protocol::{CacheStats, HealthReply, StatsReply, TenantStats};
-use crate::refresh::{RefreshPolicy, SnapshotSource};
+use crate::refresh::RefreshPolicy;
 use crate::session;
 use gdm_engines::ServingSnapshot;
 use gdm_govern::{BudgetPool, Limits};
@@ -168,15 +168,17 @@ pub(crate) struct Shared {
     refresh_failures: AtomicU64,
     /// Failed refresh attempts since the last success.
     consecutive_refresh_failures: AtomicU64,
-    /// Drift behind the serving snapshot, as last sampled by the
-    /// refresh thread (0 when no auto-refresh runs).
+    /// Drift behind the serving snapshot, as last reported to
+    /// [`ServerHandle::refresh_if_due`] (0 before the first call).
     pending_changes: AtomicU64,
     /// When the serving snapshot was installed (serve() or last swap).
     last_refresh_at: Mutex<Instant>,
-    /// Auto-refresh thresholds for health classification:
-    /// `(min_changes, max_staleness)`; `None` until
-    /// [`ServerHandle::start_auto_refresh`] is called.
-    refresh_thresholds: Mutex<Option<(u64, Duration)>>,
+    /// The policy of the last [`ServerHandle::refresh_if_due`] call,
+    /// which `HEALTH` classifies drift by; `None` before the first.
+    refresh_policy: Mutex<Option<RefreshPolicy>>,
+    /// When the backoff after a failed [`ServerHandle::refresh_if_due`]
+    /// build ends; cleared by its next success.
+    backoff_until: Mutex<Option<Instant>>,
     addr: SocketAddr,
 }
 
@@ -229,43 +231,42 @@ impl Shared {
         }
     }
 
+    /// How long the serving snapshot has been installed.
+    fn snapshot_age(&self) -> Duration {
+        self.last_refresh_at
+            .lock()
+            .expect("refresh clock")
+            .elapsed()
+    }
+
     /// The serving health state behind the `HEALTH` command. Degraded
     /// beats stale beats ready: a failing refresh is actionable even
     /// when the snapshot also happens to be behind.
     pub(crate) fn health(&self) -> HealthReply {
         let pending = self.pending_changes.load(Ordering::Relaxed);
         let consecutive = self.consecutive_refresh_failures.load(Ordering::Relaxed);
-        let age = self
-            .last_refresh_at
-            .lock()
-            .expect("refresh clock")
-            .elapsed();
-        let thresholds = *self.refresh_thresholds.lock().expect("refresh thresholds");
+        let age = self.snapshot_age();
+        let policy = *self.refresh_policy.lock().expect("refresh policy");
         let state = if consecutive > 0 {
             "degraded"
+        } else if policy.is_some_and(|p| p.is_due(pending, age)) {
+            "stale"
         } else {
-            match thresholds {
-                Some((min_changes, max_staleness))
-                    if pending >= min_changes || (pending > 0 && age >= max_staleness) =>
-                {
-                    "stale"
-                }
-                _ => "ready",
-            }
+            "ready"
         };
         HealthReply {
             state: state.to_owned(),
             snapshot_epoch: self.current().frozen.epoch(),
             snapshot_age_ms: age.as_millis() as u64,
             pending_changes: pending,
-            auto_refresh: thresholds.is_some(),
+            auto_refresh: policy.is_some(),
             refresh_failures: self.refresh_failures.load(Ordering::Relaxed),
             consecutive_refresh_failures: consecutive,
         }
     }
 
     /// The shared refresh path behind [`ServerHandle::refresh_with`]
-    /// and the background refresh thread: budget gate, build, atomic
+    /// and [`ServerHandle::refresh_if_due`]: budget gate, build, atomic
     /// swap, counters. A failed build leaves the serving snapshot
     /// untouched and counts a refresh failure.
     pub(crate) fn do_refresh<F>(&self, build: F) -> io::Result<u64>
@@ -365,79 +366,55 @@ impl ServerHandle {
         self.shared.health()
     }
 
-    /// Starts the server-owned background refresh thread: the
-    /// ROADMAP's auto-refresh policy. The thread samples
-    /// [`SnapshotSource::pending_changes`] every
-    /// [`RefreshPolicy::poll_interval`]; once the drift crosses
-    /// [`RefreshPolicy::min_changes`] — or any drift outlives
-    /// [`RefreshPolicy::max_staleness`] — it re-freezes through the
-    /// same budget-metered path as [`ServerHandle::refresh_with`] and
-    /// swaps the result under live traffic.
+    /// The engine owner's auto-refresh step: call it from the loop
+    /// where the engine mutates, with the drift the engine reports
+    /// ([`gdm_engines::GraphEngine::pending_changes`]) and the build
+    /// [`ServerHandle::refresh_with`] takes (typically
+    /// `|prev| db.refreeze(prev)`).
     ///
-    /// Failure is survivable by construction: a failed rebuild leaves
+    /// It publishes `pending` for `HEALTH` (which from now on reports
+    /// `auto_refresh` and classifies drift by `policy`), then refreshes
+    /// through the same budget-metered path as `refresh_with` when
+    /// [`RefreshPolicy::is_due`] says so and no failure backoff is
+    /// running. Returns the new serving epoch, `Ok(None)` when nothing
+    /// was due, or the failed refresh's error.
+    ///
+    /// Failure is survivable by construction: a failed build leaves
     /// the previous snapshot serving, marks health `degraded`, and
-    /// backs off exponentially ([`RefreshPolicy::failure_backoff`] →
-    /// [`RefreshPolicy::max_backoff`]) before retrying. The thread
-    /// joins on shutdown like every other server thread.
-    ///
-    /// Engines are not `Send`; pair this with
-    /// [`crate::refresh::channel_source`] so the engine stays with its
-    /// owning thread and only immutable snapshots cross over.
-    pub fn start_auto_refresh<S: SnapshotSource + 'static>(
-        &mut self,
-        policy: RefreshPolicy,
-        mut source: S,
-    ) {
-        *self
-            .shared
-            .refresh_thresholds
-            .lock()
-            .expect("refresh thresholds") = Some((policy.min_changes.max(1), policy.max_staleness));
-        let shared = self.shared.clone();
-        self.threads.push(std::thread::spawn(move || {
-            let mut backoff = policy.failure_backoff;
-            // Sleep in short slices so shutdown never waits on a full
-            // poll interval or a long failure backoff.
-            let nap = |total: Duration| {
-                let slice = Duration::from_millis(20);
-                let mut left = total;
-                while !left.is_zero() && !shared.stop.load(Ordering::Acquire) {
-                    let step = left.min(slice);
-                    std::thread::sleep(step);
-                    left = left.saturating_sub(step);
-                }
-            };
-            while !shared.stop.load(Ordering::Acquire) {
-                let pending = source.pending_changes();
-                shared.pending_changes.store(pending, Ordering::Relaxed);
-                let age = shared
-                    .last_refresh_at
-                    .lock()
-                    .expect("refresh clock")
-                    .elapsed();
-                let due = pending >= policy.min_changes.max(1)
-                    || (pending > 0 && age >= policy.max_staleness);
-                if due {
-                    match shared.do_refresh(|prev| source.rebuild(prev)) {
-                        Ok(_) => {
-                            backoff = policy.failure_backoff;
-                            shared
-                                .pending_changes
-                                .store(source.pending_changes(), Ordering::Relaxed);
-                        }
-                        Err(_) => {
-                            // do_refresh already counted the failure;
-                            // keep serving the old snapshot and retry
-                            // after an exponentially growing pause.
-                            nap(backoff);
-                            backoff = (backoff * 2).min(policy.max_backoff);
-                            continue;
-                        }
-                    }
-                }
-                nap(policy.poll_interval);
+    /// makes the calls of the next [`RefreshPolicy::backoff`] return
+    /// `Ok(None)` without building — a pause that doubles per
+    /// consecutive failure. A success clears the backoff and the
+    /// published drift.
+    pub fn refresh_if_due<F>(
+        &self,
+        policy: &RefreshPolicy,
+        pending: u64,
+        build: F,
+    ) -> io::Result<Option<u64>>
+    where
+        F: FnOnce(&gdm_algo::FrozenGraph) -> gdm_core::Result<gdm_algo::FrozenGraph>,
+    {
+        let shared = &self.shared;
+        *shared.refresh_policy.lock().expect("refresh policy") = Some(*policy);
+        shared.pending_changes.store(pending, Ordering::Relaxed);
+        let mut backoff_until = shared.backoff_until.lock().expect("refresh backoff");
+        if backoff_until.is_some_and(|t| Instant::now() < t)
+            || !policy.is_due(pending, shared.snapshot_age())
+        {
+            return Ok(None);
+        }
+        match shared.do_refresh(build) {
+            Ok(epoch) => {
+                *backoff_until = None;
+                shared.pending_changes.store(0, Ordering::Relaxed);
+                Ok(Some(epoch))
             }
-        }));
+            Err(e) => {
+                let failures = shared.consecutive_refresh_failures.load(Ordering::Relaxed);
+                *backoff_until = Some(Instant::now() + policy.backoff(failures));
+                Err(e)
+            }
+        }
     }
 
     /// Stops accepting, drains in-flight sessions, joins every thread.
@@ -516,7 +493,8 @@ pub fn serve(snapshot: ServingSnapshot, config: ServerConfig) -> io::Result<Serv
         consecutive_refresh_failures: AtomicU64::new(0),
         pending_changes: AtomicU64::new(0),
         last_refresh_at: Mutex::new(Instant::now()),
-        refresh_thresholds: Mutex::new(None),
+        refresh_policy: Mutex::new(None),
+        backoff_until: Mutex::new(None),
         addr,
     });
 

@@ -1,6 +1,6 @@
 //! Live snapshot refresh over the wire.
 //!
-//! Three integration proofs:
+//! Five integration proofs:
 //!
 //! 1. A scripted session shows the whole freshness protocol: a cached
 //!    plan serves repeats, a mutation plus [`ServerHandle::refresh_with`]
@@ -15,14 +15,22 @@
 //! 3. The plan cache is consulted before the text is parsed: a repeated
 //!    text is a hit with identical rows, and a text that does not parse
 //!    as `MATCH` gets the same `Error` every time and is never cached.
+//! 4. [`ServerHandle::refresh_if_due`] builds exactly when its policy
+//!    says so: on enough changes, on any change past the staleness
+//!    bound, on a degraded tracker's `u64::MAX` — and never inside the
+//!    backoff a failed build starts.
+//! 5. A running backoff does not hold up shutdown: no refresh thread
+//!    exists to wait for.
 
+use gdm_algo::FrozenGraph;
 use gdm_core::props;
 use gdm_engines::{make_engine, EngineKind, GraphEngine};
 use gdm_server::protocol::Response;
-use gdm_server::{serve, Client, ServerConfig, ServerHandle, TenantConfig};
+use gdm_server::{serve, Client, RefreshPolicy, ServerConfig, ServerHandle, TenantConfig};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const QUERY: &str = "MATCH (p:person) RETURN p.name";
 const PEOPLE: usize = 50;
@@ -224,5 +232,126 @@ fn in_flight_sessions_survive_refreshes() {
     assert!(total > 0);
     c.goodbye().ok();
     handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn injected_failure(_prev: &FrozenGraph) -> gdm_core::Result<FrozenGraph> {
+    Err(gdm_core::GdmError::Storage(
+        "injected rebuild failure".into(),
+    ))
+}
+
+#[test]
+fn refresh_if_due_follows_its_policy() {
+    let (db, handle, dir) = start("policy");
+    let hour = Duration::from_secs(3600);
+    let policy = RefreshPolicy {
+        min_changes: 5,
+        max_staleness: hour,
+        failure_backoff: hour,
+        max_backoff: hour,
+    };
+    let builds = Cell::new(0u32);
+    let refreeze = |prev: &FrozenGraph| {
+        builds.set(builds.get() + 1);
+        db.refreeze(prev)
+    };
+    let failing = |prev: &FrozenGraph| {
+        builds.set(builds.get() + 1);
+        injected_failure(prev)
+    };
+    assert!(!handle.health().auto_refresh);
+
+    // Below `min_changes` and younger than `max_staleness`: not due.
+    assert_eq!(handle.refresh_if_due(&policy, 3, refreeze).unwrap(), None);
+    assert_eq!(builds.get(), 0);
+    assert_eq!(handle.stats().refreshes, 0);
+    let h = handle.health();
+    assert!(h.auto_refresh);
+    assert_eq!((h.state.as_str(), h.pending_changes), ("ready", 3));
+
+    // Enough changes: one build, and the published drift clears.
+    assert!(handle
+        .refresh_if_due(&policy, 5, refreeze)
+        .unwrap()
+        .is_some());
+    assert_eq!(builds.get(), 1);
+    assert_eq!(handle.stats().refreshes, 1);
+    assert_eq!(handle.health().pending_changes, 0);
+
+    // Any change past `max_staleness` (zero here, so always past it).
+    let stale = RefreshPolicy {
+        max_staleness: Duration::ZERO,
+        ..policy
+    };
+    assert!(handle
+        .refresh_if_due(&stale, 1, refreeze)
+        .unwrap()
+        .is_some());
+    assert_eq!(builds.get(), 2);
+
+    // A degraded tracker reports unbounded drift: due.
+    assert!(handle
+        .refresh_if_due(&policy, u64::MAX, refreeze)
+        .unwrap()
+        .is_some());
+    assert_eq!(builds.get(), 3);
+
+    // A failure degrades HEALTH and keeps the drift; with no backoff
+    // the next call retries, and its success restores `ready`.
+    let no_backoff = RefreshPolicy {
+        failure_backoff: Duration::ZERO,
+        max_backoff: Duration::ZERO,
+        ..policy
+    };
+    assert!(handle.refresh_if_due(&no_backoff, 7, failing).is_err());
+    let h = handle.health();
+    assert_eq!((h.state.as_str(), h.pending_changes), ("degraded", 7));
+    assert!(handle
+        .refresh_if_due(&no_backoff, 7, refreeze)
+        .unwrap()
+        .is_some());
+    let h = handle.health();
+    assert_eq!((h.state.as_str(), h.pending_changes), ("ready", 0));
+    assert_eq!((h.refresh_failures, h.consecutive_refresh_failures), (1, 0));
+    assert_eq!(builds.get(), 5);
+
+    // Inside the backoff window a failure starts, calls neither build
+    // nor count a failure, but still publish the drift.
+    assert!(handle.refresh_if_due(&policy, 8, failing).is_err());
+    assert_eq!(builds.get(), 6);
+    for pending in [9, u64::MAX] {
+        assert_eq!(
+            handle.refresh_if_due(&policy, pending, refreeze).unwrap(),
+            None
+        );
+        let h = handle.health();
+        assert_eq!((h.state.as_str(), h.pending_changes), ("degraded", pending));
+        assert_eq!((h.refresh_failures, h.consecutive_refresh_failures), (2, 1));
+    }
+    assert_eq!(builds.get(), 6);
+    assert_eq!(handle.stats().refreshes, 4);
+
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn shutdown_does_not_wait_out_a_refresh_backoff() {
+    let (_db, handle, dir) = start("stall");
+    let policy = RefreshPolicy {
+        failure_backoff: Duration::from_secs(10),
+        max_backoff: Duration::from_secs(10),
+        ..RefreshPolicy::default()
+    };
+    assert!(handle
+        .refresh_if_due(&policy, u64::MAX, injected_failure)
+        .is_err());
+    assert_eq!(handle.health().state, "degraded");
+
+    let t0 = Instant::now();
+    handle.shutdown();
+    let took = t0.elapsed();
+    assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }

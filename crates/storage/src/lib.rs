@@ -23,7 +23,6 @@
 //!   bitmap-based design),
 //! * [`index`] — hash, B-tree, and bitmap secondary indexes over
 //!   attribute values behind one [`index::ValueIndex`] trait,
-//! * [`txn`] — undo-log transactions over any [`KvStore`],
 //! * [`codec`] — order-preserving byte encodings for
 //!   [`gdm_core::Value`] keys and varint record encoding.
 
@@ -35,7 +34,6 @@ pub mod index;
 pub mod memkv;
 pub mod pager;
 pub mod records;
-pub mod txn;
 
 pub use bitmap::Bitmap;
 pub use btree::DiskBTree;
@@ -44,4 +42,3 @@ pub use index::{BTreeIndex, BitmapIndex, HashIndex, ValueIndex};
 pub use memkv::{KvStore, MemKv};
 pub use pager::{BufferPool, PageId, PoolStats, PAGE_SIZE};
 pub use records::RecordStore;
-pub use txn::UndoKv;

@@ -3,9 +3,8 @@
 //! Several surveyed systems are "graph stores on a key/value backend"
 //! (the paper: VertexDB on TokyoCabinet; HyperGraphDB on a key/value
 //! store; Filament over JDB). [`KvStore`] is that backend seam: the
-//! disk B-tree and [`MemKv`] implement it, engines build graph layouts
-//! on top, and the undo-log transaction wrapper composes over any
-//! implementation.
+//! disk B-tree and [`MemKv`] implement it, and engines build graph
+//! layouts on top.
 //!
 //! Methods take `&mut self` because disk-backed implementations mutate
 //! their buffer pool even on reads.

@@ -7,8 +7,8 @@
 //! The paper's graph-database-vs-graph-store split (Section II) turns
 //! on whether a system ships real database machinery — transactions
 //! *and* the recovery that makes them mean something after a crash.
-//! The seed repo had the first half ([`gdm_storage::UndoKv`]); this
-//! crate adds the second:
+//! Transactions are the engines' snapshot `begin`/`commit`/`rollback`;
+//! this crate adds the recovery:
 //!
 //! * [`record`] — length-prefixed, CRC-checksummed log records,
 //! * [`log`] — segmented append-only log writer with LSNs, rotation,

@@ -17,7 +17,7 @@
 //! | Crate | Contents |
 //! |---|---|
 //! | [`core`] (`gdm-core`) | ids, values, property maps, the [`core::GraphView`] abstraction |
-//! | [`storage`] (`gdm-storage`) | pager + buffer pool, disk B-tree, heap file, record store, bitmaps, indexes, transactions |
+//! | [`storage`] (`gdm-storage`) | pager + buffer pool, disk B-tree, heap file, record store, bitmaps, indexes |
 //! | [`graphs`] (`gdm-graphs`) | simple / property / hyper / nested / RDF / partitioned graphs |
 //! | [`algo`] (`gdm-algo`) | the essential queries: adjacency, reachability, regular paths, VF2 pattern matching, summarization |
 //! | [`govern`] (`gdm-govern`) | the query governor: deadlines, budgets, cooperative cancellation ([`govern::ExecutionGuard`]) |

@@ -4,10 +4,9 @@
 //! always a clean prefix of the committed history — never a torn,
 //! reordered, or duplicated one.
 
-use graph_db_models::core::PropertyMap;
-use graph_db_models::engines::{
-    DurableEngine, EngineKind, GovernedAnswer, GovernedOp, GraphEngine,
-};
+use graph_db_models::algo::summary::diameter;
+use graph_db_models::core::{Direction, PropertyMap};
+use graph_db_models::engines::{DurableEngine, EngineKind, GraphEngine};
 use graph_db_models::govern::{CancelToken, ExecutionGuard, Limits};
 use graph_db_models::wal::{FaultFs, Record, Wal, WalOptions};
 use proptest::prelude::*;
@@ -142,7 +141,7 @@ fn cancelled_query_leaves_the_durable_engine_intact() {
     let cancel = CancelToken::new();
     cancel.cancel(); // already cancelled: the query must trip immediately
     let guard = ExecutionGuard::with_cancel(Limits::none(), cancel);
-    let err = eng.run_governed(GovernedOp::Diameter, &guard).unwrap_err();
+    let err = diameter(&eng.snapshot().unwrap(), Direction::Outgoing, &guard).unwrap_err();
     assert!(err.is_interrupted(), "unexpected error: {err}");
     // The engine shrugs it off: more durable work, then a clean cycle.
     eng.create_node(Some("n"), PropertyMap::new()).unwrap();
@@ -150,10 +149,13 @@ fn cancelled_query_leaves_the_durable_engine_intact() {
     drop(eng);
     let (eng2, _) = DurableEngine::open(EngineKind::Neo4j, &dir, fs, opts()).unwrap();
     assert_eq!(eng2.node_count(), 9);
-    let got = eng2
-        .run_governed(GovernedOp::Diameter, &ExecutionGuard::unlimited())
-        .unwrap();
-    assert_eq!(got, GovernedAnswer::Diameter(Some(7)));
+    let got = diameter(
+        &eng2.snapshot().unwrap(),
+        Direction::Outgoing,
+        &ExecutionGuard::unlimited(),
+    )
+    .unwrap();
+    assert_eq!(got, Some(7));
     drop(eng2);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -21,8 +21,8 @@ use graph_db_models::algo::{
     bidirectional_shortest_path, par_diameter, shortest_path, FrozenGraph, Pattern,
 };
 use graph_db_models::bench::workload::{load_into_engine, social_graph, SocialParams};
-use graph_db_models::core::{Direction, InterruptReason, NodeId, Result};
-use graph_db_models::engines::{make_engine, EngineKind, GovernedAnswer, GovernedOp};
+use graph_db_models::core::{Direction, InterruptReason, NodeId, Result, Value};
+use graph_db_models::engines::{make_engine, EngineKind, SummaryFunc};
 use graph_db_models::govern::{ExecutionGuard, Limits};
 use graph_db_models::graphs::SimpleGraph;
 use proptest::prelude::*;
@@ -151,9 +151,9 @@ fn expired_deadline_interrupts_pattern_match_on_every_engine() {
 
         // Zero-duration deadline: expired before the first check.
         let guard = ExecutionGuard::new(Limits::none().with_deadline(Duration::from_millis(0)));
-        let err = engine
-            .run_governed(GovernedOp::PatternMatch(&pattern), &guard)
-            .unwrap_err();
+        let fz = engine.snapshot().unwrap();
+        let err =
+            match_pattern_seeded(&fz, &pattern, &auto_domains(&fz, &pattern), &guard).unwrap_err();
         assert!(
             err.is_interrupted(),
             "{}: expected Interrupted, got {err}",
@@ -163,12 +163,10 @@ fn expired_deadline_interrupts_pattern_match_on_every_engine() {
         // The same engine still answers a cheap governed query under
         // its own default limits — interruption wounds nothing.
         let defaults = ExecutionGuard::new(engine.default_limits());
-        let sp = engine
-            .run_governed(GovernedOp::ShortestPath(NodeId(0), NodeId(0)), &defaults)
-            .unwrap();
+        let sp = shortest_path(&fz, NodeId(0), NodeId(0), &defaults).unwrap();
         assert_eq!(
-            sp,
-            GovernedAnswer::Path(Some(vec![NodeId(0)])),
+            sp.map(|p| p.nodes),
+            Some(vec![NodeId(0)]),
             "{}",
             kind.label()
         );
@@ -196,26 +194,20 @@ fn tiny_budget_interrupts_diameter_on_every_engine() {
         load_into_engine(engine.as_mut(), &people).unwrap();
 
         let guard = ExecutionGuard::new(Limits::none().with_node_visits(1));
-        let err = engine
-            .run_governed(GovernedOp::Diameter, &guard)
-            .unwrap_err();
+        let fz = engine.snapshot().unwrap();
+        let err = diameter(&fz, Direction::Outgoing, &guard).unwrap_err();
         assert!(
             err.is_interrupted(),
             "{}: expected Interrupted, got {err}",
             kind.label()
         );
 
-        // Unlimited governed diameter equals the ungoverned summary
-        // on the frozen snapshot.
-        let got = engine
-            .run_governed(GovernedOp::Diameter, &ExecutionGuard::unlimited())
-            .unwrap();
-        let fz = engine.snapshot().unwrap();
+        // Unlimited governed diameter on the snapshot equals the
+        // facade's ungoverned summary.
+        let got = diameter(&fz, Direction::Outgoing, &ExecutionGuard::unlimited()).unwrap();
         assert_eq!(
-            got,
-            GovernedAnswer::Diameter(
-                diameter(&fz, Direction::Outgoing, &ExecutionGuard::unlimited()).unwrap()
-            ),
+            got.map_or(Value::Null, |d| Value::Int(d as i64)),
+            engine.summarize(SummaryFunc::Diameter).unwrap(),
             "{}",
             kind.label()
         );

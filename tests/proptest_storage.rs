@@ -1,9 +1,9 @@
 //! Property tests for the storage substrates: the disk B-tree is
 //! differentially tested against the in-memory oracle under random
 //! operation sequences, with structural invariants checked after every
-//! batch, and the undo-log transaction layer must restore any state.
+//! batch.
 
-use graph_db_models::storage::{BufferPool, DiskBTree, KvStore, MemKv, UndoKv};
+use graph_db_models::storage::{BufferPool, DiskBTree, KvStore, MemKv};
 use proptest::prelude::*;
 
 /// A random KV operation.
@@ -61,29 +61,6 @@ proptest! {
         }
         prop_assert_eq!(tree.len().expect("len"), oracle.len().expect("len"));
         tree.check_invariants().expect("invariants hold");
-    }
-
-    #[test]
-    fn undo_log_restores_any_state(
-        base in prop::collection::vec((key_strategy(), key_strategy()), 0..40),
-        txn in prop::collection::vec(op_strategy(), 1..60),
-    ) {
-        let mut kv = UndoKv::new(MemKv::new());
-        for (k, v) in &base {
-            kv.put(k, v).expect("seed");
-        }
-        let before = kv.scan_range(b"", None).expect("snapshot");
-        kv.begin().expect("begin");
-        for op in &txn {
-            match op {
-                Op::Put(k, v) => { kv.put(k, v).expect("put"); }
-                Op::Delete(k) => { kv.delete(k).expect("delete"); }
-                _ => {}
-            }
-        }
-        kv.rollback().expect("rollback");
-        let after = kv.scan_range(b"", None).expect("snapshot");
-        prop_assert_eq!(before, after);
     }
 
     #[test]

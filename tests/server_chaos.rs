@@ -4,10 +4,10 @@
 //! four tenants through a seed-driven [`ChaosProxy`] that injects every
 //! fault category — abrupt disconnects, partial writes, delayed bytes,
 //! garbage frames, truncated frames, slowloris drip-feeds — while the
-//! server's own background refresh thread re-freezes the serving
-//! snapshot under the traffic. Every tenant completes its full query
-//! budget with exact results ([`RetryingClient`] reconnects and
-//! retries transparently), nothing hangs (the whole test runs under a
+//! engine's owner re-freezes the serving snapshot under the traffic
+//! through `ServerHandle::refresh_if_due`. Every tenant completes its
+//! full query budget with exact results ([`RetryingClient`] reconnects
+//! and retries transparently), nothing hangs (the whole test runs under a
 //! watchdog), and the server's hardening counters show the faults were
 //! absorbed as structured failures, not chaos.
 //!
@@ -24,7 +24,7 @@ use graph_db_models::govern::RetryPolicy;
 use graph_db_models::server::chaos::{ChaosConfig, ChaosProxy};
 use graph_db_models::server::client::Deadlines;
 use graph_db_models::server::protocol::{Request, Response};
-use graph_db_models::server::refresh::{channel_source, RefreshPolicy, SnapshotSource};
+use graph_db_models::server::refresh::RefreshPolicy;
 use graph_db_models::server::{serve, Client, RetryingClient, ServerConfig, TenantConfig};
 use std::io::Write;
 use std::net::TcpStream;
@@ -102,22 +102,17 @@ fn tenants_survive_chaos_across_refreshes() {
     watchdog(Duration::from_secs(120), || {
         let (mut db, dir) = engine("tentpole");
         let tenants = ["t0", "t1", "t2", "t3"];
-        let mut handle = serve(db.serving_snapshot().unwrap(), chaos_config(&tenants)).unwrap();
+        let handle = serve(db.serving_snapshot().unwrap(), chaos_config(&tenants)).unwrap();
         let epoch0 = handle.stats().snapshot_epoch;
 
-        // Self-driving refresh: the server thread watches drift through
-        // the channel-bridged source; the engine stays on this thread.
-        let (source, pump) = channel_source();
-        handle.start_auto_refresh(
-            RefreshPolicy {
-                min_changes: 5,
-                max_staleness: Duration::from_millis(150),
-                poll_interval: Duration::from_millis(20),
-                failure_backoff: Duration::from_millis(50),
-                max_backoff: Duration::from_millis(500),
-            },
-            source,
-        );
+        // Auto-refresh from the engine's owning thread: its mutation
+        // loop below reports drift and refreshes when the policy says.
+        let policy = RefreshPolicy {
+            min_changes: 5,
+            max_staleness: Duration::from_millis(150),
+            failure_backoff: Duration::from_millis(50),
+            max_backoff: Duration::from_millis(500),
+        };
 
         let proxy = ChaosProxy::start(handle.addr(), ChaosConfig::full_menu(0xC4A05)).unwrap();
         let proxy_addr = proxy.addr();
@@ -185,7 +180,7 @@ fn tenants_survive_chaos_across_refreshes() {
             })
             .collect();
 
-        // Engine-owner loop: mutate, publish drift, serve rebuilds.
+        // Engine-owner loop: mutate, then refresh if due.
         {
             let done = clients_done.clone();
             let mut i = 0usize;
@@ -201,8 +196,9 @@ fn tenants_survive_chaos_across_refreshes() {
                 )
                 .unwrap();
                 i += 1;
-                pump.report_pending(db.pending_changes());
-                pump.try_serve(|prev| db.refreeze(prev));
+                // A refused or failed refresh backs off and retries.
+                let _ =
+                    handle.refresh_if_due(&policy, db.pending_changes(), |prev| db.refreeze(prev));
                 std::thread::sleep(Duration::from_millis(10));
                 if clients.iter().all(|c| c.is_finished()) {
                     done.store(true, Ordering::Relaxed);
@@ -406,10 +402,7 @@ struct FlakySource {
     pending: u64,
 }
 
-impl SnapshotSource for FlakySource {
-    fn pending_changes(&mut self) -> u64 {
-        self.pending
-    }
+impl FlakySource {
     fn rebuild(&mut self, prev: &FrozenGraph) -> graph_db_models::core::Result<FrozenGraph> {
         if self.fails_left > 0 {
             self.fails_left -= 1;
@@ -427,7 +420,7 @@ impl SnapshotSource for FlakySource {
 fn health_degrades_under_refresh_failures_and_recovers() {
     watchdog(Duration::from_secs(30), || {
         let (db, dir) = engine("health");
-        let mut handle = serve(db.serving_snapshot().unwrap(), chaos_config(&["alpha"])).unwrap();
+        let handle = serve(db.serving_snapshot().unwrap(), chaos_config(&["alpha"])).unwrap();
 
         // Before auto-refresh: ready, and HEALTH answers pre-Hello so
         // a load balancer needs no tenant credentials.
@@ -441,23 +434,22 @@ fn health_degrades_under_refresh_failures_and_recovers() {
             other => panic!("expected Health pre-Hello, got {other:?}"),
         }
 
-        handle.start_auto_refresh(
-            RefreshPolicy {
-                min_changes: 1,
-                max_staleness: Duration::from_millis(50),
-                poll_interval: Duration::from_millis(10),
-                failure_backoff: Duration::from_millis(30),
-                max_backoff: Duration::from_millis(100),
-            },
-            FlakySource {
-                fails_left: 5,
-                pending: 10,
-            },
-        );
+        let policy = RefreshPolicy {
+            min_changes: 1,
+            max_staleness: Duration::from_millis(50),
+            failure_backoff: Duration::from_millis(30),
+            max_backoff: Duration::from_millis(100),
+        };
+        let mut source = FlakySource {
+            fails_left: 5,
+            pending: 10,
+        };
 
-        let wait_for = |want: &str, handle: &graph_db_models::server::ServerHandle| {
+        // Each poll is one turn of the engine owner's loop.
+        let mut wait_for = |want: &str, handle: &graph_db_models::server::ServerHandle| {
             let t0 = Instant::now();
             loop {
+                let _ = handle.refresh_if_due(&policy, source.pending, |prev| source.rebuild(prev));
                 let h = handle.health();
                 if h.state == want {
                     return h;
