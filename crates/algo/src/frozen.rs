@@ -56,7 +56,6 @@
 
 use gdm_core::{
     AttributedView, EdgeId, EdgeRef, FxHashMap, GraphView, Interner, NodeId, Symbol, Value,
-    WeightedView,
 };
 use std::hash::{DefaultHasher, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -496,18 +495,6 @@ impl FrozenGraph {
         self.rev.targets(dense)
     }
 
-    /// Cached out-degree (forward run length).
-    #[inline]
-    pub fn out_degree_dense(&self, dense: u32) -> usize {
-        self.fwd.degree(dense)
-    }
-
-    /// Cached in-degree (reverse run length).
-    #[inline]
-    pub fn in_degree_dense(&self, dense: u32) -> usize {
-        self.rev.degree(dense)
-    }
-
     /// Cached total degree, with the same convention as
     /// [`GraphView::degree`]: in + out when directed, incident count
     /// when undirected.
@@ -518,34 +505,6 @@ impl FrozenGraph {
         } else {
             self.fwd.degree(dense)
         }
-    }
-
-    /// Unweighted BFS distance over the dense forward arrays — the
-    /// sequential CSR fast path for [`crate::distance`], with which it
-    /// agrees exactly (BFS follows out-edges, which for an undirected
-    /// snapshot already hold both incidences).
-    pub fn frozen_distance(&self, a: NodeId, b: NodeId) -> Option<usize> {
-        let (src, dst) = (self.dense_of(a)?, self.dense_of(b)?);
-        if src == dst {
-            return Some(0);
-        }
-        let mut dist = vec![u32::MAX; self.len()];
-        let mut queue = std::collections::VecDeque::new();
-        dist[src as usize] = 0;
-        queue.push_back(src);
-        while let Some(u) = queue.pop_front() {
-            let next = dist[u as usize] + 1;
-            for &v in self.out_targets(u) {
-                if dist[v as usize] == u32::MAX {
-                    if v == dst {
-                        return Some(next as usize);
-                    }
-                    dist[v as usize] = next;
-                    queue.push_back(v);
-                }
-            }
-        }
-        None
     }
 
     /// The snapshot's symbol for label text, if any frozen edge or
@@ -829,16 +788,6 @@ impl AttributedView for FrozenGraph {
     }
 }
 
-impl WeightedView for FrozenGraph {
-    /// Same convention as `PropertyGraph`: the `"weight"` property
-    /// when numeric, else 1.0.
-    fn edge_weight(&self, e: &EdgeRef) -> f64 {
-        self.edge_property(e.id, "weight")
-            .and_then(|v| v.as_f64())
-            .unwrap_or(1.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -971,7 +920,7 @@ mod tests {
         assert_eq!(fz.out_targets(hub_dense).len(), spokes.len());
         for &s in &spokes {
             assert_eq!(fz.in_degree(s), 1);
-            assert_eq!(fz.frozen_distance(hub, s), Some(1));
+            assert_eq!(crate::distance(&fz, hub, s), Some(1));
         }
     }
 }

@@ -7,9 +7,10 @@
 //!
 //! 1. **Adjacency queries** ([`adjacency`]): node/edge adjacency tests
 //!    and k-neighborhood listing.
-//! 2. **Reachability queries** ([`paths`], [`regular`]): reachability,
-//!    fixed-length paths, regular (simple) paths over edge-label
-//!    regular expressions, shortest paths (unweighted and weighted).
+//! 2. **Reachability queries** ([`paths`], [`regular`]): fixed-length
+//!    simple paths, regular paths over edge-label regular expressions
+//!    (walks and simple paths), and unweighted shortest paths and
+//!    distances.
 //! 3. **Pattern matching queries** ([`pattern`]): subgraph isomorphism
 //!    (VF2-style backtracking) with a brute-force oracle for testing.
 //! 4. **Summarization queries** ([`summary`]): aggregation functions
@@ -32,11 +33,11 @@
 //! big enough to pay for a thread.
 //!
 //! The searches whose cost the paper calls unbounded — [`match_pattern`],
-//! [`match_pattern_seeded`], [`shortest_path`], [`regular_path_exists`]
-//! and [`diameter`] — each exist once, take an [`ExecutionGuard`] and
-//! return a `Result`; they charge it only through a per-thread
-//! `gdm_govern::Meter`, and ungoverned callers pass
-//! [`ExecutionGuard::unlimited`].
+//! [`match_pattern_seeded`], [`shortest_path`], [`regular_path_exists`],
+//! [`fixed_length_paths`], [`regular_simple_paths`] and [`diameter`] —
+//! each exist once, take an [`ExecutionGuard`] and return a `Result`;
+//! they charge it only through a per-thread `gdm_govern::Meter`, and
+//! ungoverned callers pass [`ExecutionGuard::unlimited`].
 //!
 //! Pattern matching has two public matchers: the reference oracle
 //! [`match_pattern`] and the planned entry point
@@ -65,10 +66,7 @@ pub use parallel::{
     default_threads, executor_workers, par_connected_components, par_diameter, par_eccentricities,
     par_triangle_count, set_executor_workers,
 };
-pub use paths::{
-    bidirectional_shortest_path, dijkstra, distance, fixed_length_path_exists, fixed_length_paths,
-    is_reachable, shortest_path, Path,
-};
+pub use paths::{distance, fixed_length_paths, shortest_path, Path};
 pub use pattern::{match_pattern, within_hops, Pattern, PatternEdge, PatternNode};
 pub use planned::{
     auto_domains, domain_estimates, domains_consistent, generating_edges, match_pattern_seeded,
@@ -77,7 +75,7 @@ pub use planned::{
 pub use refreeze::{incremental_refreeze, incremental_refreeze_structural};
 pub use regular::{regular_path_exists, regular_simple_paths, LabelRegex};
 pub use summary::{aggregate, degree_stats, diameter, graph_order, graph_size, Aggregate};
-pub use traverse::{bfs_order, dfs_order, Traversal};
+pub use traverse::{bfs_order, Traversal};
 
 /// The guard every governed search here takes, re-exported so a caller
 /// can pass `ExecutionGuard::unlimited()` without its own `gdm-govern`

@@ -1,18 +1,17 @@
-//! Reachability queries (Section IV.2): reachability tests,
-//! fixed-length paths, and shortest paths.
+//! Reachability queries (Section IV.2): fixed-length paths, shortest
+//! paths and reachable sets.
 //!
 //! The paper distinguishes *fixed-length paths* ("contain a fixed
 //! number of nodes and edges") from *regular simple paths* (module
 //! [`crate::regular`]) and calls shortest path "a related but more
 //! complicated problem". Fixed-length **simple-path enumeration** is
-//! exponential in general, so the enumerator takes an explicit budget
-//! and fails loudly instead of silently truncating.
+//! exponential in general, so the enumerator runs under an
+//! [`ExecutionGuard`] and fails loudly with
+//! [`GdmError::Interrupted`](gdm_core::GdmError::Interrupted) instead
+//! of silently truncating.
 
-use gdm_core::{
-    Direction, EdgeId, EdgeRef, FxHashMap, FxHashSet, GdmError, GraphView, NodeId, Result,
-    WeightedView,
-};
-use gdm_govern::ExecutionGuard;
+use gdm_core::{Direction, EdgeId, EdgeRef, FxHashMap, FxHashSet, GraphView, NodeId, Result};
+use gdm_govern::{ExecutionGuard, Meter};
 use std::collections::VecDeque;
 
 /// A path: `nodes.len() == edges.len() + 1`.
@@ -46,110 +45,43 @@ impl Path {
     }
 }
 
-/// Reachability test: is there a directed path from `a` to `b`?
-pub fn is_reachable(g: &dyn GraphView, a: NodeId, b: NodeId) -> bool {
-    if !g.contains_node(a) || !g.contains_node(b) {
-        return false;
-    }
-    if a == b {
-        return true;
-    }
-    let mut seen: FxHashSet<u64> = FxHashSet::default();
-    let mut queue = VecDeque::from([a]);
-    seen.insert(a.raw());
-    while let Some(n) = queue.pop_front() {
-        let mut found = false;
-        g.visit_out_edges(n, &mut |e| {
-            if e.to == b {
-                found = true;
-            }
-            if seen.insert(e.to.raw()) {
-                queue.push_back(e.to);
-            }
-        });
-        if found {
-            return true;
-        }
-    }
-    false
-}
-
-/// True when a *walk* (nodes may repeat) of exactly `len` edges leads
-/// from `a` to `b`. Computed by level-set dynamic programming, so it
-/// is polynomial even when path enumeration would explode.
-pub fn fixed_length_path_exists(g: &dyn GraphView, a: NodeId, b: NodeId, len: usize) -> bool {
-    if !g.contains_node(a) || !g.contains_node(b) {
-        return false;
-    }
-    let mut frontier: FxHashSet<u64> = FxHashSet::default();
-    frontier.insert(a.raw());
-    for _ in 0..len {
-        let mut next: FxHashSet<u64> = FxHashSet::default();
-        for &n in &frontier {
-            g.visit_out_edges(NodeId(n), &mut |e| {
-                next.insert(e.to.raw());
-            });
-        }
-        if next.is_empty() {
-            return false;
-        }
-        frontier = next;
-    }
-    frontier.contains(&b.raw())
-}
-
 /// Enumerates all **simple** paths (no repeated node) of exactly `len`
-/// edges from `a` to `b`, by backtracking. `budget` bounds the number
-/// of search steps; exceeding it returns
-/// [`GdmError::BudgetExhausted`] — the honest outcome for a problem
-/// whose output can be exponential.
+/// edges from `a` to `b`, by backtracking under `guard`: the search
+/// charges one node visit per search step and one row per path, and
+/// settles before returning, so a tripped budget is
+/// [`GdmError::Interrupted`](gdm_core::GdmError::Interrupted) — the
+/// honest outcome for a problem whose output can be exponential.
 pub fn fixed_length_paths(
     g: &dyn GraphView,
     a: NodeId,
     b: NodeId,
     len: usize,
-    budget: usize,
+    guard: &ExecutionGuard,
 ) -> Result<Vec<Path>> {
     if !g.contains_node(a) || !g.contains_node(b) {
         return Ok(Vec::new());
     }
+    let meter = guard.meter();
     let mut out = Vec::new();
-    let mut steps = 0usize;
-    let mut node_stack = vec![a];
-    let mut edge_stack: Vec<EdgeId> = Vec::new();
-    search_fixed(
-        g,
-        b,
-        len,
-        budget,
-        &mut steps,
-        &mut node_stack,
-        &mut edge_stack,
-        &mut out,
-    )?;
+    search_fixed(g, b, len, &meter, &mut vec![a], &mut Vec::new(), &mut out)?;
+    meter.settle()?;
     Ok(out)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn search_fixed(
     g: &dyn GraphView,
     target: NodeId,
     len: usize,
-    budget: usize,
-    steps: &mut usize,
+    meter: &Meter<'_>,
     nodes: &mut Vec<NodeId>,
     edges: &mut Vec<EdgeId>,
     out: &mut Vec<Path>,
 ) -> Result<()> {
-    *steps += 1;
-    if *steps > budget {
-        return Err(GdmError::BudgetExhausted(format!(
-            "fixed-length path search exceeded {budget} steps"
-        )));
-    }
+    meter.nodes(1)?;
     let current = *nodes.last().expect("non-empty stack");
     if edges.len() == len {
         if current == target {
+            meter.rows(1)?;
             out.push(Path {
                 nodes: nodes.clone(),
                 edges: edges.clone(),
@@ -168,7 +100,7 @@ fn search_fixed(
         }
         nodes.push(e.to);
         edges.push(e.id);
-        search_fixed(g, target, len, budget, steps, nodes, edges, out)?;
+        search_fixed(g, target, len, meter, nodes, edges, out)?;
         nodes.pop();
         edges.pop();
     }
@@ -178,7 +110,7 @@ fn search_fixed(
 /// Unweighted shortest path from `a` to `b` (BFS), if any, under
 /// `guard`: the BFS charges one node visit per dequeued node and one
 /// edge visit per traversed edge, and a trip returns
-/// [`GdmError::Interrupted`].
+/// [`GdmError::Interrupted`](gdm_core::GdmError::Interrupted).
 pub fn shortest_path(
     g: &dyn GraphView,
     a: NodeId,
@@ -236,187 +168,6 @@ pub fn distance(g: &dyn GraphView, a: NodeId, b: NodeId) -> Option<usize> {
         .map(|p| p.len())
 }
 
-/// Bidirectional BFS: expands frontiers from both endpoints (forward
-/// from `a`, backward from `b`) and meets in the middle — the search
-/// visits O(b^(d/2)) nodes instead of O(b^d). Returns a shortest
-/// path, the same length as [`shortest_path`]'s answer.
-///
-/// Correctness note: a level is always expanded *completely* and the
-/// meeting node with the smallest opposite-side depth is chosen —
-/// stopping at the first meet can overshoot by the depth spread within
-/// one level.
-pub fn bidirectional_shortest_path(g: &dyn GraphView, a: NodeId, b: NodeId) -> Option<Path> {
-    if !g.contains_node(a) || !g.contains_node(b) {
-        return None;
-    }
-    if a == b {
-        return Some(Path {
-            nodes: vec![a],
-            edges: vec![],
-        });
-    }
-    let mut fwd_parent: FxHashMap<u64, EdgeRef> = FxHashMap::default();
-    let mut bwd_parent: FxHashMap<u64, EdgeRef> = FxHashMap::default();
-    let mut fwd_depth: FxHashMap<u64, usize> = FxHashMap::default();
-    let mut bwd_depth: FxHashMap<u64, usize> = FxHashMap::default();
-    fwd_depth.insert(a.raw(), 0);
-    bwd_depth.insert(b.raw(), 0);
-    let mut fwd_frontier = vec![a];
-    let mut bwd_frontier = vec![b];
-    let mut fwd_level = 0usize;
-    let mut bwd_level = 0usize;
-
-    let meet: NodeId = loop {
-        if fwd_frontier.is_empty() || bwd_frontier.is_empty() {
-            return None;
-        }
-        let forward = fwd_frontier.len() <= bwd_frontier.len();
-        let mut next = Vec::new();
-        // The best meet of this level: smallest opposite-side depth.
-        let mut best: Option<(usize, NodeId)> = None;
-        if forward {
-            fwd_level += 1;
-            for &n in &fwd_frontier {
-                g.visit_out_edges(n, &mut |e| {
-                    if let std::collections::hash_map::Entry::Vacant(slot) =
-                        fwd_depth.entry(e.to.raw())
-                    {
-                        slot.insert(fwd_level);
-                        fwd_parent.insert(e.to.raw(), e);
-                        next.push(e.to);
-                        if let Some(&db) = bwd_depth.get(&e.to.raw()) {
-                            if best.is_none_or(|(d, _)| db < d) {
-                                best = Some((db, e.to));
-                            }
-                        }
-                    }
-                });
-            }
-            fwd_frontier = next;
-        } else {
-            bwd_level += 1;
-            for &n in &bwd_frontier {
-                g.visit_in_edges(n, &mut |e| {
-                    // e.from == n (nearer b), e.to == predecessor.
-                    if let std::collections::hash_map::Entry::Vacant(slot) =
-                        bwd_depth.entry(e.to.raw())
-                    {
-                        slot.insert(bwd_level);
-                        bwd_parent.insert(e.to.raw(), e);
-                        next.push(e.to);
-                        if let Some(&df) = fwd_depth.get(&e.to.raw()) {
-                            if best.is_none_or(|(d, _)| df < d) {
-                                best = Some((df, e.to));
-                            }
-                        }
-                    }
-                });
-            }
-            bwd_frontier = next;
-        }
-        if let Some((_, m)) = best {
-            break m;
-        }
-    };
-
-    // Stitch: a … meet via forward parents, meet … b via backward
-    // parents (each backward entry at node x is the edge oriented with
-    // `from` = x's successor toward b).
-    let mut nodes = Vec::new();
-    let mut edges = Vec::new();
-    let mut cur = meet;
-    while cur != a {
-        let e = fwd_parent.get(&cur.raw())?;
-        edges.push(e.id);
-        nodes.push(cur);
-        cur = e.from;
-    }
-    nodes.push(a);
-    nodes.reverse();
-    edges.reverse();
-    cur = meet;
-    while cur != b {
-        let e = bwd_parent.get(&cur.raw())?;
-        edges.push(e.id);
-        cur = e.from;
-        nodes.push(cur);
-    }
-    Some(Path { nodes, edges })
-}
-
-/// Weighted shortest path (Dijkstra) using [`WeightedView`] weights.
-/// Negative weights are rejected.
-pub fn dijkstra<G: WeightedView + ?Sized>(
-    g: &G,
-    a: NodeId,
-    b: NodeId,
-) -> Result<Option<(Path, f64)>> {
-    use std::cmp::Ordering;
-    use std::collections::BinaryHeap;
-
-    if !g.contains_node(a) || !g.contains_node(b) {
-        return Ok(None);
-    }
-
-    struct Entry {
-        cost: f64,
-        node: NodeId,
-    }
-    impl PartialEq for Entry {
-        fn eq(&self, other: &Self) -> bool {
-            self.cost == other.cost
-        }
-    }
-    impl Eq for Entry {}
-    impl PartialOrd for Entry {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl Ord for Entry {
-        fn cmp(&self, other: &Self) -> Ordering {
-            // Reverse for a min-heap.
-            other.cost.total_cmp(&self.cost)
-        }
-    }
-
-    let mut dist: FxHashMap<u64, f64> = FxHashMap::default();
-    let mut parent: FxHashMap<u64, EdgeRef> = FxHashMap::default();
-    let mut heap = BinaryHeap::new();
-    dist.insert(a.raw(), 0.0);
-    heap.push(Entry { cost: 0.0, node: a });
-    while let Some(Entry { cost, node }) = heap.pop() {
-        if node == b {
-            let path = reconstruct(&parent, a, b).expect("parent chain complete");
-            return Ok(Some((path, cost)));
-        }
-        if dist.get(&node.raw()).is_some_and(|&d| cost > d) {
-            continue; // stale entry
-        }
-        let mut edges = Vec::new();
-        g.visit_out_edges(node, &mut |e| edges.push(e));
-        for e in edges {
-            let w = g.edge_weight(&e);
-            if w < 0.0 {
-                return Err(GdmError::InvalidArgument(format!(
-                    "negative edge weight {w} on {}",
-                    e.id
-                )));
-            }
-            let next_cost = cost + w;
-            if dist.get(&e.to.raw()).is_none_or(|&d| next_cost < d) {
-                dist.insert(e.to.raw(), next_cost);
-                parent.insert(e.to.raw(), e);
-                heap.push(Entry {
-                    cost: next_cost,
-                    node: e.to,
-                });
-            }
-        }
-    }
-    Ok(None)
-}
-
 /// All nodes reachable from `a` within the given direction, including
 /// `a` itself (used by components and eccentricity computations).
 pub fn reachable_set(g: &dyn GraphView, a: NodeId, direction: Direction) -> FxHashSet<u64> {
@@ -454,8 +205,10 @@ fn reconstruct(parent: &FxHashMap<u64, EdgeRef>, a: NodeId, b: NodeId) -> Option
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gdm_core::props;
-    use gdm_graphs::{PropertyGraph, SimpleGraph};
+    use crate::regular::{regular_path_exists, LabelRegex};
+    use gdm_core::InterruptReason;
+    use gdm_govern::Limits;
+    use gdm_graphs::SimpleGraph;
 
     fn diamond() -> (SimpleGraph, Vec<NodeId>) {
         let mut g = SimpleGraph::directed();
@@ -469,40 +222,26 @@ mod tests {
     }
 
     #[test]
-    fn reachability() {
-        let (g, n) = diamond();
-        assert!(is_reachable(&g, n[0], n[4]));
-        assert!(!is_reachable(&g, n[4], n[0]));
-        assert!(is_reachable(&g, n[2], n[2]), "trivially reachable");
-        assert!(!is_reachable(&g, n[0], NodeId(99)));
-    }
-
-    #[test]
-    fn fixed_length_walk_existence() {
-        let (g, n) = diamond();
-        assert!(fixed_length_path_exists(&g, n[0], n[3], 2));
-        assert!(!fixed_length_path_exists(&g, n[0], n[3], 1));
-        assert!(fixed_length_path_exists(&g, n[0], n[4], 3));
-        assert!(!fixed_length_path_exists(&g, n[0], n[4], 2));
-    }
-
-    #[test]
     fn walks_may_repeat_nodes() {
         let mut g = SimpleGraph::directed();
         let a = g.add_node();
         let b = g.add_node();
         g.add_edge(a, b).unwrap();
         g.add_edge(b, a).unwrap();
+        let unlimited = ExecutionGuard::unlimited();
         // a→b→a→b is a length-3 walk.
-        assert!(fixed_length_path_exists(&g, a, b, 3));
+        let three = LabelRegex::compile(". . .").unwrap();
+        assert!(regular_path_exists(&g, a, b, &three, &unlimited).unwrap());
         // But not a simple path.
-        assert!(fixed_length_paths(&g, a, b, 3, 1000).unwrap().is_empty());
+        assert!(fixed_length_paths(&g, a, b, 3, &unlimited)
+            .unwrap()
+            .is_empty());
     }
 
     #[test]
     fn fixed_length_simple_path_enumeration() {
         let (g, n) = diamond();
-        let paths = fixed_length_paths(&g, n[0], n[3], 2, 1000).unwrap();
+        let paths = fixed_length_paths(&g, n[0], n[3], 2, &ExecutionGuard::unlimited()).unwrap();
         assert_eq!(paths.len(), 2, "both diamond arms");
         for p in &paths {
             assert_eq!(p.len(), 2);
@@ -514,8 +253,9 @@ mod tests {
     #[test]
     fn budget_exhaustion_is_loud() {
         let (g, n) = diamond();
-        let err = fixed_length_paths(&g, n[0], n[4], 3, 2).unwrap_err();
-        assert!(matches!(err, GdmError::BudgetExhausted(_)));
+        let guard = ExecutionGuard::new(Limits::none().with_node_visits(2));
+        let err = fixed_length_paths(&g, n[0], n[4], 3, &guard).unwrap_err();
+        assert_eq!(err.interrupt_reason(), Some(InterruptReason::Budget));
     }
 
     #[test]
@@ -530,71 +270,6 @@ mod tests {
         assert_eq!(distance(&g, n[0], n[4]), Some(3));
         assert_eq!(distance(&g, n[4], n[0]), None);
         assert_eq!(distance(&g, n[1], n[1]), Some(0));
-    }
-
-    #[test]
-    fn dijkstra_prefers_cheap_detour() {
-        let mut g = PropertyGraph::new();
-        let a = g.add_node("v", props! {});
-        let b = g.add_node("v", props! {});
-        let c = g.add_node("v", props! {});
-        g.add_edge(a, b, "e", props! { "weight" => 10.0 }).unwrap();
-        g.add_edge(a, c, "e", props! { "weight" => 1.0 }).unwrap();
-        g.add_edge(c, b, "e", props! { "weight" => 2.0 }).unwrap();
-        let (path, cost) = dijkstra(&g, a, b).unwrap().unwrap();
-        assert_eq!(cost, 3.0);
-        assert_eq!(path.nodes, vec![a, c, b]);
-        // BFS ignores weights and goes direct.
-        assert_eq!(distance(&g, a, b), Some(1));
-    }
-
-    #[test]
-    fn dijkstra_rejects_negative_weights() {
-        let mut g = PropertyGraph::new();
-        let a = g.add_node("v", props! {});
-        let b = g.add_node("v", props! {});
-        g.add_edge(a, b, "e", props! { "weight" => -1.0 }).unwrap();
-        assert!(dijkstra(&g, a, b).is_err());
-    }
-
-    #[test]
-    fn dijkstra_unreachable_is_none() {
-        let mut g = PropertyGraph::new();
-        let a = g.add_node("v", props! {});
-        let b = g.add_node("v", props! {});
-        assert!(dijkstra(&g, a, b).unwrap().is_none());
-    }
-
-    #[test]
-    fn bidirectional_agrees_with_bfs_on_the_diamond() {
-        let (g, n) = diamond();
-        for (s, t) in [(0usize, 4usize), (0, 3), (1, 4), (4, 0), (2, 2)] {
-            let uni = distance(&g, n[s], n[t]);
-            let bi = bidirectional_shortest_path(&g, n[s], n[t]).map(|p| p.len());
-            assert_eq!(uni, bi, "({s}, {t})");
-        }
-        // The stitched path is a real walk.
-        let p = bidirectional_shortest_path(&g, n[0], n[4]).unwrap();
-        assert_eq!(p.source(), n[0]);
-        assert_eq!(p.target(), n[4]);
-        assert_eq!(p.nodes.len(), p.edges.len() + 1);
-        for w in p.nodes.windows(2) {
-            let mut ok = false;
-            g.visit_out_edges(w[0], &mut |e| ok |= e.to == w[1]);
-            assert!(ok, "gap between {} and {}", w[0], w[1]);
-        }
-    }
-
-    #[test]
-    fn bidirectional_on_long_chain() {
-        let mut g = SimpleGraph::directed();
-        let n: Vec<NodeId> = (0..200).map(|_| g.add_node()).collect();
-        for w in n.windows(2) {
-            g.add_edge(w[0], w[1]).unwrap();
-        }
-        let p = bidirectional_shortest_path(&g, n[0], n[199]).unwrap();
-        assert_eq!(p.len(), 199);
-        assert!(bidirectional_shortest_path(&g, n[199], n[0]).is_none());
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!   walk spell a word in the language?) in polynomial time via the
 //!   product of the graph with a Thompson NFA;
 //! * [`regular_simple_paths`] enumerates *simple* paths matching the
-//!   expression by budgeted backtracking, failing loudly when the
-//!   budget is exhausted.
+//!   expression by backtracking under an [`ExecutionGuard`], failing
+//!   loudly with [`GdmError::Interrupted`] when the guard trips.
 //!
 //! Expression syntax over edge labels:
 //!
@@ -25,7 +25,7 @@
 
 use crate::paths::Path;
 use gdm_core::{EdgeId, FxHashSet, GdmError, GraphView, NodeId, Result};
-use gdm_govern::ExecutionGuard;
+use gdm_govern::{ExecutionGuard, Meter};
 use std::collections::VecDeque;
 
 // ---------------------------------------------------------------------
@@ -406,22 +406,25 @@ pub fn regular_path_exists(
 }
 
 /// Simple-path semantics: enumerate simple paths from `a` to `b` whose
-/// label word matches `regex`, up to `budget` search steps
-/// (NP-complete in general — the budget keeps the search honest).
+/// label word matches `regex` (NP-complete in general), by backtracking
+/// under `guard`: the search charges one node visit per search step
+/// and one row per path, and settles before returning, so a tripped
+/// budget is [`GdmError::Interrupted`].
 pub fn regular_simple_paths(
     g: &dyn GraphView,
     a: NodeId,
     b: NodeId,
     regex: &LabelRegex,
-    budget: usize,
+    guard: &ExecutionGuard,
 ) -> Result<Vec<Path>> {
     if !g.contains_node(a) || !g.contains_node(b) {
         return Ok(Vec::new());
     }
+    let meter = guard.meter();
     let mut out = Vec::new();
-    let mut steps = 0usize;
     let start = regex.start_set();
     if a == b && regex.accepts_set(&start) {
+        meter.rows(1)?;
         out.push(Path {
             nodes: vec![a],
             edges: vec![],
@@ -430,8 +433,9 @@ pub fn regular_simple_paths(
     let mut nodes = vec![a];
     let mut edges: Vec<EdgeId> = Vec::new();
     backtrack(
-        g, b, regex, budget, &mut steps, &start, &mut nodes, &mut edges, &mut out,
+        g, b, regex, &meter, &start, &mut nodes, &mut edges, &mut out,
     )?;
+    meter.settle()?;
     Ok(out)
 }
 
@@ -440,19 +444,13 @@ fn backtrack(
     g: &dyn GraphView,
     target: NodeId,
     regex: &LabelRegex,
-    budget: usize,
-    steps: &mut usize,
+    meter: &Meter<'_>,
     states: &FxHashSet<usize>,
     nodes: &mut Vec<NodeId>,
     edges: &mut Vec<EdgeId>,
     out: &mut Vec<Path>,
 ) -> Result<()> {
-    *steps += 1;
-    if *steps > budget {
-        return Err(GdmError::BudgetExhausted(format!(
-            "regular simple path search exceeded {budget} steps"
-        )));
-    }
+    meter.nodes(1)?;
     let current = *nodes.last().expect("non-empty");
     let mut next_edges = Vec::new();
     g.visit_out_edges(current, &mut |e| next_edges.push(e));
@@ -468,22 +466,13 @@ fn backtrack(
         nodes.push(e.to);
         edges.push(e.id);
         if e.to == target && regex.accepts_set(&next_states) {
+            meter.rows(1)?;
             out.push(Path {
                 nodes: nodes.clone(),
                 edges: edges.clone(),
             });
         }
-        backtrack(
-            g,
-            target,
-            regex,
-            budget,
-            steps,
-            &next_states,
-            nodes,
-            edges,
-            out,
-        )?;
+        backtrack(g, target, regex, meter, &next_states, nodes, edges, out)?;
         nodes.pop();
         edges.pop();
     }
@@ -493,6 +482,8 @@ fn backtrack(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gdm_core::InterruptReason;
+    use gdm_govern::Limits;
     use gdm_graphs::SimpleGraph;
 
     #[test]
@@ -582,10 +573,11 @@ mod tests {
         let (g, n) = chain();
         let r = LabelRegex::compile("a a a a b").unwrap();
         // Walk exists (previous test) but no *simple* path does.
-        let paths = regular_simple_paths(&g, n[0], n[3], &r, 10_000).unwrap();
+        let unlimited = ExecutionGuard::unlimited();
+        let paths = regular_simple_paths(&g, n[0], n[3], &r, &unlimited).unwrap();
         assert!(paths.is_empty());
         let r2 = LabelRegex::compile("a a b | b").unwrap();
-        let paths2 = regular_simple_paths(&g, n[0], n[3], &r2, 10_000).unwrap();
+        let paths2 = regular_simple_paths(&g, n[0], n[3], &r2, &unlimited).unwrap();
         assert_eq!(paths2.len(), 2, "the long arm and the shortcut");
     }
 
@@ -593,8 +585,9 @@ mod tests {
     fn simple_path_budget() {
         let (g, n) = chain();
         let r = LabelRegex::compile(".*").unwrap();
-        let err = regular_simple_paths(&g, n[0], n[3], &r, 1).unwrap_err();
-        assert!(matches!(err, GdmError::BudgetExhausted(_)));
+        let guard = ExecutionGuard::new(Limits::none().with_node_visits(1));
+        let err = regular_simple_paths(&g, n[0], n[3], &r, &guard).unwrap_err();
+        assert_eq!(err.interrupt_reason(), Some(InterruptReason::Budget));
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //!   average, minimum, maximum ([`aggregate`]).
 //! * **Structural functions** over the graph: order, size, node
 //!   degree, min/max/average degree, path length, distance between
-//!   nodes, eccentricity, diameter ([`graph_order`] and friends).
+//!   nodes ([`crate::paths::distance`]), eccentricity, diameter
+//!   ([`graph_order`] and friends).
 
-use crate::paths::{distance, reachable_set};
 use gdm_core::{Direction, GdmError, GraphView, NodeId, Result, Value};
 use gdm_govern::ExecutionGuard;
 
@@ -159,22 +159,10 @@ pub fn diameter(
     Ok(best)
 }
 
-/// Distance between two nodes, re-exported beside the other
-/// summarization functions for discoverability (the paper lists it in
-/// this group).
-pub fn distance_between(g: &dyn GraphView, a: NodeId, b: NodeId) -> Option<usize> {
-    distance(g, a, b)
-}
-
-/// Number of nodes reachable from `n` (including itself) — a common
-/// summarization building block.
-pub fn reachable_count(g: &dyn GraphView, n: NodeId, direction: Direction) -> usize {
-    reachable_set(g, n, direction).len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::paths::distance;
     use gdm_graphs::SimpleGraph;
 
     #[test]
@@ -269,14 +257,7 @@ mod tests {
     #[test]
     fn distance_between_nodes() {
         let (g, n) = path_graph(4);
-        assert_eq!(distance_between(&g, n[0], n[3]), Some(3));
-        assert_eq!(distance_between(&g, n[3], n[0]), None);
-    }
-
-    #[test]
-    fn reachability_counts() {
-        let (g, n) = path_graph(4);
-        assert_eq!(reachable_count(&g, n[0], Direction::Outgoing), 4);
-        assert_eq!(reachable_count(&g, n[2], Direction::Outgoing), 2);
+        assert_eq!(distance(&g, n[0], n[3]), Some(3));
+        assert_eq!(distance(&g, n[3], n[0]), None);
     }
 }

@@ -23,14 +23,6 @@ pub fn bfs_order(g: &dyn GraphView, start: NodeId, direction: Direction) -> Vec<
     Traversal::new(start).direction(direction).run(g)
 }
 
-/// Nodes in DFS (preorder) order from `start`, following `direction`.
-pub fn dfs_order(g: &dyn GraphView, start: NodeId, direction: Direction) -> Vec<NodeId> {
-    Traversal::new(start)
-        .order(Order::DepthFirst)
-        .direction(direction)
-        .run(g)
-}
-
 /// A visited node together with its depth and the edge that reached it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Visit {
@@ -232,7 +224,7 @@ mod tests {
     #[test]
     fn dfs_goes_deep_first() {
         let (g, n) = diamond();
-        let order = dfs_order(&g, n[0], Direction::Outgoing);
+        let order = Traversal::new(n[0]).order(Order::DepthFirst).run(&g);
         assert_eq!(order[0], n[0]);
         assert_eq!(order[1], n[1]);
         assert_eq!(order[2], n[3]); // deep before n2

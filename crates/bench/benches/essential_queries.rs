@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gdm_algo::pattern::{Pattern, PatternNode};
-use gdm_algo::FrozenGraph;
+use gdm_algo::{ExecutionGuard, FrozenGraph};
 use gdm_bench::{load_into_engine, social_graph, SocialParams};
 use gdm_core::{DeltaTracker, Direction, GraphView, NodeId, PropertyMap, Value};
 use gdm_engines::{make_engine, AnalysisFunc, EngineKind, GraphEngine, SummaryFunc};
@@ -150,7 +150,16 @@ fn bench_frozen(c: &mut Criterion) {
     group.bench_function("live", |b| {
         b.iter(|| black_box(f.engine.shortest_path(a, z).expect("supported")))
     });
-    group.bench_function("frozen", |b| b.iter(|| black_box(fz.frozen_distance(a, z))));
+    group.bench_function("frozen", |b| {
+        b.iter(|| {
+            black_box(gdm_algo::shortest_path(
+                &fz,
+                a,
+                z,
+                &ExecutionGuard::unlimited(),
+            ))
+        })
+    });
     group.finish();
 
     let mut group = c.benchmark_group("diameter");
@@ -215,14 +224,9 @@ fn bench_frozen(c: &mut Criterion) {
         let pfz = live.engine.snapshot().expect("snapshot");
         let domains = gdm_algo::auto_domains(&pfz, &pattern);
         let planned = || {
-            gdm_algo::match_pattern_seeded(
-                &pfz,
-                &pattern,
-                &domains,
-                &gdm_govern::ExecutionGuard::unlimited(),
-            )
-            .expect("an unlimited guard never interrupts")
-            .len()
+            gdm_algo::match_pattern_seeded(&pfz, &pattern, &domains, &ExecutionGuard::unlimited())
+                .expect("an unlimited guard never interrupts")
+                .len()
         };
         group.bench_function(BenchmarkId::new("live", live.kind.label()), |b| {
             b.iter(|| black_box(live.engine.pattern_match(&pattern).expect("supported")))

@@ -1,12 +1,13 @@
 //! Regular path queries: product-automaton reachability (polynomial,
-//! walk semantics) vs budgeted simple-path enumeration (NP-complete in
-//! general — the paper's Section IV.2 complexity note, measurable).
+//! walk semantics) vs simple-path enumeration under a node-visit budget
+//! (NP-complete in general — the paper's Section IV.2 complexity note,
+//! measurable).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gdm_algo::regular::{regular_path_exists, regular_simple_paths, LabelRegex};
 use gdm_bench::er_graph;
 use gdm_core::NodeId;
-use gdm_govern::ExecutionGuard;
+use gdm_govern::{ExecutionGuard, Limits};
 use std::hint::black_box;
 
 fn bench_regular(c: &mut Criterion) {
@@ -31,13 +32,14 @@ fn bench_regular(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("simple_path_enumeration");
     let g = er_graph(60, 150, 21);
-    for budget in [1_000usize, 10_000, 100_000] {
+    for budget in [1_000u64, 10_000, 100_000] {
         let regex = LabelRegex::compile("e e e e?").expect("valid");
         group.bench_function(BenchmarkId::from_parameter(budget), |b| {
             b.iter(|| {
                 // Budget exhaustion is an expected outcome at small
                 // budgets; both outcomes are the measured work.
-                black_box(regular_simple_paths(&g, NodeId(0), NodeId(59), &regex, budget).ok())
+                let guard = ExecutionGuard::new(Limits::none().with_node_visits(budget));
+                black_box(regular_simple_paths(&g, NodeId(0), NodeId(59), &regex, &guard).ok())
             })
         });
     }

@@ -25,4 +25,4 @@ pub mod probes;
 pub mod tables;
 
 pub use matrix::SupportMatrix;
-pub use tables::{all_tables, build_table, TableId};
+pub use tables::{all_tables, TableId};

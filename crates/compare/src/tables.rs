@@ -291,15 +291,6 @@ pub fn build_table_unverified(id: TableId) -> SupportMatrix {
     }
 }
 
-/// Builds one table after verifying the engine emulations against the
-/// recorded cells (Table VIII needs no engines and skips verification).
-pub fn build_table(id: TableId, workdir: &Path) -> Result<SupportMatrix> {
-    if id != TableId::VIII {
-        assert_verified(workdir)?;
-    }
-    Ok(build_table_unverified(id))
-}
-
 /// Builds all eight tables with one verification pass.
 pub fn all_tables(workdir: &Path) -> Result<Vec<SupportMatrix>> {
     assert_verified(workdir)?;

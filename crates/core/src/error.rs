@@ -81,16 +81,6 @@ pub enum GdmError {
         /// What it was given.
         got: String,
     },
-    /// A bounded search (e.g. regular *simple* path enumeration, which
-    /// is NP-complete in general) exhausted its budget.
-    ///
-    /// This is the **legacy alias path** for interruption: it predates
-    /// the query governor and is kept for the per-call step budgets of
-    /// `fixed_length_paths`/`regular_simple_paths`. Governed execution
-    /// reports the structured [`GdmError::Interrupted`] instead;
-    /// [`GdmError::normalized`] folds this variant into that form and
-    /// [`GdmError::is_interrupted`] matches both.
-    BudgetExhausted(String),
     /// The operation is supported by the engine but refused in durable
     /// mode because the write-ahead journal has no stable encoding for
     /// it — replaying it after a crash would be impossible, so durable
@@ -158,36 +148,16 @@ impl GdmError {
     }
 
     /// True when the error means "execution was stopped on purpose, the
-    /// data is fine" — either the structured [`GdmError::Interrupted`]
-    /// or the legacy [`GdmError::BudgetExhausted`] alias.
+    /// data is fine" ([`GdmError::Interrupted`]).
     pub fn is_interrupted(&self) -> bool {
-        matches!(
-            self,
-            GdmError::Interrupted { .. } | GdmError::BudgetExhausted(_)
-        )
+        matches!(self, GdmError::Interrupted { .. })
     }
 
     /// The interrupt reason, when the error is an interruption.
-    /// [`GdmError::BudgetExhausted`] maps to [`InterruptReason::Budget`].
     pub fn interrupt_reason(&self) -> Option<InterruptReason> {
         match self {
             GdmError::Interrupted { reason, .. } => Some(*reason),
-            GdmError::BudgetExhausted(_) => Some(InterruptReason::Budget),
             _ => None,
-        }
-    }
-
-    /// Folds the legacy [`GdmError::BudgetExhausted`] alias into the
-    /// structured [`GdmError::Interrupted`] form (with `partial: 0` —
-    /// the legacy path never reports partial counts); every other
-    /// error passes through unchanged.
-    pub fn normalized(self) -> Self {
-        match self {
-            GdmError::BudgetExhausted(_) => GdmError::Interrupted {
-                reason: InterruptReason::Budget,
-                partial: 0,
-            },
-            other => other,
         }
     }
 }
@@ -215,7 +185,6 @@ impl fmt::Display for GdmError {
             GdmError::NotJournalable { engine, op, detail } => {
                 write!(f, "{engine} cannot journal {op} in durable mode: {detail}")
             }
-            GdmError::BudgetExhausted(m) => write!(f, "search budget exhausted: {m}"),
             GdmError::Interrupted { reason, partial } => {
                 write!(f, "execution interrupted ({reason}) after {partial} rows")
             }
@@ -253,6 +222,7 @@ mod tests {
     fn other_errors_are_not_unsupported() {
         assert!(!GdmError::Schema("x".into()).is_unsupported());
         assert!(!GdmError::NotFound("n1".into()).is_unsupported());
+        assert_eq!(GdmError::Schema("x".into()).interrupt_reason(), None);
     }
 
     #[test]
@@ -277,26 +247,6 @@ mod tests {
             assert!(!e.is_unsupported());
             assert_eq!(e.interrupt_reason(), Some(reason));
         }
-    }
-
-    #[test]
-    fn budget_exhausted_is_the_documented_alias() {
-        let legacy = GdmError::BudgetExhausted("search exceeded 10 steps".into());
-        assert!(legacy.is_interrupted());
-        assert_eq!(legacy.interrupt_reason(), Some(InterruptReason::Budget));
-        match legacy.normalized() {
-            GdmError::Interrupted { reason, partial } => {
-                assert_eq!(reason, InterruptReason::Budget);
-                assert_eq!(partial, 0);
-            }
-            other => panic!("expected Interrupted, got {other:?}"),
-        }
-        // Non-interrupt errors pass through normalization unchanged.
-        assert!(matches!(
-            GdmError::Schema("x".into()).normalized(),
-            GdmError::Schema(_)
-        ));
-        assert_eq!(GdmError::Schema("x".into()).interrupt_reason(), None);
     }
 
     #[test]

@@ -35,4 +35,4 @@ pub use intern::{Interner, Symbol};
 pub use property::PropertyMap;
 pub use support::Support;
 pub use value::Value;
-pub use view::{AttributedView, Direction, EdgeRef, GraphView, WeightedView};
+pub use view::{AttributedView, Direction, EdgeRef, GraphView};

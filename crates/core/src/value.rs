@@ -83,14 +83,6 @@ impl Value {
         }
     }
 
-    /// Interprets the value as a list slice if it is a list.
-    pub fn as_list(&self) -> Option<&[Value]> {
-        match self {
-            Value::List(v) => Some(v),
-            _ => None,
-        }
-    }
-
     /// A total order over all values, used by index keys and `ORDER BY`.
     ///
     /// Values of different types order by a fixed type rank

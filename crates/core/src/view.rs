@@ -301,18 +301,6 @@ pub trait AttributedView: GraphView {
     }
 }
 
-/// Structures whose edges carry numeric weights, used by the weighted
-/// shortest-path query. The default weight of 1.0 makes every
-/// `GraphView` usable with Dijkstra.
-pub trait WeightedView: GraphView {
-    /// Weight of edge `e`; implementations should return 1.0 when the
-    /// edge has no explicit weight.
-    fn edge_weight(&self, e: &EdgeRef) -> f64 {
-        let _ = e;
-        1.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

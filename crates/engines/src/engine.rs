@@ -30,8 +30,10 @@ use gdm_schema::{Constraint, EdgeTypeDef, NodeTypeDef};
 use gdm_storage::ValueIndex;
 use std::cell::RefCell;
 
-/// Step budget of the `fixed_length_paths` probe.
-const PATH_BUDGET: usize = 1_000_000;
+/// Node-visit budget of a simple-path enumeration: the facade's
+/// `fixed_length_paths` and G-Store's GSQL `FixedPaths` both run under
+/// `Limits::none().with_node_visits(PATH_BUDGET)`.
+pub(crate) const PATH_BUDGET: u64 = 1_000_000;
 
 /// Declares [`Capability`] and [`Capability::ALL`] from one list.
 macro_rules! capabilities {
@@ -740,7 +742,8 @@ impl<M: Model> GraphEngine for Engine<M> {
 
     fn fixed_length_paths(&self, a: NodeId, b: NodeId, len: usize) -> Result<usize> {
         self.gate(Capability::FixedLengthPaths)?;
-        Ok(gdm_algo::fixed_length_paths(self.model.graph(), a, b, len, PATH_BUDGET)?.len())
+        let guard = ExecutionGuard::new(Limits::none().with_node_visits(PATH_BUDGET));
+        Ok(gdm_algo::fixed_length_paths(self.model.graph(), a, b, len, &guard)?.len())
     }
 
     fn regular_path(&self, a: NodeId, b: NodeId, expr: &str) -> Result<bool> {
@@ -778,7 +781,7 @@ impl<M: Model> GraphEngine for Engine<M> {
             SummaryFunc::AvgDegree => {
                 summary::degree_stats(g).map_or(Value::Null, |(_, _, avg)| Value::Float(avg))
             }
-            SummaryFunc::Distance(a, b) => int(summary::distance_between(g, a, b)),
+            SummaryFunc::Distance(a, b) => int(gdm_algo::distance(g, a, b)),
             SummaryFunc::Diameter => int(summary::diameter(
                 g,
                 Direction::Outgoing,
@@ -866,5 +869,62 @@ impl<M: Model> GraphEngine for Engine<M> {
             Some(index) => index.lookup(value).into_iter().map(NodeId).collect(),
             None => self.model.scan_property(key, value),
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::facade::{make_engine, EngineKind};
+    use gdm_core::InterruptReason;
+
+    /// On a complete digraph of 12 nodes, the simple paths of length 11
+    /// from one node to another are the 10! Hamiltonian paths between
+    /// them: the search needs far more than `PATH_BUDGET` steps, so the
+    /// facade and G-Store's GSQL both report a budget interruption.
+    #[test]
+    fn fixed_length_paths_past_the_budget_are_interrupted() {
+        const N: u64 = 12;
+        let dir = std::env::temp_dir().join(format!("gdm-path-budget-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        for kind in ["neo4j", "gstore"] {
+            std::fs::create_dir_all(dir.join(kind)).unwrap();
+        }
+
+        let mut neo = make_engine(EngineKind::Neo4j, &dir.join("neo4j")).unwrap();
+        let nodes: Vec<NodeId> = (0..N)
+            .map(|_| neo.create_node(Some("v"), PropertyMap::new()).unwrap())
+            .collect();
+        for &a in &nodes {
+            for &b in nodes.iter().filter(|&&b| b != a) {
+                neo.create_edge(a, b, Some("e"), PropertyMap::new())
+                    .unwrap();
+            }
+        }
+        let err = neo.fixed_length_paths(nodes[0], nodes[11], 11).unwrap_err();
+        assert_eq!(
+            err.interrupt_reason(),
+            Some(InterruptReason::Budget),
+            "{err}"
+        );
+
+        let mut gstore = make_engine(EngineKind::GStore, &dir.join("gstore")).unwrap();
+        for _ in 0..N {
+            gstore.execute_ddl("CREATE NODE 'v'").unwrap();
+        }
+        for a in 0..N {
+            for b in (0..N).filter(|&b| b != a) {
+                gstore.execute_ddl(&format!("CREATE EDGE {a} {b}")).unwrap();
+            }
+        }
+        let err = gstore
+            .execute_query("SELECT PATHS FROM 0 TO 11 LENGTH 11")
+            .unwrap_err();
+        assert_eq!(
+            err.interrupt_reason(),
+            Some(InterruptReason::Budget),
+            "{err}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -10,7 +10,7 @@
 //! the heap in BFS order with placement hints — the knob the placement
 //! ablation bench measures via buffer-pool fault counts.
 
-use crate::engine::{Capability as C, Engine, Model, Profile};
+use crate::engine::{Capability as C, Engine, Model, Profile, PATH_BUDGET};
 use crate::facade::{EngineDescriptor, GraphEngine};
 use gdm_algo::paths::{fixed_length_paths, shortest_path};
 use gdm_core::{
@@ -28,7 +28,6 @@ use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-const PATH_BUDGET: usize = 1_000_000;
 /// Buffer-pool frames — deliberately small so the external-memory
 /// behaviour (page faults) is observable.
 const POOL_FRAMES: usize = 64;
@@ -282,7 +281,8 @@ impl GStore {
                 single("path", row)
             }
             GsqlStatement::FixedPaths { from, to, length } => {
-                let count = fixed_length_paths(self, from, to, length, PATH_BUDGET)?.len();
+                let guard = ExecutionGuard::new(Limits::none().with_node_visits(PATH_BUDGET));
+                let count = fixed_length_paths(self, from, to, length, &guard)?.len();
                 single("paths", Value::Int(count as i64))
             }
             GsqlStatement::Reachable { from } => node_rows(

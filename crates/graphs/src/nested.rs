@@ -103,15 +103,6 @@ impl NestedGraph {
         self.nodes.get(n.index())?.as_ref()?.subgraph.as_deref()
     }
 
-    /// Mutable access to the subgraph inside hypernode `n`.
-    pub fn subgraph_mut(&mut self, n: NodeId) -> Option<&mut NestedGraph> {
-        self.nodes
-            .get_mut(n.index())?
-            .as_mut()?
-            .subgraph
-            .as_deref_mut()
-    }
-
     /// True when node `n` contains a subgraph.
     pub fn is_hypernode(&self, n: NodeId) -> bool {
         self.subgraph(n).is_some()

@@ -10,7 +10,7 @@
 
 use gdm_core::{
     AttributedView, EdgeId, EdgeRef, FxHashMap, FxHashSet, GdmError, GraphView, Interner, NodeId,
-    PropertyMap, Result, Symbol, Value, WeightedView,
+    PropertyMap, Result, Symbol, Value,
 };
 use gdm_storage::index::{BTreeIndex, ValueIndex};
 
@@ -643,14 +643,6 @@ impl AttributedView for PropertyGraph {
     }
 }
 
-impl WeightedView for PropertyGraph {
-    fn edge_weight(&self, e: &EdgeRef) -> f64 {
-        self.edge_property(e.id, "weight")
-            .and_then(|v| v.as_f64())
-            .unwrap_or(1.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -767,15 +759,6 @@ mod tests {
         let e = g.out_edges(alice)[0].id;
         g.set_edge_property(e, "weight", 0.5).unwrap();
         assert_eq!(g.edge_property(e, "weight"), Some(Value::from(0.5)));
-    }
-
-    #[test]
-    fn weighted_view_defaults_to_one() {
-        let (mut g, alice, _, _) = social();
-        let edges = g.out_edges(alice);
-        assert_eq!(g.edge_weight(&edges[0]), 1.0);
-        g.set_edge_property(edges[0].id, "weight", 2.5).unwrap();
-        assert_eq!(g.edge_weight(&edges[0]), 2.5);
     }
 
     #[test]

@@ -1,17 +1,16 @@
 //! Supplementary view-trait implementations.
 //!
 //! The essential-query algorithms in `gdm-algo` are generic over
-//! [`AttributedView`] (pattern matching) and [`WeightedView`]
-//! (weighted shortest paths). `PropertyGraph` implements both in its
-//! own module; the remaining structures pick up their implementations
-//! here so every model of Table III can run every essential query.
+//! [`AttributedView`] (pattern matching). `PropertyGraph` implements
+//! it in its own module; the remaining structures pick up their
+//! implementations here so every model of Table III can run every
+//! essential query.
 
 use crate::hyper::{AtomId, HyperGraph};
 use crate::nested::NestedGraph;
-use crate::partitioned::PartitionedGraph;
 use crate::rdf::RdfGraph;
 use crate::simple::SimpleGraph;
-use gdm_core::{AttributedView, EdgeId, NodeId, Symbol, Value, WeightedView};
+use gdm_core::{AttributedView, EdgeId, NodeId, Symbol, Value};
 
 impl AttributedView for SimpleGraph {
     fn node_label(&self, n: NodeId) -> Option<Symbol> {
@@ -28,8 +27,6 @@ impl AttributedView for SimpleGraph {
         None
     }
 }
-
-impl WeightedView for SimpleGraph {}
 
 impl AttributedView for NestedGraph {
     fn node_label(&self, n: NodeId) -> Option<Symbol> {
@@ -55,8 +52,6 @@ impl AttributedView for NestedGraph {
         }
     }
 }
-
-impl WeightedView for NestedGraph {}
 
 impl AttributedView for HyperGraph {
     fn node_label(&self, n: NodeId) -> Option<Symbol> {
@@ -94,8 +89,6 @@ impl AttributedView for HyperGraph {
     }
 }
 
-impl WeightedView for HyperGraph {}
-
 impl AttributedView for RdfGraph {
     // This profile *legitimately* lacks properties, as opposed to a
     // view that loses them: RDF expresses every value as a triple with
@@ -113,14 +106,6 @@ impl AttributedView for RdfGraph {
 
     fn edge_property(&self, _e: EdgeId, _key: &str) -> Option<Value> {
         None
-    }
-}
-
-impl WeightedView for RdfGraph {}
-
-impl WeightedView for PartitionedGraph {
-    fn edge_weight(&self, e: &gdm_core::EdgeRef) -> f64 {
-        self.inner().edge_weight(e)
     }
 }
 

@@ -77,22 +77,11 @@ impl Program {
         Ok(())
     }
 
-    /// Adds a ground fact directly.
-    pub fn add_fact(&mut self, pred: impl Into<String>, args: &[&str]) {
-        self.facts
-            .insert((pred.into(), args.iter().map(|s| (*s).to_owned()).collect()));
-    }
-
     /// Imports every triple of `g` as `predicate(subject, object)`.
     pub fn load_rdf(&mut self, g: &RdfGraph) {
         for (s, p, o) in g.match_terms(None, None, None) {
             self.facts.insert((p.text(), vec![s.text(), o.text()]));
         }
-    }
-
-    /// Number of facts currently stored (before or after evaluation).
-    pub fn fact_count(&self) -> usize {
-        self.facts.len()
     }
 
     /// Computes the fixpoint by semi-naive evaluation: each round only

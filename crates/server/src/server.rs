@@ -522,7 +522,7 @@ pub fn serve(snapshot: ServingSnapshot, config: ServerConfig) -> io::Result<Serv
         threads.push(std::thread::spawn(move || loop {
             let conn = rx.lock().expect("worker queue lock").recv();
             match conn {
-                Ok(stream) => session::run(stream, &shared),
+                Ok(stream) => session::serve_session(stream, &shared),
                 Err(_) => break, // acceptor gone: no more connections
             }
         }));

@@ -22,8 +22,8 @@
 
 use crate::admission::Shed;
 use crate::protocol::{
-    write_frame, ErrorReply, Interrupted, Overloaded, QueryReq, Request, Response, Rows, Welcome,
-    MAX_FRAME, READ_CHUNK,
+    read_frame, write_frame, ErrorReply, Interrupted, Overloaded, QueryReq, Request, Response,
+    Rows, Welcome,
 };
 use crate::server::Shared;
 use gdm_govern::{CancelToken, ExecutionGuard};
@@ -50,11 +50,7 @@ fn retry_after_ms(shed: Shed) -> u64 {
 /// Runs one session to completion. Errors (broken pipe, torn frame,
 /// tripped deadline) close the connection; the server keeps serving
 /// others.
-pub(crate) fn run(stream: TcpStream, shared: &Arc<Shared>) {
-    serve_session(stream, shared);
-}
-
-fn serve_session(mut stream: TcpStream, shared: &Arc<Shared>) {
+pub(crate) fn serve_session(mut stream: TcpStream, shared: &Arc<Shared>) {
     if stream.set_read_timeout(Some(POLL)).is_err() {
         return;
     }
@@ -283,7 +279,13 @@ fn run_query(shared: &Arc<Shared>, tenant: &str, q: &QueryReq) -> Response {
 /// the session is over (clean EOF, drain, reap, or a counted frame
 /// error that got its best-effort structured reply here).
 fn next_request(stream: &mut TcpStream, shared: &Arc<Shared>) -> Option<Request> {
-    match read_request(stream, shared) {
+    let mut polled = Polled {
+        stream,
+        shared,
+        idle_since: Instant::now(),
+        frame_start: None,
+    };
+    match read_frame(&mut polled) {
         Ok(r) => r,
         Err(e) => {
             if matches!(
@@ -305,105 +307,59 @@ fn next_request(stream: &mut TcpStream, shared: &Arc<Shared>) -> Option<Request>
     }
 }
 
-/// Reads one request, tolerating read timeouts so the stop flag is
-/// polled. Returns `None` on a clean client EOF, when the server is
-/// draining and the connection is idle between frames, or when the
-/// idle max-age reaps the session. Mid-frame, the frame deadline is
-/// enforced at every poll: a slowloris drip is cut off with a
-/// `TimedOut` error (counted in `sessions_reaped`) instead of holding
-/// the worker hostage.
-fn read_request(stream: &mut TcpStream, shared: &Arc<Shared>) -> io::Result<Option<Request>> {
-    let idle_since = Instant::now();
-    let mut frame_start: Option<Instant> = None;
-    let reap_check = |frame_start: &Option<Instant>| -> io::Result<()> {
-        if let Some(t0) = frame_start {
-            if t0.elapsed() >= shared.frame_deadline {
-                shared.sessions_reaped.fetch_add(1, Ordering::Relaxed);
-                return Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    "frame read deadline exceeded (slowloris cutoff)",
-                ));
-            }
+/// The session socket as [`read_frame`] sees it: a read waits out the
+/// socket's poll timeouts, and each poll point enforces the session's
+/// deadlines. Before a frame's first byte, a poll returns `Ok(0)` — a
+/// clean end between frames — when the server is draining or the idle
+/// max-age has passed (the latter counted in `sessions_reaped`). After
+/// it, the frame deadline is checked on every read and every poll: a
+/// slowloris drip is cut off with a `TimedOut` error (counted in
+/// `sessions_reaped`) instead of holding the worker hostage.
+struct Polled<'a> {
+    stream: &'a mut TcpStream,
+    shared: &'a Shared,
+    idle_since: Instant,
+    /// When the current frame's first byte arrived.
+    frame_start: Option<Instant>,
+}
+
+impl Polled<'_> {
+    fn reap_check(&self, frame_start: Instant) -> io::Result<()> {
+        if frame_start.elapsed() >= self.shared.frame_deadline {
+            self.shared.sessions_reaped.fetch_add(1, Ordering::Relaxed);
+            return Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                "frame read deadline exceeded (slowloris cutoff)",
+            ));
         }
         Ok(())
-    };
+    }
+}
 
-    let mut len_buf = [0u8; 4];
-    let mut got = 0usize;
-    while got < 4 {
-        match stream.read(&mut len_buf[got..]) {
-            Ok(0) => {
-                return if got == 0 {
-                    Ok(None) // clean EOF at a frame boundary
-                } else {
-                    Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "connection closed mid-frame",
-                    ))
-                };
-            }
-            Ok(n) => {
-                if got == 0 {
-                    frame_start = Some(Instant::now());
+impl Read for Polled<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        loop {
+            match self.stream.read(buf) {
+                Ok(0) => return Ok(0),
+                Ok(n) => {
+                    let t0 = *self.frame_start.get_or_insert_with(Instant::now);
+                    self.reap_check(t0)?;
+                    return Ok(n);
                 }
-                got += n;
-                reap_check(&frame_start)?;
-            }
-            Err(e) if is_timeout(&e) => {
-                if got == 0 {
-                    // Idle poll point: drain only between frames — a
-                    // partially read prefix means a request is in
-                    // flight.
-                    if shared.stop.load(Ordering::Acquire) {
-                        return Ok(None);
+                Err(e) if is_timeout(&e) => match self.frame_start {
+                    Some(t0) => self.reap_check(t0)?,
+                    None if self.shared.stop.load(Ordering::Acquire) => return Ok(0),
+                    None if self.idle_since.elapsed() >= self.shared.idle_timeout => {
+                        self.shared.sessions_reaped.fetch_add(1, Ordering::Relaxed);
+                        return Ok(0);
                     }
-                    if idle_since.elapsed() >= shared.idle_timeout {
-                        shared.sessions_reaped.fetch_add(1, Ordering::Relaxed);
-                        return Ok(None);
-                    }
-                } else {
-                    reap_check(&frame_start)?;
-                }
+                    None => {}
+                },
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
             }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
         }
     }
-    let len = u32::from_be_bytes(len_buf);
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds the {MAX_FRAME}-byte cap"),
-        ));
-    }
-    // Incremental body read: the length prefix is untrusted input, so
-    // memory is committed per arriving chunk, never the full claimed
-    // size up front — a hostile 16 MiB prefix with no body costs one
-    // chunk, and the frame deadline collects the connection.
-    let len = len as usize;
-    let mut body = Vec::with_capacity(len.min(READ_CHUNK));
-    let mut chunk = [0u8; 4096];
-    while body.len() < len {
-        let want = (len - body.len()).min(chunk.len());
-        match stream.read(&mut chunk[..want]) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-frame",
-                ))
-            }
-            Ok(n) => {
-                body.extend_from_slice(&chunk[..n]);
-                reap_check(&frame_start)?;
-            }
-            Err(e) if is_timeout(&e) => reap_check(&frame_start)?,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    serde_json::from_slice(&body)
-        .map(Some)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
 }
 
 fn is_timeout(e: &io::Error) -> bool {

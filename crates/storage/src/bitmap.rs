@@ -124,11 +124,6 @@ impl Bitmap {
     pub fn min(&self) -> Option<u64> {
         self.iter().next()
     }
-
-    /// Approximate heap use in bytes (for the DEX engine's stats).
-    pub fn byte_size(&self) -> usize {
-        self.blocks.len() * 8
-    }
 }
 
 #[inline]

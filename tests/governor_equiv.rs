@@ -17,9 +17,7 @@ use graph_db_models::algo::pattern::{canonical, match_pattern, PatternNode};
 use graph_db_models::algo::planned::{auto_domains, match_pattern_seeded};
 use graph_db_models::algo::regular::{regular_path_exists, regular_simple_paths, LabelRegex};
 use graph_db_models::algo::summary::diameter;
-use graph_db_models::algo::{
-    bidirectional_shortest_path, par_diameter, shortest_path, FrozenGraph, Pattern,
-};
+use graph_db_models::algo::{par_diameter, shortest_path, FrozenGraph, Pattern, Traversal};
 use graph_db_models::bench::workload::{load_into_engine, social_graph, SocialParams};
 use graph_db_models::core::{Direction, InterruptReason, NodeId, Result, Value};
 use graph_db_models::engines::{make_engine, EngineKind, SummaryFunc};
@@ -83,11 +81,11 @@ fn holds_at_charged_total<T: PartialEq + Debug>(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The four governed searches hold at exactly their charged totals
+    /// The five governed searches hold at exactly their charged totals
     /// (so their meters neither drop nor invent a unit), and answer
-    /// what independent code answers: the planned matcher, the
-    /// bidirectional BFS, simple-path enumeration (a simple path is a
-    /// walk) and the parallel diameter over a snapshot.
+    /// what independent code answers: the planned matcher, the BFS
+    /// depths of a `Traversal`, simple-path enumeration (a simple path
+    /// is a walk) and the parallel diameter over a snapshot.
     #[test]
     fn budgets_hold_at_the_charged_total((g, n) in graph_strategy()) {
         let pattern = wedge_pattern();
@@ -106,14 +104,13 @@ proptest! {
             for j in 0..n {
                 let (a, b) = (NodeId(i as u64), NodeId(j as u64));
                 let path = holds_at_charged_total(|guard| shortest_path(&g, a, b, guard));
-                prop_assert_eq!(
-                    path.map(|p| p.len()),
-                    bidirectional_shortest_path(&g, a, b).map(|p| p.len())
-                );
+                let bfs_depth = Traversal::new(a).visits(&g).into_iter().find(|v| v.node == b);
+                prop_assert_eq!(path.map(|p| p.len()), bfs_depth.map(|v| v.depth));
                 let walk =
                     holds_at_charged_total(|guard| regular_path_exists(&g, a, b, &regex, guard));
-                let simple = regular_simple_paths(&g, a, b, &regex, 10_000);
-                prop_assert!(walk || simple.is_ok_and(|paths| paths.is_empty()));
+                let simple =
+                    holds_at_charged_total(|guard| regular_simple_paths(&g, a, b, &regex, guard));
+                prop_assert!(walk || simple.is_empty());
             }
         }
 

@@ -4,9 +4,10 @@
 //! behaviour the paper's complexity notes call for.
 
 use gdm_bench::rdf_family_tree;
-use graph_db_models::algo::paths::{is_reachable, reachable_set};
+use graph_db_models::algo::paths::{distance, reachable_set};
 use graph_db_models::algo::regular::{regular_simple_paths, LabelRegex};
-use graph_db_models::core::{Direction, GdmError, NodeId};
+use graph_db_models::core::{Direction, InterruptReason, NodeId};
+use graph_db_models::govern::{ExecutionGuard, Limits};
 use graph_db_models::graphs::rdf::Term;
 use graph_db_models::graphs::SimpleGraph;
 use graph_db_models::query::datalog::Program;
@@ -82,9 +83,14 @@ fn regular_simple_paths_budget_scales_with_search_space() {
         g.add_labeled_edge(bottom[i], top[i + 1], "r").unwrap();
     }
     let regex = LabelRegex::compile("r+").unwrap();
-    let tiny = regular_simple_paths(&g, top[0], top[rungs - 1], &regex, 50);
-    assert!(matches!(tiny, Err(GdmError::BudgetExhausted(_))));
-    let generous = regular_simple_paths(&g, top[0], top[rungs - 1], &regex, 2_000_000).unwrap();
+    let budget = |visits| ExecutionGuard::new(Limits::none().with_node_visits(visits));
+    let tiny = regular_simple_paths(&g, top[0], top[rungs - 1], &regex, &budget(50));
+    assert_eq!(
+        tiny.unwrap_err().interrupt_reason(),
+        Some(InterruptReason::Budget)
+    );
+    let generous =
+        regular_simple_paths(&g, top[0], top[rungs - 1], &regex, &budget(2_000_000)).unwrap();
     // 2^(rungs-2) paths end at the top-right corner (each step picks a
     // rail, last step must land on top).
     assert_eq!(generous.len(), 1 << (rungs - 2));
@@ -107,11 +113,11 @@ fn reachability_is_monotone_under_edge_insertion() {
     for i in 15..29 {
         g.add_edge(nodes[i], nodes[i + 1]).unwrap();
     }
-    assert!(!is_reachable(&g, nodes[0], nodes[29]));
+    assert!(distance(&g, nodes[0], nodes[29]).is_none());
     let before = reachable_set(&g, nodes[0], Direction::Outgoing).len();
     // Bridge the chains.
     g.add_edge(nodes[14], nodes[15]).unwrap();
-    assert!(is_reachable(&g, nodes[0], nodes[29]));
+    assert!(distance(&g, nodes[0], nodes[29]).is_some());
     let after = reachable_set(&g, nodes[0], Direction::Outgoing).len();
     assert_eq!(before, 15);
     assert_eq!(after, 30);

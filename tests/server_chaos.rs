@@ -13,7 +13,8 @@
 //!
 //! Satellite proofs pin each hardening mechanism in isolation:
 //! slowloris reaped within the frame deadline while a neighbor keeps
-//! answering, idle max-age reaping, `catch_unwind` containment of a
+//! answering, a length prefix split across poll timeouts still
+//! answered, idle max-age reaping, `catch_unwind` containment of a
 //! poisoned query, and the `HEALTH` state machine
 //! (ready → degraded → ready) under injected refresh failures.
 
@@ -23,7 +24,9 @@ use graph_db_models::engines::{make_engine, EngineKind, GraphEngine};
 use graph_db_models::govern::RetryPolicy;
 use graph_db_models::server::chaos::{ChaosConfig, ChaosProxy};
 use graph_db_models::server::client::Deadlines;
-use graph_db_models::server::protocol::{Request, Response};
+use graph_db_models::server::protocol::{
+    read_frame, write_frame, Hello, QueryReq, Request, Response,
+};
 use graph_db_models::server::refresh::RefreshPolicy;
 use graph_db_models::server::{serve, Client, RetryingClient, ServerConfig, TenantConfig};
 use std::io::Write;
@@ -318,6 +321,51 @@ fn slowloris_is_reaped_within_the_frame_deadline_while_neighbors_answer() {
         assert!(handle.stats().sessions_reaped >= 1);
 
         neighbor.goodbye().ok();
+        handle.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    });
+}
+
+/// A length prefix split across two poll timeouts is one frame in
+/// flight, not an idle gap and not a slowloris: the session waits for
+/// the rest inside the frame deadline and answers it.
+#[test]
+fn split_length_prefix_is_answered_across_poll_timeouts() {
+    watchdog(Duration::from_secs(30), || {
+        let (db, dir) = engine("split-prefix");
+        let handle = serve(db.serving_snapshot().unwrap(), chaos_config(&["alpha"])).unwrap();
+
+        let mut raw = TcpStream::connect(handle.addr()).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        raw.set_nodelay(true).unwrap();
+        let hello = Request::Hello(Hello {
+            tenant: "alpha".into(),
+            secret: None,
+        });
+        write_frame(&mut raw, &hello).unwrap();
+        let welcome: Option<Response> = read_frame(&mut raw).unwrap();
+        assert!(matches!(welcome, Some(Response::Welcome(_))), "{welcome:?}");
+        let before = handle.stats();
+
+        let query = Request::Query(QueryReq {
+            text: POINT_QUERY.into(),
+        });
+        let mut frame = Vec::new();
+        write_frame(&mut frame, &query).unwrap();
+        raw.write_all(&frame[..2]).unwrap();
+        // Two 50 ms poll timeouts, well inside the 500 ms frame deadline.
+        std::thread::sleep(Duration::from_millis(120));
+        raw.write_all(&frame[2..]).unwrap();
+
+        match read_frame::<_, Response>(&mut raw).unwrap() {
+            Some(Response::Rows(r)) => assert_eq!(r.rows[0][0].as_str(), Some("p42")),
+            other => panic!("a split prefix must still be answered, got {other:?}"),
+        }
+        let after = handle.stats();
+        assert_eq!(after.sessions_reaped, before.sessions_reaped);
+        assert_eq!(after.frame_errors, before.frame_errors);
+
+        write_frame(&mut raw, &Request::Goodbye).unwrap();
         handle.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     });
