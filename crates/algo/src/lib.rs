@@ -27,10 +27,9 @@
 //! For read-heavy workloads, [`frozen`] compiles any view into a
 //! point-in-time CSR snapshot ([`FrozenGraph`]) that answers the same
 //! queries identically but at array speed, and [`parallel`] holds the
-//! one fan-out driver: the calling thread runs the work in morsels and
-//! scoped helpers, capped process-wide, join it — for the expensive
-//! analyses (diameter, components, triangles) and for pattern queries
-//! big enough to pay for a thread.
+//! fan-out driver of the pattern pipeline: the calling thread runs a
+//! match in morsels and scoped helpers, capped process-wide, join it
+//! when the match is big enough to pay for a thread.
 //!
 //! The searches whose cost the paper calls unbounded — [`match_pattern`],
 //! [`match_pattern_seeded`], [`shortest_path`], [`regular_path_exists`],
@@ -62,10 +61,7 @@ pub mod vectorized;
 
 pub use adjacency::{edges_adjacent, k_neighborhood, nodes_adjacent};
 pub use frozen::FrozenGraph;
-pub use parallel::{
-    default_threads, executor_workers, par_connected_components, par_diameter, par_eccentricities,
-    par_triangle_count, set_executor_workers,
-};
+pub use parallel::{default_threads, executor_workers, set_executor_workers};
 pub use paths::{distance, fixed_length_paths, shortest_path, Path};
 pub use pattern::{match_pattern, within_hops, Pattern, PatternEdge, PatternNode};
 pub use planned::{
@@ -75,7 +71,7 @@ pub use planned::{
 pub use refreeze::{incremental_refreeze, incremental_refreeze_structural};
 pub use regular::{regular_path_exists, regular_simple_paths, LabelRegex};
 pub use summary::{aggregate, degree_stats, diameter, graph_order, graph_size, Aggregate};
-pub use traverse::{bfs_order, Traversal};
+pub use traverse::Traversal;
 
 /// The guard every governed search here takes, re-exported so a caller
 /// can pass `ExecutionGuard::unlimited()` without its own `gdm-govern`

@@ -1,5 +1,5 @@
-//! Traversal machinery: plain BFS/DFS plus a Neo4j-style fluent
-//! traversal description.
+//! Traversal machinery: a Neo4j-style fluent traversal description,
+//! breadth- or depth-first.
 //!
 //! The paper describes Neo4j as providing "a framework for graph
 //! traversals" instead of a query language; [`Traversal`] reproduces
@@ -16,11 +16,6 @@ pub enum Order {
     BreadthFirst,
     /// Depth-first (stack discipline).
     DepthFirst,
-}
-
-/// Nodes in BFS order from `start`, following `direction`.
-pub fn bfs_order(g: &dyn GraphView, start: NodeId, direction: Direction) -> Vec<NodeId> {
-    Traversal::new(start).direction(direction).run(g)
 }
 
 /// A visited node together with its depth and the edge that reached it.
@@ -217,7 +212,7 @@ mod tests {
     #[test]
     fn bfs_visits_level_by_level() {
         let (g, n) = diamond();
-        let order = bfs_order(&g, n[0], Direction::Outgoing);
+        let order = Traversal::new(n[0]).direction(Direction::Outgoing).run(&g);
         assert_eq!(order, vec![n[0], n[1], n[2], n[3], n[4]]);
     }
 
@@ -256,7 +251,7 @@ mod tests {
     #[test]
     fn incoming_direction() {
         let (g, n) = diamond();
-        let order = bfs_order(&g, n[4], Direction::Incoming);
+        let order = Traversal::new(n[4]).direction(Direction::Incoming).run(&g);
         assert_eq!(order[0], n[4]);
         assert!(order.contains(&n[0]));
         assert_eq!(order.len(), 5);
@@ -265,14 +260,17 @@ mod tests {
     #[test]
     fn both_directions_reach_everything() {
         let (g, n) = diamond();
-        let order = bfs_order(&g, n[2], Direction::Both);
+        let order = Traversal::new(n[2]).direction(Direction::Both).run(&g);
         assert_eq!(order.len(), 5);
     }
 
     #[test]
     fn missing_start_yields_nothing() {
         let (g, _) = diamond();
-        assert!(bfs_order(&g, NodeId(99), Direction::Outgoing).is_empty());
+        assert!(Traversal::new(NodeId(99))
+            .direction(Direction::Outgoing)
+            .run(&g)
+            .is_empty());
     }
 
     #[test]

@@ -1,23 +1,22 @@
 //! Property-based equivalence: a [`FrozenGraph`] must answer every
 //! essential query exactly as the live view it was frozen from, and
-//! the parallel executors must agree with their sequential
-//! counterparts — on arbitrary graphs, including self-loops, parallel
-//! edges, disconnected pieces, and both orientations.
+//! the morsel-parallel pattern pipeline must agree with its one-worker
+//! run — on arbitrary graphs, including self-loops, parallel edges,
+//! disconnected pieces, and both orientations.
 //!
 //! The CSR snapshot is built by *recording* what the live view's
 //! visitors yield, so these tests pin the whole contract: adjacency,
-//! reachability, shortest paths (unidirectional and bidirectional),
-//! regular paths, pattern matching, summarization, and the analysis
-//! functions.
+//! reachability, shortest paths, regular paths, pattern matching,
+//! summarization, and the analysis functions.
 
 use gdm_algo::analysis::{average_clustering, connected_components, triangle_count};
 use gdm_algo::pattern::{canonical, match_pattern, Pattern, PatternNode};
 use gdm_algo::summary::eccentricity;
 use gdm_algo::vectorized::match_pattern_forced_morsels;
 use gdm_algo::{
-    bfs_order, degree_stats, diameter, distance, graph_order, graph_size, incremental_refreeze,
-    k_neighborhood, nodes_adjacent, par_connected_components, par_diameter, par_eccentricities,
-    par_triangle_count, regular_path_exists, shortest_path, FrozenGraph, LabelRegex,
+    degree_stats, diameter, distance, graph_order, graph_size, incremental_refreeze,
+    k_neighborhood, nodes_adjacent, regular_path_exists, shortest_path, FrozenGraph, LabelRegex,
+    Traversal,
 };
 use gdm_core::{
     AttributedView, DeltaTracker, Direction, EdgeId, EdgeRef, GraphView, NodeId, PropertyMap,
@@ -186,7 +185,8 @@ proptest! {
             prop_assert_eq!(g.in_degree(a), fz.in_degree(a));
             prop_assert_eq!(g.degree(a), fz.degree(a));
             for dir in all_directions() {
-                prop_assert_eq!(bfs_order(&g, a, dir), bfs_order(&fz, a, dir));
+                let bfs = Traversal::new(a).direction(dir);
+                prop_assert_eq!(bfs.run(&g), bfs.run(&fz));
             }
             for &b in &nodes {
                 prop_assert_eq!(nodes_adjacent(&g, a, b), nodes_adjacent(&fz, a, b));
@@ -231,38 +231,6 @@ proptest! {
                     );
                 }
             }
-        }
-    }
-
-    /// The parallel executors return exactly what the sequential
-    /// algorithms return on the same snapshot, at 1 and 4 threads.
-    #[test]
-    fn parallel_agrees_with_sequential(
-        directed in prop::bool::ANY,
-        n in 1usize..14,
-        raw_edges in prop::collection::vec((0u64..1_000_000, 0u64..1_000_000, 0usize..4), 0..50),
-    ) {
-        let g = build_simple(directed, n, &raw_edges);
-        let fz = FrozenGraph::freeze(&g);
-        for threads in [1usize, 4] {
-            for dir in all_directions() {
-                prop_assert_eq!(
-                    par_diameter(&fz, dir, threads),
-                    diameter(&fz, dir, &ExecutionGuard::unlimited()).unwrap()
-                );
-                let ecc = par_eccentricities(&fz, dir, threads);
-                for (dense, &e) in ecc.iter().enumerate() {
-                    prop_assert_eq!(
-                        Some(e),
-                        eccentricity(&fz, fz.node_at(dense as u32), dir)
-                    );
-                }
-            }
-            prop_assert_eq!(
-                par_connected_components(&fz, threads),
-                connected_components(&fz)
-            );
-            prop_assert_eq!(par_triangle_count(&fz, threads), triangle_count(&fz));
         }
     }
 

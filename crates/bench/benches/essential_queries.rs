@@ -128,8 +128,9 @@ fn bench_essential(c: &mut Criterion) {
     group.finish();
 }
 
-/// Live vs frozen vs frozen+parallel on one representative engine:
-/// the CSR snapshot fast path.
+/// Live vs frozen on one representative engine — the CSR snapshot
+/// fast path — and the snapshot's pattern pipeline at one worker vs
+/// `threads`.
 fn bench_frozen(c: &mut Criterion) {
     let fixtures = fixtures(&graph());
     let f = fixtures
@@ -173,11 +174,14 @@ fn bench_frozen(c: &mut Criterion) {
             )
         })
     });
-    group.bench_function("frozen_seq", |b| {
-        b.iter(|| black_box(gdm_algo::par_diameter(&fz, Direction::Both, 1)))
-    });
-    group.bench_function("frozen_par", |b| {
-        b.iter(|| black_box(gdm_algo::par_diameter(&fz, Direction::Both, threads)))
+    group.bench_function("frozen", |b| {
+        b.iter(|| {
+            black_box(gdm_algo::summary::diameter(
+                &fz,
+                Direction::Both,
+                &ExecutionGuard::unlimited(),
+            ))
+        })
     });
     group.finish();
 
@@ -196,11 +200,8 @@ fn bench_frozen(c: &mut Criterion) {
             })
         });
     }
-    group.bench_function("frozen_seq", |b| {
-        b.iter(|| black_box(gdm_algo::par_connected_components(&fz, 1).len()))
-    });
-    group.bench_function("frozen_par", |b| {
-        b.iter(|| black_box(gdm_algo::par_connected_components(&fz, threads).len()))
+    group.bench_function("frozen", |b| {
+        b.iter(|| black_box(gdm_algo::analysis::connected_components(&fz).len()))
     });
     group.finish();
 
@@ -237,6 +238,32 @@ fn bench_frozen(c: &mut Criterion) {
         group.bench_function("frozen_par", |b| b.iter(|| black_box(planned())));
         gdm_algo::set_executor_workers(0);
     }
+    group.finish();
+
+    // One hop more: about 600 + 600·8 + 600·8² + 600·8³ ≈ 3.5·10⁵
+    // estimated visits, past the 2¹⁷ admission bar, so `frozen_par` is
+    // the one row here that takes helper threads.
+    let w = pattern.node(PatternNode::var("w"));
+    pattern.edge(z, w, Some("knows")).expect("vars exist");
+    let domains = gdm_algo::auto_domains(&fz, &pattern);
+    let planned = || {
+        gdm_algo::match_pattern_seeded(&fz, &pattern, &domains, &ExecutionGuard::unlimited())
+            .expect("an unlimited guard never interrupts")
+            .len()
+    };
+    let mut group = c.benchmark_group("pattern_three_hop");
+    group.sample_size(10);
+    gdm_algo::set_executor_workers(1);
+    group.bench_function("frozen_seq", |b| b.iter(|| black_box(planned())));
+    gdm_algo::set_executor_workers(threads);
+    let before = gdm_algo::parallel::fanned_out();
+    planned();
+    assert!(
+        gdm_algo::parallel::fanned_out() > before,
+        "the three-hop match must be admitted to the fan-out driver"
+    );
+    group.bench_function("frozen_par", |b| b.iter(|| black_box(planned())));
+    gdm_algo::set_executor_workers(0);
     group.finish();
 }
 

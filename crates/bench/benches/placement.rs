@@ -56,7 +56,10 @@ fn pg_collect_edges(g: &gdm_graphs::SimpleGraph, out: &mut Vec<(usize, usize)>) 
 }
 
 fn full_bfs(engine: &GStoreEngine, start: NodeId) -> usize {
-    gdm_algo::traverse::bfs_order(engine.view(), start, gdm_core::Direction::Both).len()
+    gdm_algo::Traversal::new(start)
+        .direction(gdm_core::Direction::Both)
+        .run(engine.view())
+        .len()
 }
 
 fn bench_placement(c: &mut Criterion) {

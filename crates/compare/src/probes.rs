@@ -276,11 +276,11 @@ pub fn verify_engine(kind: EngineKind, workdir: &Path) -> Result<Vec<String>> {
     }
 
     // ---- CSR snapshot fast path (Table V analysis cross-check) --------
-    // Freeze the probe graph and require that the snapshot — serially
-    // and through the parallel executor — reproduces the live engine's
-    // analysis answers exactly. The `essential_queries` benches time
-    // these snapshot analyses against the live engines, so the
-    // agreement is checked here, not just in gdm-algo's own tests.
+    // Freeze the probe graph and require that the snapshot reproduces
+    // the live engine's analysis answers exactly. The
+    // `essential_queries` benches time these snapshot analyses against
+    // the live engines, so the agreement is checked here, not just in
+    // gdm-algo's own tests.
     {
         let mut e = fresh("snapshot")?;
         let nodes = build_probe_graph(e.as_mut())?;
@@ -293,18 +293,12 @@ pub fn verify_engine(kind: EngineKind, workdir: &Path) -> Result<Vec<String>> {
                     ));
                 };
                 let comps = gdm_algo::analysis::connected_components(&fz).len();
-                if gdm_algo::par_connected_components(&fz, 4).len() != comps {
-                    push(&mut mismatches, "parallel components");
-                }
                 if let Ok(Value::Int(live)) = e.analyze(AnalysisFunc::ConnectedComponents) {
                     if live != comps as i64 {
                         push(&mut mismatches, "connected components");
                     }
                 }
                 let tris = gdm_algo::analysis::triangle_count(&fz);
-                if gdm_algo::par_triangle_count(&fz, 4) != tris {
-                    push(&mut mismatches, "parallel triangles");
-                }
                 if let Ok(Value::Int(live)) = e.analyze(AnalysisFunc::Triangles) {
                     if live != tris as i64 {
                         push(&mut mismatches, "triangle count");

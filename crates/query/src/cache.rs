@@ -8,27 +8,25 @@
 //!
 //! Keying: the key is the canonical *query text*, not the rendered
 //! [`ExplainPlan`](crate::plan::ExplainPlan). The render is a faithful
-//! fingerprint of *how* a query executes (it is exposed per entry via
-//! [`PlanCache::fingerprint`] and the server's `STATS` command), but
-//! it deliberately omits *what* the query computes — projections,
-//! residual literal values, order/skip/limit — so two different
-//! queries can render identically and the render cannot be the key.
+//! fingerprint of *how* a query executes, but it deliberately omits
+//! *what* the query computes — projections, residual literal values,
+//! order/skip/limit — so two different queries can render identically
+//! and the render cannot be the key.
 //!
 //! Staleness: a cached plan embeds materialized candidate domains.
 //! Executing one against a graph that has since gained nodes can miss
-//! them, so the cache is only sound for **immutable snapshots** (what
-//! the serving layer executes against); callers that mutate must
-//! [`PlanCache::clear`] on write. Deleted nodes are caught anyway:
-//! execution re-probes domains and falls back to the reference matcher
-//! on the first dangling id.
+//! them, so every plan is tagged with the epoch of the **immutable
+//! snapshot** it was planned against, and a lookup under any other
+//! epoch evicts it ([`PlanCache::get_epoch`]). Deleted nodes are
+//! caught anyway: execution re-probes domains and falls back to the
+//! reference matcher on the first dangling id.
 //!
 //! Concurrency: lookups and inserts take a [`Mutex`] for the map;
 //! hit/miss counters are lock-free atomics so `STATS` never contends
 //! with query traffic.
 
-use crate::ast::SelectQuery;
-use crate::plan::{plan_select, PlannedSelect};
-use gdm_core::{AttributedView, FxHashMap, Result};
+use crate::plan::PlannedSelect;
+use gdm_core::FxHashMap;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -67,31 +65,6 @@ impl PlanCache {
         }
     }
 
-    /// Returns the plan for `key` and executes the miss path
-    /// (planning against `g`) at most once per distinct key until
-    /// eviction. Errors from planning are not cached.
-    pub fn plan<G: AttributedView + ?Sized>(
-        &self,
-        g: &G,
-        key: &str,
-        query: &SelectQuery,
-    ) -> Result<Arc<PlannedSelect>> {
-        if let Some(hit) = self.get(key) {
-            return Ok(hit);
-        }
-        let planned = Arc::new(plan_select(g, query)?);
-        self.insert(key, planned.clone());
-        Ok(planned)
-    }
-
-    /// Looks `key` up, counting a hit or a miss. Epoch-agnostic:
-    /// equivalent to [`PlanCache::get_epoch`] with epoch 0, for
-    /// callers serving a single immutable snapshot for the cache's
-    /// whole life.
-    pub fn get(&self, key: &str) -> Option<Arc<PlannedSelect>> {
-        self.get_epoch(key, 0)
-    }
-
     /// Looks `key` up for a snapshot with the given epoch. A plan
     /// cached against any *other* epoch is stale — its materialized
     /// candidate domains index a graph that no longer serves — so the
@@ -119,12 +92,6 @@ impl PlanCache {
         found
     }
 
-    /// Inserts a plan under `key` for epoch 0 — the epoch-agnostic
-    /// twin of [`PlanCache::get`].
-    pub fn insert(&self, key: &str, plan: Arc<PlannedSelect>) {
-        self.insert_epoch(key, 0, plan);
-    }
-
     /// Inserts a plan under `key`, tagged with the epoch of the
     /// snapshot it was planned against, evicting the oldest entry at
     /// capacity. Re-inserting an existing key replaces its plan (and
@@ -139,25 +106,6 @@ impl PlanCache {
                 }
             }
         }
-    }
-
-    /// The canonical `EXPLAIN` render of the cached plan for `key`,
-    /// without touching the hit/miss counters.
-    pub fn fingerprint(&self, key: &str) -> Option<String> {
-        self.inner
-            .lock()
-            .expect("plan cache lock")
-            .map
-            .get(key)
-            .map(|(_, p)| p.explain.render())
-    }
-
-    /// Drops every entry (counters keep their totals) — required
-    /// after any mutation of the graph the plans were made against.
-    pub fn clear(&self) {
-        let mut inner = self.inner.lock().expect("plan cache lock");
-        inner.map.clear();
-        inner.order.clear();
     }
 
     /// Number of cached plans.
@@ -195,8 +143,9 @@ impl PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::{Expr, Projection};
+    use crate::ast::SelectQuery;
     use crate::cypher;
+    use crate::plan::plan_select;
     use gdm_core::props;
     use gdm_graphs::PropertyGraph;
 
@@ -215,17 +164,18 @@ mod tests {
         }
     }
 
+    fn planned(name: &str) -> Arc<PlannedSelect> {
+        Arc::new(plan_select(&graph(), &query(name)).unwrap())
+    }
+
     #[test]
     fn repeat_lookups_hit() {
-        let g = graph();
         let cache = PlanCache::new(8);
-        let q = query("ada");
-        let first = cache.plan(&g, "q1", &q).unwrap();
-        let second = cache.plan(&g, "q1", &q).unwrap();
-        assert!(
-            Arc::ptr_eq(&first, &second),
-            "second lookup reuses the plan"
-        );
+        assert!(cache.get_epoch("q1", 0).is_none(), "first lookup misses");
+        let plan = planned("ada");
+        cache.insert_epoch("q1", 0, plan.clone());
+        let again = cache.get_epoch("q1", 0).expect("second lookup hits");
+        assert!(Arc::ptr_eq(&plan, &again), "the hit reuses the plan");
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.len(), 1);
@@ -233,43 +183,19 @@ mod tests {
 
     #[test]
     fn capacity_evicts_oldest_first() {
-        let g = graph();
         let cache = PlanCache::new(2);
         for (i, name) in ["ada", "bob", "cleo"].iter().enumerate() {
-            cache.plan(&g, &format!("q{i}"), &query(name)).unwrap();
+            cache.insert_epoch(&format!("q{i}"), 0, planned(name));
         }
         assert_eq!(cache.len(), 2);
-        assert!(cache.fingerprint("q0").is_none(), "oldest evicted");
-        assert!(cache.fingerprint("q2").is_some());
-    }
-
-    #[test]
-    fn fingerprint_is_the_explain_render() {
-        let g = graph();
-        let cache = PlanCache::new(4);
-        let planned = cache.plan(&g, "q", &query("ada")).unwrap();
-        assert_eq!(cache.fingerprint("q").unwrap(), planned.explain.render());
-        crate::plan::ExplainPlan::parse(&cache.fingerprint("q").unwrap())
-            .expect("fingerprint parses back");
-    }
-
-    #[test]
-    fn clear_empties_but_keeps_counters() {
-        let g = graph();
-        let cache = PlanCache::new(4);
-        cache.plan(&g, "q", &query("ada")).unwrap();
-        cache.get("q");
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 1);
+        assert!(cache.get_epoch("q0", 0).is_none(), "oldest evicted");
+        assert!(cache.get_epoch("q2", 0).is_some());
     }
 
     #[test]
     fn epoch_mismatch_evicts_and_misses() {
-        let g = graph();
         let cache = PlanCache::new(4);
-        let planned = Arc::new(plan_select(&g, &query("ada")).unwrap());
+        let planned = planned("ada");
         cache.insert_epoch("q", 7, planned.clone());
         assert!(cache.get_epoch("q", 7).is_some(), "same epoch hits");
         assert_eq!(cache.epoch_evictions(), 0);
@@ -280,21 +206,5 @@ mod tests {
         // Re-inserting under the new epoch works normally again.
         cache.insert_epoch("q", 8, planned);
         assert!(cache.get_epoch("q", 8).is_some());
-    }
-
-    #[test]
-    fn planning_errors_are_not_cached() {
-        let g = graph();
-        let cache = PlanCache::new(4);
-        // No projections: validation fails.
-        let mut bad = SelectQuery::default();
-        bad.pattern
-            .node(gdm_algo::PatternNode::var("p").with_label("person"));
-        assert!(cache.plan(&g, "bad", &bad).is_err());
-        assert_eq!(cache.len(), 0);
-        let _ = Projection::Expr {
-            name: "x".into(),
-            expr: Expr::Var("p".into()),
-        };
     }
 }

@@ -85,14 +85,6 @@ pub struct ServerConfig {
     pub query_limits: Option<Limits>,
     /// Plans the shared cache holds before FIFO eviction.
     pub plan_cache_capacity: usize,
-    /// The most threads one query may run on, its session thread
-    /// included, and (minus one) the executor's helper threads in
-    /// flight across all sessions; `0` keeps the process-wide auto
-    /// setting, [`gdm_algo::default_threads`]. Only a query whose plan
-    /// estimates enough work ever takes a helper (`STATS`'
-    /// `fanned_out` counts them). Applied once by [`serve`] via
-    /// [`gdm_algo::set_executor_workers`].
-    pub executor_workers: usize,
     /// Once the first byte of a frame has arrived, the whole frame
     /// must arrive within this deadline — the slowloris cutoff. A
     /// session holding a frame open past it is reaped (connection
@@ -124,7 +116,6 @@ impl Default for ServerConfig {
             refill_credits: 50_000,
             query_limits: None,
             plan_cache_capacity: 64,
-            executor_workers: 0,
             frame_deadline: Duration::from_secs(10),
             idle_timeout: Duration::from_secs(300),
             write_timeout: Duration::from_secs(10),
@@ -443,9 +434,6 @@ pub fn serve(snapshot: ServingSnapshot, config: ServerConfig) -> io::Result<Serv
             io::ErrorKind::InvalidInput,
             "a server needs at least one tenant",
         ));
-    }
-    if config.executor_workers > 0 {
-        gdm_algo::set_executor_workers(config.executor_workers);
     }
     let listener = TcpListener::bind(("127.0.0.1", 0))?;
     let addr = listener.local_addr()?;

@@ -6,7 +6,7 @@
 //!    plan serves repeats, a mutation plus [`ServerHandle::refresh_with`]
 //!    advances the serving epoch, the very next query of the same text
 //!    sees the new data (its stale plan is epoch-evicted, not served),
-//!    and `STATS` reports the refresh counters and echoes the configured
+//!    and `STATS` reports the refresh counters and echoes the process's
 //!    executor worker count.
 //! 2. Sessions hammering queries *while* the snapshot is swapped under
 //!    them never observe an error: every response is a complete row
@@ -34,7 +34,8 @@ use std::time::{Duration, Instant};
 
 const QUERY: &str = "MATCH (p:person) RETURN p.name";
 const PEOPLE: usize = 50;
-/// The executor worker count every server in this file is started with.
+/// The process-wide executor worker count every server in this file
+/// runs under.
 const EXECUTOR_WORKERS: usize = 2;
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -59,9 +60,9 @@ fn start(tag: &str) -> (Box<dyn GraphEngine>, ServerHandle, std::path::PathBuf) 
         }
         prev = Some(n);
     }
+    gdm_algo::set_executor_workers(EXECUTOR_WORKERS);
     let mut config = ServerConfig {
         refill_credits: 500_000,
-        executor_workers: EXECUTOR_WORKERS,
         ..ServerConfig::default()
     };
     let mut alpha = TenantConfig::new("alpha", 1);

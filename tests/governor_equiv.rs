@@ -17,7 +17,7 @@ use graph_db_models::algo::pattern::{canonical, match_pattern, PatternNode};
 use graph_db_models::algo::planned::{auto_domains, match_pattern_seeded};
 use graph_db_models::algo::regular::{regular_path_exists, regular_simple_paths, LabelRegex};
 use graph_db_models::algo::summary::diameter;
-use graph_db_models::algo::{par_diameter, shortest_path, FrozenGraph, Pattern, Traversal};
+use graph_db_models::algo::{shortest_path, FrozenGraph, Pattern, Traversal};
 use graph_db_models::bench::workload::{load_into_engine, social_graph, SocialParams};
 use graph_db_models::core::{Direction, InterruptReason, NodeId, Result, Value};
 use graph_db_models::engines::{make_engine, EngineKind, SummaryFunc};
@@ -115,7 +115,12 @@ proptest! {
         }
 
         let d = holds_at_charged_total(|guard| diameter(&g, Direction::Outgoing, guard));
-        prop_assert_eq!(d, par_diameter(&FrozenGraph::freeze(&g), Direction::Outgoing, 2));
+        let frozen = diameter(
+            &FrozenGraph::freeze(&g),
+            Direction::Outgoing,
+            &ExecutionGuard::unlimited(),
+        );
+        prop_assert_eq!(d, frozen.unwrap());
     }
 }
 
