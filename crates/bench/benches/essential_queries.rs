@@ -201,7 +201,12 @@ fn bench_frozen(c: &mut Criterion) {
         });
     }
     group.bench_function("frozen", |b| {
-        b.iter(|| black_box(gdm_algo::analysis::connected_components(&fz).len()))
+        b.iter(|| {
+            black_box(
+                gdm_algo::analysis::connected_components(&fz, &ExecutionGuard::unlimited())
+                    .map(|c| c.len()),
+            )
+        })
     });
     group.finish();
 

@@ -39,6 +39,7 @@ fn datalog_ancestor_matches_bfs_reachability_on_generated_trees() {
         parent_only.add_edge(sid, oid).unwrap();
     }
 
+    let unlimited = ExecutionGuard::unlimited();
     for (&term, &node) in &ids {
         let name = g.term(term).unwrap().text();
         let descendants = prog
@@ -46,7 +47,10 @@ fn datalog_ancestor_matches_bfs_reachability_on_generated_trees() {
             .unwrap()
             .len();
         // BFS count excluding the start node itself.
-        let bfs = reachable_set(&parent_only, node, Direction::Outgoing).len() - 1;
+        let bfs = reachable_set(&parent_only, node, Direction::Outgoing, &unlimited)
+            .unwrap()
+            .len()
+            - 1;
         assert_eq!(descendants, bfs, "mismatch at {name}");
     }
 }
@@ -114,11 +118,16 @@ fn reachability_is_monotone_under_edge_insertion() {
         g.add_edge(nodes[i], nodes[i + 1]).unwrap();
     }
     assert!(distance(&g, nodes[0], nodes[29]).is_none());
-    let before = reachable_set(&g, nodes[0], Direction::Outgoing).len();
+    let unlimited = ExecutionGuard::unlimited();
+    let before = reachable_set(&g, nodes[0], Direction::Outgoing, &unlimited)
+        .unwrap()
+        .len();
     // Bridge the chains.
     g.add_edge(nodes[14], nodes[15]).unwrap();
     assert!(distance(&g, nodes[0], nodes[29]).is_some());
-    let after = reachable_set(&g, nodes[0], Direction::Outgoing).len();
+    let after = reachable_set(&g, nodes[0], Direction::Outgoing, &unlimited)
+        .unwrap()
+        .len();
     assert_eq!(before, 15);
     assert_eq!(after, 30);
 }
