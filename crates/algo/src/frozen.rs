@@ -46,11 +46,26 @@
 //! crate's one generic implementation over the snapshot's
 //! [`GraphView`] impl.
 //!
+//! **Property storage.** Node and edge property lists share one type,
+//! [`Props`]: an exact-size `Arc<[(Symbol, Value)]>` whose keys are
+//! interned in the snapshot's own key interner — apart from the label
+//! interner, so a property key never makes
+//! [`FrozenGraph::label_symbol`] report a label. A property-less node
+//! points at one shared empty list, and the edge-property map holds only
+//! the edges that carry properties. [`AttributedView::candidates`]
+//! resolves its keys once per call and the batch pipeline once per
+//! plan, then both compare symbols; a point lookup
+//! ([`AttributedView::node_property`]) compares the list's few keys as
+//! text through the interner instead, which costs less than a hash
+//! resolution per call. A re-freeze clones and extends the previous
+//! snapshot's key interner, so every list it shares keeps reading back
+//! the same keys.
+//!
 //! Every snapshot is stamped with a process-unique, monotonically
 //! increasing **epoch** ([`FrozenGraph::epoch`]); the serving layer
 //! keys plan caches and session pinning on it.
 //!
-//! `FrozenGraph` owns all its data (its own [`Interner`], no borrows),
+//! `FrozenGraph` owns all its data (its own [`Interner`]s, no borrows),
 //! so it is `Send + Sync` and shareable across the scoped threads of
 //! [`crate::parallel`].
 
@@ -76,12 +91,83 @@ pub(crate) fn next_epoch() -> u64 {
     NEXT_EPOCH.fetch_add(1, Ordering::Relaxed)
 }
 
+/// One node's or edge's property list: keys are symbols of the owning
+/// snapshot's key interner, and the list is exactly as long as it is.
+pub(crate) type Props = Arc<[(Symbol, Value)]>;
+
 /// The shared empty property list: prop-less nodes all point at one
 /// allocation, so cloning a snapshot's property column is pure
 /// refcount traffic.
-pub(crate) fn empty_props() -> Arc<Vec<(String, Value)>> {
-    static EMPTY: OnceLock<Arc<Vec<(String, Value)>>> = OnceLock::new();
-    EMPTY.get_or_init(|| Arc::new(Vec::new())).clone()
+pub(crate) fn empty_props() -> Props {
+    static EMPTY: OnceLock<Props> = OnceLock::new();
+    EMPTY.get_or_init(|| Arc::new([])).clone()
+}
+
+/// The value `props` holds under `key`.
+#[inline]
+pub(crate) fn prop(props: &[(Symbol, Value)], key: Symbol) -> Option<&Value> {
+    props.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
+}
+
+/// Captures the property list a `visit_*_properties` hook enumerates,
+/// interning its keys into `keys`. `buf` is scratch the caller reuses,
+/// so the list is allocated once, at its exact size, and only when it
+/// is not empty.
+pub(crate) fn capture_props(
+    keys: &mut Interner,
+    buf: &mut Vec<(Symbol, Value)>,
+    visit: impl FnOnce(&mut dyn FnMut(&str, &Value)),
+) -> Option<Props> {
+    visit(&mut |k, v| buf.push((keys.intern(k), v.clone())));
+    (!buf.is_empty()).then(|| buf.drain(..).collect())
+}
+
+/// Captures the properties of the edges `ids` yields into `edge_props`.
+/// An edge the map already holds is skipped without a visit, and so is
+/// one `fresh` turns down; any other is visited once and inserted only
+/// when it has properties (the map is copied on write at the first
+/// insert). Returns the work: one unit per visited edge plus one per
+/// captured property.
+pub(crate) fn capture_edge_props<G: AttributedView + ?Sized>(
+    g: &G,
+    ids: impl IntoIterator<Item = EdgeId>,
+    keys: &mut Interner,
+    edge_props: &mut EdgePropsMap,
+    mut fresh: impl FnMut(u64) -> bool,
+) -> u64 {
+    let mut buf = Vec::new();
+    let mut work = 0;
+    for id in ids {
+        let raw = id.raw();
+        if edge_props.contains_key(&raw) || !fresh(raw) {
+            continue;
+        }
+        work += 1;
+        if let Some(props) = capture_props(keys, &mut buf, |f| g.visit_edge_properties(id, f)) {
+            work += props.len() as u64;
+            Arc::make_mut(edge_props).insert(raw, props);
+        }
+    }
+    work
+}
+
+/// Source label symbol → the snapshot's own, each source symbol
+/// resolved and interned once.
+#[derive(Default)]
+pub(crate) struct Relabel(FxHashMap<u32, Option<Symbol>>);
+
+impl Relabel {
+    pub(crate) fn map<G: GraphView + ?Sized>(
+        &mut self,
+        g: &G,
+        interner: &mut Interner,
+        sym: Symbol,
+    ) -> Option<Symbol> {
+        *self
+            .0
+            .entry(sym.raw())
+            .or_insert_with(|| g.label_text(sym).map(|t| interner.intern(t)))
+    }
 }
 
 /// One edge-attribute index row: `(value, from_dense, to_dense,
@@ -111,23 +197,18 @@ pub(crate) fn eq_hash(v: &Value) -> u64 {
 /// Appends the equality-index rows of one node's properties to the
 /// per-key runs being built.
 pub(crate) fn push_eq_rows(
-    runs: &mut FxHashMap<String, Vec<EqRow>>,
-    props: &[(String, Value)],
+    runs: &mut FxHashMap<Symbol, Vec<EqRow>>,
+    props: &[(Symbol, Value)],
     dense: u32,
 ) {
     for (key, value) in props {
-        let row = (eq_hash(value), dense);
-        match runs.get_mut(key.as_str()) {
-            Some(run) => run.push(row),
-            None => {
-                runs.insert(key.clone(), vec![row]);
-            }
-        }
+        runs.entry(*key).or_default().push((eq_hash(value), dense));
     }
 }
 
-/// The copy-on-write edge-property map: edge raw id → property list.
-pub(crate) type EdgePropsMap = Arc<FxHashMap<u64, Arc<Vec<(String, Value)>>>>;
+/// The copy-on-write edge-property map: edge raw id → property list,
+/// for the edges that carry at least one property.
+pub(crate) type EdgePropsMap = Arc<FxHashMap<u64, Props>>;
 
 /// One slab: [`SLAB_NODES`] consecutive dense rows of a CSR direction.
 /// `offsets` are slab-local (`offsets[0] == 0`, length `rows + 1`);
@@ -170,33 +251,6 @@ pub(crate) struct Run<'a> {
 }
 
 impl Csr {
-    /// Chops flat recording arrays (global offsets of length `n + 1`)
-    /// into slabs.
-    pub(crate) fn from_flat(
-        n: usize,
-        offsets: &[u32],
-        targets: &[u32],
-        edge_ids: &[EdgeId],
-        labels: &[Option<Symbol>],
-    ) -> Self {
-        debug_assert_eq!(offsets.len(), n + 1);
-        let mut slabs = Vec::with_capacity(n.div_ceil(SLAB_NODES as usize));
-        let mut lo = 0usize;
-        while lo < n {
-            let hi = (lo + SLAB_NODES as usize).min(n);
-            let base = offsets[lo];
-            let end = offsets[hi] as usize;
-            slabs.push(Arc::new(CsrSlab {
-                offsets: offsets[lo..=hi].iter().map(|&o| o - base).collect(),
-                targets: targets[base as usize..end].to_vec(),
-                edge_ids: edge_ids[base as usize..end].to_vec(),
-                labels: labels[base as usize..end].to_vec(),
-            }));
-            lo = hi;
-        }
-        Self { n, slabs }
-    }
-
     /// Slab and slab-local row of dense position `dense`.
     #[inline]
     pub(crate) fn locate(&self, dense: u32) -> (&CsrSlab, usize) {
@@ -239,6 +293,126 @@ impl Csr {
     }
 }
 
+/// Builds one CSR direction row by row, straight into slabs: rows
+/// collect in a slab-sized buffer that is reused, and every
+/// [`SLAB_NODES`] rows it is copied out as one exact-size slab. Rows
+/// come from the source ([`SlabRecorder::record_row`]) or from a
+/// previous snapshot ([`SlabRecorder::copy_row`]); a whole previous
+/// slab can be shared at a slab boundary ([`SlabRecorder::share`]).
+pub(crate) struct SlabRecorder {
+    csr: Csr,
+    buf: CsrSlab,
+}
+
+impl SlabRecorder {
+    /// A recorder for a direction of `n` rows.
+    pub(crate) fn new(n: usize) -> Self {
+        Self {
+            csr: Csr {
+                n,
+                slabs: Vec::with_capacity(n.div_ceil(SLAB_NODES as usize)),
+            },
+            buf: CsrSlab {
+                offsets: vec![0],
+                ..CsrSlab::default()
+            },
+        }
+    }
+
+    /// Records `n`'s outgoing (or, with `incoming`, incoming) run as
+    /// the next row, in the order the source visits it, with endpoints
+    /// mapped through `index` and labels through `relabel`. Returns the
+    /// run length, or `None` when the source yields an endpoint `index`
+    /// does not hold.
+    pub(crate) fn record_row<G: GraphView + ?Sized>(
+        &mut self,
+        g: &G,
+        n: NodeId,
+        incoming: bool,
+        index: &FxHashMap<u64, u32>,
+        interner: &mut Interner,
+        relabel: &mut Relabel,
+    ) -> Option<usize> {
+        let start = self.buf.targets.len();
+        let mut known = true;
+        let buf = &mut self.buf;
+        let mut record = |e: EdgeRef| {
+            let Some(&dense) = index.get(&e.to.raw()) else {
+                known = false;
+                return;
+            };
+            buf.targets.push(dense);
+            buf.edge_ids.push(e.id);
+            buf.labels
+                .push(e.label.and_then(|sym| relabel.map(g, interner, sym)));
+        };
+        if incoming {
+            g.visit_in_edges(n, &mut record);
+        } else {
+            g.visit_out_edges(n, &mut record);
+        }
+        let len = self.buf.targets.len() - start;
+        self.end_row();
+        known.then_some(len)
+    }
+
+    /// Copies a previous snapshot's run as the next row, relocating
+    /// the targets `moves` lists.
+    pub(crate) fn copy_row(&mut self, run: Run<'_>, moves: &FxHashMap<u32, u32>) {
+        self.buf.targets.extend(
+            run.targets
+                .iter()
+                .map(|&t| moves.get(&t).copied().unwrap_or(t)),
+        );
+        self.buf.edge_ids.extend_from_slice(run.edge_ids);
+        self.buf.labels.extend_from_slice(run.labels);
+        self.end_row();
+    }
+
+    /// Takes a previous snapshot's slab whole, by reference count. Only
+    /// at a slab boundary.
+    pub(crate) fn share(&mut self, slab: &Arc<CsrSlab>) {
+        debug_assert_eq!(self.buf.rows(), 0, "a slab is shared at a slab boundary");
+        self.csr.slabs.push(Arc::clone(slab));
+    }
+
+    /// The recorded direction.
+    pub(crate) fn finish(mut self) -> Csr {
+        if self.buf.rows() > 0 {
+            self.flush();
+        }
+        debug_assert_eq!(
+            self.csr.slabs.iter().map(|s| s.rows()).sum::<usize>(),
+            self.csr.n
+        );
+        self.csr
+    }
+
+    fn end_row(&mut self) {
+        let len = u32::try_from(self.buf.targets.len()).expect("frozen graph u32 edge limit");
+        self.buf.offsets.push(len);
+        if self.buf.rows() == SLAB_NODES as usize {
+            self.flush();
+        }
+    }
+
+    /// Copies the buffered rows out as one exact-size slab and empties
+    /// the buffer.
+    fn flush(&mut self) {
+        let buf = &mut self.buf;
+        self.csr.slabs.push(Arc::new(CsrSlab {
+            offsets: buf.offsets.clone(),
+            targets: buf.targets.clone(),
+            edge_ids: buf.edge_ids.clone(),
+            labels: buf.labels.clone(),
+        }));
+        buf.offsets.truncate(1);
+        buf.targets.clear();
+        buf.edge_ids.clear();
+        buf.labels.clear();
+    }
+}
+
 /// An immutable point-in-time CSR snapshot of a graph view. See the
 /// module docs for layout and equivalence guarantees.
 #[derive(Debug, Clone)]
@@ -257,9 +431,12 @@ pub struct FrozenGraph {
     pub(crate) index: FxHashMap<u64, u32>,
     pub(crate) fwd: Csr,
     pub(crate) rev: Csr,
+    /// Node and edge labels.
     pub(crate) interner: Interner,
+    /// Property keys, apart from the labels.
+    pub(crate) keys: Interner,
     pub(crate) node_labels: Vec<Option<Symbol>>,
-    pub(crate) node_props: Vec<Arc<Vec<(String, Value)>>>,
+    pub(crate) node_props: Vec<Props>,
     /// Edge raw id → property list, for edges carrying at least one
     /// property. `Arc`-wrapped as a whole so an incremental re-freeze
     /// with no edge-property churn shares the map by reference count
@@ -277,14 +454,14 @@ pub struct FrozenGraph {
     /// rows of re-read edges instead of rebuilding the index. Each run
     /// is `Arc`-wrapped so a re-freeze clones only the keys it patches
     /// and shares untouched runs by reference count.
-    pub(crate) edge_ranges: FxHashMap<String, RangeRun>,
+    pub(crate) edge_ranges: FxHashMap<Symbol, RangeRun>,
     /// Node property key → `(loose-eq hash, dense)` rows sorted by
     /// hash — the equality index behind [`AttributedView::candidates`].
     /// Values loosely equal hash alike, so one binary search finds a
     /// superset of a `{key: value}` constraint's nodes, which lookups
     /// re-check. Each run is `Arc`-wrapped for the same reason as
     /// `edge_ranges`': a re-freeze patches only the keys it touches.
-    pub(crate) node_eq: FxHashMap<String, EqRun>,
+    pub(crate) node_eq: FxHashMap<Symbol, EqRun>,
 }
 
 impl FrozenGraph {
@@ -303,26 +480,25 @@ impl FrozenGraph {
     /// labels but without property values.
     pub fn freeze_attributed<G: AttributedView + ?Sized>(g: &G) -> Self {
         let mut fz = Self::build(g);
-        let mut cache: FxHashMap<u32, Option<Symbol>> = FxHashMap::default();
+        let mut relabel = Relabel::default();
+        let mut buf = Vec::new();
         for (dense, &n) in fz.nodes.iter().enumerate() {
-            let label = g.node_label(n).and_then(|sym| {
-                *cache
-                    .entry(sym.raw())
-                    .or_insert_with(|| g.label_text(sym).map(|t| fz.interner.intern(t)))
-            });
+            let label = g
+                .node_label(n)
+                .and_then(|sym| relabel.map(g, &mut fz.interner, sym));
             fz.node_labels[dense] = label;
             if let Some(sym) = label {
                 fz.label_index.entry(sym).or_default().push(dense as u32);
             }
-            let mut props = Vec::new();
-            g.visit_node_properties(n, &mut |k, v| props.push((k.to_owned(), v.clone())));
-            if !props.is_empty() {
-                fz.node_props[dense] = Arc::new(props);
+            if let Some(props) =
+                capture_props(&mut fz.keys, &mut buf, |f| g.visit_node_properties(n, f))
+            {
+                fz.node_props[dense] = props;
             }
         }
         // A pass of its own, so the growing runs do not interleave
         // with the property lists in the heap.
-        let mut node_eq: FxHashMap<String, Vec<EqRow>> = FxHashMap::default();
+        let mut node_eq: FxHashMap<Symbol, Vec<EqRow>> = FxHashMap::default();
         for (dense, props) in fz.node_props.iter().enumerate() {
             push_eq_rows(&mut node_eq, props, dense as u32);
         }
@@ -333,42 +509,35 @@ impl FrozenGraph {
                 (k, Arc::new(run))
             })
             .collect();
-        let mut edge_props: FxHashMap<u64, Arc<Vec<(String, Value)>>> = FxHashMap::default();
-        for slab in fz.fwd.slabs.iter().chain(fz.rev.slabs.iter()) {
-            for &id in &slab.edge_ids {
-                edge_props.entry(id.raw()).or_insert_with(|| {
-                    let mut props = Vec::new();
-                    g.visit_edge_properties(id, &mut |k, v| props.push((k.to_owned(), v.clone())));
-                    Arc::new(props)
-                });
-            }
-        }
-        edge_props.retain(|_, v| !v.is_empty());
+        let ids = fz.fwd.slabs.iter().chain(&fz.rev.slabs);
+        let ids = ids.flat_map(|slab| slab.edge_ids.iter().copied());
+        capture_edge_props(g, ids, &mut fz.keys, &mut fz.edge_props, |_| true);
         // Ordered edge-attribute index: one sorted run per key over
         // the forward CSR (so endpoint pairs come out in from-dense
         // order before sorting by value).
-        let mut edge_ranges: FxHashMap<String, Vec<RangeRow>> = FxHashMap::default();
-        for dense in 0..fz.nodes.len() as u32 {
-            let run = fz.fwd.run(dense);
-            for i in 0..run.targets.len() {
-                let raw = run.edge_ids[i].raw();
-                let Some(props) = edge_props.get(&raw) else {
-                    continue;
-                };
-                for (k, v) in props.iter() {
-                    edge_ranges.entry(k.clone()).or_default().push((
-                        v.clone(),
-                        dense,
-                        run.targets[i],
-                        raw,
-                    ));
+        let mut edge_ranges: FxHashMap<Symbol, Vec<RangeRow>> = FxHashMap::default();
+        if !fz.edge_props.is_empty() {
+            for dense in 0..fz.nodes.len() as u32 {
+                let run = fz.fwd.run(dense);
+                for i in 0..run.targets.len() {
+                    let raw = run.edge_ids[i].raw();
+                    let Some(props) = fz.edge_props.get(&raw) else {
+                        continue;
+                    };
+                    for (k, v) in props.iter() {
+                        edge_ranges.entry(*k).or_default().push((
+                            v.clone(),
+                            dense,
+                            run.targets[i],
+                            raw,
+                        ));
+                    }
                 }
             }
         }
         for run in edge_ranges.values_mut() {
             run.sort_by(|a, b| a.0.total_cmp(&b.0));
         }
-        fz.edge_props = Arc::new(edge_props);
         fz.edge_ranges = edge_ranges
             .into_iter()
             .map(|(k, v)| (k, Arc::new(v)))
@@ -377,8 +546,7 @@ impl FrozenGraph {
     }
 
     fn build<G: GraphView + ?Sized>(g: &G) -> Self {
-        let mut nodes = Vec::with_capacity(g.node_count());
-        g.visit_nodes(&mut |n| nodes.push(n));
+        let nodes = g.node_ids();
         let mut index = FxHashMap::default();
         index.reserve(nodes.len());
         for (i, n) in nodes.iter().enumerate() {
@@ -386,41 +554,17 @@ impl FrozenGraph {
             index.insert(n.raw(), dense);
         }
 
+        let n = nodes.len();
         let mut interner = Interner::new();
-        // Source symbol → re-interned symbol, so each label resolves once.
-        let mut relabel: FxHashMap<u32, Option<Symbol>> = FxHashMap::default();
-        let (mut fwd, mut rev) = (
-            FlatCsr::with_nodes(nodes.len()),
-            FlatCsr::with_nodes(nodes.len()),
-        );
-        for &n in &nodes {
+        let mut relabel = Relabel::default();
+        let (mut fwd, mut rev) = (SlabRecorder::new(n), SlabRecorder::new(n));
+        for &node in &nodes {
             for (csr, incoming) in [(&mut fwd, false), (&mut rev, true)] {
-                let mut record = |e: EdgeRef| {
-                    let dense = *index
-                        .get(&e.to.raw())
-                        .expect("edge endpoint not yielded by visit_nodes");
-                    csr.targets.push(dense);
-                    csr.edge_ids.push(e.id);
-                    let label = e.label.and_then(|sym| {
-                        *relabel
-                            .entry(sym.raw())
-                            .or_insert_with(|| g.label_text(sym).map(|t| interner.intern(t)))
-                    });
-                    csr.labels.push(label);
-                };
-                if incoming {
-                    g.visit_in_edges(n, &mut record);
-                } else {
-                    g.visit_out_edges(n, &mut record);
-                }
-                let len = u32::try_from(csr.targets.len()).expect("frozen graph u32 edge limit");
-                csr.offsets.push(len);
+                csr.record_row(g, node, incoming, &index, &mut interner, &mut relabel)
+                    .expect("edge endpoint not yielded by visit_nodes");
             }
         }
-
-        let n = nodes.len();
-        let fwd = Csr::from_flat(n, &fwd.offsets, &fwd.targets, &fwd.edge_ids, &fwd.labels);
-        let rev = Csr::from_flat(n, &rev.offsets, &rev.targets, &rev.edge_ids, &rev.labels);
+        let (fwd, rev) = (fwd.finish(), rev.finish());
         let freeze_work = (n + fwd.edge_slots() + rev.edge_slots()) as u64;
         Self {
             directed: g.is_directed(),
@@ -432,6 +576,7 @@ impl FrozenGraph {
             fwd,
             rev,
             interner,
+            keys: Interner::new(),
             node_labels: vec![None; n],
             node_props: vec![empty_props(); n],
             edge_props: Arc::new(FxHashMap::default()),
@@ -508,7 +653,8 @@ impl FrozenGraph {
     }
 
     /// The snapshot's symbol for label text, if any frozen edge or
-    /// node carries it.
+    /// node carries it. Property keys are interned apart and never
+    /// answer here.
     pub fn label_symbol(&self, text: &str) -> Option<Symbol> {
         self.interner.get(text)
     }
@@ -519,11 +665,37 @@ impl FrozenGraph {
         self.label_index.get(&sym).map_or(&[], Vec::as_slice)
     }
 
+    /// The snapshot's symbol for property key `key`, if any frozen node
+    /// or edge carries it.
+    #[inline]
+    pub(crate) fn key_symbol(&self, key: &str) -> Option<Symbol> {
+        self.keys.get(key)
+    }
+
+    /// The value `props` holds under the key spelled `key`. The list's
+    /// few key symbols are compared as text through the key interner
+    /// (a length check, then the bytes), which costs a point lookup less
+    /// than resolving `key` by hash first: the finish calls
+    /// `node_property` once per row.
+    fn prop_by_text<'p>(&self, props: &'p [(Symbol, Value)], key: &str) -> Option<&'p Value> {
+        props
+            .iter()
+            .find(|(k, _)| self.key_text(*k) == key)
+            .map(|(_, v)| v)
+    }
+
+    /// The text of property key `key`.
+    pub(crate) fn key_text(&self, key: Symbol) -> &str {
+        self.keys
+            .resolve(key)
+            .expect("property keys are interned by their snapshot")
+    }
+
     /// The equality-index rows of `key` whose hash is `value`'s: every
     /// node whose `key` is loosely equal to `value`, plus any whose
     /// value merely collides. Empty when no node carries `key`.
-    fn eq_rows(&self, key: &str, value: &Value) -> &[EqRow] {
-        let Some(run) = self.node_eq.get(key) else {
+    fn eq_rows(&self, key: Symbol, value: &Value) -> &[EqRow] {
+        let Some(run) = self.node_eq.get(&key) else {
             return &[];
         };
         let hash = eq_hash(value);
@@ -532,12 +704,21 @@ impl FrozenGraph {
         &run[start..start + len]
     }
 
-    /// The equality-index rows of the most selective of `props`' keys
-    /// (the fewest equal-hash rows), or `None` when `props` is empty.
-    fn narrowest_eq_rows(&self, props: &[(String, Value)]) -> Option<&[EqRow]> {
+    /// `props` with each key resolved to the snapshot's symbol, or
+    /// `None` when some key is one no frozen node or edge carries.
+    fn resolve_keys<'p>(&self, props: &'p [(String, Value)]) -> Option<Vec<(Symbol, &'p Value)>> {
         props
             .iter()
-            .map(|(key, value)| self.eq_rows(key, value))
+            .map(|(key, value)| Some((self.key_symbol(key)?, value)))
+            .collect()
+    }
+
+    /// The equality-index rows of the most selective of `props`' keys
+    /// (the fewest equal-hash rows), or `None` when `props` is empty.
+    fn narrowest_eq_rows(&self, props: &[(Symbol, &Value)]) -> Option<&[EqRow]> {
+        props
+            .iter()
+            .map(|&(key, value)| self.eq_rows(key, value))
             .min_by_key(|rows| rows.len())
     }
 
@@ -551,36 +732,14 @@ impl FrozenGraph {
 
     /// Property list of the node at dense position `dense`.
     #[inline]
-    pub(crate) fn node_props_dense(&self, dense: u32) -> &[(String, Value)] {
+    pub(crate) fn node_props_dense(&self, dense: u32) -> &[(Symbol, Value)] {
         &self.node_props[dense as usize]
     }
 
-    /// Property list of edge `id` (raw), if the edge carries any.
+    /// Property list of edge `id` (raw); empty when it carries none.
     #[inline]
-    pub(crate) fn edge_props_raw(&self, id: u64) -> Option<&[(String, Value)]> {
-        self.edge_props.get(&id).map(|p| p.as_slice())
-    }
-}
-
-/// Flat recording buffers used while building, before chopping into
-/// slabs: global offsets over three parallel arrays.
-struct FlatCsr {
-    offsets: Vec<u32>,
-    targets: Vec<u32>,
-    edge_ids: Vec<EdgeId>,
-    labels: Vec<Option<Symbol>>,
-}
-
-impl FlatCsr {
-    fn with_nodes(n: usize) -> Self {
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0);
-        Self {
-            offsets,
-            targets: Vec::new(),
-            edge_ids: Vec::new(),
-            labels: Vec::new(),
-        }
+    pub(crate) fn edge_props_raw(&self, id: u64) -> &[(Symbol, Value)] {
+        self.edge_props.get(&id).map_or(&[], |p| p)
     }
 }
 
@@ -662,34 +821,26 @@ impl AttributedView for FrozenGraph {
     }
 
     fn node_property(&self, n: NodeId, key: &str) -> Option<Value> {
-        let dense = self.dense_of(n)?;
-        self.node_props[dense as usize]
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.clone())
+        let props = &self.node_props[self.dense_of(n)? as usize];
+        self.prop_by_text(props, key).cloned()
     }
 
     fn edge_property(&self, e: EdgeId, key: &str) -> Option<Value> {
-        self.edge_props
-            .get(&e.raw())?
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.clone())
+        self.prop_by_text(self.edge_props_raw(e.raw()), key)
+            .cloned()
     }
 
     fn visit_node_properties(&self, n: NodeId, f: &mut dyn FnMut(&str, &Value)) {
         if let Some(dense) = self.dense_of(n) {
             for (k, v) in self.node_props[dense as usize].iter() {
-                f(k, v);
+                f(self.key_text(*k), v);
             }
         }
     }
 
     fn visit_edge_properties(&self, e: EdgeId, f: &mut dyn FnMut(&str, &Value)) {
-        if let Some(props) = self.edge_props.get(&e.raw()) {
-            for (k, v) in props.iter() {
-                f(k, v);
-            }
+        for (k, v) in self.edge_props_raw(e.raw()) {
+            f(self.key_text(*k), v);
         }
     }
 
@@ -706,17 +857,18 @@ impl AttributedView for FrozenGraph {
             },
             None => None,
         };
-        let mut ids: Vec<NodeId> = match self.narrowest_eq_rows(props) {
+        let Some(props) = self.resolve_keys(props) else {
+            return Vec::new();
+        };
+        let mut ids: Vec<NodeId> = match self.narrowest_eq_rows(&props) {
             Some(rows) => rows
                 .iter()
                 .map(|&(_, dense)| dense)
                 .filter(|&dense| {
                     let have = self.node_props_dense(dense);
                     sym.is_none_or(|sym| self.node_label_dense(dense) == Some(sym))
-                        && props.iter().all(|(key, want)| {
-                            have.iter()
-                                .find(|(k, _)| k == key)
-                                .is_some_and(|(_, got)| got.loose_eq(want))
+                        && props.iter().all(|&(key, want)| {
+                            prop(have, key).is_some_and(|got| got.loose_eq(want))
                         })
                 })
                 .map(|dense| self.nodes[dense as usize])
@@ -746,7 +898,10 @@ impl AttributedView for FrozenGraph {
             self.label_symbol(want)
                 .map_or(0, |sym| self.nodes_with_label(sym).len())
         });
-        let keyed = self.narrowest_eq_rows(props).map(<[EqRow]>::len);
+        let keyed = match self.resolve_keys(props) {
+            Some(props) => self.narrowest_eq_rows(&props).map(<[EqRow]>::len),
+            None => Some(0),
+        };
         match (labelled, keyed) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -762,7 +917,7 @@ impl AttributedView for FrozenGraph {
         low: Option<&Value>,
         high: Option<&Value>,
     ) -> Option<Vec<(NodeId, NodeId)>> {
-        let run = self.edge_ranges.get(key)?;
+        let run = self.edge_ranges.get(&self.key_symbol(key)?)?;
         let start = match low {
             Some(lo) => run.partition_point(|(v, ..)| v.total_cmp(lo) == std::cmp::Ordering::Less),
             None => 0,
@@ -867,6 +1022,76 @@ mod tests {
         assert_eq!(fz.edge_property(e, "since"), Some(Value::from(1999)));
         let sym = fz.label_symbol("person").unwrap();
         assert_eq!(fz.nodes_with_label(sym).len(), 2);
+    }
+
+    #[test]
+    fn edge_props_hold_exactly_the_edges_with_properties() {
+        // Every third edge carries `w`; the rest carry nothing. Three
+        // slabs and a part, so the capture crosses slab boundaries.
+        let mut g = PropertyGraph::new();
+        let n: Vec<NodeId> = (0..SLAB_NODES as i64 * 3 + 5)
+            .map(|i| g.add_node("n", props! { "i" => i }))
+            .collect();
+        let mut edges = Vec::new();
+        for i in 0..n.len() {
+            let (a, b) = (n[i], n[(i * 7 + 1) % n.len()]);
+            let props = if i % 3 == 0 {
+                props! { "w" => i as i64 }
+            } else {
+                props! {}
+            };
+            edges.push((g.add_edge(a, b, "e", props).unwrap(), a, b, i));
+        }
+        let fz = FrozenGraph::freeze_attributed(&g);
+        assert!(fz.fwd.slabs.len() > 3);
+        let mut held: Vec<u64> = fz.edge_props.keys().copied().collect();
+        held.sort_unstable();
+        let with: Vec<u64> = edges
+            .iter()
+            .filter(|e| e.3 % 3 == 0)
+            .map(|e| e.0.raw())
+            .collect();
+        assert_eq!(held, with);
+        let listed = |v: &dyn AttributedView, e: EdgeId| {
+            let mut props = Vec::new();
+            v.visit_edge_properties(e, &mut |k, v| props.push((k.to_owned(), v.clone())));
+            props
+        };
+        for &(e, ..) in &edges {
+            assert_eq!(fz.edge_property(e, "w"), g.edge_property(e, "w"));
+            assert_eq!(fz.edge_property(e, "i"), None);
+            assert_eq!(listed(&fz, e), listed(&g, e));
+        }
+        let (lo, hi) = (Value::from(30), Value::from(120));
+        let mut found = fz.edge_range_candidates("w", Some(&lo), Some(&hi)).unwrap();
+        found.sort_unstable();
+        let mut want: Vec<(NodeId, NodeId)> = edges
+            .iter()
+            .filter(|e| e.3 % 3 == 0 && (30..=120).contains(&e.3))
+            .map(|e| (e.1, e.2))
+            .collect();
+        want.sort_unstable();
+        assert_eq!(found, want);
+        assert_eq!(fz.edge_range_candidates("i", None, None), None);
+    }
+
+    #[test]
+    fn property_keys_are_not_labels() {
+        let mut g = PropertyGraph::new();
+        let a = g.add_node("city", props! { "person" => 1 });
+        let b = g.add_node("city", props! {});
+        g.add_edge(a, b, "road", props! { "knows" => 2 }).unwrap();
+        let fz = FrozenGraph::freeze_attributed(&g);
+        assert_eq!(fz.label_symbol("person"), None);
+        assert_eq!(fz.label_symbol("knows"), None);
+        assert!(fz.label_symbol("city").is_some());
+        assert!(fz.candidates(Some("person"), &[]).is_empty());
+        assert_eq!(fz.node_property(a, "person"), Some(Value::from(1)));
+        assert_eq!(fz.node_property(a, "city"), None);
+        assert_eq!(
+            fz.candidates(None, &[("person".to_owned(), Value::from(1))]),
+            vec![a]
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Incremental re-freezing: patch a [`FrozenGraph`] in O(changes).
 //!
 //! A full [`FrozenGraph::freeze`] re-reads every node and edge of the
-//! source — string property capture, label re-interning, index sorts,
+//! source — property capture, label and key interning, index sorts,
 //! the lot. When an engine has tracked *which* ids changed since the
 //! previous snapshot (a [`FreezeDelta`] from
 //! [`gdm_core::DeltaTracker`]), [`incremental_refreeze`] produces an
@@ -38,7 +38,7 @@
 //! therefore **content-equivalent** to a full freeze — same nodes,
 //! edges, labels, properties, and query answers — but generally with a
 //! different dense ordering, which nothing outside the snapshot
-//! observes (`tests/refreeze_equiv.rs` proves the equivalence by
+//! observes (`crates/engines/tests/refreeze_equiv.rs` proves the equivalence by
 //! property testing over random mutation batches).
 //!
 //! The function falls back to a full freeze whenever the delta is
@@ -48,8 +48,8 @@
 //! Falling back is always correct; the delta only ever buys speed.
 
 use crate::frozen::{
-    empty_props, eq_hash, next_epoch, push_eq_rows, Csr, CsrSlab, EqRow, EqRun, FrozenGraph,
-    RangeRow, SLAB_NODES,
+    capture_edge_props, capture_props, empty_props, eq_hash, next_epoch, push_eq_rows, Csr, EqRow,
+    EqRun, FrozenGraph, RangeRow, Relabel, SlabRecorder, SLAB_NODES,
 };
 use gdm_core::{
     AttributedView, FreezeDelta, FxHashMap, FxHashSet, GraphView, Interner, NodeId, Symbol, Value,
@@ -259,72 +259,38 @@ fn build_dir<G: GraphView + ?Sized>(
     retarget: &[bool],
     incoming: bool,
     interner: &mut Interner,
-    relabel: &mut FxHashMap<u32, Option<Symbol>>,
+    relabel: &mut Relabel,
     work: &mut u64,
 ) -> Option<Csr> {
     let n_new = plan.nodes.len();
-    let prev_n = prev_dir.n;
-    let mut slabs = Vec::with_capacity(n_new.div_ceil(SLAB_NODES as usize));
-    let mut lo = 0usize;
-    while lo < n_new {
+    let mut recorder = SlabRecorder::new(n_new);
+    for (slab_idx, lo) in (0..n_new).step_by(SLAB_NODES as usize).enumerate() {
         let hi = (lo + SLAB_NODES as usize).min(n_new);
-        let slab_idx = lo / SLAB_NODES as usize;
-        let prev_hi = (lo + SLAB_NODES as usize).min(prev_n);
+        let prev_hi = (lo + SLAB_NODES as usize).min(prev_dir.n);
         let shareable = slab_idx < prev_dir.slabs.len()
             && prev_hi == hi
             && (lo..hi).all(|r| plan.orig[r] == r as u32 && !plan.reread[r] && !retarget[r]);
         if shareable {
-            slabs.push(Arc::clone(&prev_dir.slabs[slab_idx]));
-            lo = hi;
+            recorder.share(&prev_dir.slabs[slab_idx]);
             continue;
         }
-        let mut slab = CsrSlab {
-            offsets: vec![0],
-            ..CsrSlab::default()
-        };
-        let mut bad = false;
         for r in lo..hi {
-            let row_start = slab.targets.len();
             if plan.reread[r] {
-                let mut record = |e: gdm_core::EdgeRef| {
-                    let Some(&dense) = plan.index.get(&e.to.raw()) else {
-                        bad = true;
-                        return;
-                    };
-                    slab.targets.push(dense);
-                    slab.edge_ids.push(e.id);
-                    let label = e.label.and_then(|sym| {
-                        *relabel
-                            .entry(sym.raw())
-                            .or_insert_with(|| g.label_text(sym).map(|t| interner.intern(t)))
-                    });
-                    slab.labels.push(label);
-                };
-                if incoming {
-                    g.visit_in_edges(plan.nodes[r], &mut record);
-                } else {
-                    g.visit_out_edges(plan.nodes[r], &mut record);
-                }
-                if bad {
-                    return None;
-                }
-                *work += 1 + (slab.targets.len() - row_start) as u64;
+                let len = recorder.record_row(
+                    g,
+                    plan.nodes[r],
+                    incoming,
+                    &plan.index,
+                    interner,
+                    relabel,
+                )?;
+                *work += 1 + len as u64;
             } else {
-                let run = prev_dir.run(plan.orig[r]);
-                for i in 0..run.targets.len() {
-                    let t = run.targets[i];
-                    slab.targets.push(plan.moves.get(&t).copied().unwrap_or(t));
-                    slab.edge_ids.push(run.edge_ids[i]);
-                    slab.labels.push(run.labels[i]);
-                }
+                recorder.copy_row(prev_dir.run(plan.orig[r]), &plan.moves);
             }
-            let len = u32::try_from(slab.targets.len()).expect("frozen graph u32 edge limit");
-            slab.offsets.push(len);
         }
-        slabs.push(Arc::new(slab));
-        lo = hi;
     }
-    Some(Csr { n: n_new, slabs })
+    Some(recorder.finish())
 }
 
 /// The structural core shared by both re-freeze entry points: node
@@ -341,7 +307,7 @@ fn refreeze_structural_core<G: GraphView + ?Sized>(
     }
     let mut plan = plan_rebuild(g, prev, delta)?;
     let mut interner = prev.interner.clone();
-    let mut relabel: FxHashMap<u32, Option<Symbol>> = FxHashMap::default();
+    let mut relabel = Relabel::default();
     let mut work = plan.work;
     let fwd = build_dir(
         g,
@@ -375,6 +341,7 @@ fn refreeze_structural_core<G: GraphView + ?Sized>(
         fwd,
         rev,
         interner,
+        keys: prev.keys.clone(),
         node_labels: vec![None; n_new],
         node_props: vec![empty_props(); n_new],
         edge_props: Arc::new(FxHashMap::default()),
@@ -427,21 +394,23 @@ pub fn incremental_refreeze<G: AttributedView + ?Sized>(
     let mut work = fz.freeze_work;
 
     // Node labels and properties: copy (Arc clone) clean rows from the
-    // previous snapshot, re-capture re-read rows from the source.
-    let mut label_cache: FxHashMap<u32, Option<Symbol>> = FxHashMap::default();
+    // previous snapshot, re-capture re-read rows from the source. Keys
+    // the source adds extend the cloned key interner, so the symbols in
+    // every shared list keep their meaning.
+    let mut relabel = Relabel::default();
+    let mut buf = Vec::new();
     for i in 0..fz.nodes.len() {
         if plan.reread[i] {
             let n = fz.nodes[i];
-            fz.node_labels[i] = g.node_label(n).and_then(|sym| {
-                *label_cache
-                    .entry(sym.raw())
-                    .or_insert_with(|| g.label_text(sym).map(|t| fz.interner.intern(t)))
-            });
-            let mut props = Vec::new();
-            g.visit_node_properties(n, &mut |k, v| props.push((k.to_owned(), v.clone())));
-            work += 1 + props.len() as u64;
-            if !props.is_empty() {
-                fz.node_props[i] = Arc::new(props);
+            fz.node_labels[i] = g
+                .node_label(n)
+                .and_then(|sym| relabel.map(g, &mut fz.interner, sym));
+            work += 1;
+            if let Some(props) =
+                capture_props(&mut fz.keys, &mut buf, |f| g.visit_node_properties(n, f))
+            {
+                work += props.len() as u64;
+                fz.node_props[i] = props;
             }
         } else {
             let p = plan.orig[i] as usize;
@@ -469,22 +438,15 @@ pub fn incremental_refreeze<G: AttributedView + ?Sized>(
         }
     }
     let mut revisited: FxHashSet<u64> = FxHashSet::default();
-    for (i, _) in plan.reread.iter().enumerate().filter(|(_, &r)| r) {
-        for dir in [&fz.fwd, &fz.rev] {
-            for &id in dir.run(i as u32).edge_ids {
-                let raw = id.raw();
-                if fz.edge_props.contains_key(&raw) || !revisited.insert(raw) {
-                    continue;
-                }
-                let mut props = Vec::new();
-                g.visit_edge_properties(id, &mut |k, v| props.push((k.to_owned(), v.clone())));
-                work += 1 + props.len() as u64;
-                if !props.is_empty() {
-                    Arc::make_mut(&mut fz.edge_props).insert(raw, Arc::new(props));
-                }
-            }
-        }
-    }
+    let (fwd, rev) = (&fz.fwd, &fz.rev);
+    let reread = plan.reread.iter().enumerate().filter(|(_, &r)| r);
+    let ids = reread.flat_map(|(i, _)| {
+        let (out, inc) = (fwd.run(i as u32).edge_ids, rev.run(i as u32).edge_ids);
+        out.iter().chain(inc).copied()
+    });
+    work += capture_edge_props(g, ids, &mut fz.keys, &mut fz.edge_props, |raw| {
+        revisited.insert(raw)
+    });
 
     // Ordered edge-attribute index: clone, retire stale rows, remap
     // relocated endpoints, then collect the *freshly captured* edges'
@@ -521,15 +483,15 @@ pub fn incremental_refreeze<G: AttributedView + ?Sized>(
             }
         }
     }
-    let mut appendix: FxHashMap<String, Vec<RangeRow>> = FxHashMap::default();
-    let push_row = |appendix: &mut FxHashMap<String, Vec<RangeRow>>,
-                    props: &[(String, Value)],
+    let mut appendix: FxHashMap<Symbol, Vec<RangeRow>> = FxHashMap::default();
+    let push_row = |appendix: &mut FxHashMap<Symbol, Vec<RangeRow>>,
+                    props: &[(Symbol, Value)],
                     from: u32,
                     to: u32,
                     raw: u64| {
         for (k, v) in props {
             appendix
-                .entry(k.clone())
+                .entry(*k)
                 .or_default()
                 .push((v.clone(), from, to, raw));
         }
@@ -619,10 +581,11 @@ fn patch_node_eq(
     prev: &FrozenGraph,
     fz: &FrozenGraph,
     plan: &RebuildPlan,
-) -> FxHashMap<String, EqRun> {
-    // Previous dense positions whose rows retire.
+) -> FxHashMap<Symbol, EqRun> {
+    // Previous dense positions whose rows retire. `prev`'s key symbols
+    // mean the same in `fz`, whose key interner extends `prev`'s.
     let mut retired = plan.removed.clone();
-    let mut fresh: FxHashMap<String, Vec<EqRow>> = FxHashMap::default();
+    let mut fresh: FxHashMap<Symbol, Vec<EqRow>> = FxHashMap::default();
     for (i, _) in plan.reread.iter().enumerate().filter(|(_, &r)| r) {
         push_eq_rows(&mut fresh, fz.node_props_dense(i as u32), i as u32);
         if plan.orig[i] != NEW_ROW {
@@ -635,28 +598,25 @@ fn patch_node_eq(
             push_eq_rows(&mut fresh, &prev.node_props[p as usize], i);
         }
     }
-    let mut stale: FxHashMap<&str, Vec<EqRow>> = FxHashMap::default();
+    let mut stale: FxHashMap<Symbol, Vec<EqRow>> = FxHashMap::default();
     for &p in &retired {
         for (key, value) in prev.node_props[p as usize].iter() {
-            stale
-                .entry(key.as_str())
-                .or_default()
-                .push((eq_hash(value), p));
+            stale.entry(*key).or_default().push((eq_hash(value), p));
         }
     }
     let mut runs = prev.node_eq.clone();
-    let mut patch = |key: &str, stale: &[EqRow], add: Vec<EqRow>| {
-        let old = prev.node_eq.get(key).map_or(&[][..], |run| run.as_slice());
+    let mut patch = |key: Symbol, stale: &[EqRow], add: Vec<EqRow>| {
+        let old = prev.node_eq.get(&key).map_or(&[][..], |run| run.as_slice());
         let run = patch_run(old, stale, add);
         if run.is_empty() {
-            runs.remove(key);
+            runs.remove(&key);
         } else {
-            runs.insert(key.to_owned(), Arc::new(run));
+            runs.insert(key, Arc::new(run));
         }
     };
     for (key, add) in fresh {
-        let rows = stale.remove(key.as_str()).unwrap_or_default();
-        patch(&key, &rows, add);
+        let rows = stale.remove(&key).unwrap_or_default();
+        patch(key, &rows, add);
     }
     for (key, rows) in stale {
         patch(key, &rows, Vec::new());
@@ -746,7 +706,7 @@ mod tests {
         for (key, run) in &fz.edge_ranges {
             for &(ref v, f, t, raw) in run.iter() {
                 ranges.push((
-                    key.clone(),
+                    fz.key_text(*key).to_owned(),
                     raw,
                     fz.nodes[f as usize].raw(),
                     fz.nodes[t as usize].raw(),
@@ -758,7 +718,11 @@ mod tests {
         let mut eq = Vec::new();
         for (key, run) in &fz.node_eq {
             for &(hash, dense) in run.iter() {
-                eq.push((key.clone(), hash, fz.nodes[dense as usize].raw()));
+                eq.push((
+                    fz.key_text(*key).to_owned(),
+                    hash,
+                    fz.nodes[dense as usize].raw(),
+                ));
             }
         }
         eq.sort();
@@ -835,6 +799,70 @@ mod tests {
             .filter(|(a, b)| Arc::ptr_eq(a, b))
             .count();
         assert!(shared > 0, "expected at least one Arc-shared slab");
+    }
+
+    #[test]
+    fn new_keys_extend_the_shared_key_interner() {
+        let (mut g, n) = base_graph();
+        let prev = FrozenGraph::freeze_attributed(&g);
+        let mut t = DeltaTracker::new();
+        t.reset(prev.epoch());
+        // A node key and an edge key the base snapshot never saw.
+        g.set_node_property(n[3], "nick", Value::from("tre"))
+            .unwrap();
+        t.touch_node(n[3].raw());
+        let e = g
+            .add_edge(n[4], n[150], "knows", props! { "since" => 2020 })
+            .unwrap();
+        t.touch_node(n[4].raw());
+        t.touch_node(n[150].raw());
+        let inc = incremental_refreeze(&g, &prev, t.peek());
+        assert_eq!(canon(&inc), canon(&FrozenGraph::freeze_attributed(&g)));
+        assert_eq!(inc.keys.len(), prev.keys.len() + 2);
+
+        let listed = |v: &FrozenGraph, n: NodeId| {
+            let mut props = Vec::new();
+            v.visit_node_properties(n, &mut |k, v| props.push((k.to_owned(), v.clone())));
+            props
+        };
+        // A list the re-freeze shares with the base snapshot.
+        let shared = (n[100], prev.dense_of(n[100]).unwrap());
+        let now = inc.dense_of(shared.0).unwrap();
+        assert!(Arc::ptr_eq(
+            &inc.node_props[now as usize],
+            &prev.node_props[shared.1 as usize]
+        ));
+        assert_eq!(inc.node_property(shared.0, "age"), Some(Value::from(100)));
+        assert_eq!(
+            listed(&inc, shared.0),
+            vec![("age".into(), Value::from(100))]
+        );
+        assert_eq!(
+            inc.candidates(Some("person"), &[("age".into(), Value::from(100))]),
+            vec![shared.0]
+        );
+        // The list it re-read, which holds the new key.
+        assert_eq!(inc.node_property(n[3], "nick"), Some(Value::from("tre")));
+        assert_eq!(inc.node_property(n[3], "age"), Some(Value::from(3)));
+        assert_eq!(
+            listed(&inc, n[3]),
+            vec![
+                ("age".into(), Value::from(3)),
+                ("nick".into(), Value::from("tre"))
+            ]
+        );
+        assert_eq!(
+            inc.candidates(None, &[("nick".into(), Value::from("tre"))]),
+            vec![n[3]]
+        );
+        assert_eq!(prev.node_property(n[3], "nick"), None);
+        // The new edge key.
+        assert_eq!(inc.edge_property(e, "since"), Some(Value::from(2020)));
+        assert_eq!(
+            inc.edge_range_candidates("since", None, None),
+            Some(vec![(n[4], n[150])])
+        );
+        assert_eq!(inc.label_symbol("nick"), None);
     }
 
     #[test]

@@ -97,7 +97,7 @@
 //! calling thread — the first rung of the governor's degradation ladder
 //! (DESIGN.md §11).
 
-use crate::frozen::FrozenGraph;
+use crate::frozen::{prop, FrozenGraph};
 use crate::parallel::{admitted_workers, fan_out, in_morsel_order};
 use crate::pattern::{value_in_range, Pattern};
 use crate::planned::{
@@ -217,11 +217,21 @@ struct BatchPlan<'a> {
     residual_edges: Vec<Vec<usize>>,
     node_want: Vec<Want>,
     edge_want: Vec<Want>,
+    /// Each pattern node's property-equality constraints, keys resolved
+    /// against the snapshot's key interner (`None`: a key no frozen node
+    /// carries, which nothing satisfies).
+    node_props: Vec<Vec<(Option<Symbol>, &'a Value)>>,
+    /// Each pattern edge's range constraints, keys resolved the same
+    /// way.
+    edge_ranges: Vec<Vec<EdgeRange<'a>>>,
     dom_list: Vec<Option<Vec<u32>>>,
     /// Domain membership bitsets — of the variables an edge generates
     /// only: a seeded variable scans its `dom_list` and never probes.
     dom_bits: Vec<Option<Vec<u64>>>,
 }
+
+/// One resolved edge-property range constraint: `(key, low, high)`.
+type EdgeRange<'a> = (Option<Symbol>, Option<&'a Value>, Option<&'a Value>);
 
 /// The candidates of a seeded variable, borrowed from wherever they
 /// already live — a domain list, the snapshot's label index, or just
@@ -342,6 +352,28 @@ impl<'a> BatchPlan<'a> {
             .iter()
             .map(|pe| Want::resolve(fz, pe.label.as_deref()))
             .collect();
+        // Property keys resolved once per query too; the batch loops
+        // compare key symbols.
+        let node_props = pattern
+            .nodes
+            .iter()
+            .map(|pn| {
+                pn.props
+                    .iter()
+                    .map(|(key, value)| (fz.key_symbol(key), value))
+                    .collect()
+            })
+            .collect();
+        let edge_ranges = pattern
+            .edges
+            .iter()
+            .map(|pe| {
+                pe.ranges
+                    .iter()
+                    .map(|(key, low, high)| (fz.key_symbol(key), low.as_ref(), high.as_ref()))
+                    .collect()
+            })
+            .collect();
 
         // Static per-depth plan: with a fixed elimination order, the
         // bound set at each depth is `order[..depth]`, so the
@@ -390,6 +422,8 @@ impl<'a> BatchPlan<'a> {
             residual_edges,
             node_want,
             edge_want,
+            node_props,
+            edge_ranges,
             dom_list,
             dom_bits,
         }
@@ -723,8 +757,8 @@ impl VecSearch<'_> {
         sel: &mut Vec<u32>,
         vals: &mut Vec<u32>,
     ) {
-        let e = &self.plan.pattern.edges[ei];
         let want = self.plan.edge_want[ei];
+        let ranged = !self.plan.edge_ranges[ei].is_empty();
         let csr = if reverse {
             &self.plan.fz.rev
         } else {
@@ -736,7 +770,7 @@ impl VecSearch<'_> {
             if !want.accepts(run.labels[pos]) {
                 continue;
             }
-            if !e.ranges.is_empty() && !self.edge_props_in_ranges(run.edge_ids[pos].raw(), ei) {
+            if ranged && !self.edge_props_in_ranges(run.edge_ids[pos].raw(), ei) {
                 continue;
             }
             let target = run.targets[pos];
@@ -770,8 +804,8 @@ impl VecSearch<'_> {
         self.meter.nodes(vals.len() as u64)?;
 
         let plan = self.plan;
-        let pn = &plan.pattern.nodes[pv];
         let want = plan.node_want[pv];
+        let want_props = &plan.node_props[pv];
         let bound_vars = &plan.order[..depth];
         let mut keep = 0usize;
         'cand: for i in 0..vals.len() {
@@ -782,13 +816,12 @@ impl VecSearch<'_> {
                 continue;
             }
             // Property equality over the snapshot's property columns.
-            if !pn.props.is_empty() {
+            if !want_props.is_empty() {
                 let props = plan.fz.node_props_dense(cand);
-                for (key, want_v) in &pn.props {
-                    let ok = props
-                        .iter()
-                        .find(|(k, _)| k == key)
-                        .is_some_and(|(_, got)| got.loose_eq(want_v));
+                for &(key, want_v) in want_props {
+                    let ok = key
+                        .and_then(|key| prop(props, key))
+                        .is_some_and(|got| got.loose_eq(want_v));
                     if !ok {
                         continue 'cand;
                     }
@@ -869,7 +902,7 @@ impl VecSearch<'_> {
 
     fn scan_edge(&self, rei: usize, a: u32, b: u32) -> bool {
         let want = self.plan.edge_want[rei];
-        let ranges = &self.plan.pattern.edges[rei].ranges;
+        let ranges = &self.plan.edge_ranges[rei];
         let run = self.plan.fz.fwd.run(a);
         for pos in 0..run.targets.len() {
             if run.targets[pos] == b
@@ -884,15 +917,10 @@ impl VecSearch<'_> {
 
     /// Exact edge-property range filter for pattern edge `rei`.
     fn edge_props_in_ranges(&self, edge_raw: u64, rei: usize) -> bool {
-        let ranges = &self.plan.pattern.edges[rei].ranges;
-        let props = self.plan.fz.edge_props_raw(edge_raw).unwrap_or(&[]);
-        ranges.iter().all(|(key, low, high)| {
-            props
-                .iter()
-                .find(|(k, _)| k == key)
-                .is_some_and(|(_, got): &(String, Value)| {
-                    value_in_range(got, low.as_ref(), high.as_ref())
-                })
+        let props = self.plan.fz.edge_props_raw(edge_raw);
+        self.plan.edge_ranges[rei].iter().all(|&(key, low, high)| {
+            key.and_then(|key| prop(props, key))
+                .is_some_and(|got| value_in_range(got, low, high))
         })
     }
 

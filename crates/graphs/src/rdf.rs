@@ -310,19 +310,26 @@ impl RdfGraph {
     }
 }
 
+impl RdfGraph {
+    /// Per term, whether it appears as a subject or object of a triple:
+    /// the graph's nodes, found by one scan of the triples.
+    fn node_terms(&self) -> Vec<bool> {
+        let mut seen = vec![false; self.terms.len()];
+        for t in self.triples.iter().flatten() {
+            seen[t.0 as usize] = true;
+            seen[t.2 as usize] = true;
+        }
+        seen
+    }
+}
+
 impl GraphView for RdfGraph {
     fn is_directed(&self) -> bool {
         true
     }
 
     fn node_count(&self) -> usize {
-        // Terms appearing as subject or object.
-        let mut seen = vec![false; self.terms.len()];
-        for t in self.triples.iter().flatten() {
-            seen[t.0 as usize] = true;
-            seen[t.2 as usize] = true;
-        }
-        seen.iter().filter(|&&b| b).count()
+        self.node_terms().iter().filter(|&&b| b).count()
     }
 
     fn edge_count(&self) -> usize {
@@ -334,16 +341,24 @@ impl GraphView for RdfGraph {
     }
 
     fn visit_nodes(&self, f: &mut dyn FnMut(NodeId)) {
-        let mut seen = vec![false; self.terms.len()];
-        for t in self.triples.iter().flatten() {
-            seen[t.0 as usize] = true;
-            seen[t.2 as usize] = true;
-        }
-        for (i, s) in seen.iter().enumerate() {
+        for (i, s) in self.node_terms().iter().enumerate() {
             if *s {
                 f(NodeId(i as u64));
             }
         }
+    }
+
+    /// One scan of the triples, not the default's count-then-visit two.
+    fn node_ids(&self) -> Vec<NodeId> {
+        let seen = self.node_terms();
+        let mut ids = Vec::with_capacity(seen.iter().filter(|&&b| b).count());
+        ids.extend(
+            seen.iter()
+                .enumerate()
+                .filter(|(_, &s)| s)
+                .map(|(i, _)| NodeId(i as u64)),
+        );
+        ids
     }
 
     fn visit_out_edges(&self, n: NodeId, f: &mut dyn FnMut(EdgeRef)) {
@@ -413,6 +428,20 @@ mod tests {
         assert!(!g.contains(&Term::iri("ana"), &parent, &Term::iri("ben")));
         assert!(!g.remove(&Term::iri("ana"), &parent, &Term::iri("ben")));
         assert_eq!(g.len(), 2);
+    }
+
+    #[test]
+    fn node_ids_are_the_visit_order() {
+        let mut g = family();
+        // `ben` stays a node through `cleo`; the predicates never are.
+        g.remove(&Term::iri("ana"), &Term::iri("parent"), &Term::iri("ben"));
+        let mut visited = Vec::new();
+        g.visit_nodes(&mut |n| visited.push(n));
+        let ids = g.node_ids();
+        assert_eq!(ids, visited);
+        assert_eq!(ids.len(), g.node_count());
+        assert_eq!(ids.len(), 4); // ana, "Ana", ben, cleo
+        assert!(ids.len() < g.terms.len());
     }
 
     #[test]

@@ -176,11 +176,24 @@ pub(crate) fn finish_select<'q, G: AttributedView + ?Sized>(
     }
     // 2. Deterministic row order before projection: by node id, column
     // by column in variable-name order (what sorting binding maps by
-    // their sorted entries amounts to).
+    // their sorted entries amounts to). Each kept row's key is laid out
+    // once in one flat buffer — its ids in that order, then its index,
+    // which makes every key distinct — and the keys are sorted as
+    // slices.
     let mut by_name: Vec<usize> = (0..table.vars().len()).collect();
     by_name.sort_by_key(|&c| &table.vars()[c]);
-    let sort_key = |row: usize| by_name.iter().map(move |&c| table.row(row)[c].raw());
-    kept.sort_unstable_by(|&a, &b| sort_key(a).cmp(sort_key(b)));
+    let width = by_name.len() + 1;
+    let mut keys: Vec<u64> = Vec::with_capacity(kept.len() * width);
+    for &row in &kept {
+        let ids = table.row(row);
+        keys.extend(by_name.iter().map(|&c| ids[c].raw()));
+        keys.push(row as u64);
+    }
+    let mut sorted: Vec<&[u64]> = keys.chunks_exact(width).collect();
+    sorted.sort_unstable();
+    for (row, key) in kept.iter_mut().zip(&sorted) {
+        *row = key[width - 1] as usize;
+    }
 
     // 3. One output row per member set — every kept row on its own, all
     // of them at once, or one set per group — paired with its non-alias
