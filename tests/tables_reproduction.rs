@@ -190,3 +190,31 @@ fn renderings_are_complete() {
         }
     }
 }
+
+/// The `tables` binary's stdout, byte for byte: each table's text
+/// rendering followed by a newline, in `TableId::all()` order. The
+/// probe pass that precedes it writes to stderr only. After a
+/// deliberate change to a table, regenerate the golden file with
+/// `cargo run -q --release -p gdm-bench --bin tables > tests/tables.golden.txt`.
+#[test]
+fn tables_output_matches_the_golden_file() {
+    let printed: String = TableId::all()
+        .iter()
+        .map(|&id| format!("{}\n", build_table_unverified(id).render()))
+        .collect();
+    let golden = include_str!("tables.golden.txt");
+    // Compared line by line first, so a failure names the first
+    // departing line; the final check also catches a trailing change.
+    for (i, (got, want)) in printed.lines().zip(golden.lines()).enumerate() {
+        assert_eq!(
+            got,
+            want,
+            "tables output departs from tests/tables.golden.txt at line {}",
+            i + 1
+        );
+    }
+    assert_eq!(
+        printed, golden,
+        "tables output departs from tests/tables.golden.txt at its end"
+    );
+}
