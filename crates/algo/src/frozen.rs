@@ -1,11 +1,14 @@
-//! A compressed-sparse-row (CSR) snapshot of any [`GraphView`].
+//! A compressed-sparse-row (CSR) snapshot of any [`AttributedView`].
 //!
 //! Every essential query in this crate walks the live stores through
 //! dynamic visitor callbacks, paying a hash lookup and a virtual call
-//! per edge hop. [`FrozenGraph`] freezes a point-in-time copy of a
-//! view into contiguous arrays — offsets, targets, edge ids, labels —
+//! per edge hop. [`FrozenGraph::freeze`] copies a view at one point in
+//! time into contiguous arrays — offsets, targets, edge ids, labels —
 //! so traversal becomes pointer arithmetic over dense `u32` indices
-//! (DESIGN.md §9).
+//! (DESIGN.md §9). It is the one full freeze: it captures node labels
+//! and properties too, and a view that reports none (a graph store's)
+//! freezes with none. [`crate::incremental_refreeze`] is its one
+//! incremental counterpart.
 //!
 //! The snapshot is built by *recording*: the forward CSR stores, per
 //! node, exactly the sequence [`GraphView::visit_out_edges`] produced,
@@ -448,7 +451,7 @@ pub struct FrozenGraph {
     /// Edge property key → `(value, from_dense, to_dense, edge_raw)`
     /// rows sorted by [`Value::total_cmp`] — the ordered edge-attribute
     /// index behind [`AttributedView::edge_range_candidates`]. Built by
-    /// [`FrozenGraph::freeze_attributed`] from the forward CSR, so
+    /// [`FrozenGraph::freeze`] from the forward CSR, so
     /// undirected snapshots carry both orientations of each edge. The
     /// edge id tag lets the incremental re-freeze retire exactly the
     /// rows of re-read edges instead of rebuilding the index. Each run
@@ -465,87 +468,13 @@ pub struct FrozenGraph {
 }
 
 impl FrozenGraph {
-    /// Freezes the structure (nodes, edges, edge labels) of `g`. Node
-    /// labels and properties are not captured — use
-    /// [`FrozenGraph::freeze_attributed`] when the source has them.
-    pub fn freeze<G: GraphView + ?Sized>(g: &G) -> Self {
-        Self::build(g)
-    }
-
-    /// Freezes structure plus node labels and node/edge properties.
-    /// Property capture relies on the source implementing the
-    /// [`AttributedView::visit_node_properties`] /
+    /// Freezes `g`: its structure, node labels, and node and edge
+    /// properties. Property capture relies on the source implementing
+    /// the [`AttributedView::visit_node_properties`] /
     /// [`AttributedView::visit_edge_properties`] enumeration hooks;
     /// sources keeping the default (non-enumerable) hooks freeze with
     /// labels but without property values.
-    pub fn freeze_attributed<G: AttributedView + ?Sized>(g: &G) -> Self {
-        let mut fz = Self::build(g);
-        let mut relabel = Relabel::default();
-        let mut buf = Vec::new();
-        for (dense, &n) in fz.nodes.iter().enumerate() {
-            let label = g
-                .node_label(n)
-                .and_then(|sym| relabel.map(g, &mut fz.interner, sym));
-            fz.node_labels[dense] = label;
-            if let Some(sym) = label {
-                fz.label_index.entry(sym).or_default().push(dense as u32);
-            }
-            if let Some(props) =
-                capture_props(&mut fz.keys, &mut buf, |f| g.visit_node_properties(n, f))
-            {
-                fz.node_props[dense] = props;
-            }
-        }
-        // A pass of its own, so the growing runs do not interleave
-        // with the property lists in the heap.
-        let mut node_eq: FxHashMap<Symbol, Vec<EqRow>> = FxHashMap::default();
-        for (dense, props) in fz.node_props.iter().enumerate() {
-            push_eq_rows(&mut node_eq, props, dense as u32);
-        }
-        fz.node_eq = node_eq
-            .into_iter()
-            .map(|(k, mut run)| {
-                run.sort_unstable();
-                (k, Arc::new(run))
-            })
-            .collect();
-        let ids = fz.fwd.slabs.iter().chain(&fz.rev.slabs);
-        let ids = ids.flat_map(|slab| slab.edge_ids.iter().copied());
-        capture_edge_props(g, ids, &mut fz.keys, &mut fz.edge_props, |_| true);
-        // Ordered edge-attribute index: one sorted run per key over
-        // the forward CSR (so endpoint pairs come out in from-dense
-        // order before sorting by value).
-        let mut edge_ranges: FxHashMap<Symbol, Vec<RangeRow>> = FxHashMap::default();
-        if !fz.edge_props.is_empty() {
-            for dense in 0..fz.nodes.len() as u32 {
-                let run = fz.fwd.run(dense);
-                for i in 0..run.targets.len() {
-                    let raw = run.edge_ids[i].raw();
-                    let Some(props) = fz.edge_props.get(&raw) else {
-                        continue;
-                    };
-                    for (k, v) in props.iter() {
-                        edge_ranges.entry(*k).or_default().push((
-                            v.clone(),
-                            dense,
-                            run.targets[i],
-                            raw,
-                        ));
-                    }
-                }
-            }
-        }
-        for run in edge_ranges.values_mut() {
-            run.sort_by(|a, b| a.0.total_cmp(&b.0));
-        }
-        fz.edge_ranges = edge_ranges
-            .into_iter()
-            .map(|(k, v)| (k, Arc::new(v)))
-            .collect();
-        fz
-    }
-
-    fn build<G: GraphView + ?Sized>(g: &G) -> Self {
+    pub fn freeze<G: AttributedView + ?Sized>(g: &G) -> Self {
         let nodes = g.node_ids();
         let mut index = FxHashMap::default();
         index.reserve(nodes.len());
@@ -566,6 +495,76 @@ impl FrozenGraph {
         }
         let (fwd, rev) = (fwd.finish(), rev.finish());
         let freeze_work = (n + fwd.edge_slots() + rev.edge_slots()) as u64;
+
+        let mut keys = Interner::new();
+        let mut node_labels = Vec::with_capacity(n);
+        let mut node_props = Vec::with_capacity(n);
+        let mut label_index: FxHashMap<Symbol, Vec<u32>> = FxHashMap::default();
+        let mut buf = Vec::new();
+        for (dense, &node) in nodes.iter().enumerate() {
+            let label = g
+                .node_label(node)
+                .and_then(|sym| relabel.map(g, &mut interner, sym));
+            node_labels.push(label);
+            if let Some(sym) = label {
+                label_index.entry(sym).or_default().push(dense as u32);
+            }
+            let props = capture_props(&mut keys, &mut buf, |f| g.visit_node_properties(node, f));
+            node_props.push(props.unwrap_or_else(empty_props));
+        }
+        // A pass of its own, so the growing runs do not interleave
+        // with the property lists in the heap.
+        let mut node_eq: FxHashMap<Symbol, Vec<EqRow>> = FxHashMap::default();
+        for (dense, props) in node_props.iter().enumerate() {
+            push_eq_rows(&mut node_eq, props, dense as u32);
+        }
+        let node_eq = node_eq
+            .into_iter()
+            .map(|(k, mut run)| {
+                run.sort_unstable();
+                (k, Arc::new(run))
+            })
+            .collect();
+
+        // Every edge surfaces in the forward CSR (an undirected view
+        // lists it at both ends), so the reverse one adds only repeats.
+        let mut edge_props = Arc::new(FxHashMap::default());
+        let ids = fwd
+            .slabs
+            .iter()
+            .flat_map(|slab| slab.edge_ids.iter().copied());
+        capture_edge_props(g, ids, &mut keys, &mut edge_props, |_| true);
+        // Ordered edge-attribute index: one sorted run per key over
+        // the forward CSR (so endpoint pairs come out in from-dense
+        // order before sorting by value).
+        let mut edge_ranges: FxHashMap<Symbol, Vec<RangeRow>> = FxHashMap::default();
+        if !edge_props.is_empty() {
+            for dense in 0..n as u32 {
+                let run = fwd.run(dense);
+                for i in 0..run.targets.len() {
+                    let raw = run.edge_ids[i].raw();
+                    let Some(props) = edge_props.get(&raw) else {
+                        continue;
+                    };
+                    for (k, v) in props.iter() {
+                        edge_ranges.entry(*k).or_default().push((
+                            v.clone(),
+                            dense,
+                            run.targets[i],
+                            raw,
+                        ));
+                    }
+                }
+            }
+        }
+        for run in edge_ranges.values_mut() {
+            run.sort_by(|a, b| a.0.total_cmp(&b.0));
+        }
+        let edge_ranges = edge_ranges
+            .into_iter()
+            .map(|(k, v)| (k, Arc::new(v)))
+            .collect();
+
         Self {
             directed: g.is_directed(),
             edge_count: g.edge_count(),
@@ -576,13 +575,13 @@ impl FrozenGraph {
             fwd,
             rev,
             interner,
-            keys: Interner::new(),
-            node_labels: vec![None; n],
-            node_props: vec![empty_props(); n],
-            edge_props: Arc::new(FxHashMap::default()),
-            label_index: FxHashMap::default(),
-            edge_ranges: FxHashMap::default(),
-            node_eq: FxHashMap::default(),
+            keys,
+            node_labels,
+            node_props,
+            edge_props,
+            label_index,
+            edge_ranges,
+            node_eq,
         }
     }
 
@@ -1006,14 +1005,14 @@ mod tests {
     }
 
     #[test]
-    fn freeze_attributed_captures_labels_and_props() {
+    fn freeze_captures_labels_and_props() {
         let mut g = PropertyGraph::new();
         let a = g.add_node("person", props! { "age" => 30 });
         let b = g.add_node("person", props! { "age" => 40 });
         let e = g
             .add_edge(a, b, "knows", props! { "since" => 1999 })
             .unwrap();
-        let fz = FrozenGraph::freeze_attributed(&g);
+        let fz = FrozenGraph::freeze(&g);
         assert_eq!(
             fz.node_label(a).and_then(|s| fz.label_text(s)),
             Some("person")
@@ -1042,7 +1041,7 @@ mod tests {
             };
             edges.push((g.add_edge(a, b, "e", props).unwrap(), a, b, i));
         }
-        let fz = FrozenGraph::freeze_attributed(&g);
+        let fz = FrozenGraph::freeze(&g);
         assert!(fz.fwd.slabs.len() > 3);
         let mut held: Vec<u64> = fz.edge_props.keys().copied().collect();
         held.sort_unstable();
@@ -1075,13 +1074,133 @@ mod tests {
         assert_eq!(fz.edge_range_candidates("i", None, None), None);
     }
 
+    /// A property graph that counts its edge-property hook calls per
+    /// edge, seen as it is or, with every edge listed at both ends,
+    /// undirected.
+    struct Counted<'a> {
+        g: &'a PropertyGraph,
+        directed: bool,
+        hooks: std::cell::RefCell<FxHashMap<u64, usize>>,
+    }
+
+    impl GraphView for Counted<'_> {
+        fn is_directed(&self) -> bool {
+            self.directed
+        }
+        fn node_count(&self) -> usize {
+            self.g.node_count()
+        }
+        fn edge_count(&self) -> usize {
+            self.g.edge_count()
+        }
+        fn contains_node(&self, n: NodeId) -> bool {
+            self.g.contains_node(n)
+        }
+        fn visit_nodes(&self, f: &mut dyn FnMut(NodeId)) {
+            self.g.visit_nodes(f)
+        }
+        fn visit_out_edges(&self, n: NodeId, f: &mut dyn FnMut(EdgeRef)) {
+            self.g.visit_out_edges(n, f);
+            if !self.directed {
+                self.g.visit_in_edges(n, f);
+            }
+        }
+        fn visit_in_edges(&self, n: NodeId, f: &mut dyn FnMut(EdgeRef)) {
+            if self.directed {
+                self.g.visit_in_edges(n, f)
+            } else {
+                self.visit_out_edges(n, f)
+            }
+        }
+        fn label_text(&self, sym: Symbol) -> Option<&str> {
+            self.g.label_text(sym)
+        }
+    }
+
+    impl AttributedView for Counted<'_> {
+        fn node_label(&self, n: NodeId) -> Option<Symbol> {
+            AttributedView::node_label(self.g, n)
+        }
+        fn node_property(&self, n: NodeId, key: &str) -> Option<Value> {
+            self.g.node_property(n, key)
+        }
+        fn edge_property(&self, e: EdgeId, key: &str) -> Option<Value> {
+            self.g.edge_property(e, key)
+        }
+        fn visit_node_properties(&self, n: NodeId, f: &mut dyn FnMut(&str, &Value)) {
+            self.g.visit_node_properties(n, f)
+        }
+        fn visit_edge_properties(&self, e: EdgeId, f: &mut dyn FnMut(&str, &Value)) {
+            *self.hooks.borrow_mut().entry(e.raw()).or_default() += 1;
+            self.g.visit_edge_properties(e, f)
+        }
+    }
+
+    #[test]
+    fn a_freeze_visits_each_edges_properties_once() {
+        // Two edges per node, every third with properties, no
+        // self-loops; more than two slabs of nodes.
+        let mut g = PropertyGraph::new();
+        let n: Vec<NodeId> = (0..SLAB_NODES as usize * 2 + 22)
+            .map(|_| g.add_node("n", props! {}))
+            .collect();
+        let mut edges = Vec::new();
+        for i in 0..n.len() {
+            for step in [1, 7] {
+                let props = if edges.len() % 3 == 0 {
+                    props! { "w" => i as i64, "step" => step }
+                } else {
+                    props! {}
+                };
+                let to = n[(i + step as usize) % n.len()];
+                edges.push(g.add_edge(n[i], to, "e", props).unwrap());
+            }
+        }
+        let listed = |v: &dyn AttributedView, e: EdgeId| {
+            let mut props = Vec::new();
+            v.visit_edge_properties(e, &mut |k, v| props.push((k.to_owned(), v.clone())));
+            props
+        };
+        let want: Vec<(u64, Vec<(String, Value)>)> = edges
+            .iter()
+            .map(|&e| (e.raw(), listed(&g, e)))
+            .filter(|(_, props)| !props.is_empty())
+            .collect();
+        for directed in [true, false] {
+            let view = Counted {
+                g: &g,
+                directed,
+                hooks: Default::default(),
+            };
+            let fz = FrozenGraph::freeze(&view);
+            let mut held: Vec<(u64, Vec<(String, Value)>)> = fz
+                .edge_props
+                .iter()
+                .map(|(&raw, props)| {
+                    let text = props
+                        .iter()
+                        .map(|(k, v)| (fz.key_text(*k).to_owned(), v.clone()));
+                    (raw, text.collect())
+                })
+                .collect();
+            held.sort_by_key(|(raw, _)| *raw);
+            assert_eq!(held, want, "directed: {directed}");
+            let hooks = view.hooks.into_inner();
+            assert_eq!(hooks.len(), edges.len(), "directed: {directed}");
+            if directed {
+                let repeated = hooks.iter().filter(|(_, &calls)| calls != 1).count();
+                assert_eq!(repeated, 0, "edges whose hook ran more than once");
+            }
+        }
+    }
+
     #[test]
     fn property_keys_are_not_labels() {
         let mut g = PropertyGraph::new();
         let a = g.add_node("city", props! { "person" => 1 });
         let b = g.add_node("city", props! {});
         g.add_edge(a, b, "road", props! { "knows" => 2 }).unwrap();
-        let fz = FrozenGraph::freeze_attributed(&g);
+        let fz = FrozenGraph::freeze(&g);
         assert_eq!(fz.label_symbol("person"), None);
         assert_eq!(fz.label_symbol("knows"), None);
         assert!(fz.label_symbol("city").is_some());

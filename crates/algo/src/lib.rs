@@ -69,7 +69,7 @@ pub use planned::{
     auto_domains, domain_estimates, domains_consistent, generating_edges, match_pattern_seeded,
     planned_order, Domains, MatchTable,
 };
-pub use refreeze::{incremental_refreeze, incremental_refreeze_structural};
+pub use refreeze::incremental_refreeze;
 pub use regular::{regular_path_exists, regular_simple_paths, LabelRegex};
 pub use summary::{aggregate, degree_stats, diameter, graph_order, graph_size, Aggregate};
 pub use traverse::Traversal;

@@ -893,7 +893,7 @@ mod tests {
         assert_eq!(canonical(&via_auto.to_bindings()), canonical(&reference));
         // The probe comes before executor selection: a snapshot handed
         // the same dangling domain degrades the same way.
-        let fz = FrozenGraph::freeze_attributed(&g.0);
+        let fz = FrozenGraph::freeze(&g.0);
         let via_snapshot = seeded(&fz, &p, &domains);
         assert_eq!(
             canonical(&via_snapshot.to_bindings()),

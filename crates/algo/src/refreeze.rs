@@ -4,9 +4,9 @@
 //! source — property capture, label and key interning, index sorts,
 //! the lot. When an engine has tracked *which* ids changed since the
 //! previous snapshot (a [`FreezeDelta`] from
-//! [`gdm_core::DeltaTracker`]), [`incremental_refreeze`] produces an
-//! equivalent new snapshot while touching only the changed
-//! neighbourhood:
+//! [`gdm_core::DeltaTracker`]), [`incremental_refreeze`] — the one
+//! re-freeze, for every engine — produces an equivalent new snapshot
+//! while touching only the changed neighbourhood:
 //!
 //! * **Dirty rows are re-read** from the source view (new/modified
 //!   nodes, both endpoints of created edges, neighbours of removed
@@ -293,15 +293,31 @@ fn build_dir<G: GraphView + ?Sized>(
     Some(recorder.finish())
 }
 
-/// The structural core shared by both re-freeze entry points: node
-/// relocation, both CSR directions, and the epoch stamp. Attribute
-/// columns start empty (structural-freeze shape) for the caller to
-/// fill in.
-fn refreeze_structural_core<G: GraphView + ?Sized>(
+/// `prev` patched by `delta` to a snapshot content-equivalent to
+/// `FrozenGraph::freeze(g)`: CSR slabs, node label and property
+/// columns, the node label index, `Arc`-shared edge properties, and
+/// patched (not rebuilt) equality and ordered edge-attribute indexes.
+/// Falls back to a full freeze whenever the delta cannot be applied
+/// (see module docs).
+pub fn incremental_refreeze<G: AttributedView + ?Sized>(
     g: &G,
     prev: &FrozenGraph,
     delta: &FreezeDelta,
-) -> Option<(FrozenGraph, RebuildPlan)> {
+) -> FrozenGraph {
+    if delta.is_empty() && delta.base_epoch == prev.epoch {
+        let mut fz = prev.clone();
+        fz.freeze_work = 1;
+        return fz;
+    }
+    patch(g, prev, delta).unwrap_or_else(|| FrozenGraph::freeze(g))
+}
+
+/// The patched snapshot, or `None` when the delta is unusable.
+fn patch<G: AttributedView + ?Sized>(
+    g: &G,
+    prev: &FrozenGraph,
+    delta: &FreezeDelta,
+) -> Option<FrozenGraph> {
     if delta.full || delta.base_epoch != prev.epoch {
         return None;
     }
@@ -329,100 +345,55 @@ fn refreeze_structural_core<G: GraphView + ?Sized>(
         &mut relabel,
         &mut work,
     )?;
-    plan.work = work;
-    let n_new = plan.nodes.len();
-    let fz = FrozenGraph {
-        directed: g.is_directed(),
-        edge_count: g.edge_count(),
-        epoch: next_epoch(),
-        freeze_work: work.max(1),
-        nodes: plan.nodes.clone(),
-        index: plan.index.clone(),
-        fwd,
-        rev,
-        interner,
-        keys: prev.keys.clone(),
-        node_labels: vec![None; n_new],
-        node_props: vec![empty_props(); n_new],
-        edge_props: Arc::new(FxHashMap::default()),
-        label_index: FxHashMap::default(),
-        edge_ranges: FxHashMap::default(),
-        node_eq: FxHashMap::default(),
-    };
-    Some((fz, plan))
-}
-
-/// Incremental counterpart of [`FrozenGraph::freeze`]: produces a
-/// snapshot content-equivalent to `FrozenGraph::freeze(g)` by patching
-/// `prev` with the changes `delta` records. Falls back to a full
-/// freeze whenever the delta cannot be applied (see module docs).
-pub fn incremental_refreeze_structural<G: GraphView + ?Sized>(
-    g: &G,
-    prev: &FrozenGraph,
-    delta: &FreezeDelta,
-) -> FrozenGraph {
-    if delta.is_empty() && delta.base_epoch == prev.epoch {
-        let mut fz = prev.clone();
-        fz.freeze_work = 1;
-        return fz;
-    }
-    match refreeze_structural_core(g, prev, delta) {
-        Some((fz, _)) => fz,
-        None => FrozenGraph::freeze(g),
-    }
-}
-
-/// Incremental counterpart of [`FrozenGraph::freeze_attributed`]:
-/// structural patch plus node label/property columns, the node label
-/// index, `Arc`-shared edge properties, and a patched (not rebuilt)
-/// ordered edge-attribute index. Content-equivalent to
-/// `FrozenGraph::freeze_attributed(g)`; falls back to a full freeze
-/// whenever the delta cannot be applied.
-pub fn incremental_refreeze<G: AttributedView + ?Sized>(
-    g: &G,
-    prev: &FrozenGraph,
-    delta: &FreezeDelta,
-) -> FrozenGraph {
-    if delta.is_empty() && delta.base_epoch == prev.epoch {
-        let mut fz = prev.clone();
-        fz.freeze_work = 1;
-        return fz;
-    }
-    let Some((mut fz, plan)) = refreeze_structural_core(g, prev, delta) else {
-        return FrozenGraph::freeze_attributed(g);
-    };
-    let mut work = fz.freeze_work;
 
     // Node labels and properties: copy (Arc clone) clean rows from the
     // previous snapshot, re-capture re-read rows from the source. Keys
     // the source adds extend the cloned key interner, so the symbols in
     // every shared list keep their meaning.
-    let mut relabel = Relabel::default();
+    let mut keys = prev.keys.clone();
+    let n_new = plan.nodes.len();
+    let (mut node_labels, mut node_props) = (Vec::with_capacity(n_new), Vec::with_capacity(n_new));
     let mut buf = Vec::new();
-    for i in 0..fz.nodes.len() {
+    for (i, &n) in plan.nodes.iter().enumerate() {
         if plan.reread[i] {
-            let n = fz.nodes[i];
-            fz.node_labels[i] = g
-                .node_label(n)
-                .and_then(|sym| relabel.map(g, &mut fz.interner, sym));
+            node_labels.push(
+                g.node_label(n)
+                    .and_then(|sym| relabel.map(g, &mut interner, sym)),
+            );
             work += 1;
-            if let Some(props) =
-                capture_props(&mut fz.keys, &mut buf, |f| g.visit_node_properties(n, f))
-            {
-                work += props.len() as u64;
-                fz.node_props[i] = props;
-            }
+            let props = capture_props(&mut keys, &mut buf, |f| g.visit_node_properties(n, f));
+            work += props.as_ref().map_or(0, |p| p.len() as u64);
+            node_props.push(props.unwrap_or_else(empty_props));
         } else {
             let p = plan.orig[i] as usize;
-            fz.node_labels[i] = prev.node_labels[p];
-            fz.node_props[i] = Arc::clone(&prev.node_props[p]);
+            node_labels.push(prev.node_labels[p]);
+            node_props.push(Arc::clone(&prev.node_props[p]));
         }
     }
-    for (i, label) in fz.node_labels.iter().enumerate() {
+    let mut label_index: FxHashMap<Symbol, Vec<u32>> = FxHashMap::default();
+    for (i, label) in node_labels.iter().enumerate() {
         if let Some(sym) = label {
-            fz.label_index.entry(*sym).or_default().push(i as u32);
+            label_index.entry(*sym).or_default().push(i as u32);
         }
     }
+    let mut fz = FrozenGraph {
+        directed: g.is_directed(),
+        edge_count: g.edge_count(),
+        epoch: next_epoch(),
+        freeze_work: 0,
+        nodes: std::mem::take(&mut plan.nodes),
+        index: std::mem::take(&mut plan.index),
+        fwd,
+        rev,
+        interner,
+        keys,
+        node_labels,
+        node_props,
+        edge_props: Arc::new(FxHashMap::default()),
+        label_index,
+        edge_ranges: FxHashMap::default(),
+        node_eq: FxHashMap::default(),
+    };
     fz.node_eq = patch_node_eq(prev, &fz, &plan);
 
     // Edge properties: share the previous Arc per edge, retire stale
@@ -567,7 +538,7 @@ pub fn incremental_refreeze<G: AttributedView + ?Sized>(
     fz.edge_ranges.retain(|_, run| !run.is_empty());
 
     fz.freeze_work = work.max(1);
-    fz
+    Some(fz)
 }
 
 /// The node-property equality index of `fz`, patched from `prev`'s:
@@ -749,7 +720,7 @@ mod tests {
     #[test]
     fn incremental_matches_full_after_mixed_batch() {
         let (mut g, n) = base_graph();
-        let prev = FrozenGraph::freeze_attributed(&g);
+        let prev = FrozenGraph::freeze(&g);
         let mut t = DeltaTracker::new();
         t.reset(prev.epoch());
 
@@ -781,7 +752,7 @@ mod tests {
         t.remove_node(n[50].raw());
 
         let inc = incremental_refreeze(&g, &prev, t.peek());
-        let full = FrozenGraph::freeze_attributed(&g);
+        let full = FrozenGraph::freeze(&g);
         assert_eq!(canon(&inc), canon(&full));
         assert!(inc.epoch() > prev.epoch());
         assert!(
@@ -804,7 +775,7 @@ mod tests {
     #[test]
     fn new_keys_extend_the_shared_key_interner() {
         let (mut g, n) = base_graph();
-        let prev = FrozenGraph::freeze_attributed(&g);
+        let prev = FrozenGraph::freeze(&g);
         let mut t = DeltaTracker::new();
         t.reset(prev.epoch());
         // A node key and an edge key the base snapshot never saw.
@@ -817,7 +788,7 @@ mod tests {
         t.touch_node(n[4].raw());
         t.touch_node(n[150].raw());
         let inc = incremental_refreeze(&g, &prev, t.peek());
-        assert_eq!(canon(&inc), canon(&FrozenGraph::freeze_attributed(&g)));
+        assert_eq!(canon(&inc), canon(&FrozenGraph::freeze(&g)));
         assert_eq!(inc.keys.len(), prev.keys.len() + 2);
 
         let listed = |v: &FrozenGraph, n: NodeId| {
@@ -868,7 +839,7 @@ mod tests {
     #[test]
     fn empty_delta_is_a_cheap_clone() {
         let (g, _) = base_graph();
-        let prev = FrozenGraph::freeze_attributed(&g);
+        let prev = FrozenGraph::freeze(&g);
         let inc = incremental_refreeze(&g, &prev, &FreezeDelta::empty(prev.epoch()));
         assert_eq!(inc.epoch(), prev.epoch());
         assert_eq!(inc.freeze_work(), 1);
@@ -878,42 +849,22 @@ mod tests {
     #[test]
     fn full_or_mismatched_delta_falls_back() {
         let (mut g, n) = base_graph();
-        let prev = FrozenGraph::freeze_attributed(&g);
+        let prev = FrozenGraph::freeze(&g);
         g.remove_node(n[0]).unwrap();
         // Full flag: rebuilds and still matches.
         let inc = incremental_refreeze(&g, &prev, &FreezeDelta::full(prev.epoch()));
-        assert_eq!(canon(&inc), canon(&FrozenGraph::freeze_attributed(&g)));
+        assert_eq!(canon(&inc), canon(&FrozenGraph::freeze(&g)));
         // Wrong base epoch: also rebuilds rather than mispatching.
         let mut stale = FreezeDelta::empty(prev.epoch() + 100);
         stale.dirty_nodes.insert(n[1].raw());
         let inc2 = incremental_refreeze(&g, &prev, &stale);
-        assert_eq!(canon(&inc2), canon(&FrozenGraph::freeze_attributed(&g)));
-    }
-
-    #[test]
-    fn structural_refreeze_matches_structural_freeze() {
-        let (mut g, n) = base_graph();
-        let prev = FrozenGraph::freeze(&g);
-        let mut t = DeltaTracker::new();
-        t.reset(prev.epoch());
-        let a = g.add_node("x", props! {});
-        t.touch_node(a.raw());
-        g.add_edge(a, n[0], "z", props! {}).unwrap();
-        t.touch_node(a.raw());
-        t.touch_node(n[0].raw());
-        g.remove_node(n[100]).unwrap();
-        t.remove_node(n[100].raw());
-        let inc = incremental_refreeze_structural(&g, &prev, t.peek());
-        let full = FrozenGraph::freeze(&g);
-        assert_eq!(canon(&inc), canon(&full));
-        assert_eq!(inc.node_count(), full.node_count());
-        assert_eq!(inc.edge_count(), full.edge_count());
+        assert_eq!(canon(&inc2), canon(&FrozenGraph::freeze(&g)));
     }
 
     #[test]
     fn unrecorded_deletion_is_detected() {
         let (mut g, n) = base_graph();
-        let prev = FrozenGraph::freeze_attributed(&g);
+        let prev = FrozenGraph::freeze(&g);
         let mut t = DeltaTracker::new();
         t.reset(prev.epoch());
         // Delete a node but only record a property touch on it — the
@@ -921,6 +872,6 @@ mod tests {
         g.remove_node(n[7]).unwrap();
         t.touch_node(n[7].raw());
         let inc = incremental_refreeze(&g, &prev, t.peek());
-        assert_eq!(canon(&inc), canon(&FrozenGraph::freeze_attributed(&g)));
+        assert_eq!(canon(&inc), canon(&FrozenGraph::freeze(&g)));
     }
 }

@@ -1035,7 +1035,7 @@ mod tests {
     #[test]
     fn vectorized_equals_planned_and_unplanned() {
         let g = community();
-        let fz = FrozenGraph::freeze_attributed(&g);
+        let fz = FrozenGraph::freeze(&g);
         let p = chain_pattern();
         let vec = with_workers(&fz, &p, 1);
         let unplanned = reference(&fz, &p);
@@ -1059,7 +1059,7 @@ mod tests {
     #[test]
     fn vectorized_respects_explicit_domains() {
         let g = community();
-        let fz = FrozenGraph::freeze_attributed(&g);
+        let fz = FrozenGraph::freeze(&g);
         let p = chain_pattern();
         let dom = auto_domains(&fz, &p);
         let unlimited = ExecutionGuard::unlimited();
@@ -1078,7 +1078,7 @@ mod tests {
         let b = g.add_node("n", props! {});
         g.add_edge(a, a, "self", props! {}).unwrap();
         g.add_edge(a, b, "link", props! {}).unwrap();
-        let fz = FrozenGraph::freeze_attributed(&g);
+        let fz = FrozenGraph::freeze(&g);
         // Self-loop pattern.
         let mut p = Pattern::new();
         let x = p.node(PatternNode::var("x"));
@@ -1104,7 +1104,7 @@ mod tests {
     #[test]
     fn vectorized_edge_ranges_filter_matches() {
         let g = community();
-        let fz = FrozenGraph::freeze_attributed(&g);
+        let fz = FrozenGraph::freeze(&g);
         let mut p = Pattern::new();
         let x = p.node(PatternNode::var("x"));
         let y = p.node(PatternNode::var("y"));
@@ -1120,7 +1120,7 @@ mod tests {
     #[test]
     fn governed_vectorized_interrupts_with_partial_count() {
         let g = community();
-        let fz = FrozenGraph::freeze_attributed(&g);
+        let fz = FrozenGraph::freeze(&g);
         let p = chain_pattern();
         let guard = ExecutionGuard::new(Limits::none().with_node_visits(4));
         let err = governed(&fz, &p, 1, &guard).unwrap_err();
@@ -1130,7 +1130,7 @@ mod tests {
     #[test]
     fn governed_vectorized_cancellation_trips_per_batch() {
         let g = community();
-        let fz = FrozenGraph::freeze_attributed(&g);
+        let fz = FrozenGraph::freeze(&g);
         let p = chain_pattern();
         let cancel = CancelToken::new();
         cancel.cancel();
@@ -1143,7 +1143,7 @@ mod tests {
     fn empty_and_impossible_patterns() {
         let _hooks = lock_hooks();
         let g = social(80);
-        let fz = FrozenGraph::freeze_attributed(&g);
+        let fz = FrozenGraph::freeze(&g);
         let mut p = Pattern::new();
         p.node(PatternNode::var("x").with_label("unicorn"));
         let mut q = Pattern::new();
@@ -1166,7 +1166,7 @@ mod tests {
             let n = g.add_node("leaf", props! {});
             g.add_edge(n, hub, "to", props! {}).unwrap();
         }
-        let fz = FrozenGraph::freeze_attributed(&g);
+        let fz = FrozenGraph::freeze(&g);
         let mut p = Pattern::new();
         let x = p.node(PatternNode::var("x").with_label("leaf"));
         let h = p.node(PatternNode::var("h").with_label("hub"));
@@ -1197,7 +1197,7 @@ mod tests {
             g.add_edge(leaf, leaves[(i + 1) % leaves.len()], "to", props! {})
                 .unwrap();
         }
-        let fz = FrozenGraph::freeze_attributed(&g);
+        let fz = FrozenGraph::freeze(&g);
         let mut p = Pattern::new();
         let x = p.node(PatternNode::var("x").with_label("hub"));
         let y = p.node(PatternNode::var("y"));
@@ -1229,7 +1229,7 @@ mod tests {
             g.add_edge(leaf, leaves[(i + 1) % leaves.len()], "to", props! {})
                 .unwrap();
         }
-        let fz = FrozenGraph::freeze_attributed(&g);
+        let fz = FrozenGraph::freeze(&g);
         for (min, max) in [(1, 2), (2, 3)] {
             let mut p = Pattern::new();
             let x = p.node(PatternNode::var("x").with_label("hub"));
@@ -1266,7 +1266,7 @@ mod tests {
         // Morsels of a label-index slice, and of the dense range an
         // unlabelled root scans.
         for (n, p) in [(20, two_hop()), (200, two_hop()), (200, chain_pattern())] {
-            let fz = FrozenGraph::freeze_attributed(&social(n));
+            let fz = FrozenGraph::freeze(&social(n));
             let inline = table_and_charges(&fz, &p, 1);
             assert!(!inline.0.is_empty() && inline.1 > 0);
             for workers in [1, 2, 3, 4, 7] {
@@ -1286,7 +1286,7 @@ mod tests {
     fn morsel_output_matches_reference_set() {
         let _hooks = lock_hooks();
         let g = social(150);
-        let fz = FrozenGraph::freeze_attributed(&g);
+        let fz = FrozenGraph::freeze(&g);
         let p = two_hop();
         let par = with_workers(&fz, &p, 4);
         assert_eq!(
@@ -1299,7 +1299,7 @@ mod tests {
     fn governed_budget_trips_with_merged_partial() {
         let _hooks = lock_hooks();
         let g = social(400);
-        let fz = FrozenGraph::freeze_attributed(&g);
+        let fz = FrozenGraph::freeze(&g);
         let p = two_hop();
         // 320 roots in morsels of 20, ~140 visits each: the budget
         // trips a few morsels in, whichever worker draws last — the
@@ -1327,7 +1327,7 @@ mod tests {
     fn governed_deadline_and_cancel_trip() {
         let _hooks = lock_hooks();
         let g = social(200);
-        let fz = FrozenGraph::freeze_attributed(&g);
+        let fz = FrozenGraph::freeze(&g);
         let p = two_hop();
         let guard = ExecutionGuard::new(Limits::none().with_deadline(Duration::ZERO));
         let err = governed(&fz, &p, 4, &guard).unwrap_err();
@@ -1343,7 +1343,7 @@ mod tests {
     fn poisoned_morsel_falls_back_to_sequential() {
         let _hooks = lock_hooks();
         let g = social(200);
-        let fz = FrozenGraph::freeze_attributed(&g);
+        let fz = FrozenGraph::freeze(&g);
         let p = two_hop();
         let seq = with_workers(&fz, &p, 1);
         inject_worker_panic_once();
@@ -1358,7 +1358,7 @@ mod tests {
     #[test]
     fn estimate_is_root_seeds_times_per_depth_fan_out() {
         // 200 nodes, 400 edges: average degree 2; 160 persons.
-        let fz = FrozenGraph::freeze_attributed(&social(200));
+        let fz = FrozenGraph::freeze(&social(200));
         let estimate = |p: &Pattern, domains: &[Option<Vec<NodeId>>]| {
             BatchPlan::compile(&fz, p, domains).estimated_visits()
         };
@@ -1395,7 +1395,7 @@ mod tests {
     #[test]
     fn small_queries_stay_on_the_calling_thread() {
         let _hooks = lock_hooks();
-        let fz = FrozenGraph::freeze_attributed(&social(200));
+        let fz = FrozenGraph::freeze(&social(200));
         let p = two_hop();
         let fanned = fanned_out();
         let unforced = run_morsels(
@@ -1421,8 +1421,8 @@ mod tests {
         // This thread's stamp array is grown by `resize` from a small
         // snapshot's; a new thread's — every scoped helper's — is
         // allocated zeroed at full size. Same marks either way.
-        let small = FrozenGraph::freeze_attributed(&social(20));
-        let large = FrozenGraph::freeze_attributed(&social(30_000));
+        let small = FrozenGraph::freeze(&social(20));
+        let large = FrozenGraph::freeze(&social(30_000));
         let p = two_hop();
         with_workers(&small, &p, 1);
         let reused = with_workers(&large, &p, 1);

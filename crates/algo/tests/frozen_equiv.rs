@@ -252,7 +252,7 @@ proptest! {
         shape in 0usize..4,
     ) {
         let g = build_property(n, &raw_edges);
-        let fz = FrozenGraph::freeze_attributed(&g);
+        let fz = FrozenGraph::freeze(&g);
 
         let mut pat = Pattern::new();
         match shape {
@@ -441,7 +441,7 @@ proptest! {
             let (from, to) = (ids[a as usize % ids.len()], ids[b as usize % ids.len()]);
             g.add_edge(from, to, "a", PropertyMap::new()).unwrap();
         }
-        let fz = FrozenGraph::freeze_attributed(&g);
+        let fz = FrozenGraph::freeze(&g);
         check_candidates(&g, &fz, &values, &requests)?;
 
         let mut tracker = DeltaTracker::new();

@@ -277,7 +277,7 @@ fn bench_frozen(c: &mut Criterion) {
 /// into the previous snapshot, against a full freeze of the same graph.
 fn bench_refreeze(c: &mut Criterion) {
     let mut live = graph();
-    let prev = FrozenGraph::freeze_attributed(&live);
+    let prev = FrozenGraph::freeze(&live);
     let mut ids = Vec::new();
     live.visit_nodes(&mut |n| ids.push(n));
     let mut tracker = DeltaTracker::new();
@@ -305,7 +305,7 @@ fn bench_refreeze(c: &mut Criterion) {
         b.iter(|| black_box(gdm_algo::incremental_refreeze(&live, &prev, delta).len()))
     });
     group.bench_function("full", |b| {
-        b.iter(|| black_box(FrozenGraph::freeze_attributed(&live).len()))
+        b.iter(|| black_box(FrozenGraph::freeze(&live).len()))
     });
     group.finish();
 }

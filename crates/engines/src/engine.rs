@@ -10,19 +10,21 @@
 //! the same for all engines: refusing from the profile, feeding the
 //! [`DeltaTracker`], freezing and re-freezing snapshots, the read
 //! probes over the model's view, secondary indexes, transactions, and
-//! the validate-then-undo step of constraint-checked mutations. A new
-//! cross-cutting hook goes here, once; a tenth engine is a new
-//! `Profile` and, unless an existing substrate fits (Filament and
-//! VertexDB share [`KvGraph`]), a new `Model`.
+//! the validate-then-undo step of constraint-checked mutations. Every
+//! model's view is an [`AttributedView`], so every engine's snapshot is
+//! the one [`FrozenGraph::freeze`] and its re-freeze the one
+//! [`gdm_algo::incremental_refreeze`]; a graph store's view reports no
+//! attributes, and its snapshot holds none. A new cross-cutting hook
+//! goes here, once; a tenth engine is a new `Profile` and, unless an
+//! existing substrate fits (Filament and VertexDB share
+//! [`KvGraph`](crate::kvgraph::KvGraph)), a new `Model`.
 
 use crate::facade::{AnalysisFunc, EngineDescriptor, GraphEngine, SummaryFunc};
-use crate::gstore::GStore;
-use crate::kvgraph::KvGraph;
 use gdm_algo::pattern::Pattern;
 use gdm_algo::{analysis, summary, FrozenGraph};
 use gdm_core::{
-    AttributedView, DeltaTracker, Direction, EdgeId, FreezeDelta, FxHashMap, GdmError, GraphView,
-    NodeId, PropertyMap, Result, Value,
+    AttributedView, DeltaTracker, Direction, EdgeId, FxHashMap, GdmError, GraphView, NodeId,
+    PropertyMap, Result, Value,
 };
 use gdm_govern::{ExecutionGuard, Limits};
 use gdm_query::eval::ResultSet;
@@ -193,69 +195,6 @@ impl Profile {
     }
 }
 
-/// How a model's read view freezes. Attributed views (every
-/// [`AttributedView`]) freeze with labels and properties; the graph
-/// stores' plain views ([`KvGraph`], [`GStore`]) freeze structure only.
-/// The view's type makes the choice, so no engine can pair the wrong
-/// freeze with the wrong re-freeze.
-pub trait ReadView: GraphView {
-    /// A full point-in-time snapshot.
-    fn freeze(&self) -> FrozenGraph;
-
-    /// `prev` patched by `delta` to the current state.
-    fn refreeze(&self, prev: &FrozenGraph, delta: &FreezeDelta) -> FrozenGraph;
-
-    /// A node attribute; plain views have none.
-    fn node_property(&self, _n: NodeId, _key: &str) -> Option<Value> {
-        None
-    }
-
-    /// Number of matches of `pattern`.
-    fn count_matches(&self, _pattern: &Pattern) -> Result<usize> {
-        Err(no_hook("pattern_match over a view without attributes"))
-    }
-}
-
-impl<G: AttributedView> ReadView for G {
-    fn freeze(&self) -> FrozenGraph {
-        FrozenGraph::freeze_attributed(self)
-    }
-
-    fn refreeze(&self, prev: &FrozenGraph, delta: &FreezeDelta) -> FrozenGraph {
-        gdm_algo::incremental_refreeze(self, prev, delta)
-    }
-
-    fn node_property(&self, n: NodeId, key: &str) -> Option<Value> {
-        AttributedView::node_property(self, n, key)
-    }
-
-    fn count_matches(&self, pattern: &Pattern) -> Result<usize> {
-        let domains = gdm_algo::auto_domains(self, pattern);
-        let guard = ExecutionGuard::unlimited();
-        Ok(gdm_algo::match_pattern_seeded(self, pattern, &domains, &guard)?.len())
-    }
-}
-
-impl ReadView for KvGraph {
-    fn freeze(&self) -> FrozenGraph {
-        FrozenGraph::freeze(self)
-    }
-
-    fn refreeze(&self, prev: &FrozenGraph, delta: &FreezeDelta) -> FrozenGraph {
-        gdm_algo::incremental_refreeze_structural(self, prev, delta)
-    }
-}
-
-impl ReadView for GStore {
-    fn freeze(&self) -> FrozenGraph {
-        FrozenGraph::freeze(self)
-    }
-
-    fn refreeze(&self, prev: &FrozenGraph, delta: &FreezeDelta) -> FrozenGraph {
-        gdm_algo::incremental_refreeze_structural(self, prev, delta)
-    }
-}
-
 /// The error of a hook the profile lets callers reach but the model
 /// does not override — a profile/model mismatch, never a paper cell.
 pub(crate) fn no_hook(operation: &str) -> GdmError {
@@ -265,7 +204,7 @@ pub(crate) fn no_hook(operation: &str) -> GdmError {
 }
 
 /// Visits every node of `g` that has property `key`, with its value.
-fn visit_property<G: ReadView>(g: &G, key: &str, f: &mut dyn FnMut(NodeId, Value)) {
+fn visit_property<G: AttributedView>(g: &G, key: &str, f: &mut dyn FnMut(NodeId, Value)) {
     g.visit_nodes(&mut |n| {
         if let Some(v) = g.node_property(n, key) {
             f(n, v);
@@ -279,7 +218,7 @@ fn visit_property<G: ReadView>(g: &G, key: &str, f: &mut dyn FnMut(NodeId, Value
 /// models whose profile supports the capability.
 pub trait Model: Sized {
     /// The read view every probe, snapshot and index build runs over.
-    type Graph: ReadView;
+    type Graph: AttributedView;
     /// The secondary index this system builds per property.
     type Index: ValueIndex + Default;
     /// What a transaction saves at `begin` and puts back on rollback.
@@ -762,7 +701,10 @@ impl<M: Model> GraphEngine for Engine<M> {
 
     fn pattern_match(&self, pattern: &Pattern) -> Result<usize> {
         self.gate(Capability::PatternMatching)?;
-        self.model.graph().count_matches(pattern)
+        let g = self.model.graph();
+        let domains = gdm_algo::auto_domains(g, pattern);
+        let guard = ExecutionGuard::unlimited();
+        Ok(gdm_algo::match_pattern_seeded(g, pattern, &domains, &guard)?.len())
     }
 
     fn summarize(&self, func: SummaryFunc) -> Result<Value> {
@@ -791,14 +733,14 @@ impl<M: Model> GraphEngine for Engine<M> {
     }
 
     fn snapshot(&self) -> Result<FrozenGraph> {
-        let fz = self.model.graph().freeze();
+        let fz = FrozenGraph::freeze(self.model.graph());
         self.delta.borrow_mut().reset(fz.epoch());
         Ok(fz)
     }
 
     fn refreeze(&self, prev: &FrozenGraph) -> Result<FrozenGraph> {
         let mut tracker = self.delta.borrow_mut();
-        let next = self.model.graph().refreeze(prev, tracker.peek());
+        let next = gdm_algo::incremental_refreeze(self.model.graph(), prev, tracker.peek());
         tracker.reset(next.epoch());
         Ok(next)
     }
@@ -921,6 +863,79 @@ mod tests {
             Some(InterruptReason::Budget),
             "{err}"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// What `snapshot` and `refreeze` hold for a graph store: every
+    /// node with no label and no property, and both CSR directions
+    /// replaying the live view's adjacency, edge labels included.
+    fn assert_structure_only<M: Model>(db: &Engine<M>, fz: &FrozenGraph) {
+        let live = db.model.graph();
+        assert_eq!(fz.node_count(), live.node_count());
+        assert_eq!(fz.edge_count(), live.edge_count());
+        let listed = |g: &dyn GraphView, edges: Vec<gdm_core::EdgeRef>| {
+            let text =
+                |e: &gdm_core::EdgeRef| e.label.and_then(|s| g.label_text(s)).map(str::to_owned);
+            edges
+                .iter()
+                .map(|e| (e.id, e.to, text(e)))
+                .collect::<Vec<_>>()
+        };
+        live.visit_nodes(&mut |n| {
+            assert_eq!(fz.node_label(n), None);
+            fz.visit_node_properties(n, &mut |k, _| panic!("node {n} holds property {k}"));
+            assert_eq!(listed(fz, fz.out_edges(n)), listed(live, live.out_edges(n)));
+            assert_eq!(listed(fz, fz.in_edges(n)), listed(live, live.in_edges(n)));
+            for e in fz.out_edges(n) {
+                fz.visit_edge_properties(e.id, &mut |k, _| panic!("edge {} holds {k}", e.id));
+            }
+        });
+    }
+
+    fn store_snapshots_hold_structure_only<M: Model>(mut db: Engine<M>) {
+        let allowed = |c| db.profile.refusal(c).is_none();
+        let (node_label, edge_label) = (
+            allowed(Capability::NodeLabels).then_some("person"),
+            allowed(Capability::EdgeLabels).then_some("knows"),
+        );
+        let nodes: Vec<NodeId> = (0..200)
+            .map(|_| db.create_node(node_label, PropertyMap::new()).unwrap())
+            .collect();
+        for i in 0..nodes.len() {
+            for step in [1, 2] {
+                let to = nodes[(i + step) % nodes.len()];
+                db.create_edge(nodes[i], to, edge_label, PropertyMap::new())
+                    .unwrap();
+            }
+        }
+        let fz = db.snapshot().unwrap();
+        assert_structure_only(&db, &fz);
+        let late = db.create_node(node_label, PropertyMap::new()).unwrap();
+        db.create_edge(late, nodes[0], edge_label, PropertyMap::new())
+            .unwrap();
+        db.delete_node(nodes[3]).unwrap();
+        let next = db.refreeze(&fz).unwrap();
+        // Patched, not frozen anew.
+        assert!(next.freeze_work() < fz.freeze_work() / 4);
+        assert_structure_only(&db, &next);
+    }
+
+    /// Filament, VertexDB and G-Store freeze as every engine does, and
+    /// their views report no attributes, so their snapshots keep the
+    /// content the graph stores have always served. G-Store labels its
+    /// vertices; the two key-value stores label their edges.
+    #[test]
+    fn graph_store_snapshots_hold_structure_only() {
+        let dir = std::env::temp_dir().join(format!("gdm-store-freeze-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        for kind in ["filament", "vertexdb", "gstore"] {
+            std::fs::create_dir_all(dir.join(kind)).unwrap();
+        }
+        store_snapshots_hold_structure_only(crate::filament::open(&dir.join("filament")).unwrap());
+        store_snapshots_hold_structure_only(crate::vertexdb::open(&dir.join("vertexdb")).unwrap());
+        let gstore = crate::gstore::open(&dir.join("gstore")).unwrap();
+        assert_eq!(gstore.profile.refusal(Capability::NodeLabels), None);
+        store_snapshots_hold_structure_only(gstore);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -14,8 +14,8 @@ use crate::engine::{Capability as C, Engine, Model, Profile, PATH_BUDGET};
 use crate::facade::{EngineDescriptor, GraphEngine};
 use gdm_algo::paths::{fixed_length_paths, reachable_set, shortest_path};
 use gdm_core::{
-    Direction, EdgeId, EdgeRef, FxHashMap, GdmError, GraphView, Interner, NodeId, PropertyMap,
-    Result, Support, Symbol, Value,
+    AttributedView, Direction, EdgeId, EdgeRef, FxHashMap, GdmError, GraphView, Interner, NodeId,
+    PropertyMap, Result, Support, Symbol, Value,
 };
 use gdm_govern::{ExecutionGuard, Limits};
 use gdm_query::eval::ResultSet;
@@ -394,6 +394,23 @@ impl GraphView for GStore {
 
     fn label_text(&self, sym: Symbol) -> Option<&str> {
         self.interner.resolve(sym)
+    }
+}
+
+/// The profile refuses every read that could see attributes (pattern
+/// matching, attribute reads and lookups), so the view reports none and
+/// snapshots hold the structure with its edge labels only.
+impl AttributedView for GStore {
+    fn node_label(&self, _n: NodeId) -> Option<Symbol> {
+        None
+    }
+
+    fn node_property(&self, _n: NodeId, _key: &str) -> Option<Value> {
+        None
+    }
+
+    fn edge_property(&self, _e: EdgeId, _key: &str) -> Option<Value> {
+        None
     }
 }
 

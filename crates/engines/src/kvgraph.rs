@@ -19,7 +19,8 @@
 
 use crate::engine::Model;
 use gdm_core::{
-    EdgeId, EdgeRef, GdmError, GraphView, Interner, NodeId, PropertyMap, Result, Symbol, Value,
+    AttributedView, EdgeId, EdgeRef, GdmError, GraphView, Interner, NodeId, PropertyMap, Result,
+    Symbol, Value,
 };
 use gdm_storage::codec::{
     decode_value, encode_value, get_bytes, get_u32, get_u64, get_varint, put_bytes, put_u32,
@@ -311,6 +312,24 @@ impl GraphView for KvGraph {
 
     fn label_text(&self, sym: Symbol) -> Option<&str> {
         self.interner.resolve(sym)
+    }
+}
+
+/// Both graph-store profiles refuse every read that could see
+/// attributes (pattern matching, attribute reads and lookups), so the
+/// view reports none and snapshots hold the structure with its edge
+/// labels only.
+impl AttributedView for KvGraph {
+    fn node_label(&self, _n: NodeId) -> Option<Symbol> {
+        None
+    }
+
+    fn node_property(&self, _n: NodeId, _key: &str) -> Option<Value> {
+        None
+    }
+
+    fn edge_property(&self, _e: EdgeId, _key: &str) -> Option<Value> {
+        None
     }
 }
 

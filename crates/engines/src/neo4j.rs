@@ -200,7 +200,7 @@ impl AttributedView for Neo4j {
             .cloned()
     }
 
-    // Enumeration hooks: without these, `FrozenGraph::freeze_attributed`
+    // Enumeration hooks: without these, `FrozenGraph::freeze`
     // captures labels but no property values, and a snapshot served to
     // the query layer silently answers property predicates with nothing.
     fn visit_node_properties(&self, n: NodeId, f: &mut dyn FnMut(&str, &Value)) {

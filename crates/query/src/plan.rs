@@ -739,7 +739,7 @@ mod tests {
     #[test]
     fn frozen_snapshot_plans_render_like_the_live_graph() {
         let g = social();
-        let fz = gdm_algo::FrozenGraph::freeze_attributed(&g);
+        let fz = gdm_algo::FrozenGraph::freeze(&g);
         let q = name_query(Some(Expr::bin(
             BinOp::Eq,
             Expr::Prop("p".into(), "name".into()),
@@ -803,7 +803,7 @@ mod tests {
         assert_eq!(rs.len(), 3);
         // The frozen snapshot answers identically through its own
         // freeze-time edge-range index plus the batch executor.
-        let fz = gdm_algo::FrozenGraph::freeze_attributed(&g);
+        let fz = gdm_algo::FrozenGraph::freeze(&g);
         let (rs_fz, _) = evaluate_select_planned(&fz, &q).unwrap();
         assert_eq!(rs_fz.len(), 3);
     }
@@ -824,7 +824,7 @@ mod tests {
             g.add_edge(people[i], people[(i + 1) % 10], "knows", since)
                 .unwrap();
         }
-        let prev = gdm_algo::FrozenGraph::freeze_attributed(&g);
+        let prev = gdm_algo::FrozenGraph::freeze(&g);
         let mut tracker = DeltaTracker::new();
         tracker.reset(prev.epoch());
         g.remove_node(people[2]).unwrap();

@@ -103,7 +103,7 @@ fn rows_and_allocations(fz: &FrozenGraph, text: &str) -> (ResultSet, u64, u64) {
 /// buffers doubling a few more times: nothing is allocated per match.
 #[test]
 fn counting_matches_allocates_nothing_per_match() {
-    let fz = FrozenGraph::freeze_attributed(&benchmark_shaped_graph(20_000));
+    let fz = FrozenGraph::freeze(&benchmark_shaped_graph(20_000));
     let count = |hops: &str| {
         let (rows, allocations, _) = rows_and_allocations(
             &fz,
@@ -126,7 +126,7 @@ fn counting_matches_allocates_nothing_per_match() {
 #[test]
 fn grouping_allocates_per_group_not_per_match() {
     // Communities of 1 000, so three hops reach many people in few groups.
-    let fz = FrozenGraph::freeze_attributed(&social_graph(SocialParams {
+    let fz = FrozenGraph::freeze(&social_graph(SocialParams {
         people: 20_000,
         communities: 20,
         ..SocialParams::default()
@@ -159,7 +159,7 @@ fn two_hop_reachability_cost_does_not_follow_graph_size() {
     let text = "MATCH (p:person {name:'person7'})-[:knows*1..2]->(g:person) RETURN count(*)";
     for people in [2_000, 20_000] {
         let live = benchmark_shaped_graph(people);
-        let fz = FrozenGraph::freeze_attributed(&live);
+        let fz = FrozenGraph::freeze(&live);
         let planned = plan(&fz, text);
         let nodes = &planned.query.pattern.nodes;
         let g = nodes.iter().position(|n| n.var == "g").unwrap();
@@ -189,7 +189,7 @@ fn two_hop_reachability_cost_does_not_follow_graph_size() {
 #[test]
 fn point_query_allocation_does_not_follow_graph_size() {
     let run = |people: usize| {
-        let fz = FrozenGraph::freeze_attributed(&benchmark_shaped_graph(people));
+        let fz = FrozenGraph::freeze(&benchmark_shaped_graph(people));
         let text = "MATCH (p:person {name:'person1'})-[:knows]->(f) RETURN f.name";
         let (rows, _, bytes) = rows_and_allocations(&fz, text);
         (rows.rows.len(), bytes)
@@ -215,7 +215,7 @@ fn point_seeding_does_not_follow_graph_size() {
     };
     let mut plan_bytes = Vec::new();
     for people in [2_000, 20_000] {
-        let fz = FrozenGraph::freeze_attributed(&benchmark_shaped_graph(people));
+        let fz = FrozenGraph::freeze(&benchmark_shaped_graph(people));
         let name = [("name".to_owned(), Value::from("person7"))];
         let community = [("community".to_owned(), Value::from(3))];
         assert_eq!(fz.candidate_estimate(Some("person"), &name), Some(1));
@@ -259,7 +259,7 @@ const BENCHMARK_TEMPLATES: [&str; 10] = [
 #[test]
 fn fan_out_is_admitted_by_estimated_work_and_free_permits() {
     set_executor_workers(4);
-    let fz = FrozenGraph::freeze_attributed(&benchmark_shaped_graph(20_000));
+    let fz = FrozenGraph::freeze(&benchmark_shaped_graph(20_000));
     let guard = ExecutionGuard::unlimited();
 
     let before = fanned_out();
@@ -332,11 +332,11 @@ fn one_percent_batch(live: &mut PropertyGraph, prev: &FrozenGraph) -> FreezeDelt
 fn refreeze_after_a_one_percent_batch_does_not_follow_graph_size() {
     for (people, work) in [(2_000, 279), (20_000, 295)] {
         let mut live = benchmark_shaped_graph(people);
-        let prev = FrozenGraph::freeze_attributed(&live);
+        let prev = FrozenGraph::freeze(&live);
         let delta = one_percent_batch(&mut live, &prev);
         assert_eq!(delta.change_count(), 10);
         let incremental = incremental_refreeze(&live, &prev, &delta);
-        let full = FrozenGraph::freeze_attributed(&live);
+        let full = FrozenGraph::freeze(&live);
         assert_eq!(incremental.freeze_work(), work, "{people} people");
         assert!(
             incremental.freeze_work() * 10 <= full.freeze_work(),
@@ -385,7 +385,7 @@ fn full_freeze_allocations_do_not_follow_the_edge_count() {
         .map(|degree| {
             let g = people_knowing(people, degree);
             let before = ALLOCATIONS.with(Cell::get);
-            let fz = FrozenGraph::freeze_attributed(&g);
+            let fz = FrozenGraph::freeze(&g);
             let allocations = ALLOCATIONS.with(Cell::get) - before;
             assert_eq!(fz.edge_count(), people * degree);
             allocations
@@ -439,7 +439,7 @@ fn frozen_two_hop_match_takes_the_batch_pipeline() {
     let mut pipeline_allocations = Vec::new();
     for (people, visits, rows) in [(2_000, 10_130, 9_012), (20_000, 10_285, 9_160)] {
         let live = benchmark_shaped_graph(people);
-        let fz = FrozenGraph::freeze_attributed(&live);
+        let fz = FrozenGraph::freeze(&live);
         let (frozen_visits, frozen_rows, frozen_allocations) = charges(&fz);
         let (live_visits, live_rows, live_allocations) = charges(&live);
         assert_eq!(

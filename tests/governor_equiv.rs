@@ -281,7 +281,7 @@ fn governed_vectorized_budget_and_deadline_gauntlet() {
         inter_edges: 1,
         seed: 7,
     });
-    let fz = FrozenGraph::freeze_attributed(&people);
+    let fz = FrozenGraph::freeze(&people);
     let mut pattern = Pattern::new();
     let a = pattern.node(PatternNode::var("a").with_label("person"));
     let b = pattern.node(PatternNode::var("b"));
@@ -361,7 +361,7 @@ fn governed_par_vectorized_gauntlet_under_forced_workers() {
         inter_edges: 1,
         seed: 7,
     });
-    let fz = FrozenGraph::freeze_attributed(&people);
+    let fz = FrozenGraph::freeze(&people);
     let mut pattern = Pattern::new();
     let a = pattern.node(PatternNode::var("a").with_label("person"));
     let b = pattern.node(PatternNode::var("b"));
@@ -452,7 +452,7 @@ fn variable_length_expand_is_interruptible_on_both_executors() {
             }
         }
     }
-    let fz = FrozenGraph::freeze_attributed(&g);
+    let fz = FrozenGraph::freeze(&g);
     let select = |text: &str| match parse(text).unwrap() {
         CypherStatement::Select(q) => *q,
         CypherStatement::Create(_) => panic!("expected a MATCH query"),

@@ -180,7 +180,7 @@ proptest! {
         // domains seeded on the *snapshot* (so dense translation is
         // covered) and with the live graph's domains (same node ids).
         // Per-batch governor ticks must not change the result.
-        let fz = FrozenGraph::freeze_attributed(&g);
+        let fz = FrozenGraph::freeze(&g);
         let fz_domains = auto_domains(&fz, &p);
         let frozen = match_pattern_seeded(&fz, &p, &fz_domains, &guard)
             .expect("unlimited guard never interrupts");
@@ -277,7 +277,7 @@ proptest! {
         // On the CSR snapshot the batch executor runs (and the
         // snapshot's own indexes seed the domains) — the rows must not
         // change.
-        let fz = FrozenGraph::freeze_attributed(&g);
+        let fz = FrozenGraph::freeze(&g);
         let (fz_rows, _) =
             evaluate_select_planned(&fz, &q).expect("frozen planned path evaluates");
         prop_assert_eq!(&fz_rows, &reference);
@@ -461,7 +461,7 @@ proptest! {
         let parsed = ExplainPlan::parse(&explain.render()).expect("explain round-trips");
         prop_assert_eq!(parsed, explain);
 
-        let fz = FrozenGraph::freeze_attributed(&g);
+        let fz = FrozenGraph::freeze(&g);
         let planned = plan_select(&fz, &q).expect("snapshot plan");
         prop_assert!(planned.query.var_paths.is_empty());
         let (pattern, domains) = (&planned.query.pattern, &planned.domains);
