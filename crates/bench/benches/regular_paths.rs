@@ -4,10 +4,12 @@
 //! measurable).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use gdm_algo::fixed_length_paths;
 use gdm_algo::regular::{regular_path_exists, regular_simple_paths, LabelRegex};
 use gdm_bench::er_graph;
 use gdm_core::NodeId;
 use gdm_govern::{ExecutionGuard, Limits};
+use gdm_graphs::SimpleGraph;
 use std::hint::black_box;
 
 fn bench_regular(c: &mut Criterion) {
@@ -43,6 +45,21 @@ fn bench_regular(c: &mut Criterion) {
             })
         });
     }
+    group.finish();
+
+    // Every simple path of five hops between two nodes of a 12-node
+    // complete digraph: 5 040 paths, 64 472 node visits.
+    let mut group = c.benchmark_group("fixed_length_paths");
+    let mut g = SimpleGraph::directed();
+    let nodes: Vec<NodeId> = (0..12).map(|_| g.add_node()).collect();
+    for &a in &nodes {
+        for &b in nodes.iter().filter(|&&b| b != a) {
+            g.add_edge(a, b).expect("nodes exist");
+        }
+    }
+    group.bench_function("complete12_len5", |b| {
+        b.iter(|| black_box(fixed_length_paths(&g, nodes[0], nodes[11], 5, &guard).ok()))
+    });
     group.finish();
 }
 
