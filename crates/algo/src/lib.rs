@@ -19,11 +19,15 @@
 //!    nodes, diameter.
 //!
 //! [`traverse`] holds the one level-walk kernel every breadth-first
-//! search here runs through and a Neo4j-style fluent traversal
+//! search here runs through — the regular-path walk included, over
+//! `(node, automaton state)` keys — and a Neo4j-style fluent traversal
 //! description (the "framework for graph traversals" of the paper's
 //! Neo4j description); [`analysis`] adds the analysis functions Table V
 //! probes (connected components, triangle counting, clustering
-//! coefficients).
+//! coefficients). The one exception to the kernel rule is
+//! [`within_hops`], the reference predicate the variable-length edge is
+//! tested against: it keeps its own breadth-first search so that the
+//! oracle does not share the code it checks.
 //!
 //! For read-heavy workloads, [`frozen`] compiles any view into a
 //! point-in-time CSR snapshot ([`FrozenGraph`]) that answers the same

@@ -467,6 +467,12 @@ fn has_edge<G: AttributedView + ?Sized>(
 /// `min..=max` hops lead from `from` to `to`, every hop over an edge
 /// whose label matches `label` (any label when `None`) followed in
 /// `direction`? Nodes and edges may repeat along the walk.
+///
+/// It is the one breadth-first search here that does not run through
+/// [`walk_levels`](crate::traverse::walk_levels), on purpose: it is the
+/// oracle the variable-length edge, which that kernel evaluates, is
+/// tested against, and an oracle sharing the kernel's code would share
+/// its faults.
 pub fn within_hops<G: AttributedView + ?Sized>(
     g: &G,
     from: NodeId,

@@ -30,7 +30,6 @@ pub static PROFILE: Profile = Profile::new(
         name: "AllegroGraph",
         gui: Support::Full,
         graphical_ql: Support::Full,
-        query_language_grade: Support::Partial,
         backend_storage: Support::None,
         blurb: "RDF store meeting Semantic Web standards; SPARQL, reasoning, SNA features",
     },

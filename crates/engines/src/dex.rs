@@ -28,7 +28,6 @@ pub static PROFILE: Profile = Profile::new(
         name: "DEX",
         gui: Support::None,
         graphical_ql: Support::None,
-        query_language_grade: Support::None,
         backend_storage: Support::None,
         blurb: "bitmap-based library for persistent and temporary very large graphs",
     },

@@ -25,11 +25,6 @@ pub struct EngineDescriptor {
     pub gui: Support,
     /// Shipped a graphical query language (Table V "Graphical Q.L.").
     pub graphical_ql: Support,
-    /// Query-language maturity the paper records in Table V (`◦` for
-    /// AllegroGraph's SPARQL and Neo4j's then-nascent Cypher, `•` for
-    /// G-Store and Sones, blank for API-only engines). The executable
-    /// probe establishes *presence*; this records the paper's grade.
-    pub query_language_grade: Support,
     /// Storage sits on a generic key/value or external backend
     /// (Table I "Backend storage") — an architecture fact.
     pub backend_storage: Support,

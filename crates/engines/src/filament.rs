@@ -23,7 +23,6 @@ pub static PROFILE: Profile = Profile::new(
         name: "Filament",
         gui: Support::None,
         graphical_ql: Support::None,
-        query_language_grade: Support::None,
         backend_storage: Support::Full,
         blurb: "a graph storage library with default support for SQL through JDB",
     },

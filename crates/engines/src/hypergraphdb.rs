@@ -25,7 +25,6 @@ pub static PROFILE: Profile = Profile::new(
         name: "HyperGraphDB",
         gui: Support::None,
         graphical_ql: Support::None,
-        query_language_grade: Support::None,
         backend_storage: Support::Full,
         blurb: "implements the hypergraph data model; links may connect any atoms",
     },

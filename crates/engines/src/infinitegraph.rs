@@ -7,18 +7,14 @@
 //! external memory with indexes (Table I), API only (Table II), type
 //! checking + identity constraints (Table VI).
 //!
-//! The distribution substitution (DESIGN.md §2): nodes get an explicit
-//! partition assignment; [`InfiniteGraph::edge_cut`] and
-//! [`InfiniteGraph::partitioned_view`] expose the remote-hop
-//! cost model the partition ablation bench measures.
+//! The distribution substitution (DESIGN.md §2): every node lives on a
+//! partition, a hash of its id, and [`InfiniteGraph::edge_cut`] counts
+//! the edges that cross partitions.
 
 use crate::engine::{Capability as C, Engine, Model, Profile};
 use crate::facade::EngineDescriptor;
-use gdm_core::{
-    EdgeId, FxHashMap, GdmError, GraphView, NodeId, PropertyMap, Result, Support, Value,
-};
+use gdm_core::{EdgeId, GdmError, GraphView, NodeId, PropertyMap, Result, Support, Value};
 use gdm_govern::Limits;
-use gdm_graphs::partitioned::{PartitionedGraph, Strategy};
 use gdm_graphs::PropertyGraph;
 use gdm_schema::{Constraint, EdgeTypeDef, NodeTypeDef};
 use gdm_storage::BTreeIndex;
@@ -31,7 +27,6 @@ pub static PROFILE: Profile = Profile::new(
         name: "InfiniteGraph",
         gui: Support::None,
         graphical_ql: Support::None,
-        query_language_grade: Support::None,
         backend_storage: Support::None,
         blurb: "large-scale graphs in a distributed environment; traversal across stores",
     },
@@ -83,66 +78,53 @@ pub fn open_with_partitions(dir: &Path, partitions: u32) -> Result<InfiniteGraph
     } else {
         PropertyGraph::new()
     };
-    let mut model = InfiniteGraph {
+    let model = InfiniteGraph {
         graph,
         partitions: partitions.max(1),
-        partition_of: FxHashMap::default(),
         constraints: Vec::new(),
         snapshot_path,
     };
-    let mut nodes = Vec::new();
-    model.graph.visit_nodes(&mut |n| nodes.push(n));
-    for n in nodes {
-        model.assign_partition(n);
-    }
     Ok(Engine::new(&PROFILE, model))
 }
 
-/// InfiniteGraph's substrate: a property graph whose nodes carry an
-/// explicit partition assignment.
+/// InfiniteGraph's substrate: a property graph spread over
+/// `partitions` simulated partitions by a hash of the node id.
 pub struct InfiniteGraph {
     graph: PropertyGraph,
     partitions: u32,
-    partition_of: FxHashMap<u64, u32>,
     constraints: Vec<Constraint>,
     snapshot_path: PathBuf,
 }
 
 impl InfiniteGraph {
-    fn assign_partition(&mut self, n: NodeId) {
+    fn partition(&self, n: NodeId) -> u32 {
         let h = n.raw().wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        self.partition_of
-            .insert(n.raw(), (h % u64::from(self.partitions)) as u32);
+        (h % u64::from(self.partitions)) as u32
     }
 
-    /// The partition a node lives on.
+    /// The partition a node of the graph lives on.
     pub fn partition_of(&self, n: NodeId) -> Option<u32> {
-        self.partition_of.get(&n.raw()).copied()
+        self.graph.contains_node(n).then(|| self.partition(n))
     }
 
     /// Edges whose endpoints live on different partitions.
     pub fn edge_cut(&self) -> usize {
-        let mut cut = 0;
-        for e in self.graph.edge_ids() {
+        let crosses = |e| {
             let (from, to) = self.graph.edge_endpoints(e).expect("live");
-            if self.partition_of.get(&from.raw()) != self.partition_of.get(&to.raw()) {
-                cut += 1;
-            }
-        }
-        cut
-    }
-
-    /// A hop-accounting partitioned view of the current data, for the
-    /// distribution benches.
-    pub fn partitioned_view(&self, strategy: Strategy) -> PartitionedGraph {
-        PartitionedGraph::new(self.graph.clone(), self.partitions, strategy)
+            self.partition(from) != self.partition(to)
+        };
+        self.graph
+            .edge_ids()
+            .into_iter()
+            .filter(|&e| crosses(e))
+            .count()
     }
 }
 
 impl Model for InfiniteGraph {
     type Graph = PropertyGraph;
     type Index = BTreeIndex;
-    type Saved = (PropertyGraph, FxHashMap<u64, u32>);
+    type Saved = PropertyGraph;
 
     fn graph(&self) -> &PropertyGraph {
         &self.graph
@@ -152,9 +134,7 @@ impl Model for InfiniteGraph {
         let label = label.ok_or_else(|| {
             GdmError::InvalidArgument("InfiniteGraph vertices require a type".into())
         })?;
-        let n = self.graph.add_node(label, props);
-        self.assign_partition(n);
-        Ok(n)
+        Ok(self.graph.add_node(label, props))
     }
 
     fn create_edge(
@@ -183,9 +163,7 @@ impl Model for InfiniteGraph {
     }
 
     fn delete_node(&mut self, n: NodeId) -> Result<()> {
-        self.graph.remove_node(n)?;
-        self.partition_of.remove(&n.raw());
-        Ok(())
+        self.graph.remove_node(n)
     }
 
     fn delete_edge(&mut self, e: EdgeId) -> Result<()> {
@@ -217,12 +195,11 @@ impl Model for InfiniteGraph {
     }
 
     fn save(&self) -> Self::Saved {
-        (self.graph.clone(), self.partition_of.clone())
+        self.graph.clone()
     }
 
-    fn restore(&mut self, (graph, partition_of): Self::Saved) {
+    fn restore(&mut self, graph: Self::Saved) {
         self.graph = graph;
-        self.partition_of = partition_of;
     }
 
     fn persist(&mut self) -> Result<()> {

@@ -31,7 +31,6 @@ pub static PROFILE: Profile = Profile::new(
         name: "Neo4j",
         gui: Support::None,
         graphical_ql: Support::None,
-        query_language_grade: Support::Partial,
         backend_storage: Support::None,
         blurb: "network-oriented model; native disk storage; traversal framework; Cypher in development",
     },

@@ -34,7 +34,6 @@ pub static PROFILE: Profile = Profile::new(
         name: "Sones",
         gui: Support::Full,
         graphical_ql: Support::Full,
-        query_language_grade: Support::Full,
         backend_storage: Support::None,
         blurb: "inherent support for high-level graph abstractions; defines its own query language",
     },

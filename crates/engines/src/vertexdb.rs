@@ -25,7 +25,6 @@ pub static PROFILE: Profile = Profile::new(
         name: "VertexDB",
         gui: Support::None,
         graphical_ql: Support::None,
-        query_language_grade: Support::None,
         backend_storage: Support::Full,
         blurb: "graph store on top of TokyoCabinet (a B-tree key/value disk store)",
     },
