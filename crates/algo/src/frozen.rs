@@ -173,13 +173,6 @@ impl Relabel {
     }
 }
 
-/// One edge-attribute index row: `(value, from_dense, to_dense,
-/// edge_raw)`.
-pub(crate) type RangeRow = (Value, u32, u32, u64);
-
-/// An `Arc`-shared, value-sorted run of index rows for one key.
-pub(crate) type RangeRun = Arc<Vec<RangeRow>>;
-
 /// One node-property equality-index row: `(loose-eq hash of the
 /// value, dense position)`.
 pub(crate) type EqRow = (u64, u32);
@@ -448,22 +441,13 @@ pub struct FrozenGraph {
     pub(crate) edge_props: EdgePropsMap,
     /// Node label → dense positions carrying it, ascending.
     pub(crate) label_index: FxHashMap<Symbol, Vec<u32>>,
-    /// Edge property key → `(value, from_dense, to_dense, edge_raw)`
-    /// rows sorted by [`Value::total_cmp`] — the ordered edge-attribute
-    /// index behind [`AttributedView::edge_range_candidates`]. Built by
-    /// [`FrozenGraph::freeze`] from the forward CSR, so
-    /// undirected snapshots carry both orientations of each edge. The
-    /// edge id tag lets the incremental re-freeze retire exactly the
-    /// rows of re-read edges instead of rebuilding the index. Each run
-    /// is `Arc`-wrapped so a re-freeze clones only the keys it patches
-    /// and shares untouched runs by reference count.
-    pub(crate) edge_ranges: FxHashMap<Symbol, RangeRun>,
     /// Node property key → `(loose-eq hash, dense)` rows sorted by
     /// hash — the equality index behind [`AttributedView::candidates`].
     /// Values loosely equal hash alike, so one binary search finds a
     /// superset of a `{key: value}` constraint's nodes, which lookups
-    /// re-check. Each run is `Arc`-wrapped for the same reason as
-    /// `edge_ranges`': a re-freeze patches only the keys it touches.
+    /// re-check. Each run is `Arc`-wrapped so a re-freeze clones only
+    /// the keys it patches and shares untouched runs by reference
+    /// count.
     pub(crate) node_eq: FxHashMap<Symbol, EqRun>,
 }
 
@@ -534,37 +518,6 @@ impl FrozenGraph {
             .iter()
             .flat_map(|slab| slab.edge_ids.iter().copied());
         capture_edge_props(g, ids, &mut keys, &mut edge_props, |_| true);
-        // Ordered edge-attribute index: one sorted run per key over
-        // the forward CSR (so endpoint pairs come out in from-dense
-        // order before sorting by value).
-        let mut edge_ranges: FxHashMap<Symbol, Vec<RangeRow>> = FxHashMap::default();
-        if !edge_props.is_empty() {
-            for dense in 0..n as u32 {
-                let run = fwd.run(dense);
-                for i in 0..run.targets.len() {
-                    let raw = run.edge_ids[i].raw();
-                    let Some(props) = edge_props.get(&raw) else {
-                        continue;
-                    };
-                    for (k, v) in props.iter() {
-                        edge_ranges.entry(*k).or_default().push((
-                            v.clone(),
-                            dense,
-                            run.targets[i],
-                            raw,
-                        ));
-                    }
-                }
-            }
-        }
-        for run in edge_ranges.values_mut() {
-            run.sort_by(|a, b| a.0.total_cmp(&b.0));
-        }
-        let edge_ranges = edge_ranges
-            .into_iter()
-            .map(|(k, v)| (k, Arc::new(v)))
-            .collect();
-
         Self {
             directed: g.is_directed(),
             edge_count: g.edge_count(),
@@ -580,7 +533,6 @@ impl FrozenGraph {
             node_props,
             edge_props,
             label_index,
-            edge_ranges,
             node_eq,
         }
     }
@@ -907,34 +859,6 @@ impl AttributedView for FrozenGraph {
         }
     }
 
-    /// Binary search over the freeze-time ordered edge-attribute runs.
-    /// Bounds are [`Value::total_cmp`]-inclusive, which unifies the
-    /// number family exactly like the live `BTreeIndex` encoding does.
-    fn edge_range_candidates(
-        &self,
-        key: &str,
-        low: Option<&Value>,
-        high: Option<&Value>,
-    ) -> Option<Vec<(NodeId, NodeId)>> {
-        let run = self.edge_ranges.get(&self.key_symbol(key)?)?;
-        let start = match low {
-            Some(lo) => run.partition_point(|(v, ..)| v.total_cmp(lo) == std::cmp::Ordering::Less),
-            None => 0,
-        };
-        let end = match high {
-            Some(hi) => {
-                run.partition_point(|(v, ..)| v.total_cmp(hi) != std::cmp::Ordering::Greater)
-            }
-            None => run.len(),
-        };
-        Some(
-            run[start..end.max(start)]
-                .iter()
-                .map(|&(_, f, t, _)| (self.nodes[f as usize], self.nodes[t as usize]))
-                .collect(),
-        )
-    }
-
     /// The CSR snapshot is the columnar backend the vectorized
     /// pipeline runs on.
     fn batch_backend(&self) -> Option<&dyn std::any::Any> {
@@ -1061,17 +985,6 @@ mod tests {
             assert_eq!(fz.edge_property(e, "i"), None);
             assert_eq!(listed(&fz, e), listed(&g, e));
         }
-        let (lo, hi) = (Value::from(30), Value::from(120));
-        let mut found = fz.edge_range_candidates("w", Some(&lo), Some(&hi)).unwrap();
-        found.sort_unstable();
-        let mut want: Vec<(NodeId, NodeId)> = edges
-            .iter()
-            .filter(|e| e.3 % 3 == 0 && (30..=120).contains(&e.3))
-            .map(|e| (e.1, e.2))
-            .collect();
-        want.sort_unstable();
-        assert_eq!(found, want);
-        assert_eq!(fz.edge_range_candidates("i", None, None), None);
     }
 
     /// A property graph that counts its edge-property hook calls per

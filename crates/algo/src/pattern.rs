@@ -82,10 +82,9 @@ pub struct PatternEdge {
 }
 
 /// True when `got` lies in the inclusive, number-family-loose range
-/// `[low, high]` — the exact-match side of the over-approximating
-/// ordered-index seeds ([`AttributedView::range_candidates`] /
-/// [`AttributedView::edge_range_candidates`]): every value this
-/// accepts, those indexes return.
+/// `[low, high]`: the check every matcher applies to an edge's
+/// [`PatternEdge::ranges`]. A value that does not compare with a bound
+/// (another type family) is out of range.
 pub(crate) fn value_in_range(got: &Value, low: Option<&Value>, high: Option<&Value>) -> bool {
     let lo_ok =
         low.is_none_or(|l| matches!(got.compare(l), Some(Ordering::Greater | Ordering::Equal)));

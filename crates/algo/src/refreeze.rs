@@ -19,14 +19,11 @@
 //!   rows pay property capture again, and an unchanged edge riding in
 //!   a re-read row keeps its shared property list (engines report edge
 //!   deletion and re-propertying explicitly, so ride-alongs are known
-//!   clean). The ordered edge-attribute index is patched — retire the
-//!   rows of deleted/re-propertied edges, sort just the freshly
-//!   captured rows, and merge them in place from the tail — rather
-//!   than rebuilt or re-sorted. The node-property equality index is
-//!   patched too: the rows of removed, re-read and relocated nodes are
-//!   found by their old values' hashes and retire, re-read rows and
-//!   relocated rows at their new position are merged in, and keys no
-//!   changed row carries keep sharing the previous run.
+//!   clean). The node-property equality index is patched: the rows of
+//!   removed, re-read and relocated nodes are found by their old
+//!   values' hashes and retire, re-read rows and relocated rows at
+//!   their new position are merged in, and keys no changed row carries
+//!   keep sharing the previous run.
 //! * **Integer metadata is rebuilt** (`nodes`, id index, label index):
 //!   these are O(V) `memcpy`-class passes with no string or hash work
 //!   per element, which keeps the implementation honest without
@@ -49,10 +46,10 @@
 
 use crate::frozen::{
     capture_edge_props, capture_props, empty_props, eq_hash, next_epoch, push_eq_rows, Csr, EqRow,
-    EqRun, FrozenGraph, RangeRow, Relabel, SlabRecorder, SLAB_NODES,
+    EqRun, FrozenGraph, Relabel, SlabRecorder, SLAB_NODES,
 };
 use gdm_core::{
-    AttributedView, FreezeDelta, FxHashMap, FxHashSet, GraphView, Interner, NodeId, Symbol, Value,
+    AttributedView, FreezeDelta, FxHashMap, FxHashSet, GraphView, Interner, NodeId, Symbol,
 };
 use std::sync::Arc;
 
@@ -295,8 +292,8 @@ fn build_dir<G: GraphView + ?Sized>(
 
 /// `prev` patched by `delta` to a snapshot content-equivalent to
 /// `FrozenGraph::freeze(g)`: CSR slabs, node label and property
-/// columns, the node label index, `Arc`-shared edge properties, and
-/// patched (not rebuilt) equality and ordered edge-attribute indexes.
+/// columns, the node label index, `Arc`-shared edge properties, and a
+/// patched (not rebuilt) node equality index.
 /// Falls back to a full freeze whenever the delta cannot be applied
 /// (see module docs).
 pub fn incremental_refreeze<G: AttributedView + ?Sized>(
@@ -391,7 +388,6 @@ fn patch<G: AttributedView + ?Sized>(
         node_props,
         edge_props: Arc::new(FxHashMap::default()),
         label_index,
-        edge_ranges: FxHashMap::default(),
         node_eq: FxHashMap::default(),
     };
     fz.node_eq = patch_node_eq(prev, &fz, &plan);
@@ -418,124 +414,6 @@ fn patch<G: AttributedView + ?Sized>(
     work += capture_edge_props(g, ids, &mut fz.keys, &mut fz.edge_props, |raw| {
         revisited.insert(raw)
     });
-
-    // Ordered edge-attribute index: clone, retire stale rows, remap
-    // relocated endpoints, then collect the *freshly captured* edges'
-    // occurrences per key (`revisited` — new edges plus retired ones
-    // whose rows were just re-read; unchanged edges already have their
-    // rows in the clone), sort only that appendix, and merge it into
-    // the still-sorted survivors — a full re-sort of a touched key
-    // would be O(E log E) for a single changed edge on a
-    // fully-attributed graph, which is exactly the O(graph) cost this
-    // path exists to avoid.
-    fz.edge_ranges = prev.edge_ranges.clone();
-    if !plan.stale_edges.is_empty() {
-        for run in fz.edge_ranges.values_mut() {
-            // Probe before make_mut: a run with no stale row keeps
-            // sharing the previous snapshot's allocation.
-            if run
-                .iter()
-                .any(|&(_, _, _, raw)| plan.stale_edges.contains(&raw))
-            {
-                Arc::make_mut(run).retain(|&(_, _, _, raw)| !plan.stale_edges.contains(&raw));
-            }
-        }
-    }
-    if !plan.moves.is_empty() {
-        for run in fz.edge_ranges.values_mut() {
-            if run
-                .iter()
-                .any(|row| plan.moves.contains_key(&row.1) || plan.moves.contains_key(&row.2))
-            {
-                for row in Arc::make_mut(run).iter_mut() {
-                    row.1 = plan.moves.get(&row.1).copied().unwrap_or(row.1);
-                    row.2 = plan.moves.get(&row.2).copied().unwrap_or(row.2);
-                }
-            }
-        }
-    }
-    let mut appendix: FxHashMap<Symbol, Vec<RangeRow>> = FxHashMap::default();
-    let push_row = |appendix: &mut FxHashMap<Symbol, Vec<RangeRow>>,
-                    props: &[(Symbol, Value)],
-                    from: u32,
-                    to: u32,
-                    raw: u64| {
-        for (k, v) in props {
-            appendix
-                .entry(*k)
-                .or_default()
-                .push((v.clone(), from, to, raw));
-        }
-    };
-    for (i, _) in plan.reread.iter().enumerate().filter(|(_, &r)| r) {
-        let i = i as u32;
-        // This row's own forward occurrences of captured edges.
-        let run = fz.fwd.run(i);
-        for pos in 0..run.targets.len() {
-            let raw = run.edge_ids[pos].raw();
-            if !revisited.contains(&raw) {
-                continue; // unchanged edge: its row survived the clone
-            }
-            if let Some(props) = fz.edge_props.get(&raw).cloned() {
-                push_row(&mut appendix, &props, i, run.targets[pos], raw);
-            }
-        }
-        // Forward occurrences of captured edges whose *source* row is
-        // clean, reconstructed from this row's reverse run (a new or
-        // re-propertied edge may surface only on its target's side).
-        // Re-read counterparts add their own forward occurrences
-        // themselves — skip them to avoid double rows.
-        let rrun = fz.rev.run(i);
-        for pos in 0..rrun.targets.len() {
-            let c = rrun.targets[pos];
-            if plan.reread[c as usize] {
-                continue;
-            }
-            let raw = rrun.edge_ids[pos].raw();
-            if !revisited.contains(&raw) {
-                continue;
-            }
-            if let Some(props) = fz.edge_props.get(&raw).cloned() {
-                push_row(&mut appendix, &props, c, i, raw);
-            }
-        }
-    }
-    for (key, mut add) in appendix {
-        add.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let slot = fz.edge_ranges.entry(key).or_default();
-        if slot.is_empty() {
-            *slot = Arc::new(add);
-            continue;
-        }
-        let run = Arc::make_mut(slot);
-        // Survivors kept their order through retain/remap, so a merge
-        // restores the key's sorted run. Merge *backwards in place*:
-        // append the sorted addendum, then sift from the tail. The
-        // loop stops the moment every appendix row is placed — the
-        // untouched survivor prefix is already in position — so the
-        // cost is O(changes + displaced survivors), not O(run).
-        let old_len = run.len();
-        run.append(&mut add);
-        let mut i = old_len; // one past the last unplaced survivor
-        let mut j = run.len(); // one past the last unplaced addendum row
-        let mut k = run.len(); // one past the next write slot
-        while i > 0 && j > old_len {
-            if run[i - 1].0.total_cmp(&run[j - 1].0).is_gt() {
-                run.swap(k - 1, i - 1);
-                i -= 1;
-            } else {
-                run.swap(k - 1, j - 1);
-                j -= 1;
-            }
-            k -= 1;
-        }
-        while j > old_len {
-            run.swap(k - 1, j - 1);
-            j -= 1;
-            k -= 1;
-        }
-    }
-    fz.edge_ranges.retain(|_, run| !run.is_empty());
 
     fz.freeze_work = work.max(1);
     Some(fz)
@@ -636,16 +514,14 @@ fn patch_run(old: &[EqRow], stale: &[EqRow], mut add: Vec<EqRow>) -> Vec<EqRow> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gdm_core::{props, DeltaTracker, GraphView};
+    use gdm_core::{props, DeltaTracker, GraphView, Value};
     use gdm_graphs::PropertyGraph;
 
-    /// Content-canonical form of a snapshot: node rows, edge rows, the
-    /// ordered edge index and the node equality index, all independent
-    /// of dense ordering.
+    /// Content-canonical form of a snapshot: node rows, edge rows and
+    /// the node equality index, all independent of dense ordering.
     type Canon = (
         Vec<(u64, Option<String>, Vec<(String, Value)>)>,
         Vec<(u64, u64, u64, Option<String>, Vec<(String, Value)>)>,
-        Vec<(String, u64, u64, u64, String)>,
         Vec<(String, u64, u64)>,
     );
 
@@ -673,19 +549,6 @@ mod tests {
             });
         });
         edges.sort_by_key(|r| (r.0, r.1, r.2));
-        let mut ranges = Vec::new();
-        for (key, run) in &fz.edge_ranges {
-            for &(ref v, f, t, raw) in run.iter() {
-                ranges.push((
-                    fz.key_text(*key).to_owned(),
-                    raw,
-                    fz.nodes[f as usize].raw(),
-                    fz.nodes[t as usize].raw(),
-                    format!("{v:?}"),
-                ));
-            }
-        }
-        ranges.sort();
         let mut eq = Vec::new();
         for (key, run) in &fz.node_eq {
             for &(hash, dense) in run.iter() {
@@ -697,7 +560,7 @@ mod tests {
             }
         }
         eq.sort();
-        (nodes, edges, ranges, eq)
+        (nodes, edges, eq)
     }
 
     fn base_graph() -> (PropertyGraph, Vec<NodeId>) {
@@ -829,10 +692,6 @@ mod tests {
         assert_eq!(prev.node_property(n[3], "nick"), None);
         // The new edge key.
         assert_eq!(inc.edge_property(e, "since"), Some(Value::from(2020)));
-        assert_eq!(
-            inc.edge_range_candidates("since", None, None),
-            Some(vec![(n[4], n[150])])
-        );
         assert_eq!(inc.label_symbol("nick"), None);
     }
 

@@ -16,8 +16,8 @@
 //! * **label scan** — a variable constrained only by label seeds
 //!   straight from the `nodes_with_label` slice (the planner
 //!   materialises no domain for it);
-//! * **index/range seed** — planner-supplied domains (equality and
-//!   range lookups, node or edge) arrive as dense selection vectors;
+//! * **index seed** — planner-supplied domains (equality lookups)
+//!   arrive as dense selection vectors;
 //! * **batched expand** — the generating pattern edge is expanded by
 //!   walking `out_targets`/`in_targets` runs, deduplicating per source
 //!   row with a reusable stamp array (no per-row allocation);

@@ -245,47 +245,6 @@ pub trait AttributedView: GraphView {
         None
     }
 
-    /// All nodes whose property `key` lies in the inclusive range
-    /// `[low, high]` (either bound optional), ascending by id —
-    /// answered from an *ordered* index, never by scanning. `None`
-    /// means no ordered index covers `key` and only a scan can answer.
-    ///
-    /// The bounds are loose the way ordered indexes are: inclusive on
-    /// both ends and number-family unified (an integer bound also
-    /// bounds floats). Callers seeding candidate domains from this —
-    /// the planner's range-predicate pushdown — must therefore
-    /// re-apply their exact predicate afterwards; the result only
-    /// ever *over*-approximates, it never drops a node whose value
-    /// lies strictly inside the range. The default (no ordered
-    /// indexes) is `None`.
-    fn range_candidates(
-        &self,
-        key: &str,
-        low: Option<&Value>,
-        high: Option<&Value>,
-    ) -> Option<Vec<NodeId>> {
-        let _ = (key, low, high);
-        None
-    }
-
-    /// The `(from, to)` endpoint pairs of every edge whose property
-    /// `key` lies in the inclusive range `[low, high]`, answered from
-    /// an ordered index over *edge* attributes. Bounds are loose the
-    /// same way [`AttributedView::range_candidates`]' are (inclusive,
-    /// number-family unified), so the result over-approximates and
-    /// callers must re-apply the exact predicate per edge. `None`
-    /// means no ordered edge index covers `key`. The default (no edge
-    /// indexes) is `None`.
-    fn edge_range_candidates(
-        &self,
-        key: &str,
-        low: Option<&Value>,
-        high: Option<&Value>,
-    ) -> Option<Vec<(NodeId, NodeId)>> {
-        let _ = (key, low, high);
-        None
-    }
-
     // ---- batch execution (vectorized backend) ---------------------
 
     /// Downcast hook for batch-at-a-time execution. A view backed by a

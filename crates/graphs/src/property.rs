@@ -49,13 +49,9 @@ pub struct PropertyGraph {
     label_index: FxHashMap<Symbol, FxHashSet<u64>>,
     /// key → ordered secondary index over node attribute values,
     /// auto-maintained on every insert/remove/update. Ordered (rather
-    /// than hash) so number-family point probes and future range
-    /// predicates both route through the same structure.
+    /// than hash) so a point probe finds every number-family value
+    /// loosely equal to it: `2` also finds `2.0`.
     prop_indexes: FxHashMap<String, BTreeIndex>,
-    /// key → ordered secondary index over *edge* attribute values,
-    /// maintained the same way; range probes feed the planner's
-    /// edge-range seeding ([`AttributedView::edge_range_candidates`]).
-    edge_prop_indexes: FxHashMap<String, BTreeIndex>,
 }
 
 impl Default for PropertyGraph {
@@ -75,7 +71,6 @@ impl PropertyGraph {
             interner: Interner::new(),
             label_index: FxHashMap::default(),
             prop_indexes: FxHashMap::default(),
-            edge_prop_indexes: FxHashMap::default(),
         }
     }
 
@@ -112,12 +107,6 @@ impl PropertyGraph {
         self.node_data(to)?;
         let sym = self.interner.intern(label);
         let id = EdgeId(self.edges.len() as u64);
-        for (key, value) in &props {
-            self.edge_prop_indexes
-                .entry(key.to_owned())
-                .or_default()
-                .insert(value, id.raw());
-        }
         self.edges.push(Some(EdgeData {
             from,
             to,
@@ -134,18 +123,11 @@ impl PropertyGraph {
     pub fn remove_edge(&mut self, e: EdgeId) -> Result<()> {
         let data = self
             .edges
-            .get(e.index())
-            .and_then(Option::as_ref)
+            .get_mut(e.index())
+            .and_then(Option::take)
             .ok_or_else(|| GdmError::NotFound(format!("edge {e}")))?;
-        let (from, to) = (data.from, data.to);
-        let data = self.edges[e.index()].take().expect("checked");
-        for (key, value) in &data.props {
-            if let Some(idx) = self.edge_prop_indexes.get_mut(key) {
-                idx.remove(value, e.raw());
-            }
-        }
-        self.node_mut(from).out.retain(|(id, _)| *id != e);
-        self.node_mut(to).inc.retain(|(id, _)| *id != e);
+        self.node_mut(data.from).out.retain(|(id, _)| *id != e);
+        self.node_mut(data.to).inc.retain(|(id, _)| *id != e);
         self.edge_count -= 1;
         Ok(())
     }
@@ -264,29 +246,7 @@ impl PropertyGraph {
             .get_mut(e.index())
             .and_then(Option::as_mut)
             .ok_or_else(|| GdmError::NotFound(format!("edge {e}")))?;
-        let value = value.into();
-        self.edge_prop_indexes
-            .entry(key.to_owned())
-            .or_default()
-            .insert(&value, e.raw());
-        let previous = data.props.set(key, value);
-        if let Some(old) = &previous {
-            // `insert` before `remove`, as in `set_node_property`: an
-            // unchanged value stays put instead of bouncing.
-            let current = self.edges[e.index()]
-                .as_ref()
-                .expect("validated edge id")
-                .props
-                .get(key)
-                .expect("just set");
-            if old != current {
-                self.edge_prop_indexes
-                    .get_mut(key)
-                    .expect("just created")
-                    .remove(old, e.raw());
-            }
-        }
-        Ok(previous)
+        Ok(data.props.set(key, value.into()))
     }
 
     /// All attributes of node `n`.
@@ -609,38 +569,6 @@ impl AttributedView for PropertyGraph {
         }
         best
     }
-
-    /// Range probes route through the same ordered secondary indexes
-    /// as point probes; [`ValueIndex::range`] already returns ids
-    /// ascending and deduplicated.
-    fn range_candidates(
-        &self,
-        key: &str,
-        low: Option<&Value>,
-        high: Option<&Value>,
-    ) -> Option<Vec<NodeId>> {
-        let idx = self.prop_indexes.get(key)?;
-        idx.range(low, high)
-            .ok()
-            .map(|ids| ids.into_iter().map(NodeId).collect())
-    }
-
-    /// Edge-attribute range probes route through the edge secondary
-    /// indexes; each hit reports its endpoints so a planner can seed
-    /// the endpoint variables' domains.
-    fn edge_range_candidates(
-        &self,
-        key: &str,
-        low: Option<&Value>,
-        high: Option<&Value>,
-    ) -> Option<Vec<(NodeId, NodeId)>> {
-        let idx = self.edge_prop_indexes.get(key)?;
-        idx.range(low, high).ok().map(|ids| {
-            ids.into_iter()
-                .filter_map(|id| self.edge_endpoints(EdgeId(id)).ok())
-                .collect()
-        })
-    }
 }
 
 #[cfg(test)]
@@ -829,35 +757,6 @@ mod tests {
             Some(1)
         );
         assert_eq!(g.candidate_estimate(None, &[]), None, "no constraint");
-    }
-
-    #[test]
-    fn edge_property_index_tracks_insert_update_remove() {
-        let (mut g, alice, bob, _) = social();
-        let e = g.out_edges(alice)[0].id;
-        // Range probe over the auto-maintained edge index.
-        let hits = g
-            .edge_range_candidates("since", Some(&Value::from(2000)), Some(&Value::from(2005)))
-            .unwrap();
-        assert_eq!(hits, vec![(alice, bob)]);
-        // Update moves the entry out of the old range.
-        g.set_edge_property(e, "since", 2010).unwrap();
-        assert!(g
-            .edge_range_candidates("since", Some(&Value::from(2000)), Some(&Value::from(2005)))
-            .unwrap()
-            .is_empty());
-        let hits = g
-            .edge_range_candidates("since", Some(&Value::from(2006)), None)
-            .unwrap();
-        assert_eq!(hits, vec![(alice, bob)]);
-        // Removing the edge (here via node cascade) drops its entries.
-        g.remove_node(bob).unwrap();
-        assert!(g
-            .edge_range_candidates("since", None, None)
-            .unwrap()
-            .is_empty());
-        // A never-indexed key reports "no index", not "empty range".
-        assert!(g.edge_range_candidates("nope", None, None).is_none());
     }
 
     #[test]

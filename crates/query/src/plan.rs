@@ -13,10 +13,11 @@
 //!    `var.key = literal` (either operand order) becomes a property
 //!    constraint on that pattern variable, and `var.label = "text"`
 //!    becomes a label constraint. What cannot be pushed stays behind
-//!    as the residual filter. `NULL` literals are never pushed: in a
-//!    filter a missing property compares as `NULL = NULL` (true),
-//!    while a pattern constraint requires the property to exist —
-//!    pushing would change results.
+//!    as the residual filter, range comparisons (`<`, `<=`, `>`, `>=`)
+//!    included: they seed no domain on any view. `NULL` literals are
+//!    never pushed: in a filter a missing property compares as
+//!    `NULL = NULL` (true), while a pattern constraint requires the
+//!    property to exist — pushing would change results.
 //! 3. **Access selection + ordering.** For each pattern variable the
 //!    view's [`AttributedView::candidate_estimate`] reports whether an
 //!    index can bound its candidates. A variable with property
@@ -74,11 +75,6 @@ pub struct PlanStep {
     pub estimate: usize,
     /// Number of property constraints on the variable after pushdown.
     pub props: usize,
-    /// Number of range predicates (`<`, `<=`, `>`, `>=`) on the
-    /// variable seeded from an ordered index. The predicates stay in
-    /// the residual filter for exactness; this counts how many also
-    /// narrowed the candidate domain.
-    pub ranges: usize,
     /// Label constraint after pushdown, if any.
     pub label: Option<String>,
     /// `Some((min, max))` when the variable is reached by expanding a
@@ -117,16 +113,10 @@ impl ExplainPlan {
                 s.estimate,
                 s.props
             ));
-            // Only emitted when a range predicate was seeded, so plans
-            // without range pushdown render byte-identically to the
-            // pre-range text form (older parsers keep working).
-            if s.ranges > 0 {
-                out.push_str(&format!(" ranges={}", s.ranges));
-            }
             if let Some(label) = &s.label {
                 out.push_str(&format!(" label={label}"));
             }
-            // Like `ranges=`: absent unless the step has it.
+            // Absent unless the step has it.
             if let Some((min, max)) = s.hops {
                 out.push_str(&format!(" hops={min}..{max}"));
             }
@@ -164,9 +154,8 @@ impl ExplainPlan {
             if toks.next() != Some("step") {
                 return Err(invalid(format!("expected `step` line, got {line:?}")));
             }
-            let (mut var, mut access, mut estimate, mut props, mut ranges, mut label) =
+            let (mut var, mut access, mut estimate, mut props, mut label, mut hops) =
                 (None, None, None, None, None, None);
-            let mut hops = None;
             for tok in toks {
                 let (k, v) = split_kv(tok)?;
                 match k {
@@ -180,7 +169,6 @@ impl ExplainPlan {
                     }
                     "estimate" => estimate = Some(parse_count(k, v)?),
                     "props" => props = Some(parse_count(k, v)?),
-                    "ranges" => ranges = Some(parse_count(k, v)?),
                     "label" => label = Some(v.to_owned()),
                     "hops" => {
                         let bounds = v
@@ -199,8 +187,6 @@ impl ExplainPlan {
                 access: access.ok_or_else(|| invalid("step missing access".to_owned()))?,
                 estimate: estimate.ok_or_else(|| invalid("step missing estimate".to_owned()))?,
                 props: props.ok_or_else(|| invalid("step missing props".to_owned()))?,
-                // Absent in pre-range plan text: default to zero.
-                ranges: ranges.unwrap_or(0),
                 label,
                 hops,
             });
@@ -275,28 +261,7 @@ pub fn plan_select<G: AttributedView + ?Sized>(
         }
     }
     let residual_count = residual.len();
-    let mut domains = gdm_algo::planned::auto_domains(g, &query.pattern);
-    let mut range_counts = vec![0usize; query.pattern.nodes.len()];
-    // Edge-range pushdown: a pattern edge carrying range constraints
-    // (`Pattern::edge_range`) narrows *both* endpoint variables to the
-    // endpoints of index-qualifying edges, through the view's ordered
-    // edge indexes. The constraint stays on the edge — the matcher
-    // re-applies it exactly — so over-approximating index bounds
-    // (inclusive, number-family loose) never change results.
-    for e in &query.pattern.edges {
-        seed_edge_range_domains(g, e, &mut domains, &mut range_counts);
-    }
-    // Range-predicate pushdown: residual conjuncts of the form
-    // `var.key < literal` (any of <, <=, >, >=, either operand order)
-    // seed the variable's candidate domain from the view's ordered
-    // index. The conjunct *stays* in the residual — index range bounds
-    // are inclusive and number-family loose, so the exact filter
-    // re-check keeps the result set identical — which also keeps the
-    // degradation-ladder fallback (domains discarded, reference
-    // matcher) correct with no special casing.
-    for c in &residual {
-        seed_range_domain(g, &query.pattern, c, &mut domains, &mut range_counts);
-    }
+    let domains = gdm_algo::planned::auto_domains(g, &query.pattern);
     query.filter = residual
         .into_iter()
         .reduce(|a, b| Expr::bin(BinOp::And, a, b));
@@ -322,7 +287,6 @@ pub fn plan_select<G: AttributedView + ?Sized>(
                 },
                 estimate: estimates[i],
                 props: pn.props.len(),
-                ranges: range_counts[i],
                 label: pn.label.clone(),
                 hops: generator.and_then(|ei| query.pattern.edges[ei].hops),
             }
@@ -370,114 +334,6 @@ pub fn execute_planned_governed<G: AttributedView + ?Sized>(
 ) -> Result<ResultSet> {
     let table = match_pattern_seeded(g, &planned.query.pattern, &planned.domains, guard)?;
     finish_select(g, &planned.query, &table)
-}
-
-/// Narrows both endpoint variables of a range-constrained pattern edge
-/// to the endpoints of edges an ordered edge index says qualify.
-/// Direction decides which pair component feeds which variable; `Both`
-/// takes the union of the components for each endpoint (loose but
-/// complete — the matcher's exact re-check tightens).
-fn seed_edge_range_domains<G: AttributedView + ?Sized>(
-    g: &G,
-    e: &gdm_algo::PatternEdge,
-    domains: &mut Domains,
-    counts: &mut [usize],
-) {
-    use gdm_core::Direction;
-    for (key, low, high) in &e.ranges {
-        let Some(pairs) = g.edge_range_candidates(key, low.as_ref(), high.as_ref()) else {
-            continue; // no ordered edge index for this key
-        };
-        let (mut from_ids, mut to_ids): (Vec<_>, Vec<_>) = match e.direction {
-            Direction::Outgoing => pairs.iter().map(|&(f, t)| (f, t)).unzip(),
-            Direction::Incoming => pairs.iter().map(|&(f, t)| (t, f)).unzip(),
-            Direction::Both => {
-                let all: Vec<_> = pairs.iter().flat_map(|&(f, t)| [f, t]).collect();
-                (all.clone(), all)
-            }
-        };
-        for (var, ids) in [(e.from, &mut from_ids), (e.to, &mut to_ids)] {
-            ids.sort_unstable_by_key(|n| n.raw());
-            ids.dedup();
-            counts[var] += 1;
-            domains[var] = Some(match domains[var].take() {
-                None => std::mem::take(ids),
-                Some(prev) => intersect_sorted(&prev, ids),
-            });
-        }
-    }
-}
-
-/// If `expr` is a range conjunct an ordered index can bound, narrows
-/// the variable's domain to the index range (intersecting any domain
-/// already seeded by equality pushdown) and bumps its range count.
-fn seed_range_domain<G: AttributedView + ?Sized>(
-    g: &G,
-    pattern: &Pattern,
-    expr: &Expr,
-    domains: &mut Domains,
-    counts: &mut [usize],
-) {
-    let Expr::Bin(op, lhs, rhs) = expr else {
-        return;
-    };
-    // Normalize `literal OP var.key` to `var.key OP' literal`.
-    let (var, key, value, op) = match (&**lhs, &**rhs) {
-        (Expr::Prop(v, k), Expr::Lit(val)) => (v, k, val, *op),
-        (Expr::Lit(val), Expr::Prop(v, k)) => {
-            let flipped = match op {
-                BinOp::Lt => BinOp::Gt,
-                BinOp::Le => BinOp::Ge,
-                BinOp::Gt => BinOp::Lt,
-                BinOp::Ge => BinOp::Le,
-                other => *other,
-            };
-            (v, k, val, flipped)
-        }
-        _ => return,
-    };
-    let (low, high) = match op {
-        BinOp::Lt | BinOp::Le => (None, Some(value)),
-        BinOp::Gt | BinOp::Ge => (Some(value), None),
-        _ => return,
-    };
-    // Comparisons with NULL are false for every binding, and the
-    // pseudo-properties are computed at eval time — a stored property
-    // that happens to share their name would not be what the filter
-    // compares, so seeding from its index would drop valid rows.
-    if matches!(value, Value::Null) || matches!(key.as_str(), "id" | "degree" | "label") {
-        return;
-    }
-    let Some(i) = pattern.nodes.iter().position(|n| n.var == *var) else {
-        return;
-    };
-    let Some(ids) = g.range_candidates(key, low, high) else {
-        return;
-    };
-    counts[i] += 1;
-    domains[i] = Some(match domains[i].take() {
-        None => ids,
-        // Both lists ascend by id (the `AttributedView` contract), so
-        // a between-shaped conjunct pair intersects in one merge pass.
-        Some(prev) => intersect_sorted(&prev, &ids),
-    });
-}
-
-fn intersect_sorted(a: &[gdm_core::NodeId], b: &[gdm_core::NodeId]) -> Vec<gdm_core::NodeId> {
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].raw().cmp(&b[j].raw()) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out
 }
 
 /// Splits `expr` into its top-level AND conjuncts.
@@ -763,7 +619,7 @@ mod tests {
     }
 
     #[test]
-    fn edge_ranges_seed_endpoint_domains() {
+    fn edge_ranges_filter_rows_on_live_and_frozen_views() {
         let mut g = PropertyGraph::new();
         let mut people = Vec::new();
         for i in 0..10i64 {
@@ -790,28 +646,26 @@ mod tests {
             name: "i".into(),
             expr: Expr::Prop("a".into(), "i".into()),
         });
+        // The range stays on the pattern edge, which every matcher
+        // re-checks per edge: it seeds no endpoint domain.
         let planned = plan_select(&g, &q).unwrap();
-        // Both endpoints narrowed from the edge index: 3 qualifying
-        // edges → at most 3 candidates per endpoint, counted as range
-        // seeding on both steps.
-        for step in &planned.explain.steps {
-            assert_eq!(step.ranges, 1, "step {}", step.var);
-            assert_eq!(step.access, Access::Index, "step {}", step.var);
-            assert!(step.estimate <= 3, "step {}: {}", step.var, step.estimate);
-        }
+        assert!(planned.domains.iter().all(Option::is_none));
         let (rs, _) = evaluate_select_planned(&g, &q).unwrap();
+        assert_eq!(rs, evaluate_select_unplanned(&g, &q).unwrap());
         assert_eq!(rs.len(), 3);
-        // The frozen snapshot answers identically through its own
-        // freeze-time edge-range index plus the batch executor.
+        // The frozen snapshot answers identically through the batch
+        // executor.
         let fz = gdm_algo::FrozenGraph::freeze(&g);
         let (rs_fz, _) = evaluate_select_planned(&fz, &q).unwrap();
-        assert_eq!(rs_fz.len(), 3);
+        assert_eq!(rs_fz, rs);
     }
 
     /// A re-freeze that deletes a node swap-removes it, so dense order
     /// stops being id order; a snapshot's `{key: value}` candidates must
-    /// still ascend by id, or intersecting them with an edge-range
-    /// domain drops rows.
+    /// still ascend by id, as [`AttributedView::candidates`] promises,
+    /// and a planned edge-range query over them must answer like the
+    /// live graph. (Its name is from when an edge range seeded a domain
+    /// that these candidates were intersected with.)
     #[test]
     fn snapshot_domains_intersect_after_a_swap_remove() {
         use gdm_core::DeltaTracker;

@@ -491,12 +491,34 @@ proptest! {
     }
 }
 
-/// Deterministic range-pushdown checks the property suite cannot pin
-/// down: the plan must *say* it seeded from the ordered index, strict
-/// bounds must stay exact despite the index's inclusive ranges, and a
-/// between-shaped conjunct pair must intersect to one domain.
+/// Range predicates only filter, on every view: `plan_select` gives
+/// the live graph and its snapshot one plan, and both answer with the
+/// reference rows. Strict bounds stay exact, a between-shaped conjunct
+/// pair keeps both bounds, and a key no node carries matches nothing.
 #[test]
-fn range_predicates_seed_ordered_indexes() {
+fn range_predicates_filter_alike_on_live_and_frozen_views() {
+    use graph_db_models::query::plan::Access;
+    use graph_db_models::query::ResultSet;
+
+    /// Plans `q` on `g` and on its snapshot, checks the two plans are
+    /// equal and both views return the unplanned rows, and returns
+    /// those rows with the plan.
+    fn one_policy(g: &PropertyGraph, q: &SelectQuery) -> (ResultSet, ExplainPlan) {
+        let fz = FrozenGraph::freeze(g);
+        let live = plan_select(g, q).expect("plans on the live graph");
+        let frozen = plan_select(&fz, q).expect("plans on the snapshot");
+        assert_eq!(live.explain, frozen.explain, "one plan on both views");
+        let reference = evaluate_select_unplanned(g, q).unwrap();
+        let guard = ExecutionGuard::unlimited();
+        let rows = execute_planned_governed(g, &live, &guard).expect("live rows");
+        assert_eq!(rows, reference);
+        let rows = execute_planned_governed(&fz, &frozen, &guard).expect("snapshot rows");
+        assert_eq!(rows, reference);
+        let parsed = ExplainPlan::parse(&live.explain.render()).expect("plan text round-trips");
+        assert_eq!(parsed, live.explain);
+        (reference, live.explain)
+    }
+
     let mut g = PropertyGraph::new();
     for (name, age) in [("ada", 36), ("bob", 25), ("cleo", 41), ("dan", 36)] {
         g.add_node("person", props! { "name" => name, "age" => age });
@@ -513,50 +535,63 @@ fn range_predicates_seed_ordered_indexes() {
     };
     let age = || Expr::Prop("p".into(), "age".into());
 
-    // Strict bound: age > 36 must exclude the boundary value even
-    // though the index range is inclusive.
+    // Strict bound: age > 36 excludes the boundary value.
     let q = range_query(Expr::bin(BinOp::Gt, age(), Expr::Lit(Value::from(36))));
-    let (rows, explain) = evaluate_select_planned(&g, &q).expect("planned path evaluates");
-    assert_eq!(rows, evaluate_select_unplanned(&g, &q).unwrap());
+    let (rows, explain) = one_policy(&g, &q);
     assert_eq!(rows.len(), 1, "only cleo is over 36");
     assert_eq!(rows.rows[0][0], Value::from("cleo"));
-    let step = &explain.steps[0];
-    assert_eq!(step.ranges, 1, "one range predicate seeded");
     assert_eq!(
-        step.access,
-        graph_db_models::query::plan::Access::Index,
-        "range seeding upgrades the scan to index access"
+        explain.steps[0].access,
+        Access::Scan,
+        "a range seeds nothing"
     );
     assert_eq!(explain.residual, 1, "the predicate stays in the filter");
-    let parsed = ExplainPlan::parse(&explain.render()).expect("ranges field round-trips");
-    assert_eq!(parsed, explain);
 
-    // Between-shaped pair: 30 <= age AND age < 40 intersects both
-    // index probes (ranges=2) and still matches the reference rows.
+    // Between-shaped pair: 30 <= age AND age < 40.
     let q = range_query(Expr::bin(
         BinOp::And,
         Expr::bin(BinOp::Le, Expr::Lit(Value::from(30)), age()),
         Expr::bin(BinOp::Lt, age(), Expr::Lit(Value::from(40))),
     ));
-    let (rows, explain) = evaluate_select_planned(&g, &q).expect("planned path evaluates");
-    assert_eq!(rows, evaluate_select_unplanned(&g, &q).unwrap());
+    let (rows, explain) = one_policy(&g, &q);
     assert_eq!(rows.len(), 2, "ada and dan are in [30, 40)");
-    assert_eq!(explain.steps[0].ranges, 2, "both bounds seeded");
+    assert_eq!(explain.residual, 2, "both bounds stay in the filter");
 
-    // A never-indexed key cannot seed; the query still answers by scan.
+    // A never-indexed key: the query still answers by scan.
     let q = range_query(Expr::bin(
         BinOp::Lt,
         Expr::Prop("p".into(), "salary".into()),
         Expr::Lit(Value::from(10)),
     ));
-    let (rows, explain) = evaluate_select_planned(&g, &q).expect("planned path evaluates");
-    assert_eq!(rows, evaluate_select_unplanned(&g, &q).unwrap());
+    let (rows, explain) = one_policy(&g, &q);
     assert!(rows.is_empty(), "nobody has a salary property");
-    assert_eq!(explain.steps[0].ranges, 0, "no ordered index covers salary");
-    assert_eq!(
-        explain.steps[0].access,
-        graph_db_models::query::plan::Access::Scan
-    );
+    assert_eq!(explain.steps[0].access, Access::Scan);
+
+    // An edge range stays on its pattern edge: a ring of ten `knows`
+    // edges, `since` 2000..=2009, three of them in [2003, 2005].
+    let mut g = PropertyGraph::new();
+    let people: Vec<NodeId> = (0..10i64)
+        .map(|i| g.add_node("person", props! { "i" => i }))
+        .collect();
+    for i in 0..10usize {
+        let since = props! { "since" => 2000 + i as i64 };
+        g.add_edge(people[i], people[(i + 1) % 10], "knows", since)
+            .unwrap();
+    }
+    let mut q = SelectQuery::default();
+    let a = q.pattern.node(PatternNode::var("a"));
+    let b = q.pattern.node(PatternNode::var("b"));
+    q.pattern.edge(a, b, Some("knows")).unwrap();
+    q.pattern
+        .edge_range("since", Some(Value::from(2003)), Some(Value::from(2005)))
+        .unwrap();
+    q.projections.push(Projection::Expr {
+        name: "i".into(),
+        expr: Expr::Prop("a".into(), "i".into()),
+    });
+    let (rows, explain) = one_policy(&g, &q);
+    assert_eq!(rows.len(), 3);
+    assert!(explain.steps.iter().all(|s| s.access == Access::Scan));
 }
 
 fn probe_values() -> Vec<Value> {
