@@ -383,7 +383,8 @@ impl GraphView for HyperGraph {
         self.link_ids()
             .into_iter()
             .map(|l| {
-                let k = self.arity(l).expect("live link");
+                let targets = self.targets(l).expect("live link");
+                let k = targets.iter().filter(|&&t| self.is_node(t)).count();
                 k * (k.saturating_sub(1)) / 2
             })
             .sum()
@@ -415,11 +416,21 @@ impl GraphView for HyperGraph {
 }
 
 impl HyperGraph {
+    fn is_node(&self, id: AtomId) -> bool {
+        self.contains(id) && !self.is_link(id)
+    }
+
+    /// The two-section's edges at node `n`. It is a graph over node
+    /// atoms: a link targeting a link (an edge between edges) projects
+    /// onto pairs among its node targets only.
     fn visit_pairs(&self, n: NodeId, forward: bool, f: &mut dyn FnMut(EdgeRef)) {
         let atom_id = AtomId(n.raw());
         let Ok(atom) = self.atom(atom_id) else {
             return;
         };
+        if !matches!(atom.kind, AtomKind::Node) {
+            return;
+        }
         for &link in &atom.incidence {
             let Ok(targets) = self.targets(link) else {
                 continue;
@@ -435,7 +446,7 @@ impl HyperGraph {
                     Box::new(targets[..i].iter())
                 };
                 for &other in range {
-                    if other == atom_id {
+                    if other == atom_id || !self.is_node(other) {
                         continue; // repeated occurrences handled per position
                     }
                     f(EdgeRef {
@@ -497,6 +508,13 @@ mod tests {
             .unwrap();
         assert!(h.is_link(provenance));
         assert_eq!(h.incidence(knows).unwrap(), &[provenance]);
+        // The two-section is a graph over node atoms: `provenance`
+        // targets a link, so it projects onto no pair.
+        let view: &dyn GraphView = &h;
+        assert_eq!(view.edge_count(), 1);
+        assert!(view.out_edges(NodeId(src.raw())).is_empty());
+        assert!(view.in_edges(NodeId(src.raw())).is_empty());
+        assert!(view.out_edges(NodeId(knows.raw())).is_empty());
     }
 
     #[test]
