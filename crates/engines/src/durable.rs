@@ -1,19 +1,22 @@
 //! Durable mode for the engine facade: logical-operation journaling
 //! over the `gdm-wal` subsystem.
 //!
-//! [`DurableEngine`] wraps any [`GraphEngine`] and records every
-//! successful data mutation as a *logical operation* in a write-ahead
-//! log. The journal is the log: each operation is one `Put` record
-//! whose key is the operation's sequence number (8 bytes, big-endian)
-//! and whose value is [`LogicalOp::encode`], appended straight to a
-//! [`Wal`], so group commit, segment rotation and torn-tail recovery
-//! come from `gdm-wal` unchanged and no copy of the journal is kept in
-//! memory. On reopen, [`Wal::open`] streams the committed operations in
-//! log order and the wrapper re-applies each to a fresh engine. Engines
-//! allocate ids deterministically, and a rollback rewinds the
-//! allocators with the rest of the model, so replaying only the
-//! committed operations reproduces the exact same `NodeId`/`EdgeId`
-//! assignment.
+//! [`DurableEngine`] wraps any [`GraphEngine`]. Every facade write
+//! reaches an engine as one [`LogicalOp`] through
+//! [`GraphEngine::apply`], and the wrapper's `apply` is its whole
+//! journal: it encodes the op, applies it to the inner engine, and
+//! appends the record only once the engine has accepted it. The
+//! journal is the log: each operation is one `Put` record whose key is
+//! the operation's sequence number (8 bytes, big-endian) and whose
+//! value is [`LogicalOp::encode`], appended straight to a [`Wal`], so
+//! group commit, segment rotation and torn-tail recovery come from
+//! `gdm-wal` unchanged and no copy of the journal is kept in memory.
+//! On reopen, [`Wal::open`] streams the committed operations in log
+//! order, and each is decoded and applied to a fresh engine through
+//! the same `apply` a live write takes. Engines allocate ids
+//! deterministically, and a rollback rewinds the allocators with the
+//! rest of the model, so replaying only the committed operations
+//! reproduces the exact same `NodeId`/`EdgeId` assignment.
 //!
 //! Facade transactions map one-to-one onto log transactions:
 //! operations inside `begin_transaction`…`commit_transaction` become
@@ -32,352 +35,18 @@
 use crate::facade::{
     make_engine, AnalysisFunc, EngineDescriptor, EngineKind, GraphEngine, SummaryFunc,
 };
+use crate::op::{Created, LogicalOp};
 use gdm_algo::pattern::Pattern;
-use gdm_core::{EdgeId, GdmError, NodeId, PropertyMap, Result, Value};
+use gdm_core::{GdmError, NodeId, Result, Value};
 use gdm_query::eval::ResultSet;
 use gdm_schema::Constraint;
 use gdm_storage::codec;
 use gdm_wal::{Record, RecoveryReport, Wal, WalFs, WalOptions};
 use std::path::{Path, PathBuf};
 
-/// One journaled mutation, in facade terms.
-#[derive(Debug, Clone, PartialEq)]
-pub enum LogicalOp {
-    /// `create_node`.
-    CreateNode {
-        /// Node label, when the model has them.
-        label: Option<String>,
-        /// Initial properties.
-        props: PropertyMap,
-    },
-    /// `create_edge`.
-    CreateEdge {
-        /// Source node.
-        from: NodeId,
-        /// Target node.
-        to: NodeId,
-        /// Edge label.
-        label: Option<String>,
-        /// Initial properties.
-        props: PropertyMap,
-    },
-    /// `create_hyperedge`.
-    CreateHyperedge {
-        /// Hyperedge label.
-        label: String,
-        /// Connected nodes.
-        targets: Vec<NodeId>,
-        /// Initial properties.
-        props: PropertyMap,
-    },
-    /// `create_edge_on_edge`.
-    CreateEdgeOnEdge {
-        /// Source edge.
-        from: EdgeId,
-        /// Target node.
-        to: NodeId,
-        /// Edge label.
-        label: String,
-    },
-    /// `set_node_attribute`.
-    SetNodeAttr {
-        /// The node.
-        node: NodeId,
-        /// Attribute name.
-        key: String,
-        /// New value.
-        value: Value,
-    },
-    /// `set_edge_attribute`.
-    SetEdgeAttr {
-        /// The edge.
-        edge: EdgeId,
-        /// Attribute name.
-        key: String,
-        /// New value.
-        value: Value,
-    },
-    /// `delete_node`.
-    DeleteNode {
-        /// The node.
-        node: NodeId,
-    },
-    /// `delete_edge`.
-    DeleteEdge {
-        /// The edge.
-        edge: EdgeId,
-    },
-    /// `execute_ddl`.
-    Ddl {
-        /// Statement text.
-        statement: String,
-    },
-    /// `execute_dml`.
-    Dml {
-        /// Statement text.
-        statement: String,
-    },
-    /// `create_index`.
-    CreateIndex {
-        /// Indexed property name.
-        property: String,
-    },
-}
-
-const OP_CREATE_NODE: u8 = 1;
-const OP_CREATE_EDGE: u8 = 2;
-const OP_CREATE_HYPEREDGE: u8 = 3;
-const OP_CREATE_EDGE_ON_EDGE: u8 = 4;
-const OP_SET_NODE_ATTR: u8 = 5;
-const OP_SET_EDGE_ATTR: u8 = 6;
-const OP_DELETE_NODE: u8 = 7;
-const OP_DELETE_EDGE: u8 = 8;
-const OP_DDL: u8 = 9;
-const OP_DML: u8 = 10;
-const OP_CREATE_INDEX: u8 = 11;
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    codec::put_bytes(out, s.as_bytes());
-}
-
-fn get_str(buf: &[u8], pos: &mut usize) -> Result<String> {
-    let bytes = codec::get_bytes(buf, pos)?;
-    String::from_utf8(bytes.to_vec())
-        .map_err(|_| GdmError::Storage("non-UTF-8 string in journal".into()))
-}
-
-fn put_opt_str(out: &mut Vec<u8>, s: &Option<String>) {
-    match s {
-        Some(s) => {
-            out.push(1);
-            put_str(out, s);
-        }
-        None => out.push(0),
-    }
-}
-
-fn get_opt_str(buf: &[u8], pos: &mut usize) -> Result<Option<String>> {
-    let flag = *buf
-        .get(*pos)
-        .ok_or_else(|| GdmError::Storage("journal op truncated".into()))?;
-    *pos += 1;
-    Ok(match flag {
-        0 => None,
-        _ => Some(get_str(buf, pos)?),
-    })
-}
-
-fn put_props(out: &mut Vec<u8>, props: &PropertyMap) {
-    codec::put_varint(out, props.len() as u64);
-    for (k, v) in props.iter() {
-        put_str(out, k);
-        codec::encode_value(out, v);
-    }
-}
-
-fn get_props(buf: &[u8], pos: &mut usize) -> Result<PropertyMap> {
-    let count = codec::get_varint(buf, pos)?;
-    let mut props = PropertyMap::new();
-    for _ in 0..count {
-        let k = get_str(buf, pos)?;
-        let v = codec::decode_value(buf, pos)?;
-        props.set(k, v);
-    }
-    Ok(props)
-}
-
-impl LogicalOp {
-    /// Encodes the operation for the journal.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        match self {
-            LogicalOp::CreateNode { label, props } => {
-                out.push(OP_CREATE_NODE);
-                put_opt_str(&mut out, label);
-                put_props(&mut out, props);
-            }
-            LogicalOp::CreateEdge {
-                from,
-                to,
-                label,
-                props,
-            } => {
-                out.push(OP_CREATE_EDGE);
-                codec::put_varint(&mut out, from.raw());
-                codec::put_varint(&mut out, to.raw());
-                put_opt_str(&mut out, label);
-                put_props(&mut out, props);
-            }
-            LogicalOp::CreateHyperedge {
-                label,
-                targets,
-                props,
-            } => {
-                out.push(OP_CREATE_HYPEREDGE);
-                put_str(&mut out, label);
-                codec::put_varint(&mut out, targets.len() as u64);
-                for t in targets {
-                    codec::put_varint(&mut out, t.raw());
-                }
-                put_props(&mut out, props);
-            }
-            LogicalOp::CreateEdgeOnEdge { from, to, label } => {
-                out.push(OP_CREATE_EDGE_ON_EDGE);
-                codec::put_varint(&mut out, from.raw());
-                codec::put_varint(&mut out, to.raw());
-                put_str(&mut out, label);
-            }
-            LogicalOp::SetNodeAttr { node, key, value } => {
-                out.push(OP_SET_NODE_ATTR);
-                codec::put_varint(&mut out, node.raw());
-                put_str(&mut out, key);
-                codec::encode_value(&mut out, value);
-            }
-            LogicalOp::SetEdgeAttr { edge, key, value } => {
-                out.push(OP_SET_EDGE_ATTR);
-                codec::put_varint(&mut out, edge.raw());
-                put_str(&mut out, key);
-                codec::encode_value(&mut out, value);
-            }
-            LogicalOp::DeleteNode { node } => {
-                out.push(OP_DELETE_NODE);
-                codec::put_varint(&mut out, node.raw());
-            }
-            LogicalOp::DeleteEdge { edge } => {
-                out.push(OP_DELETE_EDGE);
-                codec::put_varint(&mut out, edge.raw());
-            }
-            LogicalOp::Ddl { statement } => {
-                out.push(OP_DDL);
-                put_str(&mut out, statement);
-            }
-            LogicalOp::Dml { statement } => {
-                out.push(OP_DML);
-                put_str(&mut out, statement);
-            }
-            LogicalOp::CreateIndex { property } => {
-                out.push(OP_CREATE_INDEX);
-                put_str(&mut out, property);
-            }
-        }
-        out
-    }
-
-    /// Decodes an operation written by [`LogicalOp::encode`].
-    pub fn decode(buf: &[u8]) -> Result<LogicalOp> {
-        let mut pos = 0usize;
-        let tag = *buf
-            .first()
-            .ok_or_else(|| GdmError::Storage("empty journal op".into()))?;
-        pos += 1;
-        let op = match tag {
-            OP_CREATE_NODE => LogicalOp::CreateNode {
-                label: get_opt_str(buf, &mut pos)?,
-                props: get_props(buf, &mut pos)?,
-            },
-            OP_CREATE_EDGE => LogicalOp::CreateEdge {
-                from: NodeId(codec::get_varint(buf, &mut pos)?),
-                to: NodeId(codec::get_varint(buf, &mut pos)?),
-                label: get_opt_str(buf, &mut pos)?,
-                props: get_props(buf, &mut pos)?,
-            },
-            OP_CREATE_HYPEREDGE => {
-                let label = get_str(buf, &mut pos)?;
-                let count = codec::get_varint(buf, &mut pos)?;
-                let mut targets = Vec::with_capacity(count as usize);
-                for _ in 0..count {
-                    targets.push(NodeId(codec::get_varint(buf, &mut pos)?));
-                }
-                LogicalOp::CreateHyperedge {
-                    label,
-                    targets,
-                    props: get_props(buf, &mut pos)?,
-                }
-            }
-            OP_CREATE_EDGE_ON_EDGE => LogicalOp::CreateEdgeOnEdge {
-                from: EdgeId(codec::get_varint(buf, &mut pos)?),
-                to: NodeId(codec::get_varint(buf, &mut pos)?),
-                label: get_str(buf, &mut pos)?,
-            },
-            OP_SET_NODE_ATTR => LogicalOp::SetNodeAttr {
-                node: NodeId(codec::get_varint(buf, &mut pos)?),
-                key: get_str(buf, &mut pos)?,
-                value: codec::decode_value(buf, &mut pos)?,
-            },
-            OP_SET_EDGE_ATTR => LogicalOp::SetEdgeAttr {
-                edge: EdgeId(codec::get_varint(buf, &mut pos)?),
-                key: get_str(buf, &mut pos)?,
-                value: codec::decode_value(buf, &mut pos)?,
-            },
-            OP_DELETE_NODE => LogicalOp::DeleteNode {
-                node: NodeId(codec::get_varint(buf, &mut pos)?),
-            },
-            OP_DELETE_EDGE => LogicalOp::DeleteEdge {
-                edge: EdgeId(codec::get_varint(buf, &mut pos)?),
-            },
-            OP_DDL => LogicalOp::Ddl {
-                statement: get_str(buf, &mut pos)?,
-            },
-            OP_DML => LogicalOp::Dml {
-                statement: get_str(buf, &mut pos)?,
-            },
-            OP_CREATE_INDEX => LogicalOp::CreateIndex {
-                property: get_str(buf, &mut pos)?,
-            },
-            other => return Err(GdmError::Storage(format!("unknown journal op tag {other}"))),
-        };
-        if pos != buf.len() {
-            return Err(GdmError::Storage("trailing bytes after journal op".into()));
-        }
-        Ok(op)
-    }
-
-    /// Applies the operation to an engine (the replay path). The return
-    /// values are discarded — ids are reproduced by the engine's own
-    /// deterministic allocation.
-    pub fn apply(&self, engine: &mut dyn GraphEngine) -> Result<()> {
-        match self {
-            LogicalOp::CreateNode { label, props } => {
-                engine.create_node(label.as_deref(), props.clone())?;
-            }
-            LogicalOp::CreateEdge {
-                from,
-                to,
-                label,
-                props,
-            } => {
-                engine.create_edge(*from, *to, label.as_deref(), props.clone())?;
-            }
-            LogicalOp::CreateHyperedge {
-                label,
-                targets,
-                props,
-            } => {
-                engine.create_hyperedge(label, targets, props.clone())?;
-            }
-            LogicalOp::CreateEdgeOnEdge { from, to, label } => {
-                engine.create_edge_on_edge(*from, *to, label)?;
-            }
-            LogicalOp::SetNodeAttr { node, key, value } => {
-                engine.set_node_attribute(*node, key, value.clone())?;
-            }
-            LogicalOp::SetEdgeAttr { edge, key, value } => {
-                engine.set_edge_attribute(*edge, key, value.clone())?;
-            }
-            LogicalOp::DeleteNode { node } => engine.delete_node(*node)?,
-            LogicalOp::DeleteEdge { edge } => engine.delete_edge(*edge)?,
-            LogicalOp::Ddl { statement } => engine.execute_ddl(statement)?,
-            LogicalOp::Dml { statement } => engine.execute_dml(statement)?,
-            LogicalOp::CreateIndex { property } => engine.create_index(property)?,
-        }
-        Ok(())
-    }
-}
-
 /// A [`GraphEngine`] whose committed mutations survive crashes.
 pub struct DurableEngine<F: WalFs> {
     inner: Box<dyn GraphEngine>,
-    kind: EngineKind,
     wal: Wal<F>,
     /// The open facade transaction's log transaction id.
     txn: Option<u64>,
@@ -404,14 +73,13 @@ impl<F: WalFs> DurableEngine<F> {
         let mut inner = make_engine(kind, scratch)?;
         let mut next_op = 0u64;
         let (wal, report) = Wal::open(fs, opts, |key, bytes| {
-            LogicalOp::decode(bytes)?.apply(inner.as_mut())?;
+            inner.apply(LogicalOp::decode(bytes)?)?;
             next_op = next_op.max(codec::get_u64(key, &mut 0)? + 1);
             Ok(())
         })?;
         Ok((
             DurableEngine {
                 inner,
-                kind,
                 wal,
                 txn: None,
                 next_op,
@@ -419,11 +87,6 @@ impl<F: WalFs> DurableEngine<F> {
             },
             report,
         ))
-    }
-
-    /// The wrapped engine kind.
-    pub fn kind(&self) -> EngineKind {
-        self.kind
     }
 
     /// Clean shutdown: writes and syncs everything buffered in the log.
@@ -440,23 +103,6 @@ impl<F: WalFs> DurableEngine<F> {
         }
         self.wal.flush()?;
         self.closed = true;
-        Ok(())
-    }
-
-    /// Appends a logical op to the log: inside the open transaction, or
-    /// as its own committed unit.
-    fn journal_op(&mut self, op: &LogicalOp) -> Result<()> {
-        let seq = self.next_op;
-        self.next_op += 1;
-        self.closed = false; // new work after a close() re-arms Drop's flush
-        self.wal.append(&Record::Put {
-            txn: self.txn.unwrap_or(0),
-            key: seq.to_be_bytes().to_vec(),
-            value: op.encode(),
-        });
-        if self.txn.is_none() {
-            self.wal.commit()?;
-        }
         Ok(())
     }
 
@@ -516,55 +162,24 @@ impl<F: WalFs> GraphEngine for DurableEngine<F> {
         self.inner.descriptor()
     }
 
-    fn create_node(&mut self, label: Option<&str>, props: PropertyMap) -> Result<NodeId> {
-        let id = self.inner.create_node(label, props.clone())?;
-        self.journal_op(&LogicalOp::CreateNode {
-            label: label.map(str::to_owned),
-            props,
-        })?;
-        Ok(id)
-    }
-
-    fn create_edge(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        label: Option<&str>,
-        props: PropertyMap,
-    ) -> Result<EdgeId> {
-        let id = self.inner.create_edge(from, to, label, props.clone())?;
-        self.journal_op(&LogicalOp::CreateEdge {
-            from,
-            to,
-            label: label.map(str::to_owned),
-            props,
-        })?;
-        Ok(id)
-    }
-
-    fn create_hyperedge(
-        &mut self,
-        label: &str,
-        targets: &[NodeId],
-        props: PropertyMap,
-    ) -> Result<EdgeId> {
-        let id = self.inner.create_hyperedge(label, targets, props.clone())?;
-        self.journal_op(&LogicalOp::CreateHyperedge {
-            label: label.to_owned(),
-            targets: targets.to_vec(),
-            props,
-        })?;
-        Ok(id)
-    }
-
-    fn create_edge_on_edge(&mut self, from: EdgeId, to: NodeId, label: &str) -> Result<EdgeId> {
-        let id = self.inner.create_edge_on_edge(from, to, label)?;
-        self.journal_op(&LogicalOp::CreateEdgeOnEdge {
-            from,
-            to,
-            label: label.to_owned(),
-        })?;
-        Ok(id)
+    /// Encodes `op`, applies it to the inner engine, and appends the
+    /// record only once the engine accepted it: inside the open
+    /// transaction, or as its own committed unit.
+    fn apply(&mut self, op: LogicalOp) -> Result<Created> {
+        let value = op.encode();
+        let created = self.inner.apply(op)?;
+        let seq = self.next_op;
+        self.next_op += 1;
+        self.closed = false; // new work after a close() re-arms Drop's flush
+        self.wal.append(&Record::Put {
+            txn: self.txn.unwrap_or(0),
+            key: seq.to_be_bytes().to_vec(),
+            value,
+        });
+        if self.txn.is_none() {
+            self.wal.commit()?;
+        }
+        Ok(created)
     }
 
     fn nest_subgraph(&mut self, node: NodeId) -> Result<()> {
@@ -573,36 +188,8 @@ impl<F: WalFs> GraphEngine for DurableEngine<F> {
         self.inner.nest_subgraph(node)
     }
 
-    fn set_node_attribute(&mut self, n: NodeId, key: &str, value: Value) -> Result<()> {
-        self.inner.set_node_attribute(n, key, value.clone())?;
-        self.journal_op(&LogicalOp::SetNodeAttr {
-            node: n,
-            key: key.to_owned(),
-            value,
-        })
-    }
-
-    fn set_edge_attribute(&mut self, e: EdgeId, key: &str, value: Value) -> Result<()> {
-        self.inner.set_edge_attribute(e, key, value.clone())?;
-        self.journal_op(&LogicalOp::SetEdgeAttr {
-            edge: e,
-            key: key.to_owned(),
-            value,
-        })
-    }
-
     fn node_attribute(&self, n: NodeId, key: &str) -> Result<Option<Value>> {
         self.inner.node_attribute(n, key)
-    }
-
-    fn delete_node(&mut self, n: NodeId) -> Result<()> {
-        self.inner.delete_node(n)?;
-        self.journal_op(&LogicalOp::DeleteNode { node: n })
-    }
-
-    fn delete_edge(&mut self, e: EdgeId) -> Result<()> {
-        self.inner.delete_edge(e)?;
-        self.journal_op(&LogicalOp::DeleteEdge { edge: e })
     }
 
     fn node_count(&self) -> usize {
@@ -623,20 +210,6 @@ impl<F: WalFs> GraphEngine for DurableEngine<F> {
 
     fn install_constraint(&mut self, _constraint: Constraint) -> Result<()> {
         Err(self.schema_ddl_not_journalable("install_constraint"))
-    }
-
-    fn execute_ddl(&mut self, statement: &str) -> Result<()> {
-        self.inner.execute_ddl(statement)?;
-        self.journal_op(&LogicalOp::Ddl {
-            statement: statement.to_owned(),
-        })
-    }
-
-    fn execute_dml(&mut self, statement: &str) -> Result<()> {
-        self.inner.execute_dml(statement)?;
-        self.journal_op(&LogicalOp::Dml {
-            statement: statement.to_owned(),
-        })
     }
 
     fn execute_query(&mut self, query: &str) -> Result<ResultSet> {
@@ -686,8 +259,8 @@ impl<F: WalFs> GraphEngine for DurableEngine<F> {
     }
 
     fn refreeze(&self, prev: &gdm_algo::FrozenGraph) -> Result<gdm_algo::FrozenGraph> {
-        // The WAL wrapper mutates only through the inner engine's typed
-        // API, so the inner delta tracker has seen every change and its
+        // The wrapper writes only through the inner engine's `apply`,
+        // so the inner delta tracker has seen every change and its
         // incremental path applies unchanged.
         self.inner.refreeze(prev)
     }
@@ -733,13 +306,6 @@ impl<F: WalFs> GraphEngine for DurableEngine<F> {
         self.wal.flush()
     }
 
-    fn create_index(&mut self, property: &str) -> Result<()> {
-        self.inner.create_index(property)?;
-        self.journal_op(&LogicalOp::CreateIndex {
-            property: property.to_owned(),
-        })
-    }
-
     fn lookup_by_property(&self, key: &str, value: &Value) -> Result<Vec<NodeId>> {
         self.inner.lookup_by_property(key, value)
     }
@@ -755,6 +321,10 @@ pub fn make_engine_durable(kind: EngineKind, dir: &Path) -> Result<Box<dyn Graph
         DurableEngine::open(kind, &dir.join("state"), fs, WalOptions::default())?;
     Ok(Box::new(engine))
 }
+
+// The unit tests build ops and graphs by hand.
+#[cfg(test)]
+use gdm_core::{EdgeId, PropertyMap};
 
 #[cfg(test)]
 mod tests {

@@ -20,6 +20,7 @@
 //! [`KvGraph`](crate::kvgraph::KvGraph)), a new `Model`.
 
 use crate::facade::{AnalysisFunc, EngineDescriptor, GraphEngine, SummaryFunc};
+use crate::op::{Created, LogicalOp};
 use gdm_algo::pattern::Pattern;
 use gdm_algo::{analysis, summary, FrozenGraph};
 use gdm_core::{
@@ -446,112 +447,168 @@ impl<M: Model> GraphEngine for Engine<M> {
         self.profile.descriptor.clone()
     }
 
-    fn create_node(&mut self, label: Option<&str>, props: PropertyMap) -> Result<NodeId> {
-        if label.is_some() {
-            self.gate(Capability::NodeLabels)?;
-        }
-        if !props.is_empty() {
-            self.gate(Capability::NodeProperties)?;
-        }
-        let n = self.model.create_node(label, props)?;
-        if let Err(violation) = self.model.validate() {
-            self.model.delete_node(n)?;
-            return Err(violation);
-        }
-        let g = self.model.graph();
-        for (key, index) in &mut self.indexes {
-            if let Some(v) = g.node_property(n, key) {
-                index.insert(&v, n.raw());
+    /// One arm per write, each in the same order: gate from the
+    /// profile → model write → `validate`, with the write's exact undo
+    /// on a violation → index upkeep → `DeltaTracker` touches.
+    fn apply(&mut self, op: LogicalOp) -> Result<Created> {
+        Ok(match op {
+            LogicalOp::CreateNode { label, props } => {
+                if label.is_some() {
+                    self.gate(Capability::NodeLabels)?;
+                }
+                if !props.is_empty() {
+                    self.gate(Capability::NodeProperties)?;
+                }
+                let n = self.model.create_node(label.as_deref(), props)?;
+                if let Err(violation) = self.model.validate() {
+                    self.model.delete_node(n)?;
+                    return Err(violation);
+                }
+                let g = self.model.graph();
+                for (key, index) in &mut self.indexes {
+                    if let Some(v) = g.node_property(n, key) {
+                        index.insert(&v, n.raw());
+                    }
+                }
+                if self.model.is_visible(n) {
+                    self.delta.get_mut().touch_node(n.raw());
+                }
+                Created::Node(n)
             }
-        }
-        if self.model.is_visible(n) {
-            self.delta.get_mut().touch_node(n.raw());
-        }
-        Ok(n)
-    }
-
-    fn create_edge(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        label: Option<&str>,
-        props: PropertyMap,
-    ) -> Result<EdgeId> {
-        if label.is_some() {
-            self.gate(Capability::EdgeLabels)?;
-        }
-        if !props.is_empty() {
-            self.gate(Capability::EdgeProperties)?;
-        }
-        let e = self.model.create_edge(from, to, label, props)?;
-        if let Err(violation) = self.model.validate() {
-            self.model.delete_edge(e)?;
-            return Err(violation);
-        }
-        let tracker = self.delta.get_mut();
-        tracker.touch_node(from.raw());
-        tracker.touch_node(to.raw());
-        Ok(e)
-    }
-
-    fn create_hyperedge(
-        &mut self,
-        label: &str,
-        targets: &[NodeId],
-        props: PropertyMap,
-    ) -> Result<EdgeId> {
-        self.gate(Capability::Hyperedges)?;
-        let e = self.model.create_hyperedge(label, targets, props)?;
-        // The view projects a hyperedge onto pairwise edges among its
-        // targets, so every target's row changes.
-        for t in targets {
-            self.delta.get_mut().touch_node(t.raw());
-        }
-        Ok(e)
-    }
-
-    fn create_edge_on_edge(&mut self, from: EdgeId, to: NodeId, label: &str) -> Result<EdgeId> {
-        self.gate(Capability::EdgesOnEdges)?;
-        let e = self.model.create_edge_on_edge(from, to, label)?;
-        // An edge over an edge projects onto the view in ways the
-        // per-node tracker cannot attribute.
-        self.delta.get_mut().mark_all();
-        Ok(e)
+            LogicalOp::CreateEdge {
+                from,
+                to,
+                label,
+                props,
+            } => {
+                if label.is_some() {
+                    self.gate(Capability::EdgeLabels)?;
+                }
+                if !props.is_empty() {
+                    self.gate(Capability::EdgeProperties)?;
+                }
+                let e = self.model.create_edge(from, to, label.as_deref(), props)?;
+                if let Err(violation) = self.model.validate() {
+                    self.model.delete_edge(e)?;
+                    return Err(violation);
+                }
+                let tracker = self.delta.get_mut();
+                tracker.touch_node(from.raw());
+                tracker.touch_node(to.raw());
+                Created::Edge(e)
+            }
+            LogicalOp::CreateHyperedge {
+                label,
+                targets,
+                props,
+            } => {
+                self.gate(Capability::Hyperedges)?;
+                let e = self.model.create_hyperedge(&label, &targets, props)?;
+                // The view projects a hyperedge onto pairwise edges among
+                // its targets, so every target's row changes.
+                for t in targets {
+                    self.delta.get_mut().touch_node(t.raw());
+                }
+                Created::Edge(e)
+            }
+            LogicalOp::CreateEdgeOnEdge { from, to, label } => {
+                self.gate(Capability::EdgesOnEdges)?;
+                let e = self.model.create_edge_on_edge(from, to, &label)?;
+                // An edge over an edge projects onto the view in ways the
+                // per-node tracker cannot attribute.
+                self.delta.get_mut().mark_all();
+                Created::Edge(e)
+            }
+            LogicalOp::SetNodeAttr {
+                node: n,
+                key,
+                value,
+            } => {
+                self.gate(Capability::SetNodeAttribute)?;
+                let indexed = self.indexes.contains_key(&key).then(|| value.clone());
+                let old = self.model.set_node_property(n, &key, value)?;
+                if let Err(violation) = self.model.validate() {
+                    match old {
+                        Some(v) => {
+                            self.model.set_node_property(n, &key, v)?;
+                        }
+                        None => self.model.remove_node_property(n, &key)?,
+                    }
+                    return Err(violation);
+                }
+                if let (Some(index), Some(new)) = (self.indexes.get_mut(&key), indexed) {
+                    if let Some(v) = old {
+                        index.remove(&v, n.raw());
+                    }
+                    index.insert(&new, n.raw());
+                }
+                self.delta.get_mut().touch_node(n.raw());
+                Created::Nothing
+            }
+            LogicalOp::SetEdgeAttr { edge, key, value } => {
+                self.gate(Capability::SetEdgeAttribute)?;
+                self.model.set_edge_property(edge, &key, value)?;
+                self.delta.get_mut().touch_edge_props(edge.raw());
+                Created::Nothing
+            }
+            LogicalOp::DeleteNode { node: n } => {
+                let g = self.model.graph();
+                let mut around = Vec::new();
+                g.visit_out_edges(n, &mut |e| around.push(e.to));
+                g.visit_in_edges(n, &mut |e| around.push(e.to));
+                let indexed: Vec<Option<Value>> = self
+                    .indexes
+                    .keys()
+                    .map(|key| g.node_property(n, key))
+                    .collect();
+                self.model.delete_node(n)?;
+                for (index, old) in self.indexes.values_mut().zip(indexed) {
+                    if let Some(v) = old {
+                        index.remove(&v, n.raw());
+                    }
+                }
+                // The re-freeze re-reads the previous neighbours of a
+                // removed node, which covers the edges the deletion
+                // cascaded to. A neighbour that left the view with `n`
+                // (RDF resources exist by incidence) must be recorded as
+                // removed itself.
+                let tracker = self.delta.get_mut();
+                tracker.remove_node(n.raw());
+                for b in around {
+                    if b != n && !self.model.is_visible(b) {
+                        tracker.remove_node(b.raw());
+                    }
+                }
+                Created::Nothing
+            }
+            LogicalOp::DeleteEdge { edge } => {
+                self.model.delete_edge(edge)?;
+                self.delta.get_mut().remove_edge(edge.raw());
+                Created::Nothing
+            }
+            LogicalOp::Ddl { statement } => {
+                self.gate(Capability::Ddl)?;
+                M::execute_ddl(self, &statement)?;
+                Created::Nothing
+            }
+            LogicalOp::Dml { statement } => {
+                self.gate(Capability::Dml)?;
+                M::execute_dml(self, &statement)?;
+                Created::Nothing
+            }
+            LogicalOp::CreateIndex { property } => {
+                self.gate(Capability::Indexes)?;
+                if let Some(index) = self.model.build_index(&property) {
+                    self.indexes.insert(property, index);
+                }
+                Created::Nothing
+            }
+        })
     }
 
     fn nest_subgraph(&mut self, _node: NodeId) -> Result<()> {
         self.gate(Capability::NestedGraphs)?;
         Err(no_hook("nest_subgraph"))
-    }
-
-    fn set_node_attribute(&mut self, n: NodeId, key: &str, value: Value) -> Result<()> {
-        self.gate(Capability::SetNodeAttribute)?;
-        let indexed = self.indexes.contains_key(key).then(|| value.clone());
-        let old = self.model.set_node_property(n, key, value)?;
-        if let Err(violation) = self.model.validate() {
-            match old {
-                Some(v) => {
-                    self.model.set_node_property(n, key, v)?;
-                }
-                None => self.model.remove_node_property(n, key)?,
-            }
-            return Err(violation);
-        }
-        if let (Some(index), Some(new)) = (self.indexes.get_mut(key), indexed) {
-            if let Some(v) = old {
-                index.remove(&v, n.raw());
-            }
-            index.insert(&new, n.raw());
-        }
-        self.delta.get_mut().touch_node(n.raw());
-        Ok(())
-    }
-
-    fn set_edge_attribute(&mut self, e: EdgeId, key: &str, value: Value) -> Result<()> {
-        self.gate(Capability::SetEdgeAttribute)?;
-        self.model.set_edge_property(e, key, value)?;
-        self.delta.get_mut().touch_edge_props(e.raw());
-        Ok(())
     }
 
     fn node_attribute(&self, n: NodeId, key: &str) -> Result<Option<Value>> {
@@ -561,42 +618,6 @@ impl<M: Model> GraphEngine for Engine<M> {
             return Err(GdmError::NotFound(format!("node {n}")));
         }
         Ok(g.node_property(n, key))
-    }
-
-    fn delete_node(&mut self, n: NodeId) -> Result<()> {
-        let g = self.model.graph();
-        let mut around = Vec::new();
-        g.visit_out_edges(n, &mut |e| around.push(e.to));
-        g.visit_in_edges(n, &mut |e| around.push(e.to));
-        let indexed: Vec<Option<Value>> = self
-            .indexes
-            .keys()
-            .map(|key| g.node_property(n, key))
-            .collect();
-        self.model.delete_node(n)?;
-        for (index, old) in self.indexes.values_mut().zip(indexed) {
-            if let Some(v) = old {
-                index.remove(&v, n.raw());
-            }
-        }
-        // The re-freeze re-reads the previous neighbours of a removed
-        // node, which covers the edges the deletion cascaded to. A
-        // neighbour that left the view with `n` (RDF resources exist
-        // by incidence) must be recorded as removed itself.
-        let tracker = self.delta.get_mut();
-        tracker.remove_node(n.raw());
-        for b in around {
-            if b != n && !self.model.is_visible(b) {
-                tracker.remove_node(b.raw());
-            }
-        }
-        Ok(())
-    }
-
-    fn delete_edge(&mut self, e: EdgeId) -> Result<()> {
-        self.model.delete_edge(e)?;
-        self.delta.get_mut().remove_edge(e.raw());
-        Ok(())
     }
 
     fn node_count(&self) -> usize {
@@ -620,16 +641,6 @@ impl<M: Model> GraphEngine for Engine<M> {
     fn install_constraint(&mut self, constraint: Constraint) -> Result<()> {
         self.gate(Capability::of_constraint(&constraint))?;
         self.model.install_constraint(constraint)
-    }
-
-    fn execute_ddl(&mut self, statement: &str) -> Result<()> {
-        self.gate(Capability::Ddl)?;
-        M::execute_ddl(self, statement)
-    }
-
-    fn execute_dml(&mut self, statement: &str) -> Result<()> {
-        self.gate(Capability::Dml)?;
-        M::execute_dml(self, statement)
     }
 
     fn execute_query(&mut self, query: &str) -> Result<ResultSet> {
@@ -791,14 +802,6 @@ impl<M: Model> GraphEngine for Engine<M> {
     fn persist(&mut self) -> Result<()> {
         self.gate(Capability::Persistence)?;
         self.model.persist()
-    }
-
-    fn create_index(&mut self, property: &str) -> Result<()> {
-        self.gate(Capability::Indexes)?;
-        if let Some(index) = self.model.build_index(property) {
-            self.indexes.insert(property.to_owned(), index);
-        }
-        Ok(())
     }
 
     fn lookup_by_property(&self, key: &str, value: &Value) -> Result<Vec<NodeId>> {

@@ -8,6 +8,7 @@
 //! GUI, a graphical query language) live in [`EngineDescriptor`].
 
 use crate::engine::Profile;
+use crate::op::{Created, LogicalOp};
 use gdm_algo::pattern::Pattern;
 use gdm_algo::summary::Aggregate;
 use gdm_core::{EdgeId, NodeId, PropertyMap, Result, Support, Value};
@@ -91,11 +92,20 @@ pub trait GraphEngine {
     /// Catalog facts (see [`EngineDescriptor`]).
     fn descriptor(&self) -> EngineDescriptor;
 
+    /// Applies one write: the one way a write reaches an engine. Every
+    /// facade mutation below builds its [`LogicalOp`] and calls this;
+    /// the answer names the node or edge the op created, if any.
+    fn apply(&mut self, op: LogicalOp) -> Result<Created>;
+
     // ---- data model (Tables III & IV probes) -----------------------
 
     /// Creates a node. `label` is the node type; engines whose model
     /// has no node labels accept `None` and reject `Some`.
-    fn create_node(&mut self, label: Option<&str>, props: PropertyMap) -> Result<NodeId>;
+    fn create_node(&mut self, label: Option<&str>, props: PropertyMap) -> Result<NodeId> {
+        let label = label.map(str::to_owned);
+        self.apply(LogicalOp::CreateNode { label, props })
+            .map(Created::node)
+    }
 
     /// Creates a binary edge.
     fn create_edge(
@@ -104,7 +114,16 @@ pub trait GraphEngine {
         to: NodeId,
         label: Option<&str>,
         props: PropertyMap,
-    ) -> Result<EdgeId>;
+    ) -> Result<EdgeId> {
+        let label = label.map(str::to_owned);
+        self.apply(LogicalOp::CreateEdge {
+            from,
+            to,
+            label,
+            props,
+        })
+        .map(Created::edge)
+    }
 
     /// Creates a hyperedge over ≥ 2 targets (hypergraph engines only).
     fn create_hyperedge(
@@ -112,11 +131,22 @@ pub trait GraphEngine {
         label: &str,
         targets: &[NodeId],
         props: PropertyMap,
-    ) -> Result<EdgeId>;
+    ) -> Result<EdgeId> {
+        self.apply(LogicalOp::CreateHyperedge {
+            label: label.to_owned(),
+            targets: targets.to_vec(),
+            props,
+        })
+        .map(Created::edge)
+    }
 
     /// Creates an edge whose source is another edge — Table III's
     /// "edges between edges".
-    fn create_edge_on_edge(&mut self, from: EdgeId, to: NodeId, label: &str) -> Result<EdgeId>;
+    fn create_edge_on_edge(&mut self, from: EdgeId, to: NodeId, label: &str) -> Result<EdgeId> {
+        let label = label.to_owned();
+        self.apply(LogicalOp::CreateEdgeOnEdge { from, to, label })
+            .map(Created::edge)
+    }
 
     /// Nests a subgraph inside a node (no surveyed engine supports
     /// this; present so Table III's "nested graphs" column is probed,
@@ -124,19 +154,39 @@ pub trait GraphEngine {
     fn nest_subgraph(&mut self, node: NodeId) -> Result<()>;
 
     /// Sets a node attribute.
-    fn set_node_attribute(&mut self, n: NodeId, key: &str, value: Value) -> Result<()>;
+    fn set_node_attribute(&mut self, n: NodeId, key: &str, value: Value) -> Result<()> {
+        let key = key.to_owned();
+        self.apply(LogicalOp::SetNodeAttr {
+            node: n,
+            key,
+            value,
+        })
+        .map(drop)
+    }
 
     /// Sets an edge attribute.
-    fn set_edge_attribute(&mut self, e: EdgeId, key: &str, value: Value) -> Result<()>;
+    fn set_edge_attribute(&mut self, e: EdgeId, key: &str, value: Value) -> Result<()> {
+        let key = key.to_owned();
+        self.apply(LogicalOp::SetEdgeAttr {
+            edge: e,
+            key,
+            value,
+        })
+        .map(drop)
+    }
 
     /// Reads a node attribute.
     fn node_attribute(&self, n: NodeId, key: &str) -> Result<Option<Value>>;
 
     /// Deletes a node (and, where the model requires it, its edges).
-    fn delete_node(&mut self, n: NodeId) -> Result<()>;
+    fn delete_node(&mut self, n: NodeId) -> Result<()> {
+        self.apply(LogicalOp::DeleteNode { node: n }).map(drop)
+    }
 
     /// Deletes an edge.
-    fn delete_edge(&mut self, e: EdgeId) -> Result<()>;
+    fn delete_edge(&mut self, e: EdgeId) -> Result<()> {
+        self.apply(LogicalOp::DeleteEdge { edge: e }).map(drop)
+    }
 
     /// Number of nodes.
     fn node_count(&self) -> usize;
@@ -159,10 +209,16 @@ pub trait GraphEngine {
     // ---- languages (Tables II & V probes) ---------------------------
 
     /// Executes a DDL statement in the engine's own dialect.
-    fn execute_ddl(&mut self, statement: &str) -> Result<()>;
+    fn execute_ddl(&mut self, statement: &str) -> Result<()> {
+        let statement = statement.to_owned();
+        self.apply(LogicalOp::Ddl { statement }).map(drop)
+    }
 
     /// Executes a DML statement in the engine's own dialect.
-    fn execute_dml(&mut self, statement: &str) -> Result<()>;
+    fn execute_dml(&mut self, statement: &str) -> Result<()> {
+        let statement = statement.to_owned();
+        self.apply(LogicalOp::Dml { statement }).map(drop)
+    }
 
     /// Executes a read query in the engine's own dialect.
     fn execute_query(&mut self, query: &str) -> Result<ResultSet>;
@@ -290,7 +346,10 @@ pub trait GraphEngine {
     fn persist(&mut self) -> Result<()>;
 
     /// Creates a secondary index on a node property.
-    fn create_index(&mut self, property: &str) -> Result<()>;
+    fn create_index(&mut self, property: &str) -> Result<()> {
+        let property = property.to_owned();
+        self.apply(LogicalOp::CreateIndex { property }).map(drop)
+    }
 
     /// Point lookup by property value; routes through an index when
     /// one exists.

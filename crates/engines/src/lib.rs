@@ -41,15 +41,17 @@ pub mod hypergraphdb;
 pub mod infinitegraph;
 pub mod kvgraph;
 pub mod neo4j;
+pub mod op;
 pub mod sones;
 pub mod vertexdb;
 
-pub use durable::{make_engine_durable, DurableEngine, LogicalOp};
+pub use durable::{make_engine_durable, DurableEngine};
 pub use engine::{Capability, Engine, Model, Profile};
 pub use facade::{
     all_engines, make_engine, AnalysisFunc, EngineDescriptor, EngineKind, GraphEngine,
     ServingSnapshot, SummaryFunc,
 };
+pub use op::{Created, LogicalOp};
 
 // Re-exported so downstream code can name the error type without a
 // gdm-core dependency.
