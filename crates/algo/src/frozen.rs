@@ -22,10 +22,10 @@
 //! mutations of the source are invisible to the snapshot.
 //!
 //! **Slabbed layout.** Each CSR direction is chopped into fixed-size
-//! *slabs* of [`SLAB_NODES`] consecutive dense rows, each slab an
+//! *slabs* of `SLAB_NODES` consecutive dense rows, each slab an
 //! independently `Arc`-shared block of offsets/targets/edge-ids/labels.
 //! Queries never notice —
-//! [`Csr::run`] hands out the same contiguous per-row slices as a flat
+//! `Csr::run` hands out the same contiguous per-row slices as a flat
 //! layout — but the incremental re-freeze path
 //! ([`crate::refreeze`]) can now share every untouched slab with the
 //! previous snapshot by bumping a reference count instead of copying,
@@ -50,7 +50,7 @@
 //! [`GraphView`] impl.
 //!
 //! **Property storage.** Node and edge property lists share one type,
-//! [`Props`]: an exact-size `Arc<[(Symbol, Value)]>` whose keys are
+//! `Props`: an exact-size `Arc<[(Symbol, Value)]>` whose keys are
 //! interned in the snapshot's own key interner — apart from the label
 //! interner, so a property key never makes
 //! [`FrozenGraph::label_symbol`] report a label. A property-less node

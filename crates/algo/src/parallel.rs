@@ -1,13 +1,13 @@
 //! The fan-out driver of the pattern pipeline.
 //!
-//! [`fan_out`] is the crate's one `std::thread::scope` call site. Its
+//! `fan_out` is the crate's one `std::thread::scope` call site. Its
 //! one caller is the [`crate::vectorized`] batch pipeline, which splits
 //! a pattern's root domain into **morsels** (contiguous index ranges)
 //! and runs them through it:
 //!
 //! * **Work is admitted, not assumed.** The caller estimates the visits
-//!   a match will make and asks [`admitted_workers`]: under
-//!   [`FAN_OUT_MIN_VISITS`] the match gets one worker — its caller — and
+//!   a match will make and asks `admitted_workers`: under
+//!   `FAN_OUT_MIN_VISITS` the match gets one worker — its caller — and
 //!   no thread is spawned for it.
 //! * **The caller runs.** The calling thread is worker 0 and starts
 //!   claiming morsels from the shared cursor at once; helpers only ever
@@ -24,12 +24,12 @@
 //!   confines the spawn to work it is a small fraction of (DESIGN.md
 //!   §13).
 //! * **Deterministic reduce.** Workers tag what they produce with its
-//!   morsel index and [`in_morsel_order`] reassembles it, so every
+//!   morsel index and `in_morsel_order` reassembles it, so every
 //!   output equals the sequential run's whatever the worker count.
 //! * **Panic isolation.** Every worker body — the caller's share too —
 //!   runs inside `catch_unwind`; a panicking worker never unwinds into
 //!   [`std::thread::scope`] (which would re-panic on the caller).
-//!   Instead the queue is aborted, [`fan_out`] returns `None`, and the
+//!   Instead the queue is aborted, `fan_out` returns `None`, and the
 //!   caller recomputes sequentially: the same answer without the
 //!   speedup — the first rung of the governor's degradation ladder
 //!   (DESIGN.md §11).

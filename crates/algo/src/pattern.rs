@@ -468,7 +468,7 @@ fn has_edge<G: AttributedView + ?Sized>(
 /// `direction`? Nodes and edges may repeat along the walk.
 ///
 /// It is the one breadth-first search here that does not run through
-/// [`walk_levels`](crate::traverse::walk_levels), on purpose: it is the
+/// `walk_levels`, on purpose: it is the
 /// oracle the variable-length edge, which that kernel evaluates, is
 /// tested against, and an oracle sharing the kernel's code would share
 /// its faults.

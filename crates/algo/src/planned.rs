@@ -16,7 +16,7 @@
 //! A variable-length pattern edge ([`Pattern::edge_hops`]) is an
 //! operator of both executors, not a filter over finished bindings:
 //! chosen as a variable's generating edge it is expanded from the bound
-//! endpoint by [`walk_levels`], and with both endpoints bound it is the
+//! endpoint by `walk_levels`, and with both endpoints bound it is the
 //! same walk stopped at the first arrival.
 //!
 //! Results land in a flat [`MatchTable`] (one row per match, one

@@ -14,7 +14,7 @@
 //!   walk spell a word in the language?) in polynomial time: a
 //!   breadth-first walk of the product of the graph with the NFA,
 //!   through the crate's one level-walk kernel
-//!   [`walk_levels`];
+//!   `walk_levels`;
 //! * [`regular_simple_paths`] enumerates *simple* paths matching the
 //!   expression by backtracking under an [`ExecutionGuard`], failing
 //!   loudly with [`GdmError::Interrupted`] when the guard trips. It is
@@ -366,7 +366,7 @@ fn remove(set: &mut [u64], s: usize) {
 
 /// Walk semantics: is there any walk from `a` to `b` whose label word
 /// matches `regex`? A breadth-first walk, through
-/// [`walk_levels`], of the product of the graph with the automaton:
+/// `walk_levels`, of the product of the graph with the automaton:
 /// its keys are `(node, state)` pairs, a state standing for its
 /// ε-closure. Polynomial; charges one node visit per frontier key,
 /// keys whose closure has no live state included, though their edges

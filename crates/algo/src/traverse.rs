@@ -1,7 +1,7 @@
 //! Traversal machinery: the crate's one level-walk kernel,
-//! [`walk_levels`], which every breadth-first search here runs through
+//! `walk_levels`, which every breadth-first search here runs through
 //! (the pattern pipeline's variable-length edge directly, every other
-//! search by way of [`bfs`]), and a Neo4j-style fluent traversal
+//! search by way of `bfs`), and a Neo4j-style fluent traversal
 //! description, breadth- or depth-first.
 //!
 //! The paper describes Neo4j as providing "a framework for graph

@@ -22,7 +22,7 @@
 //!   walking `out_targets`/`in_targets` runs, deduplicating per source
 //!   row with a reusable stamp array (no per-row allocation);
 //! * **walk expand** — a variable-length generating edge is expanded by
-//!   [`walk_levels`]: a depth-bounded, level-synchronous frontier
+//!   `walk_levels`: a depth-bounded, level-synchronous frontier
 //!   expansion over the forward runs from a bound `from` (the reverse
 //!   runs from a bound `to`), deduplicated with the same stamp array,
 //!   emitting each distinct endpoint once per source row. The
@@ -42,16 +42,16 @@
 //! fan-out), which keeps memory bounded by `depth × (BATCH + max
 //! degree)` regardless of result size.
 //!
-//! **Morsels.** [`run_morsels`] is the pipeline's only entry. It
-//! compiles one [`BatchPlan`], and the plan decides — before paying for
+//! **Morsels.** `run_morsels` is the pipeline's only entry. It
+//! compiles one `BatchPlan`, and the plan decides — before paying for
 //! anything — where it runs. Its estimate of the candidates it will
 //! visit (exact root seed count × per-depth fan-out, from the order,
 //! generators and domains it already holds) is put to
-//! [`crate::parallel::admitted_workers`]; every point query and every
+//! `crate::parallel::admitted_workers`; every point query and every
 //! community-sized scan stays under that bar and runs once over the
 //! whole root domain on the calling thread. An admitted plan hands its
 //! root seeds — index ranges over the borrowed domain list, label slice
-//! or dense range, never a copy — to [`crate::parallel::fan_out`] as
+//! or dense range, never a copy — to `crate::parallel::fan_out` as
 //! fixed-size **morsels** (in the morsel-driven style of HyPer): the
 //! calling thread claims morsels from the shared cursor at once, and
 //! whatever helper threads the process-wide cap has free join it. Each
