@@ -15,7 +15,6 @@
 //! | `pattern` | VF2 vs brute-force subgraph matching |
 //! | `regular_paths` | product-automaton reachability scaling |
 //! | `placement` | G-Store BFS-clustered vs insertion-order page placement |
-//! | `partitions` | InfiniteGraph-style remote hops vs partition count/strategy |
 //! | `indexes` | hash vs B-tree vs bitmap secondary indexes |
 
 pub mod workload;

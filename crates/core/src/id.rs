@@ -58,7 +58,7 @@ define_id!(
 );
 define_id!(
     /// Identifier of a graph, used by nested graphs (hypernodes own
-    /// subgraphs) and by the partitioned store (one graph per shard).
+    /// subgraphs).
     GraphId,
     "g"
 );

@@ -4,7 +4,7 @@
 //! essential queries; to mirror that, `gdm-algo` implements each query
 //! once, generically over [`GraphView`], and every structure — simple,
 //! attributed, RDF, hypergraph (via its 2-section), nested (via its
-//! flattening), partitioned — exposes this view.
+//! flattening) — exposes this view.
 //!
 //! The primitive operations are callback visitors rather than returned
 //! iterators so implementations need neither boxed iterators (an

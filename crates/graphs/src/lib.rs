@@ -1,7 +1,7 @@
 //! # gdm-graphs
 //!
-//! The graph data structures of the paper's Table III, plus the two
-//! structures its engines additionally need:
+//! The graph data structures of the paper's Table III, plus the one
+//! structure its engines additionally need:
 //!
 //! * [`simple::SimpleGraph`] — flat graphs: nodes and binary edges,
 //!   directed or undirected, optionally labeled (Filament, G-Store,
@@ -17,10 +17,7 @@
 //!   be modeled by nested graphs, but not vice versa — is implemented
 //!   as executable translations in [`nested::translate`],
 //! * [`rdf::RdfGraph`] — triple storage with SPO/POS/OSP indexes
-//!   (AllegroGraph),
-//! * [`partitioned::PartitionedGraph`] — a property graph with an
-//!   explicit partition assignment and remote-hop accounting, the
-//!   simulation stand-in for InfiniteGraph's distributed store.
+//!   (AllegroGraph).
 //!
 //! All structures expose [`gdm_core::GraphView`], so every essential
 //! query in `gdm-algo` runs against every model. [`graphml`] adds the
@@ -29,7 +26,6 @@
 pub mod graphml;
 pub mod hyper;
 pub mod nested;
-pub mod partitioned;
 pub mod property;
 pub mod rdf;
 pub mod simple;
@@ -37,7 +33,6 @@ pub mod views;
 
 pub use hyper::{AtomId, HyperGraph};
 pub use nested::NestedGraph;
-pub use partitioned::PartitionedGraph;
 pub use property::PropertyGraph;
 pub use rdf::{RdfGraph, Term};
 pub use simple::SimpleGraph;

@@ -18,7 +18,7 @@
 //! |---|---|
 //! | [`core`] (`gdm-core`) | ids, values, property maps, the [`core::GraphView`] abstraction |
 //! | [`storage`] (`gdm-storage`) | pager + buffer pool, disk B-tree, heap file, record store, bitmaps, indexes |
-//! | [`graphs`] (`gdm-graphs`) | simple / property / hyper / nested / RDF / partitioned graphs |
+//! | [`graphs`] (`gdm-graphs`) | simple / property / hyper / nested / RDF graphs |
 //! | [`algo`] (`gdm-algo`) | the essential queries: adjacency, reachability, regular paths, VF2 pattern matching, summarization |
 //! | [`govern`] (`gdm-govern`) | the query governor: deadlines, budgets, cooperative cancellation ([`govern::ExecutionGuard`]) |
 //! | [`schema`] (`gdm-schema`) | schemas and the six Table VI integrity constraints |
