@@ -11,13 +11,18 @@
 //! [`DeltaTracker`], freezing and re-freezing snapshots, the read
 //! probes over the model's view, secondary indexes, transactions, and
 //! the validate-then-undo step of constraint-checked mutations. Every
-//! model's view is an [`AttributedView`], so every engine's snapshot is
-//! the one [`FrozenGraph::freeze`] and its re-freeze the one
-//! [`gdm_algo::incremental_refreeze`]; a graph store's view reports no
-//! attributes, and its snapshot holds none. A new cross-cutting hook
-//! goes here, once; a tenth engine is a new `Profile` and, unless an
-//! existing substrate fits (Filament and VertexDB share
-//! [`KvGraph`](crate::kvgraph::KvGraph)), a new `Model`.
+//! write is one arm of [`GraphEngine::apply`]'s `match` on its
+//! [`LogicalOp`], and each arm takes the same steps in the same order:
+//! gate → model write → `validate` with its exact undo → index upkeep →
+//! delta touches. Every model's view is an [`AttributedView`], so every
+//! engine's snapshot is the one [`FrozenGraph::freeze`] and its
+//! re-freeze the one [`gdm_algo::incremental_refreeze`]; a graph
+//! store's view reports no attributes, and its snapshot holds none. A
+//! new cross-cutting hook goes here, once; a new write is one
+//! `LogicalOp` variant, its codec arm and one `apply` arm; a tenth
+//! engine is a new `Profile` and, unless an existing substrate fits
+//! (Filament and VertexDB share [`KvGraph`](crate::kvgraph::KvGraph)),
+//! a new `Model`.
 
 use crate::facade::{AnalysisFunc, EngineDescriptor, GraphEngine, SummaryFunc};
 use crate::op::{Created, LogicalOp};
@@ -318,8 +323,9 @@ pub trait Model: Sized {
 
     /// A DDL statement in the engine's own dialect. Dialect hooks take
     /// the engine, not the model: statements that create data call the
-    /// facade (`engine.create_node(..)`) and are gated, checked and
-    /// tracked like API calls; statements that write the substrate
+    /// facade (`engine.create_node(..)`, which re-enters
+    /// [`GraphEngine::apply`]) and are gated, checked and tracked like
+    /// API calls; statements that write the substrate
     /// directly go through the crate-private `Engine::model_mut`, which
     /// degrades the next re-freeze to a full one.
     fn execute_ddl(_engine: &mut Engine<Self>, _statement: &str) -> Result<()> {

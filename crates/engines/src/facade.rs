@@ -6,6 +6,12 @@
 //! returns [`gdm_core::GdmError::Unsupported`]. Catalog-only facts the
 //! paper records but that have no executable form here (shipping a
 //! GUI, a graphical query language) live in [`EngineDescriptor`].
+//!
+//! Writes have one entry point: [`GraphEngine::apply`] takes a
+//! [`LogicalOp`], and the facade's write methods (`create_node` …
+//! `create_index`) are provided methods that build their op and call
+//! it. An implementation therefore writes in one place, and the
+//! durable wrapper journals every write in its own `apply`.
 
 use crate::engine::Profile;
 use crate::op::{Created, LogicalOp};

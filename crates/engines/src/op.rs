@@ -28,7 +28,7 @@ pub enum Created {
 impl Created {
     /// The created node. Panics when the op created none: `apply`
     /// answers a `CreateNode` with a node.
-    pub fn node(self) -> NodeId {
+    pub(crate) fn node(self) -> NodeId {
         match self {
             Created::Node(n) => n,
             other => panic!("a node-creating op answered {other:?}"),
@@ -37,7 +37,7 @@ impl Created {
 
     /// The created edge. Panics when the op created none: `apply`
     /// answers an edge-creating op with an edge.
-    pub fn edge(self) -> EdgeId {
+    pub(crate) fn edge(self) -> EdgeId {
         match self {
             Created::Edge(e) => e,
             other => panic!("an edge-creating op answered {other:?}"),
@@ -45,7 +45,8 @@ impl Created {
     }
 }
 
-/// One journaled mutation, in facade terms.
+/// One facade write: what [`GraphEngine::apply`](crate::facade::GraphEngine::apply)
+/// takes and the durable journal records.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LogicalOp {
     /// `create_node`.
