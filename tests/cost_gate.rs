@@ -8,8 +8,10 @@
 //! the executor's count of executions that took a helper thread (no
 //! template of the benchmark may), a re-freeze's work units (a small
 //! batch must not cost a full freeze), a full freeze's allocations (they
-//! must not follow the edge count) and a reply's codec allocations
-//! (a many-row reply must not allocate per value on the wire).
+//! must not follow the edge count), a reply's codec allocations
+//! (a many-row reply must not allocate per value on the wire) and an
+//! identity-constrained create's allocations (a checked write must not
+//! revisit the graph).
 
 use graph_db_models::algo::parallel::{fanned_out, hold_helper_permits};
 use graph_db_models::algo::pattern::{Pattern, PatternNode};
@@ -18,13 +20,15 @@ use graph_db_models::algo::{
 };
 use graph_db_models::bench::workload::{social_graph, SocialParams};
 use graph_db_models::core::{
-    AttributedView, DeltaTracker, FreezeDelta, GraphView, PropertyMap, Value,
+    props, AttributedView, DeltaTracker, FreezeDelta, GraphView, PropertyMap, Value,
 };
+use graph_db_models::engines::{make_engine, EngineKind};
 use graph_db_models::govern::ExecutionGuard;
 use graph_db_models::graphs::PropertyGraph;
 use graph_db_models::query::cypher::{parse, CypherStatement};
 use graph_db_models::query::plan::{execute_planned_governed, plan_select, PlannedSelect};
 use graph_db_models::query::ResultSet;
+use graph_db_models::schema::Constraint;
 use graph_db_models::server::protocol::{read_frame, write_frame, Response, Rows};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -490,4 +494,53 @@ fn a_rows_frame_streams_between_rows_and_bytes() {
     assert_eq!(back, reply);
     assert!(encode <= 12, "encoding made {encode} allocations");
     assert!(decode <= 100 + 16, "decoding made {decode} allocations");
+}
+
+/// This thread's allocations for one create on `kind` under an identity
+/// constraint, once `people` nodes hold distinct identities. The
+/// constraint is installed after the load, so the load itself is
+/// unchecked.
+fn constrained_create_allocations(kind: EngineKind, people: i64) -> u64 {
+    let dir = std::env::temp_dir().join(format!(
+        "gdm-cost-identity-{}-{}-{people}",
+        std::process::id(),
+        kind.label()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut e = make_engine(kind, &dir).unwrap();
+    for id in 0..people {
+        e.create_node(Some("person"), props! { "id" => id })
+            .unwrap();
+    }
+    e.install_constraint(Constraint::Identity {
+        type_name: "person".into(),
+        property: "id".into(),
+    })
+    .unwrap();
+    let next = props! { "id" => people };
+    let before = ALLOCATIONS.with(Cell::get);
+    e.create_node(Some("person"), next).unwrap();
+    let allocations = ALLOCATIONS.with(Cell::get) - before;
+    drop(e);
+    let _ = std::fs::remove_dir_all(&dir);
+    allocations
+}
+
+/// A create on DEX or InfiniteGraph under an identity constraint checks
+/// the new node alone: the identity lookup is one probe of the
+/// property graph's value index, so the create allocates the same at
+/// 2 000 and 20 000 nodes, give or take an index or bitmap block
+/// growing (bound: 8). A whole-graph check after each create allocates
+/// per node it revisits.
+#[test]
+fn an_identity_constrained_create_does_not_allocate_by_node_count() {
+    for kind in [EngineKind::Dex, EngineKind::InfiniteGraph] {
+        let small = constrained_create_allocations(kind, 2_000);
+        let large = constrained_create_allocations(kind, 20_000);
+        assert!(
+            small.abs_diff(large) <= 8,
+            "{kind:?}: {small} allocations at 2 000 nodes, {large} at 20 000"
+        );
+    }
 }
