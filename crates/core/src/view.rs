@@ -97,6 +97,18 @@ pub trait GraphView {
 
     // ---- provided conveniences ------------------------------------
 
+    /// Visits the edges with id `e` from their sources (a hyperedge's
+    /// projected pairs). The default scans every node's out-edges.
+    fn visit_edge(&self, e: EdgeId, f: &mut dyn FnMut(EdgeRef)) {
+        self.visit_nodes(&mut |n| {
+            self.visit_out_edges(n, &mut |r| {
+                if r.id == e {
+                    f(r);
+                }
+            });
+        });
+    }
+
     /// Visits edges in the given `direction`. For undirected graphs all
     /// directions visit the same incident set.
     fn visit_edges_dir(&self, n: NodeId, direction: Direction, f: &mut dyn FnMut(EdgeRef)) {

@@ -154,10 +154,6 @@ impl Model for InfiniteGraph {
         self.graph.set_node_property(n, key, value)
     }
 
-    fn remove_node_property(&mut self, n: NodeId, key: &str) -> Result<()> {
-        self.graph.remove_node_property(n, key).map(drop)
-    }
-
     fn set_edge_property(&mut self, e: EdgeId, key: &str, value: Value) -> Result<()> {
         self.graph.set_edge_property(e, key, value).map(drop)
     }
@@ -181,17 +177,12 @@ impl Model for InfiniteGraph {
     }
 
     fn install_constraint(&mut self, constraint: Constraint) -> Result<()> {
-        // Refused when the current data already violates it.
         self.constraints.push(constraint);
-        let checked = self.validate();
-        if checked.is_err() {
-            self.constraints.pop();
-        }
-        checked
+        Ok(())
     }
 
-    fn validate(&self) -> Result<()> {
-        gdm_schema::check(&self.graph, &self.constraints)
+    fn constraints(&self) -> &[Constraint] {
+        &self.constraints
     }
 
     fn save(&self) -> Self::Saved {

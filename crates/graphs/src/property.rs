@@ -198,16 +198,6 @@ impl PropertyGraph {
         Ok(previous)
     }
 
-    /// Removes a node attribute; returns the value it held.
-    pub fn remove_node_property(&mut self, n: NodeId, key: &str) -> Result<Option<Value>> {
-        self.node_data(n)?;
-        let previous = self.node_mut(n).props.remove(key);
-        if let (Some(old), Some(idx)) = (&previous, self.prop_indexes.get_mut(key)) {
-            idx.remove(old, n.raw());
-        }
-        Ok(previous)
-    }
-
     /// All nodes whose attribute `key` is loosely equal to `value`,
     /// ascending by id — answered from the auto-maintained secondary
     /// index, never by scanning.
@@ -466,6 +456,12 @@ impl GraphView for PropertyGraph {
 
     fn label_text(&self, sym: Symbol) -> Option<&str> {
         self.interner.resolve(sym)
+    }
+
+    fn visit_edge(&self, e: EdgeId, f: &mut dyn FnMut(EdgeRef)) {
+        if let Some(Some(d)) = self.edges.get(e.index()) {
+            f(EdgeRef::labeled(e, d.from, d.to, d.label));
+        }
     }
 }
 

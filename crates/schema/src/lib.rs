@@ -6,7 +6,7 @@
 //! the set of consistent database states, or changes of state, or
 //! both." The paper finds constraints "poorly studied in graph
 //! databases" and catalogs six kinds; all six are implemented here as
-//! checkers over a [`gdm_graphs::PropertyGraph`]:
+//! checkers over any [`gdm_core::AttributedView`]:
 //!
 //! | Table VI column | Implementation |
 //! |---|---|
