@@ -12,9 +12,11 @@
 
 use crate::cells::paper_cells;
 use gdm_algo::pattern::{Pattern, PatternNode};
-use gdm_core::{GdmError, NodeId, PropertyMap, Result, Support, Value};
+use gdm_core::{props, GdmError, NodeId, PropertyMap, Result, Support, Value};
 use gdm_engines::{make_engine, AnalysisFunc, EngineKind, GraphEngine, SummaryFunc};
-use gdm_schema::{Constraint, NodeTypeDef, PropertyType, Schema, ValueType};
+use gdm_schema::{
+    Cardinality, Constraint, EdgeTypeDef, NodeTypeDef, PatternKind, PropertyType, Schema, ValueType,
+};
 use std::path::Path;
 
 /// Collapses a probe outcome into a support level; any error other
@@ -93,7 +95,40 @@ fn probe_schema() -> Schema {
         NodeTypeDef::new("probe_t").with(PropertyType::optional("probe_x", ValueType::Int)),
     )
     .expect("fresh schema");
+    s.add_edge_type(
+        EdgeTypeDef::new("probe_one")
+            .between("probe_t", "probe_t")
+            .cardinality(Cardinality::OneFromSource),
+    )
+    .expect("fresh schema");
     s
+}
+
+/// One write that breaks a Table VI probe's constraint, given the
+/// nodes `a` and `b` of [`refuses`]' data.
+type ViolatingWrite = fn(&mut dyn GraphEngine, [NodeId; 2]) -> Result<()>;
+
+/// Over data that meets every Table VI probe's constraint (`probe_t`
+/// nodes `a` and `b` with distinct `probe_x` and equal `probe_y`, and a
+/// `probe_one` edge from `a` to `b`), `violate`'s write must be refused
+/// and leave the counts unchanged: what makes an installed constraint
+/// a supported one.
+fn refuses(e: &mut dyn GraphEngine, violate: ViolatingWrite) -> std::result::Result<(), String> {
+    let data = |e: &mut dyn GraphEngine| -> Result<[NodeId; 2]> {
+        let a = e.create_node(Some("probe_t"), props! { "probe_x" => 1, "probe_y" => 1 })?;
+        let b = e.create_node(Some("probe_t"), props! { "probe_x" => 2, "probe_y" => 1 })?;
+        e.create_edge(a, b, Some("probe_one"), PropertyMap::new())?;
+        Ok([a, b])
+    };
+    let nodes = data(e).map_err(|err| format!("the probe data was refused: {err}"))?;
+    let counts = (e.node_count(), e.edge_count());
+    match violate(e, nodes) {
+        Ok(()) => Err("a violating write was accepted".into()),
+        Err(_) if (e.node_count(), e.edge_count()) != counts => {
+            Err("a refused write changed the counts".into())
+        }
+        Err(_) => Ok(()),
+    }
 }
 
 /// Verifies every executable cell for `kind`, building engines in fresh
@@ -325,13 +360,18 @@ pub fn verify_engine(kind: EngineKind, workdir: &Path) -> Result<Vec<String>> {
     }
 
     // ---- Table VI constraint probes ------------------------------------
+    // A cell is supported when the install succeeds and a write that
+    // breaks the constraint is then refused.
     {
         let schema = probe_schema();
-        let probes: [(&str, Support, Constraint); 6] = [
+        let mut banned = Pattern::new();
+        banned.node(PatternNode::var("x").with_label("probe_u"));
+        let probes: [(&str, Support, Constraint, ViolatingWrite); 6] = [
             (
                 "types checking",
                 cells.types_checking,
                 Constraint::TypeChecking(schema.clone()),
+                |e, _| e.create_node(Some("probe_u"), PropertyMap::new()).map(drop),
             ),
             (
                 "node/edge identity",
@@ -340,16 +380,28 @@ pub fn verify_engine(kind: EngineKind, workdir: &Path) -> Result<Vec<String>> {
                     type_name: "probe_t".into(),
                     property: "probe_x".into(),
                 },
+                |e, _| {
+                    e.create_node(Some("probe_t"), props! { "probe_x" => 1 })
+                        .map(drop)
+                },
             ),
             (
                 "referential integrity",
                 cells.referential_integrity,
                 Constraint::ReferentialIntegrity,
+                |e, [a, _]| {
+                    e.create_edge(a, NodeId(u64::MAX), Some("probe_one"), PropertyMap::new())
+                        .map(drop)
+                },
             ),
             (
                 "cardinality checking",
                 cells.cardinality,
                 Constraint::Cardinality(schema.clone()),
+                |e, [a, b]| {
+                    e.create_edge(a, b, Some("probe_one"), PropertyMap::new())
+                        .map(drop)
+                },
             ),
             (
                 "functional dependency",
@@ -359,24 +411,29 @@ pub fn verify_engine(kind: EngineKind, workdir: &Path) -> Result<Vec<String>> {
                     determinant: "probe_x".into(),
                     dependent: "probe_y".into(),
                 },
+                |e, _| {
+                    let props = props! { "probe_x" => 1, "probe_y" => 2 };
+                    e.create_node(Some("probe_t"), props).map(drop)
+                },
             ),
             (
                 "graph pattern constraints",
                 cells.pattern_constraints,
                 Constraint::GraphPattern {
                     name: "probe".into(),
-                    pattern: Pattern::new(),
-                    kind: gdm_schema::PatternKind::Required,
+                    pattern: banned,
+                    kind: PatternKind::Forbidden,
                 },
+                |e, _| e.create_node(Some("probe_u"), PropertyMap::new()).map(drop),
             ),
         ];
-        for (name, expected, constraint) in probes {
+        for (name, expected, constraint, violate) in probes {
             let mut e = fresh("constraints")?;
-            check!(
-                name,
-                expected,
-                support_of(&e.install_constraint(constraint))
-            );
+            let installed = e.install_constraint(constraint);
+            if let Some(Err(why)) = installed.is_ok().then(|| refuses(e.as_mut(), violate)) {
+                mismatches.push(format!("{}: {name}: installed, but {why}", kind.label()));
+            }
+            check!(name, expected, support_of(&installed));
         }
     }
 
