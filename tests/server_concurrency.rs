@@ -23,6 +23,7 @@
 use graph_db_models::bench::workload::{load_into_engine, social_graph, SocialParams};
 use graph_db_models::core::Value;
 use graph_db_models::engines::{make_engine, EngineKind, GraphEngine};
+use graph_db_models::govern::Limits;
 use graph_db_models::server::protocol::Response;
 use graph_db_models::server::{serve, Client, ServerConfig, TenantConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -278,19 +279,31 @@ fn greedy_tenant_is_throttled_while_light_tenant_keeps_its_throughput() {
     );
 }
 
+/// Six people picked independently: about 10¹³ bindings over the
+/// 150-person graph, so the query runs until its deadline on any
+/// machine, holding its admission slot that long.
+const UNTIL_DEADLINE: &str = "MATCH (a:person), (b:person), (c:person), (d:person), \
+                              (e:person), (f:person) RETURN count(*)";
+
 #[test]
 fn overload_is_shed_with_structured_replies() {
     let db = engine_with_graph("shed");
-    // One tenant capped at one in-flight query, one global slot, no
-    // queue: any concurrent second request must be shed.
+    // One global slot, no queue, and "light" capped at one in-flight
+    // query: while a "light" query runs, a second "light" request is
+    // shed by the tenant cap and any other request by the full queue.
+    // "light" starts with far more credits than one query can draw
+    // before the deadline, so its queries stop at the deadline only.
+    let deadline = Duration::from_secs(3);
     let mut config = ServerConfig {
         slots: 1,
         queue: 0,
         workers: 4,
+        query_limits: Some(Limits::none().with_deadline(deadline)),
         ..ServerConfig::default()
     };
     let mut tenant = TenantConfig::new("light", 1);
     tenant.max_in_flight = 1;
+    tenant.burst_cap = 1 << 40;
     config.tenants.push(tenant);
     let mut other = TenantConfig::new("greedy", 1);
     other.max_in_flight = 8;
@@ -298,85 +311,74 @@ fn overload_is_shed_with_structured_replies() {
 
     let handle = serve(db.serving_snapshot().expect("snapshot"), config).expect("serve");
     let addr = handle.addr();
+    let queue_shed = || {
+        let mut c = Client::connect(addr).expect("connect");
+        c.hello("light", None).expect("hello");
+        let s = c.stats().expect("stats");
+        c.goodbye().ok();
+        s.queue_shed
+    };
+    let shed_before = queue_shed();
 
-    // Hold the single slot with a long-running query from "light".
+    // Hold the single slot from "light" until the deadline. A probe
+    // admitted before the holder sheds it; it retries.
+    let started = Instant::now();
     let holder = std::thread::spawn(move || {
         let mut c = Client::connect(addr).expect("connect");
         c.hello("light", None).expect("hello");
-        // Heavy enough to stay in flight while the probes below run.
-        let q = "MATCH (a:person)-[:knows]->(b:person)-[:knows]->(c:person)\
-                 -[:knows]->(d:person) RETURN d.name";
-        c.query(q).expect("holder query");
+        loop {
+            match c.query(UNTIL_DEADLINE).expect("holder query") {
+                Response::Overloaded(_) => {}
+                Response::Interrupted(_) => break,
+                other => panic!("expected the deadline to stop the holder, got {other:?}"),
+            }
+        }
         c.goodbye().ok();
     });
-    std::thread::sleep(Duration::from_millis(30));
 
-    // Same tenant: shed by the in-flight cap.
+    // Same tenant: shed by the in-flight cap, which proves the holder
+    // has been admitted. Until then the probe is admitted and answered.
     let mut c1 = Client::connect(addr).expect("connect");
     c1.hello("light", None).expect("hello");
-    match c1.query("MATCH (p:person) RETURN p.name").expect("probe") {
-        Response::Overloaded(o) => {
-            assert_eq!(o.scope, "tenant");
-            assert!(o.retry_after_ms > 0);
-        }
-        // The holder may already have finished on a fast machine; the
-        // probe then simply succeeds. Shed behaviour for the global
-        // queue is asserted deterministically below.
-        Response::Rows(_) => {}
-        other => panic!("expected Overloaded or Rows, got {other:?}"),
-    }
-    c1.goodbye().ok();
-    holder.join().expect("holder");
-
-    // Deterministic queue shed: saturate the slot from "greedy" (cap
-    // 8) with a held permit, then probe. No timing dependence: the
-    // admission state is inspected via STATS counters.
-    let stats_before = {
-        let mut c = Client::connect(addr).expect("connect");
-        c.hello("light", None).expect("hello");
-        let s = c.stats().expect("stats");
-        c.goodbye().ok();
-        s
-    };
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop2 = stop.clone();
-    let saturator = std::thread::spawn(move || {
-        let mut c = Client::connect(addr).expect("connect");
-        c.hello("greedy", None).expect("hello");
-        while !stop2.load(Ordering::Relaxed) {
-            let q = "MATCH (a:person)-[:knows]->(b:person)-[:knows]->(c:person)\
-                     -[:knows]->(d:person) RETURN d.name";
-            c.query(q).expect("saturator query");
-        }
-        c.goodbye().ok();
-    });
-    std::thread::sleep(Duration::from_millis(30));
-    let mut c2 = Client::connect(addr).expect("connect");
-    c2.hello("greedy", None).expect("hello");
-    let mut saw_queue_shed = false;
-    for _ in 0..50 {
-        match c2.query("MATCH (p:person) RETURN p.name").expect("probe") {
-            Response::Overloaded(o) if o.scope == "queue" => {
-                saw_queue_shed = true;
+    loop {
+        match c1.query("MATCH (p:person) RETURN p.name").expect("probe") {
+            Response::Overloaded(o) => {
+                assert_eq!(o.scope, "tenant");
+                assert!(o.retry_after_ms > 0);
                 break;
             }
-            _ => {}
+            Response::Rows(_) => {
+                assert!(
+                    started.elapsed() < deadline,
+                    "the holder was never admitted"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            other => panic!("expected Overloaded or Rows, got {other:?}"),
         }
     }
-    stop.store(true, Ordering::Relaxed);
-    saturator.join().expect("saturator");
-    c2.goodbye().ok();
+    c1.goodbye().ok();
 
-    let stats_after = {
-        let mut c = Client::connect(addr).expect("connect");
-        c.hello("light", None).expect("hello");
-        let s = c.stats().expect("stats");
-        c.goodbye().ok();
-        s
-    };
+    // The holder owns the one slot until its deadline, so another
+    // tenant's request finds the queue full.
+    let mut c2 = Client::connect(addr).expect("connect");
+    c2.hello("greedy", None).expect("hello");
+    match c2.query("MATCH (p:person) RETURN p.name").expect("probe") {
+        Response::Overloaded(o) => {
+            assert_eq!(o.scope, "queue");
+            assert!(o.retry_after_ms > 0);
+        }
+        other => panic!("a saturated single-slot server must shed to the queue, got {other:?}"),
+    }
     assert!(
-        saw_queue_shed || stats_after.queue_shed > stats_before.queue_shed,
-        "a saturated single-slot server must shed to the queue scope"
+        started.elapsed() < deadline,
+        "the probes outlasted the holder's deadline; the shed proves nothing"
+    );
+    c2.goodbye().ok();
+    holder.join().expect("holder");
+    assert!(
+        queue_shed() > shed_before,
+        "a saturated single-slot server must count its queue sheds"
     );
     handle.shutdown();
 }
