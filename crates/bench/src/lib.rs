@@ -16,6 +16,8 @@
 //! | `regular_paths` | product-automaton reachability scaling |
 //! | `placement` | G-Store BFS-clustered vs insertion-order page placement |
 //! | `indexes` | hash vs B-tree vs bitmap secondary indexes |
+//! | `recovery` | `DurableEngine::open` replaying a journal of `n` operations |
+//! | `wire` | framing + JSON in memory, and a loopback client → server round trip |
 
 pub mod workload;
 
