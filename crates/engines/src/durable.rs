@@ -633,6 +633,48 @@ mod tests {
         );
     }
 
+    /// A create the constraints refuse is undone in the engine and
+    /// never journaled, so the ids handed out after it must be the ones
+    /// replay assigns. Sones takes its identity constraint from a
+    /// `UNIQUE` attribute of its DDL, which the journal records.
+    #[test]
+    fn replay_reproduces_ids_assigned_after_a_refused_create() {
+        let fs = FaultFs::new();
+        let dir = scratch("refused-ids");
+        let (mut eng, _) =
+            DurableEngine::open(EngineKind::Sones, &dir, fs.clone(), opts()).unwrap();
+        eng.execute_ddl("CREATE VERTEX TYPE Person ATTRIBUTES (String name UNIQUE)")
+            .unwrap();
+        eng.execute_dml("INSERT INTO Person VALUES (name = 'ana')")
+            .unwrap();
+        let err = eng
+            .execute_dml("INSERT INTO Person VALUES (name = 'ana')")
+            .unwrap_err();
+        assert!(matches!(err, GdmError::Constraint(_)), "{err}");
+        let (ana, thing) = (
+            NodeId(0),
+            eng.create_node(Some("Thing"), PropertyMap::new()).unwrap(),
+        );
+        eng.create_edge(thing, ana, Some("owns"), PropertyMap::new())
+            .unwrap();
+        let live = (
+            eng.node_count(),
+            eng.edge_count(),
+            eng.adjacent(thing, ana).unwrap(),
+        );
+        assert_eq!(live, (2, 1, true));
+        drop(eng);
+        fs.crash();
+        let (eng, _) = DurableEngine::open(EngineKind::Sones, &dir, fs, opts()).unwrap();
+        let replayed = (
+            eng.node_count(),
+            eng.edge_count(),
+            eng.adjacent(thing, ana).unwrap(),
+        );
+        assert_eq!(replayed, live);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn refuses_a_log_directory_holding_a_checkpoint() {
         // A segment of one journaled op, as an older build would have
