@@ -5,7 +5,8 @@
 //! a VF2-style backtracking search for subgraph *monomorphisms*
 //! (injective on nodes, non-induced on edges) with optional label and
 //! property constraints; [`match_pattern_brute`] is the brute-force
-//! oracle the property tests compare against.
+//! oracle the property tests compare against. SPARQL asks for
+//! homomorphisms instead ([`Pattern::homomorphic`]).
 //!
 //! A pattern edge may be *variable-length* ([`Pattern::edge_hops`]): it
 //! then stands for a walk of `min..=max` label-matching hops instead of
@@ -98,6 +99,9 @@ pub struct Pattern {
     pub nodes: Vec<PatternNode>,
     /// Pattern edges.
     pub edges: Vec<PatternEdge>,
+    /// Lets two pattern nodes bind one data node, as SPARQL does; every
+    /// matcher honours it. Unset, matches are injective on nodes.
+    pub homomorphic: bool,
 }
 
 impl Pattern {
@@ -210,8 +214,8 @@ pub type Binding = FxHashMap<String, NodeId>;
 /// Finds all subgraph matches of `pattern` in `g` (VF2-style search)
 /// under `guard`: one node visit is charged per candidate considered
 /// and one row per binding emitted, and a trip returns
-/// [`GdmError::Interrupted`]. Matches are injective on nodes. Returns
-/// bindings in a stable order.
+/// [`GdmError::Interrupted`]. Matches are injective on nodes (unless
+/// [`Pattern::homomorphic`]). Returns bindings in a stable order.
 pub fn match_pattern<G: AttributedView + ?Sized>(
     g: &G,
     pattern: &Pattern,
@@ -332,7 +336,7 @@ fn extend<G: AttributedView + ?Sized>(
     let pv = order[depth];
     for candidate in candidates(g, pattern, pv, assignment) {
         meter.nodes(1)?;
-        if assignment.iter().flatten().any(|&n| n == candidate) {
+        if !pattern.homomorphic && assignment.iter().flatten().any(|&n| n == candidate) {
             continue; // injectivity
         }
         if !node_compatible(
@@ -529,8 +533,8 @@ pub(crate) fn edge_ranges_ok<G: AttributedView + ?Sized>(
     })
 }
 
-/// Brute-force oracle: tries every injective assignment. Exponential —
-/// for tests only.
+/// Brute-force oracle: tries every assignment, injective unless the
+/// pattern is [`Pattern::homomorphic`]. Exponential — for tests only.
 pub fn match_pattern_brute<G: AttributedView + ?Sized>(g: &G, pattern: &Pattern) -> Vec<Binding> {
     if pattern.nodes.is_empty() {
         return Vec::new();
@@ -583,7 +587,7 @@ fn brute<G: AttributedView + ?Sized>(
         return;
     }
     for &n in nodes {
-        if assignment.iter().flatten().any(|&m| m == n) {
+        if !pattern.homomorphic && assignment.iter().flatten().any(|&m| m == n) {
             continue;
         }
         if !node_compatible(g, &pattern.nodes[depth], n, &mut caches.node_labels[depth]) {

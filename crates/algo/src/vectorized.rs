@@ -790,9 +790,9 @@ impl VecSearch<'_> {
 
     /// Residual filter + recurse: charges the meter for the candidate
     /// batch, filters it in place against the node constraints,
-    /// injectivity, and the depth's residual edge checks, gathers the
-    /// survivors into a child frame, and runs the next operator on it.
-    /// Clears `sel`/`vals` for the caller to refill.
+    /// injectivity (unless homomorphic), and the depth's residual edge
+    /// checks, gathers the survivors into a child frame, and runs the
+    /// next operator on it. Clears `sel`/`vals` for the caller to refill.
     fn flush(
         &mut self,
         depth: usize,
@@ -807,6 +807,8 @@ impl VecSearch<'_> {
         let want = plan.node_want[pv];
         let want_props = &plan.node_props[pv];
         let bound_vars = &plan.order[..depth];
+        let homomorphic = plan.pattern.homomorphic;
+        let distinct_from: &[usize] = if homomorphic { &[] } else { bound_vars };
         let mut keep = 0usize;
         'cand: for i in 0..vals.len() {
             let cand = vals[i];
@@ -828,7 +830,7 @@ impl VecSearch<'_> {
                 }
             }
             // Injectivity against the row's other columns.
-            for &v in bound_vars {
+            for &v in distinct_from {
                 if frame.cols[v][row] == cand {
                     continue 'cand;
                 }
@@ -1054,6 +1056,35 @@ mod tests {
         )
         .unwrap();
         assert_eq!(seeded, vec);
+    }
+
+    /// A homomorphic pattern lets two variables bind one node on every
+    /// executor: the brute-force oracle, the reference search, the live
+    /// row search and the pipeline at one and three workers agree, and
+    /// find the injective matches plus those that reuse a node.
+    #[test]
+    fn every_executor_honours_homomorphic_matching() {
+        let g = community();
+        let fz = FrozenGraph::freeze(&g);
+        // x knows y and z, and z knows x back.
+        let mut p = Pattern::new();
+        let x = p.node(PatternNode::var("x"));
+        let y = p.node(PatternNode::var("y"));
+        let z = p.node(PatternNode::var("z"));
+        p.edge(x, y, Some("knows")).unwrap();
+        p.edge(x, z, Some("knows")).unwrap();
+        p.edge(z, x, None).unwrap();
+        let injective = canonical(&reference(&fz, &p));
+        p.homomorphic = true;
+        let oracle = canonical(&crate::pattern::match_pattern_brute(&fz, &p));
+        assert!(oracle.len() > injective.len());
+        assert!(injective.iter().all(|m| oracle.contains(m)));
+        assert_eq!(canonical(&reference(&fz, &p)), oracle);
+        assert_eq!(canonical(&live(&g, &p).to_bindings()), oracle);
+        for workers in [1, 3] {
+            let table = with_workers(&fz, &p, workers);
+            assert_eq!(canonical(&table.to_bindings()), oracle, "{workers} workers");
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use crate::engine::{Capability as C, Engine, Model, Profile};
 use crate::facade::EngineDescriptor;
 use gdm_core::{EdgeId, GdmError, GraphView, NodeId, PropertyMap, Result, Support, Value};
-use gdm_govern::Limits;
+use gdm_govern::{ExecutionGuard, Limits};
 use gdm_graphs::rdf::{RdfGraph, Term};
 use gdm_query::datalog::Program;
 use gdm_query::eval::ResultSet;
@@ -291,8 +291,11 @@ impl Model for Allegro {
         Ok(())
     }
 
+    /// SPARQL, matched by the planned matcher under the profile's
+    /// limits.
     fn execute_query(engine: &mut AllegroEngine, query: &str) -> Result<ResultSet> {
-        sparql::query(engine.view(), query)
+        let guard = ExecutionGuard::new(PROFILE.limits);
+        sparql::evaluate(engine.view(), &sparql::parse(query)?, &guard)
     }
 
     fn reason(&self, rules: &str, goal: &str) -> Result<Vec<Vec<String>>> {
@@ -308,15 +311,7 @@ impl Model for Allegro {
         self.rdf
             .match_terms(None, Some(&Term::iri(key)), None)
             .into_iter()
-            .filter_map(|(_, _, o)| match o {
-                Term::Literal(s) => Some(
-                    s.parse::<i64>()
-                        .map(Value::Int)
-                        .or_else(|_| s.parse::<f64>().map(Value::Float))
-                        .unwrap_or(Value::Str(s)),
-                ),
-                _ => None,
-            })
+            .filter_map(|(_, _, o)| matches!(o, Term::Literal(_)).then(|| o.value()))
             .collect()
     }
 

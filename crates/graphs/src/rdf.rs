@@ -10,7 +10,7 @@
 //! *value nodes*), every triple is a directed labeled edge, and the
 //! predicate term doubles as the edge label symbol.
 
-use gdm_core::{EdgeId, EdgeRef, FxHashMap, GdmError, GraphView, NodeId, Result, Symbol};
+use gdm_core::{EdgeId, EdgeRef, FxHashMap, GdmError, GraphView, NodeId, Result, Symbol, Value};
 use std::collections::BTreeSet;
 
 /// An RDF term.
@@ -44,6 +44,19 @@ impl Term {
         }
     }
 
+    /// The term as a comparable [`Value`]: a numeric literal is a
+    /// number, any other term its text (a literal's unquoted).
+    pub fn value(&self) -> Value {
+        match self {
+            Term::Literal(s) => s
+                .parse::<i64>()
+                .map(Value::Int)
+                .or_else(|_| s.parse::<f64>().map(Value::Float))
+                .unwrap_or_else(|_| Value::Str(s.clone())),
+            other => Value::Str(other.text()),
+        }
+    }
+
     /// True for terms allowed in subject position (no literals).
     pub fn is_resource(&self) -> bool {
         !matches!(self, Term::Literal(_))
@@ -67,6 +80,12 @@ pub type TripleId = EdgeId;
 pub struct RdfGraph {
     terms: Vec<Term>,
     term_ids: FxHashMap<Term, u32>,
+    /// Per term, how many subject and object positions of stored
+    /// triples it fills: the view's nodes are the terms with a nonzero
+    /// count.
+    incidence: Vec<u32>,
+    /// How many terms have a nonzero `incidence`.
+    nodes: usize,
     /// Triple storage; `None` marks removed triples.
     triples: Vec<Option<(u32, u32, u32)>>,
     count: usize,
@@ -91,7 +110,28 @@ impl RdfGraph {
         let id = self.terms.len() as u32;
         self.terms.push(term.clone());
         self.term_ids.insert(term.clone(), id);
+        self.incidence.push(0);
         id
+    }
+
+    /// Counts the subject and the object of a triple just added (or
+    /// no longer counts them, for one just removed), keeping the node
+    /// count in step.
+    fn count_incidence(&mut self, s: u32, o: u32, added: bool) {
+        for t in [s, o] {
+            let count = &mut self.incidence[t as usize];
+            if added {
+                *count += 1;
+                if *count == 1 {
+                    self.nodes += 1;
+                }
+            } else {
+                *count -= 1;
+                if *count == 0 {
+                    self.nodes -= 1;
+                }
+            }
+        }
     }
 
     /// Returns the term stored under `id`.
@@ -140,6 +180,7 @@ impl RdfGraph {
         self.pos.insert((pi, oi, si, tid));
         self.osp.insert((oi, si, pi, tid));
         self.count += 1;
+        self.count_incidence(si, oi, true);
         Ok(EdgeId(u64::from(tid)))
     }
 
@@ -162,6 +203,7 @@ impl RdfGraph {
         self.osp.remove(&(oi, si, pi, tid));
         self.triples[tid as usize] = None;
         self.count -= 1;
+        self.count_incidence(si, oi, false);
         true
     }
 
@@ -277,6 +319,14 @@ impl RdfGraph {
         out
     }
 
+    /// The predicates of the triples from term `s` to term `o`, by term
+    /// id, ascending.
+    pub fn predicates_between(&self, s: u32, o: u32) -> impl Iterator<Item = u32> + '_ {
+        self.osp
+            .range((o, s, 0, 0)..=(o, s, u32::MAX, u32::MAX))
+            .map(|&(.., p, _)| p)
+    }
+
     /// Matches a pattern and returns term triples (convenience).
     pub fn match_terms(
         &self,
@@ -310,26 +360,13 @@ impl RdfGraph {
     }
 }
 
-impl RdfGraph {
-    /// Per term, whether it appears as a subject or object of a triple:
-    /// the graph's nodes, found by one scan of the triples.
-    fn node_terms(&self) -> Vec<bool> {
-        let mut seen = vec![false; self.terms.len()];
-        for t in self.triples.iter().flatten() {
-            seen[t.0 as usize] = true;
-            seen[t.2 as usize] = true;
-        }
-        seen
-    }
-}
-
 impl GraphView for RdfGraph {
     fn is_directed(&self) -> bool {
         true
     }
 
     fn node_count(&self) -> usize {
-        self.node_terms().iter().filter(|&&b| b).count()
+        self.nodes
     }
 
     fn edge_count(&self) -> usize {
@@ -340,25 +377,14 @@ impl GraphView for RdfGraph {
         (n.raw() as usize) < self.terms.len()
     }
 
+    /// The terms that are the subject or the object of a stored triple,
+    /// ascending by id.
     fn visit_nodes(&self, f: &mut dyn FnMut(NodeId)) {
-        for (i, s) in self.node_terms().iter().enumerate() {
-            if *s {
+        for (i, &count) in self.incidence.iter().enumerate() {
+            if count > 0 {
                 f(NodeId(i as u64));
             }
         }
-    }
-
-    /// One scan of the triples, not the default's count-then-visit two.
-    fn node_ids(&self) -> Vec<NodeId> {
-        let seen = self.node_terms();
-        let mut ids = Vec::with_capacity(seen.iter().filter(|&&b| b).count());
-        ids.extend(
-            seen.iter()
-                .enumerate()
-                .filter(|(_, &s)| s)
-                .map(|(i, _)| NodeId(i as u64)),
-        );
-        ids
     }
 
     fn visit_out_edges(&self, n: NodeId, f: &mut dyn FnMut(EdgeRef)) {
@@ -442,6 +468,15 @@ mod tests {
         assert_eq!(ids.len(), g.node_count());
         assert_eq!(ids.len(), 4); // ana, "Ana", ben, cleo
         assert!(ids.len() < g.terms.len());
+        // A self-loop makes one node of its one term, and removing the
+        // last triple on a term drops it.
+        let eve = Term::iri("eve");
+        g.add(&eve, &Term::iri("likes"), &eve).unwrap();
+        assert_eq!(g.node_count(), 5);
+        g.remove(&eve, &Term::iri("likes"), &eve);
+        g.remove(&Term::iri("ben"), &Term::iri("parent"), &Term::iri("cleo"));
+        assert_eq!(g.node_ids().len(), g.node_count());
+        assert_eq!(g.node_count(), 2); // ana, "Ana"
     }
 
     #[test]

@@ -24,7 +24,9 @@ use graph_db_models::bench::workload::{load_into_engine, social_graph, SocialPar
 use graph_db_models::core::{Direction, InterruptReason, NodeId, Result, Value};
 use graph_db_models::engines::{make_engine, EngineKind, SummaryFunc};
 use graph_db_models::govern::{ExecutionGuard, Limits};
+use graph_db_models::graphs::rdf::{RdfGraph, Term};
 use graph_db_models::graphs::SimpleGraph;
+use graph_db_models::query::sparql;
 use proptest::prelude::*;
 use std::fmt::Debug;
 use std::time::Duration;
@@ -486,4 +488,32 @@ fn variable_length_expand_is_interruptible_on_both_executors() {
     }
     check(&g, &from_one, &from_all);
     check(&fz, &from_one, &from_all);
+}
+
+/// A SPARQL cross product is matched under the caller's guard: two
+/// unrelated `knows` patterns over 400 triples make 160 000 solutions,
+/// and a 10 000-node-visit budget stops the match long before it has
+/// built them.
+#[test]
+fn sparql_cross_product_is_interruptible() {
+    let mut g = RdfGraph::new();
+    let knows = Term::iri("knows");
+    for i in 0..200 {
+        for step in [1, 2] {
+            let to = Term::iri(format!("p{}", (i + step) % 200));
+            g.add(&Term::iri(format!("p{i}")), &knows, &to).unwrap();
+        }
+    }
+    assert_eq!(g.len(), 400);
+    let query =
+        sparql::parse("SELECT (COUNT(*) AS ?n) WHERE { ?a <knows> ?b . ?c <knows> ?d }").unwrap();
+    let rs = sparql::evaluate(&g, &query, &ExecutionGuard::unlimited()).unwrap();
+    assert_eq!(rs.rows[0][0], Value::Int(160_000));
+    let guard = ExecutionGuard::new(Limits::none().with_node_visits(10_000));
+    let err = sparql::evaluate(&g, &query, &guard).unwrap_err();
+    assert_eq!(
+        err.interrupt_reason(),
+        Some(InterruptReason::Budget),
+        "{err}"
+    );
 }

@@ -218,3 +218,180 @@ fn partial_cypher_refusals_are_loud_and_specific() {
         assert!(msg.contains("not supported"), "{q}: unexpected error {msg}");
     }
 }
+
+/// A SPARQL reply as one line: its columns, then its rows in order,
+/// every value with its type, so a pin holds the exact rows and order.
+fn sparql_rows(rs: &graph_db_models::query::ResultSet) -> String {
+    format!("{:?} {:?}", rs.columns, rs.rows)
+}
+
+/// Runs `statements` as AllegroGraph DML, then each query of `pins`,
+/// and checks its reply against the pinned line.
+fn pin_allegro(tag: &str, statements: &[&str], pins: &[(&str, &str)]) {
+    let mut ag = make_engine(EngineKind::Allegro, &dir(tag)).unwrap();
+    for s in statements {
+        ag.execute_dml(s).unwrap();
+    }
+    for (query, want) in pins {
+        let rs = ag.execute_query(query).unwrap();
+        assert_eq!(sparql_rows(&rs), *want, "{query}");
+    }
+}
+
+/// The SPARQL texts of `examples/semantic_web.rs` and
+/// `examples/query_languages.rs` over the examples' own data.
+#[test]
+fn sparql_example_rows_are_pinned() {
+    pin_allegro(
+        "pin-semweb",
+        &[
+            "ADD <socrates> <is_a> <human>",
+            "ADD <plato> <is_a> <human>",
+            "ADD <human> <subclass_of> <mortal>",
+            "ADD <mortal> <subclass_of> <being>",
+            "ADD <socrates> <taught> <plato>",
+            "ADD <plato> <taught> <aristotle>",
+            "ADD <aristotle> <is_a> <human>",
+            "ADD <socrates> <age> '70'",
+            "ADD <plato> <age> '80'",
+        ],
+        &[
+            (
+                "SELECT ?x WHERE { ?x <is_a> <human> } ORDER BY ?x",
+                r#"["x"] [[Str("aristotle")], [Str("plato")], [Str("socrates")]]"#,
+            ),
+            (
+                "SELECT ?teacher ?student WHERE { ?teacher <taught> ?student . ?student <is_a> <human> }",
+                r#"["teacher", "student"] [[Str("plato"), Str("aristotle")], [Str("socrates"), Str("plato")]]"#,
+            ),
+            (
+                "SELECT ?p WHERE { ?p <age> ?a . FILTER(?a > 75) }",
+                r#"["p"] [[Str("plato")]]"#,
+            ),
+        ],
+    );
+    let mut languages = Vec::new();
+    for (name, age) in [("ana", 30), ("bob", 45), ("cleo", 27), ("dan", 19)] {
+        languages.push(format!("ADD <{name}> <age> '{age}'"));
+    }
+    for (a, b) in [
+        ("ana", "bob"),
+        ("bob", "cleo"),
+        ("ana", "dan"),
+        ("dan", "cleo"),
+    ] {
+        languages.push(format!("ADD <{a}> <knows> <{b}>"));
+    }
+    let languages: Vec<&str> = languages.iter().map(String::as_str).collect();
+    pin_allegro(
+        "pin-languages",
+        &languages,
+        &[(
+            "SELECT DISTINCT ?b WHERE { <ana> <knows> ?m . ?m <knows> ?b . ?b <age> ?a . FILTER(?a > 25) }",
+            r#"["b"] [[Str("cleo")]]"#,
+        )],
+    );
+}
+
+/// The Table V query-language probe, on the probe graph after the
+/// probe's DDL and DML, and the SPARQL texts of AllegroGraph's unit
+/// tests.
+#[test]
+fn sparql_probe_and_engine_test_rows_are_pinned() {
+    let mut ag = make_engine(EngineKind::Allegro, &dir("pin-probe")).unwrap();
+    graph_db_models::compare::probes::build_probe_graph(ag.as_mut()).unwrap();
+    ag.execute_ddl("DEFINE PREDICATE <probe_pred>").unwrap();
+    ag.execute_dml("ADD <probe_s> <probe_p> <probe_o>").unwrap();
+    let rs = ag
+        .execute_query("SELECT (COUNT(*) AS ?n) WHERE { ?x ?p ?y }")
+        .unwrap();
+    assert_eq!(sparql_rows(&rs), r#"["n"] [[Int(6)]]"#);
+
+    let family = ["ADD <ana> <parent> <ben>", "ADD <ben> <parent> <cleo>"];
+    pin_allegro(
+        "pin-engine",
+        &[family[0], family[1], "ADD <ana> <age> '62'"],
+        &[
+            (
+                "SELECT ?gc WHERE { <ana> <parent> ?c . ?c <parent> ?gc }",
+                r#"["gc"] [[Str("cleo")]]"#,
+            ),
+            (
+                "SELECT (COUNT(*) AS ?n) WHERE { ?x <parent> ?y }",
+                r#"["n"] [[Int(2)]]"#,
+            ),
+            (
+                "SELECT ?x WHERE { ?x <parent> <ben> }",
+                r#"["x"] [[Str("ana")]]"#,
+            ),
+        ],
+    );
+    pin_allegro(
+        "pin-engine-deleted",
+        &[family[0], family[1], "DELETE <ana> <parent> <ben>"],
+        &[(
+            "SELECT (COUNT(*) AS ?n) WHERE { ?x <parent> ?y }",
+            r#"["n"] [[Int(1)]]"#,
+        )],
+    );
+}
+
+/// Basic graph patterns match homomorphically: two variables may bind
+/// one term, a variable may meet itself, and a variable predicate
+/// lists every predicate between a bound pair.
+#[test]
+fn sparql_homomorphism_rows_are_pinned() {
+    use graph_db_models::graphs::rdf::{RdfGraph, Term};
+    use graph_db_models::query::sparql;
+    let mut g = RdfGraph::new();
+    for (s, p, o) in [
+        ("ana", "parent", "ben"),
+        ("ana", "parent", "bea"),
+        ("ben", "parent", "cleo"),
+        ("ana", "mentor", "ben"),
+        ("cleo", "likes", "cleo"),
+        ("ben", "likes", "bea"),
+        ("parent", "kind", "family"),
+    ] {
+        g.add(&Term::iri(s), &Term::iri(p), &Term::iri(o)).unwrap();
+    }
+    g.add(&Term::iri("ana"), &Term::iri("age"), &Term::lit("62"))
+        .unwrap();
+    g.add(&Term::iri("ben"), &Term::iri("age"), &Term::lit("35"))
+        .unwrap();
+    for (query, want) in [
+        // Two variables on one term: (ben, ben), (bea, bea) and (cleo,
+        // cleo) are solutions too.
+        (
+            "SELECT ?a ?b WHERE { ?x <parent> ?a . ?x <parent> ?b }",
+            r#"["a", "b"] [[Str("bea"), Str("bea")], [Str("bea"), Str("ben")], [Str("ben"), Str("bea")], [Str("ben"), Str("ben")], [Str("cleo"), Str("cleo")]]"#,
+        ),
+        (
+            "SELECT ?x WHERE { ?x <likes> ?x }",
+            r#"["x"] [[Str("cleo")]]"#,
+        ),
+        (
+            "SELECT ?p WHERE { <ana> ?p <ben> }",
+            r#"["p"] [[Str("mentor")], [Str("parent")]]"#,
+        ),
+        (
+            "SELECT (COUNT(*) AS ?n) WHERE { <ana> ?p <ben> }",
+            r#"["n"] [[Int(2)]]"#,
+        ),
+        (
+            "SELECT * WHERE { ?x ?p ?y . ?p <kind> <family> }",
+            r#"["p", "x", "y"] [[Str("parent"), Str("ana"), Str("bea")], [Str("parent"), Str("ana"), Str("ben")], [Str("parent"), Str("ben"), Str("cleo")]]"#,
+        ),
+        // No solution: no columns either.
+        ("SELECT * WHERE { ?x <parent> ?x }", "[] []"),
+        ("SELECT ?x WHERE { ?x 'parent' ?y }", r#"["x"] []"#),
+        ("SELECT ?y WHERE { <nobody> <parent> ?y }", r#"["y"] []"#),
+        (
+            "SELECT DISTINCT ?x ?a WHERE { ?x ?p ?y . ?x <age> ?a } ORDER BY ?a",
+            r#"["x", "a"] [[Str("ben"), Int(35)], [Str("ana"), Int(62)]]"#,
+        ),
+    ] {
+        let rs = sparql::query(&g, query).unwrap();
+        assert_eq!(sparql_rows(&rs), want, "{query}");
+    }
+}
